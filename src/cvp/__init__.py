@@ -6,21 +6,19 @@ from .errors import (ConstructionError, CVPError, DegenerateExhaustionError,
                      DegenerateStageError, InputError, PositivityError,
                      ProfileError, SizeError, SolverFailure, UsageError,
                      VolumeConstraintError)
-from .space import (Exhaustion, MetricSpace, annulus, build_exhaustion,
-                    closed_ball, covering_number, exact_covering_number,
-                    greedy_cover, grid_1d, rescale_metric, space_from_dict,
-                    space_to_dict)
+from .space import (Exhaustion, MetricSpace, build_exhaustion, closed_ball,
+                    covering_number, exact_covering_number, greedy_cover,
+                    grid_1d, space_from_dict, space_to_dict)
 from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum,
-                         effective_range, entropy_ball_radius, exp_profile,
-                         global_sup, kernel_from_spec, kernel_to_dict,
-                         make_kernel, poly_profile, profile_from_spec,
-                         profile_to_dict, scaled_exp_profile, tail_index,
-                         truncated_profile, verify_compact_range,
+                         effective_range, exp_profile, global_sup,
+                         kernel_from_spec, kernel_to_dict, make_kernel,
+                         poly_profile, profile_from_spec, profile_to_dict,
+                         scaled_exp_profile, tail_index, verify_compact_range,
                          verify_entropy_decay)
 from .measure import (DiscreteMeasure, SignedVariation, action,
                       action_difference, apply_variation, averaged_kernel,
                       make_variation, measure_from_dict, measure_to_dict,
-                      restrict, total_variation_diff)
+                      restrict)
 from .simplex_solver import (CompactProblem, CompactSolution, KKTResiduals,
                              SolverOptions, brute_force_minimizer,
                              kkt_residuals, minimize_on_compact)
@@ -30,8 +28,7 @@ from .pipeline import (ExhaustionRun, RunOptions, ScaledMinimizer,
                        stage_ell, tail_mass, window_points)
 from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY,
                           EXIT_OK, ELReport, VariationSampler,
-                          check_condition_iv, check_sufficient_conditions, ell,
-                          gamma_lower_bound, nontriviality_check,
-                          test_minimality, verify_el)
+                          check_sufficient_conditions, gamma_lower_bound,
+                          nontriviality_check, test_minimality, verify_el)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,23 +20,22 @@ import numpy as np
 
 from . import __version__
 from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY, EXIT_OK,
-                          VariationSampler, check_condition_iv,
-                          check_sufficient_conditions, gamma_lower_bound,
-                          nontriviality_check, verify_el)
+                          VariationSampler, check_sufficient_conditions,
+                          gamma_lower_bound, nontriviality_check, verify_el)
 from .el_analysis import test_minimality as sample_minimality
-from .errors import CVPError, UsageError
+from .errors import CVPError, InputError, UsageError
 from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum,
                          kernel_from_spec, profile_from_spec)
-from .measure import DiscreteMeasure, measure_to_dict
+from .measure import measure_to_dict, restrict
 from .pipeline import (ExhaustionRun, RunOptions, ScaledMinimizer,
                        local_mass_bound_check, run_exhaustion, stage_ell)
 from .reports import canonical_json, sha256_text, write_csv, write_json
-from .simplex_solver import (CompactProblem, CompactSolution, KKTResiduals,
-                             SolverOptions, brute_force_minimizer)
+from .simplex_solver import (CompactProblem, KKTResiduals, SolverOptions,
+                             brute_force_minimizer)
 from .space import Exhaustion, MetricSpace, build_exhaustion, space_from_dict
 
-VALID_CHECKS = ("el", "minimality", "conditions", "condition_iv",
-                "nontriviality", "gamma", "mass_bound")
+VALID_CHECKS = ("el", "minimality", "conditions", "nontriviality", "gamma",
+                "mass_bound")
 _DEFAULT_CHECKS = ("el", "minimality", "nontriviality")
 
 
@@ -61,12 +60,6 @@ def _solver_options(payload: dict, seed: int) -> SolverOptions:
     for key in ("tol", "max_iter", "restarts", "oracle_max", "certify"):
         if key in payload:
             setattr(opts, key, type(getattr(opts, key))(payload[key]))
-    env = os.environ.get("CVP_THREADS")
-    if env:
-        try:
-            opts.workers = max(1, int(env))
-        except ValueError:
-            raise UsageError(f"CVP_THREADS must be an integer, got {env!r}") from None
     return opts
 
 
@@ -117,34 +110,53 @@ def _config_payload(config: RunConfig) -> dict:
 
 
 def report_from_run(run: ExhaustionRun, config: RunConfig) -> dict:
+    """The ``run.json`` form of a run; ``run_from_report`` reads it back.
+
+    A stage is read back from its ids, unscaled weights, KKT residuals and
+    flags. ``lambda``, ``s_unscaled`` and ``value`` (all from ``kkt.s_param``)
+    and ``limit`` are derived, and written for readers only.
+    """
     payload = _config_payload(config)
-    config_text = canonical_json(payload)
-    stages = []
-    for s in run.stages:
-        sol = s.solution
-        stages.append({
-            "index": s.stage_index,
-            "ids": list(s.stage_ids),
-            "lambda": s.scale,
-            "s_unscaled": s.s_unscaled,
-            "value": sol.value,
-            "degenerate": s.degenerate,
-            "certified_global": sol.certified_global,
-            "kkt": {"on_support_max": sol.kkt.on_support_max,
-                    "min_over_k": sol.kkt.min_over_k,
-                    "s_param": sol.kkt.s_param},
-            "weights": {pid: float(w) for pid, w in zip(sol.ids, sol.weights) if w > 0},
-        })
-    window = sorted(run.window, key=config.space._at)
+    stages = [{
+        "index": s.stage_index,
+        "ids": list(s.stage_ids),
+        "lambda": s.scale,
+        "s_unscaled": s.s_unscaled,
+        "value": s.s_unscaled,
+        "degenerate": s.degenerate,
+        "certified_global": s.certified_global,
+        "kkt": {"on_support_max": s.kkt.on_support_max,
+                "min_over_k": s.kkt.min_over_k,
+                "s_param": s.kkt.s_param},
+        "weights": dict(s.weights),
+    } for s in run.stages]
     return {
         "tool": {"name": "cvp", "version": __version__},
         "config": payload,
-        "config_hash": sha256_text(config_text),
+        "config_hash": sha256_text(canonical_json(payload)),
         "stages": stages,
-        "window": window,
+        "window": sorted(run.window, key=config.space._at),
         "limit": measure_to_dict(run.limit),
         "diagnostics": run.diagnostics,
     }
+
+
+def run_from_report(report: dict, space: MetricSpace) -> ExhaustionRun:
+    """Rebuild a run from its report: stages from their unscaled weights and
+    KKT residuals, the limit from the last stage restricted to the window."""
+    stages = tuple(ScaledMinimizer(
+        stage_index=s["index"], stage_ids=tuple(s["ids"]),
+        weights={pid: float(w) for pid, w in s["weights"].items()},
+        kkt=KKTResiduals(on_support_max=float(s["kkt"]["on_support_max"]),
+                         min_over_k=float(s["kkt"]["min_over_k"]),
+                         s_param=float(s["kkt"]["s_param"])),
+        certified_global=s["certified_global"], space_key=space.key,
+        degenerate=s["degenerate"]) for s in report["stages"])
+    if not stages:
+        raise InputError("report has no stages")
+    window = frozenset(report["window"])
+    return ExhaustionRun(stages=stages, limit=restrict(stages[-1].measure, window),
+                         window=window, diagnostics=report["diagnostics"])
 
 
 def cmd_solve(args) -> int:
@@ -169,43 +181,20 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _rebuild_run(report: dict, space: MetricSpace, L: Lagrangian) -> ExhaustionRun:
-    stages = []
-    for payload in report["stages"]:
-        ids = tuple(payload["ids"])
-        wmap = payload["weights"]
-        weights = np.array([float(wmap.get(p, 0.0)) for p in ids])
-        kkt = KKTResiduals(on_support_max=payload["kkt"]["on_support_max"],
-                           min_over_k=payload["kkt"]["min_over_k"],
-                           s_param=payload["kkt"]["s_param"])
-        sol = CompactSolution(ids=ids, weights=weights, value=payload["value"],
-                              s_param=payload["s_unscaled"], kkt=kkt,
-                              certified_global=payload["certified_global"])
-        lam = payload["lambda"]
-        measure = DiscreteMeasure(weights={p: lam * float(w) for p, w in wmap.items()},
-                                  space_key=space.key)
-        stages.append(ScaledMinimizer(stage_index=payload["index"], stage_ids=ids,
-                                      measure=measure, scale=lam,
-                                      s_unscaled=payload["s_unscaled"], solution=sol,
-                                      degenerate=payload["degenerate"]))
-    limit = DiscreteMeasure(weights={k: float(v)
-                                     for k, v in report["limit"]["weights"].items()},
-                            space_key=space.key)
-    return ExhaustionRun(stages=tuple(stages), limit=limit,
-                         window=frozenset(report["window"]),
-                         diagnostics=report["diagnostics"])
-
-
 def cmd_verify(args) -> int:
     with open(args.run) as handle:
         report = json.load(handle)
     config = report["config"]
+    config_hash = sha256_text(canonical_json(config))
+    if config_hash != report["config_hash"]:
+        raise InputError(f"{args.run}: config_hash {report['config_hash']} does not "
+                         f"match the embedded config (sha256 {config_hash})")
     space = space_from_dict(config["space"])
     kernel = kernel_from_spec(config["kernel"], space)
     profile = None
     if config.get("profile"):
         profile = profile_from_spec(config["profile"], c=diagonal_infimum(kernel))
-    run = _rebuild_run(report, space, kernel)
+    run = run_from_report(report, space)
     verify_cfg = config.get("verify", {})
 
     if args.checks:
@@ -245,10 +234,6 @@ def cmd_verify(args) -> int:
             results["conditions"] = check_sufficient_conditions(
                 kernel, space, float(delta_cover))
             results["conditions"]["passed"] = results["conditions"]["holds"]
-        elif check == "condition_iv":
-            out = check_condition_iv(rho, kernel, window)
-            out["passed"] = bool(out["integrable"])
-            results["condition_iv"] = out
         elif check == "nontriviality":
             results["nontriviality"] = nontriviality_check(run, kernel, space)
         elif check == "gamma":

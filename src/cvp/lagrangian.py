@@ -183,7 +183,6 @@ class DecayProfile:
     c: float
     f: Callable[[float], float]
     tail: Callable[[float], float]
-    cutoff: float | None = None
     coeff: float = field(init=False)
 
     def __post_init__(self):
@@ -192,12 +191,11 @@ class DecayProfile:
         if self.c <= 0:
             raise ProfileError("profile needs the kernel diagonal infimum c > 0")
         object.__setattr__(self, "coeff", 1.0 + 2.0 / self.c)
-        _check_decreasing(self.f, self.cutoff)
+        _check_decreasing(self.f)
 
 
-def _check_decreasing(f, cutoff) -> None:
-    hi = 50.0 if cutoff is None else max(cutoff, 1.0)
-    xs = np.linspace(0.0, hi, 201)
+def _check_decreasing(f) -> None:
+    xs = np.linspace(0.0, 50.0, 201)
     vals = np.array([f(float(x)) for x in xs])
     if np.any(vals < -1e-15):
         raise ProfileError("profile f must be nonnegative")
@@ -252,28 +250,6 @@ def scaled_exp_profile(amplitude: float, slope: float, rate: float, delta: float
     return DecayProfile(kind="scaled_exp",
                         params={"amplitude": amplitude, "slope": slope, "rate": rate},
                         delta=delta, c=c, f=f, tail=tail)
-
-
-def truncated_profile(f: Callable[[float], float], cutoff: float, delta: float,
-                      c: float, steps: int = 4096) -> DecayProfile:
-    """Profile vanishing beyond ``cutoff``; tails use one-sided upper sums."""
-    if cutoff <= 0:
-        raise ProfileError("truncated profile needs a positive cutoff")
-
-    def g(d: float) -> float:
-        return f(d) if d < cutoff else 0.0
-
-    def tail(t: float) -> float:
-        t = max(t, 0.0)
-        if t >= cutoff:
-            return 0.0
-        # Upper Riemann sum: f decreasing, left endpoints dominate.
-        xs = np.linspace(t, cutoff, steps + 1)[:-1]
-        h = (cutoff - t) / steps
-        return float(sum(g(float(x)) for x in xs) * h)
-
-    return DecayProfile(kind="truncated", params={"cutoff": cutoff}, delta=delta,
-                        c=c, f=g, tail=tail, cutoff=cutoff)
 
 
 def profile_from_spec(spec: dict, c: float) -> DecayProfile:
@@ -340,13 +316,6 @@ def _radius_bounds(L: Lagrangian, space: MetricSpace, exclude=frozenset()):
     if math.isinf(closed_inf):
         raise InputError("entropy radius undefined: every point excluded")
     return closed_inf, sup_inf
-
-
-def entropy_ball_radius(L: Lagrangian, space: MetricSpace, exclude=frozenset()) -> float:
-    """Conservative entropy radius: largest realized distance whose closed
-    ball satisfies L(x, .) >= c/2 at every point outside ``exclude``."""
-    closed_inf, _ = _radius_bounds(L, space, exclude)
-    return closed_inf
 
 
 def verify_entropy_decay(L: Lagrangian, space: MetricSpace, profile: DecayProfile,

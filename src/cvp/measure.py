@@ -135,14 +135,6 @@ def action_difference(rho: DiscreteMeasure, var: SignedVariation, L: Lagrangian)
     return float(2.0 * (dvec @ lhat) + dvec @ quad @ dvec)
 
 
-def total_variation_diff(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-    """Total-variation distance between two measures on the same space."""
-    if a.space_key != b.space_key:
-        raise InputError("measures live on different spaces")
-    keys = set(a.weights) | set(b.weights)
-    return math.fsum(abs(a.weight(k) - b.weight(k)) for k in keys)
-
-
 def restrict(rho: DiscreteMeasure, K) -> DiscreteMeasure:
     """Restriction to a point set; an empty result is allowed."""
     K = set(K)

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, SolverFailure
+from .errors import DegenerateStageError, InputError, SolverFailure
 from .lagrangian import DecayProfile, Lagrangian, tail_index
 from .measure import DiscreteMeasure, averaged_kernel, restrict
-from .simplex_solver import (CompactProblem, CompactSolution, SolverOptions,
-                             minimize_on_compact)
+from .simplex_solver import (CompactProblem, CompactSolution, KKTResiduals,
+                             SolverOptions, minimize_on_compact)
 from .space import Exhaustion, MetricSpace, closed_ball
 
 # A stage counts as degenerate when its kernel block is constant to this level.
@@ -38,20 +38,42 @@ class RunOptions:
     profile: DecayProfile | None = None
     eps: float | None = None
     stride: int = 1
-    warm_start: bool = True
 
 
 @dataclass(frozen=True)
 class ScaledMinimizer:
-    """One solved stage, rescaled so the averaged kernel is 1 on the support."""
+    """One solved stage, rescaled so the averaged kernel is 1 on the support.
+
+    ``weights`` holds the stage minimizer's unscaled simplex weights on its
+    support; ``measure`` is derived from them as ``scale * w``, with ``scale``
+    the inverse of the unscaled action value ``kkt.s_param``.
+    """
 
     stage_index: int
     stage_ids: tuple[str, ...]
-    measure: DiscreteMeasure
-    scale: float
-    s_unscaled: float
-    solution: CompactSolution
+    weights: dict[str, float]
+    kkt: KKTResiduals
+    certified_global: bool
+    space_key: str
     degenerate: bool = False
+    measure: DiscreteMeasure = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        s = self.s_unscaled
+        if not math.isfinite(s) or s <= _S_FLOOR:
+            raise DegenerateStageError(f"stage value {s} is too small to rescale")
+        lam = self.scale
+        object.__setattr__(self, "measure", DiscreteMeasure(
+            weights={pid: lam * w for pid, w in self.weights.items()},
+            space_key=self.space_key))
+
+    @property
+    def s_unscaled(self) -> float:
+        return self.kkt.s_param
+
+    @property
+    def scale(self) -> float:
+        return 1.0 / self.kkt.s_param
 
 
 @dataclass(frozen=True)
@@ -71,18 +93,16 @@ def rescale(solution: CompactSolution, space: MetricSpace, L: Lagrangian | None 
     recomputed averaged kernel minus 1 must vanish on the support and stay
     above -10*tol on the stage.
     """
-    s = solution.s_param
-    if not math.isfinite(s) or s <= _S_FLOOR:
-        from .errors import DegenerateStageError
-        raise DegenerateStageError(f"stage value {s} is too small to rescale")
-    lam = 1.0 / s
-    weights = {pid: lam * float(w) for pid, w in zip(solution.ids, solution.weights)
-               if w > 0}
-    rho = DiscreteMeasure(weights=weights, space_key=space.key)
+    stage = ScaledMinimizer(
+        stage_index=stage_index, stage_ids=solution.ids,
+        weights={pid: float(w) for pid, w in zip(solution.ids, solution.weights)
+                 if w > 0},
+        kkt=solution.kkt, certified_global=solution.certified_global,
+        space_key=space.key, degenerate=degenerate)
     if L is not None:
-        ell = stage_ell(rho, L)
+        ell = stage_ell(stage.measure, L)
         stage_idx = [L.at(x) for x in solution.ids]
-        on_supp = [L.at(x) for x in rho.weights]
+        on_supp = [L.at(x) for x in stage.measure.weights]
         max_on = float(np.abs(ell[on_supp]).max())
         min_stage = float(ell[stage_idx].min())
         if max_on > 10.0 * tol or min_stage < -10.0 * tol:
@@ -91,9 +111,7 @@ def rescale(solution: CompactSolution, space: MetricSpace, L: Lagrangian | None 
                 f"(support {max_on:.3e}, stage floor {min_stage:.3e})",
                 best_weights=solution.weights, best_value=solution.value,
                 residuals=solution.kkt)
-    return ScaledMinimizer(stage_index=stage_index, stage_ids=solution.ids,
-                           measure=rho, scale=lam, s_unscaled=s,
-                           solution=solution, degenerate=degenerate)
+    return stage
 
 
 def stage_ell(rho: DiscreteMeasure, L: Lagrangian) -> np.ndarray:
@@ -142,7 +160,6 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
         stage_sets = [stage_sets[i] for i in picked]
 
     scaled: list[ScaledMinimizer] = []
-    prev: CompactSolution | None = None
     for n, stage in enumerate(stage_sets):
         idx = sorted(space._at(x) for x in stage)
         ids = tuple(space.ids[i] for i in idx)
@@ -150,26 +167,24 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
         spread = float(block.max() - block.min())
         degenerate = spread <= _CONST_BLOCK_TOL * max(1.0, float(block.max()))
         opts = replace(options.solver, seed=_stage_seed(options.solver.seed, n))
+        # warm start: the previous stage's minimizer, extended by zero
         extra = []
-        if options.warm_start and prev is not None:
-            lift = {p: w for p, w in zip(prev.ids, prev.weights)}
-            extra.append(np.array([lift.get(p, 0.0) for p in ids]))
+        if scaled:
+            extra.append(np.array([scaled[-1].weights.get(p, 0.0) for p in ids]))
         problem = CompactProblem(ids=ids, matrix=block, options=opts)
         solution = minimize_on_compact(problem, extra_starts=extra)
         scaled.append(rescale(solution, space, L, stage_index=n,
                               tol=options.solver.tol, degenerate=degenerate))
-        prev = solution
 
     last = scaled[-1]
     if len(scaled) == 1:
         window = frozenset(last.stage_ids)
-        limit = last.measure
         stab_gap = 0.0
     else:
         window = window_points(space, scaled[-2].stage_ids, layer)
-        limit = restrict(last.measure, window)
         stab_gap = max((abs(last.measure.weight(x) - scaled[-2].measure.weight(x))
                         for x in window), default=0.0)
+    limit = restrict(last.measure, window)
 
     discrepancies = {}
     for m in range(len(scaled) - 1):

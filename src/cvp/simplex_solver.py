@@ -13,7 +13,6 @@ on the support and is >= s off the support.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ class SolverOptions:
     restarts: int = 16
     seed: int = 0
     oracle_max: int = ORACLE_CAP
-    workers: int = 1
     certify: bool = True
 
 
@@ -254,16 +252,10 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
             out.append(w_pol)
         return out
 
-    if opts.workers > 1:
-        with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-            batches = list(pool.map(run_start, starts))
-    else:
-        batches = [run_start(w0) for w0 in starts]
-
     accepted = []
     best_any = None
-    for batch in batches:
-        for w in batch:
+    for w0 in starts:
+        for w in run_start(w0):
             kkt = _residuals(Lb, w)
             val = kkt.s_param
             if best_any is None or val < best_any[0]:

@@ -111,20 +111,6 @@ def closed_ball(space: MetricSpace, x: str, r: float) -> frozenset[str]:
     return frozenset(space.ids[i] for i in idx)
 
 
-def annulus(space: MetricSpace, x: str, r_inner: float, r_outer: float) -> frozenset[str]:
-    """Points y with r_inner < d(x, y) <= r_outer."""
-    if r_inner < 0 or r_outer < 0:
-        raise InputError("annulus radii must be nonnegative")
-    if r_inner > r_outer:
-        raise InputError("annulus needs r_inner <= r_outer")
-    xi = space._at(x)
-    row = space.dist[xi]
-    slack_out = _RADIUS_SLACK * max(1.0, r_outer)
-    slack_in = _RADIUS_SLACK * max(1.0, r_inner)
-    mask = (row > r_inner + slack_in) & (row <= r_outer + slack_out)
-    return frozenset(space.ids[i] for i in np.nonzero(mask)[0])
-
-
 def greedy_cover(space: MetricSpace, x: str, r: float, delta: float) -> tuple[str, ...]:
     """Centers chosen by the greedy scan that covers the closed r-ball at x.
 
@@ -226,15 +212,6 @@ def grid_1d(values, prefix: str = "x", name: str = "grid") -> MetricSpace:
     ids = tuple(f"{prefix}{i}" for i in range(len(vals)))
     dist = np.abs(vals[:, None] - vals[None, :])
     return MetricSpace(ids=ids, dist=dist, coords=vals[:, None], name=name)
-
-
-def rescale_metric(space: MetricSpace, factor: float) -> MetricSpace:
-    """Multiply all distances by ``factor`` (used to normalize delta to 1)."""
-    if factor <= 0:
-        raise InputError("metric rescale factor must be positive")
-    coords = None if space.coords is None else space.coords * factor
-    return MetricSpace(ids=space.ids, dist=space.dist * factor, coords=coords,
-                       name=space.name)
 
 
 def space_from_dict(payload: dict) -> MetricSpace:

@@ -2,10 +2,14 @@
 
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cvp.cli import main
+from cvp import run_exhaustion
+from cvp.cli import load_config, main, report_from_run, run_from_report
+from cvp.reports import canonical_json
 
 EL_TOL = 1e-8
 
@@ -110,6 +114,51 @@ def test_verify_condition_failure_exits_4(tmp_path):
     code = main(["verify", "--run", os.path.join(out_dir, "run.json"),
                  "--checks", "conditions", "--delta-cover", "1.0"])
     assert code == 4
+
+
+def test_verify_refuses_edited_config(tmp_path, capsys):
+    out_dir = run_solve(tmp_path)
+    run_path = os.path.join(out_dir, "run.json")
+    report = json.loads(open(run_path).read())
+    report["config"]["kernel"]["amplitude"] = 2.0
+    open(run_path, "w").write(json.dumps(report))
+    assert main(["verify", "--run", run_path]) == 1
+    assert "does not match the embedded config" in capsys.readouterr().err
+
+
+def test_verify_derives_limit_from_last_stage(tmp_path):
+    # the stored limit is output only; an emptied one cannot fail nontriviality
+    out_dir = run_solve(tmp_path)
+    run_path = os.path.join(out_dir, "run.json")
+    report = json.loads(open(run_path).read())
+    report["limit"]["weights"] = {}
+    open(run_path, "w").write(json.dumps(report))
+    assert main(["verify", "--run", run_path, "--checks", "nontriviality"]) == 0
+
+
+@given(radii=st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
+       margin=st.integers(0, 3), reach=st.floats(0.5, 3.0),
+       amplitude=st.floats(0.5, 2.0), seed=st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_report_round_trip_is_byte_identical(radii, margin, reach, amplitude, seed):
+    n = max(radii) + margin
+    cfg = {
+        "space": {"points": [{"id": f"g{i}", "coords": [float(i)]}
+                             for i in range(-n, n + 1)], "metric": "euclidean"},
+        "kernel": {"kind": "tent", "amplitude": amplitude, "range": reach},
+        "exhaustion": {"center": "g0", "radii": sorted(radii)},
+        "solver": {"restarts": 2, "certify": False},
+        "seed": seed,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as handle:
+            json.dump(cfg, handle)
+        config = load_config(path)
+    run = run_exhaustion(config.space, config.kernel, config.exhaustion, config.options)
+    text = canonical_json(report_from_run(run, config))
+    back = run_from_report(json.loads(text), config.space)
+    assert canonical_json(report_from_run(back, config)) == text
 
 
 def test_verify_rejects_unknown_check(tmp_path):

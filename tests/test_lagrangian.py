@@ -13,7 +13,6 @@ from cvp import (
     build_exhaustion,
     diagonal_infimum,
     effective_range,
-    entropy_ball_radius,
     exp_profile,
     global_sup,
     grid_1d,
@@ -25,7 +24,6 @@ from cvp import (
     profile_to_dict,
     scaled_exp_profile,
     tail_index,
-    truncated_profile,
     verify_compact_range,
     verify_entropy_decay,
 )
@@ -133,13 +131,16 @@ def test_scaled_exp_profile_monotonicity_guard():
 def test_entropy_ball_radius_fine_exponential():
     g = grid_1d([i * 0.05 for i in range(41)])
     k = make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, g)
+    rep = verify_entropy_decay(k, g, exp_profile(1.0, 1.0, delta=0.5, c=1.0))
     # largest realized radius with L >= 1/2 everywhere: 0.65 < ln 2
-    assert entropy_ball_radius(k, g) == pytest.approx(0.65, abs=ATOL)
+    assert rep["condition_b"]["delta_closed"] == pytest.approx(0.65, abs=ATOL)
 
 
 def test_entropy_ball_radius_tent_integer(int_grid6, tent_identity):
+    rep = verify_entropy_decay(tent_identity, int_grid6,
+                               exp_profile(1.0, 1.0, delta=1.0, c=1.0))
     # neighbours sit exactly where the tent dies; closed radius collapses to 0
-    assert entropy_ball_radius(tent_identity, int_grid6) == 0.0
+    assert rep["condition_b"]["delta_closed"] == 0.0
 
 
 def test_decay_certificate_exponential_holds():
@@ -161,25 +162,12 @@ def test_decay_certificate_weak_profile_fails():
     assert w["value"] > w["bound"]
 
 
-def test_decay_certificate_tent_truncated_profile(int_grid6, tent_identity):
-    prof = truncated_profile(lambda d: 9.0 * max(0.0, 1.0 - d), cutoff=1.0,
-                             delta=1.0, c=1.0)
-    assert verify_entropy_decay(tent_identity, int_grid6, prof)["holds"]
-    assert prof.tail(1.0) == 0.0
-
-
 def test_profile_spec_round_trip():
     prof = scaled_exp_profile(6.0, 2.0, 1.0, delta=1.0, c=1.0)
     back = profile_from_spec(profile_to_dict(prof), c=1.0)
     assert back.kind == prof.kind
     assert back.f(1.5) == prof.f(1.5)
     assert back.tail(2.0) == prof.tail(2.0)
-
-
-def test_truncated_profile_does_not_round_trip():
-    prof = truncated_profile(lambda d: max(0.0, 1.0 - d), cutoff=1.0, delta=1.0, c=1.0)
-    with pytest.raises(InputError):
-        profile_from_spec(profile_to_dict(prof), c=1.0)
 
 
 @given(

@@ -21,7 +21,6 @@ from cvp import (
     measure_from_dict,
     measure_to_dict,
     restrict,
-    total_variation_diff,
 )
 
 ATOL = 1e-12
@@ -161,19 +160,6 @@ def test_action_difference_matches_recompute(w, seed):
     direct = action(apply_variation(var), L) - action(rho, L)
     tol = REL_RECOMPUTE * max(1.0, abs(action(rho, L)))
     assert action_difference(rho, var, L) == pytest.approx(direct, abs=tol)
-
-
-@given(a=small_weights, b=small_weights, c=small_weights)
-@settings(max_examples=80, deadline=None)
-def test_total_variation_is_a_metric(a, b, c):
-    g = grid_1d(range(8))
-    ma = DiscreteMeasure(a, g.key)
-    mb = DiscreteMeasure(b, g.key)
-    mc = DiscreteMeasure(c, g.key)
-    assert total_variation_diff(ma, ma) == 0.0
-    assert total_variation_diff(ma, mb) == total_variation_diff(mb, ma)
-    assert (total_variation_diff(ma, mc)
-            <= total_variation_diff(ma, mb) + total_variation_diff(mb, mc) + ATOL)
 
 
 @given(w=small_weights)

@@ -210,17 +210,6 @@ def test_tail_mass_decreases_in_radius():
     assert vals[0] > 0
 
 
-def test_warm_start_does_not_change_the_answer():
-    g = grid_1d(range(-12, 13), prefix="g")
-    tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, g)
-    exh = build_exhaustion(g, "g12", (3, 6, 9))
-    fast = SolverOptions(restarts=4, certify=False)
-    warm = run_exhaustion(g, tent, exh, RunOptions(solver=fast, warm_start=True))
-    cold = run_exhaustion(g, tent, exh, RunOptions(solver=fast, warm_start=False))
-    assert warm.diagnostics["lambda_series"] == pytest.approx(
-        cold.diagnostics["lambda_series"], abs=1e-9)
-
-
 def test_window_points_shrink_with_layer():
     g = grid_1d(range(0, 11))
     stage = set(g.ids[:8])

@@ -10,14 +10,12 @@ from cvp import (
     Exhaustion,
     InputError,
     MetricSpace,
-    annulus,
     build_exhaustion,
     closed_ball,
     covering_number,
     exact_covering_number,
     greedy_cover,
     grid_1d,
-    rescale_metric,
     space_from_dict,
     space_to_dict,
 )
@@ -64,15 +62,6 @@ def test_closed_ball_zero_radius(quarter_grid):
     assert closed_ball(quarter_grid, "t3", 0.0) == frozenset({"t3"})
 
 
-def test_annulus_integer_grid(int_grid6):
-    # half-open: inner excluded, outer included
-    assert annulus(int_grid6, "x0", 1.0, 2.0) == frozenset({"x2"})
-
-
-def test_annulus_empty_when_inner_exceeds_outer(int_grid6):
-    assert annulus(int_grid6, "x0", 3.0, 3.0) == frozenset()
-
-
 def test_greedy_cover_quarter_grid(quarter_grid):
     centers = greedy_cover(quarter_grid, "t0", 2.0, 0.5)
     assert [quarter_grid.coords[quarter_grid._at(c), 0] for c in centers] == [0.0, 0.75, 1.5]
@@ -108,13 +97,6 @@ def test_exhaustion_rejects_nonincreasing_radii(int_grid6):
 def test_exhaustion_validates_nesting(int_grid6):
     with pytest.raises(DegenerateExhaustionError):
         Exhaustion(stages=(frozenset({"x0", "x1"}), frozenset({"x0", "x1"})), covers_all=False)
-
-
-def test_rescale_metric_scales_distances(quarter_grid):
-    scaled = rescale_metric(quarter_grid, 4.0)
-    assert scaled.d("t0", "t1") == pytest.approx(1.0, abs=ATOL)
-    with pytest.raises(InputError):
-        rescale_metric(quarter_grid, 0.0)
 
 
 def test_space_dict_round_trip(quarter_grid):
