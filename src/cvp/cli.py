@@ -141,22 +141,51 @@ def report_from_run(run: ExhaustionRun, config: RunConfig) -> dict:
     }
 
 
+_NUMBER = (int, float)
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "an integer", _NUMBER: "a number"}
+
+
+def _typed(value, kind, what: str):
+    """``value`` if it is a ``kind`` (a boolean is not a number); else InputError."""
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise InputError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r:.60}")
+
+
 def run_from_report(report: dict, space: MetricSpace) -> ExhaustionRun:
     """Rebuild a run from its report: stages from their unscaled weights and
-    KKT residuals, the limit from the last stage restricted to the window."""
-    stages = tuple(ScaledMinimizer(
-        stage_index=s["index"], stage_ids=tuple(s["ids"]),
-        weights={pid: float(w) for pid, w in s["weights"].items()},
-        kkt=KKTResiduals(on_support_max=float(s["kkt"]["on_support_max"]),
-                         min_over_k=float(s["kkt"]["min_over_k"]),
-                         s_param=float(s["kkt"]["s_param"])),
-        certified_global=s["certified_global"], space_key=space.key,
-        degenerate=s["degenerate"]) for s in report["stages"])
+    KKT residuals, the limit from the last stage restricted to the window.
+
+    A field of the wrong JSON type, or a missing one, raises ``InputError``.
+    """
+    stages = []
+    for pos, s in enumerate(_typed(report.get("stages"), list, "report stages")):
+        where = f"report stages[{pos}]"
+        s = _typed(s, dict, where)
+        kkt = _typed(s.get("kkt"), dict, f"{where}.kkt")
+        stages.append(ScaledMinimizer(
+            stage_index=_typed(s.get("index"), int, f"{where}.index"),
+            stage_ids=tuple(_typed(pid, str, f"{where}.ids[]")
+                            for pid in _typed(s.get("ids"), list, f"{where}.ids")),
+            weights={pid: float(_typed(w, _NUMBER, f"{where}.weights[{pid!r}]"))
+                     for pid, w in _typed(s.get("weights"), dict,
+                                          f"{where}.weights").items()},
+            kkt=KKTResiduals(**{key: float(_typed(kkt.get(key), _NUMBER,
+                                                  f"{where}.kkt.{key}"))
+                                for key in ("on_support_max", "min_over_k", "s_param")}),
+            certified_global=_typed(s.get("certified_global"), bool,
+                                    f"{where}.certified_global"),
+            space_key=space.key,
+            degenerate=_typed(s.get("degenerate"), bool, f"{where}.degenerate")))
     if not stages:
         raise InputError("report has no stages")
-    window = frozenset(report["window"])
-    return ExhaustionRun(stages=stages, limit=restrict(stages[-1].measure, window),
-                         window=window, diagnostics=report["diagnostics"])
+    window = frozenset(_typed(pid, str, "report window[]")
+                       for pid in _typed(report.get("window"), list, "report window"))
+    return ExhaustionRun(stages=tuple(stages), limit=restrict(stages[-1].measure, window),
+                         window=window,
+                         diagnostics=_typed(report.get("diagnostics"), dict,
+                                            "report diagnostics"))
 
 
 def cmd_solve(args) -> int:
@@ -183,33 +212,40 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.run) as handle:
-        report = json.load(handle)
-    config = report["config"]
+        report = _typed(json.load(handle), dict, f"{args.run}: report")
+    config = _typed(report.get("config"), dict, "report config")
+    stored_hash = _typed(report.get("config_hash"), str, "report config_hash")
     config_hash = sha256_text(canonical_json(config))
-    if config_hash != report["config_hash"]:
-        raise InputError(f"{args.run}: config_hash {report['config_hash']} does not "
+    if config_hash != stored_hash:
+        raise InputError(f"{args.run}: config_hash {stored_hash} does not "
                          f"match the embedded config (sha256 {config_hash})")
-    space = space_from_dict(config["space"])
-    kernel = kernel_from_spec(config["kernel"], space)
+    space = space_from_dict(_typed(config.get("space"), dict, "report config.space"))
+    kernel = kernel_from_spec(_typed(config.get("kernel"), dict, "report config.kernel"),
+                              space)
     profile = None
     if config.get("profile"):
-        profile = profile_from_spec(config["profile"], c=diagonal_infimum(kernel))
+        profile = profile_from_spec(_typed(config["profile"], dict, "report config.profile"),
+                                    c=diagonal_infimum(kernel))
     run = run_from_report(report, space)
-    verify_cfg = config.get("verify", {})
+    verify_cfg = _typed(config.get("verify", {}), dict, "report config.verify")
+    window_cfg = _typed(config.get("window", {}), dict, "report config.window")
 
     if args.checks:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     else:
-        checks = tuple(verify_cfg.get("checks", _DEFAULT_CHECKS))
+        checks = tuple(_typed(verify_cfg.get("checks", list(_DEFAULT_CHECKS)), list,
+                              "report config.verify.checks"))
     unknown = [c for c in checks if c not in VALID_CHECKS]
     if unknown:
         raise UsageError(f"unknown checks {unknown}; valid: {', '.join(VALID_CHECKS)}")
-    trials = args.trials if args.trials is not None else int(verify_cfg.get("trials", 1000))
+    trials = args.trials if args.trials is not None else _typed(
+        verify_cfg.get("trials", 1000), int, "report config.verify.trials")
     if trials < 1:
         raise UsageError("trials must be a positive integer")
-    el_tol = args.tol if args.tol is not None else float(verify_cfg.get("tol", 1e-6))
+    el_tol = args.tol if args.tol is not None else float(_typed(
+        verify_cfg.get("tol", 1e-6), _NUMBER, "report config.verify.tol"))
     eps = args.eps if args.eps is not None else verify_cfg.get(
-        "eps", config.get("window", {}).get("eps", 0.5))
+        "eps", window_cfg.get("eps", 0.5))
     rho = run.stages[-1].measure
     window = sorted(run.window, key=space._at)
     if not window:
@@ -222,8 +258,10 @@ def cmd_verify(args) -> int:
             el_report = verify_el(rho, kernel, window, tol=el_tol)
             results["el"] = el_report.to_dict()
         elif check == "minimality":
+            support_cap = _typed(verify_cfg.get("support_cap", 6), int,
+                                 "report config.verify.support_cap")
             sampler = VariationSampler(window=tuple(window), seed=args.seed,
-                                       support_cap=int(verify_cfg.get("support_cap", 6)))
+                                       support_cap=support_cap)
             results["minimality"] = sample_minimality(rho, kernel, sampler, trials)
         elif check == "conditions":
             delta_cover = args.delta_cover if args.delta_cover is not None else \
@@ -232,7 +270,7 @@ def cmd_verify(args) -> int:
                 raise UsageError("check 'conditions' needs --delta-cover "
                                  "(or verify.delta_cover in the config)")
             results["conditions"] = check_sufficient_conditions(
-                kernel, space, float(delta_cover))
+                kernel, space, float(_typed(delta_cover, _NUMBER, "delta_cover")))
             results["conditions"]["passed"] = results["conditions"]["holds"]
         elif check == "nontriviality":
             results["nontriviality"] = nontriviality_check(run, kernel, space)
@@ -240,17 +278,17 @@ def cmd_verify(args) -> int:
             if profile is None:
                 raise UsageError("check 'gamma' needs a profile in the config")
             results["gamma"] = gamma_lower_bound(rho, kernel, space, profile,
-                                                 float(eps), window,
-                                                 el_report=el_report)
+                                                 float(_typed(eps, _NUMBER, "eps")),
+                                                 window, el_report=el_report)
         elif check == "mass_bound":
-            radius = verify_cfg.get("mass_radius",
-                                    report["diagnostics"]["window_layer"])
+            radius = verify_cfg.get("mass_radius", run.diagnostics.get("window_layer"))
             rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
             count = min(len(window), 20)
             probes = [window[i] for i in
                       sorted(rng.choice(len(window), size=count, replace=False))]
             results["mass_bound"] = local_mass_bound_check(
-                run.stages[-1], space, kernel, probes, float(radius))
+                run.stages[-1], space, kernel, probes,
+                float(_typed(radius, _NUMBER, "mass_radius")))
 
     failed = [name for name, res in results.items() if not res.get("passed", False)]
     if "el" in failed:

@@ -17,7 +17,7 @@ from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum,
 from .measure import (DiscreteMeasure, action_difference, averaged_kernel,
                       make_variation)
 from .pipeline import ExhaustionRun
-from .space import MetricSpace, closed_ball
+from .space import MetricSpace, closed_ball, greedy_cover_counts
 
 EXIT_OK = 0
 EXIT_EL_FAILED = 2
@@ -86,35 +86,25 @@ def check_sufficient_conditions(L: Lagrangian, space: MetricSpace,
     sup = global_sup(L)
     cond_a = c > 0.0
     cond_b = math.isfinite(sup)
-    n_max = 0
+    positive = L.matrix > 0.0
+    low = positive & (L.matrix <= c / 2.0)
+    bad_rows = np.nonzero(low.any(axis=1))[0]
+    cond_c = not bad_rows.size
     witness = None
-    cond_c = True
-    slack = 1e-12 * max(1.0, delta_cover)
-    for i, x in enumerate(space.ids):
-        kx = sorted(effective_range(L, space, [x]), key=space._at)
-        kx_idx = np.array([space._at(y) for y in kx])
-        row = L.matrix[i, kx_idx]
-        low = np.nonzero(row <= c / 2.0)[0]
-        if low.size:
-            cond_c = False
-            if witness is None:
-                witness = {"x": x, "y": kx[int(low[0])],
-                           "value": float(row[int(low[0])]), "threshold": c / 2.0}
-            continue
-        covered = np.zeros(len(kx), dtype=bool)
-        n_x = 0
-        for pos in range(len(kx)):
-            if covered[pos]:
-                continue
-            n_x += 1
-            covered |= space.dist[kx_idx[pos], kx_idx] <= delta_cover + slack
-        n_max = max(n_max, n_x)
+    n_max = None
+    if cond_c:
+        n_max = int(greedy_cover_counts(space, positive, delta_cover).max())
+    else:
+        i = int(bad_rows[0])
+        j = int(np.argmax(low[i]))
+        witness = {"x": space.ids[i], "y": space.ids[j],
+                   "value": float(L.matrix[i, j]), "threshold": c / 2.0}
     holds = bool(cond_a and cond_b and cond_c)
     return {
         "holds": holds,
         "condition_a": {"holds": bool(cond_a), "c": c},
         "condition_b": {"holds": bool(cond_b), "sup": sup},
-        "condition_c": {"holds": bool(cond_c), "N": n_max if cond_c else None,
+        "condition_c": {"holds": bool(cond_c), "N": n_max,
                         "witness": witness, "delta_cover": delta_cover},
         "implied_bound": (2.0 * sup * n_max / c) if holds else None,
     }

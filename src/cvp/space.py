@@ -16,12 +16,19 @@ _RADIUS_SLACK = 1e-12
 # Full triangle-inequality validation up to this size, sampled beyond.
 _FULL_TRIANGLE_CHECK = 256
 
+# Cells (balls x points) of the boolean ball masks that ball_cover_counts
+# builds at a time, so its temporaries stay O(chunk * n), never O(n^3).
+_CHUNK_CELLS = 1 << 18
+
 
 @dataclass(frozen=True)
 class MetricSpace:
     """A finite metric space given by point ids and a distance matrix.
 
     Immutable after construction; the distance matrix is marked read-only.
+    Construction checks the triangle inequality through every midpoint for up
+    to 256 points; a larger space is checked through 256 sampled midpoints
+    only, so a non-metric distance matrix can pass.
     ``key`` is a content fingerprint used to detect mismatched spaces when
     measures and kernels built on different spaces are mixed.
     """
@@ -116,6 +123,8 @@ def greedy_cover(space: MetricSpace, x: str, r: float, delta: float) -> tuple[st
 
     Scans ball members in point order; the first uncovered member opens a
     delta-ball. The result is an upper bound witness for the covering number.
+    This is the per-point reference: the certificates count covers of many
+    sets at once with ``greedy_cover_counts``, which makes the same scan.
     """
     if delta <= 0:
         raise InputError("covering radius delta must be positive")
@@ -132,8 +141,69 @@ def greedy_cover(space: MetricSpace, x: str, r: float, delta: float) -> tuple[st
 
 
 def covering_number(space: MetricSpace, x: str, r: float, delta: float) -> int:
-    """Greedy upper bound on the number of delta-balls covering the r-ball at x."""
+    """Greedy upper bound on the number of delta-balls covering the r-ball at x.
+
+    Per-point reference for ``greedy_cover_counts``, which the certificates use.
+    """
     return len(greedy_cover(space, x, r, delta))
+
+
+def greedy_cover_counts(space: MetricSpace, masks: np.ndarray, delta: float) -> np.ndarray:
+    """Greedy delta-cover center counts for P point sets at once.
+
+    ``masks`` is a (P, n) boolean array, row p marking the members of set p.
+    Points are scanned in index order, as in ``greedy_cover``: a member not yet
+    covered opens a delta-ball. Each point holds a bitset over the P sets, bit
+    s set while the point is an uncovered member of set s. When point p is
+    scanned its bitset is final and marks the sets that open a ball at p;
+    those bits are then cleared at its later delta-neighbours. The center
+    count of set s is the number of points whose final bitset has bit s.
+    """
+    if delta <= 0:
+        raise InputError("covering radius delta must be positive")
+    masks = np.asarray(masks, dtype=bool)
+    n = len(space)
+    if masks.ndim != 2 or masks.shape[1] != n:
+        raise InputError(f"cover masks must have shape (P, {n}), got {masks.shape}")
+    slack = _RADIUS_SLACK * max(1.0, delta)
+    # later delta-neighbours of point p: later[bounds[p]:bounds[p + 1]]
+    at, later = np.nonzero(np.triu(space.dist <= delta + slack, k=1))
+    bounds = np.searchsorted(at, np.arange(n + 1)).tolist()
+    opens = np.packbits(masks.T, axis=1, bitorder="little")
+    for p in range(n):
+        if bounds[p] < bounds[p + 1]:
+            opens[later[bounds[p]:bounds[p + 1]]] &= ~opens[p]
+    return np.unpackbits(opens, axis=1, count=masks.shape[0],
+                         bitorder="little").sum(axis=0, dtype=np.int64)
+
+
+def ball_cover_counts(space: MetricSpace, radii: np.ndarray, delta: float) -> np.ndarray:
+    """Greedy delta-cover counts of the closed balls B(x_i, radii[i, j]).
+
+    ``radii`` has one row per point of the space. Closed balls at one center
+    are nested, so a ball is fixed by its center and the number of points it
+    holds; each distinct ball is covered once. Rows go to
+    ``greedy_cover_counts`` in chunks whose ball masks hold at most
+    ``_CHUNK_CELLS`` cells.
+    """
+    radii = np.asarray(radii, dtype=float)
+    n = len(space)
+    if radii.ndim != 2 or radii.shape[0] != n:
+        raise InputError(f"ball radii must have {n} rows, got shape {radii.shape}")
+    if np.any(radii < 0):
+        raise InputError("ball radius must be nonnegative")
+    per_row = radii.shape[1]
+    limits = radii + _RADIUS_SLACK * np.maximum(1.0, radii)
+    counts = np.empty(radii.shape, dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // (n * max(1, per_row)))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        balls = (space.dist[lo:hi, None, :] <= limits[lo:hi, :, None]).reshape(-1, n)
+        keys = np.repeat(np.arange(hi - lo), per_row) * (n + 1) + balls.sum(axis=1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        counts[lo:hi] = greedy_cover_counts(space, balls[first], delta)[inverse].reshape(
+            hi - lo, per_row)
+    return counts
 
 
 def exact_covering_number(space: MetricSpace, x: str, r: float, delta: float,

@@ -1,5 +1,8 @@
 """End-to-end command line flows: solve, verify, oracle, sweep."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import tempfile
@@ -9,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cvp import run_exhaustion
 from cvp.cli import load_config, main, report_from_run, run_from_report
-from cvp.reports import canonical_json
+from cvp.reports import canonical_json, sha256_text
 
 EL_TOL = 1e-8
 
@@ -241,3 +244,81 @@ def test_sweep_runs_grid(tmp_path, capsys):
 
 def test_usage_error_on_missing_subcommand():
     assert main([]) == 64
+
+
+_ALL_CHECKS = ("el", "minimality", "conditions", "nontriviality", "gamma", "mass_bound")
+
+
+@pytest.fixture(scope="module")
+def fuzz_report(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    out_dir = run_solve(tmp, profile={"f": "exp", "params": {"rate": 1.0}, "delta": 1.0},
+                        window={"layer": 1.0, "eps": 0.3},
+                        verify={"checks": list(_ALL_CHECKS), "trials": 20, "tol": 1e-6,
+                                "support_cap": 4, "delta_cover": 1.0, "eps": 0.3,
+                                "mass_radius": 1.0})
+    return json.loads(open(os.path.join(out_dir, "run.json")).read())
+
+
+_RETYPES = (None, True, 0, -1, 2.5, float("nan"), "abc", [], [1, 2], {}, {"g0": 1})
+_FIELDS = (
+    ("config",), ("config_hash",), ("stages",), ("window",), ("diagnostics",),
+    ("stages", 0), ("stages", -1, "index"), ("stages", -1, "ids"),
+    ("stages", -1, "ids", 0), ("stages", -1, "weights"), ("stages", -1, "weights", "g0"),
+    ("stages", -1, "kkt"), ("stages", -1, "kkt", "s_param"),
+    ("stages", -1, "kkt", "on_support_max"), ("stages", -1, "certified_global"),
+    ("stages", -1, "degenerate"), ("window", 0), ("diagnostics", "window_layer"),
+    ("config", "space"), ("config", "kernel"), ("config", "profile"), ("config", "window"),
+    ("config", "window", "eps"), ("config", "verify"), ("config", "verify", "checks"),
+    ("config", "verify", "trials"), ("config", "verify", "tol"),
+    ("config", "verify", "support_cap"), ("config", "verify", "delta_cover"),
+    ("config", "verify", "eps"), ("config", "verify", "mass_radius"),
+)
+
+
+def _mutate(report, path, action, value):
+    node = report
+    for key in path[:-1]:
+        node = node[key]
+    key = path[-1]
+    old = node[key]
+    if action == "delete":
+        del node[key]
+    elif action == "truncate" and isinstance(old, (list, str)):
+        node[key] = old[:len(old) // 2]
+    elif action == "truncate" and isinstance(old, dict):
+        node[key] = dict(list(old.items())[:len(old) // 2])
+    else:
+        node[key] = value
+
+
+@given(edits=st.lists(st.tuples(st.sampled_from(_FIELDS),
+                                st.sampled_from(("delete", "truncate", "retype")),
+                                st.sampled_from(_RETYPES)), min_size=1, max_size=3),
+       rehash=st.booleans(), cli_checks=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_verify_exits_cleanly_on_malformed_report(fuzz_report, edits, rehash, cli_checks):
+    report = copy.deepcopy(fuzz_report)
+    for path, action, value in edits:
+        try:
+            _mutate(report, path, action, copy.deepcopy(value))
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed or retyped the parent
+    if rehash and isinstance(report.get("config"), dict):
+        try:
+            report["config_hash"] = sha256_text(canonical_json(report["config"]))
+        except ValueError:
+            pass  # a NaN in the config cannot be hashed
+    # checks and their settings from the command line, or else from the report
+    flags = ["--checks", ",".join(_ALL_CHECKS), "--trials", "20", "--delta-cover", "1.0",
+             "--eps", "0.3"] if cli_checks else []
+    with tempfile.TemporaryDirectory() as tmp:
+        run_path = os.path.join(tmp, "run.json")
+        with open(run_path, "w") as handle:
+            json.dump(report, handle)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify", "--run", run_path,
+                         "--out", os.path.join(tmp, "v.json"), *flags])
+    assert code in (0, 1, 2, 3, 4, 64)
+    assert "Traceback" not in err.getvalue()

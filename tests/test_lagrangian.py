@@ -11,6 +11,7 @@ from cvp import (
     InputError,
     ProfileError,
     build_exhaustion,
+    covering_number,
     diagonal_infimum,
     effective_range,
     exp_profile,
@@ -156,10 +157,25 @@ def test_decay_certificate_exponential_holds():
 def test_decay_certificate_weak_profile_fails():
     g = grid_1d(range(21))
     k = make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, g)
-    rep = verify_entropy_decay(k, g, exp_profile(0.1, 1.0, delta=1.0, c=1.0))
+    prof = exp_profile(0.1, 1.0, delta=1.0, c=1.0)
+    rep = verify_entropy_decay(k, g, prof)
     assert not rep["holds"]
-    w = rep["witnesses"][0]
-    assert w["value"] > w["bound"]
+    # reference: one covering_number per ordered pair, in (x, y) order
+    expected, checked = [], 0
+    for x in g.ids:
+        for y in g.ids:
+            if x == y:
+                continue
+            checked += 1
+            d = g.d(x, y)
+            bound = prof.f(d) / (prof.coeff * covering_number(g, x, d + 2.0, prof.delta))
+            value = k.eval(x, y)
+            if value > bound + 1e-12 * max(1.0, bound):
+                expected.append({"x": x, "y": y, "value": value, "bound": bound,
+                                 "distance": d})
+    assert len(expected) > 10
+    assert rep["witnesses"] == expected[:10]
+    assert rep["condition_c"] == {"holds": False, "checked_pairs": checked}
 
 
 def test_profile_spec_round_trip():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cvp.space
 from cvp import (
     ConstructionError,
     DegenerateExhaustionError,
@@ -19,6 +20,7 @@ from cvp import (
     space_from_dict,
     space_to_dict,
 )
+from cvp.space import ball_cover_counts, greedy_cover_counts
 
 ATOL = 1e-12
 
@@ -157,3 +159,94 @@ def test_greedy_cover_covers_the_ball(radius):
     for c in centers:
         covered |= closed_ball(g, c, 0.5)
     assert ball <= covered
+
+
+# Radii offsets in units of the closed-ball slack 1e-12 * max(1, r): within it
+# (-0.5, 0.5) a ball keeps the points at distance exactly r, beyond it (-2) it
+# loses them.
+_SLACK_STEPS = (-2.0, -0.5, 0.0, 0.5)
+
+
+@st.composite
+def small_spaces(draw):
+    """1-D or 2-D points on the half grid: many tied and exactly realized distances."""
+    if draw(st.booleans()):
+        ks = draw(st.lists(st.integers(0, 40), min_size=1, max_size=14, unique=True))
+        return grid_1d([k * 0.5 for k in ks])
+    cells = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1,
+                          max_size=14, unique=True))
+    return space_from_dict({"points": [{"id": f"p{i}", "coords": [a * 0.5, b * 0.5]}
+                                       for i, (a, b) in enumerate(cells)],
+                            "metric": "euclidean"})
+
+
+def _shifted(d, steps):
+    return np.maximum(0.0, d + steps * 1e-12 * np.maximum(1.0, d))
+
+
+def _ball_radii(space):
+    """Every realized distance of each row, shifted around the slack, plus d + 2."""
+    d = space.dist
+    return np.hstack([_shifted(d, s) for s in _SLACK_STEPS] + [d + 2.0])
+
+
+def _reference_covers(space, radii, delta):
+    return np.array([[covering_number(space, x, float(r), delta) for r in row]
+                     for x, row in zip(space.ids, radii)])
+
+
+@given(space=small_spaces(), pick=st.integers(0, 10 ** 4), steps=st.sampled_from(_SLACK_STEPS),
+       free=st.none() | st.floats(0.05, 4.0))
+@settings(max_examples=80, deadline=None)
+def test_cover_kernels_match_covering_number(space, pick, steps, free):
+    # delta is a free value or a realized distance shifted around the slack
+    realized = np.unique(space.dist[space.dist > 0])
+    delta = free
+    if delta is None:
+        delta = float(_shifted(realized[pick % realized.size], steps)) if realized.size else 1.0
+    radii = _ball_radii(space)
+    expected = _reference_covers(space, radii, delta)
+    assert (ball_cover_counts(space, radii, delta) == expected).all()
+    masks = np.array([[pid in closed_ball(space, x, float(r)) for pid in space.ids]
+                      for x, row in zip(space.ids, radii) for r in row])
+    assert (greedy_cover_counts(space, masks, delta) == expected.ravel()).all()
+
+
+@given(ks=st.lists(st.integers(0, 120), min_size=40, max_size=44, unique=True),
+       delta=st.sampled_from([0.5, 1.0, 2.5]))
+@settings(max_examples=3, deadline=None)
+def test_ball_cover_counts_across_row_chunks(ks, delta):
+    space = grid_1d([k * 0.5 for k in ks])
+    radii = _ball_radii(space)
+    n = len(space)
+    assert cvp.space._CHUNK_CELLS // (n * radii.shape[1]) < n
+    assert (ball_cover_counts(space, radii, delta)
+            == _reference_covers(space, radii, delta)).all()
+
+
+@given(space=small_spaces(), seed=st.integers(0, 2 ** 32 - 1),
+       delta=st.sampled_from([0.5, 1.0, 2.0]))
+@settings(max_examples=60, deadline=None)
+def test_greedy_cover_counts_on_arbitrary_sets(space, seed, delta):
+    # reference: the greedy scan of each set, written out
+    masks = np.random.default_rng(seed).random((5, len(space))) < 0.6
+    expected = []
+    for mask in masks:
+        members = np.nonzero(mask)[0]
+        covered = np.zeros(len(members), dtype=bool)
+        count = 0
+        for pos, m in enumerate(members):
+            if not covered[pos]:
+                count += 1
+                covered |= space.dist[m, members] <= delta + 1e-12 * max(1.0, delta)
+        expected.append(count)
+    assert greedy_cover_counts(space, masks, delta).tolist() == expected
+
+
+def test_cover_kernels_reject_bad_input(quarter_grid):
+    with pytest.raises(InputError):
+        greedy_cover_counts(quarter_grid, np.ones((2, 9), dtype=bool), 0.0)
+    with pytest.raises(InputError):
+        greedy_cover_counts(quarter_grid, np.ones((2, 8), dtype=bool), 1.0)
+    with pytest.raises(InputError):
+        ball_cover_counts(quarter_grid, -np.ones((9, 2)), 1.0)
