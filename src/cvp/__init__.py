@@ -8,17 +8,15 @@ from .errors import (ConstructionError, CVPError, DegenerateExhaustionError,
                      VolumeConstraintError)
 from .space import (Exhaustion, MetricSpace, build_exhaustion, closed_ball,
                     covering_number, exact_covering_number, greedy_cover,
-                    grid_1d, space_from_dict, space_to_dict)
+                    grid_1d, space_from_dict)
 from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum,
                          effective_range, exp_profile, global_sup,
-                         kernel_from_spec, kernel_to_dict, make_kernel,
-                         poly_profile, profile_from_spec, profile_to_dict,
-                         scaled_exp_profile, tail_index, verify_compact_range,
-                         verify_entropy_decay)
+                         kernel_from_spec, make_kernel, poly_profile,
+                         profile_from_spec, scaled_exp_profile, tail_index,
+                         verify_compact_range, verify_entropy_decay)
 from .measure import (DiscreteMeasure, SignedVariation, action,
                       action_difference, apply_variation, averaged_kernel,
-                      make_variation, measure_from_dict, measure_to_dict,
-                      restrict)
+                      make_variation, measure_to_dict, restrict)
 from .simplex_solver import (CompactProblem, CompactSolution, KKTResiduals,
                              SolverOptions, brute_force_minimizer,
                              kkt_residuals, minimize_on_compact)

@@ -23,7 +23,7 @@ from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY, EXIT_
                           VariationSampler, check_sufficient_conditions,
                           gamma_lower_bound, nontriviality_check, verify_el)
 from .el_analysis import test_minimality as sample_minimality
-from .errors import CVPError, InputError, UsageError
+from .errors import CVPError, InputError, UsageError, as_number
 from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum,
                          kernel_from_spec, profile_from_spec)
 from .measure import measure_to_dict, restrict
@@ -59,7 +59,8 @@ def _solver_options(payload: dict, seed: int) -> SolverOptions:
     opts = SolverOptions(seed=seed)
     for key in ("tol", "max_iter", "restarts", "oracle_max", "certify"):
         if key in payload:
-            setattr(opts, key, type(getattr(opts, key))(payload[key]))
+            setattr(opts, key, as_number(payload[key], f"solver.{key}",
+                                         type(getattr(opts, key))))
     return opts
 
 
@@ -67,7 +68,7 @@ def load_config(path: str, seed_override: int | None = None,
                 stride_override: int | None = None,
                 tol_override: float | None = None) -> RunConfig:
     with open(path) as handle:
-        raw = json.load(handle)
+        raw = _typed(json.load(handle), dict, f"{path}: config")
     base = os.path.dirname(os.path.abspath(path))
     space_spec = raw.get("space")
     if isinstance(space_spec, str):
@@ -78,27 +79,30 @@ def load_config(path: str, seed_override: int | None = None,
     space = space_from_dict(space_spec)
     raw = dict(raw)
     raw["space"] = space_spec
-    kernel = kernel_from_spec(raw.get("kernel", {}), space)
+    kernel = kernel_from_spec(_typed(raw.get("kernel", {}), dict, "kernel"), space)
     profile = None
     if raw.get("profile"):
         profile = profile_from_spec(raw["profile"], c=diagonal_infimum(kernel))
-    exh_spec = raw.get("exhaustion", {})
+    exh_spec = _typed(raw.get("exhaustion", {}), dict, "exhaustion")
     exhaustion = build_exhaustion(space, str(exh_spec.get("center")),
                                   exh_spec.get("radii", ()))
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = as_number(raw.get("seed", 0) if seed_override is None else seed_override,
+                     "seed", int)
     raw["seed"] = seed
     if stride_override is not None:
         raw["stride"] = int(stride_override)
-    solver = _solver_options(raw.get("solver", {}), seed)
+    solver = _solver_options(_typed(raw.get("solver", {}), dict, "solver"), seed)
     if tol_override is not None:
         solver.tol = float(tol_override)
-    window = raw.get("window", {})
+    window = _typed(raw.get("window", {}), dict, "window")
+    layer, eps = (None if window.get(key) is None else as_number(window[key], f"window.{key}")
+                  for key in ("layer", "eps"))
     options = RunOptions(solver=solver,
-                         stab_tol=float(raw.get("stab_tol", 1e-6)),
-                         window_layer=window.get("layer"),
+                         stab_tol=as_number(raw.get("stab_tol", 1e-6), "stab_tol"),
+                         window_layer=layer,
                          profile=profile,
-                         eps=window.get("eps"),
-                         stride=int(raw.get("stride", 1)))
+                         eps=eps,
+                         stride=as_number(raw.get("stride", 1), "stride", int))
     return RunConfig(raw=raw, space=space, kernel=kernel, profile=profile,
                      exhaustion=exhaustion, options=options, seed=seed)
 
@@ -128,7 +132,7 @@ def report_from_run(run: ExhaustionRun, config: RunConfig) -> dict:
         "kkt": {"on_support_max": s.kkt.on_support_max,
                 "min_over_k": s.kkt.min_over_k,
                 "s_param": s.kkt.s_param},
-        "weights": dict(s.weights),
+        "weights": {pid: w for pid, w in zip(s.space.ids, s.weights.tolist()) if w > 0},
     } for s in run.stages]
     return {
         "tool": {"name": "cvp", "version": __version__},
@@ -153,6 +157,21 @@ def _typed(value, kind, what: str):
     raise InputError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r:.60}")
 
 
+def _stage_weights(payload, stage_ids: tuple[str, ...], space: MetricSpace,
+                   where: str) -> np.ndarray:
+    """The unscaled weights of a report stage, in space order."""
+    weights = np.zeros(len(space))
+    in_stage = set(stage_ids)
+    for pid, w in _typed(payload, dict, f"{where}.weights").items():
+        field = f"{where}.weights[{pid!r}]"
+        if pid not in space.index:
+            raise InputError(f"{field} is on an unknown point id")
+        if pid not in in_stage:
+            raise InputError(f"{field} is outside the stage ids")
+        weights[space.index[pid]] = float(_typed(w, _NUMBER, field))
+    return weights
+
+
 def run_from_report(report: dict, space: MetricSpace) -> ExhaustionRun:
     """Rebuild a run from its report: stages from their unscaled weights and
     KKT residuals, the limit from the last stage restricted to the window.
@@ -164,19 +183,18 @@ def run_from_report(report: dict, space: MetricSpace) -> ExhaustionRun:
         where = f"report stages[{pos}]"
         s = _typed(s, dict, where)
         kkt = _typed(s.get("kkt"), dict, f"{where}.kkt")
+        stage_ids = tuple(_typed(pid, str, f"{where}.ids[]")
+                          for pid in _typed(s.get("ids"), list, f"{where}.ids"))
         stages.append(ScaledMinimizer(
             stage_index=_typed(s.get("index"), int, f"{where}.index"),
-            stage_ids=tuple(_typed(pid, str, f"{where}.ids[]")
-                            for pid in _typed(s.get("ids"), list, f"{where}.ids")),
-            weights={pid: float(_typed(w, _NUMBER, f"{where}.weights[{pid!r}]"))
-                     for pid, w in _typed(s.get("weights"), dict,
-                                          f"{where}.weights").items()},
+            stage_ids=stage_ids,
+            weights=_stage_weights(s.get("weights"), stage_ids, space, where),
             kkt=KKTResiduals(**{key: float(_typed(kkt.get(key), _NUMBER,
                                                   f"{where}.kkt.{key}"))
                                 for key in ("on_support_max", "min_over_k", "s_param")}),
             certified_global=_typed(s.get("certified_global"), bool,
                                     f"{where}.certified_global"),
-            space_key=space.key,
+            space=space,
             degenerate=_typed(s.get("degenerate"), bool, f"{where}.degenerate")))
     if not stages:
         raise InputError("report has no stages")
@@ -199,8 +217,7 @@ def cmd_solve(args) -> int:
     write_json(os.path.join(out, "run.json"), report)
     for s in run.stages:
         ell = stage_ell(s.measure, config.kernel)
-        rows = [(pid, float(ell[i]), s.measure.weight(pid))
-                for i, pid in enumerate(config.space.ids)]
+        rows = zip(config.space.ids, ell.tolist(), s.measure.weights.tolist())
         write_csv(os.path.join(out, f"stage_{s.stage_index}.csv"),
                   ["point", "ell", "weight"], rows)
     stabilized = run.diagnostics["stabilized"]

@@ -6,18 +6,18 @@ run) and restrict their assertions to a certified window of points.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum,
-                         effective_range, global_sup, tail_index)
+from .lagrangian import DecayProfile, Lagrangian, diagonal_infimum, global_sup, tail_index
 from .measure import (DiscreteMeasure, action_difference, averaged_kernel,
                       make_variation)
 from .pipeline import ExhaustionRun
-from .space import MetricSpace, closed_ball, greedy_cover_counts
+from .space import MetricSpace, _ball_indices, greedy_cover_counts
 
 EXIT_OK = 0
 EXIT_EL_FAILED = 2
@@ -39,32 +39,25 @@ class ELReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "window": list(self.window),
-            "support": list(self.support),
-            "ell_values": dict(self.ell_values),
-            "inf_ell": self.inf_ell,
-            "argmin": self.argmin,
-            "max_abs_on_support": self.max_abs_on_support,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def verify_el(rho: DiscreteMeasure, L: Lagrangian, window, tol: float = 1e-6) -> ELReport:
     """Stationarity on a window: ell vanishes on the support, >= 0 elsewhere."""
-    window = sorted(set(window), key=L.at)
+    space = rho.space
+    window = sorted(set(window), key=space._at)
     if not window:
         raise InputError("verify_el needs a nonempty window")
-    idx = [L.at(x) for x in window]
+    idx = [space._at(x) for x in window]
     values = averaged_kernel(rho, L)[idx] - 1.0
-    ell_values = {x: float(v) for x, v in zip(window, values)}
-    support = tuple(x for x in window if x in rho.weights)
-    max_on = max((abs(ell_values[x]) for x in support), default=0.0)
+    on_support = rho.weights[idx] > 0
+    support = tuple(itertools.compress(window, on_support))
+    max_on = float(np.abs(values[on_support]).max(initial=0.0))
     pos = int(np.argmin(values))
     inf_ell = float(values[pos])
     passed = max_on <= tol and inf_ell >= -tol
-    return ELReport(window=tuple(window), support=support, ell_values=ell_values,
+    return ELReport(window=tuple(window), support=support,
+                    ell_values=dict(zip(window, values.tolist())),
                     inf_ell=inf_ell, argmin=window[pos],
                     max_abs_on_support=max_on, tol=tol, passed=passed)
 
@@ -126,13 +119,14 @@ def nontriviality_check(run: ExhaustionRun, L: Lagrangian, space: MetricSpace,
     entries = []
     passed = True
     for x in probes:
-        kx = effective_range(L, space, [x])
-        sup_x = max(float(L.matrix[L.at(x), L.at(y)]) for y in kx)
-        c_x = 1.0 / sup_x
-        mass = rho.mass(kx)
+        # the effective range of {x}: where L(x, .) is positive
+        row = L.matrix[space._at(x)]
+        reach = row > 0.0
+        c_x = 1.0 / float(row.max())
+        mass = math.fsum(rho.weights[reach])
         ok = mass >= c_x - tol
         passed = passed and ok
-        entries.append({"probe": x, "range_size": len(kx), "c_x": c_x,
+        entries.append({"probe": x, "range_size": int(reach.sum()), "c_x": c_x,
                         "mass": mass, "ok": ok})
     total = run.limit.total()
     nonzero = total > 0.0
@@ -161,8 +155,8 @@ def gamma_lower_bound(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace,
     entries = []
     passed = True
     for x in window:
-        ball = closed_ball(space, x, float(n0))
-        mass = rho.mass(ball)
+        ball = _ball_indices(space, space._at(x), float(n0))
+        mass = math.fsum(rho.weights[ball])
         ok = mass >= gamma - tol
         passed = passed and ok
         entries.append({"x": x, "ball_size": len(ball), "mass": mass, "ok": ok})
@@ -201,7 +195,8 @@ def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampl
         raise InputError("minimality sampling needs a window with >= 2 points")
     cap = max(2, min(sampler.support_cap, len(window)))
     rng = np.random.default_rng(np.random.SeedSequence([sampler.seed]))
-    base = np.array([rho.weight(x) for x in window])
+    window_idx = np.array([rho.space._at(x) for x in window])
+    base = rho.weights[window_idx]
     min_delta = math.inf
     worst = None
     evaluated = 0
@@ -232,14 +227,17 @@ def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampl
         # t can reach ~1e4, lifting the draws' ~1e-16 imbalance past the
         # balance tolerance of make_variation: the largest step absorbs it.
         steps[-1] -= math.fsum(steps)
-        delta = {window[int(pos)]: step for pos, step in zip(order_pts, steps)}
+        delta = np.zeros(len(rho.weights))
+        delta[window_idx[order_pts]] = steps
         ds = action_difference(rho, make_variation(rho, delta), L)
         evaluated += 1
+        record = {"delta": {window[int(pos)]: step for pos, step in zip(order_pts, steps)},
+                  "delta_action": ds}
         if ds < min_delta:
             min_delta = ds
-            worst = {"delta": delta, "delta_action": ds}
+            worst = record
         if ds < -sampler.fail_tol and len(failures) < _MAX_FAILURES:
-            failures.append({"delta": delta, "delta_action": ds})
+            failures.append(record)
     return {"trials": trials, "evaluated": evaluated, "skipped": skipped,
             "min_delta_S": (0.0 if evaluated == 0 else min_delta),
             "worst": worst, "failures": failures, "passed": not failures}

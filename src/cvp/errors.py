@@ -49,3 +49,11 @@ class SolverFailure(CVPError, RuntimeError):
 
 class UsageError(CVPError, ValueError):
     """Bad command-line usage (unknown check name, non-positive trial count)."""
+
+
+def as_number(value, what: str, kind=float):
+    """``kind(value)`` for a config field; InputError naming ``what`` if it fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be a number, got {value!r:.60}") from None

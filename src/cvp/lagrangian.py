@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstructionError, InputError, ProfileError
+from .errors import ConstructionError, InputError, ProfileError, as_number
 from .space import MetricSpace, ball_cover_counts, closed_ball
 
 _KINDS = ("tent", "truncated_gaussian", "exponential", "matrix")
@@ -24,21 +24,18 @@ _MAX_WITNESSES = 10
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """Precomputed kernel matrix bound to a specific space."""
+    """Precomputed kernel matrix bound to a specific space, in ``space.ids`` order."""
 
     kind: str
     params: dict
-    ids: tuple[str, ...]
     matrix: np.ndarray
     space_key: str
     declared_range: float | None = None
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        n = len(self.ids)
-        if m.shape != (n, n):
-            raise ConstructionError(f"kernel matrix must be {n}x{n}, got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ConstructionError(f"kernel matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ConstructionError("kernel values must be finite")
         if np.any(m < 0):
@@ -50,16 +47,6 @@ class Lagrangian:
         m = (m + m.T) / 2.0
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "index", {p: i for i, p in enumerate(self.ids)})
-
-    def at(self, x: str) -> int:
-        try:
-            return self.index[x]
-        except KeyError:
-            raise InputError(f"point id {x!r} not in kernel domain") from None
-
-    def eval(self, x: str, y: str) -> float:
-        return float(self.matrix[self.at(x), self.at(y)])
 
 
 def make_kernel(kind: str, params: dict, space: MetricSpace) -> Lagrangian:
@@ -71,56 +58,58 @@ def make_kernel(kind: str, params: dict, space: MetricSpace) -> Lagrangian:
     """
     if kind not in _KINDS:
         raise InputError(f"unknown kernel kind {kind!r}, expected one of {_KINDS}")
+
+    def num(key: str, default: float | None = None) -> float:
+        if default is None and key not in params:
+            raise InputError(f"a {kind} kernel needs kernel.{key}")
+        return as_number(params.get(key, default), f"kernel.{key}")
+
     d = space.dist
     declared: float | None = None
     if kind == "tent":
-        a = float(params.get("amplitude", 1.0))
-        r0 = float(params["range"])
+        a = num("amplitude", 1.0)
+        r0 = num("range")
         if a <= 0 or r0 <= 0:
             raise ConstructionError("tent kernel needs positive amplitude and range")
         m = a * np.maximum(0.0, 1.0 - d / r0)
         declared = r0
     elif kind == "truncated_gaussian":
-        a = float(params.get("amplitude", 1.0))
-        sigma = float(params["sigma"])
-        r0 = float(params["range"])
+        a = num("amplitude", 1.0)
+        sigma = num("sigma")
+        r0 = num("range")
         if a <= 0 or sigma <= 0 or r0 <= 0:
             raise ConstructionError(
                 "truncated gaussian needs positive amplitude, sigma and range")
         m = a * np.exp(-(d / sigma) ** 2) * (d <= r0)
         declared = r0
     elif kind == "exponential":
-        a = float(params.get("amplitude", 1.0))
-        sigma = float(params.get("sigma", 1.0))
+        a = num("amplitude", 1.0)
+        sigma = num("sigma", 1.0)
         if a <= 0 or sigma <= 0:
             raise ConstructionError("exponential kernel needs positive amplitude and sigma")
         m = a * np.exp(-d / sigma)
-        declared = None
     else:
-        m = np.asarray(params["matrix"], dtype=float)
-        declared = params.get("range")
-        declared = None if declared is None else float(declared)
-    return Lagrangian(kind=kind, params=dict(params), ids=space.ids, matrix=m,
-                      space_key=space.key, declared_range=declared)
+        try:
+            m = np.asarray(params.get("matrix"), dtype=float)
+        except (TypeError, ValueError):
+            raise InputError("kernel.matrix must be a square array of numbers") from None
+        if m.shape != (len(space),) * 2:
+            raise ConstructionError(
+                f"kernel matrix must be {len(space)}x{len(space)}, got {m.shape}")
+        declared = None if params.get("range") is None else num("range")
+    return Lagrangian(kind=kind, params=dict(params), matrix=m, space_key=space.key,
+                      declared_range=declared)
 
 
 def kernel_from_spec(spec: dict, space: MetricSpace) -> Lagrangian:
+    if not isinstance(spec, dict):
+        raise InputError(f"kernel spec must be an object, got {spec!r:.60}")
     spec = dict(spec)
     try:
         kind = spec.pop("kind")
     except KeyError:
         raise InputError("kernel spec needs a 'kind' field") from None
     return make_kernel(kind, spec, space)
-
-
-def kernel_to_dict(L: Lagrangian) -> dict:
-    out = {"kind": L.kind}
-    for k, v in L.params.items():
-        if k == "matrix":
-            out["matrix"] = [[float(x) for x in row] for row in v]
-        else:
-            out[k] = v
-    return out
 
 
 def diagonal_infimum(L: Lagrangian, space: MetricSpace | None = None) -> float:
@@ -137,11 +126,11 @@ def global_sup(L: Lagrangian) -> float:
 def effective_range(L: Lagrangian, space: MetricSpace, K) -> frozenset[str]:
     """Smallest K' with L(x, y) = 0 for every x in K and y outside K'."""
     _check_space(L, space)
-    rows = [L.at(x) for x in K]
+    rows = [space._at(x) for x in K]
     if not rows:
         raise InputError("effective_range needs a nonempty point set")
     mask = (L.matrix[rows] > 0.0).any(axis=0)
-    return frozenset(L.ids[i] for i in np.nonzero(mask)[0])
+    return frozenset(space.ids[i] for i in np.flatnonzero(mask))
 
 
 def verify_compact_range(L: Lagrangian, space: MetricSpace, exhaustion) -> dict:
@@ -253,27 +242,28 @@ def scaled_exp_profile(amplitude: float, slope: float, rate: float, delta: float
 
 
 def profile_from_spec(spec: dict, c: float) -> DecayProfile:
+    if not isinstance(spec, dict):
+        raise InputError(f"profile spec must be an object, got {spec!r:.60}")
     try:
         kind = spec["f"]
-        delta = float(spec["delta"])
-    except (KeyError, TypeError) as exc:
+        delta = as_number(spec["delta"], "profile.delta")
+    except KeyError as exc:
         raise InputError(f"profile spec missing field: {exc}") from None
     params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise InputError(f"profile.params must be an object, got {params!r:.60}")
+
+    def num(key: str, default: float) -> float:
+        return as_number(params.get(key, default), f"profile.params.{key}")
+
     if kind == "exp":
-        return exp_profile(float(params.get("amplitude", 1.0)),
-                           float(params.get("rate", 1.0)), delta, c)
+        return exp_profile(num("amplitude", 1.0), num("rate", 1.0), delta, c)
     if kind == "poly":
-        return poly_profile(float(params.get("amplitude", 1.0)),
-                            float(params.get("power", 2.0)), delta, c)
+        return poly_profile(num("amplitude", 1.0), num("power", 2.0), delta, c)
     if kind == "scaled_exp":
-        return scaled_exp_profile(float(params.get("amplitude", 1.0)),
-                                  float(params.get("slope", 2.0)),
-                                  float(params.get("rate", 1.0)), delta, c)
+        return scaled_exp_profile(num("amplitude", 1.0), num("slope", 2.0),
+                                  num("rate", 1.0), delta, c)
     raise InputError(f"unknown profile kind {kind!r}")
-
-
-def profile_to_dict(profile: DecayProfile) -> dict:
-    return {"f": profile.kind, "params": dict(profile.params), "delta": profile.delta}
 
 
 def tail_index(profile: DecayProfile, eps: float, cap: int = 10 ** 6) -> int:

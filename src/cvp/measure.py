@@ -1,21 +1,22 @@
 """Weighted point measures, balanced variations, and the action functional.
 
-Scalar accumulations over id-keyed dicts use ``math.fsum`` (exact); vectorized
-quadratic forms go through numpy's pairwise-summed ``dot``.
+Measures and variations are read-only vectors in ``space.ids`` order. Kernel
+sums run over the nonzero entries in ascending index order, so a measure gives
+the same bits however it was built; scalar sums use ``math.fsum`` (exact).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, PositivityError, VolumeConstraintError
 from .lagrangian import Lagrangian
+from .space import MetricSpace
 
-# Weights at or below this are dropped at construction time.
+# Weights at or below this become 0 at construction time.
 PRUNE_EPS = 1e-12
 
 # Balance and positivity slack for signed variations.
@@ -24,96 +25,91 @@ _BALANCE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Nonnegative weights on point ids; zero weights are pruned."""
+    """Nonnegative weights in ``space.ids`` order; dust (<= ``PRUNE_EPS``) becomes 0."""
 
-    weights: dict[str, float]
-    space_key: str
+    space: MetricSpace
+    weights: np.ndarray
 
     def __post_init__(self):
-        clean = {}
-        for pid, w in self.weights.items():
-            w = float(w)
-            if not math.isfinite(w):
-                raise InputError(f"weight at {pid!r} is not finite")
-            if w < -PRUNE_EPS:
-                raise InputError(f"negative weight {w} at {pid!r}")
-            if w > PRUNE_EPS:
-                clean[str(pid)] = w
-        object.__setattr__(self, "weights", MappingProxyType(clean))
+        w = np.array(self.weights, dtype=float)
+        n = len(self.space)
+        if w.shape != (n,):
+            raise InputError(f"measure needs {n} weights in space order, got shape {w.shape}")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise InputError(f"weight at {self.space.ids[bad[0]]!r} is not finite")
+        neg = np.flatnonzero(w < -PRUNE_EPS)
+        if neg.size:
+            raise InputError(f"negative weight {w[neg[0]]} at {self.space.ids[neg[0]]!r}")
+        w[w <= PRUNE_EPS] = 0.0
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     def __eq__(self, other):
         if not isinstance(other, DiscreteMeasure):
             return NotImplemented
-        return self.space_key == other.space_key and dict(self.weights) == dict(other.weights)
+        return self is other or (self.space.key == other.space.key
+                                 and np.array_equal(self.weights, other.weights))
 
     def total(self) -> float:
-        return math.fsum(self.weights.values())
+        return math.fsum(self.weights)
 
     @property
     def support(self) -> frozenset[str]:
-        return frozenset(self.weights)
-
-    def weight(self, x: str) -> float:
-        return self.weights.get(x, 0.0)
+        return frozenset(self.space.ids[i] for i in np.flatnonzero(self.weights))
 
     def mass(self, K) -> float:
-        return math.fsum(self.weights[x] for x in K if x in self.weights)
+        """Weight of the point set ``K`` (ids)."""
+        return math.fsum(self.weights[[self.space._at(x) for x in K]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedVariation:
-    """A balanced signed perturbation of a base measure."""
+    """A balanced signed perturbation of a base measure; see ``make_variation``."""
 
     base: DiscreteMeasure
-    delta: dict[str, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", MappingProxyType(dict(self.delta)))
+    delta: np.ndarray
 
 
-def make_variation(base: DiscreteMeasure, delta: dict[str, float]) -> SignedVariation:
+def make_variation(base: DiscreteMeasure, delta) -> SignedVariation:
     """Validate balance (total delta = 0) and positivity of base + delta."""
-    clean = {str(k): float(v) for k, v in delta.items()}
-    for pid, v in clean.items():
-        if not math.isfinite(v):
-            raise InputError(f"variation at {pid!r} is not finite")
-    bal = math.fsum(clean.values())
+    d = np.array(delta, dtype=float)
+    if d.shape != base.weights.shape:
+        raise InputError(f"variation needs {len(base.weights)} entries in space order, "
+                         f"got shape {d.shape}")
+    moved = np.flatnonzero(d)
+    bad = moved[~np.isfinite(d[moved])]
+    if bad.size:
+        raise InputError(f"variation at {base.space.ids[bad[0]]!r} is not finite")
+    bal = math.fsum(d[moved])
     if abs(bal) > _BALANCE_TOL:
         raise VolumeConstraintError(f"variation total {bal} is not balanced to zero")
-    for pid, v in clean.items():
-        if base.weight(pid) + v < -_BALANCE_TOL:
-            raise PositivityError(
-                f"variation drives weight at {pid!r} to {base.weight(pid) + v}")
-    return SignedVariation(base=base, delta=clean)
+    after = base.weights[moved] + d[moved]
+    low = np.flatnonzero(after < -_BALANCE_TOL)
+    if low.size:
+        raise PositivityError(f"variation drives weight at "
+                              f"{base.space.ids[moved[low[0]]]!r} to {after[low[0]]}")
+    d.setflags(write=False)
+    return SignedVariation(base=base, delta=d)
 
 
 def apply_variation(var: SignedVariation) -> DiscreteMeasure:
-    out = dict(var.base.weights)
-    for pid, v in var.delta.items():
-        out[pid] = max(0.0, out.get(pid, 0.0) + v)
-    return DiscreteMeasure(weights=out, space_key=var.base.space_key)
+    return DiscreteMeasure(var.base.space, np.maximum(0.0, var.base.weights + var.delta))
 
 
 def action(rho: DiscreteMeasure, L: Lagrangian) -> float:
     """Double integral of the kernel against rho x rho."""
     _check_compat(rho, L)
-    if not rho.weights:
-        return 0.0
-    idx = [L.at(x) for x in rho.weights]
-    w = np.fromiter(rho.weights.values(), dtype=float, count=len(idx))
-    block = L.matrix[np.ix_(idx, idx)]
-    return float(w @ block @ w)
+    s = np.flatnonzero(rho.weights)
+    w = rho.weights[s]
+    return float(w @ L.matrix[np.ix_(s, s)] @ w)
 
 
 def averaged_kernel(rho: DiscreteMeasure, L: Lagrangian) -> np.ndarray:
     """Vector of integrals of L(x, .) against rho, over all kernel-domain points."""
     _check_compat(rho, L)
-    out = np.zeros(len(L.ids))
-    if rho.weights:
-        idx = [L.at(x) for x in rho.weights]
-        w = np.fromiter(rho.weights.values(), dtype=float, count=len(idx))
-        out = L.matrix[:, idx] @ w
-    return out
+    s = np.flatnonzero(rho.weights)
+    return L.matrix[:, s] @ rho.weights[s]
 
 
 def action_difference(rho: DiscreteMeasure, var: SignedVariation, L: Lagrangian) -> float:
@@ -125,37 +121,25 @@ def action_difference(rho: DiscreteMeasure, var: SignedVariation, L: Lagrangian)
     if var.base != rho:
         raise InputError("variation was built on a different base measure")
     _check_compat(rho, L)
-    if not var.delta:
-        return 0.0
-    ids = list(var.delta)
-    dvec = np.fromiter(var.delta.values(), dtype=float, count=len(ids))
-    idx = [L.at(x) for x in ids]
-    lhat = averaged_kernel(rho, L)[idx]
-    quad = L.matrix[np.ix_(idx, idx)]
-    return float(2.0 * (dvec @ lhat) + dvec @ quad @ dvec)
+    t = np.flatnonzero(var.delta)
+    d = var.delta[t]
+    lhat = averaged_kernel(rho, L)[t]
+    return float(2.0 * (d @ lhat) + d @ L.matrix[np.ix_(t, t)] @ d)
 
 
 def restrict(rho: DiscreteMeasure, K) -> DiscreteMeasure:
-    """Restriction to a point set; an empty result is allowed."""
-    K = set(K)
-    return DiscreteMeasure(weights={k: v for k, v in rho.weights.items() if k in K},
-                           space_key=rho.space_key)
-
-
-def measure_from_dict(payload: dict) -> DiscreteMeasure:
-    try:
-        return DiscreteMeasure(weights={str(k): float(v)
-                                        for k, v in payload["weights"].items()},
-                               space_key=str(payload["space"]))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise InputError(f"malformed measure payload: {exc}") from None
+    """Restriction to a point set (ids); an empty result is allowed."""
+    keep = np.zeros(len(rho.weights), dtype=bool)
+    keep[[rho.space._at(x) for x in K]] = True
+    return DiscreteMeasure(rho.space, np.where(keep, rho.weights, 0.0))
 
 
 def measure_to_dict(rho: DiscreteMeasure) -> dict:
-    return {"space": rho.space_key,
-            "weights": {k: float(v) for k, v in sorted(rho.weights.items())}}
+    return {"space": rho.space.key,
+            "weights": {rho.space.ids[i]: float(rho.weights[i])
+                        for i in np.flatnonzero(rho.weights)}}
 
 
 def _check_compat(rho: DiscreteMeasure, L: Lagrangian) -> None:
-    if rho.space_key != L.space_key:
+    if rho.space.key != L.space_key:
         raise InputError("measure and kernel live on different spaces")

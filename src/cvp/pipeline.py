@@ -40,32 +40,33 @@ class RunOptions:
     stride: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledMinimizer:
     """One solved stage, rescaled so the averaged kernel is 1 on the support.
 
-    ``weights`` holds the stage minimizer's unscaled simplex weights on its
-    support; ``measure`` is derived from them as ``scale * w``, with ``scale``
-    the inverse of the unscaled action value ``kkt.s_param``.
+    ``weights`` holds the stage minimizer's unscaled simplex weights in
+    ``space.ids`` order, zero off its support; ``measure`` is derived from
+    them as ``scale * weights``, with ``scale`` the inverse of the unscaled
+    action value ``kkt.s_param``.
     """
 
     stage_index: int
     stage_ids: tuple[str, ...]
-    weights: dict[str, float]
+    weights: np.ndarray
     kkt: KKTResiduals
     certified_global: bool
-    space_key: str
+    space: MetricSpace
     degenerate: bool = False
-    measure: DiscreteMeasure = field(init=False, repr=False, compare=False)
+    measure: DiscreteMeasure = field(init=False, repr=False)
 
     def __post_init__(self):
         s = self.s_unscaled
         if not math.isfinite(s) or s <= _S_FLOOR:
             raise DegenerateStageError(f"stage value {s} is too small to rescale")
-        lam = self.scale
-        object.__setattr__(self, "measure", DiscreteMeasure(
-            weights={pid: lam * w for pid, w in self.weights.items()},
-            space_key=self.space_key))
+        w = np.array(self.weights, dtype=float)
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "measure", DiscreteMeasure(self.space, self.scale * w))
 
     @property
     def s_unscaled(self) -> float:
@@ -93,18 +94,17 @@ def rescale(solution: CompactSolution, space: MetricSpace, L: Lagrangian | None 
     recomputed averaged kernel minus 1 must vanish on the support and stay
     above -10*tol on the stage.
     """
+    idx = [space._at(x) for x in solution.ids]
+    weights = np.zeros(len(space))
+    weights[idx] = np.where(solution.weights > 0, solution.weights, 0.0)
     stage = ScaledMinimizer(
-        stage_index=stage_index, stage_ids=solution.ids,
-        weights={pid: float(w) for pid, w in zip(solution.ids, solution.weights)
-                 if w > 0},
+        stage_index=stage_index, stage_ids=solution.ids, weights=weights,
         kkt=solution.kkt, certified_global=solution.certified_global,
-        space_key=space.key, degenerate=degenerate)
+        space=space, degenerate=degenerate)
     if L is not None:
         ell = stage_ell(stage.measure, L)
-        stage_idx = [L.at(x) for x in solution.ids]
-        on_supp = [L.at(x) for x in stage.measure.weights]
-        max_on = float(np.abs(ell[on_supp]).max())
-        min_stage = float(ell[stage_idx].min())
+        max_on = float(np.abs(ell[stage.measure.weights > 0]).max())
+        min_stage = float(ell[idx].min())
         if max_on > 10.0 * tol or min_stage < -10.0 * tol:
             raise SolverFailure(
                 f"rescaled stationarity residual too large "
@@ -168,9 +168,7 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
         degenerate = spread <= _CONST_BLOCK_TOL * max(1.0, float(block.max()))
         opts = replace(options.solver, seed=_stage_seed(options.solver.seed, n))
         # warm start: the previous stage's minimizer, extended by zero
-        extra = []
-        if scaled:
-            extra.append(np.array([scaled[-1].weights.get(p, 0.0) for p in ids]))
+        extra = [scaled[-1].weights[idx]] if scaled else []
         problem = CompactProblem(ids=ids, matrix=block, options=opts)
         solution = minimize_on_compact(problem, extra_starts=extra)
         scaled.append(rescale(solution, space, L, stage_index=n,
@@ -182,17 +180,15 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
         stab_gap = 0.0
     else:
         window = window_points(space, scaled[-2].stage_ids, layer)
-        stab_gap = max((abs(last.measure.weight(x) - scaled[-2].measure.weight(x))
-                        for x in window), default=0.0)
+        stab_gap = _max_gap(space, window, last.measure, scaled[-2].measure)
     limit = restrict(last.measure, window)
 
     discrepancies = {}
     for m in range(len(scaled) - 1):
         interior = window_points(space, scaled[m].stage_ids, layer)
         for n in range(m + 1, len(scaled)):
-            gap = max((abs(scaled[n].measure.weight(x) - last.measure.weight(x))
-                       for x in interior), default=0.0)
-            discrepancies[f"{m},{n}"] = gap
+            discrepancies[f"{m},{n}"] = _max_gap(space, interior, scaled[n].measure,
+                                                 last.measure)
 
     diagnostics = {
         "window_layer": layer,
@@ -207,6 +203,12 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
     }
     return ExhaustionRun(stages=tuple(scaled), limit=limit, window=window,
                          diagnostics=diagnostics)
+
+
+def _max_gap(space: MetricSpace, points, a: DiscreteMeasure, b: DiscreteMeasure) -> float:
+    """Largest weight difference of two measures over a point set (0 if empty)."""
+    idx = [space._at(x) for x in points]
+    return float(np.abs(a.weights[idx] - b.weights[idx]).max(initial=0.0))
 
 
 def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagrangian,
@@ -228,21 +230,19 @@ def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagran
         candidates = sorted({float(r) for r in row if r <= radius + 1e-12},
                             reverse=True)
         used = None
-        members: list[int] = []
         for r in candidates:
-            ball = np.nonzero(row <= r + 1e-12)[0]
-            sub = L.matrix[np.ix_(ball, ball)]
-            if float(sub.min()) >= diag / 2.0:
-                used, members = r, list(ball)
+            ball = np.flatnonzero(row <= r + 1e-12)
+            if float(L.matrix[np.ix_(ball, ball)].min()) >= diag / 2.0:
+                used = r
                 break
         if used is None:
             entries.append({"probe": x, "requested_radius": radius, "skipped": True})
             continue
-        mass = stage.measure.mass(space.ids[i] for i in members)
+        mass = math.fsum(stage.measure.weights[ball])
         ok = mass <= bound + tol
         passed = passed and ok
         entries.append({"probe": x, "requested_radius": radius, "radius": used,
-                        "shrunk": used < radius - 1e-12, "ball_size": len(members),
+                        "shrunk": used < radius - 1e-12, "ball_size": len(ball),
                         "mass": mass, "bound": bound, "ok": ok, "skipped": False})
     return {"passed": passed, "entries": entries}
 
@@ -250,14 +250,12 @@ def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagran
 def check_support_approximation(run: ExhaustionRun, space: MetricSpace) -> dict:
     """Distance from limit-support points to each stage's support must shrink to 0."""
     targets = sorted(run.limit.support & run.window, key=space._at)
+    supports = [np.flatnonzero(s.measure.weights) for s in run.stages]
     entries = []
     passed = True
     for x in targets:
-        xi = space._at(x)
-        seq = []
-        for s in run.stages:
-            supp_idx = [space._at(y) for y in s.measure.support]
-            seq.append(float(space.dist[xi, supp_idx].min()) if supp_idx else math.inf)
+        row = space.dist[space._at(x)]
+        seq = [float(row[s].min()) if s.size else math.inf for s in supports]
         nonincreasing = all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
         ok = nonincreasing and seq[-1] <= 1e-12
         passed = passed and ok
@@ -303,9 +301,8 @@ def check_ell_convergence(run: ExhaustionRun, L: Lagrangian, sample_points,
 def tail_mass(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace, x: str,
               R: float) -> float:
     """Kernel mass rho picks up beyond distance R from x."""
-    if space.key != L.space_key or rho.space_key != space.key:
+    if space.key != L.space_key or rho.space.key != space.key:
         raise InputError("measure, kernel and space must match")
     xi = space._at(x)
-    return math.fsum(w * float(L.matrix[xi, space._at(y)])
-                     for y, w in rho.weights.items()
-                     if float(space.dist[xi, space._at(y)]) > R)
+    far = space.dist[xi] > R
+    return math.fsum(rho.weights[far] * L.matrix[xi, far])

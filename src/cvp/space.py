@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, DegenerateExhaustionError, InputError, SizeError
+from .errors import (ConstructionError, DegenerateExhaustionError, InputError, SizeError,
+                     as_number)
 
 # Absorbs one ulp of distance roundoff in closed-ball comparisons.
 _RADIUS_SLACK = 1e-12
@@ -79,12 +80,6 @@ class MetricSpace:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def d(self, x: str, y: str) -> float:
-        return float(self.dist[self._at(x), self._at(y)])
-
-    def diameter(self) -> float:
-        return float(self.dist.max())
 
     def _at(self, x: str) -> int:
         try:
@@ -262,7 +257,11 @@ class Exhaustion:
 
 def build_exhaustion(space: MetricSpace, center: str, radii) -> Exhaustion:
     """Closed balls at ``center`` with strictly increasing radii."""
-    radii = tuple(float(r) for r in radii)
+    try:
+        radii = tuple(float(r) for r in radii)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"exhaustion radii must be a list of numbers, "
+                         f"got {radii!r:.60}") from None
     if not radii:
         raise InputError("need at least one radius")
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -298,11 +297,20 @@ def space_from_dict(payload: dict) -> MetricSpace:
         raise InputError(f"space payload missing field: {exc}") from None
     if not points:
         raise InputError("space payload has no points")
-    ids = tuple(str(p["id"]) for p in points)
+    try:
+        ids = tuple(str(p["id"]) for p in points)
+    except (KeyError, TypeError):
+        raise InputError("every space point needs an 'id'") from None
     n = len(ids)
     coords = None
     if all("coords" in p for p in points):
-        coords = np.asarray([p["coords"] for p in points], dtype=float)
+        try:
+            coords = np.asarray([p["coords"] for p in points], dtype=float)
+        except (TypeError, ValueError):
+            raise InputError("space point coords must be lists of numbers, "
+                             "one length for all points") from None
+        if coords.ndim != 2:
+            raise InputError("space point coords must be lists of numbers")
     if metric == "euclidean":
         if coords is None:
             raise InputError("euclidean metric requires coords on every point")
@@ -311,33 +319,16 @@ def space_from_dict(payload: dict) -> MetricSpace:
     elif metric == "explicit":
         tri = payload.get("distances")
         expected = n * (n - 1) // 2
-        if tri is None or len(tri) != expected:
+        if not isinstance(tri, (list, tuple)) or len(tri) != expected:
             raise InputError(
                 f"explicit metric needs {expected} upper-triangular distances")
         dist = np.zeros((n, n))
         pos = 0
         for i in range(n):
             for j in range(i + 1, n):
-                dist[i, j] = dist[j, i] = float(tri[pos])
+                dist[i, j] = dist[j, i] = as_number(tri[pos], f"space distances[{pos}]")
                 pos += 1
     else:
         raise InputError(f"unknown metric kind {metric!r}")
     return MetricSpace(ids=ids, dist=dist, coords=coords,
                        name=str(payload.get("name", "space")))
-
-
-def space_to_dict(space: MetricSpace) -> dict:
-    points = []
-    for i, pid in enumerate(space.ids):
-        entry: dict = {"id": pid}
-        if space.coords is not None:
-            entry["coords"] = [float(v) for v in space.coords[i]]
-        points.append(entry)
-    if space.coords is not None:
-        return {"name": space.name, "points": points, "metric": "euclidean"}
-    tri = []
-    for i in range(len(space)):
-        for j in range(i + 1, len(space)):
-            tri.append(float(space.dist[i, j]))
-    return {"name": space.name, "points": points, "metric": "explicit",
-            "distances": tri}

@@ -322,3 +322,76 @@ def test_verify_exits_cleanly_on_malformed_report(fuzz_report, edits, rehash, cl
                          "--out", os.path.join(tmp, "v.json"), *flags])
     assert code in (0, 1, 2, 3, 4, 64)
     assert "Traceback" not in err.getvalue()
+
+
+def _solved_report(tmp_path, **overrides):
+    out_dir = run_solve(tmp_path, **overrides)
+    run_path = os.path.join(out_dir, "run.json")
+    return run_path, json.loads(open(run_path).read())
+
+
+@pytest.mark.parametrize("pid,stage,why", [("zz", 2, "is on an unknown point id"),
+                                           ("g5", 0, "is outside the stage ids")])
+def test_verify_refuses_weight_outside_its_stage(tmp_path, capsys, pid, stage, why):
+    run_path, report = _solved_report(tmp_path)
+    report["stages"][stage]["weights"][pid] = 0.5
+    open(run_path, "w").write(json.dumps(report))
+    assert main(["verify", "--run", run_path, "--checks", "el"]) == 1
+    assert f"stages[{stage}].weights[{pid!r}] {why}" in capsys.readouterr().err
+
+
+_PROFILE = {"f": "exp", "params": {"rate": 1.0}, "delta": 1.0}
+_BAD_FIELDS = (
+    (("kernel", "range"), "abc", "kernel.range"),
+    (("space", "points", 0, "coords"), ["a"], "coords"),
+    (("profile", "delta"), "z", "profile.delta"),
+    (("seed",), "x", "seed"),
+    (("solver", "restarts"), [1], "solver.restarts"),
+    (("exhaustion", "radii"), ["a"], "exhaustion radii"),
+    (("stab_tol",), "q", "stab_tol"),
+    (("stride",), "s", "stride"),
+)
+# verify reads only the space, kernel and profile of a report's config
+_VERIFY_READS = 3
+
+
+@pytest.mark.parametrize("command,path,value,field", [
+    pytest.param(command, *case, id=f"{command}-{case[2]}")
+    for command, cases in (("solve", _BAD_FIELDS), ("verify", _BAD_FIELDS[:_VERIFY_READS]))
+    for case in cases])
+def test_bad_config_field_exits_1_naming_it(tmp_path, command, path, value, field):
+    if command == "solve":
+        cfg = json.loads(open(write_config(tmp_path, profile=_PROFILE, stab_tol=1e-6,
+                                           stride=1)).read())
+        _mutate(cfg, path, "retype", value)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    else:
+        run_path, report = _solved_report(tmp_path, profile=_PROFILE)
+        _mutate(report["config"], path, "retype", value)
+        report["config_hash"] = sha256_text(canonical_json(report["config"]))
+        open(run_path, "w").write(json.dumps(report))
+        argv = ["verify", "--run", run_path, "--checks", "el"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 1
+    assert field in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def test_verify_ell_matches_solve_csv_bit_for_bit(tmp_path):
+    # ids x0..x20 sort differently as strings (x10 < x2), so a measure read
+    # back in report key order summed the averaged kernel in another order
+    points = [{"id": f"x{i}", "coords": [float(i)]} for i in range(21)]
+    run_path, _ = _solved_report(
+        tmp_path, space={"points": points, "metric": "euclidean"},
+        kernel={"kind": "exponential", "amplitude": 1.0, "sigma": 1.0},
+        exhaustion={"center": "x10", "radii": [6, 10]}, window={"layer": 2.0})
+    out = os.path.join(os.path.dirname(run_path), "verify.json")
+    assert main(["verify", "--run", run_path, "--checks", "el", "--out", out]) == 0
+    ell = json.loads(open(out).read())["checks"]["el"]["ell_values"]
+    with open(os.path.join(os.path.dirname(run_path), "stage_1.csv")) as handle:
+        rows = dict(line.split(",")[:2] for line in handle.read().splitlines()[1:])
+    assert len(ell) == 9
+    assert {pid: float(rows[pid]) for pid in ell} == ell

@@ -31,6 +31,14 @@ ATOL = 1e-12
 EL_TOL = 1e-8
 
 
+def dense(space, by_id):
+    """Weights given by point id, as a vector in space order."""
+    w = np.zeros(len(space))
+    for pid, v in by_id.items():
+        w[space.index[pid]] = v
+    return w
+
+
 def scaled_two_point():
     g = grid_1d([0.0, 0.5])
     L = make_kernel("matrix", {"matrix": [[1.0, 0.5], [0.5, 1.0]]}, g)
@@ -55,10 +63,10 @@ def test_verify_el_identity_limit(identity_run):
 def test_verify_el_flags_tampering(identity_run):
     grid, tent, run = identity_run
     rho = run.stages[-1].measure
-    bad = dict(rho.weights)
+    bad = rho.weights.copy()
     mid = sorted(run.window, key=grid._at)[len(run.window) // 2]
-    bad[mid] = 2.0 * bad[mid]
-    rep = verify_el(DiscreteMeasure(bad, grid.key), tent, sorted(run.window, key=grid._at))
+    bad[grid.index[mid]] *= 2.0
+    rep = verify_el(DiscreteMeasure(grid, bad), tent, sorted(run.window, key=grid._at))
     assert not rep.passed
     assert rep.max_abs_on_support > 0.5
 
@@ -125,9 +133,9 @@ def test_gamma_bound_refuses_without_stationarity(identity_run):
     grid, tent, run = identity_run
     prof = exp_profile(9.0, 1.0, delta=1.0, c=1.0)
     win = sorted(run.window, key=grid._at)
-    bad = dict(run.stages[-1].measure.weights)
-    bad[win[0]] = 5.0
-    rep = gamma_lower_bound(DiscreteMeasure(bad, grid.key), tent, grid, prof, 0.5, win)
+    bad = run.stages[-1].measure.weights.copy()
+    bad[grid.index[win[0]]] = 5.0
+    rep = gamma_lower_bound(DiscreteMeasure(grid, bad), tent, grid, prof, 0.5, win)
     assert rep["refused"] and not rep["passed"]
 
 
@@ -144,7 +152,7 @@ def test_sampled_variations_recompute_exactly(identity_run):
     sampler = VariationSampler(window=tuple(sorted(run.window, key=grid._at)), seed=3)
     rep = cvp.test_minimality(rho, tent, sampler, trials=50)
     assert rep["evaluated"] == 50
-    var = make_variation(rho, rep["worst"]["delta"])
+    var = make_variation(rho, dense(grid, rep["worst"]["delta"]))
     direct = action(cvp.apply_variation(var), tent) - action(rho, tent)
     assert rep["worst"]["delta_action"] == pytest.approx(direct, abs=1e-9)
     assert rep["worst"]["delta_action"] == rep["min_delta_S"]
@@ -163,10 +171,10 @@ def test_minimizer_survives_sampling(identity_run):
 def test_corrupted_weights_yield_witness(identity_run):
     grid, tent, run = identity_run
     rho = run.stages[-1].measure
-    bad = dict(rho.weights)
+    bad = rho.weights.copy()
     mid = sorted(run.window, key=grid._at)[len(run.window) // 2]
-    bad[mid] = 2.0 * bad[mid]
-    corrupted = DiscreteMeasure(bad, grid.key)
+    bad[grid.index[mid]] *= 2.0
+    corrupted = DiscreteMeasure(grid, bad)
     sampler = VariationSampler(window=tuple(sorted(run.window, key=grid._at)), seed=0)
     rep = cvp.test_minimality(corrupted, tent, sampler, trials=1000)
     assert not rep["passed"]

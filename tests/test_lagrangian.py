@@ -18,11 +18,9 @@ from cvp import (
     global_sup,
     grid_1d,
     kernel_from_spec,
-    kernel_to_dict,
     make_kernel,
     poly_profile,
     profile_from_spec,
-    profile_to_dict,
     scaled_exp_profile,
     tail_index,
     verify_compact_range,
@@ -38,23 +36,23 @@ def test_tent_is_identity_on_integer_grid(int_grid6, tent_identity):
 
 def test_tent_values_on_quarter_grid(quarter_grid):
     tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, quarter_grid)
-    assert tent.eval("t0", "t1") == pytest.approx(0.75, abs=ATOL)
-    assert tent.eval("t0", "t4") == 0.0
+    assert tent.matrix[0, 1] == pytest.approx(0.75, abs=ATOL)
+    assert tent.matrix[0, 4] == 0.0
     assert tent.declared_range == 1.0
 
 
 def test_truncated_gaussian_cuts_at_range():
     g = grid_1d(range(5))
     k = make_kernel("truncated_gaussian", {"amplitude": 2.0, "sigma": 1.0, "range": 2.0}, g)
-    assert k.eval("x0", "x1") == pytest.approx(2.0 * math.exp(-1.0), abs=ATOL)
-    assert k.eval("x0", "x3") == 0.0
+    assert k.matrix[0, 1] == pytest.approx(2.0 * math.exp(-1.0), abs=ATOL)
+    assert k.matrix[0, 3] == 0.0
 
 
 def test_exponential_has_no_declared_range():
     g = grid_1d(range(4))
     k = make_kernel("exponential", {"amplitude": 1.0, "sigma": 2.0}, g)
     assert k.declared_range is None
-    assert k.eval("x0", "x2") == pytest.approx(math.exp(-1.0), abs=ATOL)
+    assert k.matrix[0, 2] == pytest.approx(math.exp(-1.0), abs=ATOL)
 
 
 def test_matrix_kernel_rejects_negative_entries():
@@ -71,9 +69,10 @@ def test_matrix_kernel_rejects_zero_diagonal():
 
 def test_kernel_dict_round_trip(quarter_grid):
     tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, quarter_grid)
-    back = kernel_from_spec(kernel_to_dict(tent), quarter_grid)
-    assert np.allclose(back.matrix, tent.matrix, atol=ATOL)
-    assert back.declared_range == tent.declared_range
+    back = kernel_from_spec({"kind": "tent", "amplitude": 1.0, "range": 1.0}, quarter_grid)
+    assert np.array_equal(back.matrix, tent.matrix)
+    assert back.declared_range == tent.declared_range == 1.0
+    assert (back.kind, back.params) == ("tent", {"amplitude": 1.0, "range": 1.0})
 
 
 def test_diagonal_infimum_and_sup(tent_identity):
@@ -162,14 +161,14 @@ def test_decay_certificate_weak_profile_fails():
     assert not rep["holds"]
     # reference: one covering_number per ordered pair, in (x, y) order
     expected, checked = [], 0
-    for x in g.ids:
-        for y in g.ids:
+    for i, x in enumerate(g.ids):
+        for j, y in enumerate(g.ids):
             if x == y:
                 continue
             checked += 1
-            d = g.d(x, y)
+            d = float(g.dist[i, j])
             bound = prof.f(d) / (prof.coeff * covering_number(g, x, d + 2.0, prof.delta))
-            value = k.eval(x, y)
+            value = float(k.matrix[i, j])
             if value > bound + 1e-12 * max(1.0, bound):
                 expected.append({"x": x, "y": y, "value": value, "bound": bound,
                                  "distance": d})
@@ -180,7 +179,9 @@ def test_decay_certificate_weak_profile_fails():
 
 def test_profile_spec_round_trip():
     prof = scaled_exp_profile(6.0, 2.0, 1.0, delta=1.0, c=1.0)
-    back = profile_from_spec(profile_to_dict(prof), c=1.0)
+    back = profile_from_spec({"f": "scaled_exp", "delta": 1.0,
+                              "params": {"amplitude": 6.0, "slope": 2.0, "rate": 1.0}}, c=1.0)
+    assert back.params == prof.params and back.delta == prof.delta
     assert back.kind == prof.kind
     assert back.f(1.5) == prof.f(1.5)
     assert back.tail(2.0) == prof.tail(2.0)

@@ -18,7 +18,6 @@ from cvp import (
     grid_1d,
     make_kernel,
     make_variation,
-    measure_from_dict,
     measure_to_dict,
     restrict,
 )
@@ -27,29 +26,50 @@ ATOL = 1e-12
 REL_RECOMPUTE = 1e-10
 
 
+def dense(space, by_id):
+    """Weights given by point id, as a vector in space order."""
+    w = np.zeros(len(space))
+    for pid, v in by_id.items():
+        w[space.index[pid]] = v
+    return w
+
+
+def measure(space, by_id):
+    return DiscreteMeasure(space, dense(space, by_id))
+
+
 def two_point_setup(offdiag=0.0):
     g = grid_1d(range(2))
     L = make_kernel("matrix", {"matrix": [[1.0, offdiag], [offdiag, 1.0]]}, g)
-    rho = DiscreteMeasure({"x0": 0.5, "x1": 0.5}, g.key)
+    rho = measure(g, {"x0": 0.5, "x1": 0.5})
     return g, L, rho
 
 
 def test_measure_prunes_dust():
     g = grid_1d(range(2))
-    rho = DiscreteMeasure({"x0": 1.0, "x1": 1e-13}, g.key)
+    rho = measure(g, {"x0": 1.0, "x1": 1e-13})
     assert rho.support == frozenset({"x0"})
-    assert rho.weight("x1") == 0.0
+    assert rho.weights[1] == 0.0
+    assert not rho.weights.flags.writeable
 
 
 def test_measure_rejects_negative_weights():
     g = grid_1d(range(2))
     with pytest.raises(InputError):
-        DiscreteMeasure({"x0": 1.0, "x1": -1e-6}, g.key)
+        measure(g, {"x0": 1.0, "x1": -1e-6})
+
+
+@pytest.mark.parametrize("weights", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]],
+                                     [1.0, float("nan")], [float("inf"), 1.0]])
+def test_measure_rejects_wrong_length_and_non_finite(weights):
+    g = grid_1d(range(2))
+    with pytest.raises(InputError):
+        DiscreteMeasure(g, weights)
 
 
 def test_measure_total_and_mass():
     g = grid_1d(range(3))
-    rho = DiscreteMeasure({"x0": 1.0, "x1": 2.0, "x2": 3.0}, g.key)
+    rho = measure(g, {"x0": 1.0, "x1": 2.0, "x2": 3.0})
     assert rho.total() == pytest.approx(6.0, abs=ATOL)
     assert rho.mass({"x0", "x2"}) == pytest.approx(4.0, abs=ATOL)
     assert rho.mass(()) == 0.0
@@ -57,8 +77,8 @@ def test_measure_total_and_mass():
 
 def test_measure_equality_ignores_dust():
     g = grid_1d(range(2))
-    a = DiscreteMeasure({"x0": 1.0}, g.key)
-    b = DiscreteMeasure({"x0": 1.0, "x1": 0.0}, g.key)
+    a = measure(g, {"x0": 1.0})
+    b = measure(g, {"x0": 1.0, "x1": 1e-13})
     assert a == b
 
 
@@ -75,52 +95,50 @@ def test_averaged_kernel_two_point():
 
 def test_action_difference_symmetric_swap():
     _, L, rho = two_point_setup()
-    var = make_variation(rho, {"x0": 0.1, "x1": -0.1})
+    var = make_variation(rho, [0.1, -0.1])
     # linear term cancels, quadratic term is 2 t^2
     assert action_difference(rho, var, L) == pytest.approx(0.02, abs=ATOL)
 
 
 def test_zero_variation_gives_zero():
     _, L, rho = two_point_setup(offdiag=0.3)
-    var = make_variation(rho, {})
+    var = make_variation(rho, [0.0, 0.0])
     assert action_difference(rho, var, L) == 0.0
 
 
 def test_variation_requires_balance():
     _, _, rho = two_point_setup()
     with pytest.raises(VolumeConstraintError):
-        make_variation(rho, {"x0": 0.1})
+        make_variation(rho, [0.1, 0.0])
 
 
 def test_variation_requires_positivity():
     _, _, rho = two_point_setup()
     with pytest.raises(PositivityError):
-        make_variation(rho, {"x0": -0.6, "x1": 0.6})
+        make_variation(rho, [-0.6, 0.6])
 
 
 def test_apply_variation_moves_mass():
     g, L, rho = two_point_setup()
-    var = make_variation(rho, {"x0": -0.25, "x1": 0.25})
+    var = make_variation(rho, [-0.25, 0.25])
     out = apply_variation(var)
-    assert out.weight("x0") == pytest.approx(0.25, abs=ATOL)
-    assert out.weight("x1") == pytest.approx(0.75, abs=ATOL)
+    assert out.weights == pytest.approx([0.25, 0.75], abs=ATOL)
     assert out.total() == pytest.approx(rho.total(), abs=ATOL)
 
 
 def test_restrict_examples():
     g = grid_1d(range(3))
-    rho = DiscreteMeasure({"x0": 1.0, "x1": 2.0, "x2": 3.0}, g.key)
+    rho = measure(g, {"x0": 1.0, "x1": 2.0, "x2": 3.0})
     sub = restrict(rho, {"x0", "x2"})
-    assert sub.weight("x0") == 1.0 and sub.weight("x2") == 3.0 and sub.weight("x1") == 0.0
+    assert sub.weights.tolist() == [1.0, 0.0, 3.0]
     assert restrict(rho, {"x0", "x1", "x2"}) == rho
     assert restrict(rho, set()).total() == 0.0
 
 
 def test_measure_dict_round_trip():
     g = grid_1d(range(3))
-    rho = DiscreteMeasure({"x0": 0.25, "x2": 0.75}, g.key)
-    back = measure_from_dict(measure_to_dict(rho))
-    assert back == rho
+    rho = measure(g, {"x0": 0.25, "x2": 0.75})
+    assert measure_to_dict(rho) == {"space": g.key, "weights": {"x0": 0.25, "x2": 0.75}}
 
 
 small_weights = st.dictionaries(
@@ -135,8 +153,8 @@ small_weights = st.dictionaries(
 def test_action_scales_quadratically(w):
     g = grid_1d(range(8))
     L = make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, g)
-    rho = DiscreteMeasure(w, g.key)
-    doubled = DiscreteMeasure({k: 2.0 * v for k, v in w.items()}, g.key)
+    rho = measure(g, w)
+    doubled = DiscreteMeasure(g, 2.0 * dense(g, w))
     assert action(doubled, L) == pytest.approx(4.0 * action(rho, L), rel=1e-12, abs=1e-12)
 
 
@@ -145,18 +163,16 @@ def test_action_scales_quadratically(w):
 def test_action_difference_matches_recompute(w, seed):
     g = grid_1d(range(8))
     L = make_kernel("exponential", {"amplitude": 1.0, "sigma": 2.0}, g)
-    rho = DiscreteMeasure(w, g.key)
+    rho = measure(g, w)
     rng = np.random.default_rng(seed)
-    ids = list(g.ids)
-    raw = rng.uniform(-1.0, 1.0, size=len(ids))
+    raw = rng.uniform(-1.0, 1.0, size=len(g))
     raw -= raw.mean()
     # shrink until the shifted weights stay nonnegative
     scale = 1.0
-    for i, x in enumerate(ids):
-        if raw[i] < 0 and rho.weight(x) < -raw[i] * scale:
-            scale = min(scale, rho.weight(x) / -raw[i])
-    delta = {x: raw[i] * scale * 0.9 for i, x in enumerate(ids)}
-    var = make_variation(rho, delta)
+    for i in range(len(g)):
+        if raw[i] < 0 and rho.weights[i] < -raw[i] * scale:
+            scale = min(scale, rho.weights[i] / -raw[i])
+    var = make_variation(rho, raw * scale * 0.9)
     direct = action(apply_variation(var), L) - action(rho, L)
     tol = REL_RECOMPUTE * max(1.0, abs(action(rho, L)))
     assert action_difference(rho, var, L) == pytest.approx(direct, abs=tol)
@@ -166,7 +182,59 @@ def test_action_difference_matches_recompute(w, seed):
 @settings(max_examples=60, deadline=None)
 def test_restrict_composes(w):
     g = grid_1d(range(8))
-    rho = DiscreteMeasure(w, g.key)
+    rho = measure(g, w)
     big = {"x0", "x1", "x2", "x3", "x4"}
     small = {"x1", "x3"}
     assert restrict(restrict(rho, big), small) == restrict(rho, small)
+
+
+def _reference_lhat(space, L, by_id, x):
+    """int L(x, .) d rho, summed over the ids of rho."""
+    i = space.index[x]
+    return math.fsum(L.matrix[i, space.index[y]] * w for y, w in by_id.items())
+
+
+def _reference_pair_sum(space, L, a, b):
+    """Double sum of L(x, y) a(x) b(y) over the ids of a and b."""
+    return math.fsum(L.matrix[space.index[x], space.index[y]] * ax * by
+                     for x, ax in a.items() for y, by in b.items())
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_array_measure_matches_per_id_reference(data):
+    coords = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=12, unique=True))
+    g = grid_1d(coords)
+    if data.draw(st.booleans()):
+        L = make_kernel("exponential", {"amplitude": 1.0,
+                                        "sigma": data.draw(st.floats(0.3, 5.0))}, g)
+    else:
+        L = make_kernel("tent", {"amplitude": 2.0, "range": data.draw(st.floats(0.5, 6.0))}, g)
+    by_id = data.draw(st.dictionaries(st.sampled_from(g.ids),
+                                      st.floats(1e-3, 5.0) | st.just(0.0)))
+    rho = measure(g, by_id)
+    scale = max(1.0, sum(by_id.values())) ** 2
+
+    assert rho.total() == math.fsum(by_id.values())
+    K = data.draw(st.sets(st.sampled_from(g.ids)))
+    assert rho.mass(K) == math.fsum(by_id.get(x, 0.0) for x in K)
+    assert action(rho, L) == pytest.approx(_reference_pair_sum(g, L, by_id, by_id),
+                                           rel=1e-12, abs=1e-12 * scale)
+    lhat = averaged_kernel(rho, L)
+    for x in g.ids:
+        assert lhat[g.index[x]] == pytest.approx(_reference_lhat(g, L, by_id, x),
+                                                 rel=1e-12, abs=1e-12 * scale)
+
+    # move a share of each drawn source's weight to a drawn target
+    moves = data.draw(st.lists(st.tuples(st.sampled_from(g.ids), st.sampled_from(g.ids),
+                                         st.floats(0.0, 1.0)), max_size=6))
+    delta = {}
+    for src, dst, share in moves:
+        step = share * by_id.get(src, 0.0) / len(moves)
+        delta[src] = delta.get(src, 0.0) - step
+        delta[dst] = delta.get(dst, 0.0) + step
+    var = make_variation(rho, dense(g, delta))
+    reference = (2.0 * math.fsum(d * _reference_lhat(g, L, by_id, x) for x, d in delta.items())
+                 + _reference_pair_sum(g, L, delta, delta))
+    assert action_difference(rho, var, L) == pytest.approx(reference, rel=1e-10,
+                                                           abs=1e-12 * scale)

@@ -35,7 +35,7 @@ def test_rescale_identity_three_point():
     sol = minimize_on_compact(CompactProblem(ids=g.ids, matrix=np.eye(3)))
     st_ = rescale(sol, g, tent)
     assert st_.scale == pytest.approx(3.0, abs=ATOL)
-    assert all(st_.measure.weight(x) == pytest.approx(1.0, abs=ATOL) for x in g.ids)
+    assert st_.measure.weights == pytest.approx([1.0] * 3, abs=ATOL)
     assert np.allclose(stage_ell(st_.measure, tent), 0.0, atol=ATOL)
 
 
@@ -64,8 +64,8 @@ def test_identity_grid_run_frozen_values(identity_run):
     assert run.diagnostics["window_layer"] == 1.0
     assert run.diagnostics["degenerate_stages"] == []
     assert sorted(run.diagnostics["discrepancies"]) == ["0,1", "0,2", "1,2"]
-    for x in run.limit.support:
-        assert run.limit.weight(x) == pytest.approx(1.0, abs=1e-9)
+    limit = run.limit.weights
+    assert limit[limit > 0] == pytest.approx([1.0] * len(run.limit.support), abs=1e-9)
 
 
 def test_single_stage_limit_is_unrestricted():
@@ -227,5 +227,5 @@ def test_identity_family_scales_equal_stage_sizes(radii):
                          RunOptions(solver=SolverOptions(restarts=4, certify=False)))
     for s, stage in zip(run.diagnostics["lambda_series"], exh.stages):
         assert s == pytest.approx(len(stage), abs=1e-8)
-    for x in run.limit.support:
-        assert run.limit.weight(x) == pytest.approx(1.0, abs=1e-8)
+    limit = run.limit.weights
+    assert limit[limit > 0] == pytest.approx([1.0] * len(run.limit.support), abs=1e-8)

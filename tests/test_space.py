@@ -18,7 +18,6 @@ from cvp import (
     greedy_cover,
     grid_1d,
     space_from_dict,
-    space_to_dict,
 )
 from cvp.space import ball_cover_counts, greedy_cover_counts
 
@@ -28,8 +27,8 @@ ATOL = 1e-12
 def test_grid_ids_and_distances():
     g = grid_1d([0.0, 0.25, 0.5], prefix="t")
     assert g.ids == ("t0", "t1", "t2")
-    assert g.d("t0", "t2") == pytest.approx(0.5, abs=ATOL)
-    assert g.d("t1", "t1") == 0.0
+    assert g.dist[0, 2] == pytest.approx(0.5, abs=ATOL)
+    assert g.dist[1, 1] == 0.0
 
 
 def test_validation_rejects_asymmetric():
@@ -102,10 +101,12 @@ def test_exhaustion_validates_nesting(int_grid6):
 
 
 def test_space_dict_round_trip(quarter_grid):
-    payload = space_to_dict(quarter_grid)
+    payload = {"name": "quarter", "metric": "euclidean",
+               "points": [{"id": f"t{i}", "coords": [i * 0.25]} for i in range(9)]}
     back = space_from_dict(payload)
-    assert back.ids == quarter_grid.ids
-    assert np.allclose(back.dist, quarter_grid.dist, atol=ATOL)
+    assert back.ids == quarter_grid.ids and back.name == "quarter"
+    assert np.array_equal(back.dist, quarter_grid.dist)
+    assert np.array_equal(back.coords, quarter_grid.coords)
 
 
 def test_space_from_explicit_distances():
@@ -115,8 +116,8 @@ def test_space_from_explicit_distances():
         "distances": [1.0, 2.0, 1.0],
     }
     s = space_from_dict(payload)
-    assert s.d("a", "c") == 2.0
-    assert s.d("b", "c") == 1.0
+    assert s.dist[0, 2] == 2.0
+    assert s.dist[1, 2] == 1.0
 
 
 @given(r1=st.floats(0, 3), r2=st.floats(0, 3))
