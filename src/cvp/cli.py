@@ -56,11 +56,14 @@ class RunConfig:
 
 
 def _solver_options(payload: dict, seed: int) -> SolverOptions:
+    """Settings from the config's ``solver`` section; an unknown key is refused."""
+    kinds = {"tol": _NUMBER, "restarts": int, "certify": bool}
     opts = SolverOptions(seed=seed)
-    for key in ("tol", "max_iter", "restarts", "oracle_max", "certify"):
-        if key in payload:
-            setattr(opts, key, as_number(payload[key], f"solver.{key}",
-                                         type(getattr(opts, key))))
+    for key, value in payload.items():
+        if key not in kinds:
+            raise InputError(f"solver.{key} is not a solver setting "
+                             f"(known: {', '.join(kinds)})")
+        setattr(opts, key, _typed(value, kinds[key], f"solver.{key}"))
     return opts
 
 
@@ -84,10 +87,10 @@ def load_config(path: str, seed_override: int | None = None,
     if raw.get("profile"):
         profile = profile_from_spec(raw["profile"], c=diagonal_infimum(kernel))
     exh_spec = _typed(raw.get("exhaustion", {}), dict, "exhaustion")
-    exhaustion = build_exhaustion(space, str(exh_spec.get("center")),
-                                  exh_spec.get("radii", ()))
-    seed = as_number(raw.get("seed", 0) if seed_override is None else seed_override,
-                     "seed", int)
+    center = _point(space, str(exh_spec.get("center")), "exhaustion.center")
+    exhaustion = build_exhaustion(space, center, exh_spec.get("radii", ()))
+    seed = _typed(raw.get("seed", 0) if seed_override is None else seed_override,
+                  int, "seed")
     raw["seed"] = seed
     if stride_override is not None:
         raw["stride"] = int(stride_override)
@@ -102,7 +105,7 @@ def load_config(path: str, seed_override: int | None = None,
                          window_layer=layer,
                          profile=profile,
                          eps=eps,
-                         stride=as_number(raw.get("stride", 1), "stride", int))
+                         stride=_typed(raw.get("stride", 1), int, "stride"))
     return RunConfig(raw=raw, space=space, kernel=kernel, profile=profile,
                      exhaustion=exhaustion, options=options, seed=seed)
 
@@ -116,14 +119,15 @@ def _config_payload(config: RunConfig) -> dict:
 def report_from_run(run: ExhaustionRun, config: RunConfig) -> dict:
     """The ``run.json`` form of a run; ``run_from_report`` reads it back.
 
-    A stage is read back from its ids, unscaled weights, KKT residuals and
-    flags. ``lambda``, ``s_unscaled`` and ``value`` (all from ``kkt.s_param``)
+    Point sets and weights are written by point id, in index order. A stage
+    is read back from its ids, unscaled weights, KKT residuals and flags.
+    ``lambda``, ``s_unscaled`` and ``value`` (all from ``kkt.s_param``)
     and ``limit`` are derived, and written for readers only.
     """
     payload = _config_payload(config)
     stages = [{
         "index": s.stage_index,
-        "ids": list(s.stage_ids),
+        "ids": [s.space.ids[i] for i in np.flatnonzero(s.stage)],
         "lambda": s.scale,
         "s_unscaled": s.s_unscaled,
         "value": s.s_unscaled,
@@ -139,7 +143,7 @@ def report_from_run(run: ExhaustionRun, config: RunConfig) -> dict:
         "config": payload,
         "config_hash": sha256_text(canonical_json(payload)),
         "stages": stages,
-        "window": sorted(run.window, key=config.space._at),
+        "window": [config.space.ids[i] for i in np.flatnonzero(run.window)],
         "limit": measure_to_dict(run.limit),
         "diagnostics": run.diagnostics,
     }
@@ -157,16 +161,30 @@ def _typed(value, kind, what: str):
     raise InputError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r:.60}")
 
 
-def _stage_weights(payload, stage_ids: tuple[str, ...], space: MetricSpace,
+def _point(space: MetricSpace, pid, where: str) -> int:
+    """The index of the point id ``pid``; InputError naming ``where`` if unknown."""
+    index = space.index.get(_typed(pid, str, where))
+    if index is None:
+        raise InputError(f"{where} {pid!r} is not a point id of the space")
+    return index
+
+
+def _mask(space: MetricSpace, pids, where: str) -> np.ndarray:
+    mask = np.zeros(len(space), dtype=bool)
+    for pos, pid in enumerate(_typed(pids, list, where)):
+        mask[_point(space, pid, f"{where}[{pos}]")] = True
+    return mask
+
+
+def _stage_weights(payload, stage: np.ndarray, space: MetricSpace,
                    where: str) -> np.ndarray:
     """The unscaled weights of a report stage, in space order."""
     weights = np.zeros(len(space))
-    in_stage = set(stage_ids)
     for pid, w in _typed(payload, dict, f"{where}.weights").items():
         field = f"{where}.weights[{pid!r}]"
         if pid not in space.index:
             raise InputError(f"{field} is on an unknown point id")
-        if pid not in in_stage:
+        if not stage[space.index[pid]]:
             raise InputError(f"{field} is outside the stage ids")
         weights[space.index[pid]] = float(_typed(w, _NUMBER, field))
     return weights
@@ -176,19 +194,19 @@ def run_from_report(report: dict, space: MetricSpace) -> ExhaustionRun:
     """Rebuild a run from its report: stages from their unscaled weights and
     KKT residuals, the limit from the last stage restricted to the window.
 
-    A field of the wrong JSON type, or a missing one, raises ``InputError``.
+    A field of the wrong JSON type, a missing one, or an unknown point id
+    raises ``InputError``.
     """
     stages = []
     for pos, s in enumerate(_typed(report.get("stages"), list, "report stages")):
         where = f"report stages[{pos}]"
         s = _typed(s, dict, where)
         kkt = _typed(s.get("kkt"), dict, f"{where}.kkt")
-        stage_ids = tuple(_typed(pid, str, f"{where}.ids[]")
-                          for pid in _typed(s.get("ids"), list, f"{where}.ids"))
+        stage = _mask(space, s.get("ids"), f"{where}.ids")
         stages.append(ScaledMinimizer(
             stage_index=_typed(s.get("index"), int, f"{where}.index"),
-            stage_ids=stage_ids,
-            weights=_stage_weights(s.get("weights"), stage_ids, space, where),
+            stage=stage,
+            weights=_stage_weights(s.get("weights"), stage, space, where),
             kkt=KKTResiduals(**{key: float(_typed(kkt.get(key), _NUMBER,
                                                   f"{where}.kkt.{key}"))
                                 for key in ("on_support_max", "min_over_k", "s_param")}),
@@ -198,8 +216,7 @@ def run_from_report(report: dict, space: MetricSpace) -> ExhaustionRun:
             degenerate=_typed(s.get("degenerate"), bool, f"{where}.degenerate")))
     if not stages:
         raise InputError("report has no stages")
-    window = frozenset(_typed(pid, str, "report window[]")
-                       for pid in _typed(report.get("window"), list, "report window"))
+    window = _mask(space, report.get("window"), "report window")
     return ExhaustionRun(stages=tuple(stages), limit=restrict(stages[-1].measure, window),
                          window=window,
                          diagnostics=_typed(report.get("diagnostics"), dict,
@@ -221,7 +238,7 @@ def cmd_solve(args) -> int:
         write_csv(os.path.join(out, f"stage_{s.stage_index}.csv"),
                   ["point", "ell", "weight"], rows)
     stabilized = run.diagnostics["stabilized"]
-    print(f"solved {len(run.stages)} stages; window {len(run.window)} points; "
+    print(f"solved {len(run.stages)} stages; window {int(run.window.sum())} points; "
           f"stabilized={str(stabilized).lower()}")
     print(f"report written to {os.path.join(out, 'run.json')}")
     return EXIT_OK
@@ -264,9 +281,7 @@ def cmd_verify(args) -> int:
     eps = args.eps if args.eps is not None else verify_cfg.get(
         "eps", window_cfg.get("eps", 0.5))
     rho = run.stages[-1].measure
-    window = sorted(run.window, key=space._at)
-    if not window:
-        window = sorted(rho.support, key=space._at)
+    window = run.window if run.window.any() else rho.support
 
     results: dict[str, dict] = {}
     el_report = None
@@ -277,7 +292,7 @@ def cmd_verify(args) -> int:
         elif check == "minimality":
             support_cap = _typed(verify_cfg.get("support_cap", 6), int,
                                  "report config.verify.support_cap")
-            sampler = VariationSampler(window=tuple(window), seed=args.seed,
+            sampler = VariationSampler(window=window, seed=args.seed,
                                        support_cap=support_cap)
             results["minimality"] = sample_minimality(rho, kernel, sampler, trials)
         elif check == "conditions":
@@ -300,9 +315,9 @@ def cmd_verify(args) -> int:
         elif check == "mass_bound":
             radius = verify_cfg.get("mass_radius", run.diagnostics.get("window_layer"))
             rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-            count = min(len(window), 20)
-            probes = [window[i] for i in
-                      sorted(rng.choice(len(window), size=count, replace=False))]
+            points = np.flatnonzero(window)
+            count = min(len(points), 20)
+            probes = points[np.sort(rng.choice(len(points), size=count, replace=False))]
             results["mass_bound"] = local_mass_bound_check(
                 run.stages[-1], space, kernel, probes,
                 float(_typed(radius, _NUMBER, "mass_radius")))
@@ -334,14 +349,20 @@ def cmd_oracle(args) -> int:
         payload = json.load(handle)
     if isinstance(payload, dict):
         payload = payload.get("matrix")
-    matrix = np.asarray(payload, dtype=float)
-    ids = tuple(f"p{i}" for i in range(matrix.shape[0] if matrix.ndim == 2 else 0))
-    problem = CompactProblem(ids=ids, matrix=matrix)
+    rows = [[as_number(v, f"oracle matrix[{i}][{j}]") for j, v in
+             enumerate(_typed(row, list, f"oracle matrix[{i}]"))]
+            for i, row in enumerate(_typed(payload, list, "oracle matrix"))]
+    if any(len(row) != len(rows) for row in rows):
+        raise InputError(f"oracle matrix must be square, got row lengths "
+                         f"{[len(row) for row in rows]} for {len(rows)} rows")
+    problem = CompactProblem(ids=tuple(f"p{i}" for i in range(len(rows))),
+                             matrix=np.array(rows).reshape(len(rows), len(rows)))
     solution = brute_force_minimizer(problem)
     out = {
         "value": solution.value,
         "s_param": solution.s_param,
-        "weights": solution.weight_map(),
+        "weights": {pid: float(w) for pid, w in zip(problem.ids, solution.weights)
+                    if w > 0},
         "kkt": {"on_support_max": solution.kkt.on_support_max,
                 "min_over_k": solution.kkt.min_over_k,
                 "s_param": solution.kkt.s_param},
@@ -357,20 +378,21 @@ def cmd_oracle(args) -> int:
 def _set_path(payload: dict, dotted: str, value) -> None:
     keys = dotted.split(".")
     node = payload
-    for k in keys[:-1]:
-        node = node.setdefault(k, {})
+    for depth, k in enumerate(keys[:-1], 1):
+        node = _typed(node.setdefault(k, {}), dict, f"sweep path {'.'.join(keys[:depth])}")
     node[keys[-1]] = value
 
 
 def cmd_sweep(args) -> int:
     with open(args.config) as handle:
-        spec = json.load(handle)
+        spec = _typed(json.load(handle), dict, f"{args.config}: sweep config")
     base = spec.get("base")
     if not isinstance(base, dict):
         raise UsageError("sweep config needs a 'base' run config object")
-    grid = spec.get("grid", {})
+    grid = _typed(spec.get("grid", {}), dict, "sweep grid")
     keys = sorted(grid)
-    combos = list(itertools.product(*(grid[k] for k in keys))) if keys else [()]
+    combos = list(itertools.product(*(_typed(grid[k], list, f"sweep grid[{k!r}]")
+                                      for k in keys)))
     base_dir = os.path.dirname(os.path.abspath(args.config))
     os.makedirs(args.out, exist_ok=True)
     entries = []
@@ -378,18 +400,16 @@ def cmd_sweep(args) -> int:
         cfg = json.loads(json.dumps(base))
         for k, v in zip(keys, combo):
             _set_path(cfg, k, v)
-        cfg["seed"] = int(cfg.get("seed", 0)) + i
+        cfg["seed"] = _typed(cfg.get("seed", 0), int, "seed") + i
         run_dir = os.path.join(args.out, f"run_{i:03d}")
         cfg_path = os.path.join(run_dir, "config.json")
         os.makedirs(run_dir, exist_ok=True)
-        write_json(cfg_path, cfg)
-        ns = argparse.Namespace(config=cfg_path, out=run_dir, seed=None,
-                                stride=None, tol=None)
         # space file paths in the base config resolve relative to the sweep file
         if isinstance(cfg.get("space"), str):
             cfg["space"] = os.path.join(base_dir, cfg["space"])
-            write_json(cfg_path, cfg)
-        cmd_solve(ns)
+        write_json(cfg_path, cfg)
+        cmd_solve(argparse.Namespace(config=cfg_path, out=run_dir, seed=None,
+                                     stride=None, tol=None))
         with open(os.path.join(run_dir, "run.json")) as handle:
             rep = json.load(handle)
         entries.append({"index": i, "overrides": {k: v for k, v in zip(keys, combo)},

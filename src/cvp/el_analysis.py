@@ -1,7 +1,7 @@
 """Certificates around the stationarity equations of a candidate limit.
 
 All checks evaluate a full measure (typically the final scaled stage of a
-run) and restrict their assertions to a certified window of points.
+run) and assert on a certified window, a point mask; reports name points by id.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .lagrangian import DecayProfile, Lagrangian, diagonal_infimum, global_sup, 
 from .measure import (DiscreteMeasure, action_difference, averaged_kernel,
                       make_variation)
 from .pipeline import ExhaustionRun
-from .space import MetricSpace, _ball_indices, greedy_cover_counts
+from .space import MetricSpace, as_mask, closed_ball, greedy_cover_counts
 
 EXIT_OK = 0
 EXIT_EL_FAILED = 2
@@ -25,6 +25,12 @@ EXIT_MINIMALITY = 3
 EXIT_CONDITION = 4
 
 _MAX_FAILURES = 10
+
+# A sampled step is this fraction of the largest positivity-preserving one at most.
+_STEP_SAFETY = 0.9
+
+# An action drop beyond this is a minimality failure.
+_FAIL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,12 +49,12 @@ class ELReport:
 
 
 def verify_el(rho: DiscreteMeasure, L: Lagrangian, window, tol: float = 1e-6) -> ELReport:
-    """Stationarity on a window: ell vanishes on the support, >= 0 elsewhere."""
+    """Stationarity on a window mask: ell vanishes on the support, >= 0 elsewhere."""
     space = rho.space
-    window = sorted(set(window), key=space._at)
-    if not window:
+    idx = np.flatnonzero(as_mask(window, len(space), "EL window"))
+    if not idx.size:
         raise InputError("verify_el needs a nonempty window")
-    idx = [space._at(x) for x in window]
+    window = [space.ids[i] for i in idx]
     values = averaged_kernel(rho, L)[idx] - 1.0
     on_support = rho.weights[idx] > 0
     support = tuple(itertools.compress(window, on_support))
@@ -104,7 +110,7 @@ def check_sufficient_conditions(L: Lagrangian, space: MetricSpace,
 
 
 def nontriviality_check(run: ExhaustionRun, L: Lagrangian, space: MetricSpace,
-                        probes=None, tol: float = 1e-8) -> dict:
+                        tol: float = 1e-8) -> dict:
     """Mass of each single-point effective range against 1/sup L(x, .).
 
     Evaluates the full final-stage measure; also demands a nonzero limit.
@@ -112,21 +118,18 @@ def nontriviality_check(run: ExhaustionRun, L: Lagrangian, space: MetricSpace,
     if not run.stages:
         return {"passed": False, "reason": "run has no stages", "entries": []}
     rho = run.stages[-1].measure
-    if probes is None:
-        probes = sorted(run.window, key=space._at)
-        if not probes:
-            probes = sorted(rho.support, key=space._at)
+    probes = run.window if run.window.any() else rho.support
     entries = []
     passed = True
-    for x in probes:
+    for xi in np.flatnonzero(probes):
         # the effective range of {x}: where L(x, .) is positive
-        row = L.matrix[space._at(x)]
+        row = L.matrix[xi]
         reach = row > 0.0
         c_x = 1.0 / float(row.max())
         mass = math.fsum(rho.weights[reach])
         ok = mass >= c_x - tol
         passed = passed and ok
-        entries.append({"probe": x, "range_size": int(reach.sum()), "c_x": c_x,
+        entries.append({"probe": space.ids[xi], "range_size": int(reach.sum()), "c_x": c_x,
                         "mass": mass, "ok": ok})
     total = run.limit.total()
     nonzero = total > 0.0
@@ -139,11 +142,10 @@ def gamma_lower_bound(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace,
                       tol: float = 1e-8, el_report: ELReport | None = None) -> dict:
     """Mass of the epsilon-effective ball against gamma = (1 - eps)/sup L.
 
-    Refuses (with a notice) unless stationarity holds on the window.
+    Refuses (with a notice) unless stationarity holds on the window mask.
     """
     if not 0.0 < eps < 1.0:
         raise InputError("gamma bound needs eps in (0, 1)")
-    window = sorted(set(window), key=space._at)
     if el_report is None:
         el_report = verify_el(rho, L, window)
     if not el_report.passed:
@@ -154,48 +156,51 @@ def gamma_lower_bound(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace,
     gamma = (1.0 - eps) / cbound
     entries = []
     passed = True
-    for x in window:
-        ball = _ball_indices(space, space._at(x), float(n0))
+    for xi in np.flatnonzero(as_mask(window, len(space), "gamma window")):
+        ball = closed_ball(space, xi, float(n0))
         mass = math.fsum(rho.weights[ball])
         ok = mass >= gamma - tol
         passed = passed and ok
-        entries.append({"x": x, "ball_size": len(ball), "mass": mass, "ok": ok})
+        entries.append({"x": space.ids[xi], "ball_size": int(ball.sum()), "mass": mass, "ok": ok})
     return {"passed": bool(passed), "refused": False, "gamma": gamma, "N0": n0,
             "sup": cbound, "entries": entries}
 
 
 @dataclass
 class VariationSampler:
-    """Balanced positivity-preserving variation draws inside a window.
+    """Balanced positivity-preserving variation draws inside a window mask.
 
     Support sizes are uniform on [2, support_cap]; signed masses come from a
     difference of two symmetric Dirichlet draws, scaled by a uniform fraction
-    of the safety factor times the largest positivity-preserving step (the
-    fraction varies the step length so both first-order and curvature-sized
-    moves get sampled). Negative components are paired with the heaviest base
-    weights so the step never collapses at a massless point. ``max_step``
-    optionally caps the largest component.
+    of 0.9 times the largest positivity-preserving step (the fraction varies
+    the step length so both first-order and curvature-sized moves get
+    sampled). Negative components are paired with the heaviest base weights
+    so the step never collapses at a massless point. ``max_step`` optionally
+    caps the largest component.
     """
 
-    window: tuple[str, ...]
+    window: np.ndarray
     support_cap: int = 6
     seed: int = 0
-    safety: float = 0.9
     max_step: float | None = None
-    fail_tol: float = 1e-8
 
 
 def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampler,
                     trials: int) -> dict:
-    """Sampled second-order check that no balanced variation lowers the action."""
+    """Sampled second-order check that no balanced variation lowers the action.
+
+    On a window of fewer than 2 points the only balanced variation is 0, so
+    every trial is skipped and the check passes with a ``reason``.
+    """
     if trials < 1:
         raise InputError("trials must be a positive integer")
-    window = tuple(sampler.window)
-    if len(window) < 2:
-        raise InputError("minimality sampling needs a window with >= 2 points")
-    cap = max(2, min(sampler.support_cap, len(window)))
+    window_idx = np.flatnonzero(as_mask(sampler.window, len(rho.space), "sampler window"))
+    if len(window_idx) < 2:
+        return {"trials": trials, "evaluated": 0, "skipped": trials, "min_delta_S": 0.0,
+                "worst": None, "failures": [], "passed": True,
+                "reason": "a window of fewer than 2 points has no nonzero balanced variation"}
+    cap = max(2, min(sampler.support_cap, len(window_idx)))
     rng = np.random.default_rng(np.random.SeedSequence([sampler.seed]))
-    window_idx = np.array([rho.space._at(x) for x in window])
     base = rho.weights[window_idx]
     min_delta = math.inf
     worst = None
@@ -204,7 +209,7 @@ def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampl
     failures = []
     for _ in range(trials):
         m = int(rng.integers(2, cap + 1))
-        pick = rng.choice(len(window), size=m, replace=False)
+        pick = rng.choice(len(window_idx), size=m, replace=False)
         raw = rng.dirichlet(np.ones(m)) - rng.dirichlet(np.ones(m))
         order_pts = pick[np.argsort(-base[pick], kind="stable")]
         order_raw = np.sort(raw)
@@ -217,7 +222,7 @@ def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampl
         if not neg.any() or t_max <= 0 or not math.isfinite(t_max):
             skipped += 1
             continue
-        t = sampler.safety * t_max * (1.0 - float(rng.uniform()))
+        t = _STEP_SAFETY * t_max * (1.0 - float(rng.uniform()))
         if sampler.max_step is not None:
             t = min(t, sampler.max_step / float(np.abs(order_raw).max()))
         if t <= 0:
@@ -231,12 +236,13 @@ def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampl
         delta[window_idx[order_pts]] = steps
         ds = action_difference(rho, make_variation(rho, delta), L)
         evaluated += 1
-        record = {"delta": {window[int(pos)]: step for pos, step in zip(order_pts, steps)},
+        record = {"delta": {rho.space.ids[window_idx[pos]]: step
+                            for pos, step in zip(order_pts, steps)},
                   "delta_action": ds}
         if ds < min_delta:
             min_delta = ds
             worst = record
-        if ds < -sampler.fail_tol and len(failures) < _MAX_FAILURES:
+        if ds < -_FAIL_TOL and len(failures) < _MAX_FAILURES:
             failures.append(record)
     return {"trials": trials, "evaluated": evaluated, "skipped": skipped,
             "min_delta_S": (0.0 if evaluated == 0 else min_delta),

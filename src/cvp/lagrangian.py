@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstructionError, InputError, ProfileError, as_number
-from .space import MetricSpace, ball_cover_counts, closed_ball
+from .space import MetricSpace, as_mask, ball_cover_counts, closed_ball
 
 _KINDS = ("tent", "truncated_gaussian", "exponential", "matrix")
 
@@ -123,14 +123,13 @@ def global_sup(L: Lagrangian) -> float:
     return float(L.matrix.max())
 
 
-def effective_range(L: Lagrangian, space: MetricSpace, K) -> frozenset[str]:
-    """Smallest K' with L(x, y) = 0 for every x in K and y outside K'."""
+def effective_range(L: Lagrangian, space: MetricSpace, K) -> np.ndarray:
+    """Smallest K' with L(x, y) = 0 for every x in K and y outside K' (masks)."""
     _check_space(L, space)
-    rows = [space._at(x) for x in K]
-    if not rows:
+    K = as_mask(K, len(space), "effective_range set")
+    if not K.any():
         raise InputError("effective_range needs a nonempty point set")
-    mask = (L.matrix[rows] > 0.0).any(axis=0)
-    return frozenset(space.ids[i] for i in np.flatnonzero(mask))
+    return (L.matrix[K] > 0.0).any(axis=0)
 
 
 def verify_compact_range(L: Lagrangian, space: MetricSpace, exhaustion) -> dict:
@@ -145,16 +144,13 @@ def verify_compact_range(L: Lagrangian, space: MetricSpace, exhaustion) -> dict:
     holds = True
     for i, stage in enumerate(exhaustion.stages):
         kprime = effective_range(L, space, stage)
+        allowed = stage
         if L.declared_range is not None:
-            allowed = set()
-            for x in stage:
-                allowed |= closed_ball(space, x, L.declared_range)
-            contained = kprime <= allowed
-        else:
-            contained = kprime <= frozenset(stage)
+            allowed = closed_ball(space, np.flatnonzero(stage), L.declared_range).any(axis=0)
+        contained = not (kprime & ~allowed).any()
         holds = holds and contained
-        per_stage.append({"stage": i, "size": len(stage),
-                          "range_size": len(kprime), "contained": contained})
+        per_stage.append({"stage": i, "size": int(stage.sum()),
+                          "range_size": int(kprime.sum()), "contained": contained})
     return {"holds": holds, "declared_range": L.declared_range, "stages": per_stage}
 
 
@@ -276,8 +272,8 @@ def tail_index(profile: DecayProfile, eps: float, cap: int = 10 ** 6) -> int:
     raise ProfileError(f"tail never drops below {eps}/3 up to N0 = {cap}")
 
 
-def _radius_bounds(L: Lagrangian, space: MetricSpace, exclude=frozenset()):
-    """Per-point largest passing closed radius and exact discrete sup.
+def _radius_bounds(L: Lagrangian, space: MetricSpace):
+    """Largest passing closed radius and exact discrete sup, each the inf over points.
 
     For each x the admissible radii are those whose closed ball keeps
     L(x, .) >= c/2 everywhere; the sup over real radii equals the smallest
@@ -285,36 +281,18 @@ def _radius_bounds(L: Lagrangian, space: MetricSpace, exclude=frozenset()):
     of it).
     """
     _check_space(L, space)
-    c = diagonal_infimum(L)
-    excl = frozenset(exclude)
-    closed_inf = math.inf
-    sup_inf = math.inf
-    for i, pid in enumerate(space.ids):
-        if pid in excl:
-            continue
-        row_d = space.dist[i]
-        failing = L.matrix[i] < c / 2.0
-        if failing.any():
-            d_fail = float(row_d[failing].min())
-            below = row_d[row_d < d_fail - 1e-15]
-            d_ok = float(below.max()) if below.size else 0.0
-        else:
-            d_fail = math.inf
-            d_ok = float(row_d.max())
-        closed_inf = min(closed_inf, d_ok)
-        sup_inf = min(sup_inf, d_fail)
-    if math.isinf(closed_inf):
-        raise InputError("entropy radius undefined: every point excluded")
-    return closed_inf, sup_inf
+    dist = space.dist
+    d_fail = np.where(L.matrix < diagonal_infimum(L) / 2.0, dist, math.inf).min(axis=1)
+    d_ok = np.where(dist < d_fail[:, None] - 1e-15, dist, 0.0).max(axis=1)
+    return float(d_ok.min()), float(d_fail.min())
 
 
-def verify_entropy_decay(L: Lagrangian, space: MetricSpace, profile: DecayProfile,
-                         core=frozenset()) -> dict:
+def verify_entropy_decay(L: Lagrangian, space: MetricSpace, profile: DecayProfile) -> dict:
     """Certificate for decay in entropy.
 
     (a) positive diagonal infimum, (b) entropy radius at least the profile's
-    delta outside the declared core (checked against the exact discrete sup;
-    the conservative closed-ball witness is reported alongside), (c) the
+    delta (checked against the exact discrete sup; the conservative
+    closed-ball witness is reported alongside), (c) the
     kernel is majorized by f(d) / (coeff * E_x(d + 2, delta)) on all ordered
     pairs, with E_x the greedy cover count of ``ball_cover_counts`` and f
     evaluated once per distinct distance. At most 10 violating witnesses are
@@ -323,7 +301,7 @@ def verify_entropy_decay(L: Lagrangian, space: MetricSpace, profile: DecayProfil
     _check_space(L, space)
     c = diagonal_infimum(L)
     cond_a = c > 0.0
-    delta_closed, delta_sup = _radius_bounds(L, space, core)
+    delta_closed, delta_sup = _radius_bounds(L, space)
     cond_b = delta_sup >= profile.delta - 1e-12
     n = len(space)
     off = ~np.eye(n, dtype=bool)

@@ -1,6 +1,7 @@
 """Weighted point measures, balanced variations, and the action functional.
 
-Measures and variations are read-only vectors in ``space.ids`` order. Kernel
+Measures and variations are read-only vectors in ``space.ids`` order, the
+order of a point-set mask, so restriction is ``np.where(mask, w, 0)``. Kernel
 sums run over the nonzero entries in ascending index order, so a measure gives
 the same bits however it was built; scalar sums use ``math.fsum`` (exact).
 """
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, PositivityError, VolumeConstraintError
 from .lagrangian import Lagrangian
-from .space import MetricSpace
+from .space import MetricSpace, as_mask
 
 # Weights at or below this become 0 at construction time.
 PRUNE_EPS = 1e-12
@@ -55,12 +56,9 @@ class DiscreteMeasure:
         return math.fsum(self.weights)
 
     @property
-    def support(self) -> frozenset[str]:
-        return frozenset(self.space.ids[i] for i in np.flatnonzero(self.weights))
-
-    def mass(self, K) -> float:
-        """Weight of the point set ``K`` (ids)."""
-        return math.fsum(self.weights[[self.space._at(x) for x in K]])
+    def support(self) -> np.ndarray:
+        """Mask of the points with positive weight."""
+        return self.weights > 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,10 +125,9 @@ def action_difference(rho: DiscreteMeasure, var: SignedVariation, L: Lagrangian)
     return float(2.0 * (d @ lhat) + d @ L.matrix[np.ix_(t, t)] @ d)
 
 
-def restrict(rho: DiscreteMeasure, K) -> DiscreteMeasure:
-    """Restriction to a point set (ids); an empty result is allowed."""
-    keep = np.zeros(len(rho.weights), dtype=bool)
-    keep[[rho.space._at(x) for x in K]] = True
+def restrict(rho: DiscreteMeasure, mask) -> DiscreteMeasure:
+    """Restriction to a point set (a mask); an empty result is allowed."""
+    keep = as_mask(mask, len(rho.space), "restriction set")
     return DiscreteMeasure(rho.space, np.where(keep, rho.weights, 0.0))
 
 

@@ -2,11 +2,12 @@
 
 Each compact stage is solved on the simplex, rescaled so the stationarity
 parameter becomes exactly 1, and extended by zero to the full space. The
-certified window collects the points whose boundary layer (kernel range or
-epsilon-effective range) lies inside the second-to-last stage; the run's
-limit is the final scaled measure restricted to that window. Analysis
-checks evaluate the full final-stage measure and assert on the window, since
-the averaged kernel at a window point draws mass from the boundary layer.
+certified window, a point mask, collects the points whose boundary layer
+(kernel range or epsilon-effective range) lies inside the second-to-last
+stage; the run's limit is the final scaled measure restricted to that
+window. Analysis checks evaluate the full final-stage measure and assert on
+the window, since the averaged kernel at a window point draws mass from the
+boundary layer.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .lagrangian import DecayProfile, Lagrangian, tail_index
 from .measure import DiscreteMeasure, averaged_kernel, restrict
 from .simplex_solver import (CompactProblem, CompactSolution, KKTResiduals,
                              SolverOptions, minimize_on_compact)
-from .space import Exhaustion, MetricSpace, closed_ball
+from .space import Exhaustion, MetricSpace, as_index, as_mask, closed_ball
 
 # A stage counts as degenerate when its kernel block is constant to this level.
 _CONST_BLOCK_TOL = 1e-12
@@ -44,14 +45,14 @@ class RunOptions:
 class ScaledMinimizer:
     """One solved stage, rescaled so the averaged kernel is 1 on the support.
 
-    ``weights`` holds the stage minimizer's unscaled simplex weights in
-    ``space.ids`` order, zero off its support; ``measure`` is derived from
-    them as ``scale * weights``, with ``scale`` the inverse of the unscaled
-    action value ``kkt.s_param``.
+    ``stage`` is the stage's point mask. ``weights`` holds the stage
+    minimizer's unscaled simplex weights in ``space.ids`` order, zero off its
+    support; ``measure`` is derived from them as ``scale * weights``, with
+    ``scale`` the inverse of the unscaled action value ``kkt.s_param``.
     """
 
     stage_index: int
-    stage_ids: tuple[str, ...]
+    stage: np.ndarray
     weights: np.ndarray
     kkt: KKTResiduals
     certified_global: bool
@@ -65,6 +66,7 @@ class ScaledMinimizer:
             raise DegenerateStageError(f"stage value {s} is too small to rescale")
         w = np.array(self.weights, dtype=float)
         w.setflags(write=False)
+        object.__setattr__(self, "stage", as_mask(self.stage, len(self.space), "stage"))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "measure", DiscreteMeasure(self.space, self.scale * w))
 
@@ -77,41 +79,44 @@ class ScaledMinimizer:
         return 1.0 / self.kkt.s_param
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExhaustionRun:
     stages: tuple[ScaledMinimizer, ...]
     limit: DiscreteMeasure
-    window: frozenset[str]
+    window: np.ndarray
     diagnostics: dict
 
+    def __post_init__(self):
+        object.__setattr__(self, "window", as_mask(self.window, len(self.limit.space), "window"))
 
-def rescale(solution: CompactSolution, space: MetricSpace, L: Lagrangian | None = None,
-            stage_index: int = 0, tol: float = 1e-8,
+
+def rescale(solution: CompactSolution, space: MetricSpace, stage,
+            L: Lagrangian | None = None, stage_index: int = 0, tol: float = 1e-8,
             degenerate: bool = False) -> ScaledMinimizer:
     """Scale a stage solution by 1/s so its averaged kernel hits 1 on support.
 
-    With the kernel supplied, the rescaled stationarity is revalidated: the
-    recomputed averaged kernel minus 1 must vanish on the support and stay
-    above -10*tol on the stage.
+    ``stage`` is the point mask the solution's weights run over, in index
+    order. With the kernel supplied, the rescaled stationarity is
+    revalidated: the recomputed averaged kernel minus 1 must vanish on the
+    support and stay above -10*tol on the stage.
     """
-    idx = [space._at(x) for x in solution.ids]
     weights = np.zeros(len(space))
-    weights[idx] = np.where(solution.weights > 0, solution.weights, 0.0)
-    stage = ScaledMinimizer(
-        stage_index=stage_index, stage_ids=solution.ids, weights=weights,
+    weights[stage] = np.where(solution.weights > 0, solution.weights, 0.0)
+    scaled = ScaledMinimizer(
+        stage_index=stage_index, stage=stage, weights=weights,
         kkt=solution.kkt, certified_global=solution.certified_global,
         space=space, degenerate=degenerate)
     if L is not None:
-        ell = stage_ell(stage.measure, L)
-        max_on = float(np.abs(ell[stage.measure.weights > 0]).max())
-        min_stage = float(ell[idx].min())
+        ell = stage_ell(scaled.measure, L)
+        max_on = float(np.abs(ell[scaled.measure.support]).max())
+        min_stage = float(ell[stage].min())
         if max_on > 10.0 * tol or min_stage < -10.0 * tol:
             raise SolverFailure(
                 f"rescaled stationarity residual too large "
                 f"(support {max_on:.3e}, stage floor {min_stage:.3e})",
                 best_weights=solution.weights, best_value=solution.value,
                 residuals=solution.kkt)
-    return stage
+    return scaled
 
 
 def stage_ell(rho: DiscreteMeasure, L: Lagrangian) -> np.ndarray:
@@ -119,11 +124,11 @@ def stage_ell(rho: DiscreteMeasure, L: Lagrangian) -> np.ndarray:
     return averaged_kernel(rho, L) - 1.0
 
 
-def window_points(space: MetricSpace, stage, layer: float) -> frozenset[str]:
-    """Points whose closed layer-ball lies inside the given stage."""
-    stage = frozenset(stage)
-    return frozenset(x for x in stage
-                     if closed_ball(space, x, layer) <= stage)
+def window_points(space: MetricSpace, stage, layer: float) -> np.ndarray:
+    """Mask of the points whose closed layer-ball lies inside the stage mask."""
+    stage = as_mask(stage, len(space), "stage")
+    balls = closed_ball(space, np.arange(len(space)), layer)
+    return stage & ~(balls & ~stage).any(axis=1)
 
 
 def resolve_window_layer(L: Lagrangian, options: RunOptions) -> float:
@@ -161,33 +166,33 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
 
     scaled: list[ScaledMinimizer] = []
     for n, stage in enumerate(stage_sets):
-        idx = sorted(space._at(x) for x in stage)
-        ids = tuple(space.ids[i] for i in idx)
+        idx = np.flatnonzero(stage)
         block = L.matrix[np.ix_(idx, idx)]
         spread = float(block.max() - block.min())
         degenerate = spread <= _CONST_BLOCK_TOL * max(1.0, float(block.max()))
         opts = replace(options.solver, seed=_stage_seed(options.solver.seed, n))
         # warm start: the previous stage's minimizer, extended by zero
         extra = [scaled[-1].weights[idx]] if scaled else []
-        problem = CompactProblem(ids=ids, matrix=block, options=opts)
+        problem = CompactProblem(ids=tuple(space.ids[i] for i in idx), matrix=block,
+                                 options=opts)
         solution = minimize_on_compact(problem, extra_starts=extra)
-        scaled.append(rescale(solution, space, L, stage_index=n,
+        scaled.append(rescale(solution, space, stage, L, stage_index=n,
                               tol=options.solver.tol, degenerate=degenerate))
 
     last = scaled[-1]
     if len(scaled) == 1:
-        window = frozenset(last.stage_ids)
+        window = last.stage
         stab_gap = 0.0
     else:
-        window = window_points(space, scaled[-2].stage_ids, layer)
-        stab_gap = _max_gap(space, window, last.measure, scaled[-2].measure)
+        window = window_points(space, scaled[-2].stage, layer)
+        stab_gap = _max_gap(window, last.measure, scaled[-2].measure)
     limit = restrict(last.measure, window)
 
     discrepancies = {}
     for m in range(len(scaled) - 1):
-        interior = window_points(space, scaled[m].stage_ids, layer)
+        interior = window_points(space, scaled[m].stage, layer)
         for n in range(m + 1, len(scaled)):
-            discrepancies[f"{m},{n}"] = _max_gap(space, interior, scaled[n].measure,
+            discrepancies[f"{m},{n}"] = _max_gap(interior, scaled[n].measure,
                                                  last.measure)
 
     diagnostics = {
@@ -199,21 +204,20 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
         "s_series": [s.s_unscaled for s in scaled],
         "degenerate_stages": [s.stage_index for s in scaled if s.degenerate],
         "discrepancies": discrepancies,
-        "window_empty": len(window) == 0,
+        "window_empty": not window.any(),
     }
     return ExhaustionRun(stages=tuple(scaled), limit=limit, window=window,
                          diagnostics=diagnostics)
 
 
-def _max_gap(space: MetricSpace, points, a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-    """Largest weight difference of two measures over a point set (0 if empty)."""
-    idx = [space._at(x) for x in points]
-    return float(np.abs(a.weights[idx] - b.weights[idx]).max(initial=0.0))
+def _max_gap(points: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure) -> float:
+    """Largest weight difference of two measures over a point mask (0 if empty)."""
+    return float(np.abs(a.weights[points] - b.weights[points]).max(initial=0.0))
 
 
 def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagrangian,
                            probes, radius: float, tol: float = 1e-8) -> dict:
-    """Scaled stage mass of validated balls against the 2/L(x,x) bound.
+    """Scaled stage mass of validated balls at the probe indices against the 2/L(x,x) bound.
 
     A ball is validated when L(y, z) >= L(x, x)/2 for every pair inside it;
     the radius shrinks through realized distances until that holds.
@@ -222,8 +226,8 @@ def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagran
         raise InputError("kernel was built on a different space")
     entries = []
     passed = True
-    for x in probes:
-        xi = space._at(x)
+    for xi in probes:
+        x = space.ids[as_index(xi, len(space))]
         diag = float(L.matrix[xi, xi])
         bound = 2.0 / diag
         row = space.dist[xi]
@@ -249,43 +253,42 @@ def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagran
 
 def check_support_approximation(run: ExhaustionRun, space: MetricSpace) -> dict:
     """Distance from limit-support points to each stage's support must shrink to 0."""
-    targets = sorted(run.limit.support & run.window, key=space._at)
+    targets = np.flatnonzero(run.limit.support & run.window)
     supports = [np.flatnonzero(s.measure.weights) for s in run.stages]
     entries = []
     passed = True
-    for x in targets:
-        row = space.dist[space._at(x)]
+    for xi in targets:
+        row = space.dist[xi]
         seq = [float(row[s].min()) if s.size else math.inf for s in supports]
         nonincreasing = all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
         ok = nonincreasing and seq[-1] <= 1e-12
         passed = passed and ok
-        entries.append({"point": x, "distances": seq, "ok": ok})
+        entries.append({"point": space.ids[xi], "distances": seq, "ok": ok})
     return {"passed": passed, "entries": entries,
             "vacuous": len(targets) == 0}
 
 
 def check_ell_convergence(run: ExhaustionRun, L: Lagrangian, sample_points,
                           space: MetricSpace, tol: float = 1e-9) -> dict:
-    """Pointwise gaps to the final averaged kernel, plus a discrete modulus.
+    """Pointwise gaps to the final averaged kernel on a sample mask, plus a discrete modulus.
 
     The gap sequence must be non-increasing over the last three stages; the
     modulus (max variation across nearest-neighbor pairs of the sample) is
     reported per stage as an equicontinuity surrogate.
     """
-    sample = sorted(set(sample_points), key=space._at)
-    if not sample:
+    idx = np.flatnonzero(as_mask(sample_points, len(space), "sample"))
+    if not idx.size:
         raise InputError("need at least one sample point")
-    idx = [space._at(x) for x in sample]
     ells = [stage_ell(s.measure, L)[idx] for s in run.stages]
     ell_lim = ells[-1]
     entries = []
     passed = True
-    for pos, x in enumerate(sample):
+    for pos, xi in enumerate(idx):
         gaps = [abs(float(e[pos] - ell_lim[pos])) for e in ells]
         window = gaps[-min(3, len(gaps)):]
         ok = all(b <= a + tol for a, b in zip(window, window[1:]))
         passed = passed and ok
-        entries.append({"point": x, "gaps": gaps, "ok": ok})
+        entries.append({"point": space.ids[xi], "gaps": gaps, "ok": ok})
     pos_d = space.dist[np.ix_(idx, idx)]
     off = pos_d[pos_d > 0]
     h = float(off.min()) if off.size else 0.0
@@ -298,11 +301,11 @@ def check_ell_convergence(run: ExhaustionRun, L: Lagrangian, sample_points,
             "modulus_per_stage": moduli, "modulus_sup": max(moduli)}
 
 
-def tail_mass(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace, x: str,
+def tail_mass(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace, x: int,
               R: float) -> float:
-    """Kernel mass rho picks up beyond distance R from x."""
+    """Kernel mass rho picks up beyond distance R from point index x."""
     if space.key != L.space_key or rho.space.key != space.key:
         raise InputError("measure, kernel and space must match")
-    xi = space._at(x)
+    xi = as_index(x, len(space))
     far = space.dist[xi] > R
     return math.fsum(rho.weights[far] * L.matrix[xi, far])

@@ -25,14 +25,15 @@ ORACLE_CAP = 16
 # Two candidates tie when their values agree to this relative window.
 _TIE_REL = 1e-12
 
+# Cap on the Frank-Wolfe iterations of one start.
+_FW_MAX_ITER = 100_000
+
 
 @dataclass
 class SolverOptions:
     tol: float = 1e-8
-    max_iter: int = 100_000
     restarts: int = 16
     seed: int = 0
-    oracle_max: int = ORACLE_CAP
     certify: bool = True
 
 
@@ -73,19 +74,17 @@ class CompactProblem:
 
 @dataclass(frozen=True)
 class CompactSolution:
-    ids: tuple[str, ...]
     weights: np.ndarray
-    value: float
-    s_param: float
     kkt: KKTResiduals
     certified_global: bool
 
     @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(pid for pid, w in zip(self.ids, self.weights) if w > 0)
+    def value(self) -> float:
+        return self.kkt.s_param
 
-    def weight_map(self) -> dict[str, float]:
-        return {pid: float(w) for pid, w in zip(self.ids, self.weights) if w > 0}
+    @property
+    def s_param(self) -> float:
+        return self.kkt.s_param
 
 
 def kkt_residuals(solution, problem: CompactProblem) -> KKTResiduals:
@@ -122,8 +121,8 @@ def _solve_support(Lb: np.ndarray, S: list[int]):
     return sol[:m], float(sol[m])
 
 
-def _fw_budget(k: int, max_iter: int) -> int:
-    return min(max(60 * k, 200), max_iter)
+def _fw_budget(k: int) -> int:
+    return min(max(60 * k, 200), _FW_MAX_ITER)
 
 
 def _away_fw(Lb: np.ndarray, w0: np.ndarray, budget: int, gap_tol: float) -> np.ndarray:
@@ -211,7 +210,7 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
 
     Starts: uniform, first vertex, minimum-diagonal vertex, caller-supplied
     warm starts, then Dirichlet restarts. Each start receives a Frank-Wolfe
-    budget of min(max(60k, 200), max_iter) iterations; the active-set polish
+    budget of min(max(60k, 200), 100 000) iterations; the active-set polish
     supplies the final convergence. Raises ``SolverFailure`` when no start
     reaches the KKT tolerance.
     """
@@ -220,9 +219,7 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     k = len(problem.ids)
     if k == 1:
         w = np.ones(1)
-        kkt = _residuals(Lb, w)
-        return CompactSolution(ids=problem.ids, weights=w, value=kkt.s_param,
-                               s_param=kkt.s_param, kkt=kkt, certified_global=True)
+        return CompactSolution(weights=w, kkt=_residuals(Lb, w), certified_global=True)
     starts: list[np.ndarray] = [np.full(k, 1.0 / k)]
     e0 = np.zeros(k)
     e0[0] = 1.0
@@ -241,7 +238,7 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     scale = max(1.0, float(np.abs(Lb).max()))
     gap_tol = 1e-11 * scale
     atol = 1e-12 * scale
-    budget = _fw_budget(k, opts.max_iter)
+    budget = _fw_budget(k)
 
     def run_start(w0: np.ndarray):
         out = []
@@ -272,11 +269,10 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     val, _, w = _select_best(accepted)
     kkt = _residuals(Lb, w)
     certified = False
-    if opts.certify and k <= min(opts.oracle_max, ORACLE_CAP):
+    if opts.certify and k <= ORACLE_CAP:
         oracle = brute_force_minimizer(problem)
         certified = val <= oracle.value + 1e-6 * max(1.0, abs(oracle.value))
-    return CompactSolution(ids=problem.ids, weights=w, value=kkt.s_param,
-                           s_param=kkt.s_param, kkt=kkt, certified_global=certified)
+    return CompactSolution(weights=w, kkt=kkt, certified_global=certified)
 
 
 def brute_force_minimizer(problem: CompactProblem) -> CompactSolution:
@@ -317,6 +313,4 @@ def brute_force_minimizer(problem: CompactProblem) -> CompactSolution:
             continue
         cands.append((s, tuple(S), w))
     val, _, w = _select_best(cands)
-    kkt = _residuals(Lb, w)
-    return CompactSolution(ids=problem.ids, weights=w, value=kkt.s_param,
-                           s_param=kkt.s_param, kkt=kkt, certified_global=True)
+    return CompactSolution(weights=w, kkt=_residuals(Lb, w), certified_global=True)

@@ -81,12 +81,6 @@ class MetricSpace:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _at(self, x: str) -> int:
-        try:
-            return self.index[x]
-        except KeyError:
-            raise InputError(f"unknown point id {x!r}") from None
-
 
 def _check_triangle(d: np.ndarray) -> None:
     n = d.shape[0]
@@ -100,21 +94,38 @@ def _check_triangle(d: np.ndarray) -> None:
             raise ConstructionError("triangle inequality violated")
 
 
-def _ball_indices(space: MetricSpace, xi: int, r: float) -> np.ndarray:
+def as_mask(mask, n: int, what: str = "point set") -> np.ndarray:
+    """``mask`` as a read-only boolean vector over n points in ``MetricSpace.ids``
+    order, the form of every point set (a point is an index; point ids appear
+    only in configs and reports). InputError if it is not one."""
+    m = np.array(mask)
+    if m.dtype != bool or m.shape != (n,):
+        raise InputError(f"{what} must be a boolean mask over {n} points, "
+                         f"got a {m.dtype} array of shape {m.shape}")
+    m.setflags(write=False)
+    return m
+
+
+def as_index(x, n: int):
+    """``x`` as a point index (an int) or an index array over n points, else InputError."""
+    idx = np.asarray(x)
+    if idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n)):
+        raise InputError(f"point index {x!r:.60} is not in 0..{n - 1}")
+    return idx if idx.ndim else int(idx)
+
+
+def closed_ball(space: MetricSpace, x, r: float) -> np.ndarray:
+    """Mask of the points within distance r of point x (closed, contains x).
+
+    ``x`` is a point index, or an index array for one mask row per point.
+    """
     if r < 0:
         raise InputError("ball radius must be nonnegative")
-    slack = _RADIUS_SLACK * max(1.0, r)
-    return np.nonzero(space.dist[xi] <= r + slack)[0]
+    return space.dist[as_index(x, len(space))] <= r + _RADIUS_SLACK * max(1.0, r)
 
 
-def closed_ball(space: MetricSpace, x: str, r: float) -> frozenset[str]:
-    """Points within distance r of x (closed, always contains x)."""
-    idx = _ball_indices(space, space._at(x), r)
-    return frozenset(space.ids[i] for i in idx)
-
-
-def greedy_cover(space: MetricSpace, x: str, r: float, delta: float) -> tuple[str, ...]:
-    """Centers chosen by the greedy scan that covers the closed r-ball at x.
+def greedy_cover(space: MetricSpace, x: int, r: float, delta: float) -> tuple[int, ...]:
+    """Center indices chosen by the greedy scan that covers the closed r-ball at x.
 
     Scans ball members in point order; the first uncovered member opens a
     delta-ball. The result is an upper bound witness for the covering number.
@@ -123,19 +134,19 @@ def greedy_cover(space: MetricSpace, x: str, r: float, delta: float) -> tuple[st
     """
     if delta <= 0:
         raise InputError("covering radius delta must be positive")
-    members = _ball_indices(space, space._at(x), r)
+    members = np.flatnonzero(closed_ball(space, x, r))
     slack = _RADIUS_SLACK * max(1.0, delta)
     covered = np.zeros(len(members), dtype=bool)
-    centers: list[str] = []
+    centers: list[int] = []
     for pos, m in enumerate(members):
         if covered[pos]:
             continue
-        centers.append(space.ids[m])
+        centers.append(int(m))
         covered |= space.dist[m, members] <= delta + slack
     return tuple(centers)
 
 
-def covering_number(space: MetricSpace, x: str, r: float, delta: float) -> int:
+def covering_number(space: MetricSpace, x: int, r: float, delta: float) -> int:
     """Greedy upper bound on the number of delta-balls covering the r-ball at x.
 
     Per-point reference for ``greedy_cover_counts``, which the certificates use.
@@ -201,7 +212,7 @@ def ball_cover_counts(space: MetricSpace, radii: np.ndarray, delta: float) -> np
     return counts
 
 
-def exact_covering_number(space: MetricSpace, x: str, r: float, delta: float,
+def exact_covering_number(space: MetricSpace, x: int, r: float, delta: float,
                           max_ball: int = 16) -> int:
     """Minimum number of delta-balls (centered at space points) covering the r-ball.
 
@@ -209,7 +220,7 @@ def exact_covering_number(space: MetricSpace, x: str, r: float, delta: float,
     """
     if delta <= 0:
         raise InputError("covering radius delta must be positive")
-    members = _ball_indices(space, space._at(x), r)
+    members = np.flatnonzero(closed_ball(space, x, r))
     if len(members) > max_ball:
         raise SizeError(
             f"exact covering is capped at {max_ball}-point balls, got {len(members)}")
@@ -230,33 +241,29 @@ def exact_covering_number(space: MetricSpace, x: str, r: float, delta: float,
     return upper
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exhaustion:
-    """A strictly increasing chain of compact stages (point-id sets)."""
+    """A strictly increasing chain of compact stages, each a point mask."""
 
-    stages: tuple[frozenset[str], ...]
-    covers_all: bool
-    center: str | None = None
-    radii: tuple[float, ...] = ()
+    stages: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         if not self.stages:
             raise InputError("an exhaustion needs at least one stage")
-        prev: frozenset[str] | None = None
-        for stage in self.stages:
-            if not stage:
-                raise InputError("exhaustion stages must be nonempty")
-            if prev is not None:
-                if stage == prev:
-                    raise DegenerateExhaustionError(
-                        "consecutive stages are identical")
-                if not prev < stage:
-                    raise InputError("stages must be strictly nested")
-            prev = stage
+        n = np.asarray(self.stages[0]).size
+        stages = tuple(as_mask(stage, n, "exhaustion stage") for stage in self.stages)
+        if not all(stage.any() for stage in stages):
+            raise InputError("exhaustion stages must be nonempty")
+        for pos, (prev, stage) in enumerate(zip(stages, stages[1:])):
+            if np.array_equal(stage, prev):
+                raise DegenerateExhaustionError(f"stages {pos} and {pos + 1} are identical")
+            if (prev & ~stage).any():
+                raise InputError("stages must be strictly nested")
+        object.__setattr__(self, "stages", stages)
 
 
-def build_exhaustion(space: MetricSpace, center: str, radii) -> Exhaustion:
-    """Closed balls at ``center`` with strictly increasing radii."""
+def build_exhaustion(space: MetricSpace, center: int, radii) -> Exhaustion:
+    """Closed balls at the point index ``center`` with strictly increasing radii."""
     try:
         radii = tuple(float(r) for r in radii)
     except (TypeError, ValueError, OverflowError):
@@ -266,13 +273,7 @@ def build_exhaustion(space: MetricSpace, center: str, radii) -> Exhaustion:
         raise InputError("need at least one radius")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise InputError("radii must be strictly increasing")
-    stages = tuple(closed_ball(space, center, r) for r in radii)
-    for a, b in zip(stages, stages[1:]):
-        if a == b:
-            raise DegenerateExhaustionError(
-                f"radii {radii} yield identical consecutive stages")
-    covers_all = len(stages[-1]) == len(space)
-    return Exhaustion(stages=stages, covers_all=covers_all, center=center, radii=radii)
+    return Exhaustion(stages=tuple(closed_ball(space, center, r) for r in radii))
 
 
 def grid_1d(values, prefix: str = "x", name: str = "grid") -> MetricSpace:

@@ -28,6 +28,6 @@ def identity_run():
 
     grid = grid_1d(range(-25, 26), prefix="g")
     tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, grid)
-    exh = build_exhaustion(grid, "g25", (5, 10, 20))
+    exh = build_exhaustion(grid, grid.index["g25"], (5, 10, 20))
     run = cvp.run_exhaustion(grid, tent, exh, cvp.RunOptions())
     return grid, tent, run

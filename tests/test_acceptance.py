@@ -59,7 +59,7 @@ def _gate(ok: bool, label: str) -> None:
 
 
 def _build(space, L, center, radii, **run_kwargs):
-    exhaustion = build_exhaustion(space, center, radii)
+    exhaustion = build_exhaustion(space, space.index[center], radii)
     t0 = time.perf_counter()
     run = run_exhaustion(space, L, exhaustion, RunOptions(**run_kwargs))
     elapsed = time.perf_counter() - t0
@@ -145,7 +145,7 @@ def test_every_stage_is_normalized(all_runs):
     for ns in all_runs:
         for stage in ns.run.stages:
             stages += 1
-            rep = verify_el(stage.measure, ns.L, stage.stage_ids, tol=STAGE_TOL)
+            rep = verify_el(stage.measure, ns.L, stage.stage, tol=STAGE_TOL)
             worst_ell = max(worst_ell, abs(rep.inf_ell), rep.max_abs_on_support)
             worst_scale = max(worst_scale, abs(stage.scale * stage.s_unscaled - 1.0))
     ok = worst_ell <= STAGE_TOL and worst_scale <= SCALE_TOL
@@ -159,7 +159,8 @@ def test_local_mass_bound_on_random_probes(all_runs):
     entries = []
     for _ in range(50):
         ns, stage = pool[int(rng.integers(len(pool)))]
-        x = stage.stage_ids[int(rng.integers(len(stage.stage_ids)))]
+        points = np.flatnonzero(stage.stage)
+        x = points[int(rng.integers(len(points)))]
         rep = local_mass_bound_check(stage, ns.space, ns.L, [x], radius=1.0,
                                      tol=MASS_TOL)
         entries.extend(rep["entries"])
@@ -171,7 +172,7 @@ def test_local_mass_bound_on_random_probes(all_runs):
 
 def test_identity_family_reaches_flat_limit(identity_run):
     run = identity_run.run
-    sizes = [len(s.stage_ids) for s in run.stages]
+    sizes = [int(s.stage.sum()) for s in run.stages]
     on_support = run.limit.weights[run.limit.weights > 0]
     flat = all(abs(w - 1.0) <= FLAT_WEIGHT_TOL for w in on_support)
     rep = verify_el(run.stages[-1].measure, identity_run.L, run.window,
@@ -203,7 +204,7 @@ def test_entropy_decay_suite(exp_run):
     envelope = exp_profile(1.0, 1.0, delta=1.0, c=c)
     n0 = tail_index(envelope, 0.3)
     rho = run.stages[-1].measure
-    tails = [tail_mass(rho, L, space, x, 3.0) for x in run.window]
+    tails = [tail_mass(rho, L, space, x, 3.0) for x in np.flatnonzero(run.window)]
     rep = verify_el(rho, L, run.window, tol=DECAY_EL_TOL)
     ok = (cert["holds"] and n0 == 4
           and run.diagnostics["window_layer"] == 4.0
@@ -217,7 +218,7 @@ def test_sampled_variations_never_improve(identity_run, exp_run, gauss_run):
     worst = float("inf")
     trials_each = 10_000
     for ns in (identity_run, exp_run, gauss_run):
-        window = tuple(sorted(ns.run.window, key=ns.space._at))
+        window = ns.run.window
         rho = ns.run.stages[-1].measure
         res = test_minimality(rho, ns.L, VariationSampler(window=window, seed=7),
                               trials=trials_each)
@@ -233,7 +234,7 @@ def test_corrupted_weights_yield_witness(identity_run):
     bad = run.stages[-1].measure.weights.copy()
     bad[space.index["g50"]] *= 2.0
     rho_bad = DiscreteMeasure(space, bad)
-    window = tuple(sorted(run.window, key=space._at))
+    window = run.window
     res = test_minimality(rho_bad, L, VariationSampler(window=window, seed=7),
                           trials=1000)
     found = bool(res["failures"])
@@ -253,7 +254,7 @@ def test_limits_are_nontrivial_with_gamma_bound(all_runs, identity_run, exp_run)
     }
     gammas = []
     for ns in (identity_run, exp_run):
-        window = sorted(ns.run.window, key=ns.space._at)
+        window = ns.run.window
         rep = gamma_lower_bound(ns.run.stages[-1].measure, ns.L, ns.space,
                                 profiles[id(ns)], eps=0.5, window=window,
                                 tol=NONTRIV_TOL)

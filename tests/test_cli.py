@@ -54,7 +54,7 @@ def test_solve_writes_report_and_stage_csv(tmp_path, capsys):
         header = open(csv_path).readline().strip()
         assert header == "point,ell,weight"
     out = capsys.readouterr().out
-    assert "solved 3 stages" in out
+    assert "solved 3 stages; window 7 points" in out
 
 
 def test_solve_is_byte_deterministic(tmp_path):
@@ -395,3 +395,78 @@ def test_verify_ell_matches_solve_csv_bit_for_bit(tmp_path):
         rows = dict(line.split(",")[:2] for line in handle.read().splitlines()[1:])
     assert len(ell) == 9
     assert {pid: float(rows[pid]) for pid in ell} == ell
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("solver", "certify"), "false", "solver.certify must be a boolean"),
+    (("solver", "restarts"), 2.9, "solver.restarts must be an integer"),
+    (("seed",), 1.7, "seed must be an integer"),
+    (("stride",), 1.5, "stride must be an integer"),
+    (("solver", "max_iter"), 100, "solver.max_iter is not a solver setting"),
+    (("solver", "oracle_max"), 16, "solver.oracle_max is not a solver setting"),
+], ids=["certify-string", "restarts-float", "seed-float", "stride-float", "max_iter",
+        "oracle_max"])
+def test_config_values_are_not_coerced(tmp_path, capsys, path, value, message):
+    # these were truncated or cast (certify "false" ran as True) or ignored
+    cfg = json.loads(open(write_config(tmp_path)).read())
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path = tmp_path / "coerced.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_verify_default_checks_pass_on_one_point_window(tmp_path):
+    points = [{"id": f"t{i}", "coords": [i * 0.25]} for i in range(9)]
+    run_path, report = _solved_report(
+        tmp_path, space={"points": points, "metric": "euclidean"},
+        exhaustion={"center": "t0", "radii": [1.0, 2.0]}, verify={})
+    assert report["window"] == ["t0"]
+    assert main(["verify", "--run", run_path]) == 0
+    summary = json.loads(open(os.path.join(os.path.dirname(run_path), "verify.json")).read())
+    minimality = summary["checks"]["minimality"]
+    assert minimality["passed"] and minimality["evaluated"] == 0
+    assert minimality["skipped"] == minimality["trials"] == 1000
+    assert "reason" in minimality
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda r: r["stages"][1]["ids"].__setitem__(3, "zz"), "report stages[1].ids[3]"),
+    (lambda r: r["window"].__setitem__(0, "zz"), "report window[0]"),
+], ids=["stage-ids", "window"])
+def test_verify_refuses_unknown_point_id(tmp_path, capsys, edit, field):
+    run_path, report = _solved_report(tmp_path)
+    edit(report)
+    open(run_path, "w").write(json.dumps(report))
+    assert main(["verify", "--run", run_path, "--checks", "el"]) == 1
+    assert f"{field} 'zz' is not a point id" in capsys.readouterr().err
+
+
+_SWEEP_BASE = {"space": {"points": [{"id": "g0", "coords": [0.0]}], "metric": "euclidean"},
+               "kernel": {"kind": "tent", "range": 1.0},
+               "exhaustion": {"center": "g0", "radii": [1]}}
+
+
+@pytest.mark.parametrize("command,payload,field", [
+    ("oracle", {"matrix": "abc"}, "oracle matrix must be a list"),
+    ("oracle", [[1, "x"], [0, 1]], "oracle matrix[0][1]"),
+    ("oracle", [[1, 0], [0]], "oracle matrix must be square"),
+    ("sweep", [1], "sweep config must be an object"),
+    ("sweep", {"base": dict(_SWEEP_BASE, seed="x")}, "seed must be an integer"),
+    ("sweep", {"base": _SWEEP_BASE, "grid": {"kernel.range": 2.0}}, "sweep grid['kernel.range']"),
+    ("sweep", {"base": _SWEEP_BASE, "grid": {"kernel.range.x": [2.0]}}, "sweep path kernel.range"),
+], ids=["oracle-string", "oracle-entry", "oracle-ragged", "sweep-list", "sweep-seed",
+        "sweep-grid", "sweep-path"])
+def test_malformed_oracle_and_sweep_input_exits_1(tmp_path, command, payload, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    flag = "--matrix" if command == "oracle" else "--config"
+    extra = [] if command == "oracle" else ["--out", str(tmp_path / "o")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, flag, str(path), *extra])
+    assert code == 1
+    assert field in err.getvalue() and "Traceback" not in err.getvalue()

@@ -43,7 +43,7 @@ def scaled_two_point():
     g = grid_1d([0.0, 0.5])
     L = make_kernel("matrix", {"matrix": [[1.0, 0.5], [0.5, 1.0]]}, g)
     sol = minimize_on_compact(CompactProblem(ids=g.ids, matrix=L.matrix))
-    return g, L, rescale(sol, g, L)
+    return g, L, rescale(sol, g, np.ones(2, dtype=bool), L)
 
 
 def test_ell_two_point_scaled():
@@ -53,8 +53,7 @@ def test_ell_two_point_scaled():
 
 def test_verify_el_identity_limit(identity_run):
     grid, tent, run = identity_run
-    win = sorted(run.window, key=grid._at)
-    rep = verify_el(run.stages[-1].measure, tent, win, tol=EL_TOL)
+    rep = verify_el(run.stages[-1].measure, tent, run.window, tol=EL_TOL)
     assert rep.passed
     assert rep.max_abs_on_support <= EL_TOL
     assert rep.inf_ell >= -EL_TOL
@@ -64,16 +63,16 @@ def test_verify_el_flags_tampering(identity_run):
     grid, tent, run = identity_run
     rho = run.stages[-1].measure
     bad = rho.weights.copy()
-    mid = sorted(run.window, key=grid._at)[len(run.window) // 2]
-    bad[grid.index[mid]] *= 2.0
-    rep = verify_el(DiscreteMeasure(grid, bad), tent, sorted(run.window, key=grid._at))
+    window = np.flatnonzero(run.window)
+    bad[window[len(window) // 2]] *= 2.0
+    rep = verify_el(DiscreteMeasure(grid, bad), tent, run.window)
     assert not rep.passed
     assert rep.max_abs_on_support > 0.5
 
 
 def test_el_report_serializes(identity_run):
     grid, tent, run = identity_run
-    rep = verify_el(run.stages[-1].measure, tent, sorted(run.window, key=grid._at))
+    rep = verify_el(run.stages[-1].measure, tent, run.window)
     d = rep.to_dict()
     assert d["passed"] is True
     assert isinstance(d["inf_ell"], float)
@@ -111,7 +110,7 @@ def test_nontriviality_identity_run(identity_run):
 def test_nontriviality_two_point_scaled():
     g, L, st_ = scaled_two_point()
     run = cvp.ExhaustionRun(stages=(st_,), limit=st_.measure,
-                            window=frozenset(g.ids), diagnostics={})
+                            window=np.ones(2, dtype=bool), diagnostics={})
     rep = nontriviality_check(run, L, g)
     assert rep["passed"]
     e = rep["entries"][0]
@@ -122,8 +121,7 @@ def test_nontriviality_two_point_scaled():
 def test_gamma_bound_identity_run(identity_run):
     grid, tent, run = identity_run
     prof = exp_profile(9.0, 1.0, delta=1.0, c=1.0)
-    win = sorted(run.window, key=grid._at)
-    rep = gamma_lower_bound(run.stages[-1].measure, tent, grid, prof, 0.5, win)
+    rep = gamma_lower_bound(run.stages[-1].measure, tent, grid, prof, 0.5, run.window)
     assert rep["passed"] and not rep["refused"]
     assert rep["gamma"] == 0.5
     assert all(e["mass"] >= 0.5 for e in rep["entries"])
@@ -132,10 +130,9 @@ def test_gamma_bound_identity_run(identity_run):
 def test_gamma_bound_refuses_without_stationarity(identity_run):
     grid, tent, run = identity_run
     prof = exp_profile(9.0, 1.0, delta=1.0, c=1.0)
-    win = sorted(run.window, key=grid._at)
     bad = run.stages[-1].measure.weights.copy()
-    bad[grid.index[win[0]]] = 5.0
-    rep = gamma_lower_bound(DiscreteMeasure(grid, bad), tent, grid, prof, 0.5, win)
+    bad[np.flatnonzero(run.window)[0]] = 5.0
+    rep = gamma_lower_bound(DiscreteMeasure(grid, bad), tent, grid, prof, 0.5, run.window)
     assert rep["refused"] and not rep["passed"]
 
 
@@ -149,7 +146,7 @@ def test_gamma_bound_validates_eps(identity_run):
 def test_sampled_variations_recompute_exactly(identity_run):
     grid, tent, run = identity_run
     rho = run.stages[-1].measure
-    sampler = VariationSampler(window=tuple(sorted(run.window, key=grid._at)), seed=3)
+    sampler = VariationSampler(window=run.window, seed=3)
     rep = cvp.test_minimality(rho, tent, sampler, trials=50)
     assert rep["evaluated"] == 50
     var = make_variation(rho, dense(grid, rep["worst"]["delta"]))
@@ -161,7 +158,7 @@ def test_sampled_variations_recompute_exactly(identity_run):
 def test_minimizer_survives_sampling(identity_run):
     grid, tent, run = identity_run
     rho = run.stages[-1].measure
-    sampler = VariationSampler(window=tuple(sorted(run.window, key=grid._at)), seed=0)
+    sampler = VariationSampler(window=run.window, seed=0)
     rep = cvp.test_minimality(rho, tent, sampler, trials=2000)
     assert rep["passed"]
     assert rep["min_delta_S"] >= -EL_TOL
@@ -172,10 +169,10 @@ def test_corrupted_weights_yield_witness(identity_run):
     grid, tent, run = identity_run
     rho = run.stages[-1].measure
     bad = rho.weights.copy()
-    mid = sorted(run.window, key=grid._at)[len(run.window) // 2]
-    bad[grid.index[mid]] *= 2.0
+    window = np.flatnonzero(run.window)
+    bad[window[len(window) // 2]] *= 2.0
     corrupted = DiscreteMeasure(grid, bad)
-    sampler = VariationSampler(window=tuple(sorted(run.window, key=grid._at)), seed=0)
+    sampler = VariationSampler(window=run.window, seed=0)
     rep = cvp.test_minimality(corrupted, tent, sampler, trials=1000)
     assert not rep["passed"]
     assert rep["min_delta_S"] < -EL_TOL
@@ -187,7 +184,7 @@ def test_large_steps_stay_balanced(identity_run):
     # by t ~ 1e4, which lifted its rounding imbalance to -6e-12, beyond the
     # balance tolerance of make_variation
     grid, tent, run = identity_run
-    sampler = VariationSampler(window=tuple(sorted(run.window, key=grid._at)), seed=140)
+    sampler = VariationSampler(window=run.window, seed=140)
     rep = cvp.test_minimality(run.stages[-1].measure, tent, sampler, trials=1000)
     assert rep["passed"]
     assert rep["evaluated"] + rep["skipped"] == 1000
@@ -197,8 +194,7 @@ def test_large_steps_stay_balanced(identity_run):
 def test_max_step_caps_displacement(identity_run):
     grid, tent, run = identity_run
     rho = run.stages[-1].measure
-    sampler = VariationSampler(window=tuple(sorted(run.window, key=grid._at)),
-                               seed=5, max_step=1e-3)
+    sampler = VariationSampler(window=run.window, seed=5, max_step=1e-3)
     rep = cvp.test_minimality(rho, tent, sampler, trials=200)
     assert rep["passed"]
     for e in (rep["worst"],):
@@ -217,7 +213,7 @@ def test_small_variations_never_go_negative(seed):
     g = grid_1d(range(6))
     L = make_kernel("exponential", {"amplitude": 1.0, "sigma": 2.0}, g)
     sol = minimize_on_compact(CompactProblem(ids=g.ids, matrix=L.matrix))
-    st_ = rescale(sol, g, L)
-    sampler = VariationSampler(window=g.ids, seed=seed, max_step=1e-3)
+    st_ = rescale(sol, g, np.ones(6, dtype=bool), L)
+    sampler = VariationSampler(window=np.ones(6, dtype=bool), seed=seed, max_step=1e-3)
     rep = cvp.test_minimality(st_.measure, L, sampler, trials=20)
     assert rep["min_delta_S"] >= -EL_TOL

@@ -82,18 +82,19 @@ def test_diagonal_infimum_and_sup(tent_identity):
 
 def test_effective_range_tent_quarter(quarter_grid):
     tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, quarter_grid)
-    assert effective_range(tent, quarter_grid, {"t0"}) == frozenset({"t0", "t1", "t2", "t3"})
+    K = np.arange(9) == 0
+    assert np.flatnonzero(effective_range(tent, quarter_grid, K)).tolist() == [0, 1, 2, 3]
 
 
 def test_compact_range_tent_holds(int_grid6, tent_identity):
-    exh = build_exhaustion(int_grid6, "x0", (1, 3, 5))
+    exh = build_exhaustion(int_grid6, 0, (1, 3, 5))
     rep = verify_compact_range(tent_identity, int_grid6, exh)
     assert rep["holds"]
 
 
 def test_compact_range_exponential_fails(int_grid6):
     k = make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, int_grid6)
-    exh = build_exhaustion(int_grid6, "x0", (1, 3))
+    exh = build_exhaustion(int_grid6, 0, (1, 3))
     rep = verify_compact_range(k, int_grid6, exh)
     assert not rep["holds"]
 
@@ -102,7 +103,7 @@ def test_compact_range_zero_row_matrix():
     g = grid_1d(range(3))
     m = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]]
     k = make_kernel("matrix", {"matrix": m}, g)
-    exh = build_exhaustion(g, "x0", (0.5,))
+    exh = build_exhaustion(g, 0, (0.5,))
     assert verify_compact_range(k, g, exh)["holds"]
 
 
@@ -167,7 +168,7 @@ def test_decay_certificate_weak_profile_fails():
                 continue
             checked += 1
             d = float(g.dist[i, j])
-            bound = prof.f(d) / (prof.coeff * covering_number(g, x, d + 2.0, prof.delta))
+            bound = prof.f(d) / (prof.coeff * covering_number(g, i, d + 2.0, prof.delta))
             value = float(k.matrix[i, j])
             if value > bound + 1e-12 * max(1.0, bound):
                 expected.append({"x": x, "y": y, "value": value, "bound": bound,
@@ -219,3 +220,41 @@ def test_exp_profile_tail_matches_quadrature(t, a, rate):
     grid = np.linspace(t, t + 60.0 / rate, 20001)
     quad = np.trapezoid(a * np.exp(-rate * grid), grid)
     assert prof.tail(t) == pytest.approx(quad, rel=1e-6, abs=1e-12)
+
+
+def _reference_radius_bounds(L, g):
+    """Entropy radius bounds written out point by point: for each x the largest
+    passing closed radius and the first failing distance, then the inf."""
+    c = float(np.diag(L.matrix).min())
+    closed_inf = sup_inf = math.inf
+    for i in range(len(g)):
+        row_d = g.dist[i]
+        failing = L.matrix[i] < c / 2.0
+        if failing.any():
+            d_fail = float(row_d[failing].min())
+            below = row_d[row_d < d_fail - 1e-15]
+            d_ok = float(below.max()) if below.size else 0.0
+        else:
+            d_fail, d_ok = math.inf, float(row_d.max())
+        closed_inf = min(closed_inf, d_ok)
+        sup_inf = min(sup_inf, d_fail)
+    return closed_inf, sup_inf
+
+
+@given(ks=st.lists(st.integers(0, 30), min_size=1, max_size=14, unique=True),
+       kind=st.sampled_from(["tent", "truncated_gaussian", "exponential", "matrix"]),
+       reach=st.sampled_from([1.0, 2.0, 3.0]) | st.floats(0.3, 6.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_entropy_radius_matches_per_point_reference(ks, kind, reach, seed):
+    # a tent of range 1, 2 or 3 on the half grid hits L = c/2 exactly
+    g = grid_1d([k * 0.5 for k in ks])
+    if kind == "matrix":
+        m = np.random.default_rng(seed).uniform(0.0, 1.0, size=(len(g), len(g)))
+        params = {"matrix": ((m + m.T) / 2.0 + np.diag(np.full(len(g), 0.5))).tolist()}
+    else:
+        params = {"sigma": reach} if kind == "exponential" else {"range": reach, "sigma": reach}
+    L = make_kernel(kind, params, g)
+    rep = verify_entropy_decay(L, g, exp_profile(1.0, 1.0, delta=1.0, c=diagonal_infimum(L)))
+    b = rep["condition_b"]
+    assert (b["delta_closed"], b["delta_sup"]) == _reference_radius_bounds(L, g)

@@ -65,7 +65,7 @@ def test_oracle_keeps_vertex_candidates():
 
 def test_oracle_tie_break_is_lexicographic():
     sol = brute_force_minimizer(problem(np.ones((3, 3)), ids=("a", "b", "c")))
-    assert sol.support == ("a",)
+    assert sol.weights.tolist() == [1.0, 0.0, 0.0]
     assert sol.value == pytest.approx(1.0, abs=ATOL)
 
 

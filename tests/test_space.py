@@ -1,5 +1,7 @@
 """Metric space construction, balls, coverings and exhaustions."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +16,14 @@ from cvp import (
     build_exhaustion,
     closed_ball,
     covering_number,
+    effective_range,
     exact_covering_number,
     greedy_cover,
     grid_1d,
+    make_kernel,
     space_from_dict,
+    verify_compact_range,
+    window_points,
 )
 from cvp.space import ball_cover_counts, greedy_cover_counts
 
@@ -56,48 +62,59 @@ def test_distance_matrix_read_only():
 
 
 def test_closed_ball_quarter_grid(quarter_grid):
-    assert closed_ball(quarter_grid, "t0", 0.5) == frozenset({"t0", "t1", "t2"})
+    assert np.flatnonzero(closed_ball(quarter_grid, 0, 0.5)).tolist() == [0, 1, 2]
 
 
 def test_closed_ball_zero_radius(quarter_grid):
-    assert closed_ball(quarter_grid, "t3", 0.0) == frozenset({"t3"})
+    assert np.flatnonzero(closed_ball(quarter_grid, 3, 0.0)).tolist() == [3]
+
+
+@pytest.mark.parametrize("x", ["t0", 9, -1, 1.0, True])
+def test_points_are_indices(quarter_grid, x):
+    with pytest.raises(InputError):
+        closed_ball(quarter_grid, x, 0.5)
 
 
 def test_greedy_cover_quarter_grid(quarter_grid):
-    centers = greedy_cover(quarter_grid, "t0", 2.0, 0.5)
-    assert [quarter_grid.coords[quarter_grid._at(c), 0] for c in centers] == [0.0, 0.75, 1.5]
-    assert covering_number(quarter_grid, "t0", 2.0, 0.5) == 3
+    centers = greedy_cover(quarter_grid, 0, 2.0, 0.5)
+    assert quarter_grid.coords[list(centers), 0].tolist() == [0.0, 0.75, 1.5]
+    assert covering_number(quarter_grid, 0, 2.0, 0.5) == 3
 
 
 def test_exact_cover_beats_greedy(quarter_grid):
     # centers 0.5 and 1.5 cover [0,2] with delta=0.5; greedy needs 3
-    assert exact_covering_number(quarter_grid, "t0", 2.0, 0.5) == 2
+    assert exact_covering_number(quarter_grid, 0, 2.0, 0.5) == 2
 
 
 def test_exact_cover_never_beats_greedy(int_grid6):
     # ball {0,1,2}: one 1-ball at the midpoint suffices, greedy opens two
-    assert covering_number(int_grid6, "x0", 2.0, 1.0) == 2
-    assert exact_covering_number(int_grid6, "x0", 2.0, 1.0) == 1
+    assert covering_number(int_grid6, 0, 2.0, 1.0) == 2
+    assert exact_covering_number(int_grid6, 0, 2.0, 1.0) == 1
 
 
 def test_exhaustion_stage_sizes(int_grid6):
-    exh = build_exhaustion(int_grid6, "x0", (1, 3, 5))
-    assert [len(s) for s in exh.stages] == [2, 4, 6]
+    exh = build_exhaustion(int_grid6, 0, (1, 3, 5))
+    assert [int(s.sum()) for s in exh.stages] == [2, 4, 6]
+    assert not exh.stages[0].flags.writeable
 
 
 def test_exhaustion_rejects_equal_stages(int_grid6):
     with pytest.raises(DegenerateExhaustionError):
-        build_exhaustion(int_grid6, "x0", (1, 1.4))
+        build_exhaustion(int_grid6, 0, (1, 1.4))
 
 
 def test_exhaustion_rejects_nonincreasing_radii(int_grid6):
     with pytest.raises(InputError):
-        build_exhaustion(int_grid6, "x0", (3, 2))
+        build_exhaustion(int_grid6, 0, (3, 2))
 
 
 def test_exhaustion_validates_nesting(int_grid6):
     with pytest.raises(DegenerateExhaustionError):
-        Exhaustion(stages=(frozenset({"x0", "x1"}), frozenset({"x0", "x1"})), covers_all=False)
+        Exhaustion(stages=(np.array([True, True, False]), np.array([True, True, False])))
+    with pytest.raises(InputError, match="strictly nested"):
+        Exhaustion(stages=(np.array([True, True, False]), np.array([True, False, True])))
+    with pytest.raises(InputError, match="boolean mask"):
+        Exhaustion(stages=(frozenset({"x0", "x1"}),))
 
 
 def test_space_dict_round_trip(quarter_grid):
@@ -125,7 +142,7 @@ def test_space_from_explicit_distances():
 def test_ball_monotone_in_radius(r1, r2):
     g = grid_1d([0, 0.5, 1.0, 1.5, 2.0, 3.0])
     lo, hi = sorted((r1, r2))
-    assert closed_ball(g, "x0", lo) <= closed_ball(g, "x0", hi)
+    assert not (closed_ball(g, 0, lo) & ~closed_ball(g, 0, hi)).any()
 
 
 @given(delta=st.floats(0.1, 2.0), shrink=st.floats(0.0, 1.0))
@@ -133,7 +150,7 @@ def test_ball_monotone_in_radius(r1, r2):
 def test_covering_number_monotone_in_delta(delta, shrink):
     g = grid_1d([i * 0.5 for i in range(9)])
     smaller = max(0.05, delta * (1.0 - shrink))
-    assert covering_number(g, "x0", 3.0, delta) <= covering_number(g, "x0", 3.0, smaller)
+    assert covering_number(g, 0, 3.0, delta) <= covering_number(g, 0, 3.0, smaller)
 
 
 @given(vals=st.lists(st.floats(-50, 50, allow_nan=False), min_size=2, max_size=12, unique=True))
@@ -154,12 +171,12 @@ def test_grid_metric_axioms(vals):
 @settings(max_examples=50, deadline=None)
 def test_greedy_cover_covers_the_ball(radius):
     g = grid_1d([i * 0.25 for i in range(17)])
-    centers = greedy_cover(g, "x0", radius, 0.5)
-    ball = closed_ball(g, "x0", radius)
-    covered = set()
+    centers = greedy_cover(g, 0, radius, 0.5)
+    ball = closed_ball(g, 0, radius)
+    covered = np.zeros(len(g), dtype=bool)
     for c in centers:
         covered |= closed_ball(g, c, 0.5)
-    assert ball <= covered
+    assert not (ball & ~covered).any()
 
 
 # Radii offsets in units of the closed-ball slack 1e-12 * max(1, r): within it
@@ -193,7 +210,7 @@ def _ball_radii(space):
 
 def _reference_covers(space, radii, delta):
     return np.array([[covering_number(space, x, float(r), delta) for r in row]
-                     for x, row in zip(space.ids, radii)])
+                     for x, row in enumerate(radii)])
 
 
 @given(space=small_spaces(), pick=st.integers(0, 10 ** 4), steps=st.sampled_from(_SLACK_STEPS),
@@ -208,8 +225,8 @@ def test_cover_kernels_match_covering_number(space, pick, steps, free):
     radii = _ball_radii(space)
     expected = _reference_covers(space, radii, delta)
     assert (ball_cover_counts(space, radii, delta) == expected).all()
-    masks = np.array([[pid in closed_ball(space, x, float(r)) for pid in space.ids]
-                      for x, row in zip(space.ids, radii) for r in row])
+    masks = np.array([closed_ball(space, x, float(r))
+                      for x, row in enumerate(radii) for r in row])
     assert (greedy_cover_counts(space, masks, delta) == expected.ravel()).all()
 
 
@@ -251,3 +268,75 @@ def test_cover_kernels_reject_bad_input(quarter_grid):
         greedy_cover_counts(quarter_grid, np.ones((2, 8), dtype=bool), 1.0)
     with pytest.raises(InputError):
         ball_cover_counts(quarter_grid, -np.ones((9, 2)), 1.0)
+
+
+# Id-set references for the point-set masks, written out point by point.
+def _ref_ball(space, x, r):
+    i = space.ids.index(x)
+    return frozenset(y for j, y in enumerate(space.ids)
+                     if space.dist[i, j] <= r + 1e-12 * max(1.0, r))
+
+
+def _ref_window(space, stage, layer):
+    return frozenset(x for x in stage if _ref_ball(space, x, layer) <= stage)
+
+
+def _ref_effective_range(L, space, K):
+    rows = [space.ids.index(x) for x in K]
+    return frozenset(y for j, y in enumerate(space.ids)
+                     if any(L.matrix[i, j] > 0.0 for i in rows))
+
+
+def _ref_compact_range(L, space, stages):
+    per_stage = []
+    holds = True
+    for i, stage in enumerate(stages):
+        kprime = _ref_effective_range(L, space, stage)
+        if L.declared_range is not None:
+            allowed = set()
+            for x in stage:
+                allowed |= _ref_ball(space, x, L.declared_range)
+            contained = kprime <= allowed
+        else:
+            contained = kprime <= stage
+        holds = holds and contained
+        per_stage.append({"stage": i, "size": len(stage),
+                          "range_size": len(kprime), "contained": contained})
+    return {"holds": holds, "declared_range": L.declared_range, "stages": per_stage}
+
+
+def _id_set(space, mask):
+    return frozenset(space.ids[i] for i in np.flatnonzero(mask))
+
+
+@given(space=small_spaces(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_point_set_masks_match_id_set_reference(space, data):
+    n = len(space)
+    realized = st.tuples(st.sampled_from(np.unique(space.dist).tolist()),
+                         st.sampled_from(_SLACK_STEPS)).map(lambda t: float(_shifted(*t)))
+    radius = st.one_of(realized, st.floats(0.0, 12.0))
+    # a random strictly nested chain: running unions of random sets
+    draws = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                        min_size=1, max_size=4)))
+    chain = np.logical_or.accumulate(draws, axis=0)
+    chain[:, data.draw(st.integers(0, n - 1))] = True
+    stages = [chain[0]] + [b for a, b in zip(chain, chain[1:]) if (a != b).any()]
+    layer = data.draw(radius)
+    kind = data.draw(st.sampled_from(["tent", "truncated_gaussian", "exponential"]))
+    reach = max(data.draw(radius), 0.25)
+    params = {"sigma": 1.0} if kind == "exponential" else {"range": reach, "sigma": 1.0}
+    L = make_kernel(kind, params, space)
+
+    for x in range(n):
+        r = data.draw(radius)
+        assert _id_set(space, closed_ball(space, x, r)) == _ref_ball(space, space.ids[x], r)
+    for stage in stages:
+        ids = _id_set(space, stage)
+        assert _id_set(space, window_points(space, stage, layer)) == \
+            _ref_window(space, ids, layer)
+        assert _id_set(space, effective_range(L, space, stage)) == \
+            _ref_effective_range(L, space, ids)
+    got = verify_compact_range(L, space, Exhaustion(stages=tuple(stages)))
+    want = _ref_compact_range(L, space, [_id_set(space, s) for s in stages])
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
