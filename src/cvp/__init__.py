@@ -19,7 +19,7 @@ from .measure import (DiscreteMeasure, SignedVariation, action,
                       make_variation, measure_to_dict, restrict)
 from .simplex_solver import (CompactProblem, CompactSolution, KKTResiduals,
                              SolverOptions, brute_force_minimizer,
-                             kkt_residuals, minimize_on_compact)
+                             minimize_on_compact)
 from .pipeline import (ExhaustionRun, RunOptions, ScaledMinimizer,
                        check_ell_convergence, check_support_approximation,
                        local_mass_bound_check, rescale, run_exhaustion,

@@ -24,8 +24,8 @@ from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY, EXIT_
                           gamma_lower_bound, nontriviality_check, verify_el)
 from .el_analysis import test_minimality as sample_minimality
 from .errors import CVPError, InputError, UsageError, as_number
-from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum,
-                         kernel_from_spec, profile_from_spec)
+from .lagrangian import (Lagrangian, diagonal_infimum, kernel_from_spec,
+                         profile_from_spec)
 from .measure import measure_to_dict, restrict
 from .pipeline import (ExhaustionRun, RunOptions, ScaledMinimizer,
                        local_mass_bound_check, run_exhaustion, stage_ell)
@@ -49,10 +49,8 @@ class RunConfig:
     raw: dict
     space: MetricSpace
     kernel: Lagrangian
-    profile: DecayProfile | None
     exhaustion: Exhaustion
     options: RunOptions
-    seed: int
 
 
 def _solver_options(payload: dict, seed: int) -> SolverOptions:
@@ -91,6 +89,8 @@ def load_config(path: str, seed_override: int | None = None,
     exhaustion = build_exhaustion(space, center, exh_spec.get("radii", ()))
     seed = _typed(raw.get("seed", 0) if seed_override is None else seed_override,
                   int, "seed")
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
     raw["seed"] = seed
     if stride_override is not None:
         raw["stride"] = int(stride_override)
@@ -106,8 +106,8 @@ def load_config(path: str, seed_override: int | None = None,
                          profile=profile,
                          eps=eps,
                          stride=_typed(raw.get("stride", 1), int, "stride"))
-    return RunConfig(raw=raw, space=space, kernel=kernel, profile=profile,
-                     exhaustion=exhaustion, options=options, seed=seed)
+    return RunConfig(raw=raw, space=space, kernel=kernel, exhaustion=exhaustion,
+                     options=options)
 
 
 def _config_payload(config: RunConfig) -> dict:
@@ -421,6 +421,16 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _seed_flag(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cvp", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cvp {__version__}")
@@ -429,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run an exhaustion and write reports")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", required=True)
-    p_solve.add_argument("--seed", type=int, default=None)
+    p_solve.add_argument("--seed", type=_seed_flag, default=None)
     p_solve.add_argument("--stride", type=int, default=None)
     p_solve.add_argument("--tol", type=float, default=None)
     p_solve.set_defaults(func=cmd_solve)
@@ -439,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--checks", default=None,
                           help=f"comma list from: {', '.join(VALID_CHECKS)}")
     p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed_flag, default=0)
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--eps", type=float, default=None)
     p_verify.add_argument("--delta-cover", dest="delta_cover", type=float, default=None)

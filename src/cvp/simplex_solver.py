@@ -1,11 +1,15 @@
 """Minimization of the quadratic action over the probability simplex.
 
-Two independent routes are provided. ``minimize_on_compact`` runs away-step
-Frank-Wolfe (exact line search for the quadratic) from several starts, then
-polishes the discovered support by solving the equality KKT system with an
-active-set add/drop loop. ``brute_force_minimizer`` enumerates every support
-subset and is the test oracle; the solver never adopts its weights, only
-compares values to set the certification flag.
+Two independent routes are provided. ``minimize_on_compact`` runs a primal
+active-set method with a ratio test (Nocedal & Wright, *Numerical
+Optimization*, Alg. 16.3; Bomze 1998 for the standard quadratic program) from
+several starts. Every step stays on the simplex and never raises the action,
+so the method cannot cycle except on exact ties, which the lowest point index
+breaks; a start that runs ``_MAX_ITER`` iterations fails. The inverse of the
+bordered support system is updated in O(m^2) per added or dropped point.
+``brute_force_minimizer`` enumerates every support subset and is the test
+oracle; the solver never adopts its weights, only compares values to set the
+certification flag.
 
 Stationarity convention: with value s = w'Lw, the averaged kernel Lw equals s
 on the support and is >= s off the support.
@@ -25,8 +29,20 @@ ORACLE_CAP = 16
 # Two candidates tie when their values agree to this relative window.
 _TIE_REL = 1e-12
 
-# Cap on the Frank-Wolfe iterations of one start.
-_FW_MAX_ITER = 100_000
+# Cap on the active-set iterations of one start; a start that reaches it fails.
+_MAX_ITER = 10_000
+
+# A Schur pivot this small, relative to the block scale, forces the bordered
+# inverse to be refactored from scratch.
+_PIVOT_REL = 1e-10
+
+# The averaged kernel at a target read from the updated inverse must be flat
+# on the support to this share of the block scale; past it, the inverse has
+# lost accuracy to its updates and is refactored.
+_DRIFT_REL = 1e-9
+
+# Rows per block of an in-place rank-one update of the bordered inverse.
+_ROWS = 64
 
 
 @dataclass
@@ -87,14 +103,6 @@ class CompactSolution:
         return self.kkt.s_param
 
 
-def kkt_residuals(solution, problem: CompactProblem) -> KKTResiduals:
-    """Residuals of the stationarity conditions for given weights."""
-    w = solution.weights if isinstance(solution, CompactSolution) else np.asarray(solution, float)
-    if w.shape != (len(problem.ids),):
-        raise InputError("weights length does not match the problem")
-    return _residuals(problem.matrix, w)
-
-
 def _residuals(Lb: np.ndarray, w: np.ndarray) -> KKTResiduals:
     g = Lb @ w
     s = float(w @ g)
@@ -103,10 +111,18 @@ def _residuals(Lb: np.ndarray, w: np.ndarray) -> KKTResiduals:
     return KKTResiduals(on_support_max=on, min_over_k=float((g - s).min()), s_param=s)
 
 
-def _solve_support(Lb: np.ndarray, S: list[int]):
-    """Weights and multiplier on a fixed support: L_SS w = s, sum w = 1."""
+def _solve_support(Lb: np.ndarray, S: np.ndarray | list[int],
+                   work: np.ndarray | None = None):
+    """Weights and multiplier on a fixed support: L_SS w = s, sum w = 1.
+
+    The system is assembled in the memory of ``work`` when given.
+    """
     m = len(S)
-    A = np.zeros((m + 1, m + 1))
+    if work is None:
+        A = np.zeros((m + 1, m + 1))
+    else:
+        A = work.reshape(-1)[:(m + 1) ** 2].reshape(m + 1, m + 1)
+        A[m, m] = 0.0
     A[:m, :m] = Lb[np.ix_(S, S)]
     A[:m, m] = -1.0
     A[m, :m] = 1.0
@@ -121,80 +137,209 @@ def _solve_support(Lb: np.ndarray, S: list[int]):
     return sol[:m], float(sol[m])
 
 
-def _fw_budget(k: int) -> int:
-    return min(max(60 * k, 200), _FW_MAX_ITER)
+def _bordered_inverse(P: np.ndarray, Lb: np.ndarray, sup: np.ndarray) -> bool:
+    """Write the inverse of the bordered matrix [[0, 1'], [1, L_SS]] of ``sup``
+    into the leading block of ``P`` from scratch, point ``sup[j]`` at row
+    j + 1; False when the matrix is singular."""
+    n = len(sup) + 1
+    B = P[:n, :n]
+    B[0, 0] = 0.0
+    B[0, 1:] = B[1:, 0] = 1.0
+    B[1:, 1:] = Lb[np.ix_(sup, sup)]
+    try:
+        B[:] = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(B).all())
 
 
-def _away_fw(Lb: np.ndarray, w0: np.ndarray, budget: int, gap_tol: float) -> np.ndarray:
-    k = Lb.shape[0]
-    if k == 1:
-        return np.ones(1)
-    w = np.clip(np.asarray(w0, float), 0.0, None)
-    w /= w.sum()
-    for _ in range(budget):
-        Lw = Lb @ w
-        g = 2.0 * Lw
-        gw = float(g @ w)
-        i_fw = int(np.argmin(g))
-        fw_gap = gw - float(g[i_fw])
-        supp = np.nonzero(w > 0)[0]
-        i_aw = int(supp[np.argmax(g[supp])])
-        aw_gap = float(g[i_aw]) - gw
-        if max(fw_gap, aw_gap) <= gap_tol:
-            break
-        if fw_gap >= aw_gap:
-            d = -w.copy()
-            d[i_fw] += 1.0
-            gamma_max, drop = 1.0, None
-        else:
-            if w[i_aw] >= 1.0:
-                break  # single-vertex iterate, no away room
-            d = w.copy()
-            d[i_aw] -= 1.0
-            gamma_max, drop = w[i_aw] / (1.0 - w[i_aw]), i_aw
-        slope = float(g @ d)
-        if slope >= -gap_tol * 1e-3:
-            break
-        curv = float(d @ Lb @ d)
-        gamma = gamma_max if curv <= 0 else min(gamma_max, -slope / (2.0 * curv))
-        if gamma <= 0:
-            break
-        w = w + gamma * d
-        if drop is not None and gamma >= gamma_max * (1 - 1e-12):
-            w[drop] = 0.0  # exact drop keeps the support crisp
-        np.clip(w, 0.0, None, out=w)
-        w /= w.sum()
-    return w
+def _rank1(P: np.ndarray, n: int, u: np.ndarray, c: float) -> None:
+    """``P[:n, :n] += c u u'`` in place, a block of rows at a time."""
+    v = c * u
+    for r in range(0, n, _ROWS):
+        rows = slice(r, min(r + _ROWS, n))
+        P[rows, :n] += np.multiply.outer(u[rows], v)
 
 
-def _polish(Lb: np.ndarray, support, atol: float, cap: int = 60):
-    """Active-set refinement: solve on the support, drop negative weights,
-    block-add violated off-support points."""
-    k = Lb.shape[0]
-    S = sorted(set(int(i) for i in support))
-    if not S:
+def _border(P: np.ndarray, Lb: np.ndarray, sup: np.ndarray, scale: float) -> bool:
+    """Extend the inverse in ``P`` from the bordered matrix of ``sup[:-1]`` to
+    that of ``sup`` (Schur complement). False, with ``P`` spoiled, on a
+    near-zero pivot."""
+    n = len(sup)
+    i = sup[-1]
+    b = np.empty(n)
+    b[0] = 1.0
+    b[1:] = Lb[sup[:-1], i]
+    u = P[:n, :n] @ b
+    sigma = float(Lb[i, i]) - float(b @ u)
+    if abs(sigma) <= _PIVOT_REL * scale:
+        return False
+    _rank1(P, n, u, 1.0 / sigma)
+    P[:n, n] = P[n, :n] = -u / sigma
+    P[n, n] = 1.0 / sigma
+    return True
+
+
+def _unborder(P: np.ndarray, n: int, p: int, scale: float) -> bool:
+    """Remove row and column ``p`` from the matrix whose inverse is ``P[:n, :n]``;
+    the last row and column take their place. False, with ``P`` spoiled, on a
+    near-zero pivot."""
+    last = n - 1
+    P[[p, last], :n] = P[[last, p], :n]
+    P[:n, [p, last]] = P[:n, [last, p]]
+    pivot = P[last, last]
+    if abs(pivot) * scale <= _PIVOT_REL:
+        return False
+    _rank1(P, last, P[:last, last], -1.0 / pivot)
+    return True
+
+
+def _curvature(P: np.ndarray, Lb: np.ndarray, sup: np.ndarray):
+    """The curvature of the action along balanced directions on ``sup``: the
+    eigenvalues of Z'L_SS Z with Z = [I; -1'] (any basis has the same
+    inertia), and the directions Z y of their eigenvectors y, as columns.
+    It is singular exactly when the bordered matrix is. ``P`` is overwritten.
+    """
+    n = len(sup) - 1
+    H = P.reshape(-1)[:n * n].reshape(n, n)
+    H[:] = Lb[np.ix_(sup[:n], sup[:n])]
+    edge = Lb[sup[:n], sup[n]]
+    H -= edge[:, None]
+    H -= edge[None, :]
+    H += Lb[sup[n], sup[n]]
+    vals, vecs = np.linalg.eigh(H)
+    return vals, np.vstack([vecs, -vecs.sum(axis=0)])
+
+
+def _negative_curvature(P: np.ndarray, Lb: np.ndarray, sup: np.ndarray,
+                        atol: float) -> np.ndarray | None:
+    """The balanced direction on ``sup`` of most negative curvature, or None
+    when there is none beyond ``atol``. ``P`` is overwritten."""
+    if len(sup) < 2:
         return None
-    for _ in range(cap):
-        sol = _solve_support(Lb, S)
-        if sol is None:
-            return None
-        wS, _ = sol
-        if len(S) > 1 and wS.min() <= 0.0:
-            S.pop(int(np.argmin(wS)))
-            continue
-        w = np.zeros(k)
-        w[S] = np.clip(wS, 0.0, None)
-        w /= w.sum()
+    vals, dirs = _curvature(P, Lb, sup)
+    return dirs[:, 0] if vals[0] < -atol else None
+
+
+def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = False):
+    """Primal active-set descent with a ratio test from the feasible ``w0``.
+
+    The support S starts as that of ``w0``. At a point that is not stationary
+    on S, the step goes toward the target, the stationary point of the
+    action on S (the bordered system [[0, 1'], [1, L_SS]]): fully when the
+    action is convex along the way and no weight hits zero first, else to the
+    boundary in the descending sign, dropping the point the ratio test hits.
+    At a stationary point it adds the single most violated off-support point
+    (lowest index on ties), or stops when none is violated by more than
+    ``atol``. Unless the block is ``convex`` (positive definite), a stationary
+    point where the action curves downward on S is a saddle: the step then
+    follows that curvature to the boundary, as does the first step of a start
+    whose support has it. The final weights are solved afresh on the final
+    support.
+
+    The inverse of the bordered matrix is formed at the first add or drop,
+    then updated in place, and formed again after a near-zero pivot or when
+    the target it gives is no longer stationary (``_DRIFT_REL``); until it is
+    formed, the target comes from a direct solve. Returns the weights, or
+    None when ``_MAX_ITER`` iterations pass, and the action at every
+    iterate, which never rises.
+    """
+    k = Lb.shape[0]
+    scale = max(1.0, float(np.abs(Lb).max()))
+    w = np.array(w0, dtype=float)
+    on = w > 0
+    S = np.empty(k, dtype=np.intp)  # the support, in bordered-matrix row order
+    m = int(on.sum())
+    S[:m] = np.flatnonzero(on)
+    P = np.empty((k + 1, k + 1))  # leading (m + 1)^2 block: the bordered inverse
+    ok = False  # whether P holds the inverse for S
+    values = []
+    at_target = False
+    for _ in range(_MAX_ITER):
+        sup = S[:m]
         g = Lb @ w
         s = float(w @ g)
-        off = np.ones(k, dtype=bool)
-        off[S] = False
-        bad = np.nonzero(off & (g < s - atol))[0]
-        if bad.size:
-            S = sorted(set(S) | {int(b) for b in bad})
+        values.append(s)
+        t = d = None
+        if at_target or float(np.abs(g[sup] - s).max()) <= atol:
+            i = int(np.argmin(np.where(on, np.inf, g)))
+            if not on[i] and g[i] < s - atol:
+                S[m] = i
+                m += 1
+                on[i] = True
+                ok = _border(P, Lb, S[:m], scale) if ok else _bordered_inverse(P, Lb, S[:m])
+                at_target = False
+                continue
+            # a KKT point: stop there unless it is a saddle on its support
+            d = None if convex else _negative_curvature(P, Lb, sup, atol)
+            if d is None:
+                return _final_weights(Lb, w, P), values
+            ok = False
+        elif len(values) == 1 and not convex:
+            # the first step follows downward curvature, so that each start
+            # descends its own way rather than toward a shared saddle
+            d = _negative_curvature(P, Lb, sup, atol)
+        if d is None:
+            if ok:
+                t = P[1:m + 1, 0]
+            else:
+                sol = _solve_support(Lb, sup, P)
+                t = None if sol is None else sol[0]
+            if t is None:  # a singular system: a direction of zero curvature
+                vals, dirs = _curvature(P, Lb, sup)
+                d = dirs[:, int(np.argmin(np.abs(vals)))]
+            else:
+                d = t - w[sup]
+        d -= d.mean()  # exactly balanced, or a long step would leave the simplex
+        full = np.zeros(k)
+        full[sup] = d
+        Ld = Lb @ full
+        if ok and np.ptp(g[sup] + Ld[sup]) > _DRIFT_REL * scale:
+            ok = False  # the updates lost the target's stationarity: refactor
             continue
-        return w
-    return None
+        slope = float(g @ full)  # the action along d: s + 2 a slope + a^2 curv
+        curv = float(full @ Ld)
+        if slope > 0:  # descend
+            d, slope = -d, -slope
+        # the minimum along d: the target (a = 1) when curv > 0; none along a
+        # curvature direction, where the action is linear or curves down
+        reach = -slope / curv if t is not None and curv > 0 else np.inf
+        ws = w[sup]
+        shrink = d < 0
+        if not shrink.any():  # a balanced d that is 0: w is the target
+            at_target = True
+            continue
+        ratios = np.full(m, np.inf)
+        ratios[shrink] = ws[shrink] / -d[shrink]
+        ratio = float(ratios.min())
+        if reach <= ratio:
+            w[sup] = np.maximum(ws + reach * d, 0.0)
+            at_target = True
+            continue
+        w[sup] = np.maximum(ws + ratio * d, 0.0)
+        hit = np.flatnonzero(ratios == ratio)
+        p = int(hit[np.argmin(sup[hit])])  # lowest point index on ties
+        j = int(sup[p])
+        w[j] = 0.0
+        on[j] = False
+        at_target = False
+        ok = ok and _unborder(P, m + 1, p + 1, scale)
+        S[p] = S[m - 1]
+        m -= 1
+        ok = ok or _bordered_inverse(P, Lb, S[:m])
+    return None, values
+
+
+def _final_weights(Lb: np.ndarray, w: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The weights solved directly on the support of ``w``; ``w`` itself when
+    that system is singular."""
+    S = np.flatnonzero(w > 0)
+    sol = _solve_support(Lb, S, work)
+    if sol is None:
+        return w / w.sum()
+    out = np.zeros(len(w))
+    out[S] = np.clip(sol[0], 0.0, None)
+    return out / out.sum()
 
 
 def _select_best(cands: list[tuple[float, tuple[int, ...], np.ndarray]]):
@@ -209,10 +354,9 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     """Best stationary point found over all starts.
 
     Starts: uniform, first vertex, minimum-diagonal vertex, caller-supplied
-    warm starts, then Dirichlet restarts. Each start receives a Frank-Wolfe
-    budget of min(max(60k, 200), 100 000) iterations; the active-set polish
-    supplies the final convergence. Raises ``SolverFailure`` when no start
-    reaches the KKT tolerance.
+    warm starts, then Dirichlet restarts; each runs ``_active_set``. Raises
+    ``SolverFailure`` when no start reaches the KKT tolerance, naming how many
+    starts hit the iteration cap and how many ended above the tolerance.
     """
     opts = problem.options
     Lb = problem.matrix
@@ -235,35 +379,35 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     for _ in range(max(0, opts.restarts)):
         starts.append(rng.dirichlet(np.ones(k)))
 
-    scale = max(1.0, float(np.abs(Lb).max()))
-    gap_tol = 1e-11 * scale
-    atol = 1e-12 * scale
-    budget = _fw_budget(k)
-
-    def run_start(w0: np.ndarray):
-        out = []
-        w_fw = _away_fw(Lb, w0, budget, gap_tol)
-        out.append(w_fw)
-        w_pol = _polish(Lb, np.nonzero(w_fw > 1e-12)[0], atol)
-        if w_pol is not None:
-            out.append(w_pol)
-        return out
-
+    atol = 1e-12 * max(1.0, float(np.abs(Lb).max()))
+    try:  # on a positive definite block every KKT point is the minimum
+        np.linalg.cholesky(Lb)
+        convex = True
+    except np.linalg.LinAlgError:
+        convex = False
     accepted = []
     best_any = None
+    capped = above = 0
     for w0 in starts:
-        for w in run_start(w0):
-            kkt = _residuals(Lb, w)
-            val = kkt.s_param
-            if best_any is None or val < best_any[0]:
-                best_any = (val, w, kkt)
-            if kkt.on_support_max <= opts.tol and kkt.min_over_k >= -opts.tol:
-                supp = tuple(int(i) for i in np.nonzero(w > 0)[0])
-                accepted.append((val, supp, w))
+        w, _ = _active_set(Lb, w0, atol, convex)
+        if w is None:
+            capped += 1
+            continue
+        kkt = _residuals(Lb, w)
+        val = kkt.s_param
+        if best_any is None or val < best_any[0]:
+            best_any = (val, w, kkt)
+        if kkt.on_support_max <= opts.tol and kkt.min_over_k >= -opts.tol:
+            supp = tuple(int(i) for i in np.nonzero(w > 0)[0])
+            accepted.append((val, supp, w))
+        else:
+            above += 1
     if not accepted:
-        val, w, kkt = best_any
+        val, w, kkt = best_any or (None, None, None)
         raise SolverFailure(
-            f"no start reached KKT tolerance {opts.tol}",
+            f"no start reached KKT tolerance {opts.tol}: {len(starts)} starts tried, "
+            f"{capped} hit the iteration cap of {_MAX_ITER}, {above} ended above "
+            f"the tolerance",
             best_weights=w, best_value=val,
             residuals=kkt)
     val, _, w = _select_best(accepted)

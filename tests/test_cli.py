@@ -350,6 +350,7 @@ _BAD_FIELDS = (
     (("exhaustion", "radii"), ["a"], "exhaustion radii"),
     (("stab_tol",), "q", "stab_tol"),
     (("stride",), "s", "stride"),
+    (("seed",), -1, "seed must be a non-negative integer"),
 )
 # verify reads only the space, kernel and profile of a report's config
 _VERIFY_READS = 3
@@ -378,6 +379,17 @@ def test_bad_config_field_exits_1_naming_it(tmp_path, command, path, value, fiel
         code = main(argv)
     assert code == 1
     assert field in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_negative_seed_flag_exits_64(tmp_path, capsys, command):
+    if command == "solve":
+        argv = ["solve", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["verify", "--run", _solved_report(tmp_path)[0]]
+    capsys.readouterr()
+    assert main([*argv, "--seed", "-1"]) == 64
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_verify_ell_matches_solve_csv_bit_for_bit(tmp_path):
