@@ -55,7 +55,7 @@ class RunConfig:
 
 def _solver_options(payload: dict, seed: int) -> SolverOptions:
     """Settings from the config's ``solver`` section; an unknown key is refused."""
-    kinds = {"tol": _NUMBER, "restarts": int, "certify": bool}
+    kinds = {"tol": _NUMBER}
     opts = SolverOptions(seed=seed)
     for key, value in payload.items():
         if key not in kinds:

@@ -175,14 +175,12 @@ class VariationSampler:
     of 0.9 times the largest positivity-preserving step (the fraction varies
     the step length so both first-order and curvature-sized moves get
     sampled). Negative components are paired with the heaviest base weights
-    so the step never collapses at a massless point. ``max_step`` optionally
-    caps the largest component.
+    so the step never collapses at a massless point.
     """
 
     window: np.ndarray
     support_cap: int = 6
     seed: int = 0
-    max_step: float | None = None
 
 
 def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampler,
@@ -223,8 +221,6 @@ def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampl
             skipped += 1
             continue
         t = _STEP_SAFETY * t_max * (1.0 - float(rng.uniform()))
-        if sampler.max_step is not None:
-            t = min(t, sampler.max_step / float(np.abs(order_raw).max()))
         if t <= 0:
             skipped += 1
             continue

@@ -38,7 +38,7 @@ class ProfileError(CVPError, ValueError):
 
 
 class SolverFailure(CVPError, RuntimeError):
-    """No restart reached the KKT tolerance; carries the best iterate found."""
+    """No start reached the KKT tolerance; carries the best iterate found."""
 
     def __init__(self, message, best_weights=None, best_value=None, residuals=None):
         super().__init__(message)

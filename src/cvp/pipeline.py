@@ -171,7 +171,8 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
         spread = float(block.max() - block.min())
         degenerate = spread <= _CONST_BLOCK_TOL * max(1.0, float(block.max()))
         opts = replace(options.solver, seed=_stage_seed(options.solver.seed, n))
-        # warm start: the previous stage's minimizer, extended by zero
+        # warm start of a block that is not positive definite: the previous
+        # stage's minimizer, extended by zero
         extra = [scaled[-1].weights[idx]] if scaled else []
         problem = CompactProblem(ids=tuple(space.ids[i] for i in idx), matrix=block,
                                  options=opts)

@@ -2,14 +2,15 @@
 
 Two independent routes are provided. ``minimize_on_compact`` runs a primal
 active-set method with a ratio test (Nocedal & Wright, *Numerical
-Optimization*, Alg. 16.3; Bomze 1998 for the standard quadratic program) from
-several starts. Every step stays on the simplex and never raises the action,
-so the method cannot cycle except on exact ties, which the lowest point index
-breaks; a start that runs ``_MAX_ITER`` iterations fails. The inverse of the
-bordered support system is updated in O(m^2) per added or dropped point.
-``brute_force_minimizer`` enumerates every support subset and is the test
-oracle; the solver never adopts its weights, only compares values to set the
-certification flag.
+Optimization*, Alg. 16.3; Bomze 1998 for the standard quadratic program).
+Every step stays on the simplex and never raises the action, so the method
+cannot cycle except on exact ties, which the lowest point index breaks; a
+start that runs ``_MAX_ITER`` iterations fails. On a positive definite block
+the program is strictly convex and one start finds its global minimum; any
+other block gets several starts. ``brute_force_minimizer`` enumerates every
+support subset and is the test oracle; the solver never adopts its weights,
+only compares values to set the certification flag of a block that is not
+positive definite.
 
 Stationarity convention: with value s = w'Lw, the averaged kernel Lw equals s
 on the support and is >= s off the support.
@@ -26,31 +27,20 @@ from .errors import InputError, SizeError, SolverFailure
 # Hard cap for the enumeration oracle.
 ORACLE_CAP = 16
 
+# Dirichlet restarts of a block that is not positive definite.
+_RESTARTS = 16
+
 # Two candidates tie when their values agree to this relative window.
 _TIE_REL = 1e-12
 
 # Cap on the active-set iterations of one start; a start that reaches it fails.
 _MAX_ITER = 10_000
 
-# A Schur pivot this small, relative to the block scale, forces the bordered
-# inverse to be refactored from scratch.
-_PIVOT_REL = 1e-10
-
-# The averaged kernel at a target read from the updated inverse must be flat
-# on the support to this share of the block scale; past it, the inverse has
-# lost accuracy to its updates and is refactored.
-_DRIFT_REL = 1e-9
-
-# Rows per block of an in-place rank-one update of the bordered inverse.
-_ROWS = 64
-
 
 @dataclass
 class SolverOptions:
     tol: float = 1e-8
-    restarts: int = 16
     seed: int = 0
-    certify: bool = True
 
 
 @dataclass(frozen=True)
@@ -111,19 +101,11 @@ def _residuals(Lb: np.ndarray, w: np.ndarray) -> KKTResiduals:
     return KKTResiduals(on_support_max=on, min_over_k=float((g - s).min()), s_param=s)
 
 
-def _solve_support(Lb: np.ndarray, S: np.ndarray | list[int],
-                   work: np.ndarray | None = None):
-    """Weights and multiplier on a fixed support: L_SS w = s, sum w = 1.
-
-    The system is assembled in the memory of ``work`` when given.
-    """
+def _solve_support(Lb: np.ndarray, S: np.ndarray | list[int]):
+    """Weights and multiplier on a fixed support: L_SS w = s, sum w = 1."""
     m = len(S)
-    if work is None:
-        A = np.zeros((m + 1, m + 1))
-    else:
-        A = work.reshape(-1)[:(m + 1) ** 2].reshape(m + 1, m + 1)
-        A[m, m] = 0.0
-    A[:m, :m] = Lb[np.ix_(S, S)]
+    A = np.zeros((m + 1, m + 1))
+    A[:m, :m] = Lb[S][:, S]
     A[:m, m] = -1.0
     A[m, :m] = 1.0
     b = np.zeros(m + 1)
@@ -137,87 +119,25 @@ def _solve_support(Lb: np.ndarray, S: np.ndarray | list[int],
     return sol[:m], float(sol[m])
 
 
-def _bordered_inverse(P: np.ndarray, Lb: np.ndarray, sup: np.ndarray) -> bool:
-    """Write the inverse of the bordered matrix [[0, 1'], [1, L_SS]] of ``sup``
-    into the leading block of ``P`` from scratch, point ``sup[j]`` at row
-    j + 1; False when the matrix is singular."""
-    n = len(sup) + 1
-    B = P[:n, :n]
-    B[0, 0] = 0.0
-    B[0, 1:] = B[1:, 0] = 1.0
-    B[1:, 1:] = Lb[np.ix_(sup, sup)]
-    try:
-        B[:] = np.linalg.inv(B)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(B).all())
-
-
-def _rank1(P: np.ndarray, n: int, u: np.ndarray, c: float) -> None:
-    """``P[:n, :n] += c u u'`` in place, a block of rows at a time."""
-    v = c * u
-    for r in range(0, n, _ROWS):
-        rows = slice(r, min(r + _ROWS, n))
-        P[rows, :n] += np.multiply.outer(u[rows], v)
-
-
-def _border(P: np.ndarray, Lb: np.ndarray, sup: np.ndarray, scale: float) -> bool:
-    """Extend the inverse in ``P`` from the bordered matrix of ``sup[:-1]`` to
-    that of ``sup`` (Schur complement). False, with ``P`` spoiled, on a
-    near-zero pivot."""
-    n = len(sup)
-    i = sup[-1]
-    b = np.empty(n)
-    b[0] = 1.0
-    b[1:] = Lb[sup[:-1], i]
-    u = P[:n, :n] @ b
-    sigma = float(Lb[i, i]) - float(b @ u)
-    if abs(sigma) <= _PIVOT_REL * scale:
-        return False
-    _rank1(P, n, u, 1.0 / sigma)
-    P[:n, n] = P[n, :n] = -u / sigma
-    P[n, n] = 1.0 / sigma
-    return True
-
-
-def _unborder(P: np.ndarray, n: int, p: int, scale: float) -> bool:
-    """Remove row and column ``p`` from the matrix whose inverse is ``P[:n, :n]``;
-    the last row and column take their place. False, with ``P`` spoiled, on a
-    near-zero pivot."""
-    last = n - 1
-    P[[p, last], :n] = P[[last, p], :n]
-    P[:n, [p, last]] = P[:n, [last, p]]
-    pivot = P[last, last]
-    if abs(pivot) * scale <= _PIVOT_REL:
-        return False
-    _rank1(P, last, P[:last, last], -1.0 / pivot)
-    return True
-
-
-def _curvature(P: np.ndarray, Lb: np.ndarray, sup: np.ndarray):
+def _curvature(Lb: np.ndarray, sup: np.ndarray):
     """The curvature of the action along balanced directions on ``sup``: the
     eigenvalues of Z'L_SS Z with Z = [I; -1'] (any basis has the same
     inertia), and the directions Z y of their eigenvectors y, as columns.
-    It is singular exactly when the bordered matrix is. ``P`` is overwritten.
+    It is singular exactly when the bordered matrix is.
     """
     n = len(sup) - 1
-    H = P.reshape(-1)[:n * n].reshape(n, n)
-    H[:] = Lb[np.ix_(sup[:n], sup[:n])]
     edge = Lb[sup[:n], sup[n]]
-    H -= edge[:, None]
-    H -= edge[None, :]
-    H += Lb[sup[n], sup[n]]
+    H = Lb[np.ix_(sup[:n], sup[:n])] - edge[:, None] - edge[None, :] + Lb[sup[n], sup[n]]
     vals, vecs = np.linalg.eigh(H)
     return vals, np.vstack([vecs, -vecs.sum(axis=0)])
 
 
-def _negative_curvature(P: np.ndarray, Lb: np.ndarray, sup: np.ndarray,
-                        atol: float) -> np.ndarray | None:
+def _negative_curvature(Lb: np.ndarray, sup: np.ndarray, atol: float) -> np.ndarray | None:
     """The balanced direction on ``sup`` of most negative curvature, or None
-    when there is none beyond ``atol``. ``P`` is overwritten."""
+    when there is none beyond ``atol``."""
     if len(sup) < 2:
         return None
-    vals, dirs = _curvature(P, Lb, sup)
+    vals, dirs = _curvature(Lb, sup)
     return dirs[:, 0] if vals[0] < -atol else None
 
 
@@ -226,37 +146,27 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
 
     The support S starts as that of ``w0``. At a point that is not stationary
     on S, the step goes toward the target, the stationary point of the
-    action on S (the bordered system [[0, 1'], [1, L_SS]]): fully when the
-    action is convex along the way and no weight hits zero first, else to the
-    boundary in the descending sign, dropping the point the ratio test hits.
-    At a stationary point it adds the single most violated off-support point
-    (lowest index on ties), or stops when none is violated by more than
-    ``atol``. Unless the block is ``convex`` (positive definite), a stationary
-    point where the action curves downward on S is a saddle: the step then
-    follows that curvature to the boundary, as does the first step of a start
-    whose support has it. The final weights are solved afresh on the final
-    support.
+    action on S (the bordered system [[0, 1'], [1, L_SS]], solved afresh):
+    fully when the action is convex along the way and no weight hits zero
+    first, else to the boundary in the descending sign, dropping the point
+    the ratio test hits (lowest index on ties). At a stationary point it adds
+    the single most violated off-support point (lowest index on ties), or
+    stops when none is violated by more than ``atol``. Unless the block is
+    ``convex`` (positive definite), a stationary point where the action
+    curves downward on S is a saddle: the step then follows that curvature to
+    the boundary, as does the first step of a start whose support has it.
+    The final weights are solved afresh on the final support.
 
-    The inverse of the bordered matrix is formed at the first add or drop,
-    then updated in place, and formed again after a near-zero pivot or when
-    the target it gives is no longer stationary (``_DRIFT_REL``); until it is
-    formed, the target comes from a direct solve. Returns the weights, or
-    None when ``_MAX_ITER`` iterations pass, and the action at every
-    iterate, which never rises.
+    Returns the weights, or None when ``_MAX_ITER`` iterations pass, and the
+    action at every iterate, which never rises.
     """
     k = Lb.shape[0]
-    scale = max(1.0, float(np.abs(Lb).max()))
     w = np.array(w0, dtype=float)
     on = w > 0
-    S = np.empty(k, dtype=np.intp)  # the support, in bordered-matrix row order
-    m = int(on.sum())
-    S[:m] = np.flatnonzero(on)
-    P = np.empty((k + 1, k + 1))  # leading (m + 1)^2 block: the bordered inverse
-    ok = False  # whether P holds the inverse for S
     values = []
     at_target = False
     for _ in range(_MAX_ITER):
-        sup = S[:m]
+        sup = np.flatnonzero(on)
         g = Lb @ w
         s = float(w @ g)
         values.append(s)
@@ -264,39 +174,29 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
         if at_target or float(np.abs(g[sup] - s).max()) <= atol:
             i = int(np.argmin(np.where(on, np.inf, g)))
             if not on[i] and g[i] < s - atol:
-                S[m] = i
-                m += 1
                 on[i] = True
-                ok = _border(P, Lb, S[:m], scale) if ok else _bordered_inverse(P, Lb, S[:m])
                 at_target = False
                 continue
             # a KKT point: stop there unless it is a saddle on its support
-            d = None if convex else _negative_curvature(P, Lb, sup, atol)
+            d = None if convex else _negative_curvature(Lb, sup, atol)
             if d is None:
-                return _final_weights(Lb, w, P), values
-            ok = False
+                return _final_weights(Lb, w), values
         elif len(values) == 1 and not convex:
             # the first step follows downward curvature, so that each start
             # descends its own way rather than toward a shared saddle
-            d = _negative_curvature(P, Lb, sup, atol)
+            d = _negative_curvature(Lb, sup, atol)
         if d is None:
-            if ok:
-                t = P[1:m + 1, 0]
-            else:
-                sol = _solve_support(Lb, sup, P)
-                t = None if sol is None else sol[0]
-            if t is None:  # a singular system: a direction of zero curvature
-                vals, dirs = _curvature(P, Lb, sup)
+            sol = _solve_support(Lb, sup)
+            if sol is None:  # a singular system: a direction of zero curvature
+                vals, dirs = _curvature(Lb, sup)
                 d = dirs[:, int(np.argmin(np.abs(vals)))]
             else:
+                t = sol[0]
                 d = t - w[sup]
         d -= d.mean()  # exactly balanced, or a long step would leave the simplex
         full = np.zeros(k)
         full[sup] = d
         Ld = Lb @ full
-        if ok and np.ptp(g[sup] + Ld[sup]) > _DRIFT_REL * scale:
-            ok = False  # the updates lost the target's stationarity: refactor
-            continue
         slope = float(g @ full)  # the action along d: s + 2 a slope + a^2 curv
         curv = float(full @ Ld)
         if slope > 0:  # descend
@@ -309,7 +209,7 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
         if not shrink.any():  # a balanced d that is 0: w is the target
             at_target = True
             continue
-        ratios = np.full(m, np.inf)
+        ratios = np.full(len(sup), np.inf)
         ratios[shrink] = ws[shrink] / -d[shrink]
         ratio = float(ratios.min())
         if reach <= ratio:
@@ -317,24 +217,18 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
             at_target = True
             continue
         w[sup] = np.maximum(ws + ratio * d, 0.0)
-        hit = np.flatnonzero(ratios == ratio)
-        p = int(hit[np.argmin(sup[hit])])  # lowest point index on ties
-        j = int(sup[p])
+        j = int(sup[np.flatnonzero(ratios == ratio)[0]])  # lowest point index on ties
         w[j] = 0.0
         on[j] = False
         at_target = False
-        ok = ok and _unborder(P, m + 1, p + 1, scale)
-        S[p] = S[m - 1]
-        m -= 1
-        ok = ok or _bordered_inverse(P, Lb, S[:m])
     return None, values
 
 
-def _final_weights(Lb: np.ndarray, w: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _final_weights(Lb: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The weights solved directly on the support of ``w``; ``w`` itself when
     that system is singular."""
     S = np.flatnonzero(w > 0)
-    sol = _solve_support(Lb, S, work)
+    sol = _solve_support(Lb, S)
     if sol is None:
         return w / w.sum()
     out = np.zeros(len(w))
@@ -353,8 +247,13 @@ def _select_best(cands: list[tuple[float, tuple[int, ...], np.ndarray]]):
 def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolution:
     """Best stationary point found over all starts.
 
-    Starts: uniform, first vertex, minimum-diagonal vertex, caller-supplied
-    warm starts, then Dirichlet restarts; each runs ``_active_set``. Raises
+    A positive definite block (its Cholesky factorization succeeds) makes the
+    program strictly convex, so its one KKT point is the global minimum: it
+    gets the uniform start alone and is certified by convexity. Any other
+    block starts from the uniform point, the first vertex, the
+    minimum-diagonal vertex, caller-supplied warm starts and ``_RESTARTS``
+    Dirichlet draws, each running ``_active_set``, and is certified when it
+    has at most ``ORACLE_CAP`` points and the oracle's value agrees. Raises
     ``SolverFailure`` when no start reaches the KKT tolerance, naming how many
     starts hit the iteration cap and how many ended above the tolerance.
     """
@@ -364,27 +263,28 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     if k == 1:
         w = np.ones(1)
         return CompactSolution(weights=w, kkt=_residuals(Lb, w), certified_global=True)
-    starts: list[np.ndarray] = [np.full(k, 1.0 / k)]
-    e0 = np.zeros(k)
-    e0[0] = 1.0
-    starts.append(e0)
-    emin = np.zeros(k)
-    emin[int(np.argmin(np.diag(Lb)))] = 1.0
-    starts.append(emin)
-    for extra in extra_starts:
-        v = np.clip(np.asarray(extra, float), 0.0, None)
-        if v.shape == (k,) and v.sum() > 0:
-            starts.append(v / v.sum())
-    rng = np.random.default_rng(np.random.SeedSequence([opts.seed, k]))
-    for _ in range(max(0, opts.restarts)):
-        starts.append(rng.dirichlet(np.ones(k)))
-
-    atol = 1e-12 * max(1.0, float(np.abs(Lb).max()))
     try:  # on a positive definite block every KKT point is the minimum
         np.linalg.cholesky(Lb)
         convex = True
     except np.linalg.LinAlgError:
         convex = False
+    starts: list[np.ndarray] = [np.full(k, 1.0 / k)]
+    if not convex:
+        e0 = np.zeros(k)
+        e0[0] = 1.0
+        starts.append(e0)
+        emin = np.zeros(k)
+        emin[int(np.argmin(np.diag(Lb)))] = 1.0
+        starts.append(emin)
+        for extra in extra_starts:
+            v = np.clip(np.asarray(extra, float), 0.0, None)
+            if v.shape == (k,) and v.sum() > 0:
+                starts.append(v / v.sum())
+        rng = np.random.default_rng(np.random.SeedSequence([opts.seed, k]))
+        for _ in range(_RESTARTS):
+            starts.append(rng.dirichlet(np.ones(k)))
+
+    atol = 1e-12 * max(1.0, float(np.abs(Lb).max()))
     accepted = []
     best_any = None
     capped = above = 0
@@ -412,8 +312,8 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
             residuals=kkt)
     val, _, w = _select_best(accepted)
     kkt = _residuals(Lb, w)
-    certified = False
-    if opts.certify and k <= ORACLE_CAP:
+    certified = convex
+    if not convex and k <= ORACLE_CAP:
         oracle = brute_force_minimizer(problem)
         certified = val <= oracle.value + 1e-6 * max(1.0, abs(oracle.value))
     return CompactSolution(weights=w, kkt=kkt, certified_global=certified)

@@ -23,7 +23,7 @@ def write_config(tmp_path, name="config.json", **overrides):
         "space": {"points": points, "metric": "euclidean"},
         "kernel": {"kind": "tent", "amplitude": 1.0, "range": 1.0},
         "exhaustion": {"center": "g0", "radii": [2, 4, 6]},
-        "solver": {"restarts": 4, "certify": False},
+        "solver": {"tol": 1e-8},
         "seed": 0,
         "verify": {"checks": ["el", "minimality"], "trials": 200},
     }
@@ -150,7 +150,6 @@ def test_report_round_trip_is_byte_identical(radii, margin, reach, amplitude, se
                              for i in range(-n, n + 1)], "metric": "euclidean"},
         "kernel": {"kind": "tent", "amplitude": amplitude, "range": reach},
         "exhaustion": {"center": "g0", "radii": sorted(radii)},
-        "solver": {"restarts": 2, "certify": False},
         "seed": seed,
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -227,7 +226,6 @@ def test_sweep_runs_grid(tmp_path, capsys):
         "space": {"points": points, "metric": "euclidean"},
         "kernel": {"kind": "tent", "amplitude": 1.0, "range": 1.0},
         "exhaustion": {"center": "g0", "radii": [2, 4]},
-        "solver": {"restarts": 2, "certify": False},
     }
     sweep_cfg = tmp_path / "sweep_config.json"
     sweep_cfg.write_text(json.dumps(
@@ -281,7 +279,7 @@ def _mutate(report, path, action, value):
     for key in path[:-1]:
         node = node[key]
     key = path[-1]
-    old = node[key]
+    old = None if action == "retype" else node[key]  # a retyped key need not exist
     if action == "delete":
         del node[key]
     elif action == "truncate" and isinstance(old, (list, str)):
@@ -410,8 +408,8 @@ def test_verify_ell_matches_solve_csv_bit_for_bit(tmp_path):
 
 
 @pytest.mark.parametrize("path,value,message", [
-    (("solver", "certify"), "false", "solver.certify must be a boolean"),
-    (("solver", "restarts"), 2.9, "solver.restarts must be an integer"),
+    (("solver", "certify"), "false", "solver.certify is not a solver setting"),
+    (("solver", "restarts"), 2.9, "solver.restarts is not a solver setting"),
     (("seed",), 1.7, "seed must be an integer"),
     (("stride",), 1.5, "stride must be an integer"),
     (("solver", "max_iter"), 100, "solver.max_iter is not a solver setting"),
@@ -419,7 +417,7 @@ def test_verify_ell_matches_solve_csv_bit_for_bit(tmp_path):
 ], ids=["certify-string", "restarts-float", "seed-float", "stride-float", "max_iter",
         "oracle_max"])
 def test_config_values_are_not_coerced(tmp_path, capsys, path, value, message):
-    # these were truncated or cast (certify "false" ran as True) or ignored
+    # values of the wrong type were truncated or cast, unknown keys ignored
     cfg = json.loads(open(write_config(tmp_path)).read())
     node = cfg
     for key in path[:-1]:

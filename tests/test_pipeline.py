@@ -9,7 +9,6 @@ from cvp import (
     DegenerateStageError,
     InputError,
     RunOptions,
-    SolverOptions,
     build_exhaustion,
     check_ell_convergence,
     check_support_approximation,
@@ -91,9 +90,8 @@ def test_stride_keeps_final_stage():
     g = grid_1d(range(-12, 13), prefix="g")
     tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, g)
     exh = build_exhaustion(g, 12, (3, 5, 7, 9))
-    fast = SolverOptions(restarts=4, certify=False)
-    full = run_exhaustion(g, tent, exh, RunOptions(solver=fast))
-    thinned = run_exhaustion(g, tent, exh, RunOptions(solver=fast, stride=2))
+    full = run_exhaustion(g, tent, exh)
+    thinned = run_exhaustion(g, tent, exh, RunOptions(stride=2))
     assert len(full.stages) == 4
     assert len(thinned.stages) == 3
     assert np.array_equal(thinned.stages[-1].stage, full.stages[-1].stage)
@@ -122,9 +120,7 @@ def test_profile_policy_sets_layer_from_tail_index():
     expk = cvp_exp = make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, g)
     prof = exp_profile(1.0, 1.0, delta=1.0, c=1.0)
     exh = build_exhaustion(g, 10, (6, 10))
-    run = run_exhaustion(g, expk, exh,
-                         RunOptions(solver=SolverOptions(restarts=4, certify=False),
-                                    profile=prof, eps=0.3))
+    run = run_exhaustion(g, expk, exh, RunOptions(profile=prof, eps=0.3))
     assert run.diagnostics["window_layer"] == 4.0
 
 
@@ -200,9 +196,7 @@ def test_tail_mass_decreases_in_radius():
     expk = make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, g)
     prof = exp_profile(1.0, 1.0, delta=1.0, c=1.0)
     exh = build_exhaustion(g, 10, (6, 10))
-    run = run_exhaustion(g, expk, exh,
-                         RunOptions(solver=SolverOptions(restarts=4, certify=False),
-                                    profile=prof, eps=0.3))
+    run = run_exhaustion(g, expk, exh, RunOptions(profile=prof, eps=0.3))
     rho = run.stages[-1].measure
     vals = [tail_mass(rho, expk, g, 10, float(r)) for r in range(0, 6)]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
@@ -222,8 +216,7 @@ def test_identity_family_scales_equal_stage_sizes(radii):
     g = grid_1d(range(-12, 13), prefix="g")
     tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, g)
     exh = build_exhaustion(g, 12, tuple(sorted(radii)))
-    run = run_exhaustion(g, tent, exh,
-                         RunOptions(solver=SolverOptions(restarts=4, certify=False)))
+    run = run_exhaustion(g, tent, exh)
     for s, stage in zip(run.diagnostics["lambda_series"], exh.stages):
         assert s == pytest.approx(stage.sum(), abs=1e-8)
     limit = run.limit.weights

@@ -113,10 +113,10 @@ def _indefinite_six():
 
 def test_unreachable_tolerance_raises_with_best():
     with pytest.raises(SolverFailure) as exc:
-        minimize_on_compact(problem(_indefinite_six(), tol=1e-300, restarts=2, certify=False))
+        minimize_on_compact(problem(_indefinite_six(), tol=1e-300))
     err = exc.value
-    assert (f"5 starts tried, 0 hit the iteration cap of {simplex_solver._MAX_ITER}, "
-            "5 ended above the tolerance") in str(err)
+    assert (f"19 starts tried, 0 hit the iteration cap of {simplex_solver._MAX_ITER}, "
+            "19 ended above the tolerance") in str(err)
     assert err.best_weights is not None
     assert err.best_value is not None
     assert err.residuals.on_support_max < 1e-8
@@ -125,11 +125,83 @@ def test_unreachable_tolerance_raises_with_best():
 def test_iteration_cap_fails_the_start(monkeypatch):
     monkeypatch.setattr(simplex_solver, "_MAX_ITER", 1)
     with pytest.raises(SolverFailure) as exc:
-        minimize_on_compact(problem(_indefinite_six(), restarts=2, certify=False))
+        minimize_on_compact(problem(_indefinite_six()))
     err = exc.value
-    assert ("5 starts tried, 5 hit the iteration cap of 1, 0 ended above the tolerance"
+    assert ("19 starts tried, 19 hit the iteration cap of 1, 0 ended above the tolerance"
             in str(err))
     assert err.best_weights is None and err.residuals is None
+
+
+def _count_starts(mp):
+    """Record the start of every ``_active_set`` run of the solver."""
+    starts = []
+    active_set = simplex_solver._active_set
+
+    def counted(Lb, w0, *args):
+        starts.append(np.array(w0))
+        return active_set(Lb, w0, *args)
+
+    mp.setattr(simplex_solver, "_active_set", counted)
+    return starts
+
+
+def _no_oracle(problem):
+    raise AssertionError("the oracle ran on a positive definite block")
+
+
+def _kernel_block(kind, params, coords):
+    grid = grid_1d(coords)
+    return problem(make_kernel(kind, params, grid).matrix, ids=grid.ids)
+
+
+@pytest.mark.parametrize("p", [
+    _kernel_block("tent", {"amplitude": 1.0, "range": 1.0}, range(401)),
+    _kernel_block("exponential", {"amplitude": 1.0, "sigma": 1.0}, range(20)),
+    _kernel_block("exponential", {"amplitude": 1.0, "sigma": 2.0}, range(6)),
+], ids=["tent-401", "exp-20", "exp-6"])
+def test_positive_definite_block_takes_one_start_and_convexity(monkeypatch, p):
+    starts = _count_starts(monkeypatch)
+    monkeypatch.setattr(simplex_solver, "brute_force_minimizer", _no_oracle)
+    k = len(p.ids)
+    sol = minimize_on_compact(p, extra_starts=[np.eye(k)[0]])
+    assert len(starts) == 1 and np.array_equal(starts[0], np.full(k, 1.0 / k))
+    assert sol.certified_global
+    assert sol.kkt.on_support_max <= KKT_TOL and sol.kkt.min_over_k >= -KKT_TOL
+
+
+def test_indefinite_block_takes_every_start_and_the_oracle(monkeypatch):
+    starts = _count_starts(monkeypatch)
+    oracle_calls = []
+    oracle = simplex_solver.brute_force_minimizer
+    monkeypatch.setattr(simplex_solver, "brute_force_minimizer",
+                        lambda p: oracle_calls.append(p) or oracle(p))
+    sol = minimize_on_compact(problem(_indefinite_six()))
+    assert len(starts) == 19 and len(oracle_calls) == 1
+    assert sol.certified_global
+
+
+@given(points=st.lists(st.integers(0, 200), min_size=2, max_size=12, unique=True),
+       sigma=st.floats(0.5, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_convexity_certificate_agrees_with_the_oracle(points, sigma):
+    # the exponential kernel is positive definite on distinct points
+    p = _kernel_block("exponential", {"amplitude": 1.0, "sigma": sigma},
+                      [0.05 * x for x in points])
+    with pytest.MonkeyPatch.context() as mp:
+        starts = _count_starts(mp)
+        mp.setattr(simplex_solver, "brute_force_minimizer", _no_oracle)
+        sol = minimize_on_compact(p)
+    assert len(starts) == 1 and sol.certified_global
+    assert sol.value == pytest.approx(brute_force_minimizer(p).value, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("seed", [1207, 1555])
+def test_oracle_certificate_fails_where_the_starts_miss(seed):
+    # indefinite blocks on which none of the 19 starts reaches the global minimum
+    p = problem(random_instance(seed), seed=seed)
+    sol = minimize_on_compact(p)
+    assert sol.value > brute_force_minimizer(p).value + 1e-6
+    assert not sol.certified_global
 
 
 def random_instance(seed, kmax=8):
@@ -144,7 +216,7 @@ def random_instance(seed, kmax=8):
 @given(seed=st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_solution_is_a_probability_vector(seed):
-    sol = minimize_on_compact(problem(random_instance(seed), seed=seed, certify=False))
+    sol = minimize_on_compact(problem(random_instance(seed), seed=seed))
     assert abs(sol.weights.sum() - 1.0) <= ATOL
     assert (sol.weights >= 0).all()
     # s parameter really is the attained value
@@ -154,7 +226,7 @@ def test_solution_is_a_probability_vector(seed):
 @given(seed=st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_solver_never_beats_the_oracle(seed):
-    p = problem(random_instance(seed), seed=seed, certify=False)
+    p = problem(random_instance(seed), seed=seed)
     sol = minimize_on_compact(p)
     oracle = brute_force_minimizer(p)
     assert sol.value >= oracle.value - 1e-9
@@ -190,22 +262,18 @@ def test_every_start_descends_to_a_kkt_point(seed):
         assert (np.diff(values) <= 1e-15 * scale).all()
 
 
-def _block(kind, params, n):
-    grid = grid_1d([i * 0.25 for i in range(n)], prefix="q")
-    return problem(make_kernel(kind, params, grid).matrix, ids=grid.ids)
-
-
 def test_quarter_gauss_33_block_solves():
     # L_SS has three negative eigenvalues on the optimal support: an add/drop
     # loop that block-adds violated points with no ratio test cycles here
-    p = _block("truncated_gaussian", {"amplitude": 1.0, "sigma": 0.8, "range": 2.0}, 33)
+    p = _kernel_block("truncated_gaussian", {"amplitude": 1.0, "sigma": 0.8, "range": 2.0},
+                      [i * 0.25 for i in range(33)])
     sol = minimize_on_compact(p)
     assert sol.kkt.on_support_max <= 1e-12 and sol.kkt.min_over_k >= -1e-12
     assert sol.value == pytest.approx(0.151531003960607, abs=1e-12)
 
 
 def test_convex_tent_block_from_the_uniform_start():
-    p = _block("tent", {"amplitude": 1.0, "range": 2.0}, 101)
+    p = _kernel_block("tent", {"amplitude": 1.0, "range": 2.0}, [i * 0.25 for i in range(101)])
     assert np.linalg.eigvalsh(p.matrix)[0] > 0
     w, values = _active_set(p.matrix, np.full(101, 1.0 / 101), 1e-12)
     r = _residuals(p.matrix, w)
@@ -228,8 +296,7 @@ _low_rank = np.random.default_rng(3).uniform(0.0, 1.0, (12, 3))
     np.exp(-(_x[:, None] - _x[None, :]) ** 2 / 2.0),
 ], ids=["constant", "tied-blocks", "duplicate-points", "low-rank", "wide-gaussian"])
 def test_singular_blocks_descend_to_a_kkt_point(M):
-    # singular bordered systems take null directions; near-singular ones
-    # wear out the updated inverse, which must then be refactored
+    # singular bordered systems take null directions
     k = len(M)
     oracle = brute_force_minimizer(problem(M)).value
     starts = [np.full(k, 1.0 / k), *np.eye(k), *np.random.default_rng(0).dirichlet(np.ones(k), 4)]
@@ -239,48 +306,3 @@ def test_singular_blocks_descend_to_a_kkt_point(M):
         assert r.on_support_max <= 1e-12 and r.min_over_k >= -1e-12
         assert r.s_param >= oracle - 1e-12
         assert (np.diff(values) <= 1e-15).all()
-
-
-@given(seed=st.integers(0, 10 ** 6))
-@settings(max_examples=40, deadline=None)
-def test_bordered_inverse_updates_match_refactoring(seed):
-    # the error of the updated inverse grows with the square of the worst
-    # condition number met since it was last formed from scratch
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(3, 13))
-    A = rng.uniform(0.0, 1.0, (k, k))
-    M = (A + A.T) / 2
-    order = [int(i) for i in rng.permutation(k)]
-    S, rest = order[:1], order[1:]
-    P, Q = np.empty((k + 1, k + 1)), np.empty((k + 1, k + 1))
-    assert simplex_solver._bordered_inverse(P, M, np.array(S))
-    worst_cond = 1.0
-    for _ in range(20):
-        if rest and (len(S) < 2 or rng.random() < 0.6):
-            S.append(rest.pop())
-            ok = simplex_solver._border(P, M, np.array(S), 1.0)
-        else:
-            p = int(rng.integers(len(S)))
-            ok = simplex_solver._unborder(P, len(S) + 1, p + 1, 1.0)
-            rest.append(S[p])
-            S[p] = S[-1]
-            S.pop()
-        n = len(S) + 1
-        if not simplex_solver._bordered_inverse(Q, M, np.array(S)):
-            break
-        B = np.zeros((n, n))
-        B[0, 1:] = B[1:, 0] = 1.0
-        B[1:, 1:] = M[np.ix_(S, S)]
-        worst_cond = max(worst_cond, np.linalg.cond(B))
-        if not ok:  # a near-zero pivot: refactor, as the solver does
-            P[:n, :n] = Q[:n, :n]
-            worst_cond = np.linalg.cond(B)
-            continue
-        assert np.abs(B @ P[:n, :n] - np.eye(n)).max() <= 1e-14 * worst_cond ** 2
-
-
-def test_border_refuses_a_coincident_point():
-    M = np.kron([[1.0, 0.3], [0.3, 1.0]], np.ones((2, 2)))  # points 0 and 1 coincide
-    P = np.empty((5, 5))
-    assert simplex_solver._bordered_inverse(P, M, np.array([0, 2]))
-    assert not simplex_solver._border(P, M, np.array([0, 2, 1]), 1.0)
