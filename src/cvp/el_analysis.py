@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import InputError
 from .lagrangian import DecayProfile, Lagrangian, diagonal_infimum, global_sup, tail_index
-from .measure import (DiscreteMeasure, action_difference, averaged_kernel,
-                      make_variation)
+from .measure import (DiscreteMeasure, action_differences, averaged_kernel,
+                      check_variations)
 from .pipeline import ExhaustionRun
 from .space import MetricSpace, as_mask, closed_ball, greedy_cover_counts
 
@@ -25,6 +25,9 @@ EXIT_MINIMALITY = 3
 EXIT_CONDITION = 4
 
 _MAX_FAILURES = 10
+
+# Minimality trials are drawn, checked and scored this many at a time.
+_CHUNK = 1024
 
 # A sampled step is this fraction of the largest positivity-preserving one at most.
 _STEP_SAFETY = 0.9
@@ -175,7 +178,10 @@ class VariationSampler:
     of 0.9 times the largest positivity-preserving step (the fraction varies
     the step length so both first-order and curvature-sized moves get
     sampled). Negative components are paired with the heaviest base weights
-    so the step never collapses at a massless point.
+    so the step never collapses at a massless point. Trials are drawn in
+    array chunks from this distribution, so at a given seed the sampled
+    variations, and the values of a minimality report, differ from those of
+    versions that drew one trial at a time.
     """
 
     window: np.ndarray
@@ -187,8 +193,12 @@ def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampl
                     trials: int) -> dict:
     """Sampled second-order check that no balanced variation lowers the action.
 
-    On a window of fewer than 2 points the only balanced variation is 0, so
-    every trial is skipped and the check passes with a ``reason``.
+    Trials run ``_CHUNK`` at a time: each chunk is drawn, checked against the
+    rules of ``make_variation`` and scored with ``action_differences``.
+    ``worst`` is the first trial of least action change and ``failures`` the
+    first failing ones, in trial order. On a window of fewer than 2 points
+    the only balanced variation is 0, so every trial is skipped and the check
+    passes with a ``reason``.
     """
     if trials < 1:
         raise InputError("trials must be a positive integer")
@@ -200,49 +210,74 @@ def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampl
     cap = max(2, min(sampler.support_cap, len(window_idx)))
     rng = np.random.default_rng(np.random.SeedSequence([sampler.seed]))
     base = rho.weights[window_idx]
+    lhat = averaged_kernel(rho, L)
+    ids = rho.space.ids
     min_delta = math.inf
     worst = None
     evaluated = 0
-    skipped = 0
     failures = []
-    for _ in range(trials):
-        m = int(rng.integers(2, cap + 1))
-        pick = rng.choice(len(window_idx), size=m, replace=False)
-        raw = rng.dirichlet(np.ones(m)) - rng.dirichlet(np.ones(m))
-        order_pts = pick[np.argsort(-base[pick], kind="stable")]
-        order_raw = np.sort(raw)
-        neg = order_raw < 0
-        t_max = math.inf
-        for pos, r in zip(order_pts, order_raw):
-            if r < 0:
-                w = base[pos]
-                t_max = min(t_max, w / -r)
-        if not neg.any() or t_max <= 0 or not math.isfinite(t_max):
-            skipped += 1
-            continue
-        t = _STEP_SAFETY * t_max * (1.0 - float(rng.uniform()))
-        if t <= 0:
-            skipped += 1
-            continue
-        steps = [float(t * r) for r in order_raw]
-        # t can reach ~1e4, lifting the draws' ~1e-16 imbalance past the
-        # balance tolerance of make_variation: the largest step absorbs it.
-        steps[-1] -= math.fsum(steps)
-        delta = np.zeros(len(rho.weights))
-        delta[window_idx[order_pts]] = steps
-        ds = action_difference(rho, make_variation(rho, delta), L)
-        evaluated += 1
-        record = {"delta": {rho.space.ids[window_idx[pos]]: step
-                            for pos, step in zip(order_pts, steps)},
-                  "delta_action": ds}
-        if ds < min_delta:
-            min_delta = ds
-            worst = record
-        if ds < -_FAIL_TOL and len(failures) < _MAX_FAILURES:
-            failures.append(record)
-    return {"trials": trials, "evaluated": evaluated, "skipped": skipped,
+    for start in range(0, trials, _CHUNK):
+        pick, steps, sizes = _draw_variations(rng, base, cap, min(_CHUNK, trials - start))
+        points = window_idx[pick]
+        check_variations(rho, points, steps)
+        ds = action_differences(lhat, L, points, steps)
+        evaluated += len(ds)
+        if len(ds) and ds.min() < min_delta:
+            i = int(np.argmin(ds))
+            min_delta = float(ds[i])
+            worst = _trial_record(ids, points[i, :sizes[i]], steps[i, :sizes[i]], ds[i])
+        for i in np.flatnonzero(ds < -_FAIL_TOL)[:_MAX_FAILURES - len(failures)]:
+            failures.append(_trial_record(ids, points[i, :sizes[i]], steps[i, :sizes[i]],
+                                          ds[i]))
+    return {"trials": trials, "evaluated": evaluated, "skipped": trials - evaluated,
             "min_delta_S": (0.0 if evaluated == 0 else min_delta),
             "worst": worst, "failures": failures, "passed": not failures}
+
+
+def _trial_record(ids, points: np.ndarray, steps: np.ndarray, delta_action) -> dict:
+    """A trial as reported: its step at each point id, and its action change."""
+    return {"delta": {ids[p]: step for p, step in zip(points.tolist(), steps.tolist())},
+            "delta_action": float(delta_action)}
+
+
+def _draw_variations(rng: np.random.Generator, base: np.ndarray, cap: int, rows: int):
+    """Draw ``rows`` trials of ``VariationSampler`` and drop the skipped ones.
+
+    A trial is skipped when it has no negative mass or its largest
+    positivity-preserving step is 0 (a negative mass on a massless point) or
+    not finite, or its step underflows to 0. Returns, per kept trial, its
+    window positions (heaviest base weight first, ties in draw order), its
+    signed steps there (most negative first; 0 past the trial's size m, which
+    ends the row) and its size m.
+    """
+    sizes = rng.integers(2, cap + 1, size=rows)
+    pick = np.empty((rows, cap), dtype=np.intp)
+    for j in range(cap):  # draw the col-th point not yet picked: distinct points
+        col = rng.integers(len(base) - j, size=rows)
+        for prev in np.sort(pick[:, :j], axis=1).T:
+            col += col >= prev
+        pick[:, j] = col
+    used = np.arange(cap) < sizes[:, None]
+    # two symmetric Dirichlet(1) draws on the first m slots: normalized exponentials
+    e = np.where(used, rng.standard_exponential((2, rows, cap)), 0.0)
+    raw = e[0] / e[0].sum(axis=1, keepdims=True) - e[1] / e[1].sum(axis=1, keepdims=True)
+    # the most negative masses go to the heaviest base weights; unused slots last
+    raw = np.sort(np.where(used, raw, np.inf), axis=1)
+    order = np.argsort(np.where(used, -base[pick], np.inf), axis=1, kind="stable")
+    pick = np.take_along_axis(pick, order, axis=1)
+    neg = raw < 0
+    ratio = np.full(raw.shape, np.inf)
+    ratio[neg] = base[pick[neg]] / -raw[neg]
+    t_max = ratio.min(axis=1)
+    t = _STEP_SAFETY * t_max * (1.0 - rng.uniform(size=rows))
+    keep = np.isfinite(t_max) & (t_max > 0) & (t > 0)
+    pick, sizes, used = pick[keep], sizes[keep], used[keep]
+    steps = t[keep, None] * np.where(used, raw[keep], 0.0)
+    # t can reach ~1e4, lifting the draws' ~1e-16 imbalance past the balance
+    # tolerance of make_variation: the largest step absorbs it
+    last = (np.arange(len(sizes)), sizes - 1)
+    steps[last] -= np.fromiter(map(math.fsum, steps.tolist()), float, len(steps))
+    return pick, steps, sizes
 
 
 test_minimality.__test__ = False  # keep pytest from collecting the public name

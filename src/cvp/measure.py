@@ -4,6 +4,8 @@ Measures and variations are read-only vectors in ``space.ids`` order, the
 order of a point-set mask, so restriction is ``np.where(mask, w, 0)``. Kernel
 sums run over the nonzero entries in ascending index order, so a measure gives
 the same bits however it was built; scalar sums use ``math.fsum`` (exact).
+Many variations at once are rows of point indices and the signed steps at
+them (``check_variations``, ``action_differences``).
 """
 
 from __future__ import annotations
@@ -76,19 +78,30 @@ def make_variation(base: DiscreteMeasure, delta) -> SignedVariation:
         raise InputError(f"variation needs {len(base.weights)} entries in space order, "
                          f"got shape {d.shape}")
     moved = np.flatnonzero(d)
-    bad = moved[~np.isfinite(d[moved])]
-    if bad.size:
-        raise InputError(f"variation at {base.space.ids[bad[0]]!r} is not finite")
-    bal = math.fsum(d[moved])
-    if abs(bal) > _BALANCE_TOL:
-        raise VolumeConstraintError(f"variation total {bal} is not balanced to zero")
-    after = base.weights[moved] + d[moved]
-    low = np.flatnonzero(after < -_BALANCE_TOL)
-    if low.size:
-        raise PositivityError(f"variation drives weight at "
-                              f"{base.space.ids[moved[low[0]]]!r} to {after[low[0]]}")
+    check_variations(base, moved[None], d[moved][None])
     d.setflags(write=False)
     return SignedVariation(base=base, delta=d)
+
+
+def check_variations(base: DiscreteMeasure, points: np.ndarray, deltas: np.ndarray) -> None:
+    """Raise unless every row variation is finite, balanced and keeps base + delta >= 0.
+
+    Row ``b`` moves the weight at ``points[b, i]`` by ``deltas[b, i]``; a row
+    names each point once. Each row total is an exact ``math.fsum``.
+    """
+    ids = base.space.ids
+    bad = np.argwhere(~np.isfinite(deltas))
+    if bad.size:
+        raise InputError(f"variation at {ids[points[tuple(bad[0])]]!r} is not finite")
+    totals = np.fromiter(map(math.fsum, deltas.tolist()), float, len(deltas))
+    off = np.flatnonzero(np.abs(totals) > _BALANCE_TOL)
+    if off.size:
+        raise VolumeConstraintError(f"variation total {totals[off[0]]} is not balanced to zero")
+    after = base.weights[points] + deltas
+    low = np.argwhere(after < -_BALANCE_TOL)
+    if low.size:
+        at = tuple(low[0])
+        raise PositivityError(f"variation drives weight at {ids[points[at]]!r} to {after[at]}")
 
 
 def apply_variation(var: SignedVariation) -> DiscreteMeasure:
@@ -111,18 +124,28 @@ def averaged_kernel(rho: DiscreteMeasure, L: Lagrangian) -> np.ndarray:
 
 
 def action_difference(rho: DiscreteMeasure, var: SignedVariation, L: Lagrangian) -> float:
-    """Action change under a balanced variation, via the symmetric collapse.
-
-    Equals 2 * sum_x delta(x) * int L(x, .) drho + double sum of delta against
-    delta; agrees with recomputing both actions directly.
-    """
+    """Action change under a balanced variation; the one-row case of
+    ``action_differences``. Agrees with recomputing both actions directly."""
     if var.base != rho:
         raise InputError("variation was built on a different base measure")
     _check_compat(rho, L)
     t = np.flatnonzero(var.delta)
-    d = var.delta[t]
-    lhat = averaged_kernel(rho, L)[t]
-    return float(2.0 * (d @ lhat) + d @ L.matrix[np.ix_(t, t)] @ d)
+    return float(action_differences(averaged_kernel(rho, L), L, t[None], var.delta[t][None])[0])
+
+
+def action_differences(lhat: np.ndarray, L: Lagrangian, points: np.ndarray,
+                       deltas: np.ndarray) -> np.ndarray:
+    """Action change of each row variation, via the symmetric collapse.
+
+    Row ``b`` moves the weight at ``points[b, i]`` by ``deltas[b, i]`` (a
+    padding entry has delta 0); ``lhat`` is ``averaged_kernel`` of the base.
+    The change is 2 * delta . lhat + delta' L_PP delta, and L is read only at
+    each row's points, one column of them at a time.
+    """
+    Ld = np.zeros(deltas.shape)
+    for j in range(deltas.shape[1]):
+        Ld += L.matrix[points, points[:, j, None]] * deltas[:, j, None]
+    return 2.0 * np.einsum("bi,bi->b", deltas, lhat[points]) + np.einsum("bi,bi->b", deltas, Ld)
 
 
 def restrict(rho: DiscreteMeasure, mask) -> DiscreteMeasure:

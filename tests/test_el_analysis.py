@@ -4,16 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cvp
+from cvp import el_analysis
 from cvp import (
     CompactProblem,
     DiscreteMeasure,
     InputError,
     VariationSampler,
     action,
-    action_difference,
+    averaged_kernel,
     check_sufficient_conditions,
     exp_profile,
     gamma_lower_bound,
@@ -26,6 +27,7 @@ from cvp import (
     stage_ell,
     verify_el,
 )
+from cvp.measure import action_differences, check_variations
 
 ATOL = 1e-12
 EL_TOL = 1e-8
@@ -179,16 +181,86 @@ def test_corrupted_weights_yield_witness(identity_run):
     assert rep["failures"]
 
 
-def test_large_steps_stay_balanced(identity_run):
-    # seed 140 draws a two-point Dirichlet difference of ~1e-4 and scales it
-    # by t ~ 1e4, which lifted its rounding imbalance to -6e-12, beyond the
-    # balance tolerance of make_variation
-    grid, tent, run = identity_run
-    sampler = VariationSampler(window=run.window, seed=140)
-    rep = cvp.test_minimality(run.stages[-1].measure, tent, sampler, trials=1000)
-    assert rep["passed"]
-    assert rep["evaluated"] + rep["skipped"] == 1000
-    assert abs(math.fsum(rep["worst"]["delta"].values())) <= 1e-15
+class _ConstructedDraws:
+    """A generator stub: the least integer of each range, fixed exponentials, u = 0."""
+
+    def __init__(self, exponentials):
+        self.exponentials = np.asarray(exponentials, float)
+
+    def integers(self, low, high=None, size=None):
+        return np.full(size, low if high is not None else 0)
+
+    def standard_exponential(self, size):
+        return self.exponentials.reshape(size)
+
+    def uniform(self, size):
+        return np.zeros(size)
+
+
+def test_large_steps_stay_balanced():
+    # two points of weight 2 and Dirichlet draws that differ by ~1e-4: the step
+    # scale t is ~2.4e4, which lifts the draws' rounding imbalance past the
+    # balance tolerance of make_variation unless the largest step absorbs it
+    e = [[[1.0, 1.0003003]], [[1.0, 1.0]]]
+    base = np.array([2.0, 2.0])
+    raw = np.sort(np.divide(e[0][0], sum(e[0][0])) - np.divide(e[1][0], sum(e[1][0])))
+    t = 0.9 * (base[0] / -raw[0])
+    assert abs(math.fsum(t * raw)) > 1e-12
+    pick, steps, sizes = el_analysis._draw_variations(_ConstructedDraws(e), base, 2, 1)
+    assert sizes.tolist() == [2] and sorted(pick[0].tolist()) == [0, 1]
+    assert abs(math.fsum(steps[0])) <= 1e-15
+    g = grid_1d(range(2))
+    check_variations(DiscreteMeasure(g, base), pick, steps)  # raises if unbalanced
+
+
+@st.composite
+def sampler_inputs(draw):
+    n = draw(st.integers(2, 12))
+    window = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    assume(window.sum() >= 2)
+    weights = np.array(draw(st.lists(st.just(0.0) | st.floats(1e-3, 5.0),
+                                     min_size=n, max_size=n)))
+    return n, window, weights, draw(st.integers(2, 8)), draw(st.integers(0, 10 ** 6))
+
+
+@given(inputs=sampler_inputs())
+@settings(max_examples=60, deadline=None)
+def test_drawn_rows_follow_the_sampler_rules(inputs):
+    n, window, weights, support_cap, seed = inputs
+    g = grid_1d(range(n))
+    L = make_kernel("exponential", {"amplitude": 1.0, "sigma": 2.0}, g)
+    rho = DiscreteMeasure(g, weights)
+    window_idx = np.flatnonzero(window)
+    cap = min(support_cap, len(window_idx))
+    base = rho.weights[window_idx]
+    pick, steps, sizes = el_analysis._draw_variations(np.random.default_rng(seed), base, cap, 64)
+    ds = action_differences(averaged_kernel(rho, L), L, window_idx[pick], steps)
+    for row, step, m, d in zip(pick, steps, sizes, ds):
+        assert 2 <= m <= cap
+        assert (step[m:] == 0).all()
+        row, step = row[:m], step[:m]
+        assert len(set(row.tolist())) == m and (row < len(window_idx)).all()
+        assert abs(math.fsum(step)) <= 1e-15 * np.abs(step).max()
+        assert (base[row] + step >= 0).all()
+        # negative steps sit on the row's heaviest weights
+        assert base[row][step < 0].min() >= base[row][step >= 0].max(initial=0.0)
+        delta = np.zeros(n)
+        delta[window_idx[row]] = step
+        var = make_variation(rho, delta)
+        direct = action(cvp.apply_variation(var), L) - action(rho, L)
+        assert d == pytest.approx(direct, abs=1e-10 * max(1.0, action(rho, L)))
+
+
+def test_chunk_support_sizes_are_uniform():
+    cap, rows = 6, el_analysis._CHUNK
+    base = np.linspace(0.5, 1.5, 10)  # no massless point, so no trial is skipped
+    _, _, sizes = el_analysis._draw_variations(np.random.default_rng(11), base, cap, rows)
+    assert len(sizes) == rows
+    p = 1.0 / (cap - 1)
+    sigma = math.sqrt(rows * p * (1.0 - p))
+    counts = np.bincount(sizes, minlength=cap + 1)
+    assert counts[:2].sum() == 0
+    assert (np.abs(counts[2:] - rows * p) <= 5.0 * sigma).all()
 
 
 def test_exit_codes_are_distinct():

@@ -21,6 +21,7 @@ from cvp import (
     measure_to_dict,
     restrict,
 )
+from cvp.measure import action_differences, check_variations
 
 ATOL = 1e-12
 REL_RECOMPUTE = 1e-10
@@ -248,3 +249,44 @@ def test_array_measure_matches_per_id_reference(data):
                  + _reference_pair_sum(g, L, delta, delta))
     assert action_difference(rho, var, L) == pytest.approx(reference, rel=1e-10,
                                                            abs=1e-12 * scale)
+
+
+def _outcome(fn, *args):
+    """The error class and message ``fn`` raises, or None."""
+    try:
+        fn(*args)
+    except (InputError, VolumeConstraintError, PositivityError) as err:
+        return type(err), str(err)
+    return None
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_row_rules_and_scores_match_the_one_variation_path(data):
+    g = grid_1d(range(8))
+    L = make_kernel("exponential", {"amplitude": 1.0, "sigma": 2.0}, g)
+    rho = measure(g, data.draw(small_weights))
+    lhat = averaged_kernel(rho, L)
+    rows = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        # in space order, so both paths name the same first offending point
+        pts = np.sort(data.draw(st.lists(st.integers(0, 7), min_size=3, max_size=3,
+                                         unique=True)))
+        d = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
+        if data.draw(st.booleans()):  # most rows balance to zero exactly
+            d = np.append(d, -d.sum())
+        else:
+            d = np.append(d, data.draw(st.floats(-1.0, 1.0)))
+        rows.append((pts, d))
+        dense_delta = np.zeros(len(g))
+        dense_delta[pts] = d
+        one = _outcome(make_variation, rho, dense_delta)
+        assert _outcome(check_variations, rho, pts[None], d[None]) == one
+        if one is None:
+            var = make_variation(rho, dense_delta)
+            assert action_differences(lhat, L, pts[None], d[None])[0] == pytest.approx(
+                action_difference(rho, var, L), rel=1e-12, abs=1e-15)
+    points = np.array([p for p, _ in rows])
+    deltas = np.array([d for _, d in rows])
+    all_pass = all(_outcome(check_variations, rho, p[None], d[None]) is None for p, d in rows)
+    assert (_outcome(check_variations, rho, points, deltas) is None) == all_pass
