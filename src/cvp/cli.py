@@ -292,8 +292,11 @@ def cmd_verify(args) -> int:
         elif check == "minimality":
             support_cap = _typed(verify_cfg.get("support_cap", 6), int,
                                  "report config.verify.support_cap")
-            sampler = VariationSampler(window=window, seed=args.seed,
-                                       support_cap=support_cap)
+            try:
+                sampler = VariationSampler(window=window, seed=args.seed,
+                                           support_cap=support_cap)
+            except InputError as exc:
+                raise InputError(f"report config.verify.{exc}") from None
             results["minimality"] = sample_minimality(rho, kernel, sampler, trials)
         elif check == "conditions":
             delta_cover = args.delta_cover if args.delta_cover is not None else \

@@ -188,6 +188,12 @@ class VariationSampler:
     support_cap: int = 6
     seed: int = 0
 
+    def __post_init__(self):
+        # a nonzero balanced variation moves at least two points
+        cap = self.support_cap
+        if not isinstance(cap, (int, np.integer)) or cap < 2:
+            raise InputError(f"support_cap must be an integer of at least 2, got {cap!r:.60}")
+
 
 def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampler,
                     trials: int) -> dict:
@@ -207,7 +213,7 @@ def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampl
         return {"trials": trials, "evaluated": 0, "skipped": trials, "min_delta_S": 0.0,
                 "worst": None, "failures": [], "passed": True,
                 "reason": "a window of fewer than 2 points has no nonzero balanced variation"}
-    cap = max(2, min(sampler.support_cap, len(window_idx)))
+    cap = min(sampler.support_cap, len(window_idx))
     rng = np.random.default_rng(np.random.SeedSequence([sampler.seed]))
     base = rho.weights[window_idx]
     lhat = averaged_kernel(rho, L)

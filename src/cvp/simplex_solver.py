@@ -8,9 +8,9 @@ cannot cycle except on exact ties, which the lowest point index breaks; a
 start that runs ``_MAX_ITER`` iterations fails. On a positive definite block
 the program is strictly convex and one start finds its global minimum; any
 other block gets several starts. ``brute_force_minimizer`` enumerates every
-support subset and is the test oracle; the solver never adopts its weights,
-only compares values to set the certification flag of a block that is not
-positive definite.
+support subset: it certifies every block of at most ``ORACLE_CAP`` points
+that is not positive definite, and backs ``cvp oracle``. The solver never
+adopts its weights, only compares values to set the certification flag.
 
 Stationarity convention: with value s = w'Lw, the averaged kernel Lw equals s
 on the support and is >= s off the support.
@@ -19,6 +19,7 @@ on the support and is >= s off the support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -26,6 +27,10 @@ from .errors import InputError, SizeError, SolverFailure
 
 # Hard cap for the enumeration oracle.
 ORACLE_CAP = 16
+
+# Cells of the stacked bordered systems the oracle solves at a time, so a
+# chunk holds about 128 KB whatever the support size.
+_CHUNK_CELLS = 1 << 14
 
 # Dirichlet restarts of a block that is not positive definite.
 _RESTARTS = 16
@@ -239,12 +244,16 @@ def _final_weights(Lb: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out / out.sum()
 
 
-def _select_best(cands: list[tuple[float, tuple[int, ...], np.ndarray]]):
+def _tied(cands: list[tuple[float, tuple[int, ...], np.ndarray]]):
+    """The candidates whose values lie within the tie window of the least."""
     best_val = min(c[0] for c in cands)
     window = _TIE_REL * max(1.0, abs(best_val))
-    tied = [c for c in cands if c[0] <= best_val + window]
-    tied.sort(key=lambda c: c[1])  # lexicographic support tie-break, point order
-    return tied[0]
+    return [c for c in cands if c[0] <= best_val + window]
+
+
+def _select_best(cands: list[tuple[float, tuple[int, ...], np.ndarray]]):
+    # lexicographic support tie-break, point order; the first on equal supports
+    return min(_tied(cands), key=lambda c: c[1])
 
 
 def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolution:
@@ -323,12 +332,19 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
 
 
 def brute_force_minimizer(problem: CompactProblem) -> CompactSolution:
-    """Global minimum by support enumeration (test oracle, |K| <= 16).
+    """Global minimum by support enumeration (|K| <= ``ORACLE_CAP``).
 
-    Supports whose solved weights stay positive and meet the off-support
-    condition are candidates; every simplex vertex is kept unconditionally;
-    singular support systems are skipped and counted. Each candidate value is
-    a genuine feasible action value, so the minimum never undershoots.
+    It certifies every block of ``minimize_on_compact`` that is not positive
+    definite and backs ``cvp oracle``. Every simplex vertex is a candidate
+    unconditionally. The supports of each size m >= 2 are enumerated lazily in
+    lexicographic order, in chunks of at most ``_CHUNK_CELLS`` cells: a chunk's
+    bordered systems are stacked and solved in one call, or one by one when
+    any of them is singular, and singular systems are skipped. A support whose
+    solved weights stay positive and meet the off-support condition is a
+    candidate. Only the least candidates within the tie window are kept as
+    the enumeration runs; the lexicographically first support among them
+    wins. Each candidate value is a genuine feasible action value, so the
+    minimum never undershoots.
     """
     Lb = problem.matrix
     k = len(problem.ids)
@@ -336,28 +352,58 @@ def brute_force_minimizer(problem: CompactProblem) -> CompactSolution:
         raise SizeError(f"brute force is capped at {ORACLE_CAP} points, got {k}")
     scale = max(1.0, float(np.abs(Lb).max()))
     off_slack = 1e-10 * scale
-    cands: list[tuple[float, tuple[int, ...], np.ndarray]] = []
-    for mask in range(1, 1 << k):
-        S = [i for i in range(k) if mask >> i & 1]
+    vertices = []
+    for i in range(k):
         w = np.zeros(k)
-        if len(S) == 1:
-            w[S[0]] = 1.0
-            cands.append((float(Lb[S[0], S[0]]), tuple(S), w))
-            continue
-        sol = _solve_support(Lb, S)
-        if sol is None:
-            continue
-        wS, _ = sol
-        if wS.min() <= 1e-14:
-            continue
-        w[S] = wS
-        w /= w.sum()
-        g = Lb @ w
-        s = float(w @ g)
-        off = np.ones(k, dtype=bool)
-        off[S] = False
-        if off.any() and float(g[off].min()) < s - off_slack:
-            continue
-        cands.append((s, tuple(S), w))
-    val, _, w = _select_best(cands)
+        w[i] = 1.0
+        vertices.append((float(Lb[i, i]), (i,), w))
+    best = _tied(vertices)
+    for m in range(2, k + 1):
+        supports = combinations(range(k), m)
+        rows = max(1, _CHUNK_CELLS // (m + 1) ** 2)
+        while True:
+            S = np.fromiter(chain.from_iterable(islice(supports, rows)), np.intp).reshape(-1, m)
+            if not len(S):
+                break
+            cands = []
+            for row, wS in zip(*_positive_solutions(Lb, S)):
+                w = np.zeros(k)
+                w[row] = wS
+                w /= w.sum()
+                g = Lb @ w
+                s = float(w @ g)
+                off = np.ones(k, dtype=bool)
+                off[row] = False
+                if off.any() and float(g[off].min()) < s - off_slack:
+                    continue
+                cands.append((s, tuple(row.tolist()), w))
+            if cands:
+                best = _tied(best + cands)
+    w = _select_best(best)[2]
     return CompactSolution(weights=w, kkt=_residuals(Lb, w), certified_global=True)
+
+
+def _positive_solutions(Lb: np.ndarray, S: np.ndarray):
+    """The rows of ``S`` (supports of m ascending indices) whose bordered
+    system ``_solve_support`` solves with every weight above 1e-14, and those
+    weights. The systems are solved as one stack; when one of them is singular
+    the stack fails as a whole and each is solved on its own instead.
+    """
+    C, m = S.shape
+    A = np.empty((C, m + 1, m + 1))
+    A[:, :m, :m] = Lb[S[:, :, None], S[:, None, :]]
+    A[:, :m, m] = -1.0
+    A[:, m, :m] = 1.0
+    A[:, m, m] = 0.0
+    b = np.zeros((C, m + 1, 1))  # a stack of columns: numpy reads a 2-D b as one matrix
+    b[:, m] = 1.0
+    try:
+        sol = np.linalg.solve(A, b)[:, :, 0]
+    except np.linalg.LinAlgError:
+        sol = np.full((C, m + 1), np.nan)  # a singular system stays NaN and is dropped
+        for i, row in enumerate(S):
+            one = _solve_support(Lb, row)
+            if one is not None:
+                sol[i, :m], sol[i, m] = one
+    keep = np.isfinite(sol).all(axis=1) & (sol[:, :m].min(axis=1) > 1e-14)
+    return S[keep], sol[keep, :m]

@@ -379,6 +379,18 @@ def test_bad_config_field_exits_1_naming_it(tmp_path, command, path, value, fiel
     assert field in err.getvalue() and "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("cap", [0, 1, -3])
+def test_verify_refuses_support_cap_below_two(tmp_path, capsys, cap):
+    run_path, report = _solved_report(tmp_path)
+    report["config"].setdefault("verify", {})["support_cap"] = cap
+    report["config_hash"] = sha256_text(canonical_json(report["config"]))
+    open(run_path, "w").write(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", "--run", run_path, "--checks", "minimality", "--trials", "5"]) == 1
+    assert (f"report config.verify.support_cap must be an integer of at least 2, got {cap}"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_negative_seed_flag_exits_64(tmp_path, capsys, command):
     if command == "solve":

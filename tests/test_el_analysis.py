@@ -279,3 +279,10 @@ def test_small_variations_never_go_negative(seed):
     sampler = VariationSampler(window=np.ones(6, dtype=bool), seed=seed)
     rep = cvp.test_minimality(st_.measure, L, sampler, trials=20)
     assert rep["min_delta_S"] >= -EL_TOL
+
+
+@pytest.mark.parametrize("cap", [0, 1, -3])
+def test_support_cap_below_two_is_refused(cap):
+    match = f"support_cap must be an integer of at least 2, got {cap}$"
+    with pytest.raises(InputError, match=match):
+        VariationSampler(window=np.ones(4, dtype=bool), support_cap=cap)

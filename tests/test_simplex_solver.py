@@ -15,7 +15,7 @@ from cvp import (
     minimize_on_compact,
 )
 from cvp import simplex_solver
-from cvp.simplex_solver import _active_set, _residuals
+from cvp.simplex_solver import CompactSolution, _active_set, _residuals, _solve_support
 
 ATOL = 1e-12
 KKT_TOL = 1e-8
@@ -70,6 +70,98 @@ def test_oracle_tie_break_is_lexicographic():
     sol = brute_force_minimizer(problem(np.ones((3, 3)), ids=("a", "b", "c")))
     assert sol.weights.tolist() == [1.0, 0.0, 0.0]
     assert sol.value == pytest.approx(1.0, abs=ATOL)
+
+
+def _per_subset_oracle(p):
+    """The slow reference of ``brute_force_minimizer``: one bordered solve per
+    support subset, in bitmask order, keeping every candidate."""
+    Lb = p.matrix
+    k = len(p.ids)
+    off_slack = 1e-10 * max(1.0, float(np.abs(Lb).max()))
+    cands = []
+    for mask in range(1, 1 << k):
+        S = [i for i in range(k) if mask >> i & 1]
+        w = np.zeros(k)
+        if len(S) == 1:
+            w[S[0]] = 1.0
+            cands.append((float(Lb[S[0], S[0]]), tuple(S), w))
+            continue
+        sol = _solve_support(Lb, S)
+        if sol is None or sol[0].min() <= 1e-14:
+            continue
+        w[S] = sol[0]
+        w /= w.sum()
+        g = Lb @ w
+        s = float(w @ g)
+        off = np.ones(k, dtype=bool)
+        off[S] = False
+        if off.any() and float(g[off].min()) < s - off_slack:
+            continue
+        cands.append((s, tuple(S), w))
+    best_val = min(c[0] for c in cands)
+    window = simplex_solver._TIE_REL * max(1.0, abs(best_val))
+    tied = sorted((c for c in cands if c[0] <= best_val + window), key=lambda c: c[1])
+    w = tied[0][2]
+    return CompactSolution(weights=w, kkt=_residuals(Lb, w), certified_global=True)
+
+
+def _assert_same_oracle(got, ref):
+    assert np.array_equal(got.weights, ref.weights)
+    assert got.kkt == ref.kkt and got.value == ref.value and got.certified_global
+
+
+@st.composite
+def oracle_blocks(draw):
+    """1-9 point blocks: random, all ones, rounded to 0.1 (ties) or with a
+    duplicated point (singular bordered systems)."""
+    k = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["random", "ones", "rounded", "duplicate"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.uniform(0.0, 1.0, (k, k))
+    M = (A + A.T) / 2
+    np.fill_diagonal(M, rng.uniform(0.1, 1.2, k))
+    if kind == "ones":
+        M = np.ones((k, k))
+    elif kind == "rounded":
+        M = np.round(M, 1)
+        np.fill_diagonal(M, np.maximum(np.diag(M), 0.1))
+    elif kind == "duplicate" and k > 1:
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        M[j], M[:, j] = M[i], M[:, i]
+    return M
+
+
+@given(M=oracle_blocks())
+@settings(max_examples=200, deadline=None)
+def test_chunked_oracle_equals_the_per_subset_loop(M):
+    p = problem(M)
+    _assert_same_oracle(brute_force_minimizer(p), _per_subset_oracle(p))
+
+
+def test_oracle_at_the_cap_equals_the_per_subset_loop():
+    rng = np.random.default_rng(16)
+    A = rng.uniform(0.0, 1.0, (simplex_solver.ORACLE_CAP,) * 2)
+    M = (A + A.T) / 2
+    np.fill_diagonal(M, rng.uniform(0.2, 1.2, len(M)))
+    assert np.linalg.eigvalsh(M)[0] < 0
+    p = problem(M)
+    _assert_same_oracle(brute_force_minimizer(p), _per_subset_oracle(p))
+
+
+def test_singular_chunk_falls_back_to_row_solves(monkeypatch):
+    M = _indefinite_six()
+    calls = []
+    solve = simplex_solver._solve_support
+    monkeypatch.setattr(simplex_solver, "_solve_support",
+                        lambda Lb, S: calls.append(set(S.tolist())) or solve(Lb, S))
+    brute_force_minimizer(problem(M))
+    assert not calls  # no singular system: every chunk is solved as one stack
+    M[4], M[:, 4] = M[1], M[:, 1]  # point 4 duplicates point 1
+    p = problem(M)
+    got = brute_force_minimizer(p)
+    assert any({1, 4} <= S for S in calls)
+    monkeypatch.undo()
+    _assert_same_oracle(got, _per_subset_oracle(p))
 
 
 def test_oracle_rejects_large_problems():
