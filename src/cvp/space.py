@@ -14,11 +14,9 @@ from .errors import (ConstructionError, DegenerateExhaustionError, InputError, S
 # Absorbs one ulp of distance roundoff in closed-ball comparisons.
 _RADIUS_SLACK = 1e-12
 
-# Full triangle-inequality validation up to this size, sampled beyond.
-_FULL_TRIANGLE_CHECK = 256
-
-# Cells (balls x points) of the boolean ball masks that ball_cover_counts
-# builds at a time, so its temporaries stay O(chunk * n), never O(n^3).
+# Cells of the temporaries that ball_cover_counts (balls x points) and the
+# triangle checks (rows x points x dim, midpoints x points) build at a time,
+# so they stay O(chunk * n), never O(n^3).
 _CHUNK_CELLS = 1 << 18
 
 
@@ -27,9 +25,10 @@ class MetricSpace:
     """A finite metric space given by point ids and a distance matrix.
 
     Immutable after construction; the distance matrix is marked read-only.
-    Construction checks the triangle inequality through every midpoint for up
-    to 256 points; a larger space is checked through 256 sampled midpoints
-    only, so a non-metric distance matrix can pass.
+    Construction checks the triangle inequality exactly: a space whose
+    ``dist`` matches the Euclidean distances of its own ``coords`` is
+    certified from them in O(n^2 dim), and every other matrix is scanned
+    through every midpoint in O(n^3). ``coords``, when given, must be finite.
     ``key`` is a content fingerprint used to detect mismatched spaces when
     measures and kernels built on different spaces are mixed.
     """
@@ -60,18 +59,22 @@ class MetricSpace:
         if not np.allclose(d, d.T, rtol=0, atol=1e-12):
             raise ConstructionError("distance matrix must be symmetric")
         d = (d + d.T) / 2.0
-        _check_triangle(d)
+        c = None
+        if self.coords is not None:
+            c = np.array(self.coords, dtype=float)
+            if c.ndim == 1:
+                c = c[:, None]
+            if c.ndim != 2 or c.shape[0] != n:
+                raise ConstructionError(f"coords must be {n} rows of numbers, "
+                                        f"got shape {c.shape}")
+            if not np.all(np.isfinite(c)):
+                raise ConstructionError("coords must be finite")
+            c.setflags(write=False)
+        _check_triangle(d, c)
         d.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "dist", d)
-        if self.coords is not None:
-            c = np.asarray(self.coords, dtype=float)
-            if c.ndim == 1:
-                c = c[:, None]
-            if c.shape[0] != n:
-                raise ConstructionError("coords row count must match point count")
-            c.setflags(write=False)
-            object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "coords", c)
         object.__setattr__(self, "index", {p: i for i, p in enumerate(ids)})
         h = hashlib.sha256()
         h.update("\x1f".join(ids).encode())
@@ -82,16 +85,67 @@ class MetricSpace:
         return len(self.ids)
 
 
-def _check_triangle(d: np.ndarray) -> None:
+def _check_triangle(d: np.ndarray, coords: np.ndarray | None) -> None:
+    """ConstructionError unless d_ij <= d_ik + d_kj + slack for all i, j, k,
+    with ``slack = 1e-9 * max(1, max d)``.
+
+    The Euclidean certificate: recompute e = ||x_i - x_j|| from ``coords``
+    with the formula of ``space_from_dict``. Each difference of two doubles,
+    each square, each addition and the square root rounds once relative to
+    its value, so e_ij = N_ij (1 + t), |t| <= g = (dim + 2) eps, where N is
+    the exact norm of the stored coordinates (squares that underflow move e
+    by less than 1e-153 sqrt(dim), far below the slack). N satisfies the
+    triangle inequality exactly. So if |d - e| <= slack/4 everywhere,
+    d_ij <= N_ij (1 + g) + slack/4 <= (N_ik + N_kj)(1 + g) + slack/4
+         <= d_ik + d_kj + 3 slack/4 + (d_ik + d_kj + slack/2) 2g / (1 - g),
+    and the last term is below slack/4 when 4 g (2 max d + slack) <= slack/4,
+    which holds up to about 10^5 dimensions. The bound is strictly inside
+    what the midpoint scan accepts. Any other matrix (no coordinates, an
+    explicit metric, coordinates that disagree with ``dist`` or overflow to
+    inf) goes to the exact scan ``_midpoint_violation``.
+    """
+    dmax = float(d.max(initial=0.0))
+    slack = 1e-9 * max(1.0, dmax)
+    if coords is not None:
+        g = (coords.shape[1] + 2) * np.finfo(float).eps
+        if 4 * g * (2 * dmax + slack) <= slack / 4 and _euclidean_within(d, coords, slack / 4):
+            return
+    if _midpoint_violation(d, slack):
+        raise ConstructionError("triangle inequality violated")
+
+
+def _euclidean_within(d: np.ndarray, coords: np.ndarray, tol: float) -> bool:
+    """Whether |d_ij - ||x_i - x_j||| <= tol for all i, j (false where e overflows).
+
+    Rows go in chunks whose differences hold at most ``_CHUNK_CELLS`` cells.
+    """
+    n, dim = coords.shape
+    step = max(1, _CHUNK_CELLS // (n * max(1, dim)))
+    for lo in range(0, n, step):
+        diff = coords[lo:lo + step, None, :] - coords[None, :, :]
+        gap = np.einsum("ijk,ijk->ij", diff, diff)
+        np.subtract(d[lo:lo + step], np.sqrt(gap, out=gap), out=gap)
+        if not np.all(np.abs(gap, out=gap) <= tol):
+            return False
+    return True
+
+
+def _midpoint_violation(d: np.ndarray, slack: float) -> bool:
+    """Whether d_ij > min_k (d_ik + d_kj) + slack for some i, j: the exact
+    triangle scan through every midpoint k, one min-plus row at a time.
+
+    ``d`` is exactly symmetric, so row i checks the columns j >= i only.
+    Midpoints go in blocks whose sums hold at most ``_CHUNK_CELLS`` cells.
+    """
     n = d.shape[0]
-    slack = 1e-9 * max(1.0, float(d.max(initial=0.0)))
-    if n <= _FULL_TRIANGLE_CHECK:
-        mids = range(n)
-    else:
-        mids = np.random.default_rng(0).choice(n, size=_FULL_TRIANGLE_CHECK, replace=False)
-    for k in mids:
-        if not np.all(d <= d[:, [k]] + d[[k], :] + slack):
-            raise ConstructionError("triangle inequality violated")
+    step = max(1, _CHUNK_CELLS // n)
+    for i in range(n):
+        via = np.full(n - i, np.inf)
+        for k in range(0, n, step):
+            np.minimum(via, (d[i, k:k + step, None] + d[k:k + step, i:]).min(axis=0), out=via)
+        if np.any(d[i, i:] > via + slack):
+            return True
+    return False
 
 
 def as_mask(mask, n: int, what: str = "point set") -> np.ndarray:

@@ -55,6 +55,90 @@ def test_validation_rejects_triangle_violation():
         MetricSpace(ids=("a", "b", "c"), dist=d)
 
 
+def test_validation_rejects_violation_off_the_old_midpoint_sample():
+    # only d(5,0) + d(5,1) < d(0,1); point 5 is the lowest one that a seeded
+    # 256-midpoint sample of the 300 points leaves out
+    n, k = 300, 5
+    d = np.full((n, n), 2.0)
+    np.fill_diagonal(d, 0.0)
+    d[k, :2] = d[:2, k] = 0.9
+    with pytest.raises(ConstructionError, match="triangle inequality violated"):
+        MetricSpace(ids=tuple(range(n)), dist=d)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validation_rejects_nonfinite_coords(bad):
+    with pytest.raises(ConstructionError, match="coords must be finite"):
+        MetricSpace(ids=("a", "b"), dist=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                    coords=[[bad], [1.0]])
+
+
+def test_space_keeps_its_own_copy_of_coords():
+    x = np.array([[0.0], [1.0]])
+    space = MetricSpace(ids=("a", "b"), dist=np.array([[0.0, 1.0], [1.0, 0.0]]), coords=x)
+    x[1, 0] = 7.0
+    assert space.coords[1, 0] == 1.0 and not space.coords.flags.writeable
+
+
+def _slack(d):
+    return 1e-9 * max(1.0, float(d.max()))
+
+
+def _naive_violation(d, slack):
+    # axes (i, k, j): d_ij > d_ik + d_kj + slack
+    return bool(np.any(d[:, None, :] > d[:, :, None] + d[None, :, :] + slack))
+
+
+@given(base=st.lists(st.lists(st.integers(-8, 8), min_size=3, max_size=3), min_size=1,
+                     max_size=40),
+       dim=st.integers(1, 3), scale=st.sampled_from([1e-3, 0.37, 1.0, 250.0]),
+       offset=st.floats(-1e6, 1e6), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_euclidean_certificate_agrees_with_midpoint_scan(base, dim, scale, offset, data):
+    # integer cells repeat, so some points are duplicated
+    coords = np.array(base, dtype=float)[:, :dim] * scale + offset
+    n = len(coords)
+    ids = tuple(range(n))
+    diff = coords[:, None, :] - coords[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    assert cvp.space._euclidean_within(d, coords, _slack(d) / 4)
+    assert not cvp.space._midpoint_violation(d, _slack(d))
+    MetricSpace(ids=ids, dist=d, coords=coords)
+    if n < 2:
+        return
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    bump = _slack(d) * data.draw(st.floats(1.5, 10.0)) + float(d.max()) * data.draw(
+        st.floats(0.0, 1.5))
+    down = data.draw(st.booleans()) and d[i, j] >= bump
+    bad = d.copy()
+    bad[i, j] = bad[j, i] = d[i, j] - bump if down else d[i, j] + bump
+    for cells in (cvp.space._CHUNK_CELLS, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cvp.space, "_CHUNK_CELLS", cells)
+            violated = cvp.space._midpoint_violation(bad, _slack(bad))
+            assert violated == _naive_violation(bad, _slack(bad))
+            if violated:
+                with pytest.raises(ConstructionError, match="triangle"):
+                    MetricSpace(ids=ids, dist=bad, coords=coords)
+            else:
+                MetricSpace(ids=ids, dist=bad, coords=coords)
+
+
+def test_euclidean_spaces_skip_the_midpoint_scan(monkeypatch):
+    calls = []
+    scan = cvp.space._midpoint_violation
+    monkeypatch.setattr(cvp.space, "_midpoint_violation",
+                        lambda d, slack: calls.append(len(d)) or scan(d, slack))
+    grid = grid_1d(range(401))
+    space_from_dict({"metric": "euclidean",
+                     "points": [{"id": f"p{i}", "coords": [i * 0.25, (i % 7) * 0.5]}
+                                for i in range(401)]})
+    assert calls == []
+    # the distances are a metric, but not the metric of these coordinates
+    MetricSpace(ids=grid.ids, dist=grid.dist, coords=2.0 * grid.coords)
+    assert calls == [401]
+
+
 def test_distance_matrix_read_only():
     g = grid_1d(range(3))
     with pytest.raises(ValueError):
