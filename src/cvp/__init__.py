@@ -14,9 +14,8 @@ from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum,
                          kernel_from_spec, make_kernel, poly_profile,
                          profile_from_spec, scaled_exp_profile, tail_index,
                          verify_compact_range, verify_entropy_decay)
-from .measure import (DiscreteMeasure, SignedVariation, action,
-                      action_difference, apply_variation, averaged_kernel,
-                      make_variation, measure_to_dict, restrict)
+from .measure import (DiscreteMeasure, action, averaged_kernel, measure_to_dict,
+                      restrict)
 from .simplex_solver import (CompactProblem, CompactSolution, KKTResiduals,
                              SolverOptions, brute_force_minimizer,
                              minimize_on_compact)

@@ -26,12 +26,11 @@ from .el_analysis import test_minimality as sample_minimality
 from .errors import CVPError, InputError, UsageError, as_number
 from .lagrangian import (Lagrangian, diagonal_infimum, kernel_from_spec,
                          profile_from_spec)
-from .measure import measure_to_dict, restrict
-from .pipeline import (ExhaustionRun, RunOptions, ScaledMinimizer,
-                       local_mass_bound_check, run_exhaustion, stage_ell)
+from .measure import measure_to_dict
+from .pipeline import (ExhaustionRun, RunOptions, local_mass_bound_check,
+                       run_exhaustion, run_from_weights, stage_ell)
 from .reports import canonical_json, sha256_text, write_csv, write_json
-from .simplex_solver import (CompactProblem, KKTResiduals, SolverOptions,
-                             brute_force_minimizer)
+from .simplex_solver import CompactProblem, SolverOptions, brute_force_minimizer
 from .space import Exhaustion, MetricSpace, build_exhaustion, space_from_dict
 
 VALID_CHECKS = ("el", "minimality", "conditions", "nontriviality", "gamma",
@@ -66,20 +65,35 @@ def _solver_options(payload: dict, seed: int) -> SolverOptions:
 
 
 def load_config(path: str, seed_override: int | None = None,
-                stride_override: int | None = None,
                 tol_override: float | None = None) -> RunConfig:
+    """The run config of a config file; a ``space`` given as a file path is
+    read relative to it and inlined."""
     with open(path) as handle:
         raw = _typed(json.load(handle), dict, f"{path}: config")
-    base = os.path.dirname(os.path.abspath(path))
-    space_spec = raw.get("space")
-    if isinstance(space_spec, str):
-        with open(os.path.join(base, space_spec)) as handle:
-            space_spec = json.load(handle)
-    if not isinstance(space_spec, dict):
-        raise UsageError("config needs a 'space' (inline object or file path)")
-    space = space_from_dict(space_spec)
-    raw = dict(raw)
-    raw["space"] = space_spec
+    if isinstance(raw.get("space"), str):
+        with open(os.path.join(os.path.dirname(os.path.abspath(path)), raw["space"])) as handle:
+            raw = {**raw, "space": json.load(handle)}
+    if seed_override is not None:
+        raw = {**raw, "seed": seed_override}
+    config = config_from_dict(raw)
+    if tol_override is not None:
+        config.options.solver.tol = float(tol_override)
+    return config
+
+
+# The settings of a run config; any other top-level key is refused.
+_CONFIG_KEYS = ("space", "kernel", "profile", "exhaustion", "solver", "window",
+                "stab_tol", "seed", "verify")
+
+
+def config_from_dict(raw: dict) -> RunConfig:
+    """The run config of a config object with an inline ``space``: what
+    ``cvp solve`` runs and what ``cvp verify`` rebuilds from a report."""
+    for key in raw:
+        if key not in _CONFIG_KEYS:
+            raise InputError(f"{key} is not a config setting "
+                             f"(known: {', '.join(_CONFIG_KEYS)})")
+    space = space_from_dict(_typed(raw.get("space"), dict, "space"))
     kernel = kernel_from_spec(_typed(raw.get("kernel", {}), dict, "kernel"), space)
     profile = None
     if raw.get("profile"):
@@ -87,16 +101,10 @@ def load_config(path: str, seed_override: int | None = None,
     exh_spec = _typed(raw.get("exhaustion", {}), dict, "exhaustion")
     center = _point(space, str(exh_spec.get("center")), "exhaustion.center")
     exhaustion = build_exhaustion(space, center, exh_spec.get("radii", ()))
-    seed = _typed(raw.get("seed", 0) if seed_override is None else seed_override,
-                  int, "seed")
+    seed = _typed(raw.get("seed", 0), int, "seed")
     if seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed}")
-    raw["seed"] = seed
-    if stride_override is not None:
-        raw["stride"] = int(stride_override)
     solver = _solver_options(_typed(raw.get("solver", {}), dict, "solver"), seed)
-    if tol_override is not None:
-        solver.tol = float(tol_override)
     window = _typed(raw.get("window", {}), dict, "window")
     layer, eps = (None if window.get(key) is None else as_number(window[key], f"window.{key}")
                   for key in ("layer", "eps"))
@@ -104,27 +112,21 @@ def load_config(path: str, seed_override: int | None = None,
                          stab_tol=as_number(raw.get("stab_tol", 1e-6), "stab_tol"),
                          window_layer=layer,
                          profile=profile,
-                         eps=eps,
-                         stride=_typed(raw.get("stride", 1), int, "stride"))
-    return RunConfig(raw=raw, space=space, kernel=kernel, exhaustion=exhaustion,
-                     options=options)
-
-
-def _config_payload(config: RunConfig) -> dict:
-    keep = ("space", "kernel", "profile", "exhaustion", "solver", "window",
-            "stab_tol", "stride", "seed", "verify")
-    return {k: config.raw[k] for k in keep if k in config.raw}
+                         eps=eps)
+    return RunConfig(raw={**raw, "seed": seed}, space=space, kernel=kernel,
+                     exhaustion=exhaustion, options=options)
 
 
 def report_from_run(run: ExhaustionRun, config: RunConfig) -> dict:
-    """The ``run.json`` form of a run; ``run_from_report`` reads it back.
+    """The ``run.json`` form of a run of ``config``; ``run_from_report`` reads it back.
 
-    Point sets and weights are written by point id, in index order. A stage
-    is read back from its ids, unscaled weights, KKT residuals and flags.
-    ``lambda``, ``s_unscaled`` and ``value`` (all from ``kkt.s_param``)
-    and ``limit`` are derived, and written for readers only.
+    Point sets and weights are written by point id, in index order. Of a
+    stage, ``run_from_report`` reads only ``weights`` (unscaled) and
+    ``certified_global``: ``index``, ``ids``, ``lambda``, ``s_unscaled``,
+    ``value``, ``degenerate`` and ``kkt``, and the run's ``window``,
+    ``limit`` and ``diagnostics``, are derived from the config and those,
+    and written for readers only.
     """
-    payload = _config_payload(config)
     stages = [{
         "index": s.stage_index,
         "ids": [s.space.ids[i] for i in np.flatnonzero(s.stage)],
@@ -140,8 +142,8 @@ def report_from_run(run: ExhaustionRun, config: RunConfig) -> dict:
     } for s in run.stages]
     return {
         "tool": {"name": "cvp", "version": __version__},
-        "config": payload,
-        "config_hash": sha256_text(canonical_json(payload)),
+        "config": config.raw,
+        "config_hash": sha256_text(canonical_json(config.raw)),
         "stages": stages,
         "window": [config.space.ids[i] for i in np.flatnonzero(run.window)],
         "limit": measure_to_dict(run.limit),
@@ -169,13 +171,6 @@ def _point(space: MetricSpace, pid, where: str) -> int:
     return index
 
 
-def _mask(space: MetricSpace, pids, where: str) -> np.ndarray:
-    mask = np.zeros(len(space), dtype=bool)
-    for pos, pid in enumerate(_typed(pids, list, where)):
-        mask[_point(space, pid, f"{where}[{pos}]")] = True
-    return mask
-
-
 def _stage_weights(payload, stage: np.ndarray, space: MetricSpace,
                    where: str) -> np.ndarray:
     """The unscaled weights of a report stage, in space order."""
@@ -190,42 +185,32 @@ def _stage_weights(payload, stage: np.ndarray, space: MetricSpace,
     return weights
 
 
-def run_from_report(report: dict, space: MetricSpace) -> ExhaustionRun:
-    """Rebuild a run from its report: stages from their unscaled weights and
-    KKT residuals, the limit from the last stage restricted to the window.
+def run_from_report(report: dict, config: RunConfig) -> ExhaustionRun:
+    """Rebuild the run of ``config`` from its report with ``run_from_weights``.
 
-    A field of the wrong JSON type, a missing one, or an unknown point id
-    raises ``InputError``.
+    Of each stage only ``weights`` and ``certified_global`` are read; the
+    stages themselves are those of the config's exhaustion. A report with
+    another number of stages, a field it reads missing or of the wrong JSON
+    type, or weight on a point outside its stage raises ``InputError``.
     """
-    stages = []
-    for pos, s in enumerate(_typed(report.get("stages"), list, "report stages")):
+    sets = config.exhaustion.stages
+    entries = _typed(report.get("stages"), list, "report stages")
+    if len(entries) != len(sets):
+        raise InputError(f"report stages has {len(entries)} entries, but the config's "
+                         f"exhaustion has {len(sets)} stages")
+    weights, certified = [], []
+    for pos, (s, stage) in enumerate(zip(entries, sets)):
         where = f"report stages[{pos}]"
         s = _typed(s, dict, where)
-        kkt = _typed(s.get("kkt"), dict, f"{where}.kkt")
-        stage = _mask(space, s.get("ids"), f"{where}.ids")
-        stages.append(ScaledMinimizer(
-            stage_index=_typed(s.get("index"), int, f"{where}.index"),
-            stage=stage,
-            weights=_stage_weights(s.get("weights"), stage, space, where),
-            kkt=KKTResiduals(**{key: float(_typed(kkt.get(key), _NUMBER,
-                                                  f"{where}.kkt.{key}"))
-                                for key in ("on_support_max", "min_over_k", "s_param")}),
-            certified_global=_typed(s.get("certified_global"), bool,
-                                    f"{where}.certified_global"),
-            space=space,
-            degenerate=_typed(s.get("degenerate"), bool, f"{where}.degenerate")))
-    if not stages:
-        raise InputError("report has no stages")
-    window = _mask(space, report.get("window"), "report window")
-    return ExhaustionRun(stages=tuple(stages), limit=restrict(stages[-1].measure, window),
-                         window=window,
-                         diagnostics=_typed(report.get("diagnostics"), dict,
-                                            "report diagnostics"))
+        weights.append(_stage_weights(s.get("weights"), stage, config.space, where))
+        certified.append(_typed(s.get("certified_global"), bool,
+                                f"{where}.certified_global"))
+    return run_from_weights(config.space, config.kernel, config.exhaustion, config.options,
+                            weights, certified)
 
 
 def cmd_solve(args) -> int:
-    config = load_config(args.config, seed_override=args.seed,
-                         stride_override=args.stride, tol_override=args.tol)
+    config = load_config(args.config, seed_override=args.seed, tol_override=args.tol)
     run = run_exhaustion(config.space, config.kernel, config.exhaustion,
                          config.options)
     report = report_from_run(run, config)
@@ -247,22 +232,16 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.run) as handle:
         report = _typed(json.load(handle), dict, f"{args.run}: report")
-    config = _typed(report.get("config"), dict, "report config")
+    embedded = _typed(report.get("config"), dict, "report config")
     stored_hash = _typed(report.get("config_hash"), str, "report config_hash")
-    config_hash = sha256_text(canonical_json(config))
+    config_hash = sha256_text(canonical_json(embedded))
     if config_hash != stored_hash:
         raise InputError(f"{args.run}: config_hash {stored_hash} does not "
                          f"match the embedded config (sha256 {config_hash})")
-    space = space_from_dict(_typed(config.get("space"), dict, "report config.space"))
-    kernel = kernel_from_spec(_typed(config.get("kernel"), dict, "report config.kernel"),
-                              space)
-    profile = None
-    if config.get("profile"):
-        profile = profile_from_spec(_typed(config["profile"], dict, "report config.profile"),
-                                    c=diagonal_infimum(kernel))
-    run = run_from_report(report, space)
-    verify_cfg = _typed(config.get("verify", {}), dict, "report config.verify")
-    window_cfg = _typed(config.get("window", {}), dict, "report config.window")
+    config = config_from_dict(embedded)
+    space, kernel, profile = config.space, config.kernel, config.options.profile
+    run = run_from_report(report, config)
+    verify_cfg = _typed(embedded.get("verify", {}), dict, "report config.verify")
 
     if args.checks:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
@@ -279,7 +258,7 @@ def cmd_verify(args) -> int:
     el_tol = args.tol if args.tol is not None else float(_typed(
         verify_cfg.get("tol", 1e-6), _NUMBER, "report config.verify.tol"))
     eps = args.eps if args.eps is not None else verify_cfg.get(
-        "eps", window_cfg.get("eps", 0.5))
+        "eps", 0.5 if config.options.eps is None else config.options.eps)
     rho = run.stages[-1].measure
     window = run.window if run.window.any() else rho.support
 
@@ -411,8 +390,7 @@ def cmd_sweep(args) -> int:
         if isinstance(cfg.get("space"), str):
             cfg["space"] = os.path.join(base_dir, cfg["space"])
         write_json(cfg_path, cfg)
-        cmd_solve(argparse.Namespace(config=cfg_path, out=run_dir, seed=None,
-                                     stride=None, tol=None))
+        cmd_solve(argparse.Namespace(config=cfg_path, out=run_dir, seed=None, tol=None))
         with open(os.path.join(run_dir, "run.json")) as handle:
             rep = json.load(handle)
         entries.append({"index": i, "overrides": {k: v for k, v in zip(keys, combo)},
@@ -443,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", required=True)
     p_solve.add_argument("--seed", type=_seed_flag, default=None)
-    p_solve.add_argument("--stride", type=int, default=None)
     p_solve.add_argument("--tol", type=float, default=None)
     p_solve.set_defaults(func=cmd_solve)
 

@@ -200,7 +200,7 @@ def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampl
     """Sampled second-order check that no balanced variation lowers the action.
 
     Trials run ``_CHUNK`` at a time: each chunk is drawn, checked against the
-    rules of ``make_variation`` and scored with ``action_differences``.
+    rules of ``check_variations`` and scored with ``action_differences``.
     ``worst`` is the first trial of least action change and ``failures`` the
     first failing ones, in trial order. On a window of fewer than 2 points
     the only balanced variation is 0, so every trial is skipped and the check
@@ -280,7 +280,7 @@ def _draw_variations(rng: np.random.Generator, base: np.ndarray, cap: int, rows:
     pick, sizes, used = pick[keep], sizes[keep], used[keep]
     steps = t[keep, None] * np.where(used, raw[keep], 0.0)
     # t can reach ~1e4, lifting the draws' ~1e-16 imbalance past the balance
-    # tolerance of make_variation: the largest step absorbs it
+    # tolerance of check_variations: the largest step absorbs it
     last = (np.arange(len(sizes)), sizes - 1)
     steps[last] -= np.fromiter(map(math.fsum, steps.tolist()), float, len(steps))
     return pick, steps, sizes

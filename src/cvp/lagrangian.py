@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstructionError, InputError, ProfileError, as_number
-from .space import MetricSpace, as_mask, ball_cover_counts, closed_ball
+from .space import MetricSpace, as_mask, ball_cover_counts, closed_ball, symmetric_matrix
 
 _KINDS = ("tent", "truncated_gaussian", "exponential", "matrix")
 
@@ -33,19 +33,9 @@ class Lagrangian:
     declared_range: float | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConstructionError(f"kernel matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ConstructionError("kernel values must be finite")
-        if np.any(m < 0):
-            raise ConstructionError("kernel values must be nonnegative")
-        if not np.allclose(m, m.T, rtol=0, atol=1e-12):
-            raise ConstructionError("kernel must be symmetric")
+        m = symmetric_matrix(self.matrix, None, "kernel matrix", ConstructionError)
         if np.any(np.diag(m) <= 0):
             raise ConstructionError("kernel diagonal must be strictly positive")
-        m = (m + m.T) / 2.0
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 

@@ -1,11 +1,11 @@
 """Weighted point measures, balanced variations, and the action functional.
 
-Measures and variations are read-only vectors in ``space.ids`` order, the
-order of a point-set mask, so restriction is ``np.where(mask, w, 0)``. Kernel
+Measures are read-only weight vectors in ``space.ids`` order, the order of
+a point-set mask, so restriction is ``np.where(mask, w, 0)``. Kernel
 sums run over the nonzero entries in ascending index order, so a measure gives
 the same bits however it was built; scalar sums use ``math.fsum`` (exact).
-Many variations at once are rows of point indices and the signed steps at
-them (``check_variations``, ``action_differences``).
+Balanced variations are rows of point indices and the signed steps at them,
+checked by ``check_variations`` and scored by ``action_differences``.
 """
 
 from __future__ import annotations
@@ -63,26 +63,6 @@ class DiscreteMeasure:
         return self.weights > 0
 
 
-@dataclass(frozen=True, eq=False)
-class SignedVariation:
-    """A balanced signed perturbation of a base measure; see ``make_variation``."""
-
-    base: DiscreteMeasure
-    delta: np.ndarray
-
-
-def make_variation(base: DiscreteMeasure, delta) -> SignedVariation:
-    """Validate balance (total delta = 0) and positivity of base + delta."""
-    d = np.array(delta, dtype=float)
-    if d.shape != base.weights.shape:
-        raise InputError(f"variation needs {len(base.weights)} entries in space order, "
-                         f"got shape {d.shape}")
-    moved = np.flatnonzero(d)
-    check_variations(base, moved[None], d[moved][None])
-    d.setflags(write=False)
-    return SignedVariation(base=base, delta=d)
-
-
 def check_variations(base: DiscreteMeasure, points: np.ndarray, deltas: np.ndarray) -> None:
     """Raise unless every row variation is finite, balanced and keeps base + delta >= 0.
 
@@ -104,10 +84,6 @@ def check_variations(base: DiscreteMeasure, points: np.ndarray, deltas: np.ndarr
         raise PositivityError(f"variation drives weight at {ids[points[at]]!r} to {after[at]}")
 
 
-def apply_variation(var: SignedVariation) -> DiscreteMeasure:
-    return DiscreteMeasure(var.base.space, np.maximum(0.0, var.base.weights + var.delta))
-
-
 def action(rho: DiscreteMeasure, L: Lagrangian) -> float:
     """Double integral of the kernel against rho x rho."""
     _check_compat(rho, L)
@@ -121,16 +97,6 @@ def averaged_kernel(rho: DiscreteMeasure, L: Lagrangian) -> np.ndarray:
     _check_compat(rho, L)
     s = np.flatnonzero(rho.weights)
     return L.matrix[:, s] @ rho.weights[s]
-
-
-def action_difference(rho: DiscreteMeasure, var: SignedVariation, L: Lagrangian) -> float:
-    """Action change under a balanced variation; the one-row case of
-    ``action_differences``. Agrees with recomputing both actions directly."""
-    if var.base != rho:
-        raise InputError("variation was built on a different base measure")
-    _check_compat(rho, L)
-    t = np.flatnonzero(var.delta)
-    return float(action_differences(averaged_kernel(rho, L), L, t[None], var.delta[t][None])[0])
 
 
 def action_differences(lhat: np.ndarray, L: Lagrangian, points: np.ndarray,

@@ -21,7 +21,7 @@ from .errors import DegenerateStageError, InputError, SolverFailure
 from .lagrangian import DecayProfile, Lagrangian, tail_index
 from .measure import DiscreteMeasure, averaged_kernel, restrict
 from .simplex_solver import (CompactProblem, CompactSolution, KKTResiduals,
-                             SolverOptions, minimize_on_compact)
+                             SolverOptions, _residuals, minimize_on_compact)
 from .space import Exhaustion, MetricSpace, as_index, as_mask, closed_ball
 
 # A stage counts as degenerate when its kernel block is constant to this level.
@@ -38,7 +38,6 @@ class RunOptions:
     window_layer: float | None = None
     profile: DecayProfile | None = None
     eps: float | None = None
-    stride: int = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,28 +147,30 @@ def _stage_seed(seed: int, stage_index: int) -> int:
     return int(np.random.SeedSequence([seed, stage_index]).generate_state(1)[0])
 
 
-def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
-                   options: RunOptions | None = None) -> ExhaustionRun:
-    """Solve every stage, rescale, certify the window, assemble the limit."""
-    options = options or RunOptions()
+def _stage_block(L: Lagrangian, stage: np.ndarray):
+    """The point indices of a stage mask, its kernel block, and whether that
+    block is constant (a degenerate stage)."""
+    idx = np.flatnonzero(stage)
+    block = L.matrix[np.ix_(idx, idx)]
+    spread = float(block.max() - block.min())
+    return idx, block, spread <= _CONST_BLOCK_TOL * max(1.0, float(block.max()))
+
+
+def _check_kernel(space: MetricSpace, L: Lagrangian) -> None:
     if space.key != L.space_key:
         raise InputError("kernel was built on a different space")
-    if options.stride < 1:
-        raise InputError("stride must be a positive integer")
-    layer = resolve_window_layer(L, options)
-    stage_sets = list(exhaustion.stages)
-    if options.stride > 1:
-        picked = list(range(0, len(stage_sets), options.stride))
-        if picked[-1] != len(stage_sets) - 1:
-            picked.append(len(stage_sets) - 1)
-        stage_sets = [stage_sets[i] for i in picked]
 
+
+def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
+                   options: RunOptions | None = None) -> ExhaustionRun:
+    """Solve and rescale every stage of the exhaustion, then assemble the run
+    (``_assemble``: window, limit and diagnostics)."""
+    options = options or RunOptions()
+    _check_kernel(space, L)
+    layer = resolve_window_layer(L, options)
     scaled: list[ScaledMinimizer] = []
-    for n, stage in enumerate(stage_sets):
-        idx = np.flatnonzero(stage)
-        block = L.matrix[np.ix_(idx, idx)]
-        spread = float(block.max() - block.min())
-        degenerate = spread <= _CONST_BLOCK_TOL * max(1.0, float(block.max()))
+    for n, stage in enumerate(exhaustion.stages):
+        idx, block, degenerate = _stage_block(L, stage)
         opts = replace(options.solver, seed=_stage_seed(options.solver.seed, n))
         # warm start of a block that is not positive definite: the previous
         # stage's minimizer, extended by zero
@@ -179,7 +180,38 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
         solution = minimize_on_compact(problem, extra_starts=extra)
         scaled.append(rescale(solution, space, stage, L, stage_index=n,
                               tol=options.solver.tol, degenerate=degenerate))
+    return _assemble(space, scaled, layer, options.stab_tol)
 
+
+def run_from_weights(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
+                     options: RunOptions, weights, certified) -> ExhaustionRun:
+    """The run of the exhaustion whose stages have these unscaled weights (one
+    array per stage, in space order) and ``certified_global`` flags.
+
+    Everything else is derived as ``run_exhaustion`` derives it: each stage's
+    KKT residuals with the solver's formula on its kernel block, its
+    degenerate flag with the same block test, and the run with ``_assemble``.
+    Nothing is revalidated, so a tampered stage reaches the checks.
+    """
+    _check_kernel(space, L)
+    layer = resolve_window_layer(L, options)
+    if not len(weights) == len(certified) == len(exhaustion.stages):
+        raise InputError(f"{len(exhaustion.stages)} stages need as many weight vectors "
+                         f"and flags, got {len(weights)} and {len(certified)}")
+    stages = []
+    for n, (stage, w, cert) in enumerate(zip(exhaustion.stages, weights, certified)):
+        idx, block, degenerate = _stage_block(L, stage)
+        stages.append(ScaledMinimizer(
+            stage_index=n, stage=stage, weights=w, kkt=_residuals(block, w[idx]),
+            certified_global=cert, space=space, degenerate=degenerate))
+    return _assemble(space, stages, layer, options.stab_tol)
+
+
+def _assemble(space: MetricSpace, scaled: list[ScaledMinimizer], layer: float,
+              stab_tol: float) -> ExhaustionRun:
+    """The run of solved stages: the window of the second-to-last stage at
+    ``layer`` (the last stage itself when there is one), the last stage's
+    measure restricted to it, and the diagnostics."""
     last = scaled[-1]
     if len(scaled) == 1:
         window = last.stage
@@ -198,9 +230,9 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
 
     diagnostics = {
         "window_layer": layer,
-        "stabilized": stab_gap <= options.stab_tol,
+        "stabilized": stab_gap <= stab_tol,
         "stab_gap": stab_gap,
-        "stab_tol": options.stab_tol,
+        "stab_tol": stab_tol,
         "lambda_series": [s.scale for s in scaled],
         "s_series": [s.s_unscaled for s in scaled],
         "degenerate_stages": [s.stage_index for s in scaled if s.degenerate],
@@ -223,8 +255,7 @@ def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagran
     A ball is validated when L(y, z) >= L(x, x)/2 for every pair inside it;
     the radius shrinks through realized distances until that holds.
     """
-    if space.key != L.space_key:
-        raise InputError("kernel was built on a different space")
+    _check_kernel(space, L)
     entries = []
     passed = True
     for xi in probes:

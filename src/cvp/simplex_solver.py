@@ -24,6 +24,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import InputError, SizeError, SolverFailure
+from .space import symmetric_matrix
 
 # Hard cap for the enumeration oracle.
 ORACLE_CAP = 16
@@ -65,20 +66,9 @@ class CompactProblem:
         ids = tuple(str(i) for i in self.ids)
         if not ids:
             raise InputError("a compact problem needs at least one point")
-        m = np.asarray(self.matrix, dtype=float)
-        n = len(ids)
-        if m.shape != (n, n):
-            raise InputError(f"kernel block must be {n}x{n}, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InputError("kernel block must be finite")
-        if np.any(m < 0):
-            raise InputError("kernel block must be nonnegative")
-        if not np.allclose(m, m.T, rtol=0, atol=1e-12):
-            raise InputError("kernel block must be symmetric")
+        m = symmetric_matrix(self.matrix, len(ids), "kernel block", InputError)
         if np.any(np.diag(m) <= 0):
             raise InputError("kernel block needs a strictly positive diagonal")
-        m = (m + m.T) / 2.0
-        m.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "matrix", m)
 

@@ -46,19 +46,10 @@ class MetricSpace:
             raise ConstructionError("a metric space needs at least one point")
         if len(set(ids)) != len(ids):
             raise ConstructionError("point ids must be unique")
-        d = np.asarray(self.dist, dtype=float)
         n = len(ids)
-        if d.shape != (n, n):
-            raise ConstructionError(f"distance matrix must be {n}x{n}, got {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise ConstructionError("distances must be finite")
-        if np.any(d < 0):
-            raise ConstructionError("distances must be nonnegative")
-        if np.any(np.abs(np.diag(d)) > 0):
+        d = symmetric_matrix(self.dist, n, "distance matrix", ConstructionError)
+        if np.any(np.diag(d) > 0):
             raise ConstructionError("self-distances must be zero")
-        if not np.allclose(d, d.T, rtol=0, atol=1e-12):
-            raise ConstructionError("distance matrix must be symmetric")
-        d = (d + d.T) / 2.0
         c = None
         if self.coords is not None:
             c = np.array(self.coords, dtype=float)
@@ -71,14 +62,13 @@ class MetricSpace:
                 raise ConstructionError("coords must be finite")
             c.setflags(write=False)
         _check_triangle(d, c)
-        d.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "dist", d)
         object.__setattr__(self, "coords", c)
         object.__setattr__(self, "index", {p: i for i, p in enumerate(ids)})
         h = hashlib.sha256()
         h.update("\x1f".join(ids).encode())
-        h.update(np.ascontiguousarray(d).tobytes())
+        h.update(np.ascontiguousarray(d))
         object.__setattr__(self, "key", h.hexdigest()[:16])
 
     def __len__(self) -> int:
@@ -146,6 +136,30 @@ def _midpoint_violation(d: np.ndarray, slack: float) -> bool:
         if np.any(d[i, i:] > via + slack):
             return True
     return False
+
+
+def symmetric_matrix(value, n: int | None, what: str, error: type[Exception]) -> np.ndarray:
+    """``value`` as a read-only float matrix, n x n (square when ``n`` is None),
+    finite, nonnegative and symmetric to 1e-12, averaged with its transpose so
+    that it is exactly symmetric; else ``error`` naming ``what``. The diagonal
+    rule is the caller's."""
+    m = np.asarray(value, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or n not in (None, m.shape[0]):
+        size = "square" if n is None else f"{n}x{n}"
+        raise error(f"{what} must be {size}, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise error(f"{what} must be finite")
+    if np.any(m < 0):
+        raise error(f"{what} must be nonnegative")
+    # one buffer holds the gap and then the result: a freed full-size
+    # temporary raises the allocator's mmap threshold and with it peak RSS
+    out = m - m.T
+    if not np.all(np.abs(out, out=out) <= 1e-12):
+        raise error(f"{what} must be symmetric")
+    np.add(m, m.T, out=out)
+    out /= 2.0
+    out.setflags(write=False)
+    return out
 
 
 def as_mask(mask, n: int, what: str = "point set") -> np.ndarray:

@@ -159,7 +159,7 @@ def test_report_round_trip_is_byte_identical(radii, margin, reach, amplitude, se
         config = load_config(path)
     run = run_exhaustion(config.space, config.kernel, config.exhaustion, config.options)
     text = canonical_json(report_from_run(run, config))
-    back = run_from_report(json.loads(text), config.space)
+    back = run_from_report(json.loads(text), config)
     assert canonical_json(report_from_run(back, config)) == text
 
 
@@ -350,18 +350,14 @@ _BAD_FIELDS = (
     (("stride",), "s", "stride"),
     (("seed",), -1, "seed must be a non-negative integer"),
 )
-# verify reads only the space, kernel and profile of a report's config
-_VERIFY_READS = 3
 
 
 @pytest.mark.parametrize("command,path,value,field", [
     pytest.param(command, *case, id=f"{command}-{case[2]}")
-    for command, cases in (("solve", _BAD_FIELDS), ("verify", _BAD_FIELDS[:_VERIFY_READS]))
-    for case in cases])
+    for command in ("solve", "verify") for case in _BAD_FIELDS])
 def test_bad_config_field_exits_1_naming_it(tmp_path, command, path, value, field):
     if command == "solve":
-        cfg = json.loads(open(write_config(tmp_path, profile=_PROFILE, stab_tol=1e-6,
-                                           stride=1)).read())
+        cfg = json.loads(open(write_config(tmp_path, profile=_PROFILE, stab_tol=1e-6)).read())
         _mutate(cfg, path, "retype", value)
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -423,7 +419,7 @@ def test_verify_ell_matches_solve_csv_bit_for_bit(tmp_path):
     (("solver", "certify"), "false", "solver.certify is not a solver setting"),
     (("solver", "restarts"), 2.9, "solver.restarts is not a solver setting"),
     (("seed",), 1.7, "seed must be an integer"),
-    (("stride",), 1.5, "stride must be an integer"),
+    (("stride",), 1.5, "stride is not a config setting"),
     (("solver", "max_iter"), 100, "solver.max_iter is not a solver setting"),
     (("solver", "oracle_max"), 16, "solver.oracle_max is not a solver setting"),
 ], ids=["certify-string", "restarts-float", "seed-float", "stride-float", "max_iter",
@@ -455,16 +451,63 @@ def test_verify_default_checks_pass_on_one_point_window(tmp_path):
     assert "reason" in minimality
 
 
-@pytest.mark.parametrize("edit,field", [
-    (lambda r: r["stages"][1]["ids"].__setitem__(3, "zz"), "report stages[1].ids[3]"),
-    (lambda r: r["window"].__setitem__(0, "zz"), "report window[0]"),
-], ids=["stage-ids", "window"])
-def test_verify_refuses_unknown_point_id(tmp_path, capsys, edit, field):
-    run_path, report = _solved_report(tmp_path)
-    edit(report)
+def _verify_bytes(run_path, report, out, checks):
+    """The ``verify.json`` bytes and exit code of ``report`` saved at ``run_path``."""
     open(run_path, "w").write(json.dumps(report))
+    code = main(["verify", "--run", run_path, "--checks", checks, "--trials", "50",
+                 "--delta-cover", "1.0", "--out", out])
+    return code, open(out, "rb").read()
+
+
+def test_verify_derives_the_window_from_the_config(tmp_path):
+    # a stored window of one point hid the doubled weight at g3 from the checks
+    run_path, report = _solved_report(tmp_path)
+    report["stages"][-1]["weights"]["g3"] *= 2.0
+    report["window"] = ["g0"]
+    open(run_path, "w").write(json.dumps(report))
+    assert main(["verify", "--run", run_path, "--checks", "el,minimality,nontriviality"]) == 2
+
+
+_STAGE_OUTPUT_ONLY = ("ids", "index", "kkt", "degenerate", "lambda", "value", "s_unscaled")
+
+
+def _blank(report):
+    for stage in report["stages"]:
+        for key in _STAGE_OUTPUT_ONLY:
+            del stage[key]
+    for key in ("window", "limit", "diagnostics"):
+        del report[key]
+
+
+def _alter(report):
+    for stage in report["stages"]:
+        stage.update({"ids": ["g0"], "index": 7, "degenerate": True, "lambda": 1e9,
+                      "value": -1.0, "s_unscaled": 0.0,
+                      "kkt": {"on_support_max": 0.0, "min_over_k": 0.0, "s_param": 1.0}})
+    report.update(window=["g0"], limit={"space": "x", "weights": {"g0": 5.0}},
+                  diagnostics={"window_layer": 50.0})
+
+
+@pytest.mark.parametrize("edit", [_blank, _alter], ids=["blank", "alter"])
+def test_output_only_fields_do_not_change_verify(tmp_path, edit):
+    run_path, report = _solved_report(
+        tmp_path, profile=_PROFILE, window={"layer": 1.0, "eps": 0.3},
+        verify={"support_cap": 4, "eps": 0.3})
+    checks = ",".join(_ALL_CHECKS)
+    code, clean = _verify_bytes(run_path, report, str(tmp_path / "clean.json"), checks)
+    edit(report)
+    assert _verify_bytes(run_path, report, str(tmp_path / "edited.json"), checks) == (code,
+                                                                                      clean)
+    assert json.loads(clean)["checks"]["mass_bound"]["entries"][0]["requested_radius"] == 1.0
+
+
+def test_verify_refuses_a_report_with_a_stage_missing(tmp_path, capsys):
+    run_path, report = _solved_report(tmp_path)
+    del report["stages"][0]
+    open(run_path, "w").write(json.dumps(report))
+    capsys.readouterr()
     assert main(["verify", "--run", run_path, "--checks", "el"]) == 1
-    assert f"{field} 'zz' is not a point id" in capsys.readouterr().err
+    assert "report stages has 2 entries" in capsys.readouterr().err
 
 
 _SWEEP_BASE = {"space": {"points": [{"id": "g0", "coords": [0.0]}], "metric": "euclidean"},

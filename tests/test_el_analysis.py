@@ -20,7 +20,6 @@ from cvp import (
     gamma_lower_bound,
     grid_1d,
     make_kernel,
-    make_variation,
     minimize_on_compact,
     nontriviality_check,
     rescale,
@@ -151,8 +150,10 @@ def test_sampled_variations_recompute_exactly(identity_run):
     sampler = VariationSampler(window=run.window, seed=3)
     rep = cvp.test_minimality(rho, tent, sampler, trials=50)
     assert rep["evaluated"] == 50
-    var = make_variation(rho, dense(grid, rep["worst"]["delta"]))
-    direct = action(cvp.apply_variation(var), tent) - action(rho, tent)
+    delta = dense(grid, rep["worst"]["delta"])
+    pts = np.flatnonzero(delta)
+    check_variations(rho, pts[None], delta[pts][None])
+    direct = action(DiscreteMeasure(grid, rho.weights + delta), tent) - action(rho, tent)
     assert rep["worst"]["delta_action"] == pytest.approx(direct, abs=1e-9)
     assert rep["worst"]["delta_action"] == rep["min_delta_S"]
 
@@ -200,7 +201,7 @@ class _ConstructedDraws:
 def test_large_steps_stay_balanced():
     # two points of weight 2 and Dirichlet draws that differ by ~1e-4: the step
     # scale t is ~2.4e4, which lifts the draws' rounding imbalance past the
-    # balance tolerance of make_variation unless the largest step absorbs it
+    # balance tolerance of check_variations unless the largest step absorbs it
     e = [[[1.0, 1.0003003]], [[1.0, 1.0]]]
     base = np.array([2.0, 2.0])
     raw = np.sort(np.divide(e[0][0], sum(e[0][0])) - np.divide(e[1][0], sum(e[1][0])))
@@ -244,10 +245,10 @@ def test_drawn_rows_follow_the_sampler_rules(inputs):
         assert (base[row] + step >= 0).all()
         # negative steps sit on the row's heaviest weights
         assert base[row][step < 0].min() >= base[row][step >= 0].max(initial=0.0)
+        check_variations(rho, window_idx[row][None], step[None])
         delta = np.zeros(n)
         delta[window_idx[row]] = step
-        var = make_variation(rho, delta)
-        direct = action(cvp.apply_variation(var), L) - action(rho, L)
+        direct = action(DiscreteMeasure(g, rho.weights + delta), L) - action(rho, L)
         assert d == pytest.approx(direct, abs=1e-10 * max(1.0, action(rho, L)))
 
 

@@ -12,12 +12,9 @@ from cvp import (
     PositivityError,
     VolumeConstraintError,
     action,
-    action_difference,
-    apply_variation,
     averaged_kernel,
     grid_1d,
     make_kernel,
-    make_variation,
     measure_to_dict,
     restrict,
 )
@@ -44,6 +41,25 @@ def mask(space, ids):
     m = np.zeros(len(space), dtype=bool)
     m[[space.index[x] for x in ids]] = True
     return m
+
+
+def moved(rho, delta):
+    """The measure rho + delta, for a dense variation in space order."""
+    return DiscreteMeasure(rho.space, rho.weights + delta)
+
+
+def one_row(delta):
+    """A dense variation as one row: the points it moves and its steps there."""
+    delta = np.asarray(delta, dtype=float)
+    pts = np.flatnonzero(delta)
+    return pts[None], delta[pts][None]
+
+
+def score(rho, L, delta):
+    """The action change of one dense variation, after its rules are checked."""
+    pts, d = one_row(delta)
+    check_variations(rho, pts, d)
+    return action_differences(averaged_kernel(rho, L), L, pts, d)[0]
 
 
 def two_point_setup(offdiag=0.0):
@@ -103,35 +119,34 @@ def test_averaged_kernel_two_point():
 
 def test_action_difference_symmetric_swap():
     _, L, rho = two_point_setup()
-    var = make_variation(rho, [0.1, -0.1])
     # linear term cancels, quadratic term is 2 t^2
-    assert action_difference(rho, var, L) == pytest.approx(0.02, abs=ATOL)
+    assert score(rho, L, [0.1, -0.1]) == pytest.approx(0.02, abs=ATOL)
 
 
 def test_zero_variation_gives_zero():
     _, L, rho = two_point_setup(offdiag=0.3)
-    var = make_variation(rho, [0.0, 0.0])
-    assert action_difference(rho, var, L) == 0.0
+    assert score(rho, L, [0.0, 0.0]) == 0.0
 
 
 def test_variation_requires_balance():
     _, _, rho = two_point_setup()
     with pytest.raises(VolumeConstraintError):
-        make_variation(rho, [0.1, 0.0])
+        check_variations(rho, np.array([[0, 1]]), np.array([[0.1, 0.0]]))
 
 
 def test_variation_requires_positivity():
     _, _, rho = two_point_setup()
     with pytest.raises(PositivityError):
-        make_variation(rho, [-0.6, 0.6])
+        check_variations(rho, np.array([[0, 1]]), np.array([[-0.6, 0.6]]))
 
 
 def test_apply_variation_moves_mass():
     g, L, rho = two_point_setup()
-    var = make_variation(rho, [-0.25, 0.25])
-    out = apply_variation(var)
+    delta = np.array([-0.25, 0.25])
+    out = moved(rho, delta)
     assert out.weights == pytest.approx([0.25, 0.75], abs=ATOL)
     assert out.total() == pytest.approx(rho.total(), abs=ATOL)
+    assert score(rho, L, delta) == pytest.approx(action(out, L) - action(rho, L), abs=ATOL)
 
 
 def test_restrict_examples():
@@ -183,10 +198,10 @@ def test_action_difference_matches_recompute(w, seed):
     for i in range(len(g)):
         if raw[i] < 0 and rho.weights[i] < -raw[i] * scale:
             scale = min(scale, rho.weights[i] / -raw[i])
-    var = make_variation(rho, raw * scale * 0.9)
-    direct = action(apply_variation(var), L) - action(rho, L)
+    delta = raw * scale * 0.9
+    direct = action(moved(rho, delta), L) - action(rho, L)
     tol = REL_RECOMPUTE * max(1.0, abs(action(rho, L)))
-    assert action_difference(rho, var, L) == pytest.approx(direct, abs=tol)
+    assert score(rho, L, delta) == pytest.approx(direct, abs=tol)
 
 
 @given(w=small_weights)
@@ -244,49 +259,62 @@ def test_array_measure_matches_per_id_reference(data):
         step = share * by_id.get(src, 0.0) / len(moves)
         delta[src] = delta.get(src, 0.0) - step
         delta[dst] = delta.get(dst, 0.0) + step
-    var = make_variation(rho, dense(g, delta))
     reference = (2.0 * math.fsum(d * _reference_lhat(g, L, by_id, x) for x, d in delta.items())
                  + _reference_pair_sum(g, L, delta, delta))
-    assert action_difference(rho, var, L) == pytest.approx(reference, rel=1e-10,
+    assert score(rho, L, dense(g, delta)) == pytest.approx(reference, rel=1e-10,
                                                            abs=1e-12 * scale)
 
 
 def _outcome(fn, *args):
-    """The error class and message ``fn`` raises, or None."""
+    """The error class ``fn`` raises, or None."""
     try:
         fn(*args)
     except (InputError, VolumeConstraintError, PositivityError) as err:
-        return type(err), str(err)
+        return type(err)
+    return None
+
+
+def _reference_rule(rho, pts, d):
+    """The error class of the balance and positivity rules for one row, or None."""
+    if abs(math.fsum(d)) > 1e-12:
+        return VolumeConstraintError
+    if (rho.weights[pts] + d < -1e-12).any():
+        return PositivityError
     return None
 
 
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_row_rules_and_scores_match_the_one_variation_path(data):
+    # each row alone against the rules and a recomputed action, then the rows
+    # as one batch against each row alone
     g = grid_1d(range(8))
     L = make_kernel("exponential", {"amplitude": 1.0, "sigma": 2.0}, g)
     rho = measure(g, data.draw(small_weights))
     lhat = averaged_kernel(rho, L)
-    rows = []
+    tol = REL_RECOMPUTE * max(1.0, action(rho, L))
+    rows, scores = [], []
     for _ in range(data.draw(st.integers(1, 5))):
-        # in space order, so both paths name the same first offending point
-        pts = np.sort(data.draw(st.lists(st.integers(0, 7), min_size=3, max_size=3,
-                                         unique=True)))
+        pts = np.array(data.draw(st.lists(st.integers(0, 7), min_size=3, max_size=3,
+                                          unique=True)))
         d = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
         if data.draw(st.booleans()):  # most rows balance to zero exactly
             d = np.append(d, -d.sum())
         else:
             d = np.append(d, data.draw(st.floats(-1.0, 1.0)))
         rows.append((pts, d))
-        dense_delta = np.zeros(len(g))
-        dense_delta[pts] = d
-        one = _outcome(make_variation, rho, dense_delta)
-        assert _outcome(check_variations, rho, pts[None], d[None]) == one
+        one = _outcome(check_variations, rho, pts[None], d[None])
+        assert one == _reference_rule(rho, pts, d)
         if one is None:
-            var = make_variation(rho, dense_delta)
-            assert action_differences(lhat, L, pts[None], d[None])[0] == pytest.approx(
-                action_difference(rho, var, L), rel=1e-12, abs=1e-15)
+            scores.append(action_differences(lhat, L, pts[None], d[None])[0])
+            dense_delta = np.zeros(len(g))
+            dense_delta[pts] = d
+            direct = action(moved(rho, dense_delta), L) - action(rho, L)
+            assert scores[-1] == pytest.approx(direct, abs=tol)
     points = np.array([p for p, _ in rows])
     deltas = np.array([d for _, d in rows])
-    all_pass = all(_outcome(check_variations, rho, p[None], d[None]) is None for p, d in rows)
-    assert (_outcome(check_variations, rho, points, deltas) is None) == all_pass
+    batch = _outcome(check_variations, rho, points, deltas)
+    assert (batch is None) == (len(scores) == len(rows))
+    if batch is None:
+        assert action_differences(lhat, L, points, deltas) == pytest.approx(scores, rel=1e-12,
+                                                                            abs=1e-15)

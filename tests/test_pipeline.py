@@ -86,26 +86,6 @@ def test_constant_block_flagged_degenerate():
     assert run.stages[0].scale == pytest.approx(1.0, abs=ATOL)
 
 
-def test_stride_keeps_final_stage():
-    g = grid_1d(range(-12, 13), prefix="g")
-    tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, g)
-    exh = build_exhaustion(g, 12, (3, 5, 7, 9))
-    full = run_exhaustion(g, tent, exh)
-    thinned = run_exhaustion(g, tent, exh, RunOptions(stride=2))
-    assert len(full.stages) == 4
-    assert len(thinned.stages) == 3
-    assert np.array_equal(thinned.stages[-1].stage, full.stages[-1].stage)
-    assert thinned.stages[-1].scale == pytest.approx(full.stages[-1].scale, abs=1e-9)
-
-
-def test_stride_must_be_positive():
-    g = grid_1d(range(3))
-    tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, g)
-    exh = build_exhaustion(g, 0, (2,))
-    with pytest.raises(InputError):
-        run_exhaustion(g, tent, exh, RunOptions(stride=0))
-
-
 def test_explicit_layer_overrides_declared_range():
     g = grid_1d(range(-12, 13), prefix="g")
     tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, g)
