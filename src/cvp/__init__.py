@@ -21,7 +21,7 @@ from .simplex_solver import (CompactProblem, CompactSolution, KKTResiduals,
                              minimize_on_compact)
 from .pipeline import (ExhaustionRun, RunOptions, ScaledMinimizer,
                        check_ell_convergence, check_support_approximation,
-                       local_mass_bound_check, rescale, run_exhaustion,
+                       local_mass_bound_check, run_exhaustion,
                        stage_ell, tail_mass, window_points)
 from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY,
                           EXIT_OK, ELReport, VariationSampler,

@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY, EXIT_
                           VariationSampler, check_sufficient_conditions,
                           gamma_lower_bound, nontriviality_check, verify_el)
 from .el_analysis import test_minimality as sample_minimality
-from .errors import CVPError, InputError, UsageError, as_number
+from .errors import NUMBER, CVPError, InputError, UsageError, as_number, typed
 from .lagrangian import (Lagrangian, diagonal_infimum, kernel_from_spec,
                          profile_from_spec)
 from .measure import measure_to_dict
@@ -35,12 +35,29 @@ from .space import Exhaustion, MetricSpace, build_exhaustion, space_from_dict
 
 VALID_CHECKS = ("el", "minimality", "conditions", "nontriviality", "gamma",
                 "mass_bound")
-_DEFAULT_CHECKS = ("el", "minimality", "nontriviality")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to the usage exit code
         raise UsageError(message)
+
+
+@dataclass(frozen=True)
+class VerifySettings:
+    """The ``verify`` section of a config. Unset, ``eps`` falls back to
+    ``window.eps`` and then 0.5, ``mass_radius`` to the run's window layer,
+    and ``conditions`` is refused for want of ``delta_cover``."""
+
+    checks: tuple[str, ...] = ("el", "minimality", "nontriviality")
+    trials: int = 1000
+    tol: float = 1e-6
+    eps: float | None = None
+    support_cap: int = 6
+    delta_cover: float | None = None
+    mass_radius: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "checks", tuple(self.checks))
 
 
 @dataclass
@@ -50,35 +67,49 @@ class RunConfig:
     kernel: Lagrangian
     exhaustion: Exhaustion
     options: RunOptions
+    verify: VerifySettings
 
 
-def _solver_options(payload: dict, seed: int) -> SolverOptions:
-    """Settings from the config's ``solver`` section; an unknown key is refused."""
-    kinds = {"tol": _NUMBER}
-    opts = SolverOptions(seed=seed)
-    for key, value in payload.items():
+# The JSON kind of every key of the solver, window and verify sections; a
+# number is read as a float. Null leaves a key of _UNSET_BY_DEFAULT unset.
+_SECTIONS = {
+    "solver": {"tol": NUMBER},
+    "window": {"layer": NUMBER, "eps": NUMBER},
+    "verify": {"checks": list, "trials": int, "tol": NUMBER, "eps": NUMBER,
+               "support_cap": int, "delta_cover": NUMBER, "mass_radius": NUMBER},
+}
+_UNSET_BY_DEFAULT = ("window.layer", "window.eps", "verify.eps", "verify.delta_cover",
+                     "verify.mass_radius")
+
+
+def _section(raw: dict, name: str) -> dict:
+    """The settings the config section ``name`` gives; an unknown key or a
+    value of the wrong JSON kind is refused."""
+    kinds = _SECTIONS[name]
+    settings = {}
+    for key, value in typed(raw.get(name, {}), dict, name).items():
+        what = f"{name}.{key}"
         if key not in kinds:
-            raise InputError(f"solver.{key} is not a solver setting "
-                             f"(known: {', '.join(kinds)})")
-        setattr(opts, key, _typed(value, kinds[key], f"solver.{key}"))
-    return opts
+            raise InputError(f"{what} is not a {name} setting (known: {', '.join(kinds)})")
+        if value is None and what in _UNSET_BY_DEFAULT:
+            continue
+        settings[key] = (as_number(value, what) if kinds[key] is NUMBER
+                         else typed(value, kinds[key], what))
+    return settings
 
 
-def load_config(path: str, seed_override: int | None = None,
-                tol_override: float | None = None) -> RunConfig:
-    """The run config of a config file; a ``space`` given as a file path is
-    read relative to it and inlined."""
+def load_config(path: str, seed_override: int | None = None) -> RunConfig:
+    """The run config of a config file, built by ``config_from_dict``; a
+    ``space`` given as a file path is read relative to it and inlined, and
+    ``seed_override`` replaces the ``seed`` (so it enters ``config_hash``)."""
     with open(path) as handle:
-        raw = _typed(json.load(handle), dict, f"{path}: config")
+        raw = typed(json.load(handle), dict, f"{path}: config")
     if isinstance(raw.get("space"), str):
         with open(os.path.join(os.path.dirname(os.path.abspath(path)), raw["space"])) as handle:
             raw = {**raw, "space": json.load(handle)}
     if seed_override is not None:
         raw = {**raw, "seed": seed_override}
-    config = config_from_dict(raw)
-    if tol_override is not None:
-        config.options.solver.tol = float(tol_override)
-    return config
+    return config_from_dict(raw)
 
 
 # The settings of a run config; any other top-level key is refused.
@@ -88,33 +119,38 @@ _CONFIG_KEYS = ("space", "kernel", "profile", "exhaustion", "solver", "window",
 
 def config_from_dict(raw: dict) -> RunConfig:
     """The run config of a config object with an inline ``space``: what
-    ``cvp solve`` runs and what ``cvp verify`` rebuilds from a report."""
+    ``cvp solve`` runs and what ``cvp verify`` rebuilds from a report. Every
+    setting is read here, once: an unknown key of the config or of its
+    ``solver``, ``window`` or ``verify`` section, or a value of the wrong JSON
+    kind, raises ``InputError`` naming it."""
     for key in raw:
         if key not in _CONFIG_KEYS:
             raise InputError(f"{key} is not a config setting "
                              f"(known: {', '.join(_CONFIG_KEYS)})")
-    space = space_from_dict(_typed(raw.get("space"), dict, "space"))
-    kernel = kernel_from_spec(_typed(raw.get("kernel", {}), dict, "kernel"), space)
+    space = space_from_dict(typed(raw.get("space"), dict, "space"))
+    kernel = kernel_from_spec(typed(raw.get("kernel", {}), dict, "kernel"), space)
     profile = None
-    if raw.get("profile"):
+    if raw.get("profile") is not None:
         profile = profile_from_spec(raw["profile"], c=diagonal_infimum(kernel))
-    exh_spec = _typed(raw.get("exhaustion", {}), dict, "exhaustion")
-    center = _point(space, str(exh_spec.get("center")), "exhaustion.center")
-    exhaustion = build_exhaustion(space, center, exh_spec.get("radii", ()))
-    seed = _typed(raw.get("seed", 0), int, "seed")
+    exh_spec = typed(raw.get("exhaustion", {}), dict, "exhaustion")
+    center = space.index.get(typed(exh_spec.get("center"), str, "exhaustion.center"))
+    if center is None:
+        raise InputError(f"exhaustion.center {exh_spec['center']!r} is not a point id")
+    radii = [as_number(r, "exhaustion radii")
+             for r in typed(exh_spec.get("radii", []), list, "exhaustion radii")]
+    exhaustion = build_exhaustion(space, center, radii)
+    seed = typed(raw.get("seed", 0), int, "seed")
     if seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed}")
-    solver = _solver_options(_typed(raw.get("solver", {}), dict, "solver"), seed)
-    window = _typed(raw.get("window", {}), dict, "window")
-    layer, eps = (None if window.get(key) is None else as_number(window[key], f"window.{key}")
-                  for key in ("layer", "eps"))
-    options = RunOptions(solver=solver,
+    window = _section(raw, "window")
+    options = RunOptions(solver=SolverOptions(seed=seed, **_section(raw, "solver")),
                          stab_tol=as_number(raw.get("stab_tol", 1e-6), "stab_tol"),
-                         window_layer=layer,
+                         window_layer=window.get("layer"),
                          profile=profile,
-                         eps=eps)
+                         eps=window.get("eps"))
     return RunConfig(raw={**raw, "seed": seed}, space=space, kernel=kernel,
-                     exhaustion=exhaustion, options=options)
+                     exhaustion=exhaustion, options=options,
+                     verify=VerifySettings(**_section(raw, "verify")))
 
 
 def report_from_run(run: ExhaustionRun, config: RunConfig) -> dict:
@@ -135,9 +171,7 @@ def report_from_run(run: ExhaustionRun, config: RunConfig) -> dict:
         "value": s.s_unscaled,
         "degenerate": s.degenerate,
         "certified_global": s.certified_global,
-        "kkt": {"on_support_max": s.kkt.on_support_max,
-                "min_over_k": s.kkt.min_over_k,
-                "s_param": s.kkt.s_param},
+        "kkt": asdict(s.kkt),
         "weights": {pid: w for pid, w in zip(s.space.ids, s.weights.tolist()) if w > 0},
     } for s in run.stages]
     return {
@@ -151,37 +185,17 @@ def report_from_run(run: ExhaustionRun, config: RunConfig) -> dict:
     }
 
 
-_NUMBER = (int, float)
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
-               int: "an integer", _NUMBER: "a number"}
-
-
-def _typed(value, kind, what: str):
-    """``value`` if it is a ``kind`` (a boolean is not a number); else InputError."""
-    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
-        return value
-    raise InputError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r:.60}")
-
-
-def _point(space: MetricSpace, pid, where: str) -> int:
-    """The index of the point id ``pid``; InputError naming ``where`` if unknown."""
-    index = space.index.get(_typed(pid, str, where))
-    if index is None:
-        raise InputError(f"{where} {pid!r} is not a point id of the space")
-    return index
-
-
 def _stage_weights(payload, stage: np.ndarray, space: MetricSpace,
                    where: str) -> np.ndarray:
     """The unscaled weights of a report stage, in space order."""
     weights = np.zeros(len(space))
-    for pid, w in _typed(payload, dict, f"{where}.weights").items():
+    for pid, w in typed(payload, dict, f"{where}.weights").items():
         field = f"{where}.weights[{pid!r}]"
         if pid not in space.index:
             raise InputError(f"{field} is on an unknown point id")
         if not stage[space.index[pid]]:
             raise InputError(f"{field} is outside the stage ids")
-        weights[space.index[pid]] = float(_typed(w, _NUMBER, field))
+        weights[space.index[pid]] = as_number(w, field)
     return weights
 
 
@@ -194,23 +208,22 @@ def run_from_report(report: dict, config: RunConfig) -> ExhaustionRun:
     type, or weight on a point outside its stage raises ``InputError``.
     """
     sets = config.exhaustion.stages
-    entries = _typed(report.get("stages"), list, "report stages")
+    entries = typed(report.get("stages"), list, "report stages")
     if len(entries) != len(sets):
         raise InputError(f"report stages has {len(entries)} entries, but the config's "
                          f"exhaustion has {len(sets)} stages")
     weights, certified = [], []
     for pos, (s, stage) in enumerate(zip(entries, sets)):
         where = f"report stages[{pos}]"
-        s = _typed(s, dict, where)
+        s = typed(s, dict, where)
         weights.append(_stage_weights(s.get("weights"), stage, config.space, where))
-        certified.append(_typed(s.get("certified_global"), bool,
-                                f"{where}.certified_global"))
+        certified.append(typed(s.get("certified_global"), bool, f"{where}.certified_global"))
     return run_from_weights(config.space, config.kernel, config.exhaustion, config.options,
                             weights, certified)
 
 
 def cmd_solve(args) -> int:
-    config = load_config(args.config, seed_override=args.seed, tol_override=args.tol)
+    config = load_config(args.config, seed_override=args.seed)
     run = run_exhaustion(config.space, config.kernel, config.exhaustion,
                          config.options)
     report = report_from_run(run, config)
@@ -231,9 +244,9 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.run) as handle:
-        report = _typed(json.load(handle), dict, f"{args.run}: report")
-    embedded = _typed(report.get("config"), dict, "report config")
-    stored_hash = _typed(report.get("config_hash"), str, "report config_hash")
+        report = typed(json.load(handle), dict, f"{args.run}: report")
+    embedded = typed(report.get("config"), dict, "report config")
+    stored_hash = typed(report.get("config_hash"), str, "report config_hash")
     config_hash = sha256_text(canonical_json(embedded))
     if config_hash != stored_hash:
         raise InputError(f"{args.run}: config_hash {stored_hash} does not "
@@ -241,85 +254,67 @@ def cmd_verify(args) -> int:
     config = config_from_dict(embedded)
     space, kernel, profile = config.space, config.kernel, config.options.profile
     run = run_from_report(report, config)
-    verify_cfg = _typed(embedded.get("verify", {}), dict, "report config.verify")
-
-    if args.checks:
-        checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-    else:
-        checks = tuple(_typed(verify_cfg.get("checks", list(_DEFAULT_CHECKS)), list,
-                              "report config.verify.checks"))
-    unknown = [c for c in checks if c not in VALID_CHECKS]
+    checks = (tuple(c.strip() for c in args.checks.split(",") if c.strip())
+              if args.checks else None)
+    flags = {"checks": checks, "trials": args.trials, "tol": args.tol, "eps": args.eps,
+             "delta_cover": args.delta_cover}
+    settings = replace(config.verify, **{k: v for k, v in flags.items() if v is not None})
+    unknown = [c for c in settings.checks if c not in VALID_CHECKS]
     if unknown:
         raise UsageError(f"unknown checks {unknown}; valid: {', '.join(VALID_CHECKS)}")
-    trials = args.trials if args.trials is not None else _typed(
-        verify_cfg.get("trials", 1000), int, "report config.verify.trials")
-    if trials < 1:
+    if settings.trials < 1:
         raise UsageError("trials must be a positive integer")
-    el_tol = args.tol if args.tol is not None else float(_typed(
-        verify_cfg.get("tol", 1e-6), _NUMBER, "report config.verify.tol"))
-    eps = args.eps if args.eps is not None else verify_cfg.get(
-        "eps", 0.5 if config.options.eps is None else config.options.eps)
     rho = run.stages[-1].measure
     window = run.window if run.window.any() else rho.support
 
     results: dict[str, dict] = {}
     el_report = None
-    for check in checks:
+    for check in settings.checks:
         if check == "el":
-            el_report = verify_el(rho, kernel, window, tol=el_tol)
+            el_report = verify_el(rho, kernel, window, tol=settings.tol)
             results["el"] = el_report.to_dict()
         elif check == "minimality":
-            support_cap = _typed(verify_cfg.get("support_cap", 6), int,
-                                 "report config.verify.support_cap")
             try:
                 sampler = VariationSampler(window=window, seed=args.seed,
-                                           support_cap=support_cap)
+                                           support_cap=settings.support_cap)
             except InputError as exc:
                 raise InputError(f"report config.verify.{exc}") from None
-            results["minimality"] = sample_minimality(rho, kernel, sampler, trials)
+            results["minimality"] = sample_minimality(rho, kernel, sampler, settings.trials)
         elif check == "conditions":
-            delta_cover = args.delta_cover if args.delta_cover is not None else \
-                verify_cfg.get("delta_cover")
-            if delta_cover is None:
+            if settings.delta_cover is None:
                 raise UsageError("check 'conditions' needs --delta-cover "
                                  "(or verify.delta_cover in the config)")
-            results["conditions"] = check_sufficient_conditions(
-                kernel, space, float(_typed(delta_cover, _NUMBER, "delta_cover")))
+            results["conditions"] = check_sufficient_conditions(kernel, space,
+                                                                settings.delta_cover)
             results["conditions"]["passed"] = results["conditions"]["holds"]
         elif check == "nontriviality":
             results["nontriviality"] = nontriviality_check(run, kernel, space)
         elif check == "gamma":
             if profile is None:
                 raise UsageError("check 'gamma' needs a profile in the config")
-            results["gamma"] = gamma_lower_bound(rho, kernel, space, profile,
-                                                 float(_typed(eps, _NUMBER, "eps")),
-                                                 window, el_report=el_report)
+            eps = next(e for e in (settings.eps, config.options.eps, 0.5) if e is not None)
+            results["gamma"] = gamma_lower_bound(rho, kernel, space, profile, eps, window,
+                                                 el_report=el_report)
         elif check == "mass_bound":
-            radius = verify_cfg.get("mass_radius", run.diagnostics.get("window_layer"))
+            radius = next(r for r in (settings.mass_radius, run.diagnostics["window_layer"])
+                          if r is not None)
             rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
             points = np.flatnonzero(window)
             count = min(len(points), 20)
             probes = points[np.sort(rng.choice(len(points), size=count, replace=False))]
-            results["mass_bound"] = local_mass_bound_check(
-                run.stages[-1], space, kernel, probes,
-                float(_typed(radius, _NUMBER, "mass_radius")))
+            results["mass_bound"] = local_mass_bound_check(run.stages[-1], space, kernel,
+                                                           probes, radius)
 
     failed = [name for name, res in results.items() if not res.get("passed", False)]
-    if "el" in failed:
-        code = EXIT_EL_FAILED
-    elif "minimality" in failed:
-        code = EXIT_MINIMALITY
-    elif failed:
-        code = EXIT_CONDITION
-    else:
-        code = EXIT_OK
+    code = (EXIT_EL_FAILED if "el" in failed else EXIT_MINIMALITY if "minimality" in failed
+            else EXIT_CONDITION if failed else EXIT_OK)
     summary = {"checks": results, "failed": failed, "exit_code": code,
                "config_hash": report["config_hash"],
                "tool": {"name": "cvp", "version": __version__}}
     out_path = args.out or os.path.join(os.path.dirname(os.path.abspath(args.run)),
                                         "verify.json")
     write_json(out_path, summary)
-    for name in checks:
+    for name in settings.checks:
         status = "passed" if name not in failed else "FAILED"
         print(f"{name}: {status}")
     print(f"verdict written to {out_path}; exit code {code}")
@@ -332,8 +327,8 @@ def cmd_oracle(args) -> int:
     if isinstance(payload, dict):
         payload = payload.get("matrix")
     rows = [[as_number(v, f"oracle matrix[{i}][{j}]") for j, v in
-             enumerate(_typed(row, list, f"oracle matrix[{i}]"))]
-            for i, row in enumerate(_typed(payload, list, "oracle matrix"))]
+             enumerate(typed(row, list, f"oracle matrix[{i}]"))]
+            for i, row in enumerate(typed(payload, list, "oracle matrix"))]
     if any(len(row) != len(rows) for row in rows):
         raise InputError(f"oracle matrix must be square, got row lengths "
                          f"{[len(row) for row in rows]} for {len(rows)} rows")
@@ -345,9 +340,7 @@ def cmd_oracle(args) -> int:
         "s_param": solution.s_param,
         "weights": {pid: float(w) for pid, w in zip(problem.ids, solution.weights)
                     if w > 0},
-        "kkt": {"on_support_max": solution.kkt.on_support_max,
-                "min_over_k": solution.kkt.min_over_k,
-                "s_param": solution.kkt.s_param},
+        "kkt": asdict(solution.kkt),
         "certified_global": solution.certified_global,
     }
     text = canonical_json(out)
@@ -361,19 +354,19 @@ def _set_path(payload: dict, dotted: str, value) -> None:
     keys = dotted.split(".")
     node = payload
     for depth, k in enumerate(keys[:-1], 1):
-        node = _typed(node.setdefault(k, {}), dict, f"sweep path {'.'.join(keys[:depth])}")
+        node = typed(node.setdefault(k, {}), dict, f"sweep path {'.'.join(keys[:depth])}")
     node[keys[-1]] = value
 
 
 def cmd_sweep(args) -> int:
     with open(args.config) as handle:
-        spec = _typed(json.load(handle), dict, f"{args.config}: sweep config")
+        spec = typed(json.load(handle), dict, f"{args.config}: sweep config")
     base = spec.get("base")
     if not isinstance(base, dict):
         raise UsageError("sweep config needs a 'base' run config object")
-    grid = _typed(spec.get("grid", {}), dict, "sweep grid")
+    grid = typed(spec.get("grid", {}), dict, "sweep grid")
     keys = sorted(grid)
-    combos = list(itertools.product(*(_typed(grid[k], list, f"sweep grid[{k!r}]")
+    combos = list(itertools.product(*(typed(grid[k], list, f"sweep grid[{k!r}]")
                                       for k in keys)))
     base_dir = os.path.dirname(os.path.abspath(args.config))
     os.makedirs(args.out, exist_ok=True)
@@ -382,7 +375,7 @@ def cmd_sweep(args) -> int:
         cfg = json.loads(json.dumps(base))
         for k, v in zip(keys, combo):
             _set_path(cfg, k, v)
-        cfg["seed"] = _typed(cfg.get("seed", 0), int, "seed") + i
+        cfg["seed"] = typed(cfg.get("seed", 0), int, "seed") + i
         run_dir = os.path.join(args.out, f"run_{i:03d}")
         cfg_path = os.path.join(run_dir, "config.json")
         os.makedirs(run_dir, exist_ok=True)
@@ -390,7 +383,7 @@ def cmd_sweep(args) -> int:
         if isinstance(cfg.get("space"), str):
             cfg["space"] = os.path.join(base_dir, cfg["space"])
         write_json(cfg_path, cfg)
-        cmd_solve(argparse.Namespace(config=cfg_path, out=run_dir, seed=None, tol=None))
+        cmd_solve(argparse.Namespace(config=cfg_path, out=run_dir, seed=None))
         with open(os.path.join(run_dir, "run.json")) as handle:
             rep = json.load(handle)
         entries.append({"index": i, "overrides": {k: v for k, v in zip(keys, combo)},
@@ -421,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", required=True)
     p_solve.add_argument("--seed", type=_seed_flag, default=None)
-    p_solve.add_argument("--tol", type=float, default=None)
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run certification checks on a report")

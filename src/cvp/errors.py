@@ -1,4 +1,4 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the strict reader of JSON config values."""
 
 
 class CVPError(Exception):
@@ -51,9 +51,23 @@ class UsageError(CVPError, ValueError):
     """Bad command-line usage (unknown check name, non-positive trial count)."""
 
 
-def as_number(value, what: str, kind=float):
-    """``kind(value)`` for a config field; InputError naming ``what`` if it fails."""
+# The JSON kinds a config value is read as, by the name an error gives them.
+NUMBER = (int, float)
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "an integer", NUMBER: "a number"}
+
+
+def typed(value, kind, what: str):
+    """``value`` if it is a ``kind`` (a boolean is not a number); else InputError."""
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise InputError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r:.60}")
+
+
+def as_number(value, what: str) -> float:
+    """A JSON number as a float; InputError naming ``what`` for anything else
+    (a string, a boolean, null, an integer beyond the float range)."""
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
+        return float(typed(value, NUMBER, what))
+    except OverflowError:
         raise InputError(f"{what} must be a number, got {value!r:.60}") from None

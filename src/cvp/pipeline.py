@@ -20,8 +20,8 @@ import numpy as np
 from .errors import DegenerateStageError, InputError, SolverFailure
 from .lagrangian import DecayProfile, Lagrangian, tail_index
 from .measure import DiscreteMeasure, averaged_kernel, restrict
-from .simplex_solver import (CompactProblem, CompactSolution, KKTResiduals,
-                             SolverOptions, _residuals, minimize_on_compact)
+from .simplex_solver import (CompactProblem, KKTResiduals, SolverOptions, _residuals,
+                             minimize_on_compact)
 from .space import Exhaustion, MetricSpace, as_index, as_mask, closed_ball
 
 # A stage counts as degenerate when its kernel block is constant to this level.
@@ -89,35 +89,6 @@ class ExhaustionRun:
         object.__setattr__(self, "window", as_mask(self.window, len(self.limit.space), "window"))
 
 
-def rescale(solution: CompactSolution, space: MetricSpace, stage,
-            L: Lagrangian | None = None, stage_index: int = 0, tol: float = 1e-8,
-            degenerate: bool = False) -> ScaledMinimizer:
-    """Scale a stage solution by 1/s so its averaged kernel hits 1 on support.
-
-    ``stage`` is the point mask the solution's weights run over, in index
-    order. With the kernel supplied, the rescaled stationarity is
-    revalidated: the recomputed averaged kernel minus 1 must vanish on the
-    support and stay above -10*tol on the stage.
-    """
-    weights = np.zeros(len(space))
-    weights[stage] = np.where(solution.weights > 0, solution.weights, 0.0)
-    scaled = ScaledMinimizer(
-        stage_index=stage_index, stage=stage, weights=weights,
-        kkt=solution.kkt, certified_global=solution.certified_global,
-        space=space, degenerate=degenerate)
-    if L is not None:
-        ell = stage_ell(scaled.measure, L)
-        max_on = float(np.abs(ell[scaled.measure.support]).max())
-        min_stage = float(ell[stage].min())
-        if max_on > 10.0 * tol or min_stage < -10.0 * tol:
-            raise SolverFailure(
-                f"rescaled stationarity residual too large "
-                f"(support {max_on:.3e}, stage floor {min_stage:.3e})",
-                best_weights=solution.weights, best_value=solution.value,
-                residuals=solution.kkt)
-    return scaled
-
-
 def stage_ell(rho: DiscreteMeasure, L: Lagrangian) -> np.ndarray:
     """Averaged kernel minus 1, over every point of the kernel domain."""
     return averaged_kernel(rho, L) - 1.0
@@ -163,48 +134,66 @@ def _check_kernel(space: MetricSpace, L: Lagrangian) -> None:
 
 def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
                    options: RunOptions | None = None) -> ExhaustionRun:
-    """Solve and rescale every stage of the exhaustion, then assemble the run
-    (``_assemble``: window, limit and diagnostics)."""
+    """Solve each stage's kernel block with its own seed (a block that is not
+    positive definite also starts from the previous stage's minimizer) and
+    build the run from the minimizers' weights as ``run_from_weights`` does.
+    An undetermined window is refused before any stage is solved; a stage
+    whose rescaled averaged kernel minus 1 exceeds 10*tol in size on its
+    support, or is below -10*tol on its stage, raises ``SolverFailure``."""
     options = options or RunOptions()
     _check_kernel(space, L)
     layer = resolve_window_layer(L, options)
-    scaled: list[ScaledMinimizer] = []
+    tol = 10.0 * options.solver.tol
+    stages: list[ScaledMinimizer] = []
     for n, stage in enumerate(exhaustion.stages):
-        idx, block, degenerate = _stage_block(L, stage)
+        cut = _stage_block(L, stage)
+        idx, block, _ = cut
         opts = replace(options.solver, seed=_stage_seed(options.solver.seed, n))
-        # warm start of a block that is not positive definite: the previous
-        # stage's minimizer, extended by zero
-        extra = [scaled[-1].weights[idx]] if scaled else []
+        extra = [stages[-1].weights[idx]] if stages else []
         problem = CompactProblem(ids=tuple(space.ids[i] for i in idx), matrix=block,
                                  options=opts)
         solution = minimize_on_compact(problem, extra_starts=extra)
-        scaled.append(rescale(solution, space, stage, L, stage_index=n,
-                              tol=options.solver.tol, degenerate=degenerate))
-    return _assemble(space, scaled, layer, options.stab_tol)
+        weights = np.zeros(len(space))
+        weights[idx] = np.where(solution.weights > 0, solution.weights, 0.0)
+        scaled = _scaled_stage(space, n, stage, cut, weights, solution.certified_global)
+        ell = stage_ell(scaled.measure, L)
+        max_on = float(np.abs(ell[scaled.measure.support]).max())
+        min_stage = float(ell[stage].min())
+        if max_on > tol or min_stage < -tol:
+            raise SolverFailure(
+                f"stage {n}: rescaled stationarity residual too large "
+                f"(support {max_on:.3e}, stage floor {min_stage:.3e})",
+                best_weights=solution.weights, best_value=solution.value,
+                residuals=solution.kkt)
+        stages.append(scaled)
+    return _assemble(space, stages, layer, options.stab_tol)
 
 
 def run_from_weights(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
                      options: RunOptions, weights, certified) -> ExhaustionRun:
     """The run of the exhaustion whose stages have these unscaled weights (one
-    array per stage, in space order) and ``certified_global`` flags.
-
-    Everything else is derived as ``run_exhaustion`` derives it: each stage's
-    KKT residuals with the solver's formula on its kernel block, its
-    degenerate flag with the same block test, and the run with ``_assemble``.
-    Nothing is revalidated, so a tampered stage reaches the checks.
-    """
+    array per stage, in space order) and ``certified_global`` flags, built as
+    ``run_exhaustion`` builds it (``_scaled_stage``, ``_assemble``). Nothing
+    is revalidated, so a tampered stage reaches the checks."""
     _check_kernel(space, L)
     layer = resolve_window_layer(L, options)
     if not len(weights) == len(certified) == len(exhaustion.stages):
         raise InputError(f"{len(exhaustion.stages)} stages need as many weight vectors "
                          f"and flags, got {len(weights)} and {len(certified)}")
-    stages = []
-    for n, (stage, w, cert) in enumerate(zip(exhaustion.stages, weights, certified)):
-        idx, block, degenerate = _stage_block(L, stage)
-        stages.append(ScaledMinimizer(
-            stage_index=n, stage=stage, weights=w, kkt=_residuals(block, w[idx]),
-            certified_global=cert, space=space, degenerate=degenerate))
+    stages = [_scaled_stage(space, n, stage, _stage_block(L, stage), w, cert)
+              for n, (stage, w, cert) in enumerate(zip(exhaustion.stages, weights, certified))]
     return _assemble(space, stages, layer, options.stab_tol)
+
+
+def _scaled_stage(space: MetricSpace, n: int, stage: np.ndarray, cut, weights,
+                  certified: bool) -> ScaledMinimizer:
+    """Stage ``n`` of a run from its unscaled weights and its ``_stage_block``
+    cut: its KKT residuals by the solver's formula on the kernel block, and
+    its degenerate flag by the block test."""
+    idx, block, degenerate = cut
+    return ScaledMinimizer(stage_index=n, stage=stage, weights=weights,
+                           kkt=_residuals(block, weights[idx]), certified_global=certified,
+                           space=space, degenerate=degenerate)
 
 
 def _assemble(space: MetricSpace, scaled: list[ScaledMinimizer], layer: float,

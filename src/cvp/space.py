@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConstructionError, DegenerateExhaustionError, InputError, SizeError,
-                     as_number)
+                     as_number, typed)
 
 # Absorbs one ulp of distance roundoff in closed-ball comparisons.
 _RADIUS_SLACK = 1e-12
@@ -357,7 +357,8 @@ def space_from_dict(payload: dict) -> MetricSpace:
 
     ``{"points": [{"id": ..., "coords": [...]}, ...], "metric": "euclidean"}``
     or ``"metric": "explicit"`` with ``"distances"`` as the row-major strict
-    upper triangle.
+    upper triangle. An id that is not a JSON string, or a coordinate or
+    distance that is not a JSON number, raises ``InputError`` naming it.
     """
     try:
         points = payload["points"]
@@ -367,19 +368,18 @@ def space_from_dict(payload: dict) -> MetricSpace:
     if not points:
         raise InputError("space payload has no points")
     try:
-        ids = tuple(str(p["id"]) for p in points)
+        ids = tuple(typed(p["id"], str, "space point id") for p in points)
     except (KeyError, TypeError):
         raise InputError("every space point needs an 'id'") from None
     n = len(ids)
     coords = None
     if all("coords" in p for p in points):
-        try:
-            coords = np.asarray([p["coords"] for p in points], dtype=float)
-        except (TypeError, ValueError):
-            raise InputError("space point coords must be lists of numbers, "
-                             "one length for all points") from None
-        if coords.ndim != 2:
-            raise InputError("space point coords must be lists of numbers")
+        rows = [[as_number(c, f"space point {pid!r} coords") for c in
+                 typed(p["coords"], list, f"space point {pid!r} coords")]
+                for pid, p in zip(ids, points)]
+        if len({len(row) for row in rows}) != 1:
+            raise InputError("space point coords must have one length for all points")
+        coords = np.array(rows)
     if metric == "euclidean":
         if coords is None:
             raise InputError("euclidean metric requires coords on every point")

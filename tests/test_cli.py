@@ -349,6 +349,19 @@ _BAD_FIELDS = (
     (("stab_tol",), "q", "stab_tol"),
     (("stride",), "s", "stride"),
     (("seed",), -1, "seed must be a non-negative integer"),
+    # strings that look like numbers are refused, not cast
+    (("kernel", "range"), "1.0", "kernel.range must be a number, got '1.0'"),
+    (("stab_tol",), "1e-6", "stab_tol must be a number, got '1e-6'"),
+    (("space", "points", 0, "coords"), ["-6"], "coords must be a number, got '-6'"),
+    (("space", "points", 0, "id"), 5, "space point id must be a string"),
+    (("exhaustion", "radii"), [2, "4"], "exhaustion radii must be a number, got '4'"),
+    (("profile",), 0, "profile spec must be an object"),
+    # every key of the window and verify sections is read, in solve too
+    (("window",), {"layr": 1}, "window.layr is not a window setting"),
+    (("window",), {"layer": "1"}, "window.layer must be a number"),
+    (("verify", "trails"), 5, "verify.trails is not a verify setting"),
+    (("verify", "eps"), "x", "verify.eps must be a number"),
+    (("verify", "support_cap"), "4", "verify.support_cap must be an integer"),
 )
 
 
@@ -373,6 +386,29 @@ def test_bad_config_field_exits_1_naming_it(tmp_path, command, path, value, fiel
         code = main(argv)
     assert code == 1
     assert field in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def test_solve_has_no_tol_flag(tmp_path, capsys):
+    # solver.tol in the config is the one way to set it, and it enters config_hash
+    argv = ["solve", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]
+    assert main([*argv, "--tol", "1e-3"]) == 64
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_null_leaves_a_verify_radius_unset(tmp_path):
+    # null eps, delta_cover and mass_radius fall back as if they were absent
+    checks = {}
+    for name, extra in (("absent", {}),
+                        ("null", {"eps": None, "delta_cover": None, "mass_radius": None})):
+        (tmp_path / name).mkdir()
+        run_path, _ = _solved_report(
+            tmp_path / name, profile=_PROFILE, window={"layer": 1.0, "eps": 0.3},
+            verify={"checks": ["gamma", "mass_bound"], **extra})
+        assert main(["verify", "--run", run_path]) == 0
+        with open(os.path.join(os.path.dirname(run_path), "verify.json")) as handle:
+            checks[name] = json.load(handle)["checks"]
+    assert checks["null"] == checks["absent"]
+    assert checks["null"]["mass_bound"]["entries"][0]["requested_radius"] == 1.0
 
 
 @pytest.mark.parametrize("cap", [0, 1, -3])

@@ -9,20 +9,20 @@ from hypothesis import assume, given, settings, strategies as st
 import cvp
 from cvp import el_analysis
 from cvp import (
-    CompactProblem,
     DiscreteMeasure,
     InputError,
+    RunOptions,
     VariationSampler,
     action,
     averaged_kernel,
+    build_exhaustion,
     check_sufficient_conditions,
     exp_profile,
     gamma_lower_bound,
     grid_1d,
     make_kernel,
-    minimize_on_compact,
     nontriviality_check,
-    rescale,
+    run_exhaustion,
     stage_ell,
     verify_el,
 )
@@ -40,11 +40,16 @@ def dense(space, by_id):
     return w
 
 
+def whole_space_stage(g, L):
+    """The stage of a one-stage run over the whole grid, rescaled by the run."""
+    exh = build_exhaustion(g, 0, (float(g.dist[0].max()),))
+    return run_exhaustion(g, L, exh, RunOptions(window_layer=0.0)).stages[0]
+
+
 def scaled_two_point():
     g = grid_1d([0.0, 0.5])
     L = make_kernel("matrix", {"matrix": [[1.0, 0.5], [0.5, 1.0]]}, g)
-    sol = minimize_on_compact(CompactProblem(ids=g.ids, matrix=L.matrix))
-    return g, L, rescale(sol, g, np.ones(2, dtype=bool), L)
+    return g, L, whole_space_stage(g, L)
 
 
 def test_ell_two_point_scaled():
@@ -275,8 +280,7 @@ def test_small_variations_never_go_negative(seed):
     # stationary point of a convex action: sampled steps stay nonnegative
     g = grid_1d(range(6))
     L = make_kernel("exponential", {"amplitude": 1.0, "sigma": 2.0}, g)
-    sol = minimize_on_compact(CompactProblem(ids=g.ids, matrix=L.matrix))
-    st_ = rescale(sol, g, np.ones(6, dtype=bool), L)
+    st_ = whole_space_stage(g, L)
     sampler = VariationSampler(window=np.ones(6, dtype=bool), seed=seed)
     rep = cvp.test_minimality(st_.measure, L, sampler, trials=20)
     assert rep["min_delta_S"] >= -EL_TOL

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvp import (
-    CompactProblem,
+    CompactSolution,
     DegenerateStageError,
     InputError,
+    KKTResiduals,
     RunOptions,
+    SolverFailure,
     build_exhaustion,
     check_ell_convergence,
     check_support_approximation,
@@ -16,23 +18,27 @@ from cvp import (
     grid_1d,
     local_mass_bound_check,
     make_kernel,
-    minimize_on_compact,
-    rescale,
     run_exhaustion,
     stage_ell,
     tail_mass,
     window_points,
 )
+from cvp import pipeline
 
 ATOL = 1e-12
 STAGE_TOL = 1e-9
 
 
+def _whole_space_stage(space, L, **options):
+    """The stage of a one-stage run over the whole space, rescaled by the run."""
+    exh = build_exhaustion(space, 0, (float(space.dist[0].max()),))
+    return run_exhaustion(space, L, exh, RunOptions(**options)).stages[0]
+
+
 def test_rescale_identity_three_point():
     g = grid_1d(range(3))
     tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, g)
-    sol = minimize_on_compact(CompactProblem(ids=g.ids, matrix=np.eye(3)))
-    st_ = rescale(sol, g, np.ones(3, dtype=bool), tent)
+    st_ = _whole_space_stage(g, tent)
     assert st_.scale == pytest.approx(3.0, abs=ATOL)
     assert st_.measure.weights == pytest.approx([1.0] * 3, abs=ATOL)
     assert np.allclose(stage_ell(st_.measure, tent), 0.0, atol=ATOL)
@@ -41,8 +47,7 @@ def test_rescale_identity_three_point():
 def test_rescale_two_point_coupled():
     g = grid_1d([0.0, 0.5])
     L = make_kernel("matrix", {"matrix": [[1.0, 0.5], [0.5, 1.0]]}, g)
-    sol = minimize_on_compact(CompactProblem(ids=g.ids, matrix=L.matrix))
-    st_ = rescale(sol, g, np.ones(2, dtype=bool), L)
+    st_ = _whole_space_stage(g, L, window_layer=0.0)
     assert st_.scale == pytest.approx(4.0 / 3.0, abs=ATOL)
     assert st_.s_unscaled == pytest.approx(0.75, abs=ATOL)
     assert np.allclose(stage_ell(st_.measure, L), 0.0, atol=ATOL)
@@ -50,9 +55,32 @@ def test_rescale_two_point_coupled():
 
 def test_rescale_refuses_vanishing_action():
     g = grid_1d(range(1))
-    sol = minimize_on_compact(CompactProblem(ids=g.ids, matrix=np.array([[1e-13]])))
+    L = make_kernel("matrix", {"matrix": [[1e-13]]}, g)
     with pytest.raises(DegenerateStageError):
-        rescale(sol, g, np.ones(1, dtype=bool))
+        _whole_space_stage(g, L, window_layer=0.0)
+
+
+def test_run_refuses_a_stage_off_rescaled_stationarity(monkeypatch):
+    # weights 3/4, 1/4 on an identity block: s = 5/8, and the rescaled
+    # averaged kernel minus 1 is 0.2 and -0.6
+    g = grid_1d(range(2))
+    tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, g)
+    off = CompactSolution(weights=np.array([0.75, 0.25]),
+                          kkt=KKTResiduals(0.0, 0.0, 0.625), certified_global=True)
+    monkeypatch.setattr(pipeline, "minimize_on_compact", lambda *a, **k: off)
+    with pytest.raises(SolverFailure, match="stage 0: rescaled stationarity residual "
+                                            "too large") as exc:
+        run_exhaustion(g, tent, build_exhaustion(g, 0, (1,)))
+    assert exc.value.best_weights.tolist() == [0.75, 0.25]
+    assert exc.value.residuals.s_param == pytest.approx(0.625, abs=ATOL)
+
+
+def test_undetermined_window_is_refused_before_any_stage_is_solved(monkeypatch):
+    g = grid_1d(range(2))
+    L = make_kernel("matrix", {"matrix": [[1.0, 0.0], [0.0, 1.0]]}, g)
+    monkeypatch.setattr(pipeline, "minimize_on_compact", None)
+    with pytest.raises(InputError, match="window policy undetermined"):
+        run_exhaustion(g, L, build_exhaustion(g, 0, (1,)))
 
 
 def test_identity_grid_run_frozen_values(identity_run):
