@@ -23,7 +23,8 @@ from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY, EXIT_
                           VariationSampler, check_sufficient_conditions,
                           gamma_lower_bound, nontriviality_check, verify_el)
 from .el_analysis import test_minimality as sample_minimality
-from .errors import NUMBER, CVPError, InputError, UsageError, as_number, typed
+from .errors import (NUMBER, CVPError, InputError, UsageError, as_number, known_keys,
+                     number_rows, typed)
 from .lagrangian import (Lagrangian, diagonal_infimum, kernel_from_spec,
                          profile_from_spec)
 from .measure import measure_to_dict
@@ -87,10 +88,9 @@ def _section(raw: dict, name: str) -> dict:
     value of the wrong JSON kind is refused."""
     kinds = _SECTIONS[name]
     settings = {}
-    for key, value in typed(raw.get(name, {}), dict, name).items():
+    for key, value in known_keys(typed(raw.get(name, {}), dict, name), kinds,
+                                 f"{name}.", name).items():
         what = f"{name}.{key}"
-        if key not in kinds:
-            raise InputError(f"{what} is not a {name} setting (known: {', '.join(kinds)})")
         if value is None and what in _UNSET_BY_DEFAULT:
             continue
         settings[key] = (as_number(value, what) if kinds[key] is NUMBER
@@ -120,19 +120,16 @@ _CONFIG_KEYS = ("space", "kernel", "profile", "exhaustion", "solver", "window",
 def config_from_dict(raw: dict) -> RunConfig:
     """The run config of a config object with an inline ``space``: what
     ``cvp solve`` runs and what ``cvp verify`` rebuilds from a report. Every
-    setting is read here, once: an unknown key of the config or of its
-    ``solver``, ``window`` or ``verify`` section, or a value of the wrong JSON
-    kind, raises ``InputError`` naming it."""
-    for key in raw:
-        if key not in _CONFIG_KEYS:
-            raise InputError(f"{key} is not a config setting "
-                             f"(known: {', '.join(_CONFIG_KEYS)})")
+    setting is read here, once: an unknown key of the config or of any of its
+    sections, or a value of the wrong JSON kind, raises ``InputError`` naming it."""
+    known_keys(raw, _CONFIG_KEYS, "", "config")
     space = space_from_dict(typed(raw.get("space"), dict, "space"))
     kernel = kernel_from_spec(typed(raw.get("kernel", {}), dict, "kernel"), space)
     profile = None
     if raw.get("profile") is not None:
         profile = profile_from_spec(raw["profile"], c=diagonal_infimum(kernel))
-    exh_spec = typed(raw.get("exhaustion", {}), dict, "exhaustion")
+    exh_spec = known_keys(typed(raw.get("exhaustion", {}), dict, "exhaustion"),
+                          ("center", "radii"), "exhaustion.", "exhaustion")
     center = space.index.get(typed(exh_spec.get("center"), str, "exhaustion.center"))
     if center is None:
         raise InputError(f"exhaustion.center {exh_spec['center']!r} is not a point id")
@@ -326,9 +323,7 @@ def cmd_oracle(args) -> int:
         payload = json.load(handle)
     if isinstance(payload, dict):
         payload = payload.get("matrix")
-    rows = [[as_number(v, f"oracle matrix[{i}][{j}]") for j, v in
-             enumerate(typed(row, list, f"oracle matrix[{i}]"))]
-            for i, row in enumerate(typed(payload, list, "oracle matrix"))]
+    rows = number_rows(payload, "oracle matrix")
     if any(len(row) != len(rows) for row in rows):
         raise InputError(f"oracle matrix must be square, got row lengths "
                          f"{[len(row) for row in rows]} for {len(rows)} rows")

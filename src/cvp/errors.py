@@ -64,6 +64,17 @@ def typed(value, kind, what: str):
     raise InputError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r:.60}")
 
 
+def known_keys(section: dict, known, prefix: str, what: str) -> dict:
+    """``section`` if each of its keys is in ``known``; else InputError naming the
+    first other key, as ``<prefix><key> is not a <what> setting (known: ...)``."""
+    for key in section:
+        if key not in known:
+            article = "an" if what[0] in "aeiou" else "a"
+            raise InputError(f"{prefix}{key} is not {article} {what} setting "
+                             f"(known: {', '.join(known)})")
+    return section
+
+
 def as_number(value, what: str) -> float:
     """A JSON number as a float; InputError naming ``what`` for anything else
     (a string, a boolean, null, an integer beyond the float range)."""
@@ -71,3 +82,11 @@ def as_number(value, what: str) -> float:
         return float(typed(value, NUMBER, what))
     except OverflowError:
         raise InputError(f"{what} must be a number, got {value!r:.60}") from None
+
+
+def number_rows(value, what: str) -> list[list[float]]:
+    """A JSON list of lists of numbers as floats; InputError naming the first
+    entry that is not one, as ``<what>[i]`` or ``<what>[i][j]``."""
+    return [[as_number(v, f"{what}[{i}][{j}]")
+             for j, v in enumerate(typed(row, list, f"{what}[{i}]"))]
+            for i, row in enumerate(typed(value, list, what))]

@@ -13,10 +13,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstructionError, InputError, ProfileError, as_number
+from .errors import (ConstructionError, InputError, ProfileError, as_number, known_keys,
+                     number_rows)
 from .space import MetricSpace, as_mask, ball_cover_counts, closed_ball, symmetric_matrix
 
-_KINDS = ("tent", "truncated_gaussian", "exponential", "matrix")
+# The settings of each kernel kind and, under ``profile.params``, of each
+# profile ``f``; a config section that gives any other key is refused.
+_KERNEL_SETTINGS = {"tent": ("amplitude", "range"),
+                    "truncated_gaussian": ("amplitude", "sigma", "range"),
+                    "exponential": ("amplitude", "sigma"),
+                    "matrix": ("matrix", "range")}
+_KINDS = tuple(_KERNEL_SETTINGS)
+_PROFILE_SETTINGS = {"exp": ("amplitude", "rate"), "poly": ("amplitude", "power"),
+                     "scaled_exp": ("amplitude", "slope", "rate")}
 
 # Witness cap for decay-certificate reports.
 _MAX_WITNESSES = 10
@@ -43,8 +52,8 @@ def make_kernel(kind: str, params: dict, space: MetricSpace) -> Lagrangian:
     """Build a kernel of the given kind on ``space``.
 
     Kinds: ``tent`` (amplitude, range), ``truncated_gaussian`` (amplitude,
-    sigma, range), ``exponential`` (amplitude, sigma), ``matrix`` (matrix,
-    optional range).
+    sigma, range), ``exponential`` (amplitude, sigma), ``matrix`` (matrix, a
+    list of rows of JSON numbers; optional range).
     """
     if kind not in _KINDS:
         raise InputError(f"unknown kernel kind {kind!r}, expected one of {_KINDS}")
@@ -79,19 +88,20 @@ def make_kernel(kind: str, params: dict, space: MetricSpace) -> Lagrangian:
             raise ConstructionError("exponential kernel needs positive amplitude and sigma")
         m = a * np.exp(-d / sigma)
     else:
-        try:
-            m = np.asarray(params.get("matrix"), dtype=float)
-        except (TypeError, ValueError):
-            raise InputError("kernel.matrix must be a square array of numbers") from None
-        if m.shape != (len(space),) * 2:
-            raise ConstructionError(
-                f"kernel matrix must be {len(space)}x{len(space)}, got {m.shape}")
+        n = len(space)
+        rows = number_rows(params.get("matrix"), "kernel.matrix")
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ConstructionError(f"kernel matrix must be {n}x{n}, got row lengths "
+                                    f"{[len(row) for row in rows]}")
+        m = np.array(rows).reshape(n, n)
         declared = None if params.get("range") is None else num("range")
     return Lagrangian(kind=kind, params=dict(params), matrix=m, space_key=space.key,
                       declared_range=declared)
 
 
 def kernel_from_spec(spec: dict, space: MetricSpace) -> Lagrangian:
+    """The kernel of a config's ``kernel`` section; a key its kind does not
+    take is refused."""
     if not isinstance(spec, dict):
         raise InputError(f"kernel spec must be an object, got {spec!r:.60}")
     spec = dict(spec)
@@ -99,6 +109,8 @@ def kernel_from_spec(spec: dict, space: MetricSpace) -> Lagrangian:
         kind = spec.pop("kind")
     except KeyError:
         raise InputError("kernel spec needs a 'kind' field") from None
+    if kind in _KINDS:
+        known_keys(spec, ("kind", *_KERNEL_SETTINGS[kind]), "kernel.", f"{kind} kernel")
     return make_kernel(kind, spec, space)
 
 
@@ -228,8 +240,11 @@ def scaled_exp_profile(amplitude: float, slope: float, rate: float, delta: float
 
 
 def profile_from_spec(spec: dict, c: float) -> DecayProfile:
+    """The profile of a config's ``profile`` section; a key it, or its ``f``
+    under ``params``, does not take is refused."""
     if not isinstance(spec, dict):
         raise InputError(f"profile spec must be an object, got {spec!r:.60}")
+    known_keys(spec, ("f", "delta", "params"), "profile.", "profile")
     try:
         kind = spec["f"]
         delta = as_number(spec["delta"], "profile.delta")
@@ -238,6 +253,9 @@ def profile_from_spec(spec: dict, c: float) -> DecayProfile:
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise InputError(f"profile.params must be an object, got {params!r:.60}")
+    if not isinstance(kind, str) or kind not in _PROFILE_SETTINGS:
+        raise InputError(f"unknown profile kind {kind!r}")
+    known_keys(params, _PROFILE_SETTINGS[kind], "profile.params.", f"{kind} profile")
 
     def num(key: str, default: float) -> float:
         return as_number(params.get(key, default), f"profile.params.{key}")
@@ -246,10 +264,8 @@ def profile_from_spec(spec: dict, c: float) -> DecayProfile:
         return exp_profile(num("amplitude", 1.0), num("rate", 1.0), delta, c)
     if kind == "poly":
         return poly_profile(num("amplitude", 1.0), num("power", 2.0), delta, c)
-    if kind == "scaled_exp":
-        return scaled_exp_profile(num("amplitude", 1.0), num("slope", 2.0),
-                                  num("rate", 1.0), delta, c)
-    raise InputError(f"unknown profile kind {kind!r}")
+    return scaled_exp_profile(num("amplitude", 1.0), num("slope", 2.0),
+                              num("rate", 1.0), delta, c)
 
 
 def tail_index(profile: DecayProfile, eps: float, cap: int = 10 ** 6) -> int:

@@ -1,53 +1,112 @@
-"""Canonical JSON/CSV emission: sorted keys, 17-significant-digit floats,
-atomic writes. Reports carry no timestamps so reruns are byte-identical."""
+"""Canonical JSON and CSV reports, written atomically.
+
+The canonical JSON text has sorted object keys, a two-space indent, floats
+written as ``%.17g`` and non-ASCII characters kept (strings are escaped as
+``json.dumps(s, ensure_ascii=False)`` escapes them); a NaN or an infinity
+anywhere is refused. Reports carry no timestamps, so reruns are
+byte-identical. A report's ``config_hash`` is the sha256 of the canonical
+text of its embedded config."""
 
 from __future__ import annotations
 
 import hashlib
-import json
-import math
 import os
 import tempfile
+from json.encoder import encode_basestring
+from math import isfinite
 
 from .errors import InputError
 
 
 def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
+    if not isfinite(x):
         raise InputError("reports must contain only finite numbers")
     return "%.17g" % x
 
 
 def canonical_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        keys = sorted(str(k) for k in obj)
+    """The canonical text of ``obj``, its lines padded as at nesting depth ``indent``."""
+    out: list[str] = []
+    _emit(obj, "\n" + "  " * indent, out)
+    return "".join(out)
+
+
+def _emit(obj, nl: str, out: list[str]) -> None:
+    """Append the text of ``obj`` to ``out``; ``nl`` is a newline and the padding
+    of the line ``obj`` ends on. Exact types are dispatched first; subclasses
+    and numpy scalars take the ``isinstance`` chain."""
+    kind = type(obj)
+    if kind is float:
+        out.append(_fmt_float(obj))
+    elif kind is str:
+        out.append(encode_basestring(obj))
+    elif kind is dict and all(type(k) is str for k in obj):
+        _emit_object(sorted(obj.items()), nl, out)
+    elif kind is list or kind is tuple:
+        _emit_array(obj, nl, out)
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_fmt_float(obj))
+    elif isinstance(obj, str):
+        out.append(encode_basestring(obj))
+    elif isinstance(obj, dict):
         raw = {str(k): v for k, v in obj.items()}
-        items = [f"{inner}{json.dumps(k, ensure_ascii=False)}: "
-                 f"{canonical_json(raw[k], indent + 1)}" for k in keys]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{canonical_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    # numpy scalars and similar
-    if hasattr(obj, "item"):
-        return canonical_json(obj.item(), indent)
-    raise InputError(f"cannot serialize {type(obj).__name__} into a report")
+        _emit_object([(k, raw[k]) for k in sorted(str(k) for k in obj)], nl, out)
+    elif isinstance(obj, (list, tuple)):
+        _emit_array(obj, nl, out)
+    elif hasattr(obj, "item"):  # numpy scalars and similar
+        _emit(obj.item(), nl, out)
+    else:
+        raise InputError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def _emit_object(pairs, nl: str, out: list[str]) -> None:
+    """Append the object of the sorted ``(key, value)`` pairs ``pairs``."""
+    if not pairs:
+        out.append("{}")
+        return
+    inner = nl + "  "
+    comma = "," + inner
+    append = out.append
+    sep = "{" + inner
+    for key, value in pairs:
+        append(sep + encode_basestring(key) + ": ")
+        kind = type(value)
+        if kind is float:
+            append(_fmt_float(value))
+        elif kind is str:
+            append(encode_basestring(value))
+        else:
+            _emit(value, inner, out)
+        sep = comma
+    append(nl + "}")
+
+
+def _emit_array(values, nl: str, out: list[str]) -> None:
+    """Append the array of ``values``."""
+    if not values:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    comma = "," + inner
+    append = out.append
+    sep = "[" + inner
+    for value in values:
+        append(sep)
+        kind = type(value)
+        if kind is float:
+            append(_fmt_float(value))
+        elif kind is str:
+            append(encode_basestring(value))
+        else:
+            _emit(value, inner, out)
+        sep = comma
+    append(nl + "]")
 
 
 def sha256_text(text: str) -> str:

@@ -362,6 +362,13 @@ _BAD_FIELDS = (
     (("verify", "trails"), 5, "verify.trails is not a verify setting"),
     (("verify", "eps"), "x", "verify.eps must be a number"),
     (("verify", "support_cap"), "4", "verify.support_cap must be an integer"),
+    (("kernel",), {"kind": "matrix", "matrix": [["1", "0.5"], ["0.5", "1"]], "range": 1},
+     "kernel.matrix[0][0] must be a number, got '1'"),
+    # every key of the kernel, profile, profile.params and exhaustion sections is read
+    (("kernel", "amplitdue"), 2.0, "kernel.amplitdue is not a tent kernel setting"),
+    (("profile", "parms"), {"rate": 5}, "profile.parms is not a profile setting"),
+    (("profile", "params", "rat"), 5, "profile.params.rat is not an exp profile setting"),
+    (("exhaustion", "centre"), "g1", "exhaustion.centre is not an exhaustion setting"),
 )
 
 

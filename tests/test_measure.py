@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cvp import (
     DiscreteMeasure,
@@ -175,12 +175,15 @@ small_weights = st.dictionaries(
 
 
 @given(w=small_weights)
+@example(w={"x0": 1.0, "x1": 1e-12, "x2": 1e-12})
 @settings(max_examples=80, deadline=None)
 def test_action_scales_quadratically(w):
     g = grid_1d(range(8))
     L = make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, g)
     rho = measure(g, w)
-    doubled = DiscreteMeasure(g, 2.0 * dense(g, w))
+    # double the measure's own weights: a drawn weight at PRUNE_EPS is pruned in rho
+    # but its double is not
+    doubled = DiscreteMeasure(g, 2.0 * rho.weights)
     assert action(doubled, L) == pytest.approx(4.0 * action(rho, L), rel=1e-12, abs=1e-12)
 
 
