@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY, EXIT_OK,
                           VariationSampler, check_sufficient_conditions,
-                          gamma_lower_bound, nontriviality_check, verify_el)
+                          gamma_lower_bound, nontriviality_check, prove_minimality,
+                          verify_el)
 from .el_analysis import test_minimality as sample_minimality
 from .errors import (NUMBER, CVPError, InputError, UsageError, as_number, known_keys,
                      number_rows, typed)
@@ -271,12 +272,15 @@ def cmd_verify(args) -> int:
             el_report = verify_el(rho, kernel, window, tol=settings.tol)
             results["el"] = el_report.to_dict()
         elif check == "minimality":
-            try:
+            try:  # built first: it refuses a bad support_cap even when the proof applies
                 sampler = VariationSampler(window=window, seed=args.seed,
                                            support_cap=settings.support_cap)
             except InputError as exc:
                 raise InputError(f"report config.verify.{exc}") from None
-            results["minimality"] = sample_minimality(rho, kernel, sampler, settings.trials)
+            proof = prove_minimality(rho, kernel, window)
+            if proof["certificate"] == "sampled":
+                proof = {**sample_minimality(rho, kernel, sampler, settings.trials), **proof}
+            results["minimality"] = proof
         elif check == "conditions":
             if settings.delta_cover is None:
                 raise UsageError("check 'conditions' needs --delta-cover "

@@ -2,6 +2,11 @@
 
 All checks evaluate a full measure (typically the final scaled stage of a
 run) and assert on a certified window, a point mask; reports name points by id.
+Minimality is proved on the window where ``prove_minimality`` applies: one
+Cholesky factorization shows that no balanced variation there lowers the
+action by more than ``_FAIL_TOL``, or an eigenvector of the support's
+curvature is an exact witness that one does. Elsewhere ``test_minimality``
+samples variations.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .lagrangian import DecayProfile, Lagrangian, diagonal_infimum, global_sup, 
 from .measure import (DiscreteMeasure, action_differences, averaged_kernel,
                       check_variations)
 from .pipeline import ExhaustionRun
+from .simplex_solver import _balanced_form, _curvature
 from .space import MetricSpace, as_mask, closed_ball, greedy_cover_counts
 
 EXIT_OK = 0
@@ -34,6 +40,9 @@ _STEP_SAFETY = 0.9
 
 # An action drop beyond this is a minimality failure.
 _FAIL_TOL = 1e-8
+
+# The unit roundoff of a float.
+_UNIT = float(np.finfo(float).eps) / 2
 
 
 @dataclass(frozen=True)
@@ -167,6 +176,100 @@ def gamma_lower_bound(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace,
         entries.append({"x": space.ids[xi], "ball_size": int(ball.sum()), "mass": mass, "ok": ok})
     return {"passed": bool(passed), "refused": False, "gamma": gamma, "N0": n0,
             "sup": cbound, "entries": entries}
+
+
+def _gamma(n: int) -> float:
+    """n u / (1 - n u): the relative error bound of n float roundings (Higham)."""
+    return n * _UNIT / (1.0 - n * _UNIT)
+
+
+def prove_minimality(rho: DiscreteMeasure, L: Lagrangian, window) -> dict:
+    """Exact minimality under every balanced variation on a window mask W.
+
+    Let ell = ``averaged_kernel`` - 1 on W and m = min_W ell. A balanced delta
+    on W with rho + delta >= 0 changes the action by 2 delta.ell + delta'L_WW delta,
+    and delta.ell = sum delta_x (ell_x - m) >= -sum rho_x (ell_x - m), since
+    delta_x >= -rho_x and ell_x >= m. So when the curvature form
+    H = Z'L_WW Z (``_balanced_form``) is positive semidefinite, every such
+    delta, of any size, has Delta S >= bound = -2 sum_W rho_x (ell_x - m).
+
+    One Cholesky factorization of H - tau I proves H >= 0: tau covers the
+    rounding of forming H and the factorization's backward error (Demmel's
+    bound, as in Rump 2006, *Verification of positive definiteness*, BIT 46),
+    both doubled. ``bound`` reads each ell_x as ell_x + a_x and m as the
+    least ell_x - a_x, with a_x an allowance for the rounding of ell_x, so it
+    holds for the stored weights in exact arithmetic. When the factorization
+    succeeds and ``bound`` is at least -``_FAIL_TOL``, the check passes with
+    ``certificate`` "exact", ``bound``, ``window_mass`` and ``tol``.
+
+    When the factorization fails and the curvature form of the support in W
+    has a negative eigenvalue, its eigenvector, signed so that the first-order
+    term is at most 0 and scaled to ``_STEP_SAFETY`` times the largest
+    positivity-preserving step, is scored with ``action_differences``; if the
+    action drops by more than ``_FAIL_TOL`` it is the ``witness`` of a failed
+    "exact" check. In every other case the result has ``certificate``
+    "sampled" and ``why_sampled``, for ``test_minimality`` to decide.
+    """
+    idx = np.flatnonzero(as_mask(window, len(rho.space), "minimality window"))
+    if len(idx) < 2:
+        return _unproved("a window of fewer than 2 points has no nonzero balanced variation")
+    lhat = averaged_kernel(rho, L)
+    H = _balanced_form(L.matrix, idx)
+    n = len(H)
+    # Demmel's backward error of the factorization, then the rounding of
+    # forming H: each entry is off by at most gamma_3 times 4 sup L, and the
+    # 2-norm of an n x n error is at most n times its largest entry
+    chol = _gamma(n + 1) / (1.0 - _gamma(n + 1)) * float(np.abs(np.diagonal(H)).sum())
+    formed = 4.0 * n * _gamma(3) * global_sup(L)
+    H.flat[::n + 1] -= 2.0 * (chol + formed + n * n * np.finfo(float).smallest_subnormal)
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return _curvature_witness(rho, L, idx, lhat)
+    # ell_x is off by at most gamma_{k+1} (lhat_x + 1), lhat_x being a sum of
+    # at most k nonnegative products; the allowance also covers the rounding
+    # of the bound's own steps, doubled
+    k = int(np.count_nonzero(rho.weights))
+    slack = 4.0 * _gamma(k + 3) * (lhat[idx] + 1.0)
+    ell = lhat[idx] - 1.0
+    floor = float((ell - slack).min())
+    w = rho.weights[idx]
+    bound = -2.0 * (1.0 + _gamma(4)) * math.fsum(w * (ell + slack - floor))
+    if bound < -_FAIL_TOL:
+        return _unproved(f"the first-order bound {bound:.6g} is below -{_FAIL_TOL:g}")
+    return {"certificate": "exact", "passed": True, "bound": bound,
+            "window_mass": math.fsum(w), "tol": _FAIL_TOL}
+
+
+def _unproved(reason: str) -> dict:
+    return {"certificate": "sampled", "why_sampled": reason}
+
+
+def _curvature_witness(rho: DiscreteMeasure, L: Lagrangian, idx: np.ndarray,
+                       lhat: np.ndarray) -> dict:
+    """The exact failure of ``prove_minimality`` along the support's most
+    negative curvature, or why there is none."""
+    reason = "the window's curvature form is not proved positive semidefinite"
+    sup = idx[rho.weights[idx] > 0]
+    if len(sup) < 2:
+        return _unproved(reason)
+    vals, dirs = _curvature(L.matrix, sup)
+    if vals[0] >= 0:
+        return _unproved(f"{reason}, and the support's has no negative eigenvalue")
+    d = dirs[:, 0] - dirs[:, 0].mean()
+    if d @ lhat[sup] > 0:
+        d = -d
+    shrink = d < 0
+    step = _STEP_SAFETY * float((rho.weights[sup][shrink] / -d[shrink]).min()) * d
+    step[np.argmax(step)] -= math.fsum(step)  # balanced exactly
+    points, deltas = sup[None, :], step[None, :]
+    check_variations(rho, points, deltas)
+    ds = float(action_differences(lhat, L, points, deltas)[0])
+    if ds >= -_FAIL_TOL:
+        return _unproved(f"{reason}; along the support's negative curvature "
+                         f"{vals[0]:.6g} the action drops by only {-ds:.6g}")
+    return {"certificate": "exact", "passed": False, "curvature": float(vals[0]),
+            "witness": _trial_record(rho.space.ids, sup, step, ds), "tol": _FAIL_TOL}
 
 
 @dataclass

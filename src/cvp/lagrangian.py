@@ -53,10 +53,12 @@ def make_kernel(kind: str, params: dict, space: MetricSpace) -> Lagrangian:
 
     Kinds: ``tent`` (amplitude, range), ``truncated_gaussian`` (amplitude,
     sigma, range), ``exponential`` (amplitude, sigma), ``matrix`` (matrix, a
-    list of rows of JSON numbers; optional range).
+    list of rows of JSON numbers; optional range). A key of ``params`` that
+    the kind does not take is refused.
     """
     if kind not in _KINDS:
         raise InputError(f"unknown kernel kind {kind!r}, expected one of {_KINDS}")
+    known_keys(params, _KERNEL_SETTINGS[kind], "kernel.", f"{kind} kernel")
 
     def num(key: str, default: float | None = None) -> float:
         if default is None and key not in params:
@@ -100,8 +102,7 @@ def make_kernel(kind: str, params: dict, space: MetricSpace) -> Lagrangian:
 
 
 def kernel_from_spec(spec: dict, space: MetricSpace) -> Lagrangian:
-    """The kernel of a config's ``kernel`` section; a key its kind does not
-    take is refused."""
+    """The kernel of a config's ``kernel`` section, built by ``make_kernel``."""
     if not isinstance(spec, dict):
         raise InputError(f"kernel spec must be an object, got {spec!r:.60}")
     spec = dict(spec)
@@ -109,8 +110,6 @@ def kernel_from_spec(spec: dict, space: MetricSpace) -> Lagrangian:
         kind = spec.pop("kind")
     except KeyError:
         raise InputError("kernel spec needs a 'kind' field") from None
-    if kind in _KINDS:
-        known_keys(spec, ("kind", *_KERNEL_SETTINGS[kind]), "kernel.", f"{kind} kernel")
     return make_kernel(kind, spec, space)
 
 

@@ -117,16 +117,20 @@ def _solve_support(Lb: np.ndarray, S: np.ndarray | list[int]):
     return sol[:m], float(sol[m])
 
 
-def _curvature(Lb: np.ndarray, sup: np.ndarray):
-    """The curvature of the action along balanced directions on ``sup``: the
-    eigenvalues of Z'L_SS Z with Z = [I; -1'] (any basis has the same
-    inertia), and the directions Z y of their eigenvectors y, as columns.
-    It is singular exactly when the bordered matrix is.
-    """
+def _balanced_form(Lb: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Z'L_SS Z with Z = [I; -1']: the action's curvature along the balanced
+    directions on ``sup`` (of at least 2 points) in the basis of their first
+    len(sup) - 1 entries; any basis has the same inertia. It is singular
+    exactly when the bordered matrix is."""
     n = len(sup) - 1
     edge = Lb[sup[:n], sup[n]]
-    H = Lb[np.ix_(sup[:n], sup[:n])] - edge[:, None] - edge[None, :] + Lb[sup[n], sup[n]]
-    vals, vecs = np.linalg.eigh(H)
+    return Lb[np.ix_(sup[:n], sup[:n])] - edge[:, None] - edge[None, :] + Lb[sup[n], sup[n]]
+
+
+def _curvature(Lb: np.ndarray, sup: np.ndarray):
+    """The eigenvalues of ``_balanced_form`` on ``sup``, ascending, and the
+    directions Z y of their eigenvectors y, as columns."""
+    vals, vecs = np.linalg.eigh(_balanced_form(Lb, sup))
     return vals, np.vstack([vecs, -vecs.sum(axis=0)])
 
 
@@ -246,6 +250,13 @@ def _select_best(cands: list[tuple[float, tuple[int, ...], np.ndarray]]):
     return min(_tied(cands), key=lambda c: c[1])
 
 
+def _queue(starts: list[np.ndarray], w0: np.ndarray) -> None:
+    """Append the start ``w0`` unless an equal one is queued: it would end at
+    the same point."""
+    if not any(np.array_equal(w0, s) for s in starts):
+        starts.append(w0)
+
+
 def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolution:
     """Best stationary point found over all starts.
 
@@ -254,8 +265,10 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     gets the uniform start alone and is certified by convexity. Any other
     block starts from the uniform point, the first vertex, the
     minimum-diagonal vertex, caller-supplied warm starts and ``_RESTARTS``
-    Dirichlet draws, each running ``_active_set``, and is certified when it
-    has at most ``ORACLE_CAP`` points and the oracle's value agrees. Raises
+    Dirichlet draws, each running ``_active_set``; a start equal to one
+    already queued (the minimum-diagonal vertex of a constant diagonal is the
+    first vertex) is not run again. Such a block is certified when it has at
+    most ``ORACLE_CAP`` points and the oracle's value agrees. Raises
     ``SolverFailure`` when no start reaches the KKT tolerance, naming how many
     starts hit the iteration cap and how many ended above the tolerance.
     """
@@ -272,16 +285,12 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
         convex = False
     starts: list[np.ndarray] = [np.full(k, 1.0 / k)]
     if not convex:
-        e0 = np.zeros(k)
-        e0[0] = 1.0
-        starts.append(e0)
-        emin = np.zeros(k)
-        emin[int(np.argmin(np.diag(Lb)))] = 1.0
-        starts.append(emin)
+        for i in (0, int(np.argmin(np.diag(Lb)))):
+            _queue(starts, np.eye(1, k, i)[0])
         for extra in extra_starts:
             v = np.clip(np.asarray(extra, float), 0.0, None)
             if v.shape == (k,) and v.sum() > 0:
-                starts.append(v / v.sum())
+                _queue(starts, v / v.sum())
         rng = np.random.default_rng(np.random.SeedSequence([opts.seed, k]))
         for _ in range(_RESTARTS):
             starts.append(rng.dirichlet(np.ones(k)))

@@ -7,6 +7,7 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -105,6 +106,47 @@ def test_verify_minimality_witness_exits_3(tmp_path):
     open(run_path, "w").write(json.dumps(report))
     assert main(["verify", "--run", run_path, "--checks", "minimality",
                  "--trials", "1000"]) == 3
+    summary = json.loads(open(os.path.join(out_dir, "verify.json")).read())
+    assert summary["checks"]["minimality"]["certificate"] == "sampled"
+
+
+def test_verify_proof_draws_no_trials(tmp_path, monkeypatch):
+    out_dir = run_solve(tmp_path)
+
+    def no_sampling(*args):
+        raise AssertionError("minimality was sampled although the proof applies")
+
+    monkeypatch.setattr("cvp.cli.sample_minimality", no_sampling)
+    assert main(["verify", "--run", os.path.join(out_dir, "run.json")]) == 0
+    summary = json.loads(open(os.path.join(out_dir, "verify.json")).read())
+    minimality = summary["checks"]["minimality"]
+    assert minimality["certificate"] == "exact" and minimality["passed"]
+    assert set(minimality) == {"certificate", "passed", "bound", "window_mass", "tol"}
+
+
+def test_verify_exact_witness_exits_3(tmp_path):
+    # the midpoint of [[1, 2], [2, 1]] is stationary, but the action curves
+    # down along the balanced direction: the solver found a vertex instead
+    points = [{"id": "a", "coords": [0.0]}, {"id": "b", "coords": [1.0]}]
+    kernel = {"kind": "matrix", "matrix": [[1.0, 2.0], [2.0, 1.0]], "range": 1.0}
+    run_path, report = _solved_report(
+        tmp_path, space={"points": points, "metric": "euclidean"}, kernel=kernel,
+        exhaustion={"center": "a", "radii": [1.0]})
+    report["stages"][-1]["weights"] = {"a": 0.5, "b": 0.5}
+    open(run_path, "w").write(json.dumps(report))
+    assert main(["verify", "--run", run_path, "--checks", "el,minimality"]) == 3
+    summary = json.loads(open(os.path.join(os.path.dirname(run_path), "verify.json")).read())
+    assert summary["failed"] == ["minimality"]
+    minimality = summary["checks"]["minimality"]
+    assert minimality["certificate"] == "exact" and not minimality["passed"]
+    assert minimality["curvature"] == pytest.approx(-2.0)
+    # the stage rescaled by 1/s, s = 1.5: weight 1/3 at each point
+    L = np.array(kernel["matrix"])
+    rho = np.full(2, 1.0 / 3.0)
+    delta = np.array([minimality["witness"]["delta"][pid] for pid in ("a", "b")])
+    recompute = (rho + delta) @ L @ (rho + delta) - rho @ L @ rho
+    assert minimality["witness"]["delta_action"] == pytest.approx(recompute, rel=1e-12)
+    assert recompute < -1e-8 and abs(delta.sum()) <= 1e-12 and (rho + delta >= 0).all()
 
 
 def test_verify_condition_failure_exits_4(tmp_path):

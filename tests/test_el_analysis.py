@@ -291,3 +291,70 @@ def test_support_cap_below_two_is_refused(cap):
     match = f"support_cap must be an integer of at least 2, got {cap}$"
     with pytest.raises(InputError, match=match):
         VariationSampler(window=np.ones(4, dtype=bool), support_cap=cap)
+
+
+def _certified(report):
+    return report["certificate"] == "exact" and report["passed"]
+
+
+def test_minimizer_is_proved_on_its_window(identity_run):
+    grid, tent, run = identity_run
+    rho = run.stages[-1].measure
+    rep = el_analysis.prove_minimality(rho, tent, run.window)
+    assert _certified(rep)
+    assert -1e-10 <= rep["bound"] <= 0.0 and type(rep["bound"]) is float
+    assert rep["window_mass"] == pytest.approx(rho.weights[run.window].sum())
+    assert rep["tol"] == el_analysis._FAIL_TOL
+
+
+def test_corrupted_weights_are_left_to_sampling(identity_run):
+    # the window form stays positive definite; the first-order bound fails
+    grid, tent, run = identity_run
+    bad = run.stages[-1].measure.weights.copy()
+    bad[np.flatnonzero(run.window)[3]] *= 2.0
+    rep = el_analysis.prove_minimality(DiscreteMeasure(grid, bad), tent, run.window)
+    assert rep["certificate"] == "sampled"
+    assert rep["why_sampled"].startswith("the first-order bound")
+
+
+def test_one_point_window_is_left_to_sampling(identity_run):
+    grid, tent, run = identity_run
+    window = np.zeros(len(grid), dtype=bool)
+    window[grid.index["g0"]] = True
+    rep = el_analysis.prove_minimality(run.stages[-1].measure, tent, window)
+    assert rep == {"certificate": "sampled",
+                   "why_sampled": "a window of fewer than 2 points has no nonzero "
+                                  "balanced variation"}
+
+
+@pytest.mark.parametrize("eps,proved", [(1e-15, False), (1e-6, True)])
+def test_curvature_below_the_rounding_margin_is_not_proved(eps, proved):
+    # L = 11' + eps I: the balanced curvature is eps (Z'Z), positive, but at
+    # eps = 1e-15 below what forming and factoring the form can resolve
+    g = grid_1d(range(3))
+    L = make_kernel("matrix", {"matrix": (np.ones((3, 3)) + eps * np.eye(3)).tolist()}, g)
+    rho = DiscreteMeasure(g, np.full(3, 1.0 / (1.0 + eps / 3.0) / 3.0))
+    rep = el_analysis.prove_minimality(rho, L, np.ones(3, dtype=bool))
+    assert _certified(rep) == proved
+    if not proved:
+        assert "not proved positive semidefinite" in rep["why_sampled"]
+
+
+@given(n=st.integers(3, 12), kind=st.sampled_from(["exponential", "truncated_gaussian"]),
+       sigma=st.floats(0.3, 3.0), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_proof_bounds_every_sampled_trial(n, kind, sigma, seed):
+    g = grid_1d(range(n))
+    params = {"sigma": sigma} if kind == "exponential" else {"sigma": sigma, "range": 2.0}
+    L = make_kernel(kind, params, g)
+    rho = whole_space_stage(g, L).measure
+    window = np.ones(n, dtype=bool)
+    rep = el_analysis.prove_minimality(rho, L, window)
+    if _certified(rep):
+        sampler = VariationSampler(window=window, support_cap=n, seed=seed)
+        trials = cvp.test_minimality(rho, L, sampler, trials=2000)
+        scale = max(1.0, float(L.matrix.max()) * rho.total() ** 2)
+        assert trials["min_delta_S"] >= rep["bound"] - 1e-12 * scale
+    doubled = rho.weights.copy()
+    doubled[np.argmax(doubled)] *= 2.0
+    assert not _certified(el_analysis.prove_minimality(DiscreteMeasure(g, doubled), L, window))

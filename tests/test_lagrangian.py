@@ -67,6 +67,11 @@ def test_matrix_kernel_rejects_zero_diagonal():
         make_kernel("matrix", {"matrix": [[0.0, 0.5], [0.5, 1.0]]}, g)
 
 
+def test_make_kernel_refuses_a_key_its_kind_does_not_take(quarter_grid):
+    with pytest.raises(InputError, match=r"kernel\.sigma is not a tent kernel setting"):
+        make_kernel("tent", {"range": 1.0, "sigma": 1.0}, quarter_grid)
+
+
 def test_kernel_dict_round_trip(quarter_grid):
     tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, quarter_grid)
     back = kernel_from_spec({"kind": "tent", "amplitude": 1.0, "range": 1.0}, quarter_grid)
@@ -253,7 +258,8 @@ def test_entropy_radius_matches_per_point_reference(ks, kind, reach, seed):
         m = np.random.default_rng(seed).uniform(0.0, 1.0, size=(len(g), len(g)))
         params = {"matrix": ((m + m.T) / 2.0 + np.diag(np.full(len(g), 0.5))).tolist()}
     else:
-        params = {"sigma": reach} if kind == "exponential" else {"range": reach, "sigma": reach}
+        params = {"exponential": {"sigma": reach}, "tent": {"range": reach},
+                  "truncated_gaussian": {"range": reach, "sigma": reach}}[kind]
     L = make_kernel(kind, params, g)
     rep = verify_entropy_decay(L, g, exp_profile(1.0, 1.0, delta=1.0, c=diagonal_infimum(L)))
     b = rep["condition_b"]

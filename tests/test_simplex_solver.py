@@ -281,6 +281,37 @@ def test_indefinite_block_takes_every_start_and_the_oracle(monkeypatch):
     assert sol.certified_global
 
 
+def _nineteen_start_loop(p):
+    """The weights chosen by the solver's loop when it also ran the first
+    vertex a second time, as the minimum-diagonal vertex of a constant diagonal."""
+    Lb, k, opts = p.matrix, len(p.ids), p.options
+    rng = np.random.default_rng(np.random.SeedSequence([opts.seed, k]))
+    starts = [np.full(k, 1.0 / k), np.eye(k)[0], np.eye(k)[0],
+              *(rng.dirichlet(np.ones(k)) for _ in range(simplex_solver._RESTARTS))]
+    atol = 1e-12 * max(1.0, float(np.abs(Lb).max()))
+    accepted = []
+    for w0 in starts:
+        w, _ = _active_set(Lb, w0, atol)
+        kkt = _residuals(Lb, w)
+        if kkt.on_support_max <= opts.tol and kkt.min_over_k >= -opts.tol:
+            accepted.append((kkt.s_param, tuple(np.flatnonzero(w > 0).tolist()), w))
+    return simplex_solver._select_best(accepted)[2]
+
+
+@pytest.mark.parametrize("seed", [0, 49])
+def test_constant_diagonal_runs_the_first_vertex_once(monkeypatch, seed):
+    # a quarter-grid truncated Gaussian block: indefinite, with a constant diagonal
+    p = _kernel_block("truncated_gaussian", {"amplitude": 1.0, "sigma": 0.8, "range": 2.0},
+                      [i * 0.25 for i in range(25)])
+    p = problem(p.matrix, seed=seed)
+    assert np.ptp(np.diag(p.matrix)) == 0 and np.linalg.eigvalsh(p.matrix)[0] < 0
+    starts = _count_starts(monkeypatch)
+    sol = minimize_on_compact(p)
+    assert len(starts) == 18
+    assert sum(np.array_equal(s, np.eye(25)[0]) for s in starts) == 1
+    assert np.array_equal(sol.weights, _nineteen_start_loop(p))
+
+
 @given(points=st.lists(st.integers(0, 200), min_size=2, max_size=12, unique=True),
        sigma=st.floats(0.5, 2.0))
 @settings(max_examples=40, deadline=None)

@@ -409,7 +409,8 @@ def test_point_set_masks_match_id_set_reference(space, data):
     layer = data.draw(radius)
     kind = data.draw(st.sampled_from(["tent", "truncated_gaussian", "exponential"]))
     reach = max(data.draw(radius), 0.25)
-    params = {"sigma": 1.0} if kind == "exponential" else {"range": reach, "sigma": 1.0}
+    params = {"exponential": {"sigma": 1.0}, "tent": {"range": reach},
+              "truncated_gaussian": {"range": reach, "sigma": 1.0}}[kind]
     L = make_kernel(kind, params, space)
 
     for x in range(n):
