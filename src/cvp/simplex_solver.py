@@ -5,12 +5,16 @@ active-set method with a ratio test (Nocedal & Wright, *Numerical
 Optimization*, Alg. 16.3; Bomze 1998 for the standard quadratic program).
 Every step stays on the simplex and never raises the action, so the method
 cannot cycle except on exact ties, which the lowest point index breaks; a
-start that runs ``_MAX_ITER`` iterations fails. On a positive definite block
-the program is strictly convex and one start finds its global minimum; any
-other block gets several starts. ``brute_force_minimizer`` enumerates every
-support subset: it certifies every block of at most ``ORACLE_CAP`` points
-that is not positive definite, and backs ``cvp oracle``. The solver never
-adopts its weights, only compares values to set the certification flag.
+start that runs ``_MAX_ITER`` iterations fails. Consecutive supports differ
+by one point, so from a start's first change of support on, the inverse of
+its bordered matrix is kept and updated in O(m^2) per add or drop; it is
+formed afresh after a near-singular update or a target that has drifted from
+stationarity. On a positive definite block the program is strictly convex
+and one start finds its global minimum; any other block gets several
+starts. ``brute_force_minimizer`` enumerates every support subset: it
+certifies every block of at most ``ORACLE_CAP`` points that is not positive
+definite, and backs ``cvp oracle``. The solver never adopts its weights,
+only compares values to set the certification flag.
 
 Stationarity convention: with value s = w'Lw, the averaged kernel Lw equals s
 on the support and is >= s off the support.
@@ -41,6 +45,15 @@ _TIE_REL = 1e-12
 
 # Cap on the active-set iterations of one start; a start that reaches it fails.
 _MAX_ITER = 10_000
+
+# The bordered inverse is formed afresh when the Schur complement sigma of the
+# point j that joins has |sigma| <= _PIVOT_REL L_jj, or that of the point that
+# leaves has |sigma| >= L_jj / _PIVOT_REL: the new matrix is near singular.
+_PIVOT_REL = 1e-10
+
+# A target read from the updated bordered inverse must be stationary on its
+# support to this many stopping tolerances; past it, it is solved afresh.
+_DRIFT_ATOL = 1e3
 
 
 @dataclass
@@ -117,6 +130,54 @@ def _solve_support(Lb: np.ndarray, S: np.ndarray | list[int]):
     return sol[:m], float(sol[m])
 
 
+def _bordered_inverse(Lb: np.ndarray, sup: np.ndarray):
+    """(P, rows): the inverse P of the bordered matrix [[0, 1'], [1, L_SS]] of
+    the ascending ``sup``, and the point of each row of P after the first; None
+    when the matrix is singular. Column 0 of P is (-s, w) of ``_solve_support``
+    in row order."""
+    A = np.zeros((len(sup) + 1,) * 2)
+    A[0, 1:] = A[1:, 0] = 1.0
+    A[1:, 1:] = Lb[sup][:, sup]
+    try:
+        P = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        return None
+    return (P, sup) if np.isfinite(P).all() else None
+
+
+def _reborder(inv, Lb: np.ndarray, on: np.ndarray, j: int):
+    """The ``_bordered_inverse`` ``inv`` of the support, updated after point
+    ``j`` joined it, or left it when ``on[j]`` is False, by a Schur update in
+    O(m^2): a joining point gets a new last row, and a leaving one's row is
+    replaced by the last. It is formed afresh on the support of ``on`` when
+    ``inv`` is None or the new matrix is near singular (``_PIVOT_REL``)."""
+    if inv is not None:
+        P, rows = inv
+        n = len(P)
+        if on[j]:
+            b = np.concatenate(([1.0], Lb[j, rows]))
+            u = P @ b
+            sigma = float(Lb[j, j] - b @ u)
+            if abs(sigma) > _PIVOT_REL * Lb[j, j]:
+                Q = np.empty((n + 1, n + 1))
+                np.add(P, np.outer(u, u / sigma), out=Q[:n, :n])
+                Q[n, :n] = Q[:n, n] = -u / sigma
+                Q[n, n] = 1.0 / sigma
+                return Q, np.append(rows, j)
+        else:
+            r = 1 + int(np.flatnonzero(rows == j)[0])
+            last = n - 1
+            pivot = float(P[r, r])  # 1 / sigma
+            if abs(pivot) * Lb[j, j] > _PIVOT_REL:
+                c = P[r].copy()  # the last row and column take the place of r's
+                c[r] = c[last]
+                P[r] = P[last]
+                P[:, r] = P[:, last]
+                rows[r - 1] = rows[-1]
+                return P[:last, :last] - np.outer(c[:last], c[:last] / pivot), rows[:-1]
+    return _bordered_inverse(Lb, np.flatnonzero(on))
+
+
 def _balanced_form(Lb: np.ndarray, sup: np.ndarray) -> np.ndarray:
     """Z'L_SS Z with Z = [I; -1']: the action's curvature along the balanced
     directions on ``sup`` (of at least 2 points) in the basis of their first
@@ -148,47 +209,63 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
 
     The support S starts as that of ``w0``. At a point that is not stationary
     on S, the step goes toward the target, the stationary point of the
-    action on S (the bordered system [[0, 1'], [1, L_SS]], solved afresh):
-    fully when the action is convex along the way and no weight hits zero
-    first, else to the boundary in the descending sign, dropping the point
-    the ratio test hits (lowest index on ties). At a stationary point it adds
-    the single most violated off-support point (lowest index on ties), or
-    stops when none is violated by more than ``atol``. Unless the block is
-    ``convex`` (positive definite), a stationary point where the action
-    curves downward on S is a saddle: the step then follows that curvature to
-    the boundary, as does the first step of a start whose support has it.
-    The final weights are solved afresh on the final support.
+    action on S (the bordered system [[0, 1'], [1, L_SS]]): fully when the
+    action is convex along the way and no weight hits zero first, else to
+    the boundary in the descending sign, dropping the point the ratio test
+    hits (lowest index on ties). At a stationary point it adds the single
+    most violated off-support point (lowest index on ties), or stops when
+    none is violated by more than ``atol``. Unless the block is ``convex``
+    (positive definite), a stationary point where the action curves downward
+    on S is a saddle: the step then follows that curvature to the boundary,
+    the longer way of the two (the slope there is rounding), as does the
+    first step of a start whose support has it, downhill.
+
+    A start's first target is solved directly. Its first change of S forms
+    the bordered inverse, which each later add or drop updates (``_reborder``)
+    and whose column 0 gives the target. A target off stationarity on S by
+    more than ``_DRIFT_ATOL`` stopping tolerances (seen in L d) is solved
+    directly, and the next change of S forms the inverse afresh. The final
+    weights are solved directly on the final support.
 
     Returns the weights, or None when ``_MAX_ITER`` iterations pass, and the
-    action at every iterate, which never rises.
+    action at every iterate, which never rises (an iterate whose target is
+    solved again after drifting is listed twice).
     """
     k = Lb.shape[0]
     w = np.array(w0, dtype=float)
     on = w > 0
     values = []
     at_target = False
+    inv = None  # the bordered inverse (P, rows), from the first change of support
     for _ in range(_MAX_ITER):
         sup = np.flatnonzero(on)
         g = Lb @ w
         s = float(w @ g)
         values.append(s)
         t = d = None
+        saddle = False
         if at_target or float(np.abs(g[sup] - s).max()) <= atol:
             i = int(np.argmin(np.where(on, np.inf, g)))
             if not on[i] and g[i] < s - atol:
                 on[i] = True
+                inv = _reborder(inv, Lb, on, i)
                 at_target = False
                 continue
             # a KKT point: stop there unless it is a saddle on its support
             d = None if convex else _negative_curvature(Lb, sup, atol)
             if d is None:
                 return _final_weights(Lb, w), values
+            saddle = True
         elif len(values) == 1 and not convex:
             # the first step follows downward curvature, so that each start
             # descends its own way rather than toward a shared saddle
             d = _negative_curvature(Lb, sup, atol)
         if d is None:
-            sol = _solve_support(Lb, sup)
+            if inv is None:
+                sol = _solve_support(Lb, sup)
+            else:  # rows are the support in the order the points joined
+                P, rows = inv
+                sol = P[1:, 0][np.argsort(rows)], -float(P[0, 0])
             if sol is None:  # a singular system: a direction of zero curvature
                 vals, dirs = _curvature(Lb, sup)
                 d = dirs[:, int(np.argmin(np.abs(vals)))]
@@ -199,14 +276,22 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
         full = np.zeros(k)
         full[sup] = d
         Ld = Lb @ full
+        if inv is not None and t is not None and not (
+                np.abs(g[sup] + Ld[sup] - sol[1]).max() <= _DRIFT_ATOL * atol):
+            inv = None  # L(w + d) is not flat on S (or NaN): the updates drifted
+            continue
         slope = float(g @ full)  # the action along d: s + 2 a slope + a^2 curv
         curv = float(full @ Ld)
-        if slope > 0:  # descend
+        ws = w[sup]
+        if saddle:  # the longer way to the boundary, which descends further
+            flip = (ws[d > 0] / d[d > 0]).min() > (ws[d < 0] / -d[d < 0]).min()
+        else:  # descend
+            flip = slope > 0
+        if flip:
             d, slope = -d, -slope
         # the minimum along d: the target (a = 1) when curv > 0; none along a
         # curvature direction, where the action is linear or curves down
         reach = -slope / curv if t is not None and curv > 0 else np.inf
-        ws = w[sup]
         shrink = d < 0
         if not shrink.any():  # a balanced d that is 0: w is the target
             at_target = True
@@ -222,6 +307,7 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
         j = int(sup[np.flatnonzero(ratios == ratio)[0]])  # lowest point index on ties
         w[j] = 0.0
         on[j] = False
+        inv = _reborder(inv, Lb, on, j)
         at_target = False
     return None, values
 
