@@ -11,7 +11,9 @@ its bordered matrix is kept and updated in O(m^2) per add or drop; it is
 formed afresh after a near-singular update or a target that has drifted from
 stationarity. On a positive definite block the program is strictly convex
 and one start finds its global minimum; any other block gets several
-starts. ``brute_force_minimizer`` enumerates every support subset: it
+starts, which share the direction of most negative curvature of each
+support they meet, so each support is decomposed once per block.
+``brute_force_minimizer`` enumerates every support subset: it
 certifies every block of at most ``ORACLE_CAP`` points that is not positive
 definite, and backs ``cvp oracle``. The solver never adopts its weights,
 only compares values to set the certification flag.
@@ -160,12 +162,12 @@ def _reborder(inv, Lb: np.ndarray, on: np.ndarray, j: int):
             sigma = float(Lb[j, j] - b @ u)
             if abs(sigma) > _PIVOT_REL * Lb[j, j]:
                 Q = np.empty((n + 1, n + 1))
-                np.add(P, np.outer(u, u / sigma), out=Q[:n, :n])
+                np.add(P, u[:, None] * (u / sigma), out=Q[:n, :n])
                 Q[n, :n] = Q[:n, n] = -u / sigma
                 Q[n, n] = 1.0 / sigma
                 return Q, np.append(rows, j)
         else:
-            r = 1 + int(np.flatnonzero(rows == j)[0])
+            r = 1 + int((rows == j).argmax())
             last = n - 1
             pivot = float(P[r, r])  # 1 / sigma
             if abs(pivot) * Lb[j, j] > _PIVOT_REL:
@@ -174,8 +176,9 @@ def _reborder(inv, Lb: np.ndarray, on: np.ndarray, j: int):
                 P[r] = P[last]
                 P[:, r] = P[:, last]
                 rows[r - 1] = rows[-1]
-                return P[:last, :last] - np.outer(c[:last], c[:last] / pivot), rows[:-1]
-    return _bordered_inverse(Lb, np.flatnonzero(on))
+                c = c[:last]
+                return P[:last, :last] - c[:, None] * (c / pivot), rows[:-1]
+    return _bordered_inverse(Lb, on.nonzero()[0])
 
 
 def _balanced_form(Lb: np.ndarray, sup: np.ndarray) -> np.ndarray:
@@ -195,16 +198,26 @@ def _curvature(Lb: np.ndarray, sup: np.ndarray):
     return vals, np.vstack([vecs, -vecs.sum(axis=0)])
 
 
-def _negative_curvature(Lb: np.ndarray, sup: np.ndarray, atol: float) -> np.ndarray | None:
+def _negative_curvature(Lb: np.ndarray, sup: np.ndarray, atol: float,
+                        curvature: dict) -> np.ndarray | None:
     """The balanced direction on ``sup`` of most negative curvature, or None
-    when there is none beyond ``atol``."""
-    if len(sup) < 2:
-        return None
-    vals, dirs = _curvature(Lb, sup)
-    return dirs[:, 0] if vals[0] < -atol else None
+    when there is none beyond ``atol``. ``curvature`` keeps the answer by
+    support, so the starts of a block decompose each support once; the
+    direction is handed out as a copy, which the caller may shift."""
+    key = sup.tobytes()
+    if key not in curvature:
+        d = None
+        if len(sup) >= 2:
+            vals, dirs = _curvature(Lb, sup)
+            if vals[0] < -atol:
+                d = dirs[:, 0].copy()  # not a view that keeps every eigenvector
+        curvature[key] = d
+    d = curvature[key]
+    return None if d is None else d.copy()
 
 
-def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = False):
+def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = False,
+                curvature: dict | None = None):
     """Primal active-set descent with a ratio test from the feasible ``w0``.
 
     The support S starts as that of ``w0``. At a point that is not stationary
@@ -227,6 +240,10 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
     directly, and the next change of S forms the inverse afresh. The final
     weights are solved directly on the final support.
 
+    ``curvature`` holds the ``_negative_curvature`` of the supports met so
+    far; the starts of one block share it, and each start reads the same
+    directions it would compute alone. None gives a fresh one.
+
     Returns the weights, or None when ``_MAX_ITER`` iterations pass, and the
     action at every iterate, which never rises (an iterate whose target is
     solved again after drifting is listed twice).
@@ -237,42 +254,46 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
     values = []
     at_target = False
     inv = None  # the bordered inverse (P, rows), from the first change of support
+    target = np.empty(k)  # column 0 of P scattered by rows, to be read by sup
+    if curvature is None:
+        curvature = {}
     for _ in range(_MAX_ITER):
-        sup = np.flatnonzero(on)
+        sup = on.nonzero()[0]
         g = Lb @ w
         s = float(w @ g)
         values.append(s)
         t = d = None
         saddle = False
         if at_target or float(np.abs(g[sup] - s).max()) <= atol:
-            i = int(np.argmin(np.where(on, np.inf, g)))
+            i = int(np.where(on, np.inf, g).argmin())
             if not on[i] and g[i] < s - atol:
                 on[i] = True
                 inv = _reborder(inv, Lb, on, i)
                 at_target = False
                 continue
             # a KKT point: stop there unless it is a saddle on its support
-            d = None if convex else _negative_curvature(Lb, sup, atol)
+            d = None if convex else _negative_curvature(Lb, sup, atol, curvature)
             if d is None:
                 return _final_weights(Lb, w), values
             saddle = True
         elif len(values) == 1 and not convex:
             # the first step follows downward curvature, so that each start
             # descends its own way rather than toward a shared saddle
-            d = _negative_curvature(Lb, sup, atol)
+            d = _negative_curvature(Lb, sup, atol, curvature)
         if d is None:
             if inv is None:
                 sol = _solve_support(Lb, sup)
             else:  # rows are the support in the order the points joined
                 P, rows = inv
-                sol = P[1:, 0][np.argsort(rows)], -float(P[0, 0])
+                target[rows] = P[1:, 0]
+                sol = target[sup], -float(P[0, 0])
             if sol is None:  # a singular system: a direction of zero curvature
                 vals, dirs = _curvature(Lb, sup)
                 d = dirs[:, int(np.argmin(np.abs(vals)))]
             else:
                 t = sol[0]
                 d = t - w[sup]
-        d -= d.mean()  # exactly balanced, or a long step would leave the simplex
+        d -= d.sum() / len(d)  # exactly balanced, or a long step would leave the simplex
         full = np.zeros(k)
         full[sup] = d
         Ld = Lb @ full
@@ -298,13 +319,14 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
             continue
         ratios = np.full(len(sup), np.inf)
         ratios[shrink] = ws[shrink] / -d[shrink]
-        ratio = float(ratios.min())
+        i = int(ratios.argmin())  # the lowest point index on ties
+        ratio = float(ratios[i])
         if reach <= ratio:
             w[sup] = np.maximum(ws + reach * d, 0.0)
             at_target = True
             continue
         w[sup] = np.maximum(ws + ratio * d, 0.0)
-        j = int(sup[np.flatnonzero(ratios == ratio)[0]])  # lowest point index on ties
+        j = int(sup[i])
         w[j] = 0.0
         on[j] = False
         inv = _reborder(inv, Lb, on, j)
@@ -353,7 +375,9 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     minimum-diagonal vertex, caller-supplied warm starts and ``_RESTARTS``
     Dirichlet draws, each running ``_active_set``; a start equal to one
     already queued (the minimum-diagonal vertex of a constant diagonal is the
-    first vertex) is not run again. Such a block is certified when it has at
+    first vertex) is not run again. The starts share one curvature cache
+    for the call (``_active_set``), so each support's balanced form is
+    decomposed once. Such a block is certified when it has at
     most ``ORACLE_CAP`` points and the oracle's value agrees. Raises
     ``SolverFailure`` when no start reaches the KKT tolerance, naming how many
     starts hit the iteration cap and how many ended above the tolerance.
@@ -385,8 +409,9 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     accepted = []
     best_any = None
     capped = above = 0
+    curvature = {}  # the starts' _negative_curvature of each support
     for w0 in starts:
-        w, _ = _active_set(Lb, w0, atol, convex)
+        w, _ = _active_set(Lb, w0, atol, convex, curvature)
         if w is None:
             capped += 1
             continue

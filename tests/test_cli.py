@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def run_solve(tmp_path, out="run", **overrides):
 
 def test_solve_writes_report_and_stage_csv(tmp_path, capsys):
     out_dir = run_solve(tmp_path)
-    report = json.loads(open(os.path.join(out_dir, "run.json")).read())
+    report = json.loads(Path(out_dir, "run.json").read_text())
     assert report["tool"]["name"] == "cvp"
     assert len(report["stages"]) == 3
     assert report["diagnostics"]["stabilized"] is True
@@ -52,7 +53,7 @@ def test_solve_writes_report_and_stage_csv(tmp_path, capsys):
     for i in range(3):
         csv_path = os.path.join(out_dir, f"stage_{i}.csv")
         assert os.path.exists(csv_path)
-        header = open(csv_path).readline().strip()
+        header = Path(csv_path).read_text().splitlines()[0]
         assert header == "point,ell,weight"
     out = capsys.readouterr().out
     assert "solved 3 stages; window 7 points" in out
@@ -61,8 +62,8 @@ def test_solve_writes_report_and_stage_csv(tmp_path, capsys):
 def test_solve_is_byte_deterministic(tmp_path):
     a = run_solve(tmp_path, out="run_a")
     b = run_solve(tmp_path, out="run_b")
-    bytes_a = open(os.path.join(a, "run.json"), "rb").read()
-    bytes_b = open(os.path.join(b, "run.json"), "rb").read()
+    bytes_a = Path(a, "run.json").read_bytes()
+    bytes_b = Path(b, "run.json").read_bytes()
     assert bytes_a == bytes_b
 
 
@@ -71,8 +72,8 @@ def test_seed_flag_changes_config_hash(tmp_path):
     cfg = write_config(tmp_path)
     out_b = str(tmp_path / "run_b")
     assert main(["solve", "--config", cfg, "--out", out_b, "--seed", "7"]) == 0
-    ha = json.loads(open(os.path.join(a, "run.json")).read())["config_hash"]
-    hb = json.loads(open(os.path.join(out_b, "run.json")).read())["config_hash"]
+    ha = json.loads(Path(a, "run.json").read_text())["config_hash"]
+    hb = json.loads(Path(out_b, "run.json").read_text())["config_hash"]
     assert ha != hb
 
 
@@ -80,7 +81,7 @@ def test_verify_passes_on_clean_run(tmp_path, capsys):
     out_dir = run_solve(tmp_path)
     code = main(["verify", "--run", os.path.join(out_dir, "run.json")])
     assert code == 0
-    summary = json.loads(open(os.path.join(out_dir, "verify.json")).read())
+    summary = json.loads(Path(out_dir, "verify.json").read_text())
     assert summary["failed"] == []
     assert set(summary["checks"]) == {"el", "minimality"}
     out = capsys.readouterr().out
@@ -90,23 +91,23 @@ def test_verify_passes_on_clean_run(tmp_path, capsys):
 def test_verify_el_failure_exits_2(tmp_path):
     out_dir = run_solve(tmp_path)
     run_path = os.path.join(out_dir, "run.json")
-    report = json.loads(open(run_path).read())
+    report = json.loads(Path(run_path).read_text())
     key = next(iter(report["stages"][-1]["weights"]))
     report["stages"][-1]["weights"][key] *= 2.0
-    open(run_path, "w").write(json.dumps(report))
+    Path(run_path).write_text(json.dumps(report))
     assert main(["verify", "--run", run_path, "--checks", "el"]) == 2
 
 
 def test_verify_minimality_witness_exits_3(tmp_path):
     out_dir = run_solve(tmp_path)
     run_path = os.path.join(out_dir, "run.json")
-    report = json.loads(open(run_path).read())
+    report = json.loads(Path(run_path).read_text())
     key = next(iter(report["stages"][-1]["weights"]))
     report["stages"][-1]["weights"][key] *= 2.0
-    open(run_path, "w").write(json.dumps(report))
+    Path(run_path).write_text(json.dumps(report))
     assert main(["verify", "--run", run_path, "--checks", "minimality",
                  "--trials", "1000"]) == 3
-    summary = json.loads(open(os.path.join(out_dir, "verify.json")).read())
+    summary = json.loads(Path(out_dir, "verify.json").read_text())
     assert summary["checks"]["minimality"]["certificate"] == "sampled"
 
 
@@ -118,7 +119,7 @@ def test_verify_proof_draws_no_trials(tmp_path, monkeypatch):
 
     monkeypatch.setattr("cvp.cli.sample_minimality", no_sampling)
     assert main(["verify", "--run", os.path.join(out_dir, "run.json")]) == 0
-    summary = json.loads(open(os.path.join(out_dir, "verify.json")).read())
+    summary = json.loads(Path(out_dir, "verify.json").read_text())
     minimality = summary["checks"]["minimality"]
     assert minimality["certificate"] == "exact" and minimality["passed"]
     assert set(minimality) == {"certificate", "passed", "bound", "window_mass", "tol"}
@@ -133,9 +134,9 @@ def test_verify_exact_witness_exits_3(tmp_path):
         tmp_path, space={"points": points, "metric": "euclidean"}, kernel=kernel,
         exhaustion={"center": "a", "radii": [1.0]})
     report["stages"][-1]["weights"] = {"a": 0.5, "b": 0.5}
-    open(run_path, "w").write(json.dumps(report))
+    Path(run_path).write_text(json.dumps(report))
     assert main(["verify", "--run", run_path, "--checks", "el,minimality"]) == 3
-    summary = json.loads(open(os.path.join(os.path.dirname(run_path), "verify.json")).read())
+    summary = json.loads(Path(run_path).with_name("verify.json").read_text())
     assert summary["failed"] == ["minimality"]
     minimality = summary["checks"]["minimality"]
     assert minimality["certificate"] == "exact" and not minimality["passed"]
@@ -164,9 +165,9 @@ def test_verify_condition_failure_exits_4(tmp_path):
 def test_verify_refuses_edited_config(tmp_path, capsys):
     out_dir = run_solve(tmp_path)
     run_path = os.path.join(out_dir, "run.json")
-    report = json.loads(open(run_path).read())
+    report = json.loads(Path(run_path).read_text())
     report["config"]["kernel"]["amplitude"] = 2.0
-    open(run_path, "w").write(json.dumps(report))
+    Path(run_path).write_text(json.dumps(report))
     assert main(["verify", "--run", run_path]) == 1
     assert "does not match the embedded config" in capsys.readouterr().err
 
@@ -175,9 +176,9 @@ def test_verify_derives_limit_from_last_stage(tmp_path):
     # the stored limit is output only; an emptied one cannot fail nontriviality
     out_dir = run_solve(tmp_path)
     run_path = os.path.join(out_dir, "run.json")
-    report = json.loads(open(run_path).read())
+    report = json.loads(Path(run_path).read_text())
     report["limit"]["weights"] = {}
-    open(run_path, "w").write(json.dumps(report))
+    Path(run_path).write_text(json.dumps(report))
     assert main(["verify", "--run", run_path, "--checks", "nontriviality"]) == 0
 
 
@@ -274,7 +275,7 @@ def test_sweep_runs_grid(tmp_path, capsys):
         {"base": base, "grid": {"kernel.amplitude": [1.0, 2.0]}}))
     out_dir = str(tmp_path / "sweep_out")
     assert main(["sweep", "--config", str(sweep_cfg), "--out", out_dir]) == 0
-    summary = json.loads(open(os.path.join(out_dir, "sweep.json")).read())
+    summary = json.loads(Path(out_dir, "sweep.json").read_text())
     assert len(summary["runs"]) == 2
     assert summary["runs"][0]["overrides"] == {"kernel.amplitude": 1.0}
     assert summary["runs"][1]["seed"] == 1
@@ -297,7 +298,7 @@ def fuzz_report(tmp_path_factory):
                         verify={"checks": list(_ALL_CHECKS), "trials": 20, "tol": 1e-6,
                                 "support_cap": 4, "delta_cover": 1.0, "eps": 0.3,
                                 "mass_radius": 1.0})
-    return json.loads(open(os.path.join(out_dir, "run.json")).read())
+    return json.loads(Path(out_dir, "run.json").read_text())
 
 
 _RETYPES = (None, True, 0, -1, 2.5, float("nan"), "abc", [], [1, 2], {}, {"g0": 1})
@@ -367,7 +368,7 @@ def test_verify_exits_cleanly_on_malformed_report(fuzz_report, edits, rehash, cl
 def _solved_report(tmp_path, **overrides):
     out_dir = run_solve(tmp_path, **overrides)
     run_path = os.path.join(out_dir, "run.json")
-    return run_path, json.loads(open(run_path).read())
+    return run_path, json.loads(Path(run_path).read_text())
 
 
 @pytest.mark.parametrize("pid,stage,why", [("zz", 2, "is on an unknown point id"),
@@ -375,7 +376,7 @@ def _solved_report(tmp_path, **overrides):
 def test_verify_refuses_weight_outside_its_stage(tmp_path, capsys, pid, stage, why):
     run_path, report = _solved_report(tmp_path)
     report["stages"][stage]["weights"][pid] = 0.5
-    open(run_path, "w").write(json.dumps(report))
+    Path(run_path).write_text(json.dumps(report))
     assert main(["verify", "--run", run_path, "--checks", "el"]) == 1
     assert f"stages[{stage}].weights[{pid!r}] {why}" in capsys.readouterr().err
 
@@ -419,7 +420,7 @@ _BAD_FIELDS = (
     for command in ("solve", "verify") for case in _BAD_FIELDS])
 def test_bad_config_field_exits_1_naming_it(tmp_path, command, path, value, field):
     if command == "solve":
-        cfg = json.loads(open(write_config(tmp_path, profile=_PROFILE, stab_tol=1e-6)).read())
+        cfg = json.loads(Path(write_config(tmp_path, profile=_PROFILE, stab_tol=1e-6)).read_text())
         _mutate(cfg, path, "retype", value)
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -428,7 +429,7 @@ def test_bad_config_field_exits_1_naming_it(tmp_path, command, path, value, fiel
         run_path, report = _solved_report(tmp_path, profile=_PROFILE)
         _mutate(report["config"], path, "retype", value)
         report["config_hash"] = sha256_text(canonical_json(report["config"]))
-        open(run_path, "w").write(json.dumps(report))
+        Path(run_path).write_text(json.dumps(report))
         argv = ["verify", "--run", run_path, "--checks", "el"]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -465,7 +466,7 @@ def test_verify_refuses_support_cap_below_two(tmp_path, capsys, cap):
     run_path, report = _solved_report(tmp_path)
     report["config"].setdefault("verify", {})["support_cap"] = cap
     report["config_hash"] = sha256_text(canonical_json(report["config"]))
-    open(run_path, "w").write(json.dumps(report))
+    Path(run_path).write_text(json.dumps(report))
     capsys.readouterr()
     assert main(["verify", "--run", run_path, "--checks", "minimality", "--trials", "5"]) == 1
     assert (f"report config.verify.support_cap must be an integer of at least 2, got {cap}"
@@ -493,7 +494,7 @@ def test_verify_ell_matches_solve_csv_bit_for_bit(tmp_path):
         exhaustion={"center": "x10", "radii": [6, 10]}, window={"layer": 2.0})
     out = os.path.join(os.path.dirname(run_path), "verify.json")
     assert main(["verify", "--run", run_path, "--checks", "el", "--out", out]) == 0
-    ell = json.loads(open(out).read())["checks"]["el"]["ell_values"]
+    ell = json.loads(Path(out).read_text())["checks"]["el"]["ell_values"]
     with open(os.path.join(os.path.dirname(run_path), "stage_1.csv")) as handle:
         rows = dict(line.split(",")[:2] for line in handle.read().splitlines()[1:])
     assert len(ell) == 9
@@ -511,7 +512,7 @@ def test_verify_ell_matches_solve_csv_bit_for_bit(tmp_path):
         "oracle_max"])
 def test_config_values_are_not_coerced(tmp_path, capsys, path, value, message):
     # values of the wrong type were truncated or cast, unknown keys ignored
-    cfg = json.loads(open(write_config(tmp_path)).read())
+    cfg = json.loads(Path(write_config(tmp_path)).read_text())
     node = cfg
     for key in path[:-1]:
         node = node[key]
@@ -529,7 +530,7 @@ def test_verify_default_checks_pass_on_one_point_window(tmp_path):
         exhaustion={"center": "t0", "radii": [1.0, 2.0]}, verify={})
     assert report["window"] == ["t0"]
     assert main(["verify", "--run", run_path]) == 0
-    summary = json.loads(open(os.path.join(os.path.dirname(run_path), "verify.json")).read())
+    summary = json.loads(Path(run_path).with_name("verify.json").read_text())
     minimality = summary["checks"]["minimality"]
     assert minimality["passed"] and minimality["evaluated"] == 0
     assert minimality["skipped"] == minimality["trials"] == 1000
@@ -538,10 +539,10 @@ def test_verify_default_checks_pass_on_one_point_window(tmp_path):
 
 def _verify_bytes(run_path, report, out, checks):
     """The ``verify.json`` bytes and exit code of ``report`` saved at ``run_path``."""
-    open(run_path, "w").write(json.dumps(report))
+    Path(run_path).write_text(json.dumps(report))
     code = main(["verify", "--run", run_path, "--checks", checks, "--trials", "50",
                  "--delta-cover", "1.0", "--out", out])
-    return code, open(out, "rb").read()
+    return code, Path(out).read_bytes()
 
 
 def test_verify_derives_the_window_from_the_config(tmp_path):
@@ -549,7 +550,7 @@ def test_verify_derives_the_window_from_the_config(tmp_path):
     run_path, report = _solved_report(tmp_path)
     report["stages"][-1]["weights"]["g3"] *= 2.0
     report["window"] = ["g0"]
-    open(run_path, "w").write(json.dumps(report))
+    Path(run_path).write_text(json.dumps(report))
     assert main(["verify", "--run", run_path, "--checks", "el,minimality,nontriviality"]) == 2
 
 
@@ -589,7 +590,7 @@ def test_output_only_fields_do_not_change_verify(tmp_path, edit):
 def test_verify_refuses_a_report_with_a_stage_missing(tmp_path, capsys):
     run_path, report = _solved_report(tmp_path)
     del report["stages"][0]
-    open(run_path, "w").write(json.dumps(report))
+    Path(run_path).write_text(json.dumps(report))
     capsys.readouterr()
     assert main(["verify", "--run", run_path, "--checks", "el"]) == 1
     assert "report stages has 2 entries" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Stationarity reports, boundedness conditions and variation sampling."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -338,6 +339,34 @@ def test_curvature_below_the_rounding_margin_is_not_proved(eps, proved):
     assert _certified(rep) == proved
     if not proved:
         assert "not proved positive semidefinite" in rep["why_sampled"]
+
+
+def _exact_bound(rho, L, window):
+    """The first-order bound -2 sum_W rho_x (ell_x - min_W ell) of the stored
+    weights, in exact rationals."""
+    sup = np.flatnonzero(rho.weights)
+    w = [Fraction(v) for v in rho.weights[sup].tolist()]
+    ell = {x: sum(Fraction(Lxy) * v for Lxy, v in zip(L.matrix[x, sup].tolist(), w)) - 1
+           for x in np.flatnonzero(window).tolist()}
+    m = min(ell.values())
+    return -2 * sum(Fraction(float(rho.weights[x])) * (e - m) for x, e in ell.items())
+
+
+@given(n=st.integers(3, 12), kind=st.sampled_from(["exponential", "truncated_gaussian"]),
+       sigma=st.floats(0.3, 3.0), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=100, deadline=None)
+def test_proof_bound_holds_for_the_stored_weights(n, kind, sigma, seed):
+    # the reported bound allows for the rounding of ell, so it never exceeds
+    # the bound of the stored weights computed without rounding
+    g = grid_1d(range(n))
+    params = {"sigma": sigma} if kind == "exponential" else {"sigma": sigma, "range": 2.0}
+    L = make_kernel(kind, params, g)
+    rho = whole_space_stage(g, L).measure
+    window = np.random.default_rng(seed).random(n) < 0.7
+    window[:2] = True
+    rep = el_analysis.prove_minimality(rho, L, window)
+    if _certified(rep):
+        assert Fraction(rep["bound"]) <= _exact_bound(rho, L, window)
 
 
 @given(n=st.integers(3, 12), kind=st.sampled_from(["exponential", "truncated_gaussian"]),

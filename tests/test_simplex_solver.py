@@ -1,5 +1,7 @@
 """Per-compact quadratic minimization: multi-start solver and oracle."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -484,8 +486,9 @@ def _bordered(Lb, sup):
 @st.composite
 def random_blocks(draw, kinds):
     """A 2-40 point block of one of ``kinds``, and the generator that drew it:
-    indefinite, indefinite with a duplicated point, a low-rank Gram matrix
-    plus 1e-9 I, or the quarter-grid truncated Gaussian on random points."""
+    indefinite, indefinite with a duplicated point or with a constant
+    diagonal, a low-rank Gram matrix plus 1e-9 I, or the quarter-grid
+    truncated Gaussian on random points."""
     k = draw(st.integers(2, 40))
     kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -500,6 +503,8 @@ def random_blocks(draw, kinds):
     if kind == "duplicate":
         i, j = rng.choice(k, 2, replace=False)
         M[j], M[:, j] = M[i], M[:, i]
+    elif kind == "constant-diagonal":
+        np.fill_diagonal(M, rng.uniform(0.05, 1.2))
     return M, rng
 
 
@@ -560,6 +565,21 @@ def test_active_set_ends_where_solving_every_step_ends(case):
         assert w is not None and np.array_equal(w, ref)
 
 
+@given(case=random_blocks(["indefinite", "constant-diagonal", "low-rank"]))
+@settings(max_examples=100, deadline=None)
+def test_shared_curvature_is_exact(case):
+    # the starts of a block share one cache of curvature directions: each
+    # start ends as it does alone, with a fresh cache, to the last bit
+    M, rng = case
+    k = len(M)
+    atol = 1e-12 * max(1.0, float(np.abs(M).max()))
+    shared = {}
+    for w0 in [np.full(k, 1.0 / k), np.eye(k)[0], *rng.dirichlet(np.ones(k), 4)]:
+        w, values = _active_set(M, w0, atol, False, shared)
+        alone, alone_values = _active_set(M, w0, atol, False, {})
+        assert np.array_equal(w, alone) and np.array_equal(values, alone_values)
+
+
 def test_convex_tent_block_from_the_uniform_start():
     p = _kernel_block("tent", {"amplitude": 1.0, "range": 2.0}, [i * 0.25 for i in range(101)])
     assert np.linalg.eigvalsh(p.matrix)[0] > 0
@@ -594,3 +614,33 @@ def test_singular_blocks_descend_to_a_kkt_point(M):
         assert r.on_support_max <= 1e-12 and r.min_over_k >= -1e-12
         assert r.s_param >= oracle - 1e-12
         assert (np.diff(values) <= 1e-15).all()
+
+
+def test_quarter_stages_decompose_each_support_once(monkeypatch):
+    # every start of a block that is not positive definite asks for the
+    # curvature of the block's full support, and many reach supports that an
+    # earlier start reached: each support's balanced form is decomposed once
+    supports, eighs = [], []
+    curvature, eigh = simplex_solver._curvature, np.linalg.eigh
+
+    def recorded(Lb, sup):
+        supports.append((len(Lb), tuple(sup.tolist())))
+        return curvature(Lb, sup)
+
+    def counted(A, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "cvp.simplex_solver":
+            eighs.append(len(A))
+        return eigh(A, *args, **kwargs)
+
+    monkeypatch.setattr(simplex_solver, "_curvature", recorded)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    grid = grid_1d([i * 0.25 for i in range(121)])
+    L = make_kernel(*_QUARTER, grid)
+    run = run_exhaustion(grid, L, build_exhaustion(grid, 60, (7.5, 15.0)))
+    inner, outer = run.stages
+    assert inner.s_unscaled == pytest.approx(0.0866730842223228, abs=1e-12)
+    assert outer.s_unscaled == pytest.approx(0.0452079606616394, abs=1e-12)
+    assert outer.measure.support.sum() == 46
+    # both blocks ask for the curvature of their full support
+    assert {(61, 61), (121, 121)} <= {(k, len(sup)) for k, sup in supports}
+    assert len(eighs) == len(supports) == len(set(supports))
