@@ -13,10 +13,11 @@ stationarity. On a positive definite block the program is strictly convex
 and one start finds its global minimum; any other block gets several
 starts, which share the direction of most negative curvature of each
 support they meet, so each support is decomposed once per block.
-``brute_force_minimizer`` enumerates every support subset: it
-certifies every block of at most ``ORACLE_CAP`` points that is not positive
-definite, and backs ``cvp oracle``. The solver never adopts its weights,
-only compares values to set the certification flag.
+Such a block of at most ``ORACLE_CAP`` points is certified by ``_dnn_bound``,
+a lower bound from the doubly nonnegative dual, when the bound meets the
+solver's value, and otherwise by ``brute_force_minimizer``, which enumerates
+every support subset and backs ``cvp oracle``. The solver never adopts the
+oracle's weights, only compares values to set the certification flag.
 
 Stationarity convention: with value s = w'Lw, the averaged kernel Lw equals s
 on the support and is >= s off the support.
@@ -34,6 +35,18 @@ from .space import symmetric_matrix
 
 # Hard cap for the enumeration oracle.
 ORACLE_CAP = 16
+
+# The oracle certifies a value within this relative window of its own.
+_CERT_REL = 1e-6
+
+# Blocks of at least this many points try ``_dnn_bound`` before the oracle.
+# Mean times on 12 random indefinite blocks of each size k (2 cores, one BLAS
+# thread), oracle against bound plus the oracle where it does not certify:
+# k = 10: 5.6 against 8.3 ms; 11: 10.4 against 8.9 ms; 13: 32 against 11 ms.
+_DNN_MIN = 11
+
+# Cap on the ADMM iterations of ``_dnn_bound``.
+_DNN_ITER = 400
 
 # Cells of the stacked bordered systems the oracle solves at a time, so a
 # chunk holds about 128 KB whatever the support size.
@@ -377,8 +390,11 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     already queued (the minimum-diagonal vertex of a constant diagonal is the
     first vertex) is not run again. The starts share one curvature cache
     for the call (``_active_set``), so each support's balanced form is
-    decomposed once. Such a block is certified when it has at
-    most ``ORACLE_CAP`` points and the oracle's value agrees. Raises
+    decomposed once. Such a block of at most ``ORACLE_CAP`` points is
+    certified when its value is within half ``_CERT_REL`` of ``_dnn_bound``
+    (from ``_DNN_MIN`` points on) or else within ``_CERT_REL`` of the
+    oracle's: the bound lies below the oracle's value, so the flag is the
+    one the oracle alone would set. Raises
     ``SolverFailure`` when no start reaches the KKT tolerance, naming how many
     starts hit the iteration cap and how many ended above the tolerance.
     """
@@ -436,20 +452,70 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     kkt = _residuals(Lb, w)
     certified = convex
     if not convex and k <= ORACLE_CAP:
-        oracle = brute_force_minimizer(problem)
-        certified = val <= oracle.value + 1e-6 * max(1.0, abs(oracle.value))
+        # the bound lies below the oracle's value, so a value within half the
+        # window of it passes the oracle's test too; the oracle decides the rest
+        certified = (k >= _DNN_MIN and val - _dnn_bound(Lb, val)
+                     <= 0.5 * _CERT_REL * max(1.0, abs(val)))
+        if not certified:
+            oracle = brute_force_minimizer(problem)
+            certified = val <= oracle.value + _CERT_REL * max(1.0, abs(oracle.value))
     return CompactSolution(weights=w, kkt=kkt, certified_global=certified)
+
+
+def _dnn_bound(Lb: np.ndarray, s: float) -> float:
+    """A lower bound on the least w'Lw over the simplex from the doubly
+    nonnegative dual (Bomze & de Klerk 2002; Burer 2009): for symmetric
+    N >= 0, every X >= 0 with X psd and sum(X) = 1, ww' among them, has
+    <L, X> >= s + min(0, lambda_min(M)) with M = L - N - s 11'.
+
+    N is read from the scaled multiplier U of a consensus ADMM on min <L, X>
+    over such X, split as X psd, Z >= 0 with sum(Z) = 1, and X = Z, from
+    Z = 11'/k^2: X is the psd part of Z - U - L/rho, Z the projection of
+    X + U, and U gains X - Z. Every 10 iterations N = max(0, -(rho U + s))
+    gives a bound, less a margin for the rounding of M and of its least
+    eigenvalue; the greatest is returned once within half ``_CERT_REL`` of
+    s, or after ``_DNN_ITER`` iterations."""
+    k = len(Lb)
+    rho = max(1.0, float(np.abs(Lb).max()))
+    Lr = Lb / rho
+    Z = np.full((k, k), 1.0 / k ** 2)
+    U = np.zeros((k, k))
+    ranks = np.arange(1, k * k + 1)
+    best = -np.inf
+    for it in range(1, _DNN_ITER + 1):
+        lam, V = np.linalg.eigh(Z - U - Lr)
+        V = V[:, lam > 0]
+        X = (V * lam[lam > 0]) @ V.T
+        v = (X + U).ravel()
+        # onto {Z >= 0, sum(Z) = 1}: the shift that keeps the r largest entries
+        u = -np.sort(-v)
+        css = np.cumsum(u) - 1.0
+        r = np.count_nonzero(u * ranks > css)
+        Z = np.maximum(v - css[r - 1] / r, 0.0).reshape(k, k)
+        U += X - Z
+        if it % 10 == 0:
+            N = np.maximum(-(rho * U + s), 0.0)
+            N = np.maximum(N, N.T)
+            # forming M rounds an entry by at most eps (|L| + N + |s|), and
+            # eigvalsh is backward stable to a small multiple of k eps ||M||
+            scale = float((np.abs(Lb) + N + abs(s)).sum(axis=1).max())
+            margin = 4 * k * np.finfo(float).eps * scale
+            best = max(best, s + min(0.0, float(np.linalg.eigvalsh(Lb - N - s)[0]) - margin))
+            if s - best <= 0.5 * _CERT_REL * max(1.0, abs(s)):
+                break
+    return best
 
 
 def brute_force_minimizer(problem: CompactProblem) -> CompactSolution:
     """Global minimum by support enumeration (|K| <= ``ORACLE_CAP``).
 
-    It certifies every block of ``minimize_on_compact`` that is not positive
-    definite and backs ``cvp oracle``. Every simplex vertex is a candidate
-    unconditionally. The supports of each size m >= 2 are enumerated lazily in
-    lexicographic order, in chunks of at most ``_CHUNK_CELLS`` cells: a chunk's
-    bordered systems are stacked and solved in one call, or one by one when
-    any of them is singular, and singular systems are skipped. A support whose
+    It certifies the blocks of ``minimize_on_compact`` that are not positive
+    definite and that ``_dnn_bound`` leaves open, and backs ``cvp oracle``.
+    Every simplex vertex is a candidate unconditionally. The supports of each
+    size m >= 2 are enumerated lazily in lexicographic order, in chunks of at
+    most ``_CHUNK_CELLS`` cells: a chunk's bordered systems are stacked and
+    solved in one call, or one by one when any of them is singular, and
+    singular systems are skipped. A support whose
     solved weights stay positive and meet the off-support condition is a
     candidate. Only the least candidates within the tie window are kept as
     the enumeration runs; the lexicographically first support among them

@@ -1,6 +1,7 @@
 """Per-compact quadratic minimization: multi-start solver and oracle."""
 
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from cvp import (
 )
 from cvp import simplex_solver
 from cvp.simplex_solver import (
+    _CERT_REL,
     CompactSolution,
     _active_set,
     _bordered_inverse,
+    _dnn_bound,
     _reborder,
     _residuals,
     _solve_support,
@@ -343,8 +346,13 @@ def test_oracle_certificate_fails_where_the_starts_miss(seed):
     # indefinite blocks on which none of the 19 starts reaches the global minimum
     p = problem(random_instance(seed), seed=seed)
     sol = minimize_on_compact(p)
-    assert sol.value > brute_force_minimizer(p).value + 1e-6
+    oracle = brute_force_minimizer(p).value
+    assert sol.value > oracle + _CERT_REL
     assert not sol.certified_global
+    # the DNN bound refuses the starts' value too, and certifies the oracle's
+    window = 0.5 * _CERT_REL * max(1.0, abs(sol.value))
+    assert sol.value - _dnn_bound(p.matrix, sol.value) > window
+    assert oracle - _dnn_bound(p.matrix, oracle) <= window
 
 
 def random_instance(seed, kmax=8):
@@ -374,7 +382,7 @@ def test_solver_never_beats_the_oracle(seed):
     oracle = brute_force_minimizer(p).value
     assert sol.value >= oracle - 1e-9
     # the starts may miss the global minimum, but then it is reported uncertified
-    assert sol.certified_global == (sol.value <= oracle + 1e-6 * max(1.0, abs(oracle)))
+    assert sol.certified_global == (sol.value <= oracle + _CERT_REL * max(1.0, abs(oracle)))
 
 
 @given(seed=st.integers(0, 10 ** 6))
@@ -434,6 +442,24 @@ def test_quarter_gauss_121_stages_solve():
         assert stage.kkt.on_support_max <= 1e-12 and stage.kkt.min_over_k >= -1e-12
 
 
+@pytest.mark.parametrize("n", [13, 15])
+def test_quarter_blocks_are_certified_by_the_dnn_bound(monkeypatch, n):
+    # indefinite quarter-grid blocks at or above _DNN_MIN: the bound certifies
+    # them alone, and the solution is the one certified by the oracle
+    p = _kernel_block(*_QUARTER, [i * 0.25 for i in range(n)])
+    assert np.linalg.eigvalsh(p.matrix)[0] < 0 and n >= simplex_solver._DNN_MIN
+    calls = []
+    oracle = simplex_solver.brute_force_minimizer
+    monkeypatch.setattr(simplex_solver, "brute_force_minimizer",
+                        lambda q: calls.append(q) or oracle(q))
+    sol = minimize_on_compact(p)
+    assert sol.certified_global and not calls
+    monkeypatch.setattr(simplex_solver, "_dnn_bound", lambda Lb, s: -np.inf)
+    ref = minimize_on_compact(p)
+    assert len(calls) == 1 and ref.certified_global
+    assert np.array_equal(sol.weights, ref.weights) and sol.kkt == ref.kkt
+
+
 def _count_factorizations(mp):
     """Count the fresh bordered solves and inverses of the solver."""
     counts = {"solves": 0, "inverses": 0}
@@ -484,12 +510,12 @@ def _bordered(Lb, sup):
 
 
 @st.composite
-def random_blocks(draw, kinds):
-    """A 2-40 point block of one of ``kinds``, and the generator that drew it:
-    indefinite, indefinite with a duplicated point or with a constant
-    diagonal, a low-rank Gram matrix plus 1e-9 I, or the quarter-grid
-    truncated Gaussian on random points."""
-    k = draw(st.integers(2, 40))
+def random_blocks(draw, kinds, kmax=40):
+    """A block of 2 to ``kmax`` points of one of ``kinds``, and the generator
+    that drew it: indefinite, indefinite with a duplicated point or with a
+    constant diagonal, a low-rank Gram matrix plus 1e-9 I, or the
+    quarter-grid truncated Gaussian on random points."""
+    k = draw(st.integers(2, kmax))
     kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "low-rank":
@@ -644,3 +670,32 @@ def test_quarter_stages_decompose_each_support_once(monkeypatch):
     # both blocks ask for the curvature of their full support
     assert {(61, 61), (121, 121)} <= {(k, len(sup)) for k, sup in supports}
     assert len(eighs) == len(supports) == len(set(supports))
+
+
+def _exact_value(M, w):
+    """The action of ``w`` scaled to sum to 1, in rational arithmetic: at
+    least the least value over the simplex, with no rounding."""
+    w = [Fraction(x) for x in w]
+    total = sum(w) ** 2
+    return sum(Fraction(M[i, j]) * w[i] * w[j]
+               for i in range(len(w)) for j in range(len(w))) / total
+
+
+@given(case=random_blocks(["indefinite", "low-rank", "constant-diagonal", "gaussian"],
+                          kmax=12),
+       shift=st.floats(1e-3, 1e-1))
+@settings(max_examples=40, deadline=None)
+def test_dnn_bound_is_a_lower_bound(case, shift):
+    # a bound above the exact action of the oracle's weights is unsound. Above
+    # the minimum the relaxation is tight to rounding on many blocks, which
+    # the bound's margin must cover; a bound that certifies implies the oracle
+    M, _ = case
+    p = problem(M)
+    oracle = brute_force_minimizer(p)
+    top = _exact_value(M, oracle.weights)
+    s = minimize_on_compact(p).value
+    for t in (s, s + shift, s - shift):
+        bound = _dnn_bound(M, t)
+        assert bound <= top
+        if t - bound <= 0.5 * _CERT_REL * max(1.0, abs(t)):
+            assert t <= oracle.value + _CERT_REL * max(1.0, abs(oracle.value))
