@@ -7,7 +7,6 @@ from .errors import (ConstructionError, CVPError, DegenerateExhaustionError,
                      ProfileError, SizeError, SolverFailure, UsageError,
                      VolumeConstraintError)
 from .space import (Exhaustion, MetricSpace, build_exhaustion, closed_ball,
-                    covering_number, exact_covering_number, greedy_cover,
                     grid_1d, space_from_dict)
 from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum,
                          effective_range, exp_profile, global_sup,

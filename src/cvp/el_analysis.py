@@ -89,8 +89,8 @@ def check_sufficient_conditions(L: Lagrangian, space: MetricSpace,
     covered by a uniform number N of delta_cover-balls trimmed to K_x.
     The implied bound on the averaged kernel is 2 * sup * N / c.
     """
-    if delta_cover <= 0:
-        raise InputError("delta_cover must be positive")
+    if not delta_cover > 0:
+        raise InputError(f"cover radius delta_cover must be positive, got {delta_cover!r}")
     if space.key != L.space_key:
         raise InputError("kernel was built on a different space")
     c = diagonal_infimum(L)

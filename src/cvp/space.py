@@ -1,22 +1,22 @@
-"""Finite metric point clouds, metric balls, covering numbers, exhaustions."""
+"""Finite metric point clouds, metric balls, greedy cover counts, exhaustions."""
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConstructionError, DegenerateExhaustionError, InputError, SizeError,
-                     as_number, typed)
+from .errors import (ConstructionError, DegenerateExhaustionError, InputError, as_number,
+                     typed)
 
 # Absorbs one ulp of distance roundoff in closed-ball comparisons.
 _RADIUS_SLACK = 1e-12
 
-# Cells of the temporaries that ball_cover_counts (balls x points) and the
-# triangle checks (rows x points x dim, midpoints x points) build at a time,
-# so they stay O(chunk * n), never O(n^3).
+# Cells of the temporaries that the cover scan (sets x points while masks are
+# packed, points x sets while counts are read) and the triangle checks (rows x
+# points x dim, midpoints x points) build at a time, so they stay O(chunk * n),
+# never O(n^3).
 _CHUNK_CELLS = 1 << 18
 
 
@@ -187,126 +187,102 @@ def closed_ball(space: MetricSpace, x, r: float) -> np.ndarray:
 
     ``x`` is a point index, or an index array for one mask row per point.
     """
-    if r < 0:
-        raise InputError("ball radius must be nonnegative")
+    if not r >= 0:
+        raise InputError(f"ball radius must be nonnegative, got {r!r}")
     return space.dist[as_index(x, len(space))] <= r + _RADIUS_SLACK * max(1.0, r)
 
 
-def greedy_cover(space: MetricSpace, x: int, r: float, delta: float) -> tuple[int, ...]:
-    """Center indices chosen by the greedy scan that covers the closed r-ball at x.
+def _greedy_counts(space: MetricSpace, sets: int, masks, delta: float) -> np.ndarray:
+    """Greedy delta-cover center counts of ``sets`` point sets, in one scan.
 
-    Scans ball members in point order; the first uncovered member opens a
-    delta-ball. The result is an upper bound witness for the covering number.
-    This is the per-point reference: the certificates count covers of many
-    sets at once with ``greedy_cover_counts``, which makes the same scan.
+    ``masks(lo, hi)`` gives the (hi - lo, n) boolean masks of sets lo to
+    hi - 1. They are packed into a bitset with one row per point, bit s of
+    row p (little bit order) set while p is an uncovered member of set s.
+    Points are scanned in index order: when point p is scanned its row is
+    final and marks the sets that open a delta-ball at p, and those bits
+    are cleared at its later delta-neighbours. The center count of set s is
+    the number of final rows with bit s. Masks are packed, and counts read,
+    in chunks of at most ``_CHUNK_CELLS`` cells.
     """
-    if delta <= 0:
-        raise InputError("covering radius delta must be positive")
-    members = np.flatnonzero(closed_ball(space, x, r))
-    slack = _RADIUS_SLACK * max(1.0, delta)
-    covered = np.zeros(len(members), dtype=bool)
-    centers: list[int] = []
-    for pos, m in enumerate(members):
-        if covered[pos]:
-            continue
-        centers.append(int(m))
-        covered |= space.dist[m, members] <= delta + slack
-    return tuple(centers)
-
-
-def covering_number(space: MetricSpace, x: int, r: float, delta: float) -> int:
-    """Greedy upper bound on the number of delta-balls covering the r-ball at x.
-
-    Per-point reference for ``greedy_cover_counts``, which the certificates use.
-    """
-    return len(greedy_cover(space, x, r, delta))
+    if not delta > 0:
+        raise InputError(f"covering radius delta must be positive, got {delta!r}")
+    n = len(space)
+    opens = np.empty((n, (sets + 7) // 8), dtype=np.uint8)
+    step = max(1, _CHUNK_CELLS // (8 * n))
+    for lo in range(0, opens.shape[1], step):
+        # a chunk's masks have one row per set; pack them into one row per point
+        opens[:, lo:lo + step] = np.packbits(
+            masks(8 * lo, min(8 * (lo + step), sets)).T.copy(), axis=1, bitorder="little")
+    # later delta-neighbours of point p: later[bounds[p]:bounds[p + 1]]
+    at, later = np.nonzero(np.triu(space.dist <= delta + _RADIUS_SLACK * max(1.0, delta), k=1))
+    bounds = np.searchsorted(at, np.arange(n + 1)).tolist()
+    for p in range(n):
+        if bounds[p] < bounds[p + 1]:
+            opens[later[bounds[p]:bounds[p + 1]]] &= ~opens[p]
+    counts = np.empty(opens.shape[1] * 8, dtype=np.int64)
+    for lo in range(0, opens.shape[1], step):
+        # a count is at most n, so it is summed exactly in the smallest type holding n
+        counts[8 * lo:8 * (lo + step)] = np.unpackbits(
+            opens[:, lo:lo + step], axis=1, bitorder="little").sum(
+                axis=0, dtype=np.min_scalar_type(n))
+    return counts[:sets]
 
 
 def greedy_cover_counts(space: MetricSpace, masks: np.ndarray, delta: float) -> np.ndarray:
     """Greedy delta-cover center counts for P point sets at once.
 
     ``masks`` is a (P, n) boolean array, row p marking the members of set p.
-    Points are scanned in index order, as in ``greedy_cover``: a member not yet
-    covered opens a delta-ball. Each point holds a bitset over the P sets, bit
-    s set while the point is an uncovered member of set s. When point p is
-    scanned its bitset is final and marks the sets that open a ball at p;
-    those bits are then cleared at its later delta-neighbours. The center
-    count of set s is the number of points whose final bitset has bit s.
+    Points are scanned in index order: a member not yet covered opens a
+    delta-ball. All P sets are covered by the one scan that
+    ``ball_cover_counts`` also runs.
     """
-    if delta <= 0:
-        raise InputError("covering radius delta must be positive")
     masks = np.asarray(masks, dtype=bool)
     n = len(space)
     if masks.ndim != 2 or masks.shape[1] != n:
         raise InputError(f"cover masks must have shape (P, {n}), got {masks.shape}")
-    slack = _RADIUS_SLACK * max(1.0, delta)
-    # later delta-neighbours of point p: later[bounds[p]:bounds[p + 1]]
-    at, later = np.nonzero(np.triu(space.dist <= delta + slack, k=1))
-    bounds = np.searchsorted(at, np.arange(n + 1)).tolist()
-    opens = np.packbits(masks.T, axis=1, bitorder="little")
-    for p in range(n):
-        if bounds[p] < bounds[p + 1]:
-            opens[later[bounds[p]:bounds[p + 1]]] &= ~opens[p]
-    return np.unpackbits(opens, axis=1, count=masks.shape[0],
-                         bitorder="little").sum(axis=0, dtype=np.int64)
+    return _greedy_counts(space, len(masks), lambda lo, hi: masks[lo:hi], delta)
+
+
+def _ball_keys(space: MetricSpace, radii: np.ndarray):
+    """``rank[x, y]``, the place of point y in a stable sort of row x of the
+    distances, and the key x * (n + 1) + m of each closed ball B(x_i, radii[i, j]),
+    x its center and m its member count."""
+    n = len(space)
+    rank = np.empty((n, n), dtype=np.min_scalar_type(n))
+    rank[np.arange(n)[:, None], np.argsort(space.dist, axis=1, kind="stable")] = np.arange(n)
+    limits = np.maximum(radii, 1.0)
+    limits *= _RADIUS_SLACK
+    limits += radii
+    keys = np.empty(radii.shape, dtype=np.min_scalar_type(n * (n + 1)))
+    for x, row in enumerate(np.sort(space.dist, axis=1)):
+        keys[x] = row.searchsorted(limits[x], side="right") + x * (n + 1)
+    return rank, keys
 
 
 def ball_cover_counts(space: MetricSpace, radii: np.ndarray, delta: float) -> np.ndarray:
     """Greedy delta-cover counts of the closed balls B(x_i, radii[i, j]).
 
     ``radii`` has one row per point of the space. Closed balls at one center
-    are nested, so a ball is fixed by its center and the number of points it
-    holds; each distinct ball is covered once. Rows go to
-    ``greedy_cover_counts`` in chunks whose ball masks hold at most
-    ``_CHUNK_CELLS`` cells.
+    are nested, so a ball is fixed by its center x and its member count m:
+    point y is in it when ``rank[x, y] < m`` (tied distances fall inside or
+    outside together). The distinct balls are covered by one scan, their
+    masks built from ``rank`` in chunks of at most ``_CHUNK_CELLS`` cells.
     """
     radii = np.asarray(radii, dtype=float)
     n = len(space)
     if radii.ndim != 2 or radii.shape[0] != n:
         raise InputError(f"ball radii must have {n} rows, got shape {radii.shape}")
-    if np.any(radii < 0):
+    if not (radii >= 0).all():
         raise InputError("ball radius must be nonnegative")
-    per_row = radii.shape[1]
-    limits = radii + _RADIUS_SLACK * np.maximum(1.0, radii)
-    counts = np.empty(radii.shape, dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // (n * max(1, per_row)))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        balls = (space.dist[lo:hi, None, :] <= limits[lo:hi, :, None]).reshape(-1, n)
-        keys = np.repeat(np.arange(hi - lo), per_row) * (n + 1) + balls.sum(axis=1)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        counts[lo:hi] = greedy_cover_counts(space, balls[first], delta)[inverse].reshape(
-            hi - lo, per_row)
-    return counts
-
-
-def exact_covering_number(space: MetricSpace, x: int, r: float, delta: float,
-                          max_ball: int = 16) -> int:
-    """Minimum number of delta-balls (centered at space points) covering the r-ball.
-
-    Brute force over center subsets; refuses balls larger than ``max_ball``.
-    """
-    if delta <= 0:
-        raise InputError("covering radius delta must be positive")
-    members = np.flatnonzero(closed_ball(space, x, r))
-    if len(members) > max_ball:
-        raise SizeError(
-            f"exact covering is capped at {max_ball}-point balls, got {len(members)}")
-    target = frozenset(int(m) for m in members)
-    slack = _RADIUS_SLACK * max(1.0, delta)
-    patterns = set()
-    for z in range(len(space)):
-        pat = frozenset(int(m) for m in members if space.dist[z, m] <= delta + slack)
-        if pat:
-            patterns.add(pat)
-    # Only maximal patterns can appear in some optimal cover.
-    maximal = [p for p in patterns if not any(p < q for q in patterns)]
-    upper = len(greedy_cover(space, x, r, delta))
-    for k in range(1, upper):
-        for combo in itertools.combinations(maximal, k):
-            if frozenset().union(*combo) >= target:
-                return k
-    return upper
+    rank, keys = _ball_keys(space, radii)
+    distinct = np.zeros(n * (n + 1), dtype=bool)
+    distinct[keys] = True
+    centers, sizes = np.divmod(np.flatnonzero(distinct).astype(keys.dtype), n + 1)
+    sizes = sizes.astype(rank.dtype)
+    counts = np.zeros(n * (n + 1), dtype=np.int64)
+    counts[distinct] = _greedy_counts(
+        space, len(centers), lambda lo, hi: rank[centers[lo:hi]] < sizes[lo:hi, None], delta)
+    return counts[keys]
 
 
 @dataclass(frozen=True, eq=False)

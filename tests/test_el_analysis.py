@@ -94,6 +94,18 @@ def test_sufficient_conditions_integer_grid(int_grid6, tent_identity):
     assert rep["implied_bound"] == pytest.approx(2.0, abs=ATOL)
 
 
+def test_sufficient_conditions_refuse_nan_cover_radius():
+    # 0.8 within distance 2 and a unit diagonal: conditions hold, with N 3 at delta 1
+    g = grid_1d(range(21))
+    matrix = np.where(g.dist <= 2.0, 0.8, 0.0)
+    np.fill_diagonal(matrix, 1.0)
+    k = make_kernel("matrix", {"matrix": matrix.tolist()}, g)
+    rep = check_sufficient_conditions(k, g, delta_cover=1.0)
+    assert rep["holds"] and rep["condition_c"]["N"] == 3
+    with pytest.raises(InputError, match="cover radius"):
+        check_sufficient_conditions(k, g, delta_cover=float("nan"))
+
+
 def test_sufficient_conditions_fail_on_quarter_grid(quarter_grid):
     tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, quarter_grid)
     rep = check_sufficient_conditions(tent, quarter_grid, delta_cover=1.0)

@@ -11,7 +11,6 @@ from cvp import (
     InputError,
     ProfileError,
     build_exhaustion,
-    covering_number,
     diagonal_infimum,
     effective_range,
     exp_profile,
@@ -26,6 +25,7 @@ from cvp import (
     verify_compact_range,
     verify_entropy_decay,
 )
+from cover_reference import covering_number
 
 ATOL = 1e-12
 
@@ -181,6 +181,19 @@ def test_decay_certificate_weak_profile_fails():
     assert len(expected) > 10
     assert rep["witnesses"] == expected[:10]
     assert rep["condition_c"] == {"holds": False, "checked_pairs": checked}
+
+
+def test_decay_certificate_fails_on_entropy_radius_alone():
+    # the unit tent of range 1 falls below c/2 at distance 1, short of delta 1.5,
+    # and vanishes off the diagonal, so the majorant bounds every pair
+    g = grid_1d(range(21))
+    k = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, g)
+    rep = verify_entropy_decay(k, g, exp_profile(1.0, 1.0, delta=1.5, c=1.0))
+    assert not rep["holds"]
+    assert rep["condition_b"] == {"holds": False, "delta_closed": 0.0, "delta_sup": 1.0,
+                                  "delta_required": 1.5}
+    assert rep["condition_a"]["holds"] and rep["condition_c"]["holds"]
+    assert rep["witnesses"] == []
 
 
 def test_profile_spec_round_trip():

@@ -15,10 +15,7 @@ from cvp import (
     MetricSpace,
     build_exhaustion,
     closed_ball,
-    covering_number,
     effective_range,
-    exact_covering_number,
-    greedy_cover,
     grid_1d,
     make_kernel,
     space_from_dict,
@@ -26,6 +23,7 @@ from cvp import (
     window_points,
 )
 from cvp.space import ball_cover_counts, greedy_cover_counts
+from cover_reference import covering_number, exact_covering_number, greedy_cover
 
 ATOL = 1e-12
 
@@ -153,6 +151,11 @@ def test_closed_ball_zero_radius(quarter_grid):
     assert np.flatnonzero(closed_ball(quarter_grid, 3, 0.0)).tolist() == [3]
 
 
+def test_closed_ball_refuses_nan_radius(quarter_grid):
+    with pytest.raises(InputError, match="radius must be nonnegative"):
+        closed_ball(quarter_grid, 3, float("nan"))
+
+
 @pytest.mark.parametrize("x", ["t0", 9, -1, 1.0, True])
 def test_points_are_indices(quarter_grid, x):
     with pytest.raises(InputError):
@@ -264,9 +267,10 @@ def test_greedy_cover_covers_the_ball(radius):
 
 
 # Radii offsets in units of the closed-ball slack 1e-12 * max(1, r): within it
-# (-0.5, 0.5) a ball keeps the points at distance exactly r, beyond it (-2) it
-# loses them.
-_SLACK_STEPS = (-2.0, -0.5, 0.0, 0.5)
+# (-0.5, 0.5) a ball keeps the points at distance exactly r, at its edge (-1)
+# the shifted radius plus the slack lands exactly on a half-grid distance, and
+# beyond it (-2) the ball loses them.
+_SLACK_STEPS = (-2.0, -1.0, -0.5, 0.0, 0.5)
 
 
 @st.composite
@@ -317,13 +321,29 @@ def test_cover_kernels_match_covering_number(space, pick, steps, free):
 @given(ks=st.lists(st.integers(0, 120), min_size=40, max_size=44, unique=True),
        delta=st.sampled_from([0.5, 1.0, 2.5]))
 @settings(max_examples=3, deadline=None)
-def test_ball_cover_counts_across_row_chunks(ks, delta):
+def test_cover_kernels_across_chunks(ks, delta):
+    # 16 * n cells: the masks are built 16 balls a chunk and the counts read 16
+    # sets a chunk, so the distinct balls span at least two chunks of each
     space = grid_1d([k * 0.5 for k in ks])
     radii = _ball_radii(space)
-    n = len(space)
-    assert cvp.space._CHUNK_CELLS // (n * radii.shape[1]) < n
-    assert (ball_cover_counts(space, radii, delta)
-            == _reference_covers(space, radii, delta)).all()
+    masks = np.array([closed_ball(space, x, float(r))
+                      for x, row in enumerate(radii) for r in row])
+    centers = np.repeat(np.arange(len(space)), radii.shape[1])
+    assert len(set(zip(centers, masks.sum(axis=1)))) > 2 * 16
+    expected = _reference_covers(space, radii, delta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cvp.space, "_CHUNK_CELLS", 16 * len(space))
+        assert (ball_cover_counts(space, radii, delta) == expected).all()
+        assert (greedy_cover_counts(space, masks, delta) == expected.ravel()).all()
+
+
+def test_ball_cover_counts_with_wide_ranks():
+    # 300 points: a rank no longer fits in one byte, nor a ball key in two
+    space = grid_1d([k * 0.5 for k in range(300)])
+    radii = np.hstack([space.dist[:, ::25], space.dist[:, ::25] + 2.0])
+    rows = [0, 1, 150, 299]
+    expected = [[covering_number(space, x, float(r), 1.0) for r in radii[x]] for x in rows]
+    assert (ball_cover_counts(space, radii, 1.0)[rows] == expected).all()
 
 
 @given(space=small_spaces(), seed=st.integers(0, 2 ** 32 - 1),
@@ -352,6 +372,20 @@ def test_cover_kernels_reject_bad_input(quarter_grid):
         greedy_cover_counts(quarter_grid, np.ones((2, 8), dtype=bool), 1.0)
     with pytest.raises(InputError):
         ball_cover_counts(quarter_grid, -np.ones((9, 2)), 1.0)
+
+
+def test_greedy_cover_counts_refuse_nan_delta(quarter_grid):
+    with pytest.raises(InputError, match="delta must be positive"):
+        greedy_cover_counts(quarter_grid, np.ones((2, 9), dtype=bool), float("nan"))
+
+
+def test_ball_cover_counts_refuse_nan_radii(quarter_grid):
+    radii = np.ones((9, 2))
+    radii[4, 1] = np.nan
+    with pytest.raises(InputError, match="radius must be nonnegative"):
+        ball_cover_counts(quarter_grid, radii, 1.0)
+    with pytest.raises(InputError, match="delta must be positive"):
+        ball_cover_counts(quarter_grid, np.ones((9, 2)), float("nan"))
 
 
 # Id-set references for the point-set masks, written out point by point.
