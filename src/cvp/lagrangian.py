@@ -172,10 +172,12 @@ class DecayProfile:
     coeff: float = field(init=False)
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ProfileError("profile delta must be positive")
-        if self.c <= 0:
-            raise ProfileError("profile needs the kernel diagonal infimum c > 0")
+        # each test is written so that NaN fails it
+        if not self.delta > 0:
+            raise ProfileError(f"profile.delta must be positive, got {self.delta!r}")
+        if not self.c > 0:
+            raise ProfileError(
+                f"profile needs the kernel diagonal infimum c > 0, got {self.c!r}")
         object.__setattr__(self, "coeff", 1.0 + 2.0 / self.c)
         _check_decreasing(self.f)
 
@@ -190,8 +192,10 @@ def _check_decreasing(f) -> None:
 
 
 def exp_profile(amplitude: float, rate: float, delta: float, c: float) -> DecayProfile:
-    if amplitude < 0 or rate <= 0:
-        raise ProfileError("exponential profile needs amplitude >= 0 and rate > 0")
+    if not amplitude >= 0:
+        raise ProfileError(f"exponential profile needs amplitude >= 0, got {amplitude!r}")
+    if not rate > 0:
+        raise ProfileError(f"exponential profile needs rate > 0, got {rate!r}")
 
     def f(d: float) -> float:
         return amplitude * math.exp(-rate * d)
@@ -204,10 +208,10 @@ def exp_profile(amplitude: float, rate: float, delta: float, c: float) -> DecayP
 
 
 def poly_profile(amplitude: float, power: float, delta: float, c: float) -> DecayProfile:
-    if power <= 1.0:
-        raise ProfileError(f"polynomial profile with power {power} is not integrable")
-    if amplitude < 0:
-        raise ProfileError("polynomial profile needs amplitude >= 0")
+    if not power > 1.0:
+        raise ProfileError(f"polynomial profile with power {power!r} is not integrable")
+    if not amplitude >= 0:
+        raise ProfileError(f"polynomial profile needs amplitude >= 0, got {amplitude!r}")
 
     def f(d: float) -> float:
         return amplitude * (1.0 + d) ** (-power)
@@ -222,8 +226,14 @@ def poly_profile(amplitude: float, power: float, delta: float, c: float) -> Deca
 def scaled_exp_profile(amplitude: float, slope: float, rate: float, delta: float,
                        c: float) -> DecayProfile:
     """f(d) = amplitude * (d + slope) * exp(-rate * d), decreasing for slope*rate >= 1."""
-    if amplitude < 0 or rate <= 0 or slope * rate < 1.0:
-        raise ProfileError("scaled exponential profile must be decreasing")
+    if not amplitude >= 0:
+        raise ProfileError(
+            f"scaled exponential profile needs amplitude >= 0, got {amplitude!r}")
+    if not rate > 0:
+        raise ProfileError(f"scaled exponential profile needs rate > 0, got {rate!r}")
+    if not slope * rate >= 1.0:
+        raise ProfileError("scaled exponential profile must be decreasing: it needs "
+                           f"slope * rate >= 1, got slope {slope!r} and rate {rate!r}")
 
     def f(d: float) -> float:
         return amplitude * (d + slope) * math.exp(-rate * d)

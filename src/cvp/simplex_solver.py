@@ -11,8 +11,13 @@ its bordered matrix is kept and updated in O(m^2) per add or drop; it is
 formed afresh after a near-singular update or a target that has drifted from
 stationarity. On a positive definite block the program is strictly convex
 and one start finds its global minimum; any other block gets several
-starts, which share the direction of most negative curvature of each
-support they meet, so each support is decomposed once per block.
+starts, which share a cache (``_BlockCache``): the direction of most
+negative curvature of each support they meet, so each support is
+decomposed once per block; the bordered inverse of the full support, formed
+once and downdated by each start's first drop from it; and the ends of
+earlier starts, so a start that steps onto the stationary point of a
+support where an earlier start stood returns that start's weights, with the
+actions up to there, a prefix of those it would list alone.
 Such a block of at most ``ORACLE_CAP`` points is certified by ``_dnn_bound``,
 a lower bound from the doubly nonnegative dual, when the bound meets the
 solver's value, and otherwise by ``brute_force_minimizer``, which enumerates
@@ -164,13 +169,16 @@ def _reborder(inv, Lb: np.ndarray, on: np.ndarray, j: int):
     """The ``_bordered_inverse`` ``inv`` of the support, updated after point
     ``j`` joined it, or left it when ``on[j]`` is False, by a Schur update in
     O(m^2): a joining point gets a new last row, and a leaving one's row is
-    replaced by the last. It is formed afresh on the support of ``on`` when
-    ``inv`` is None or the new matrix is near singular (``_PIVOT_REL``)."""
+    replaced by the last, in place. It is formed afresh on the support of
+    ``on`` when ``inv`` is None or the new matrix is near singular
+    (``_PIVOT_REL``)."""
     if inv is not None:
         P, rows = inv
         n = len(P)
         if on[j]:
-            b = np.concatenate(([1.0], Lb[j, rows]))
+            b = np.empty(n)
+            b[0] = 1.0
+            b[1:] = Lb[j, rows]
             u = P @ b
             sigma = float(Lb[j, j] - b @ u)
             if abs(sigma) > _PIVOT_REL * Lb[j, j]:
@@ -178,7 +186,10 @@ def _reborder(inv, Lb: np.ndarray, on: np.ndarray, j: int):
                 np.add(P, u[:, None] * (u / sigma), out=Q[:n, :n])
                 Q[n, :n] = Q[:n, n] = -u / sigma
                 Q[n, n] = 1.0 / sigma
-                return Q, np.append(rows, j)
+                grown = np.empty(n, rows.dtype)
+                grown[:-1] = rows
+                grown[-1] = j
+                return Q, grown
         else:
             r = 1 + int((rows == j).argmax())
             last = n - 1
@@ -211,6 +222,31 @@ def _curvature(Lb: np.ndarray, sup: np.ndarray):
     return vals, np.vstack([vecs, -vecs.sum(axis=0)])
 
 
+class _BlockCache:
+    """What the starts of one block share. ``curvature`` maps a support to its
+    ``_negative_curvature``; ``ends`` maps a support on which a start stood at
+    the stationary point of a solved target to the weights that start
+    returned; ``full_inverse`` gives the full support's bordered inverse."""
+
+    def __init__(self):
+        self.curvature: dict[bytes, np.ndarray | None] = {}
+        self.ends: dict[bytes, np.ndarray] = {}
+        self._full = None
+        self._formed = False
+
+    def full_inverse(self, Lb: np.ndarray):
+        """A copy of the ``_bordered_inverse`` of every point of the block,
+        formed at the first ask; a drop moves the rows of the copy in place.
+        None when the matrix is singular."""
+        if not self._formed:
+            self._full = _bordered_inverse(Lb, np.arange(len(Lb)))
+            self._formed = True
+        if self._full is None:
+            return None
+        P, rows = self._full
+        return P.copy(), rows.copy()
+
+
 def _negative_curvature(Lb: np.ndarray, sup: np.ndarray, atol: float,
                         curvature: dict) -> np.ndarray | None:
     """The balanced direction on ``sup`` of most negative curvature, or None
@@ -230,7 +266,7 @@ def _negative_curvature(Lb: np.ndarray, sup: np.ndarray, atol: float,
 
 
 def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = False,
-                curvature: dict | None = None):
+                cache: _BlockCache | None = None):
     """Primal active-set descent with a ratio test from the feasible ``w0``.
 
     The support S starts as that of ``w0``. At a point that is not stationary
@@ -248,18 +284,26 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
 
     A start's first target is solved directly. Its first change of S forms
     the bordered inverse, which each later add or drop updates (``_reborder``)
-    and whose column 0 gives the target. A target off stationarity on S by
-    more than ``_DRIFT_ATOL`` stopping tolerances (seen in L d) is solved
-    directly, and the next change of S forms the inverse afresh. The final
-    weights are solved directly on the final support.
+    and whose column 0 gives the target; unless the block is ``convex``, a
+    drop from the full support downdates a copy of the cache's full inverse
+    instead. A target off
+    stationarity on S by more than ``_DRIFT_ATOL`` stopping tolerances (seen
+    in L d) is solved directly, and the next change of S forms the inverse
+    afresh. The final weights are solved directly on the final support.
 
-    ``curvature`` holds the ``_negative_curvature`` of the supports met so
-    far; the starts of one block share it, and each start reads the same
-    directions it would compute alone. None gives a fresh one.
+    The starts of one block share ``cache`` (None gives a fresh one). Each
+    reads the same curvature directions it would compute alone. A full or
+    zero step to a target leaves w at the one stationary point of S's affine
+    hull, so in exact arithmetic the rest of the start depends on S alone: a
+    start that returns maps each such S it met to its final weights, and a
+    later start that stands at the target of a mapped S returns a copy of
+    that start's weights.
 
     Returns the weights, or None when ``_MAX_ITER`` iterations pass, and the
     action at every iterate, which never rises (an iterate whose target is
-    solved again after drifting is listed twice).
+    solved again after drifting is listed twice). A start that takes an
+    earlier start's end returns the actions up to there, a prefix of those it
+    would list alone.
     """
     k = Lb.shape[0]
     w = np.array(w0, dtype=float)
@@ -268,16 +312,19 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
     at_target = False
     inv = None  # the bordered inverse (P, rows), from the first change of support
     target = np.empty(k)  # column 0 of P scattered by rows, to be read by sup
-    if curvature is None:
-        curvature = {}
+    step = np.zeros(k)  # d scattered by sup, zeroed after use
+    if cache is None:
+        cache = _BlockCache()
+    reached = []  # the supports S where w stood at a solved target
     for _ in range(_MAX_ITER):
         sup = on.nonzero()[0]
         g = Lb @ w
         s = float(w @ g)
         values.append(s)
+        gs = g[sup]
         t = d = None
         saddle = False
-        if at_target or float(np.abs(g[sup] - s).max()) <= atol:
+        if at_target or float(np.abs(gs - s).max()) <= atol:
             i = int(np.where(on, np.inf, g).argmin())
             if not on[i] and g[i] < s - atol:
                 on[i] = True
@@ -285,14 +332,15 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
                 at_target = False
                 continue
             # a KKT point: stop there unless it is a saddle on its support
-            d = None if convex else _negative_curvature(Lb, sup, atol, curvature)
+            d = None if convex else _negative_curvature(Lb, sup, atol, cache.curvature)
             if d is None:
-                return _final_weights(Lb, w), values
+                w = _final_weights(Lb, w)
+                break
             saddle = True
         elif len(values) == 1 and not convex:
             # the first step follows downward curvature, so that each start
             # descends its own way rather than toward a shared saddle
-            d = _negative_curvature(Lb, sup, atol, curvature)
+            d = _negative_curvature(Lb, sup, atol, cache.curvature)
         if d is None:
             if inv is None:
                 sol = _solve_support(Lb, sup)
@@ -307,15 +355,15 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
                 t = sol[0]
                 d = t - w[sup]
         d -= d.sum() / len(d)  # exactly balanced, or a long step would leave the simplex
-        full = np.zeros(k)
-        full[sup] = d
-        Ld = Lb @ full
+        step[sup] = d
+        Ld = Lb @ step
+        slope = float(g @ step)  # the action along d: s + 2 a slope + a^2 curv
+        curv = float(step @ Ld)
+        step[sup] = 0.0
         if inv is not None and t is not None and not (
-                np.abs(g[sup] + Ld[sup] - sol[1]).max() <= _DRIFT_ATOL * atol):
+                np.abs(gs + Ld[sup] - sol[1]).max() <= _DRIFT_ATOL * atol):
             inv = None  # L(w + d) is not flat on S (or NaN): the updates drifted
             continue
-        slope = float(g @ full)  # the action along d: s + 2 a slope + a^2 curv
-        curv = float(full @ Ld)
         ws = w[sup]
         if saddle:  # the longer way to the boundary, which descends further
             flip = (ws[d > 0] / d[d > 0]).min() > (ws[d < 0] / -d[d < 0]).min()
@@ -327,24 +375,34 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
         # curvature direction, where the action is linear or curves down
         reach = -slope / curv if t is not None and curv > 0 else np.inf
         shrink = d < 0
-        if not shrink.any():  # a balanced d that is 0: w is the target
-            at_target = True
-            continue
-        ratios = np.full(len(sup), np.inf)
-        ratios[shrink] = ws[shrink] / -d[shrink]
-        i = int(ratios.argmin())  # the lowest point index on ties
-        ratio = float(ratios[i])
-        if reach <= ratio:
-            w[sup] = np.maximum(ws + reach * d, 0.0)
-            at_target = True
-            continue
-        w[sup] = np.maximum(ws + ratio * d, 0.0)
-        j = int(sup[i])
-        w[j] = 0.0
-        on[j] = False
-        inv = _reborder(inv, Lb, on, j)
-        at_target = False
-    return None, values
+        if shrink.any():  # else a balanced d that is 0: w is the target
+            ratios = np.divide(ws, -d, out=np.full(len(sup), np.inf), where=shrink)
+            i = int(ratios.argmin())  # the lowest point index on ties
+            ratio = float(ratios[i])
+            if reach <= ratio:
+                w[sup] = np.maximum(ws + reach * d, 0.0)
+            else:
+                w[sup] = np.maximum(ws + ratio * d, 0.0)
+                j = int(sup[i])
+                w[j] = 0.0
+                on[j] = False
+                if inv is None and len(sup) == k and not convex:
+                    inv = cache.full_inverse(Lb)
+                inv = _reborder(inv, Lb, on, j)
+                at_target = False
+                continue
+        # d led to a target (a curvature direction is not 0 and never
+        # reaches), and w stands at the stationary point of S's affine hull
+        at_target = True
+        key = sup.tobytes()
+        if key in cache.ends:
+            w = cache.ends[key].copy()
+            break
+        reached.append(key)
+    else:  # the start fails, and maps nothing
+        return None, values
+    cache.ends.update(dict.fromkeys(reached, w))
+    return w, values
 
 
 def _final_weights(Lb: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -388,9 +446,12 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     minimum-diagonal vertex, caller-supplied warm starts and ``_RESTARTS``
     Dirichlet draws, each running ``_active_set``; a start equal to one
     already queued (the minimum-diagonal vertex of a constant diagonal is the
-    first vertex) is not run again. The starts share one curvature cache
-    for the call (``_active_set``), so each support's balanced form is
-    decomposed once. Such a block of at most ``ORACLE_CAP`` points is
+    first vertex) is not run again. The starts share one ``_BlockCache``
+    for the call (``_active_set``): each support's balanced form is
+    decomposed once, the full support's bordered inverse is formed once, and
+    a start that reaches the stationary point of a support where an earlier
+    start stood returns that start's weights, as it would have ended alone.
+    Such a block of at most ``ORACLE_CAP`` points is
     certified when its value is within half ``_CERT_REL`` of ``_dnn_bound``
     (from ``_DNN_MIN`` points on) or else within ``_CERT_REL`` of the
     oracle's: the bound lies below the oracle's value, so the flag is the
@@ -425,9 +486,9 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     accepted = []
     best_any = None
     capped = above = 0
-    curvature = {}  # the starts' _negative_curvature of each support
+    cache = _BlockCache()
     for w0 in starts:
-        w, _ = _active_set(Lb, w0, atol, convex, curvature)
+        w, _ = _active_set(Lb, w0, atol, convex, cache)
         if w is None:
             capped += 1
             continue

@@ -134,6 +134,20 @@ def test_scaled_exp_profile_monotonicity_guard():
         scaled_exp_profile(1.0, 0.5, 1.0, delta=1.0, c=1.0)
 
 
+@pytest.mark.parametrize("spec, named", [
+    ({"f": "exp", "delta": math.nan}, r"profile\.delta must be positive, got nan"),
+    ({"f": "exp", "delta": 1.0, "params": {"rate": math.nan}}, "needs rate > 0, got nan"),
+    ({"f": "exp", "delta": 1.0, "params": {"amplitude": math.nan}},
+     "needs amplitude >= 0, got nan"),
+    ({"f": "poly", "delta": 1.0, "params": {"power": math.nan}}, "power nan is not integrable"),
+    ({"f": "scaled_exp", "delta": 1.0, "params": {"slope": math.nan}}, "got slope nan"),
+], ids=["delta", "exp-rate", "exp-amplitude", "poly-power", "scaled_exp-slope"])
+def test_profile_refuses_a_nan_setting(spec, named):
+    # Python's json reads a bare NaN: each setting is tested so that NaN fails
+    with pytest.raises(ProfileError, match=named):
+        profile_from_spec(spec, c=1.0)
+
+
 def test_entropy_ball_radius_fine_exponential():
     g = grid_1d([i * 0.05 for i in range(41)])
     k = make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, g)
