@@ -188,12 +188,16 @@ def _stage_weights(payload, stage: np.ndarray, space: MetricSpace,
     """The unscaled weights of a report stage, in space order."""
     weights = np.zeros(len(space))
     for pid, w in typed(payload, dict, f"{where}.weights").items():
-        field = f"{where}.weights[{pid!r}]"
-        if pid not in space.index:
-            raise InputError(f"{field} is on an unknown point id")
-        if not stage[space.index[pid]]:
-            raise InputError(f"{field} is outside the stage ids")
-        weights[space.index[pid]] = as_number(w, field)
+        i = space.index.get(pid)
+        # the field is named only for an entry refused or not a plain float
+        if i is None or not stage[i] or type(w) is not float:
+            field = f"{where}.weights[{pid!r}]"
+            if i is None:
+                raise InputError(f"{field} is on an unknown point id")
+            if not stage[i]:
+                raise InputError(f"{field} is outside the stage ids")
+            w = as_number(w, field)
+        weights[i] = w
     return weights
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,7 +57,9 @@ class ELReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; the report encoder reads the containers as they are,
+        so they are shared, not deep-copied as ``dataclasses.asdict`` would."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def verify_el(rho: DiscreteMeasure, L: Lagrangian, window, tol: float = 1e-6) -> ELReport:
@@ -130,18 +132,23 @@ def nontriviality_check(run: ExhaustionRun, L: Lagrangian, space: MetricSpace,
     if not run.stages:
         return {"passed": False, "reason": "run has no stages", "entries": []}
     rho = run.stages[-1].measure
-    probes = run.window if run.window.any() else rho.support
+    probes = np.flatnonzero(run.window if run.window.any() else rho.support)
+    # the effective range of {x}: where L(x, .) is positive
+    rows = L.matrix[probes]
+    reach = rows > 0.0
+    c_xs = (1.0 / rows.max(axis=1)).tolist()
+    sizes = reach.sum(axis=1).tolist()
+    # the weights in the probes' ranges, probe p's at in_range[bounds[p]:bounds[p + 1]]
+    at, cols = np.nonzero(reach)
+    bounds = np.searchsorted(at, np.arange(len(probes) + 1)).tolist()
+    in_range = rho.weights[cols].tolist()
     entries = []
     passed = True
-    for xi in np.flatnonzero(probes):
-        # the effective range of {x}: where L(x, .) is positive
-        row = L.matrix[xi]
-        reach = row > 0.0
-        c_x = 1.0 / float(row.max())
-        mass = math.fsum(rho.weights[reach])
-        ok = mass >= c_x - tol
+    for p, xi in enumerate(probes.tolist()):
+        mass = math.fsum(in_range[bounds[p]:bounds[p + 1]])
+        ok = mass >= c_xs[p] - tol
         passed = passed and ok
-        entries.append({"probe": space.ids[xi], "range_size": int(reach.sum()), "c_x": c_x,
+        entries.append({"probe": space.ids[xi], "range_size": sizes[p], "c_x": c_xs[p],
                         "mass": mass, "ok": ok})
     total = run.limit.total()
     nonzero = total > 0.0

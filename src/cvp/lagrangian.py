@@ -72,7 +72,11 @@ def make_kernel(kind: str, params: dict, space: MetricSpace) -> Lagrangian:
         r0 = num("range")
         if a <= 0 or r0 <= 0:
             raise ConstructionError("tent kernel needs positive amplitude and range")
-        m = a * np.maximum(0.0, 1.0 - d / r0)
+        # a * max(0, 1 - d / r0), computed in one buffer
+        m = d / r0
+        np.subtract(1.0, m, out=m)
+        np.maximum(m, 0.0, out=m)
+        m *= a
         declared = r0
     elif kind == "truncated_gaussian":
         a = num("amplitude", 1.0)
@@ -81,14 +85,24 @@ def make_kernel(kind: str, params: dict, space: MetricSpace) -> Lagrangian:
         if a <= 0 or sigma <= 0 or r0 <= 0:
             raise ConstructionError(
                 "truncated gaussian needs positive amplitude, sigma and range")
-        m = a * np.exp(-(d / sigma) ** 2) * (d <= r0)
+        # a * exp(-(d / sigma)^2) * [d <= r0], computed in one buffer
+        m = d / sigma
+        np.square(m, out=m)
+        np.negative(m, out=m)
+        np.exp(m, out=m)
+        m *= a
+        m *= d <= r0
         declared = r0
     elif kind == "exponential":
         a = num("amplitude", 1.0)
         sigma = num("sigma", 1.0)
         if a <= 0 or sigma <= 0:
             raise ConstructionError("exponential kernel needs positive amplitude and sigma")
-        m = a * np.exp(-d / sigma)
+        # a * exp(-d / sigma), computed in one buffer
+        m = -d
+        m /= sigma
+        np.exp(m, out=m)
+        m *= a
     else:
         n = len(space)
         rows = number_rows(params.get("matrix"), "kernel.matrix")

@@ -252,8 +252,7 @@ def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagran
         diag = float(L.matrix[xi, xi])
         bound = 2.0 / diag
         row = space.dist[xi]
-        candidates = sorted({float(r) for r in row if r <= radius + 1e-12},
-                            reverse=True)
+        candidates = sorted(set(row[row <= radius + 1e-12].tolist()), reverse=True)
         used = None
         for r in candidates:
             ball = np.flatnonzero(row <= r + 1e-12)

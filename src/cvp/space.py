@@ -19,22 +19,29 @@ _RADIUS_SLACK = 1e-12
 # never O(n^3).
 _CHUNK_CELLS = 1 << 18
 
+# Below this a float doubles without overflow.
+_HALF_MAX = float(np.finfo(float).max) / 2
+
 
 @dataclass(frozen=True)
 class MetricSpace:
     """A finite metric space given by point ids and a distance matrix.
 
     Immutable after construction; the distance matrix is marked read-only.
-    Construction checks the triangle inequality exactly: a space whose
-    ``dist`` matches the Euclidean distances of its own ``coords`` is
-    certified from them in O(n^2 dim), and every other matrix is scanned
-    through every midpoint in O(n^3). ``coords``, when given, must be finite.
-    ``key`` is a content fingerprint used to detect mismatched spaces when
-    measures and kernels built on different spaces are mixed.
+    Given ``coords`` and no ``dist``, the distances are derived once as the
+    Euclidean distances of the coordinates (``_euclidean``). Given ``dist``,
+    with or without ``coords``, the matrix is taken as it is. Construction
+    checks the triangle inequality exactly (``_check_triangle``): derived
+    distances are certified by the rounding bound of the formula alone, an
+    explicit ``dist`` that matches the Euclidean distances of its own
+    ``coords`` is certified from them in O(n^2 dim), and every other matrix
+    is scanned through every midpoint in O(n^3). ``coords``, when given, must
+    be finite. ``key`` is a content fingerprint used to detect mismatched
+    spaces when measures and kernels built on different spaces are mixed.
     """
 
     ids: tuple[str, ...]
-    dist: np.ndarray
+    dist: np.ndarray | None = None
     coords: np.ndarray | None = None
     name: str = "space"
     index: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -47,21 +54,23 @@ class MetricSpace:
         if len(set(ids)) != len(ids):
             raise ConstructionError("point ids must be unique")
         n = len(ids)
-        d = symmetric_matrix(self.dist, n, "distance matrix", ConstructionError)
+        derived = self.dist is None
+        c = None
+        if derived:
+            if self.coords is None:
+                raise ConstructionError("a metric space needs a distance matrix or coords")
+            c = _coord_rows(self.coords, n)
+        d = symmetric_matrix(_euclidean(c) if derived else self.dist, n, "distance matrix",
+                             ConstructionError)
         if np.any(np.diag(d) > 0):
             raise ConstructionError("self-distances must be zero")
-        c = None
         if self.coords is not None:
-            c = np.array(self.coords, dtype=float)
-            if c.ndim == 1:
-                c = c[:, None]
-            if c.ndim != 2 or c.shape[0] != n:
-                raise ConstructionError(f"coords must be {n} rows of numbers, "
-                                        f"got shape {c.shape}")
+            if c is None:
+                c = _coord_rows(self.coords, n)
             if not np.all(np.isfinite(c)):
                 raise ConstructionError("coords must be finite")
             c.setflags(write=False)
-        _check_triangle(d, c)
+        _check_triangle(d, c, derived)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "dist", d)
         object.__setattr__(self, "coords", c)
@@ -75,30 +84,55 @@ class MetricSpace:
         return len(self.ids)
 
 
-def _check_triangle(d: np.ndarray, coords: np.ndarray | None) -> None:
+def _coord_rows(coords, n: int) -> np.ndarray:
+    """``coords`` as a float copy with one row per point (a vector is one
+    column); ConstructionError unless it has n rows."""
+    c = np.array(coords, dtype=float)
+    if c.ndim == 1:
+        c = c[:, None]
+    if c.ndim != 2 or c.shape[0] != n:
+        raise ConstructionError(f"coords must be {n} rows of numbers, got shape {c.shape}")
+    return c
+
+
+def _euclidean(coords: np.ndarray) -> np.ndarray:
+    """The Euclidean distances of the rows of ``coords``, ``sqrt(sum_k (x_ik -
+    x_jk)^2)``: exactly symmetric, as x_i - x_j rounds to -(x_j - x_i)."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    # a square that overflows gives an infinite distance, which the caller refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.einsum("ijk,ijk->ij", diff, diff)
+    return np.sqrt(squares, out=squares)
+
+
+def _check_triangle(d: np.ndarray, coords: np.ndarray | None, derived: bool) -> None:
     """ConstructionError unless d_ij <= d_ik + d_kj + slack for all i, j, k,
     with ``slack = 1e-9 * max(1, max d)``.
 
-    The Euclidean certificate: recompute e = ||x_i - x_j|| from ``coords``
-    with the formula of ``space_from_dict``. Each difference of two doubles,
-    each square, each addition and the square root rounds once relative to
-    its value, so e_ij = N_ij (1 + t), |t| <= g = (dim + 2) eps, where N is
-    the exact norm of the stored coordinates (squares that underflow move e
-    by less than 1e-153 sqrt(dim), far below the slack). N satisfies the
+    The Euclidean certificate: let e = ||x_i - x_j|| be computed from
+    ``coords`` by ``_euclidean``. Each difference of two doubles, each
+    square, each addition and the square root rounds once relative to its
+    value, so e_ij = N_ij (1 + t), |t| <= g = (dim + 2) eps, where N is the
+    exact norm of the stored coordinates (squares that underflow move e by
+    less than 1e-153 sqrt(dim), far below the slack). N satisfies the
     triangle inequality exactly. So if |d - e| <= slack/4 everywhere,
     d_ij <= N_ij (1 + g) + slack/4 <= (N_ik + N_kj)(1 + g) + slack/4
          <= d_ik + d_kj + 3 slack/4 + (d_ik + d_kj + slack/2) 2g / (1 - g),
     and the last term is below slack/4 when 4 g (2 max d + slack) <= slack/4,
     which holds up to about 10^5 dimensions. The bound is strictly inside
-    what the midpoint scan accepts. Any other matrix (no coordinates, an
-    explicit metric, coordinates that disagree with ``dist`` or overflow to
-    inf) goes to the exact scan ``_midpoint_violation``.
+    what the midpoint scan accepts. When ``derived``, d is e itself (the
+    space computed it from ``coords``), so only the dimension condition is
+    checked; an explicit matrix with coordinates is compared with e by
+    ``_euclidean_within``. Any other matrix (no coordinates, coordinates that
+    disagree with ``dist``, or too many dimensions) goes to the exact scan
+    ``_midpoint_violation``.
     """
     dmax = float(d.max(initial=0.0))
     slack = 1e-9 * max(1.0, dmax)
     if coords is not None:
         g = (coords.shape[1] + 2) * np.finfo(float).eps
-        if 4 * g * (2 * dmax + slack) <= slack / 4 and _euclidean_within(d, coords, slack / 4):
+        if 4 * g * (2 * dmax + slack) <= slack / 4 and (
+                derived or _euclidean_within(d, coords, slack / 4)):
             return
     if _midpoint_violation(d, slack):
         raise ConstructionError("triangle inequality violated")
@@ -142,11 +176,20 @@ def symmetric_matrix(value, n: int | None, what: str, error: type[Exception]) ->
     """``value`` as a read-only float matrix, n x n (square when ``n`` is None),
     finite, nonnegative and symmetric to 1e-12, averaged with its transpose so
     that it is exactly symmetric; else ``error`` naming ``what``. The diagonal
-    rule is the caller's."""
+    rule is the caller's. A matrix that is exactly symmetric already (every
+    matrix cvp derives from distances) is copied in one pass, not averaged."""
     m = np.asarray(value, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or n not in (None, m.shape[0]):
         size = "square" if n is None else f"{n}x{n}"
         raise error(f"{what} must be {size}, got shape {m.shape}")
+    # a matrix with entries in [0, max/2] (the min and max fail on NaN) that
+    # equals its transpose bit for bit (so -0.0 does not meet 0.0) is its own
+    # average with it: x + x doubles x exactly and halving undoes it
+    bits = m.view(np.int64)
+    if m.size and m.min() >= 0 and m.max() <= _HALF_MAX and np.array_equal(bits, bits.T):
+        out = m.copy()
+        out.setflags(write=False)
+        return out
     if not np.all(np.isfinite(m)):
         raise error(f"{what} must be finite")
     if np.any(m < 0):
@@ -333,8 +376,12 @@ def space_from_dict(payload: dict) -> MetricSpace:
 
     ``{"points": [{"id": ..., "coords": [...]}, ...], "metric": "euclidean"}``
     or ``"metric": "explicit"`` with ``"distances"`` as the row-major strict
-    upper triangle. An id that is not a JSON string, or a coordinate or
-    distance that is not a JSON number, raises ``InputError`` naming it.
+    upper triangle. A Euclidean space derives its distances from the coords
+    (``MetricSpace`` certifies them by their rounding bound); an explicit
+    one takes the given distances, and its coords, when every point has
+    them, only serve to certify the triangle inequality. An id that is not a
+    JSON string, or a coordinate or distance that is not a JSON number,
+    raises ``InputError`` naming it.
     """
     try:
         points = payload["points"]
@@ -350,29 +397,32 @@ def space_from_dict(payload: dict) -> MetricSpace:
     n = len(ids)
     coords = None
     if all("coords" in p for p in points):
-        rows = [[as_number(c, f"space point {pid!r} coords") for c in
-                 typed(p["coords"], list, f"space point {pid!r} coords")]
-                for pid, p in zip(ids, points)]
+        rows = []
+        for pid, p in zip(ids, points):
+            # the field is named only for coords refused or not plain floats
+            row = p["coords"]
+            if type(row) is not list:
+                row = typed(row, list, f"space point {pid!r} coords")
+            rows.append([c if type(c) is float else as_number(c, f"space point {pid!r} coords")
+                         for c in row])
         if len({len(row) for row in rows}) != 1:
             raise InputError("space point coords must have one length for all points")
         coords = np.array(rows)
     if metric == "euclidean":
         if coords is None:
             raise InputError("euclidean metric requires coords on every point")
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist = None  # derived from the coords
     elif metric == "explicit":
         tri = payload.get("distances")
         expected = n * (n - 1) // 2
         if not isinstance(tri, (list, tuple)) or len(tri) != expected:
             raise InputError(
                 f"explicit metric needs {expected} upper-triangular distances")
+        upper = [as_number(v, f"space distances[{pos}]") for pos, v in enumerate(tri)]
         dist = np.zeros((n, n))
-        pos = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist[i, j] = dist[j, i] = as_number(tri[pos], f"space distances[{pos}]")
-                pos += 1
+        # the row-major strict upper triangle, mirrored
+        above = np.triu_indices(n, 1)
+        dist[above] = dist.T[above] = upper
     else:
         raise InputError(f"unknown metric kind {metric!r}")
     return MetricSpace(ids=ids, dist=dist, coords=coords,

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cvp import run_exhaustion
-from cvp.cli import load_config, main, report_from_run, run_from_report
+from cvp import InputError, grid_1d, make_kernel, run_exhaustion, space_from_dict
+from cvp.cli import (_stage_weights, config_from_dict, load_config, main, report_from_run,
+                     run_from_report)
+from cvp.errors import as_number
 from cvp.reports import canonical_json, sha256_text
 
 EL_TOL = 1e-8
@@ -621,3 +623,104 @@ def test_malformed_oracle_and_sweep_input_exits_1(tmp_path, command, payload, fi
         code = main([command, flag, str(path), *extra])
     assert code == 1
     assert field in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def _five_point_config():
+    return config_from_dict({
+        "space": {"metric": "euclidean",
+                  "points": [{"id": f"p{i}", "coords": [float(i)]} for i in range(5)]},
+        "kernel": {"kind": "tent", "range": 1.0},
+        "exhaustion": {"center": "p2", "radii": [1, 2]}})
+
+
+def _space(*points, metric="euclidean", **extra):
+    return lambda: space_from_dict({"metric": metric, "points": list(points), **extra})
+
+
+def _report(first, last):
+    return lambda: run_from_report(
+        {"stages": [{"weights": first, "certified_global": True},
+                    {"weights": last, "certified_global": True}]}, _five_point_config())
+
+
+# The texts are those the readers gave when they formatted every field name
+# up front; they now format one only to refuse it.
+@pytest.mark.parametrize("build,text", [
+    (_space({"id": "a", "coords": [0]}, {"id": True, "coords": [1]}),
+     "space point id must be a string, got True"),
+    (_space({"id": 3, "coords": [0]}, {"coords": [1]}),
+     "space point id must be a string, got 3"),
+    (_space({"id": "a", "coords": [0]}, {"coords": [1]}), "every space point needs an 'id'"),
+    (_space({"id": "a", "coords": [0]}, {"id": "b", "coords": ["1"]}),
+     "space point 'b' coords must be a number, got '1'"),
+    (_space({"id": "a", "coords": [0, 1]}, {"id": "b", "coords": [1, True]}),
+     "space point 'b' coords must be a number, got True"),
+    (_space({"id": "a", "coords": [0]}, {"id": "b", "coords": 1.0}),
+     "space point 'b' coords must be a list, got 1.0"),
+    (_space({"id": "a", "coords": [0]}, {"id": "b", "coords": [10 ** 400]}),
+     "space point 'b' coords must be a number, got " + "1" + "0" * 59),
+    (_space({"id": "a", "coords": [0]}, {"id": "b", "coords": [1, 2]}),
+     "space point coords must have one length for all points"),
+    (_space({"id": "a"}, {"id": "b"}, {"id": "c"}, metric="explicit", distances=[1, "2", 1]),
+     "space distances[1] must be a number, got '2'"),
+    (_space({"id": "a"}, {"id": "b"}, {"id": "c"}, metric="explicit", distances=[1, 2, False]),
+     "space distances[2] must be a number, got False"),
+    (lambda: make_kernel("matrix", {"matrix": [[1.0, 0.0], [0.0, "1"]]}, grid_1d(range(2))),
+     "kernel.matrix[1][1] must be a number, got '1'"),
+    (lambda: make_kernel("matrix", {"matrix": [[1.0, 0.0], 5]}, grid_1d(range(2))),
+     "kernel.matrix[1] must be a list, got 5"),
+    (_report({"p1": 1.0, "p2": 1.0}, {"p1": 1.0, "zz": 1.0}),
+     "report stages[1].weights['zz'] is on an unknown point id"),
+    (_report({"p1": 1.0, "p0": 1.0}, {"p1": 1.0}),
+     "report stages[0].weights['p0'] is outside the stage ids"),
+    (_report({"p1": 1.0}, {"p1": 1.0, "p2": "1.0"}),
+     "report stages[1].weights['p2'] must be a number, got '1.0'"),
+    (_report({"p1": 1.0}, {"p1": True}),
+     "report stages[1].weights['p1'] must be a number, got True"),
+], ids=["bool-id", "id-before-missing-id", "missing-id", "string-coord", "bool-coord",
+        "non-list-coords", "huge-int-coord", "ragged-coords", "string-distance",
+        "bool-distance", "string-matrix-entry", "non-list-matrix-row", "unknown-weight-id",
+        "weight-outside-stage", "string-weight", "bool-weight"])
+def test_reader_refusal_texts(build, text):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == text
+
+
+class _Float(float):
+    pass
+
+
+_JSON_VALUES = st.one_of(st.integers(-10 ** 3, 10 ** 3), st.floats(allow_nan=False),
+                         st.sampled_from([10 ** 400, -10 ** 400, True, False, None, "1.0",
+                                          _Float(2.5), np.float64(0.5), np.int64(3)]))
+
+
+def _read(f, *args):
+    try:
+        return f(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+@given(weights=st.dictionaries(st.sampled_from(["p0", "p1", "p2", "p3", "p4", "zz"]),
+                               _JSON_VALUES, max_size=6),
+       stage=st.integers(0, 1))
+@settings(max_examples=200, deadline=None)
+def test_stage_weights_match_entry_by_entry_reading(weights, stage):
+    config = _five_point_config()
+    space, mask = config.space, config.exhaustion.stages[stage]
+    try:
+        expected = np.zeros(len(space))
+        for pid, w in weights.items():
+            field = f"s.weights[{pid!r}]"
+            if pid not in space.index:
+                raise InputError(f"{field} is on an unknown point id")
+            if not mask[space.index[pid]]:
+                raise InputError(f"{field} is outside the stage ids")
+            expected[space.index[pid]] = as_number(w, field)
+        expected = expected.tobytes()
+    except InputError as exc:
+        expected = str(exc)
+    got = _read(_stage_weights, weights, mask, space, "s")
+    assert (got if isinstance(got, str) else got.tobytes()) == expected

@@ -28,6 +28,7 @@ from cvp import (
     verify_el,
 )
 from cvp.measure import action_differences, check_variations
+from cvp.reports import canonical_json
 
 ATOL = 1e-12
 EL_TOL = 1e-8
@@ -399,3 +400,50 @@ def test_proof_bounds_every_sampled_trial(n, kind, sigma, seed):
     doubled = rho.weights.copy()
     doubled[np.argmax(doubled)] *= 2.0
     assert not _certified(el_analysis.prove_minimality(DiscreteMeasure(g, doubled), L, window))
+
+
+def _reference_nontriviality(run, L, space, tol=1e-8):
+    """``nontriviality_check`` as one Python pass per probe: the reference."""
+    rho = run.stages[-1].measure
+    probes = run.window if run.window.any() else rho.support
+    entries, passed = [], True
+    for xi in np.flatnonzero(probes):
+        row = L.matrix[xi]
+        reach = row > 0.0
+        c_x = 1.0 / float(row.max())
+        mass = math.fsum(rho.weights[reach])
+        ok = mass >= c_x - tol
+        passed = passed and ok
+        entries.append({"probe": space.ids[xi], "range_size": int(reach.sum()), "c_x": c_x,
+                        "mass": mass, "ok": ok})
+    total = run.limit.total()
+    return {"passed": bool(passed and total > 0.0), "limit_total": total,
+            "limit_nonzero": total > 0.0, "entries": entries}
+
+
+@st.composite
+def kernel_runs(draw):
+    """A 1-D grid with repeated points, a nonnegative symmetric kernel with zeros,
+    and a one-stage run of random weights and window."""
+    n = draw(st.integers(1, 9))
+    space = grid_1d([draw(st.integers(0, 5)) * 0.5 for _ in range(n)])
+    m = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.7]),
+                               min_size=n * n, max_size=n * n))).reshape(n, n)
+    m = np.triu(m) + np.triu(m, 1).T
+    np.fill_diagonal(m, draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    L = make_kernel("matrix", {"matrix": m.tolist()}, space)
+    weights = draw(st.lists(st.sampled_from([0.0, 0.1, 1.0 / 3.0, 0.7, 1.0, 2.5]),
+                            min_size=n, max_size=n))
+    rho = DiscreteMeasure(space, weights)
+    window = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    stage = type("Stage", (), {"measure": rho})()
+    run = cvp.ExhaustionRun(stages=(stage,), limit=rho, window=window, diagnostics={})
+    return space, L, run
+
+
+@given(case=kernel_runs())
+@settings(max_examples=150, deadline=None)
+def test_nontriviality_matches_its_reference(case):
+    space, L, run = case
+    got = nontriviality_check(run, L, space)
+    assert canonical_json(got) == canonical_json(_reference_nontriviality(run, L, space))

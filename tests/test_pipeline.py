@@ -1,5 +1,7 @@
 """Exhaustion runs: rescaling, windows, stabilization and mass bounds."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from cvp import (
     CompactSolution,
     DegenerateStageError,
+    DiscreteMeasure,
     InputError,
     KKTResiduals,
+    MetricSpace,
     RunOptions,
     SolverFailure,
     build_exhaustion,
@@ -24,6 +28,7 @@ from cvp import (
     window_points,
 )
 from cvp import pipeline
+from cvp.reports import canonical_json
 
 ATOL = 1e-12
 STAGE_TOL = 1e-9
@@ -229,3 +234,57 @@ def test_identity_family_scales_equal_stage_sizes(radii):
         assert s == pytest.approx(stage.sum(), abs=1e-8)
     limit = run.limit.weights
     assert limit[limit > 0] == pytest.approx([1.0] * run.limit.support.sum(), abs=1e-8)
+
+
+def _reference_mass_bound(stage, space, L, probes, radius, tol=1e-8):
+    """``local_mass_bound_check`` with its candidate radii from a Python set: the reference."""
+    entries, passed = [], True
+    for xi in probes:
+        diag = float(L.matrix[xi, xi])
+        bound = 2.0 / diag
+        row = space.dist[xi]
+        candidates = sorted({float(r) for r in row if r <= radius + 1e-12}, reverse=True)
+        used = None
+        for r in candidates:
+            ball = np.flatnonzero(row <= r + 1e-12)
+            if float(L.matrix[np.ix_(ball, ball)].min()) >= diag / 2.0:
+                used = r
+                break
+        if used is None:
+            entries.append({"probe": space.ids[xi], "requested_radius": radius, "skipped": True})
+            continue
+        mass = math.fsum(stage.measure.weights[ball])
+        ok = mass <= bound + tol
+        passed = passed and ok
+        entries.append({"probe": space.ids[xi], "requested_radius": radius, "radius": used,
+                        "shrunk": used < radius - 1e-12, "ball_size": len(ball),
+                        "mass": mass, "bound": bound, "ok": ok, "skipped": False})
+    return {"passed": passed, "entries": entries}
+
+
+@given(cells=st.lists(st.integers(0, 4), min_size=1, max_size=48), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mass_bound_matches_its_reference(cells, data):
+    # points in the same cell coincide; some of their distances are -0.0, which
+    # the report writes as -0 when it is the first zero of the probe's row (a
+    # sort of rows longer than 16 is not stable, so it may put the other zero first)
+    n = len(cells)
+    x = np.array(cells, dtype=float) * 0.5
+    d = np.abs(x[:, None] - x[None, :])
+    same = (d == 0) & ~np.eye(n, dtype=bool) & data.draw(
+        st.sampled_from([True, True, False]).map(lambda b: np.full((n, n), b)))
+    d[same] = -0.0
+    space = MetricSpace(ids=tuple(f"p{i}" for i in range(n)), dist=d)
+    kind = data.draw(st.sampled_from(["tent", "truncated_gaussian"]))
+    params = {"range": data.draw(st.sampled_from([0.5, 1.0, 2.0]))}
+    if kind == "truncated_gaussian":
+        params["sigma"] = data.draw(st.sampled_from([0.3, 0.8, 2.0]))
+    L = make_kernel(kind, params, space)
+    weights = data.draw(st.lists(st.sampled_from([0.0, 0.2, 1.0 / 3.0, 1.0, 2.5]),
+                                 min_size=n, max_size=n))
+    stage = type("Stage", (), {"measure": DiscreteMeasure(space, weights)})()
+    probes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    radius = data.draw(st.sampled_from([-1.0, 0.0, 0.5, 0.75, 1.0, 3.0]))
+    got = local_mass_bound_check(stage, space, L, probes, radius)
+    assert canonical_json(got) == canonical_json(
+        _reference_mass_bound(stage, space, L, probes, radius))

@@ -1,5 +1,6 @@
 """Metric space construction, balls, coverings and exhaustions."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -135,6 +136,179 @@ def test_euclidean_spaces_skip_the_midpoint_scan(monkeypatch):
     # the distances are a metric, but not the metric of these coordinates
     MetricSpace(ids=grid.ids, dist=grid.dist, coords=2.0 * grid.coords)
     assert calls == [401]
+
+
+def _reference_distances(coords):
+    """The Euclidean distances as ``space_from_dict`` computed them before
+    ``MetricSpace`` derived them from coords itself: the reference bits."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def _reference_key(ids, dist):
+    h = hashlib.sha256()
+    h.update("\x1f".join(ids).encode())
+    h.update(np.ascontiguousarray(dist))
+    return h.hexdigest()[:16]
+
+
+@given(dim=st.integers(1, 3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_derived_distances_match_the_reference_formula(dim, data):
+    rows = data.draw(st.lists(st.lists(
+        st.one_of(st.integers(-8, 8).map(float), st.floats(-1e6, 1e6)),
+        min_size=dim, max_size=dim), min_size=1, max_size=12))
+    coords = np.array(rows)
+    ids = tuple(f"p{i}" for i in range(len(rows)))
+    ref = _reference_distances(coords)
+    built = (MetricSpace(ids=ids, coords=coords),
+             space_from_dict({"metric": "euclidean",
+                              "points": [{"id": p, "coords": row} for p, row in zip(ids, rows)]}))
+    for space in built:
+        assert space.dist.tobytes() == ref.tobytes()
+        assert space.key == _reference_key(ids, ref)
+
+
+# the grids the tests and the README build keep the keys of |x_i - x_j|
+@pytest.mark.parametrize("values", [
+    range(1), range(2), range(3), range(4), range(5), range(6), range(8), range(11),
+    range(21), range(41), range(401), range(-12, 13), range(-25, 26), range(-30, 31),
+    range(-50, 51), range(-200, 201), [0.0, 0.5], [0.0, 0.25, 0.5], [0, 0.5, 1.0, 1.5, 2.0, 3.0],
+    [i * 0.25 for i in range(9)], [i * 0.25 for i in range(17)], [i * 0.25 for i in range(121)],
+    [i * 0.5 for i in range(9)], [i * 0.5 for i in range(12)], [i * 0.5 for i in range(300)],
+    [i * 0.05 for i in range(41)]], ids=lambda v: f"{len(v)}pts")
+def test_grids_keep_their_keys(values):
+    vals = np.asarray(list(values), dtype=float)
+    ids = tuple(f"x{i}" for i in range(len(vals)))
+    ref = np.abs(vals[:, None] - vals[None, :])
+    grid = grid_1d(values)
+    assert grid.key == _reference_key(ids, ref) and grid.dist.tobytes() == ref.tobytes()
+
+
+def test_grid_distances_are_exact_at_the_float_extremes():
+    # |x_i - x_j| where the square of the difference would underflow or overflow
+    assert grid_1d([0.0, 1e-160]).dist[0, 1] == 1e-160
+    assert grid_1d([-1e154, 1e154]).dist[0, 1] == 2e154
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_overflowing_coords_are_refused_as_infinite_distances(dim):
+    rows = [[-1e200] * dim, [1e200] * dim]
+    with pytest.raises(ConstructionError, match="distance matrix must be finite"):
+        MetricSpace(ids=("a", "b"), coords=rows)
+    with pytest.raises(ConstructionError, match="distance matrix must be finite"):
+        space_from_dict({"metric": "euclidean", "points": [{"id": "a", "coords": rows[0]},
+                                                           {"id": "b", "coords": rows[1]}]})
+
+
+def test_a_space_needs_distances_or_coords():
+    with pytest.raises(ConstructionError, match="needs a distance matrix or coords"):
+        MetricSpace(ids=("a", "b"))
+
+
+def test_only_explicit_distances_are_compared_with_their_coords(monkeypatch):
+    calls = {"within": 0, "scan": 0}
+    within, scan = cvp.space._euclidean_within, cvp.space._midpoint_violation
+
+    def count(name, f):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or f(*args)
+
+    monkeypatch.setattr(cvp.space, "_euclidean_within", count("within", within))
+    monkeypatch.setattr(cvp.space, "_midpoint_violation", count("scan", scan))
+    points = [{"id": f"p{i}", "coords": [i * 0.5, (i % 3) * 0.25]} for i in range(6)]
+    space_from_dict({"metric": "euclidean", "points": points})
+    assert calls == {"within": 0, "scan": 0}
+    # a grid passes |x_i - x_j| with its coords, which certify it
+    grid = grid_1d(range(4))
+    assert calls == {"within": 1, "scan": 0}
+    # explicit distances that are a metric but not the metric of these coordinates
+    upper = [float(abs(i - j)) for i in range(4) for j in range(i + 1, 4)]
+    space = space_from_dict({"metric": "explicit", "distances": upper,
+                             "points": [{"id": f"p{i}", "coords": [2.0 * i]} for i in range(4)]})
+    assert calls == {"within": 2, "scan": 1}
+    assert space.dist.tobytes() == grid.dist.tobytes()
+
+
+_HALF_MAX = float(np.finfo(float).max) / 2
+
+
+def _reference_symmetric_matrix(value, n, what, error):
+    """``symmetric_matrix`` before its exactly-symmetric fast path: the reference."""
+    m = np.asarray(value, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or n not in (None, m.shape[0]):
+        size = "square" if n is None else f"{n}x{n}"
+        raise error(f"{what} must be {size}, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise error(f"{what} must be finite")
+    if np.any(m < 0):
+        raise error(f"{what} must be nonnegative")
+    out = m - m.T
+    if not np.all(np.abs(out, out=out) <= 1e-12):
+        raise error(f"{what} must be symmetric")
+    np.add(m, m.T, out=out)
+    out /= 2.0
+    out.setflags(write=False)
+    return out
+
+
+def _outcome(f, value, n):
+    try:
+        with np.errstate(over="ignore"):  # the average of entries above max/2 overflows
+            out = f(value, n, "matrix", ConstructionError)
+    except ConstructionError as exc:
+        return str(exc)
+    assert not out.flags.writeable
+    return out.shape, out.tobytes()
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.0, 1e300, _HALF_MAX,
+                     float(np.nextafter(_HALF_MAX, np.inf)), float(np.finfo(float).max),
+                     np.inf, -np.inf, np.nan, -1.0, -5e-324]),
+    st.floats(0.0, 10.0), st.floats())
+
+
+@given(n=st.integers(1, 5), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_symmetric_matrix_matches_its_reference(n, data):
+    m = np.array(data.draw(st.lists(_ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    lower = np.tril_indices(n, -1)
+    shape = data.draw(st.sampled_from(["mirrored", "as drawn", "near", "far", "signed zero"]))
+    if shape != "as drawn":
+        m[lower] = m.T[lower]
+    if shape in ("near", "far", "signed zero") and n > 1:
+        i, j = data.draw(st.sampled_from(list(zip(*lower))))
+        if shape == "signed zero":
+            m[i, j], m[j, i] = 0.0, -0.0
+        else:
+            # within and beyond the 1e-12 tolerance
+            m[i, j] += data.draw(st.floats(1e-16, 9e-13) if shape == "near"
+                                 else st.floats(2e-12, 1.0))
+    for size in (None, n, n + 1):
+        got = _outcome(cvp.space.symmetric_matrix, m, size)
+        assert got == _outcome(_reference_symmetric_matrix, m, size)
+        assert got == _outcome(cvp.space.symmetric_matrix, m.tolist(), size)
+
+
+@pytest.mark.parametrize("value", [np.zeros((2, 3)), np.zeros(3), np.zeros(()),
+                                   np.zeros((2, 2, 2)), np.zeros((0, 0)), [[1.0], [2.0, 3.0]]],
+                         ids=["2x3", "vector", "scalar", "cube", "empty", "ragged"])
+def test_symmetric_matrix_refuses_shapes_as_its_reference(value):
+    for n in (None, 2):
+        try:
+            expected = _outcome(_reference_symmetric_matrix, value, n)
+        except ValueError:  # numpy refuses a ragged list before either checks it
+            with pytest.raises(ValueError):
+                cvp.space.symmetric_matrix(value, n, "matrix", ConstructionError)
+            continue
+        assert _outcome(cvp.space.symmetric_matrix, value, n) == expected
+
+
+def test_symmetric_matrix_copies_its_input():
+    m = np.eye(3)
+    out = cvp.space.symmetric_matrix(m, 3, "matrix", ConstructionError)
+    m[0, 0] = 7.0
+    assert out[0, 0] == 1.0 and not out.flags.writeable
 
 
 def test_distance_matrix_read_only():
