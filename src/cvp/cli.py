@@ -31,7 +31,7 @@ from .lagrangian import (Lagrangian, diagonal_infimum, kernel_from_spec,
 from .measure import measure_to_dict
 from .pipeline import (ExhaustionRun, RunOptions, local_mass_bound_check,
                        run_exhaustion, run_from_weights, stage_ell)
-from .reports import canonical_json, sha256_text, write_csv, write_json
+from .reports import Encoded, canonical_json, sha256_text, write_csv, write_json
 from .simplex_solver import CompactProblem, SolverOptions, brute_force_minimizer
 from .space import Exhaustion, MetricSpace, build_exhaustion, space_from_dict
 
@@ -172,10 +172,11 @@ def report_from_run(run: ExhaustionRun, config: RunConfig) -> dict:
         "kkt": asdict(s.kkt),
         "weights": {pid: w for pid, w in zip(s.space.ids, s.weights.tolist()) if w > 0},
     } for s in run.stages]
+    config_text = canonical_json(config.raw)  # encoded once, for the hash and run.json
     return {
         "tool": {"name": "cvp", "version": __version__},
-        "config": config.raw,
-        "config_hash": sha256_text(canonical_json(config.raw)),
+        "config": Encoded(config.raw, config_text),
+        "config_hash": sha256_text(config_text),
         "stages": stages,
         "window": [config.space.ids[i] for i in np.flatnonzero(run.window)],
         "limit": measure_to_dict(run.limit),

@@ -162,6 +162,9 @@ def gamma_lower_bound(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace,
     """Mass of the epsilon-effective ball against gamma = (1 - eps)/sup L.
 
     Refuses (with a notice) unless stationarity holds on the window mask.
+    The balls of radius N0 around the window points are one ``closed_ball``
+    mask, one row per point, and each row's mass is one ``math.fsum`` over
+    its slice of the mask's nonzero columns.
     """
     if not 0.0 < eps < 1.0:
         raise InputError("gamma bound needs eps in (0, 1)")
@@ -173,14 +176,19 @@ def gamma_lower_bound(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace,
     n0 = tail_index(profile, eps)
     cbound = global_sup(L)
     gamma = (1.0 - eps) / cbound
+    probes = np.flatnonzero(as_mask(window, len(space), "gamma window"))
+    # the weights in the probes' balls, probe p's at in_ball[bounds[p]:bounds[p + 1]]
+    at, cols = np.nonzero(closed_ball(space, probes, float(n0)))
+    bounds = np.searchsorted(at, np.arange(len(probes) + 1)).tolist()
+    in_ball = rho.weights[cols].tolist()
     entries = []
     passed = True
-    for xi in np.flatnonzero(as_mask(window, len(space), "gamma window")):
-        ball = closed_ball(space, xi, float(n0))
-        mass = math.fsum(rho.weights[ball])
+    for p, xi in enumerate(probes.tolist()):
+        lo, hi = bounds[p], bounds[p + 1]
+        mass = math.fsum(in_ball[lo:hi])
         ok = mass >= gamma - tol
         passed = passed and ok
-        entries.append({"x": space.ids[xi], "ball_size": int(ball.sum()), "mass": mass, "ok": ok})
+        entries.append({"x": space.ids[xi], "ball_size": hi - lo, "mass": mass, "ok": ok})
     return {"passed": bool(passed), "refused": False, "gamma": gamma, "N0": n0,
             "sup": cbound, "entries": entries}
 

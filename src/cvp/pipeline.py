@@ -242,7 +242,13 @@ def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagran
     """Scaled stage mass of validated balls at the probe indices against the 2/L(x,x) bound.
 
     A ball is validated when L(y, z) >= L(x, x)/2 for every pair inside it;
-    the radius shrinks through realized distances until that holds.
+    the radius shrinks through realized distances until that holds. Each
+    probe's largest candidate ball is gathered once, nearest point first (ties
+    in index order). The candidate balls are its leading blocks, so the least
+    kernel entry of each is read off one running minimum of the row minima
+    of the block's lower triangle (the kernel is symmetric), at the ball sizes
+    ``searchsorted`` finds; the balls are nested, so the radii that pass are
+    the smallest ones, and the largest of them is used.
     """
     _check_kernel(space, L)
     entries = []
@@ -252,21 +258,32 @@ def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagran
         diag = float(L.matrix[xi, xi])
         bound = 2.0 / diag
         row = space.dist[xi]
-        candidates = sorted(set(row[row <= radius + 1e-12].tolist()), reverse=True)
-        used = None
-        for r in candidates:
-            ball = np.flatnonzero(row <= r + 1e-12)
-            if float(L.matrix[np.ix_(ball, ball)].min()) >= diag / 2.0:
-                used = r
-                break
-        if used is None:
+        near = row[row <= radius + 1e-12]
+        if not near.size:
             entries.append({"probe": x, "requested_radius": radius, "skipped": True})
             continue
-        mass = math.fsum(stage.measure.weights[ball])
+        ball = np.flatnonzero(row <= near.max() + 1e-12)
+        ball = ball[np.argsort(row[ball], kind="stable")]
+        d = row[ball]
+        # the least entry of each leading i x i block, for i = 1, 2, ...
+        block = L.matrix[ball[:, None], ball]
+        least = np.minimum.accumulate(np.minimum.accumulate(block, axis=1).diagonal())
+        # the candidate radii, ascending: the first distance of each run of equal
+        # ones (so a 0.0 and a -0.0 give the one of the lower point index)
+        firsts = d[np.flatnonzero(np.r_[True, d[1:] != d[:-1]])]
+        radii = firsts[firsts <= radius + 1e-12]
+        sizes = np.searchsorted(d, radii + 1e-12, side="right")
+        valid = int(np.count_nonzero(least[sizes - 1] >= diag / 2.0))
+        if not valid:
+            entries.append({"probe": x, "requested_radius": radius, "skipped": True})
+            continue
+        used = float(radii[valid - 1])
+        size = int(sizes[valid - 1])
+        mass = math.fsum(stage.measure.weights[ball[:size]])
         ok = mass <= bound + tol
         passed = passed and ok
         entries.append({"probe": x, "requested_radius": radius, "radius": used,
-                        "shrunk": used < radius - 1e-12, "ball_size": len(ball),
+                        "shrunk": used < radius - 1e-12, "ball_size": size,
                         "mass": mass, "bound": bound, "ok": ok, "skipped": False})
     return {"passed": passed, "entries": entries}
 

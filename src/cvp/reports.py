@@ -24,6 +24,19 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
+class Encoded(dict):
+    """A dict that carries its canonical text at depth 0, which the encoder
+    re-indents instead of encoding the dict again: a canonical string never
+    holds a raw newline, so every newline of the text starts a line. The text
+    is taken as given, so the dict must not change after it is made."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, obj: dict, text: str):
+        super().__init__(obj)
+        self.text = text
+
+
 def canonical_json(obj, indent: int = 0) -> str:
     """The canonical text of ``obj``, its lines padded as at nesting depth ``indent``."""
     out: list[str] = []
@@ -40,12 +53,14 @@ def _emit(obj, nl: str, out: list[str]) -> None:
         out.append(_fmt_float(obj))
     elif kind is str:
         out.append(encode_basestring(obj))
-    elif kind is dict and all(type(k) is str for k in obj):
+    elif kind is dict and set(map(type, obj)) <= {str}:
         _emit_object(sorted(obj.items()), nl, out)
     elif kind is list or kind is tuple:
         _emit_array(obj, nl, out)
     elif obj is None:
         out.append("null")
+    elif kind is Encoded:
+        out.append(obj.text.replace("\n", nl))
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, int):
@@ -81,6 +96,12 @@ def _emit_object(pairs, nl: str, out: list[str]) -> None:
             append(_fmt_float(value))
         elif kind is str:
             append(encode_basestring(value))
+        elif kind is bool:
+            append("true" if value else "false")
+        elif kind is int:
+            append(str(value))
+        elif value is None:
+            append("null")
         else:
             _emit(value, inner, out)
         sep = comma
@@ -103,6 +124,12 @@ def _emit_array(values, nl: str, out: list[str]) -> None:
             append(_fmt_float(value))
         elif kind is str:
             append(encode_basestring(value))
+        elif kind is bool:
+            append("true" if value else "false")
+        elif kind is int:
+            append(str(value))
+        elif value is None:
+            append("null")
         else:
             _emit(value, inner, out)
         sep = comma

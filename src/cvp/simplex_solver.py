@@ -289,7 +289,9 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
     instead. A target off
     stationarity on S by more than ``_DRIFT_ATOL`` stopping tolerances (seen
     in L d) is solved directly, and the next change of S forms the inverse
-    afresh. The final weights are solved directly on the final support.
+    afresh. The final weights are solved directly on the final support, by
+    reusing the last direct solve when it was on that support (as when a
+    convex start never leaves its first support).
 
     The starts of one block share ``cache`` (None gives a fresh one). Each
     reads the same curvature directions it would compute alone. A full or
@@ -316,6 +318,7 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
     if cache is None:
         cache = _BlockCache()
     reached = []  # the supports S where w stood at a solved target
+    direct = None  # (S as bytes, its _solve_support) of the last direct solve
     for _ in range(_MAX_ITER):
         sup = on.nonzero()[0]
         g = Lb @ w
@@ -334,7 +337,7 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
             # a KKT point: stop there unless it is a saddle on its support
             d = None if convex else _negative_curvature(Lb, sup, atol, cache.curvature)
             if d is None:
-                w = _final_weights(Lb, w)
+                w = _final_weights(Lb, w, direct)
                 break
             saddle = True
         elif len(values) == 1 and not convex:
@@ -344,6 +347,7 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
         if d is None:
             if inv is None:
                 sol = _solve_support(Lb, sup)
+                direct = sup.tobytes(), sol
             else:  # rows are the support in the order the points joined
                 P, rows = inv
                 target[rows] = P[1:, 0]
@@ -405,11 +409,15 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
     return w, values
 
 
-def _final_weights(Lb: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _final_weights(Lb: np.ndarray, w: np.ndarray, direct=None) -> np.ndarray:
     """The weights solved directly on the support of ``w``; ``w`` itself when
-    that system is singular."""
+    that system is singular. ``direct`` is an earlier (support as bytes,
+    ``_solve_support``) pair; on that support it is reused, not solved again."""
     S = np.flatnonzero(w > 0)
-    sol = _solve_support(Lb, S)
+    if direct is not None and direct[0] == S.tobytes():
+        sol = direct[1]
+    else:
+        sol = _solve_support(Lb, S)
     if sol is None:
         return w / w.sum()
     out = np.zeros(len(w))

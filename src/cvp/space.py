@@ -175,9 +175,11 @@ def _midpoint_violation(d: np.ndarray, slack: float) -> bool:
 def symmetric_matrix(value, n: int | None, what: str, error: type[Exception]) -> np.ndarray:
     """``value`` as a read-only float matrix, n x n (square when ``n`` is None),
     finite, nonnegative and symmetric to 1e-12, averaged with its transpose so
-    that it is exactly symmetric; else ``error`` naming ``what``. The diagonal
-    rule is the caller's. A matrix that is exactly symmetric already (every
-    matrix cvp derives from distances) is copied in one pass, not averaged."""
+    that it is exactly symmetric; else ``error`` naming ``what``, and naming
+    the entry when its average overflows (entries above half the float
+    maximum). The diagonal rule is the caller's. A matrix that is exactly
+    symmetric already (every matrix cvp derives from distances) is copied in
+    one pass, not averaged."""
     m = np.asarray(value, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or n not in (None, m.shape[0]):
         size = "square" if n is None else f"{n}x{n}"
@@ -199,8 +201,13 @@ def symmetric_matrix(value, n: int | None, what: str, error: type[Exception]) ->
     out = m - m.T
     if not np.all(np.abs(out, out=out) <= 1e-12):
         raise error(f"{what} must be symmetric")
-    np.add(m, m.T, out=out)
+    with np.errstate(over="ignore"):
+        np.add(m, m.T, out=out)
     out /= 2.0
+    if not np.all(np.isfinite(out)):
+        i, j = np.argwhere(~np.isfinite(out))[0].tolist()
+        raise error(f"{what} must be finite: the average of entry ({i}, {j}) "
+                    f"with its transpose overflows")
     out.setflags(write=False)
     return out
 

@@ -12,19 +12,23 @@ from cvp import el_analysis
 from cvp import (
     DiscreteMeasure,
     InputError,
+    MetricSpace,
     RunOptions,
     VariationSampler,
     action,
     averaged_kernel,
     build_exhaustion,
     check_sufficient_conditions,
+    closed_ball,
     exp_profile,
     gamma_lower_bound,
+    global_sup,
     grid_1d,
     make_kernel,
     nontriviality_check,
     run_exhaustion,
     stage_ell,
+    tail_index,
     verify_el,
 )
 from cvp.measure import action_differences, check_variations
@@ -154,6 +158,65 @@ def test_gamma_bound_refuses_without_stationarity(identity_run):
     bad[np.flatnonzero(run.window)[0]] = 5.0
     rep = gamma_lower_bound(DiscreteMeasure(grid, bad), tent, grid, prof, 0.5, run.window)
     assert rep["refused"] and not rep["passed"]
+
+
+def _reference_gamma(rho, L, space, profile, eps, window, tol=1e-8):
+    """``gamma_lower_bound`` past its stationarity test, as one ``closed_ball``
+    and one sum per window point: the reference."""
+    n0 = tail_index(profile, eps)
+    gamma = (1.0 - eps) / global_sup(L)
+    entries, passed = [], True
+    for xi in np.flatnonzero(window):
+        ball = closed_ball(space, xi, float(n0))
+        mass = math.fsum(rho.weights[ball])
+        ok = mass >= gamma - tol
+        passed = passed and ok
+        entries.append({"x": space.ids[xi], "ball_size": int(ball.sum()), "mass": mass,
+                        "ok": ok})
+    return {"passed": bool(passed), "refused": False, "gamma": gamma, "N0": n0,
+            "sup": global_sup(L), "entries": entries}
+
+
+# stationarity as gamma_lower_bound reads it: the mass test runs on any measure
+_STATIONARY = type("ELReport", (), {"passed": True})()
+
+
+@given(cells=st.lists(st.integers(0, 12), min_size=1, max_size=30), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_gamma_bound_matches_its_reference(cells, data):
+    # points in the same cell coincide, at distance -0.0 when drawn so; cells are
+    # 0.5 apart and N0 is an integer of 2 to 8, so balls often end on tied points
+    n = len(cells)
+    x = np.array(cells, dtype=float) * 0.5
+    d = np.abs(x[:, None] - x[None, :])
+    d[(d == 0) & ~np.eye(n, dtype=bool) & data.draw(st.booleans())] = -0.0
+    space = MetricSpace(ids=tuple(f"p{i}" for i in range(n)), dist=d)
+    L = make_kernel("tent", {"range": data.draw(st.sampled_from([0.5, 1.0, 3.0]))}, space)
+    rho = DiscreteMeasure(space, data.draw(st.lists(
+        st.sampled_from([0.0, 0.1, 1.0 / 3.0, 1.0, 2.5]), min_size=n, max_size=n)))
+    if data.draw(st.booleans()):  # a one-point window
+        window = np.eye(1, n, data.draw(st.integers(0, n - 1)), dtype=bool)[0]
+    else:
+        window = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    profile = exp_profile(data.draw(st.sampled_from([0.01, 0.5, 3.0, 20.0])), 1.0,
+                          delta=1.0, c=1.0)
+    eps = data.draw(st.sampled_from([0.1, 0.3, 0.9]))
+    got = gamma_lower_bound(rho, L, space, profile, eps, window, el_report=_STATIONARY)
+    assert canonical_json(got) == canonical_json(
+        _reference_gamma(rho, L, space, profile, eps, window))
+
+
+def test_gamma_ball_ends_on_points_at_distance_n0():
+    g = grid_1d([0, 1, 2, 2, 3, 4, 6])
+    L = make_kernel("tent", {"range": 1.0}, g)
+    rho = DiscreteMeasure(g, [1.0] * 7)
+    profile = exp_profile(0.01, 1.0, delta=1.0, c=1.0)
+    window = np.array([False, False, True, True, False, False, True])
+    rep = gamma_lower_bound(rho, L, g, profile, 0.9, window, el_report=_STATIONARY)
+    assert rep["N0"] == 2
+    assert [e["ball_size"] for e in rep["entries"]] == [6, 6, 2]
+    assert canonical_json(rep) == canonical_json(_reference_gamma(rho, L, g, profile, 0.9,
+                                                                  window))
 
 
 def test_gamma_bound_validates_eps(identity_run):

@@ -276,7 +276,8 @@ def test_mass_bound_matches_its_reference(cells, data):
     d[same] = -0.0
     space = MetricSpace(ids=tuple(f"p{i}" for i in range(n)), dist=d)
     kind = data.draw(st.sampled_from(["tent", "truncated_gaussian"]))
-    params = {"range": data.draw(st.sampled_from([0.5, 1.0, 2.0]))}
+    # a range of 4 keeps L above L(x, x)/2 on most balls: the largest passes unshrunk
+    params = {"range": data.draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))}
     if kind == "truncated_gaussian":
         params["sigma"] = data.draw(st.sampled_from([0.3, 0.8, 2.0]))
     L = make_kernel(kind, params, space)
@@ -284,7 +285,31 @@ def test_mass_bound_matches_its_reference(cells, data):
                                  min_size=n, max_size=n))
     stage = type("Stage", (), {"measure": DiscreteMeasure(space, weights)})()
     probes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
-    radius = data.draw(st.sampled_from([-1.0, 0.0, 0.5, 0.75, 1.0, 3.0]))
+    # cells are 0.5 apart, so most radii are realized distances, tied on both sides
+    radius = data.draw(st.sampled_from([-1.0, 0.0, 0.5, 0.75, 1.0, 1.5, 3.0]))
     got = local_mass_bound_check(stage, space, L, probes, radius)
     assert canonical_json(got) == canonical_json(
         _reference_mass_bound(stage, space, L, probes, radius))
+
+
+def test_mass_bound_unshrunk_and_tied_balls_match_the_reference():
+    # points 0.5 apart, with a double at 1.0: around 1.0 the distances 0.5 and
+    # 1.0 are each realized twice, and 0 by the double (as -0.0)
+    x = np.array([0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 3.0])
+    d = np.abs(x[:, None] - x[None, :])
+    d[2, 3] = d[3, 2] = -0.0
+    space = MetricSpace(ids=tuple(f"p{i}" for i in range(len(x))), dist=d)
+    stage = type("Stage", (), {"measure": DiscreteMeasure(space, [0.5, 0.0, 1.0, 0.2, 0.0,
+                                                                  0.3, 1.0])})()
+    for reach, probes, radius, shrunk, size in (
+            (4.0, (2, 3), 1.0, False, 6), (4.0, (2,), 0.5, False, 4),
+            (4.0, (2,), 2.0, True, 6), (4.0, (6,), 3.0, True, 5),
+            (0.8, (2, 3), 1.0, True, 2)):
+        L = make_kernel("tent", {"range": reach}, space)
+        got = local_mass_bound_check(stage, space, L, probes, radius)
+        assert canonical_json(got) == canonical_json(
+            _reference_mass_bound(stage, space, L, probes, radius))
+        for e in got["entries"]:
+            assert (e["shrunk"], e["ball_size"]) == (shrunk, size)
+    # the row of p3 has -0.0 at p2 before its own 0.0, and the radius keeps that sign
+    assert '"radius": -0,' in canonical_json(got)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvp import InputError
-from cvp.reports import canonical_json
+from cvp.reports import Encoded, canonical_json
 
 
 def _reference_fmt_float(x: float) -> str:
@@ -85,6 +85,17 @@ def test_canonical_json_matches_the_reference(tree, indent):
 @settings(max_examples=150, deadline=None)
 def test_indent_only_pads_every_later_line(tree, indent):
     assert canonical_json(tree, indent) == canonical_json(tree).replace("\n", "\n" + "  " * indent)
+
+
+@given(tree=st.dictionaries(_KEYS, _TREES, max_size=4), indent=st.integers(0, 3),
+       nest=st.sampled_from(["object", "array", "top"]))
+@settings(max_examples=150, deadline=None)
+def test_an_encoded_dict_writes_its_own_text(tree, indent, nest):
+    encoded = Encoded(tree, canonical_json(tree))
+    assert encoded == tree
+    wrap = {"object": lambda v: {"a": 1, "config": v}, "array": lambda v: [[v], None],
+            "top": lambda v: v}[nest]
+    assert canonical_json(wrap(encoded), indent) == canonical_json(wrap(tree), indent)
 
 
 def test_canonical_format():

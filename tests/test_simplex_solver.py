@@ -535,8 +535,13 @@ def test_quarter_starts_take_earlier_ends(monkeypatch):
 def test_positive_definite_start_forms_no_inverse(monkeypatch, p):
     counts = _count_factorizations(monkeypatch)
     sol = minimize_on_compact(p)
-    assert counts["inverses"] == 0 and counts["solves"] <= 2
+    # the start never leaves the full support, so its first solve gives the final weights
+    assert counts["inverses"] == 0 and counts["solves"] == 1
     assert sol.certified_global and (sol.weights > 0).all()
+    final = simplex_solver._final_weights
+    monkeypatch.setattr(simplex_solver, "_final_weights", lambda Lb, w, direct: final(Lb, w))
+    resolved = minimize_on_compact(p)  # the final support solved again: the same bits
+    assert resolved.weights.tobytes() == sol.weights.tobytes() and resolved.kkt == sol.kkt
 
 
 def _bordered(Lb, sup):

@@ -233,7 +233,8 @@ _HALF_MAX = float(np.finfo(float).max) / 2
 
 
 def _reference_symmetric_matrix(value, n, what, error):
-    """``symmetric_matrix`` before its exactly-symmetric fast path: the reference."""
+    """``symmetric_matrix`` before its exactly-symmetric fast path: the reference.
+    An average that overflows is refused, naming its entry."""
     m = np.asarray(value, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or n not in (None, m.shape[0]):
         size = "square" if n is None else f"{n}x{n}"
@@ -245,15 +246,19 @@ def _reference_symmetric_matrix(value, n, what, error):
     out = m - m.T
     if not np.all(np.abs(out, out=out) <= 1e-12):
         raise error(f"{what} must be symmetric")
-    np.add(m, m.T, out=out)
+    with np.errstate(over="ignore"):
+        np.add(m, m.T, out=out)
     out /= 2.0
+    for i, j in zip(*np.nonzero(~np.isfinite(out))):
+        raise error(f"{what} must be finite: the average of entry ({i}, {j}) "
+                    f"with its transpose overflows")
     out.setflags(write=False)
     return out
 
 
 def _outcome(f, value, n):
     try:
-        with np.errstate(over="ignore"):  # the average of entries above max/2 overflows
+        with np.errstate(over="raise"):  # an average of entries above max/2 is refused
             out = f(value, n, "matrix", ConstructionError)
     except ConstructionError as exc:
         return str(exc)
@@ -396,6 +401,19 @@ def test_space_from_explicit_distances():
     s = space_from_dict(payload)
     assert s.dist[0, 2] == 2.0
     assert s.dist[1, 2] == 1.0
+
+
+def test_explicit_distances_whose_average_overflows_are_refused():
+    # 1e308 is finite, but 1e308 + 1e308 is not: averaged with its transpose
+    # it would become an infinite distance, which the triangle scan accepts
+    payload = {"points": [{"id": "a"}, {"id": "b"}, {"id": "c"}], "metric": "explicit",
+               "distances": [1e308, 1.0, 1.0]}
+    with pytest.raises(ConstructionError, match=r"distance matrix must be finite: "
+                       r"the average of entry \(0, 1\) with its transpose overflows"):
+        space_from_dict(payload)
+    payload["distances"] = [1.0, 1.0, 1e308]
+    with pytest.raises(ConstructionError, match=r"entry \(1, 2\)"):
+        space_from_dict(payload)
 
 
 @given(r1=st.floats(0, 3), r2=st.floats(0, 3))
