@@ -10,6 +10,7 @@ check failed; usage errors exit 64, IO/config errors exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -409,7 +410,10 @@ def _seed_flag(text: str) -> int:
     return seed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cvp`` parser, built once per process: ``parse_args`` makes a fresh
+    namespace on every call, so in-process callers of ``main`` share it."""
     parser = _Parser(prog="cvp", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cvp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

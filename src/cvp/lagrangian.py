@@ -141,10 +141,16 @@ def global_sup(L: Lagrangian) -> float:
 def effective_range(L: Lagrangian, space: MetricSpace, K) -> np.ndarray:
     """Smallest K' with L(x, y) = 0 for every x in K and y outside K' (masks)."""
     _check_space(L, space)
-    K = as_mask(K, len(space), "effective_range set")
+    return _effective_range(L.matrix > 0.0, K, "effective_range set")
+
+
+def _effective_range(positive: np.ndarray, K, what: str) -> np.ndarray:
+    """K' of the point set K, the union of the rows of ``positive`` (the mask
+    L > 0) at K. InputError if K is not a nonempty mask over those points."""
+    K = as_mask(K, len(positive), what)
     if not K.any():
         raise InputError("effective_range needs a nonempty point set")
-    return (L.matrix[K] > 0.0).any(axis=0)
+    return positive[K].any(axis=0)
 
 
 def verify_compact_range(L: Lagrangian, space: MetricSpace, exhaustion) -> dict:
@@ -152,16 +158,21 @@ def verify_compact_range(L: Lagrangian, space: MetricSpace, exhaustion) -> dict:
 
     With a declared finite range r0, the range of stage K must land inside the
     r0-thickening of K. Without one (exponential, bare matrices) the check
-    demands the range add nothing beyond K itself.
+    demands the range add nothing beyond K itself. The masks ``L > 0`` and,
+    with a declared range, of every point's closed r0-ball are built once,
+    and each stage reads its K' (as ``effective_range`` does) and its
+    thickening as the union of the stage's rows.
     """
     _check_space(L, space)
+    positive = L.matrix > 0.0
+    balls = None
+    if L.declared_range is not None:
+        balls = closed_ball(space, np.arange(len(space)), L.declared_range)
     per_stage = []
     holds = True
     for i, stage in enumerate(exhaustion.stages):
-        kprime = effective_range(L, space, stage)
-        allowed = stage
-        if L.declared_range is not None:
-            allowed = closed_ball(space, np.flatnonzero(stage), L.declared_range).any(axis=0)
+        kprime = _effective_range(positive, stage, "exhaustion stage")
+        allowed = stage if balls is None else balls[stage].any(axis=0)
         contained = not (kprime & ~allowed).any()
         holds = holds and contained
         per_stage.append({"stage": i, "size": int(stage.sum()),
@@ -336,10 +347,15 @@ def verify_entropy_decay(L: Lagrangian, space: MetricSpace, profile: DecayProfil
     off = ~np.eye(n, dtype=bool)
     dist = space.dist
     covers = ball_cover_counts(space, dist + 2.0, profile.delta)
-    distances, which = np.unique(dist[off], return_inverse=True)
+    # the distances are exactly symmetric, so f is evaluated on the strict
+    # upper triangle and mirrored into the lower one
+    upper = np.triu_indices(n, 1)
+    distances, which = np.unique(dist[upper], return_inverse=True)
     f_values = np.array([profile.f(float(d)) for d in distances], dtype=float)
     bound = np.zeros((n, n))
-    bound[off] = f_values[which] / (profile.coeff * covers[off])
+    bound[upper] = f_values[which]
+    bound.T[upper] = bound[upper]
+    bound[off] /= profile.coeff * covers[off]
     violated = off & (L.matrix > bound + 1e-12 * np.maximum(1.0, bound))
     rows, cols = np.nonzero(violated)
     witnesses = [{"x": space.ids[i], "y": space.ids[j], "value": float(L.matrix[i, j]),

@@ -250,9 +250,14 @@ def _greedy_counts(space: MetricSpace, sets: int, masks, delta: float) -> np.nda
     row p (little bit order) set while p is an uncovered member of set s.
     Points are scanned in index order: when point p is scanned its row is
     final and marks the sets that open a delta-ball at p, and those bits
-    are cleared at its later delta-neighbours. The center count of set s is
-    the number of final rows with bit s. Masks are packed, and counts read,
-    in chunks of at most ``_CHUNK_CELLS`` cells.
+    are cleared at its later delta-neighbours. The delta-neighbour pairs
+    (p, q) with p < q are read from ``flatnonzero`` of the distance mask,
+    whose row-major order sorts them by p, and each pair clears row q in
+    place. That is one small AND per pair, so the scan's cost grows with the
+    number of pairs, up to n(n - 1)/2 once delta reaches the diameter.
+    The center count of set s is the number of final rows with bit s.
+    Masks are packed, pairs found, and counts read, in chunks of at most
+    ``_CHUNK_CELLS`` cells.
     """
     if not delta > 0:
         raise InputError(f"covering radius delta must be positive, got {delta!r}")
@@ -263,12 +268,21 @@ def _greedy_counts(space: MetricSpace, sets: int, masks, delta: float) -> np.nda
         # a chunk's masks have one row per set; pack them into one row per point
         opens[:, lo:lo + step] = np.packbits(
             masks(8 * lo, min(8 * (lo + step), sets)).T.copy(), axis=1, bitorder="little")
-    # later delta-neighbours of point p: later[bounds[p]:bounds[p + 1]]
-    at, later = np.nonzero(np.triu(space.dist <= delta + _RADIUS_SLACK * max(1.0, delta), k=1))
-    bounds = np.searchsorted(at, np.arange(n + 1)).tolist()
-    for p in range(n):
-        if bounds[p] < bounds[p + 1]:
-            opens[later[bounds[p]:bounds[p + 1]]] &= ~opens[p]
+    reach = delta + _RADIUS_SLACK * max(1.0, delta)
+    rows = list(opens)  # one view per point, so a row is cleared in place
+    keep = np.empty(opens.shape[1], dtype=np.uint8)
+    last = -1
+    chunk = max(1, _CHUNK_CELLS // n)
+    for lo in range(0, n, chunk):
+        # the delta-neighbour pairs (p, q) of points lo.. with q later than p, sorted by p
+        at, later = np.divmod(np.flatnonzero(space.dist[lo:lo + chunk] <= reach) + lo * n, n)
+        ahead = at < later
+        for p, q in zip(at[ahead].tolist(), later[ahead].tolist()):
+            if p != last:
+                # every earlier point has been scanned, so row p is final
+                np.invert(rows[p], out=keep)
+                last = p
+            rows[q] &= keep
     counts = np.empty(opens.shape[1] * 8, dtype=np.int64)
     for lo in range(0, opens.shape[1], step):
         # a count is at most n, so it is summed exactly in the smallest type holding n

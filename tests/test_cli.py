@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvp import InputError, grid_1d, make_kernel, run_exhaustion, space_from_dict
-from cvp.cli import (_stage_weights, config_from_dict, load_config, main, report_from_run,
-                     run_from_report)
+from cvp.cli import (_stage_weights, build_parser, config_from_dict, load_config, main,
+                     report_from_run, run_from_report)
 from cvp.errors import as_number
 from cvp.reports import canonical_json, sha256_text
 
@@ -287,6 +287,21 @@ def test_sweep_runs_grid(tmp_path, capsys):
 
 def test_usage_error_on_missing_subcommand():
     assert main([]) == 64
+
+
+def test_cached_parser_keeps_usage_errors_and_fresh_defaults(tmp_path):
+    # main builds its parser once per process; each call still parses from defaults
+    out_dir = run_solve(tmp_path)
+    run_path = os.path.join(out_dir, "run.json")
+    assert main(["verify", "--run", run_path, "--checks", "el", "--seed", "5"]) == 0
+    assert set(json.loads(Path(out_dir, "verify.json").read_text())["checks"]) == {"el"}
+    assert main(["verify", "--run", run_path, "--no-such-flag"]) == 64
+    assert main(["verify", "--run", run_path]) == 0
+    assert set(json.loads(Path(out_dir, "verify.json").read_text())["checks"]) == \
+        {"el", "minimality"}
+    args = build_parser().parse_args(["verify", "--run", run_path])
+    assert (args.checks, args.seed, args.tol, args.delta_cover) == (None, 0, None, None)
+    assert build_parser() is build_parser()
 
 
 _ALL_CHECKS = ("el", "minimality", "conditions", "nontriviality", "gamma", "mass_bound")

@@ -1,5 +1,6 @@
 """Kernel construction, range checks and the decay certificate."""
 
+import json
 import math
 
 import numpy as np
@@ -21,11 +22,14 @@ from cvp import (
     poly_profile,
     profile_from_spec,
     scaled_exp_profile,
+    space_from_dict,
     tail_index,
     verify_compact_range,
     verify_entropy_decay,
 )
 from cover_reference import covering_number
+from cvp.lagrangian import _MAX_WITNESSES, _radius_bounds
+from cvp.space import ball_cover_counts
 
 ATOL = 1e-12
 
@@ -110,6 +114,13 @@ def test_compact_range_zero_row_matrix():
     k = make_kernel("matrix", {"matrix": m}, g)
     exh = build_exhaustion(g, 0, (0.5,))
     assert verify_compact_range(k, g, exh)["holds"]
+
+
+@pytest.mark.parametrize("size", [4, 8])
+def test_compact_range_refuses_an_exhaustion_of_another_size(int_grid6, tent_identity, size):
+    exh = build_exhaustion(grid_1d(range(size)), 0, (1, 2))
+    with pytest.raises(InputError, match=r"exhaustion stage must be a boolean mask over 6 points"):
+        verify_compact_range(tent_identity, int_grid6, exh)
 
 
 def test_tail_index_exponential():
@@ -291,3 +302,61 @@ def test_entropy_radius_matches_per_point_reference(ks, kind, reach, seed):
     rep = verify_entropy_decay(L, g, exp_profile(1.0, 1.0, delta=1.0, c=diagonal_infimum(L)))
     b = rep["condition_b"]
     assert (b["delta_closed"], b["delta_sup"]) == _reference_radius_bounds(L, g)
+
+
+def _reference_entropy_decay(L, space, profile):
+    """``verify_entropy_decay`` with f evaluated over every off-diagonal distance."""
+    c = diagonal_infimum(L)
+    cond_a = c > 0.0
+    delta_closed, delta_sup = _radius_bounds(L, space)
+    cond_b = delta_sup >= profile.delta - 1e-12
+    n = len(space)
+    off = ~np.eye(n, dtype=bool)
+    dist = space.dist
+    covers = ball_cover_counts(space, dist + 2.0, profile.delta)
+    distances, which = np.unique(dist[off], return_inverse=True)
+    f_values = np.array([profile.f(float(d)) for d in distances], dtype=float)
+    bound = np.zeros((n, n))
+    bound[off] = f_values[which] / (profile.coeff * covers[off])
+    violated = off & (L.matrix > bound + 1e-12 * np.maximum(1.0, bound))
+    rows, cols = np.nonzero(violated)
+    witnesses = [{"x": space.ids[i], "y": space.ids[j], "value": float(L.matrix[i, j]),
+                  "bound": float(bound[i, j]), "distance": float(dist[i, j])}
+                 for i, j in zip(rows[:_MAX_WITNESSES], cols[:_MAX_WITNESSES])]
+    cond_c = not witnesses
+    return {
+        "holds": bool(cond_a and cond_b and cond_c),
+        "condition_a": {"holds": bool(cond_a), "c": c},
+        "condition_b": {"holds": bool(cond_b), "delta_closed": delta_closed,
+                        "delta_sup": delta_sup, "delta_required": profile.delta},
+        "condition_c": {"holds": bool(cond_c), "checked_pairs": n * (n - 1)},
+        "witnesses": witnesses,
+    }
+
+
+@given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.2, 4.0),
+       tied=st.booleans(), kind=st.sampled_from(["exponential", "matrix"]),
+       f=st.sampled_from(["exp", "poly", "scaled_exp"]), amplitude=st.floats(0.05, 20.0))
+@settings(max_examples=60, deadline=None)
+def test_entropy_decay_matches_the_full_off_diagonal_formula(n, seed, scale, tied, kind, f,
+                                                             amplitude):
+    # distances in [scale, 2 scale] always form a metric; tied ones repeat
+    rng = np.random.default_rng(seed)
+    pairs = n * (n - 1) // 2
+    upper = rng.choice([1.0, 1.25, 1.5, 2.0], pairs) if tied else rng.uniform(1.0, 2.0, pairs)
+    space = space_from_dict({"metric": "explicit",
+                             "points": [{"id": f"e{i}"} for i in range(n)],
+                             "distances": (upper * scale).tolist()})
+    if kind == "matrix":
+        m = rng.uniform(0.0, 1.0, size=(n, n))
+        L = make_kernel("matrix", {"matrix": ((m + m.T) / 2.0 + np.eye(n)).tolist()}, space)
+    else:
+        L = make_kernel("exponential", {"sigma": scale}, space)
+    c = diagonal_infimum(L)
+    params = {"exp": {"amplitude": amplitude, "rate": 1.0},
+              "poly": {"amplitude": amplitude, "power": 2.0},
+              "scaled_exp": {"amplitude": amplitude, "slope": 1.0, "rate": 1.0}}[f]
+    profile = profile_from_spec({"f": f, "params": params, "delta": scale * 0.5}, c)
+    # json writes each float by repr (and an infinite delta_sup as Infinity)
+    assert json.dumps(verify_entropy_decay(L, space, profile), sort_keys=True) == \
+        json.dumps(_reference_entropy_decay(L, space, profile), sort_keys=True)

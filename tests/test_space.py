@@ -514,8 +514,9 @@ def test_cover_kernels_match_covering_number(space, pick, steps, free):
        delta=st.sampled_from([0.5, 1.0, 2.5]))
 @settings(max_examples=3, deadline=None)
 def test_cover_kernels_across_chunks(ks, delta):
-    # 16 * n cells: the masks are built 16 balls a chunk and the counts read 16
-    # sets a chunk, so the distinct balls span at least two chunks of each
+    # 16 * n cells: the masks are built 16 balls a chunk, the delta-neighbour
+    # pairs found 16 points a chunk and the counts read 16 sets a chunk, so
+    # the distinct balls and the 40 or more points span at least two chunks
     space = grid_1d([k * 0.5 for k in ks])
     radii = _ball_radii(space)
     masks = np.array([closed_ball(space, x, float(r))
@@ -555,6 +556,51 @@ def test_greedy_cover_counts_on_arbitrary_sets(space, seed, delta):
                 covered |= space.dist[m, members] <= delta + 1e-12 * max(1.0, delta)
         expected.append(count)
     assert greedy_cover_counts(space, masks, delta).tolist() == expected
+
+
+@st.composite
+def neighbour_spaces(draw):
+    """A space on which delta = 1 gives points zero, one and several later
+    neighbours: a half grid with gaps around the run 0, 0.5, 1 (0 has two later
+    neighbours, 0.5 one, 1 none), or an explicit metric with distances in
+    {1, 1.5, 2}, so tied at delta, where point 0 is 1 from points 1 and 2 and
+    point 1 is 1 from point 2 alone."""
+    if draw(st.booleans()):
+        ks = draw(st.lists(st.integers(5, 40), max_size=10, unique=True))
+        return grid_1d([k * 0.5 for k in [0, 1, 2, *ks]])
+    n = draw(st.integers(4, 10))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = draw(st.lists(st.sampled_from([1.0, 1.5, 2.0]),
+                                             min_size=n * (n - 1) // 2,
+                                             max_size=n * (n - 1) // 2))
+    d[0, 1] = d[0, 2] = d[1, 2] = 1.0
+    d[1, 3:] = 2.0
+    d += d.T
+    return space_from_dict({"metric": "explicit",
+                            "points": [{"id": f"e{i}"} for i in range(n)],
+                            "distances": d[np.triu_indices(n, 1)].tolist()})
+
+
+@given(space=neighbour_spaces(), free=st.floats(0.05, 3.0), beyond=st.sampled_from([1.0, 1.5]))
+@settings(max_examples=40, deadline=None)
+def test_cover_kernels_on_zero_one_and_several_later_neighbours(space, free, beyond):
+    # the scan clears each later neighbour's row in place, with its pairs found
+    # in one chunk or two points a chunk; both kernels are checked against the
+    # per-ball greedy cover
+    later = np.triu(space.dist <= 1.0 + 1e-12, k=1).sum(axis=1)
+    assert 0 in later and 1 in later and later.max() >= 2
+    radii = _ball_radii(space)
+    masks = np.array([closed_ball(space, x, float(r))
+                      for x, row in enumerate(radii) for r in row])
+    for delta in (1.0, free, float(space.dist.max()) * beyond):
+        expected = _reference_covers(space, radii, delta)
+        for cells in (cvp.space._CHUNK_CELLS, 2 * len(space)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cvp.space, "_CHUNK_CELLS", cells)
+                assert (ball_cover_counts(space, radii, delta) == expected).all()
+                assert (greedy_cover_counts(space, masks, delta) == expected.ravel()).all()
+    # at or above the diameter one delta-ball covers every ball
+    assert (expected == 1).all()
 
 
 def test_cover_kernels_reject_bad_input(quarter_grid):
