@@ -7,14 +7,16 @@ Every step stays on the simplex and never raises the action, so the method
 cannot cycle except on exact ties, which the lowest point index breaks; a
 start that runs ``_MAX_ITER`` iterations fails. Consecutive supports differ
 by one point, so from a start's first change of support on, the inverse of
-its bordered matrix is kept and updated in O(m^2) per add or drop; it is
-formed afresh after a near-singular update or a target that has drifted from
-stationarity. On a positive definite block the program is strictly convex
-and one start finds its global minimum; any other block gets several
-starts, which share a cache (``_BlockCache``): the direction of most
-negative curvature of each support they meet, so each support is
-decomposed once per block; the bordered inverse of the full support, formed
-once and downdated by each start's first drop from it; and the ends of
+its bordered matrix is kept in point coordinates (``_PointInverse``), where
+an add and a drop are each one rank-one term, folded into the matrix in
+blocks of ``_FOLD``; it is formed afresh after a near-singular update or a
+target that has drifted from stationarity. On a positive definite block the
+program is strictly convex and one start finds its global minimum; any other
+block gets several starts, which share a cache (``_BlockCache``): the
+direction of most negative curvature of each support they meet, so each
+support is decomposed once per block; the bordered inverse of the full
+support, formed once, a copy of which each start's first drop from it
+updates; and the ends of
 earlier starts, so a start that steps onto the stationary point of a
 support where an earlier start stood returns that start's weights, with the
 actions up to there, a prefix of those it would list alone.
@@ -74,6 +76,10 @@ _PIVOT_REL = 1e-10
 # A target read from the updated bordered inverse must be stationary on its
 # support to this many stopping tolerances; past it, it is solved afresh.
 _DRIFT_ATOL = 1e3
+
+# Rank-one updates of a bordered inverse wait as vectors, and every this many
+# are added into its matrix with one product (``_PointInverse``).
+_FOLD = 16
 
 
 @dataclass
@@ -151,58 +157,103 @@ def _solve_support(Lb: np.ndarray, S: np.ndarray | list[int]):
 
 
 def _bordered_inverse(Lb: np.ndarray, sup: np.ndarray):
-    """(P, rows): the inverse P of the bordered matrix [[0, 1'], [1, L_SS]] of
-    the ascending ``sup``, and the point of each row of P after the first; None
-    when the matrix is singular. Column 0 of P is (-s, w) of ``_solve_support``
-    in row order."""
-    A = np.zeros((len(sup) + 1,) * 2)
+    """The inverse of the bordered matrix [[0, 1'], [1, L_SS]] of the ascending
+    ``sup`` in point coordinates, a (k + 1)-square matrix: row and column 0
+    are the border, 1 + x those of point x, and those of points off ``sup``
+    are 0. None when the matrix is singular. Column 0 is (-s, w) of
+    ``_solve_support`` with w scattered by point."""
+    m = len(sup)
+    A = np.zeros((m + 1, m + 1))
     A[0, 1:] = A[1:, 0] = 1.0
-    A[1:, 1:] = Lb[sup][:, sup]
+    A[1:, 1:] = Lb if m == len(Lb) else Lb[sup][:, sup]
     try:
-        P = np.linalg.inv(A)
+        Q = np.linalg.inv(A)
     except np.linalg.LinAlgError:
         return None
-    return (P, sup) if np.isfinite(P).all() else None
+    if not np.isfinite(Q).all():
+        return None
+    if m == len(Lb):
+        return Q
+    at = np.concatenate(([0], sup + 1))
+    P = np.zeros((len(Lb) + 1,) * 2)
+    P[np.ix_(at, at)] = Q
+    return P
 
 
-def _reborder(inv, Lb: np.ndarray, on: np.ndarray, j: int):
-    """The ``_bordered_inverse`` ``inv`` of the support, updated after point
-    ``j`` joined it, or left it when ``on[j]`` is False, by a Schur update in
-    O(m^2): a joining point gets a new last row, and a leaving one's row is
-    replaced by the last, in place. It is formed afresh on the support of
+class _PointInverse:
+    """A start's bordered inverse in point coordinates (``_bordered_inverse``),
+    kept as ``base`` plus the pending rank-one terms sum_i coef_i v_i v_i'.
+    Both an add and a drop of a point are one such term; a row is read with
+    the pending terms applied, and every ``_FOLD`` of them are added into
+    ``base`` with one product."""
+
+    __slots__ = ("base", "terms", "coef", "count")
+
+    def __init__(self, base: np.ndarray):
+        self.base = base
+        self.terms = np.empty((_FOLD, len(base)))
+        self.coef = np.empty(_FOLD)
+        self.count = 0
+
+    def row(self, r: int) -> np.ndarray:
+        """Row ``r`` of the inverse, a new array."""
+        t = self.count
+        V = self.terms[:t]
+        return self.base[r] + (self.coef[:t] * V[:, r]) @ V
+
+    def _push(self, v: np.ndarray, coef: float) -> None:
+        if self.count == _FOLD:
+            self.base += (self.terms.T * self.coef) @ self.terms
+            self.count = 0
+        self.terms[self.count] = v
+        self.coef[self.count] = coef
+        self.count += 1
+
+    def add(self, Lb: np.ndarray, j: int) -> bool:
+        """Point ``j`` joins the support: with u = P (1, L_j), the term
+        u u' / sigma, where u_j is set to -1 and sigma = L_jj - (1, L_j) u is
+        the Schur complement of j. False, and nothing changed, when |sigma|
+        <= ``_PIVOT_REL`` L_jj."""
+        b = np.empty(len(self.base))
+        b[0] = 1.0
+        b[1:] = Lb[j]
+        t = self.count
+        V = self.terms[:t]
+        u = self.base @ b + (self.coef[:t] * (V @ b)) @ V
+        sigma = float(Lb[j, j] - b @ u)
+        if not abs(sigma) > _PIVOT_REL * Lb[j, j]:
+            return False
+        u[1 + j] = -1.0
+        self._push(u, 1.0 / sigma)
+        return True
+
+    def drop(self, Lb: np.ndarray, j: int) -> bool:
+        """Point ``j`` leaves the support: with its row c, the term -c c' / c_j,
+        after which row and column 1 + j are set to exactly 0. False, and
+        nothing changed, when |c_j| L_jj <= ``_PIVOT_REL`` (c_j is 1 / sigma)."""
+        r = 1 + j
+        c = self.row(r)
+        pivot = float(c[r])
+        if not abs(pivot) * Lb[j, j] > _PIVOT_REL:
+            return False
+        c[r] = 0.0
+        self.base[r] = 0.0
+        self.base[:, r] = 0.0
+        self.terms[:self.count, r] = 0.0
+        self._push(c, -1.0 / pivot)
+        return True
+
+
+def _reborder(inv: _PointInverse | None, Lb: np.ndarray, on: np.ndarray,
+              j: int) -> _PointInverse | None:
+    """``inv`` of the support, updated in place after point ``j`` joined it,
+    or left it when ``on[j]`` is False. It is formed afresh on the support of
     ``on`` when ``inv`` is None or the new matrix is near singular
-    (``_PIVOT_REL``)."""
-    if inv is not None:
-        P, rows = inv
-        n = len(P)
-        if on[j]:
-            b = np.empty(n)
-            b[0] = 1.0
-            b[1:] = Lb[j, rows]
-            u = P @ b
-            sigma = float(Lb[j, j] - b @ u)
-            if abs(sigma) > _PIVOT_REL * Lb[j, j]:
-                Q = np.empty((n + 1, n + 1))
-                np.add(P, u[:, None] * (u / sigma), out=Q[:n, :n])
-                Q[n, :n] = Q[:n, n] = -u / sigma
-                Q[n, n] = 1.0 / sigma
-                grown = np.empty(n, rows.dtype)
-                grown[:-1] = rows
-                grown[-1] = j
-                return Q, grown
-        else:
-            r = 1 + int((rows == j).argmax())
-            last = n - 1
-            pivot = float(P[r, r])  # 1 / sigma
-            if abs(pivot) * Lb[j, j] > _PIVOT_REL:
-                c = P[r].copy()  # the last row and column take the place of r's
-                c[r] = c[last]
-                P[r] = P[last]
-                P[:, r] = P[:, last]
-                rows[r - 1] = rows[-1]
-                c = c[:last]
-                return P[:last, :last] - c[:, None] * (c / pivot), rows[:-1]
-    return _bordered_inverse(Lb, on.nonzero()[0])
+    (``_PIVOT_REL``); None when that matrix is singular."""
+    if inv is not None and (inv.add(Lb, j) if on[j] else inv.drop(Lb, j)):
+        return inv
+    P = _bordered_inverse(Lb, on.nonzero()[0])
+    return None if P is None else _PointInverse(P)
 
 
 def _balanced_form(Lb: np.ndarray, sup: np.ndarray) -> np.ndarray:
@@ -226,7 +277,8 @@ class _BlockCache:
     """What the starts of one block share. ``curvature`` maps a support to its
     ``_negative_curvature``; ``ends`` maps a support on which a start stood at
     the stationary point of a solved target to the weights that start
-    returned; ``full_inverse`` gives the full support's bordered inverse."""
+    returned; ``full_inverse`` gives each start its own ``_PointInverse`` on a
+    copy of the full support's bordered inverse, one matrix formed once."""
 
     def __init__(self):
         self.curvature: dict[bytes, np.ndarray | None] = {}
@@ -234,17 +286,14 @@ class _BlockCache:
         self._full = None
         self._formed = False
 
-    def full_inverse(self, Lb: np.ndarray):
-        """A copy of the ``_bordered_inverse`` of every point of the block,
-        formed at the first ask; a drop moves the rows of the copy in place.
-        None when the matrix is singular."""
+    def full_inverse(self, Lb: np.ndarray) -> _PointInverse | None:
+        """A ``_PointInverse`` on a copy of the ``_bordered_inverse`` of every
+        point of the block, which is formed at the first ask; None when the
+        matrix is singular."""
         if not self._formed:
             self._full = _bordered_inverse(Lb, np.arange(len(Lb)))
             self._formed = True
-        if self._full is None:
-            return None
-        P, rows = self._full
-        return P.copy(), rows.copy()
+        return None if self._full is None else _PointInverse(self._full.copy())
 
 
 def _negative_curvature(Lb: np.ndarray, sup: np.ndarray, atol: float,
@@ -283,15 +332,17 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
     first step of a start whose support has it, downhill.
 
     A start's first target is solved directly. Its first change of S forms
-    the bordered inverse, which each later add or drop updates (``_reborder``)
-    and whose column 0 gives the target; unless the block is ``convex``, a
-    drop from the full support downdates a copy of the cache's full inverse
-    instead. A target off
-    stationarity on S by more than ``_DRIFT_ATOL`` stopping tolerances (seen
-    in L d) is solved directly, and the next change of S forms the inverse
-    afresh. The final weights are solved directly on the final support, by
-    reusing the last direct solve when it was on that support (as when a
-    convex start never leaves its first support).
+    the bordered inverse in point coordinates (``_PointInverse``), which each
+    later add or drop updates by one rank-one term (``_reborder``) and whose
+    column 0 gives the target; unless the block is ``convex``, a drop from
+    the full support updates a copy of the cache's full inverse instead. A
+    target off stationarity on S by more than ``_DRIFT_ATOL`` stopping
+    tolerances (seen in L d) is solved directly, and the next change of S
+    forms the inverse afresh. The final weights are solved directly on the
+    final support, by reusing the last direct solve when it was on that
+    support (as when a convex start never leaves its first support). The
+    averaged kernel g = L w is formed once and carried along each step a d
+    as g + a L d, with the L d that the step needs anyway.
 
     The starts of one block share ``cache`` (None gives a fresh one). Each
     reads the same curvature directions it would compute alone. A full or
@@ -312,22 +363,21 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
     on = w > 0
     values = []
     at_target = False
-    inv = None  # the bordered inverse (P, rows), from the first change of support
-    target = np.empty(k)  # column 0 of P scattered by rows, to be read by sup
+    inv = None  # the _PointInverse of S, from the first change of support
     step = np.zeros(k)  # d scattered by sup, zeroed after use
+    g = Lb @ w  # carried along each step as g += a L d
     if cache is None:
         cache = _BlockCache()
     reached = []  # the supports S where w stood at a solved target
     direct = None  # (S as bytes, its _solve_support) of the last direct solve
     for _ in range(_MAX_ITER):
         sup = on.nonzero()[0]
-        g = Lb @ w
         s = float(w @ g)
         values.append(s)
         gs = g[sup]
         t = d = None
         saddle = False
-        if at_target or float(np.abs(gs - s).max()) <= atol:
+        if at_target or (gs.max() - s <= atol and s - gs.min() <= atol):
             i = int(np.where(on, np.inf, g).argmin())
             if not on[i] and g[i] < s - atol:
                 on[i] = True
@@ -348,10 +398,9 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
             if inv is None:
                 sol = _solve_support(Lb, sup)
                 direct = sup.tobytes(), sol
-            else:  # rows are the support in the order the points joined
-                P, rows = inv
-                target[rows] = P[1:, 0]
-                sol = target[sup], -float(P[0, 0])
+            else:  # column 0 of the inverse is (-s, w) in point coordinates
+                col = inv.row(0)
+                sol = col[1:][sup], -float(col[0])
             if sol is None:  # a singular system: a direction of zero curvature
                 vals, dirs = _curvature(Lb, sup)
                 d = dirs[:, int(np.argmin(np.abs(vals)))]
@@ -378,16 +427,15 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
         # the minimum along d: the target (a = 1) when curv > 0; none along a
         # curvature direction, where the action is linear or curves down
         reach = -slope / curv if t is not None and curv > 0 else np.inf
-        shrink = d < 0
-        if shrink.any():  # else a balanced d that is 0: w is the target
-            ratios = np.divide(ws, -d, out=np.full(len(sup), np.inf), where=shrink)
+        shrink = (d < 0).nonzero()[0]
+        if len(shrink):  # else a balanced d that is 0: w is the target
+            ratios = ws[shrink] / -d[shrink]
             i = int(ratios.argmin())  # the lowest point index on ties
             ratio = float(ratios[i])
-            if reach <= ratio:
-                w[sup] = np.maximum(ws + reach * d, 0.0)
-            else:
-                w[sup] = np.maximum(ws + ratio * d, 0.0)
-                j = int(sup[i])
+            a, j = (reach, None) if reach <= ratio else (ratio, int(sup[shrink[i]]))
+            w[sup] = np.maximum(ws + a * d, 0.0)
+            g += (-a if flip else a) * Ld  # Ld is L of the unflipped d
+            if j is not None:
                 w[j] = 0.0
                 on[j] = False
                 if inv is None and len(sup) == k and not convex:

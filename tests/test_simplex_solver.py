@@ -24,6 +24,7 @@ from cvp.simplex_solver import (
     _CERT_REL,
     CompactSolution,
     _BlockCache,
+    _PointInverse,
     _active_set,
     _bordered_inverse,
     _dnn_bound,
@@ -580,20 +581,25 @@ def random_blocks(draw, kinds, kmax=40):
 @settings(max_examples=150, deadline=None)
 def test_bordered_inverse_follows_adds_and_drops(case):
     # each update agrees with a fresh solve to rounding amplified by the worst
-    # conditioning met since the inverse was last formed, or it is formed afresh
+    # conditioning met since the inverse was last formed, or it is formed
+    # afresh; the rows and columns of points off the support stay exactly 0.
+    # 2 x _FOLD + 8 updates fold the pending terms into the matrix, unless it
+    # keeps being formed afresh, as a duplicated point can make it
     M, rng = case
-    on = rng.random(len(M)) < 0.5
-    on[rng.integers(len(M))] = True
-    inv = _bordered_inverse(M, np.flatnonzero(on))
+    k = len(M)
+    on = rng.random(k) < 0.5
+    on[rng.integers(k)] = True
+    P = _bordered_inverse(M, np.flatnonzero(on))
+    inv = None if P is None else _PointInverse(P)
     cond = np.linalg.cond(_bordered(M, np.flatnonzero(on)))
     formed = []
     form = simplex_solver._bordered_inverse
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex_solver, "_bordered_inverse",
                    lambda Lb, sup: formed.append(1) or form(Lb, sup))
-        for _ in range(30):
+        for _ in range(2 * simplex_solver._FOLD + 8):
             sup = np.flatnonzero(on)
-            if len(sup) > 1 and (len(sup) == len(M) or rng.random() < 0.5):
+            if len(sup) > 1 and (len(sup) == k or rng.random() < 0.5):
                 j = int(rng.choice(sup))
             else:
                 j = int(rng.choice(np.flatnonzero(~on)))
@@ -605,13 +611,13 @@ def test_bordered_inverse_follows_adds_and_drops(case):
             cond = c if len(formed) > n else max(cond, c)
             if inv is None:
                 continue
-            P, rows = inv
-            assert sorted(rows.tolist()) == sup.tolist()
+            P = np.array([inv.row(r) for r in range(k + 1)])
+            off = 1 + np.flatnonzero(~on)
+            assert not P[off].any() and not P[:, off].any()
             ref = _solve_support(M, sup)
             if len(formed) > n or ref is None:
                 continue
-            err = max(float(np.abs(P[1:, 0][np.argsort(rows)] - ref[0]).max()),
-                      abs(-P[0, 0] - ref[1]))
+            err = max(float(np.abs(P[0, 1:][sup] - ref[0]).max()), abs(-P[0, 0] - ref[1]))
             assert err <= 1e-13 * cond ** 2 * max(1.0, float(np.abs(ref[0]).max()), abs(ref[1]))
 
 
@@ -631,6 +637,18 @@ def test_active_set_ends_where_solving_every_step_ends(case):
             mp.setattr(simplex_solver, "_bordered_inverse", lambda Lb, sup: None)
             ref, _ = _active_set(M, w0, 1e-12 * scale)
         assert w is not None and np.array_equal(w, ref)
+
+
+@pytest.mark.parametrize("n, seed", [(25, 0), (33, 0), (49, 49), (121, 0)])
+def test_quarter_blocks_end_where_solving_every_step_ends(n, seed):
+    # the benchmark's quarter-grid blocks, the 49-point one at its solver
+    # seed: the updated inverse gives the solution of fresh solves, bit for bit
+    p = problem(_kernel_block(*_QUARTER, [i * 0.25 for i in range(n)]).matrix, seed=seed)
+    sol = minimize_on_compact(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex_solver, "_bordered_inverse", lambda Lb, sup: None)
+        ref = minimize_on_compact(p)
+    assert sol.weights.tobytes() == ref.weights.tobytes() and sol.kkt == ref.kkt
 
 
 # exact duplicates are left out for the reason above
