@@ -9,7 +9,7 @@ from .errors import (ConstructionError, CVPError, DegenerateExhaustionError,
 from .space import (Exhaustion, MetricSpace, build_exhaustion, closed_ball,
                     grid_1d, space_from_dict)
 from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum,
-                         effective_range, exp_profile, global_sup,
+                         exp_profile, global_sup,
                          kernel_from_spec, make_kernel, poly_profile,
                          profile_from_spec, scaled_exp_profile, tail_index,
                          verify_compact_range, verify_entropy_decay)

@@ -138,18 +138,13 @@ def global_sup(L: Lagrangian) -> float:
     return float(L.matrix.max())
 
 
-def effective_range(L: Lagrangian, space: MetricSpace, K) -> np.ndarray:
-    """Smallest K' with L(x, y) = 0 for every x in K and y outside K' (masks)."""
-    _check_space(L, space)
-    return _effective_range(L.matrix > 0.0, K, "effective_range set")
-
-
 def _effective_range(positive: np.ndarray, K, what: str) -> np.ndarray:
-    """K' of the point set K, the union of the rows of ``positive`` (the mask
+    """K' of the point set K, the smallest set with L(x, y) = 0 for every x in
+    K and y outside it: the union of the rows of ``positive`` (the mask
     L > 0) at K. InputError if K is not a nonempty mask over those points."""
     K = as_mask(K, len(positive), what)
     if not K.any():
-        raise InputError("effective_range needs a nonempty point set")
+        raise InputError(f"the effective range of an empty {what} is undefined")
     return positive[K].any(axis=0)
 
 
@@ -160,7 +155,7 @@ def verify_compact_range(L: Lagrangian, space: MetricSpace, exhaustion) -> dict:
     r0-thickening of K. Without one (exponential, bare matrices) the check
     demands the range add nothing beyond K itself. The masks ``L > 0`` and,
     with a declared range, of every point's closed r0-ball are built once,
-    and each stage reads its K' (as ``effective_range`` does) and its
+    and each stage reads its K' (``_effective_range``) and its
     thickening as the union of the stage's rows.
     """
     _check_space(L, space)

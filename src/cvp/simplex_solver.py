@@ -5,26 +5,27 @@ active-set method with a ratio test (Nocedal & Wright, *Numerical
 Optimization*, Alg. 16.3; Bomze 1998 for the standard quadratic program).
 Every step stays on the simplex and never raises the action, so the method
 cannot cycle except on exact ties, which the lowest point index breaks; a
-start that runs ``_MAX_ITER`` iterations fails. Consecutive supports differ
-by one point, so from a start's first change of support on, the inverse of
-its bordered matrix is kept in point coordinates (``_PointInverse``), where
-an add and a drop are each one rank-one term, folded into the matrix in
-blocks of ``_FOLD``; it is formed afresh after a near-singular update or a
-target that has drifted from stationarity. On a positive definite block the
-program is strictly convex and one start finds its global minimum; any other
-block gets several starts, which share a cache (``_BlockCache``): the
-direction of most negative curvature of each support they meet, so each
-support is decomposed once per block; the bordered inverse of the full
-support, formed once, a copy of which each start's first drop from it
-updates; and the ends of
-earlier starts, so a start that steps onto the stationary point of a
-support where an earlier start stood returns that start's weights, with the
-actions up to there, a prefix of those it would list alone.
-Such a block of at most ``ORACLE_CAP`` points is certified by ``_dnn_bound``,
-a lower bound from the doubly nonnegative dual, when the bound meets the
-solver's value, and otherwise by ``brute_force_minimizer``, which enumerates
-every support subset and backs ``cvp oracle``. The solver never adopts the
-oracle's weights, only compares values to set the certification flag.
+start that runs ``_MAX_ITER`` iterations fails. On a positive definite block
+the program is strictly convex and one start finds its global minimum; any
+other block gets several starts. The starts of a block run in lockstep
+(``_lockstep``): their weights, supports and averaged kernels are rows of
+one array each, and a pass moves every start one step with row-wise array
+operations, so the starts share their numpy calls. Consecutive supports
+differ by one point, so from a start's first change of support on, the
+inverse of its bordered matrix is kept in point coordinates, one matrix of
+a stack (``_Inverses``), where an add and a drop are each one rank-one term,
+folded into the matrix in blocks of ``_FOLD``; it is formed afresh after a
+near-singular update or a target that has drifted from stationarity. The
+starts of a block decompose each support they meet once, solve each support
+directly once, and form the full support's bordered inverse once, a copy of
+which each start's first drop from it updates. Every product and reduction
+is taken row by row, so each start ends as it would alone, to the last bit.
+A block that is not positive definite and has at most ``ORACLE_CAP`` points
+is certified by ``_dnn_bound``, a lower bound from the doubly nonnegative
+dual, when the bound meets the solver's value, and otherwise by
+``brute_force_minimizer``, which enumerates every support subset and backs
+``cvp oracle``. The solver never adopts the oracle's weights, only compares
+values to set the certification flag.
 
 Stationarity convention: with value s = w'Lw, the averaged kernel Lw equals s
 on the support and is >= s off the support.
@@ -33,6 +34,7 @@ on the support and is >= s off the support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -78,7 +80,7 @@ _PIVOT_REL = 1e-10
 _DRIFT_ATOL = 1e3
 
 # Rank-one updates of a bordered inverse wait as vectors, and every this many
-# are added into its matrix with one product (``_PointInverse``).
+# are added into its matrix with one product (``_Inverses``).
 _FOLD = 16
 
 
@@ -158,10 +160,9 @@ def _solve_support(Lb: np.ndarray, S: np.ndarray | list[int]):
 
 def _bordered_inverse(Lb: np.ndarray, sup: np.ndarray):
     """The inverse of the bordered matrix [[0, 1'], [1, L_SS]] of the ascending
-    ``sup`` in point coordinates, a (k + 1)-square matrix: row and column 0
-    are the border, 1 + x those of point x, and those of points off ``sup``
-    are 0. None when the matrix is singular. Column 0 is (-s, w) of
-    ``_solve_support`` with w scattered by point."""
+    ``sup``, in its own coordinates: row and column 0 are the border, 1 + i
+    those of sup[i]. None when the matrix is singular. Column 0 is (-s, w) of
+    ``_solve_support``."""
     m = len(sup)
     A = np.zeros((m + 1, m + 1))
     A[0, 1:] = A[1:, 0] = 1.0
@@ -170,90 +171,145 @@ def _bordered_inverse(Lb: np.ndarray, sup: np.ndarray):
         Q = np.linalg.inv(A)
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(Q).all():
-        return None
-    if m == len(Lb):
-        return Q
-    at = np.concatenate(([0], sup + 1))
-    P = np.zeros((len(Lb) + 1,) * 2)
-    P[np.ix_(at, at)] = Q
-    return P
+    return Q if np.isfinite(Q).all() else None
 
 
-class _PointInverse:
-    """A start's bordered inverse in point coordinates (``_bordered_inverse``),
-    kept as ``base`` plus the pending rank-one terms sum_i coef_i v_i v_i'.
-    Both an add and a drop of a point are one such term; a row is read with
-    the pending terms applied, and every ``_FOLD`` of them are added into
-    ``base`` with one product."""
+def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row by row a @ b, each by the BLAS dot that one row alone takes."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
-    __slots__ = ("base", "terms", "coef", "count")
 
-    def __init__(self, base: np.ndarray):
-        self.base = base
-        self.terms = np.empty((_FOLD, len(base)))
-        self.coef = np.empty(_FOLD)
-        self.count = 0
+# Row-wise reductions, without ndarray's Python-level wrappers.
+_rowmax = partial(np.maximum.reduce, axis=1)
+_rowsum = partial(np.add.reduce, axis=1)
 
-    def row(self, r: int) -> np.ndarray:
-        """Row ``r`` of the inverse, a new array."""
-        t = self.count
-        V = self.terms[:t]
-        return self.base[r] + (self.coef[:t] * V[:, r]) @ V
 
-    def _push(self, v: np.ndarray, coef: float) -> None:
-        if self.count == _FOLD:
-            self.base += (self.terms.T * self.coef) @ self.terms
-            self.count = 0
-        self.terms[self.count] = v
-        self.coef[self.count] = coef
-        self.count += 1
+def _rowprod(Lb: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row by row Lb @ x, each by the BLAS gemv that one row alone takes."""
+    return np.matmul(Lb, X[:, :, None])[:, :, 0]
 
-    def add(self, Lb: np.ndarray, j: int) -> bool:
-        """Point ``j`` joins the support: with u = P (1, L_j), the term
-        u u' / sigma, where u_j is set to -1 and sigma = L_jj - (1, L_j) u is
-        the Schur complement of j. False, and nothing changed, when |sigma|
-        <= ``_PIVOT_REL`` L_jj."""
-        b = np.empty(len(self.base))
-        b[0] = 1.0
-        b[1:] = Lb[j]
-        t = self.count
-        V = self.terms[:t]
-        u = self.base @ b + (self.coef[:t] * (V @ b)) @ V
-        sigma = float(Lb[j, j] - b @ u)
-        if not abs(sigma) > _PIVOT_REL * Lb[j, j]:
-            return False
-        u[1 + j] = -1.0
-        self._push(u, 1.0 / sigma)
-        return True
 
-    def drop(self, Lb: np.ndarray, j: int) -> bool:
-        """Point ``j`` leaves the support: with its row c, the term -c c' / c_j,
-        after which row and column 1 + j are set to exactly 0. False, and
-        nothing changed, when |c_j| L_jj <= ``_PIVOT_REL`` (c_j is 1 / sigma)."""
+class _Inverses:
+    """The bordered inverses of a batch's lanes in point coordinates: row and
+    column 0 are the border, 1 + x those of point x, 0 off the lane's support.
+    Lane l's, when ``has[l]``, is ``base[slot[l]]`` plus the pending rank-one
+    terms sum_t coef[l, t] v v', v = terms[l, t], one an add or a drop. Reads
+    apply all ``_FOLD`` slots, those unused being 0, as the lane alone would;
+    a lane with full slots adds them into its matrix before its next term.
+    The stack of matrices is allocated at the first inverse formed."""
+
+    def __init__(self, Lb: np.ndarray, n: int):
+        self.Lb = Lb
+        self.has = np.zeros(n, dtype=bool)
+        self.slot = np.arange(n)  # each lane's matrix in base
+        self.base = self.terms = self.coef = self.count = None
+
+    def keep(self, live: np.ndarray) -> None:
+        """Drop the lanes that are not ``live``."""
+        self.has, self.slot = self.has[live], self.slot[live]
+        if self.base is not None:
+            self.terms, self.coef, self.count = self.terms[live], self.coef[live], self.count[live]
+
+    def form(self, l: int, sup: np.ndarray, Q: np.ndarray | None = None) -> None:
+        """Lane ``l``'s inverse is ``Q``, else formed afresh, on its support
+        ``sup`` (``_bordered_inverse``); it has none when that is singular."""
+        if Q is None:
+            Q = _bordered_inverse(self.Lb, sup)
+        self.has[l] = Q is not None
+        if Q is None:
+            return
+        k1 = len(self.Lb) + 1
+        if self.base is None:
+            n = len(self.slot)
+            self.slot = np.arange(n)
+            self.base = np.zeros((n, k1, k1))
+            self.terms = np.zeros((n, _FOLD, k1))
+            self.coef = np.zeros((n, _FOLD))
+            self.count = np.zeros(n, dtype=np.intp)
+        P = self.base[self.slot[l]]
+        if len(Q) == k1:
+            P[:] = Q
+        else:
+            P[:] = 0.0
+            at = np.concatenate(([0], sup + 1))
+            P[np.ix_(at, at)] = Q
+        self.terms[l] = 0.0
+        self.coef[l] = 0.0
+        self.count[l] = 0
+
+    def column0(self) -> np.ndarray:
+        """Column 0 of each lane's inverse, (-s, w) of its target."""
+        V = self.terms
+        c = self.coef * V[:, :, 0]
+        return self.base[self.slot, 0] + np.matmul(c[:, None, :], V)[:, 0]
+
+    def update(self, on: np.ndarray, lanes: np.ndarray, j: np.ndarray, joined: bool) -> None:
+        """Each lane of ``lanes`` after point ``j[i]`` ``joined`` its support
+        (the nonzeros of its row of ``on``), or left it: its inverse takes one
+        term (``_add``, ``_drop``), or is formed afresh on its new support
+        when it has none or the new matrix is near singular (``_PIVOT_REL``)."""
+        has = self.has[lanes]
+        if np.count_nonzero(has) < len(lanes):
+            for l in lanes[~has]:
+                self.form(l, on[l].nonzero()[0])
+            lanes, j = lanes[has], j[has]
+        if len(lanes):
+            v, pivot, ok = (self._add if joined else self._drop)(lanes, j)
+            if np.count_nonzero(ok) < len(lanes):
+                for l in lanes[~ok]:
+                    self.form(l, on[l].nonzero()[0])
+                lanes, v, pivot = lanes[ok], v[ok], pivot[ok]
+            self._push(lanes, v, (1.0 if joined else -1.0) / pivot)
+
+    def _push(self, lanes: np.ndarray, v: np.ndarray, coef: np.ndarray) -> None:
+        t = self.count[lanes]
+        full = t == _FOLD
+        if np.count_nonzero(full):
+            for l in lanes[full]:
+                V = self.terms[l]
+                self.base[self.slot[l]] += (V.T * self.coef[l]) @ V
+                V[:] = 0.0
+                self.coef[l] = 0.0
+            t[full] = 0
+        self.terms[lanes, t] = v
+        self.coef[lanes, t] = coef
+        self.count[lanes] = t + 1
+
+    def _add(self, lanes: np.ndarray, j: np.ndarray):
+        """Point j joins: with u = P (1, L_j), the term u u' / sigma, where u_j
+        is set to -1 and sigma = L_jj - (1, L_j) u is the Schur complement of
+        j. Returns u, sigma and whether |sigma| > ``_PIVOT_REL`` L_jj."""
+        Lb = self.Lb
+        m = len(lanes)
+        b = np.empty((m, Lb.shape[0] + 1))
+        b[:, 0] = 1.0
+        b[:, 1:] = Lb[j]
+        V = self.terms[lanes]
+        h = self.coef[lanes] * np.matmul(V, b[:, :, None])[:, :, 0]
+        u = np.empty_like(b)
+        for i, l in enumerate(self.slot[lanes].tolist()):
+            np.matmul(self.base[l], b[i], out=u[i])
+        u += np.matmul(h[:, None, :], V)[:, 0]
+        Ljj = Lb[j, j]
+        sigma = Ljj - _rowdot(b, u)
+        u[np.arange(m), 1 + j] = -1.0
+        return u, sigma, np.abs(sigma) > _PIVOT_REL * Ljj
+
+    def _drop(self, lanes: np.ndarray, j: np.ndarray):
+        """Point j leaves: with its row c, the term -c c' / c_j, after which
+        row and column 1 + j are set to exactly 0. Returns c, c_j and whether
+        |c_j| L_jj > ``_PIVOT_REL`` (c_j is 1 / sigma)."""
+        at = np.arange(len(lanes))
         r = 1 + j
-        c = self.row(r)
-        pivot = float(c[r])
-        if not abs(pivot) * Lb[j, j] > _PIVOT_REL:
-            return False
-        c[r] = 0.0
-        self.base[r] = 0.0
-        self.base[:, r] = 0.0
-        self.terms[:self.count, r] = 0.0
-        self._push(c, -1.0 / pivot)
-        return True
-
-
-def _reborder(inv: _PointInverse | None, Lb: np.ndarray, on: np.ndarray,
-              j: int) -> _PointInverse | None:
-    """``inv`` of the support, updated in place after point ``j`` joined it,
-    or left it when ``on[j]`` is False. It is formed afresh on the support of
-    ``on`` when ``inv`` is None or the new matrix is near singular
-    (``_PIVOT_REL``); None when that matrix is singular."""
-    if inv is not None and (inv.add(Lb, j) if on[j] else inv.drop(Lb, j)):
-        return inv
-    P = _bordered_inverse(Lb, on.nonzero()[0])
-    return None if P is None else _PointInverse(P)
+        V = self.terms[lanes]
+        s = self.slot[lanes]
+        c = self.base[s, r] + np.matmul((self.coef[lanes] * V[at, :, r])[:, None, :], V)[:, 0]
+        pivot = c[at, r]
+        c[at, r] = 0.0
+        self.base[s, r] = 0.0
+        self.base[s, :, r] = 0.0
+        self.terms[lanes, :, r] = 0.0
+        return c, pivot, np.abs(pivot) * self.Lb[j, j] > _PIVOT_REL
 
 
 def _balanced_form(Lb: np.ndarray, sup: np.ndarray) -> np.ndarray:
@@ -273,35 +329,12 @@ def _curvature(Lb: np.ndarray, sup: np.ndarray):
     return vals, np.vstack([vecs, -vecs.sum(axis=0)])
 
 
-class _BlockCache:
-    """What the starts of one block share. ``curvature`` maps a support to its
-    ``_negative_curvature``; ``ends`` maps a support on which a start stood at
-    the stationary point of a solved target to the weights that start
-    returned; ``full_inverse`` gives each start its own ``_PointInverse`` on a
-    copy of the full support's bordered inverse, one matrix formed once."""
-
-    def __init__(self):
-        self.curvature: dict[bytes, np.ndarray | None] = {}
-        self.ends: dict[bytes, np.ndarray] = {}
-        self._full = None
-        self._formed = False
-
-    def full_inverse(self, Lb: np.ndarray) -> _PointInverse | None:
-        """A ``_PointInverse`` on a copy of the ``_bordered_inverse`` of every
-        point of the block, which is formed at the first ask; None when the
-        matrix is singular."""
-        if not self._formed:
-            self._full = _bordered_inverse(Lb, np.arange(len(Lb)))
-            self._formed = True
-        return None if self._full is None else _PointInverse(self._full.copy())
-
-
 def _negative_curvature(Lb: np.ndarray, sup: np.ndarray, atol: float,
                         curvature: dict) -> np.ndarray | None:
     """The balanced direction on ``sup`` of most negative curvature, or None
     when there is none beyond ``atol``. ``curvature`` keeps the answer by
-    support, so the starts of a block decompose each support once; the
-    direction is handed out as a copy, which the caller may shift."""
+    support, so the lanes of a batch decompose each support once; they share
+    the direction and copy it before changing it."""
     key = sup.tobytes()
     if key not in curvature:
         d = None
@@ -310,166 +343,213 @@ def _negative_curvature(Lb: np.ndarray, sup: np.ndarray, atol: float,
             if vals[0] < -atol:
                 d = dirs[:, 0].copy()  # not a view that keeps every eigenvector
         curvature[key] = d
-    d = curvature[key]
-    return None if d is None else d.copy()
+    return curvature[key]
 
 
-def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = False,
-                cache: _BlockCache | None = None):
-    """Primal active-set descent with a ratio test from the feasible ``w0``.
+# A lane's entries of ``masks`` in ``_lockstep`` for a point on and off its support.
+_ON = np.array([1.0, np.inf])[:, None]
+_OFF = np.array([0.0, 0.0])[:, None]
 
-    The support S starts as that of ``w0``. At a point that is not stationary
-    on S, the step goes toward the target, the stationary point of the
-    action on S (the bordered system [[0, 1'], [1, L_SS]]): fully when the
-    action is convex along the way and no weight hits zero first, else to
-    the boundary in the descending sign, dropping the point the ratio test
-    hits (lowest index on ties). At a stationary point it adds the single
-    most violated off-support point (lowest index on ties), or stops when
-    none is violated by more than ``atol``. Unless the block is ``convex``
-    (positive definite), a stationary point where the action curves downward
-    on S is a saddle: the step then follows that curvature to the boundary,
-    the longer way of the two (the slope there is rounding), as does the
-    first step of a start whose support has it, downhill.
 
-    A start's first target is solved directly. Its first change of S forms
-    the bordered inverse in point coordinates (``_PointInverse``), which each
-    later add or drop updates by one rank-one term (``_reborder``) and whose
-    column 0 gives the target; unless the block is ``convex``, a drop from
-    the full support updates a copy of the cache's full inverse instead. A
-    target off stationarity on S by more than ``_DRIFT_ATOL`` stopping
-    tolerances (seen in L d) is solved directly, and the next change of S
-    forms the inverse afresh. The final weights are solved directly on the
-    final support, by reusing the last direct solve when it was on that
-    support (as when a convex start never leaves its first support). The
-    averaged kernel g = L w is formed once and carried along each step a d
-    as g + a L d, with the L d that the step needs anyway.
+def _lockstep(Lb: np.ndarray, starts, atol: float, convex: bool = False):
+    """Primal active-set descent with a ratio test from each feasible start,
+    all starts ("lanes") in lockstep: a pass moves every lane one step.
 
-    The starts of one block share ``cache`` (None gives a fresh one). Each
-    reads the same curvature directions it would compute alone. A full or
-    zero step to a target leaves w at the one stationary point of S's affine
-    hull, so in exact arithmetic the rest of the start depends on S alone: a
-    start that returns maps each such S it met to its final weights, and a
-    later start that stands at the target of a mapped S returns a copy of
-    that start's weights.
+    Off stationarity on its support S a lane steps toward the target, the
+    stationary point on S (the bordered system [[0, 1'], [1, L_SS]]): fully
+    when the action is convex along the way and no weight hits zero first,
+    else to the boundary in the descending sign, dropping the point the ratio
+    test hits. At a stationary point it adds the most violated point and
+    steps in the same pass, or stops when none is violated by more than
+    ``atol``; ties go to the lowest index. Unless the block is ``convex``, a
+    saddle, where the action curves downward on S, is left along that
+    curvature the longer way to the boundary, and so is a first support with
+    it, downhill. An add and a step each count as one of ``_MAX_ITER``
+    iterations. g = L w is carried along each step d as g + a L d. A lane's
+    first target is solved directly, later ones read from its bordered
+    inverse (``_Inverses``), formed at its first change of S (from the full
+    support, a copy of its inverse, formed once) and again after a target
+    drifts off stationarity by ``_DRIFT_ATOL`` tolerances, which is solved
+    directly. Each support is solved and decomposed once. Every product and
+    reduction is taken row by row, so each lane ends as it would alone, to
+    the last bit.
 
-    Returns the weights, or None when ``_MAX_ITER`` iterations pass, and the
-    action at every iterate, which never rises (an iterate whose target is
-    solved again after drifting is listed twice). A start that takes an
-    earlier start's end returns the actions up to there, a prefix of those it
-    would list alone.
+    Returns each start's weights, None when it ran out of iterations; its
+    iterations, a stop at a KKT point counting one; and a (starts, actions)
+    pair a pass, the actions never rising along a start.
     """
-    k = Lb.shape[0]
-    w = np.array(w0, dtype=float)
-    on = w > 0
-    values = []
-    at_target = False
-    inv = None  # the _PointInverse of S, from the first change of support
-    step = np.zeros(k)  # d scattered by sup, zeroed after use
-    g = Lb @ w  # carried along each step as g += a L d
-    if cache is None:
-        cache = _BlockCache()
-    reached = []  # the supports S where w stood at a solved target
-    direct = None  # (S as bytes, its _solve_support) of the last direct solve
-    for _ in range(_MAX_ITER):
-        sup = on.nonzero()[0]
-        s = float(w @ g)
-        values.append(s)
-        gs = g[sup]
-        t = d = None
-        saddle = False
-        if at_target or (gs.max() - s <= atol and s - gs.min() <= atol):
-            i = int(np.where(on, np.inf, g).argmin())
-            if not on[i] and g[i] < s - atol:
-                on[i] = True
-                inv = _reborder(inv, Lb, on, i)
-                at_target = False
-                continue
-            # a KKT point: stop there unless it is a saddle on its support
-            d = None if convex else _negative_curvature(Lb, sup, atol, cache.curvature)
-            if d is None:
-                w = _final_weights(Lb, w, direct)
+    W = np.array(starts, dtype=float)
+    n, k = W.shape
+    # each lane's support as 1 on it and 0 off it, and as inf on it and 0 off it
+    masks = np.where(W > 0, _ON[:, :, None], _OFF[:, :, None])
+    G = _rowprod(Lb, W)
+    at_target = np.zeros(n, dtype=bool)
+    used = np.zeros(n, dtype=np.intp)  # each lane's iterations
+    lanes = row = np.arange(n)  # each row's start, and each row
+    ends: list[np.ndarray | None] = [None] * n
+    iterations = [0] * n
+    actions = []
+    inv = _Inverses(Lb, n)
+    solved: dict[bytes, tuple | None] = {}  # _solve_support by support
+    curvature: dict[bytes, np.ndarray | None] = {}  # _negative_curvature by support
+    full = []  # the full support's bordered inverse, once formed
+    while True:
+        onf, npen = masks
+        s = _rowdot(W, G)
+        actions.append((lanes, s))
+        # max |g - s| on S: the larger of max g - s and s - min g, rounded alike
+        stationary = at_target | (_rowmax(np.abs(G - s[:, None]) * onf) <= atol)
+        near = 2 * len(actions) >= _MAX_ITER  # a lane may run out of iterations
+        at = (stationary & (used < _MAX_ITER) if near else stationary).nonzero()[0]
+        dirs = {}  # the rows that step along a curvature direction, and it
+        stop = []  # the rows that leave: at a KKT point or out of iterations
+        if len(at):
+            cand = G[at] + npen[at]
+            i = cand.argmin(axis=1)
+            add = cand[np.arange(len(at)), i] < s[at] - atol
+            a_l = at[add]
+            if len(a_l):
+                j = i[add]
+                masks[:, a_l, j] = _ON
+                used[a_l] += 1
+                at_target[a_l] = False
+                inv.update(onf, a_l, j, True)
+            for l in at[~add].tolist():
+                # a KKT point: stop there unless it is a saddle on its support
+                d = None if convex else _negative_curvature(Lb, onf[l].nonzero()[0], atol,
+                                                             curvature)
+                if d is None:
+                    stop.append(l)
+                    ends[lanes[l]] = _final_weights(Lb, W[l], solved)
+                else:
+                    dirs[l] = d
+        if near:
+            stop += (used == _MAX_ITER).nonzero()[0].tolist()
+        if stop:
+            for l in stop:
+                iterations[lanes[l]] = int(used[l]) + (ends[lanes[l]] is not None)
+            if len(stop) == n:
                 break
-            saddle = True
-        elif len(values) == 1 and not convex:
+            live = np.ones(n, dtype=bool)
+            live[stop] = False
+            at = np.cumsum(live) - 1
+            dirs = {int(at[l]): d for l, d in dirs.items()}
+            W, G, masks, lanes = W[live], G[live], masks[:, live], lanes[live]
+            at_target, used, stationary = at_target[live], used[live], stationary[live]
+            inv.keep(live)
+            n = len(lanes)
+            row = row[:n]
+            onf, npen = masks
+        saddle = list(dirs)
+        if len(actions) == 1 and not convex:
             # the first step follows downward curvature, so that each start
             # descends its own way rather than toward a shared saddle
-            d = _negative_curvature(Lb, sup, atol, cache.curvature)
-        if d is None:
-            if inv is None:
-                sol = _solve_support(Lb, sup)
-                direct = sup.tobytes(), sol
-            else:  # column 0 of the inverse is (-s, w) in point coordinates
-                col = inv.row(0)
-                sol = col[1:][sup], -float(col[0])
+            for l in (~stationary).nonzero()[0].tolist():
+                d = _negative_curvature(Lb, onf[l].nonzero()[0], atol, curvature)
+                if d is not None:
+                    dirs[l] = d
+        # every lane steps: along its direction in dirs, or toward its target
+        read = inv.has.copy()
+        target = ~read
+        if dirs:
+            read[list(dirs)] = target[list(dirs)] = False
+        D = np.zeros((n, k))
+        mult = np.zeros(n)  # the target's multiplier, L w on S there
+        for l in target.nonzero()[0].tolist():
+            sup = onf[l].nonzero()[0]
+            sol = _solved(Lb, sup, solved)
             if sol is None:  # a singular system: a direction of zero curvature
-                vals, dirs = _curvature(Lb, sup)
-                d = dirs[:, int(np.argmin(np.abs(vals)))]
+                vals, vecs = _curvature(Lb, sup)
+                dirs[l] = vecs[:, int(np.argmin(np.abs(vals)))]
+                target[l] = False
             else:
-                t = sol[0]
-                d = t - w[sup]
-        d -= d.sum() / len(d)  # exactly balanced, or a long step would leave the simplex
-        step[sup] = d
-        Ld = Lb @ step
-        slope = float(g @ step)  # the action along d: s + 2 a slope + a^2 curv
-        curv = float(step @ Ld)
-        step[sup] = 0.0
-        if inv is not None and t is not None and not (
-                np.abs(gs + Ld[sup] - sol[1]).max() <= _DRIFT_ATOL * atol):
-            inv = None  # L(w + d) is not flat on S (or NaN): the updates drifted
-            continue
-        ws = w[sup]
+                mult[l] = sol[1]
+                D[l, sup] = sol[0] - W[l, sup]
+        for l, d in dirs.items():
+            D[l, onf[l] > 0] = d
+        reads = np.count_nonzero(read)
+        if reads:  # column 0 of the inverse is (-s, w) in point coordinates
+            col = inv.column0()
+            target |= read
+            if reads == n:  # its entries off S are 0, as are w's
+                mult, D = -col[:, 0], col[:, 1:] - W
+            else:
+                mult = np.where(read, -col[:, 0], mult)
+                D = np.where(read[:, None], col[:, 1:] - W, D)
+        # exactly balanced, or a long step would leave the simplex
+        D -= (_rowsum(D) / _rowsum(onf))[:, None] * onf
+        LD = _rowprod(Lb, D)
+        slope = _rowdot(G, D)  # the action along d: s + 2 a slope + a^2 curv
+        curv = _rowdot(D, LD)
+        drift = read
+        if reads:  # L(w + d) not flat on S (or NaN): the inverse's updates drifted
+            drift = read & ~(_rowmax(np.abs(G + LD - mult[:, None]) * onf) <= _DRIFT_ATOL * atol)
+            if np.count_nonzero(drift):  # the lane stands still this pass
+                inv.has[drift] = target[drift] = False
+                D[drift] = LD[drift] = 0.0
+                slope[drift] = curv[drift] = 0.0
+        flip = slope > 0  # descend
         if saddle:  # the longer way to the boundary, which descends further
-            flip = (ws[d > 0] / d[d > 0]).min() > (ws[d < 0] / -d[d < 0]).min()
-        else:  # descend
-            flip = slope > 0
-        if flip:
-            d, slope = -d, -slope
+            inf = np.full_like(D, np.inf)
+            up = np.divide(W, D, out=inf.copy(), where=D > 0).min(axis=1)
+            down = np.divide(W, -D, out=inf, where=D < 0).min(axis=1)
+            flip[saddle] = (up > down)[saddle]
+        sign = np.where(flip, -1.0, 1.0)
+        D *= sign[:, None]
+        slope *= sign
         # the minimum along d: the target (a = 1) when curv > 0; none along a
         # curvature direction, where the action is linear or curves down
-        reach = -slope / curv if t is not None and curv > 0 else np.inf
-        shrink = (d < 0).nonzero()[0]
-        if len(shrink):  # else a balanced d that is 0: w is the target
-            ratios = ws[shrink] / -d[shrink]
-            i = int(ratios.argmin())  # the lowest point index on ties
-            ratio = float(ratios[i])
-            a, j = (reach, None) if reach <= ratio else (ratio, int(sup[shrink[i]]))
-            w[sup] = np.maximum(ws + a * d, 0.0)
-            g += (-a if flip else a) * Ld  # Ld is L of the unflipped d
-            if j is not None:
-                w[j] = 0.0
-                on[j] = False
-                if inv is None and len(sup) == k and not convex:
-                    inv = cache.full_inverse(Lb)
-                inv = _reborder(inv, Lb, on, j)
-                at_target = False
-                continue
+        ahead = target & (curv > 0)
+        reach = np.where(ahead, -slope / np.where(ahead, curv, 1.0), np.inf)
+        # w / -d where d < 0; elsewhere inf / +0, which is inf
+        rest = D >= 0
+        ratios = np.where(rest, np.inf, W) / (0.0 - np.minimum(D, 0.0))
+        j = ratios.argmin(axis=1)  # the lowest point index on ties
+        ratio = ratios[row, j]
+        # no d < 0: a balanced d that is 0, and w is the target
+        shrink = ~np.logical_and.reduce(rest, axis=1)
+        hit = reach <= ratio
+        a = np.where(shrink, np.where(hit, reach, ratio), 0.0)
+        W = np.maximum(W + a[:, None] * D, 0.0)
+        G += (sign * a)[:, None] * LD  # LD is L of the unflipped d
+        drop = shrink & ~hit
         # d led to a target (a curvature direction is not 0 and never
         # reaches), and w stands at the stationary point of S's affine hull
-        at_target = True
-        key = sup.tobytes()
-        if key in cache.ends:
-            w = cache.ends[key].copy()
-            break
-        reached.append(key)
-    else:  # the start fails, and maps nothing
-        return None, values
-    cache.ends.update(dict.fromkeys(reached, w))
-    return w, values
+        at_target = ~(drop | drift)
+        used += 1
+        d_l = drop.nonzero()[0]
+        if len(d_l):
+            j = j[d_l]
+            if not convex:
+                bare = d_l[~inv.has[d_l]]
+                for l in bare[onf[bare].sum(axis=1) == k].tolist():
+                    if not full:
+                        full.append(_bordered_inverse(Lb, np.arange(k)))
+                    if full[0] is not None:  # else formed afresh below
+                        inv.form(l, np.arange(k), full[0])
+            W[d_l, j] = 0.0
+            masks[:, d_l, j] = _OFF
+            inv.update(onf, d_l, j, False)
+    return ends, iterations, actions
 
 
-def _final_weights(Lb: np.ndarray, w: np.ndarray, direct=None) -> np.ndarray:
-    """The weights solved directly on the support of ``w``; ``w`` itself when
-    that system is singular. ``direct`` is an earlier (support as bytes,
-    ``_solve_support``) pair; on that support it is reused, not solved again."""
+def _solved(Lb: np.ndarray, S: np.ndarray, solved: dict):
+    """``_solve_support`` on ``S``, kept in ``solved`` by support."""
+    key = S.tobytes()
+    if key not in solved:
+        solved[key] = _solve_support(Lb, S)
+    return solved[key]
+
+
+def _final_weights(Lb: np.ndarray, w: np.ndarray, solved: dict) -> np.ndarray:
+    """The weights solved directly on the support of ``w`` (``_solved``);
+    ``w`` itself when that system is singular."""
     S = np.flatnonzero(w > 0)
-    if direct is not None and direct[0] == S.tobytes():
-        sol = direct[1]
-    else:
-        sol = _solve_support(Lb, S)
+    sol = _solved(Lb, S, solved)
     if sol is None:
         return w / w.sum()
     out = np.zeros(len(w))
-    out[S] = np.clip(sol[0], 0.0, None)
+    out[S] = np.maximum(sol[0], 0.0)  # np.clip(x, 0, None) calls this ufunc
     return out / out.sum()
 
 
@@ -500,13 +580,11 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     gets the uniform start alone and is certified by convexity. Any other
     block starts from the uniform point, the first vertex, the
     minimum-diagonal vertex, caller-supplied warm starts and ``_RESTARTS``
-    Dirichlet draws, each running ``_active_set``; a start equal to one
-    already queued (the minimum-diagonal vertex of a constant diagonal is the
-    first vertex) is not run again. The starts share one ``_BlockCache``
-    for the call (``_active_set``): each support's balanced form is
-    decomposed once, the full support's bordered inverse is formed once, and
-    a start that reaches the stationary point of a support where an earlier
-    start stood returns that start's weights, as it would have ended alone.
+    Dirichlet draws; a start equal to one already queued (the
+    minimum-diagonal vertex of a constant diagonal is the first vertex) is
+    not run again. The starts run in lockstep as one batch (``_lockstep``),
+    which decomposes each support's balanced form once and forms the full
+    support's bordered inverse once; each start ends as it would alone.
     Such a block of at most ``ORACLE_CAP`` points is
     certified when its value is within half ``_CERT_REL`` of ``_dnn_bound``
     (from ``_DNN_MIN`` points on) or else within ``_CERT_REL`` of the
@@ -542,9 +620,8 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     accepted = []
     best_any = None
     capped = above = 0
-    cache = _BlockCache()
-    for w0 in starts:
-        w, _ = _active_set(Lb, w0, atol, convex, cache)
+    ends, _, _ = _lockstep(Lb, starts, atol, convex)
+    for w in ends:
         if w is None:
             capped += 1
             continue
@@ -553,7 +630,7 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
         if best_any is None or val < best_any[0]:
             best_any = (val, w, kkt)
         if kkt.on_support_max <= opts.tol and kkt.min_over_k >= -opts.tol:
-            supp = tuple(int(i) for i in np.nonzero(w > 0)[0])
+            supp = tuple(np.flatnonzero(w > 0).tolist())
             accepted.append((val, supp, w))
         else:
             above += 1

@@ -13,7 +13,6 @@ from cvp import (
     ProfileError,
     build_exhaustion,
     diagonal_infimum,
-    effective_range,
     exp_profile,
     global_sup,
     grid_1d,
@@ -28,7 +27,7 @@ from cvp import (
     verify_entropy_decay,
 )
 from cover_reference import covering_number
-from cvp.lagrangian import _MAX_WITNESSES, _radius_bounds
+from cvp.lagrangian import _MAX_WITNESSES, _effective_range, _radius_bounds
 from cvp.space import ball_cover_counts
 
 ATOL = 1e-12
@@ -92,7 +91,9 @@ def test_diagonal_infimum_and_sup(tent_identity):
 def test_effective_range_tent_quarter(quarter_grid):
     tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, quarter_grid)
     K = np.arange(9) == 0
-    assert np.flatnonzero(effective_range(tent, quarter_grid, K)).tolist() == [0, 1, 2, 3]
+    assert np.flatnonzero(_effective_range(tent.matrix > 0.0, K, "set")).tolist() == [0, 1, 2, 3]
+    with pytest.raises(InputError, match="effective range of an empty set"):
+        _effective_range(tent.matrix > 0.0, np.zeros(9, dtype=bool), "set")
 
 
 def test_compact_range_tent_holds(int_grid6, tent_identity):

@@ -23,15 +23,15 @@ from cvp import simplex_solver
 from cvp.simplex_solver import (
     _CERT_REL,
     CompactSolution,
-    _BlockCache,
-    _PointInverse,
-    _active_set,
+    _Inverses,
     _bordered_inverse,
     _dnn_bound,
-    _reborder,
+    _lockstep,
     _residuals,
     _solve_support,
 )
+
+import solver_reference
 
 ATOL = 1e-12
 KKT_TOL = 1e-8
@@ -250,16 +250,21 @@ def test_iteration_cap_fails_the_start(monkeypatch):
 
 
 def _count_starts(mp):
-    """Record the start of every ``_active_set`` run of the solver."""
+    """Record the starts of every ``_lockstep`` run of the solver."""
     starts = []
-    active_set = simplex_solver._active_set
+    lockstep = simplex_solver._lockstep
 
-    def counted(Lb, w0, *args):
-        starts.append(np.array(w0))
-        return active_set(Lb, w0, *args)
+    def counted(Lb, batch, *args):
+        starts.extend(np.array(w0) for w0 in batch)
+        return lockstep(Lb, batch, *args)
 
-    mp.setattr(simplex_solver, "_active_set", counted)
+    mp.setattr(simplex_solver, "_lockstep", counted)
     return starts
+
+
+def _actions_of(actions, start):
+    """The actions one start of a ``_lockstep`` run took, pass by pass."""
+    return [float(v[lanes == start][0]) for lanes, v in actions if (lanes == start).any()]
 
 
 def _no_oracle(problem):
@@ -306,8 +311,7 @@ def _nineteen_start_loop(p):
               *(rng.dirichlet(np.ones(k)) for _ in range(simplex_solver._RESTARTS))]
     atol = 1e-12 * max(1.0, float(np.abs(Lb).max()))
     accepted = []
-    for w0 in starts:
-        w, _ = _active_set(Lb, w0, atol)
+    for w in _lockstep(Lb, starts, atol)[0]:
         kkt = _residuals(Lb, w)
         if kkt.on_support_max <= opts.tol and kkt.min_over_k >= -opts.tol:
             accepted.append((kkt.s_param, tuple(np.flatnonzero(w > 0).tolist()), w))
@@ -408,12 +412,12 @@ def test_every_start_descends_to_a_kkt_point(seed):
     scale = max(1.0, float(M.max()))
     oracle = brute_force_minimizer(problem(M)).value
     starts = [np.full(k, 1.0 / k), *np.eye(k), *rng.dirichlet(np.ones(k), size=4)]
-    for w0 in starts:
-        w, values = _active_set(M, w0, 1e-12 * scale)
+    ends, _, actions = _lockstep(M, starts, 1e-12 * scale)
+    for q, w in enumerate(ends):
         r = _residuals(M, w)
         assert r.on_support_max <= 1e-12 * scale and r.min_over_k >= -1e-12 * scale
         assert r.s_param >= oracle - 1e-12 * scale
-        assert (np.diff(values) <= 1e-15 * scale).all()
+        assert (np.diff(_actions_of(actions, q)) <= 1e-15 * scale).all()
 
 
 def test_quarter_gauss_33_block_solves():
@@ -484,8 +488,8 @@ def test_quarter_start_updates_the_inverse(monkeypatch):
     p = _kernel_block(*_QUARTER, [i * 0.25 for i in range(121)])
     w0 = np.random.default_rng(np.random.SeedSequence([0, 121])).dirichlet(np.ones(121))
     counts = _count_factorizations(monkeypatch)
-    w, values = _active_set(p.matrix, w0, 1e-12)
-    assert len(values) > 100
+    (w,), (iterations,), _ = _lockstep(p.matrix, [w0], 1e-12)
+    assert iterations > 100
     # an inverse at the first change of support and after each drift, a solve
     # for the first target, after each drift and for the final weights
     assert counts["inverses"] <= 3 and counts["solves"] <= 4
@@ -493,37 +497,23 @@ def test_quarter_start_updates_the_inverse(monkeypatch):
     assert r.on_support_max <= 1e-12 and r.min_over_k >= -1e-12
 
 
-def _record_starts(mp, fresh):
-    """Record the number of actions each ``_active_set`` run of the solver
-    lists; with ``fresh``, each run gets a cache of its own."""
-    lengths = []
-    active_set = simplex_solver._active_set
-
-    def recorded(Lb, w0, atol, convex, cache):
-        w, values = active_set(Lb, w0, atol, convex, _BlockCache() if fresh else cache)
-        lengths.append(len(values))
-        return w, values
-
-    mp.setattr(simplex_solver, "_active_set", recorded)
-    return lengths
-
-
-def test_quarter_starts_take_earlier_ends(monkeypatch):
-    # on the 121-point block many starts reach the target of a support where
-    # an earlier start stood: they return that start's weights, and the
-    # solution is the one of starts that each run on a fresh cache
+def test_quarter_lanes_end_as_each_start_alone(monkeypatch):
+    # on the 121-point block the 18 starts run as one batch; each ends as it
+    # does in a batch of its own, to the last bit and in as many iterations,
+    # and the solution is the one of the per-start path
     p = _kernel_block(*_QUARTER, [i * 0.25 for i in range(121)])
     with pytest.MonkeyPatch.context() as mp:
         counts = _count_factorizations(mp)
-        shared = _record_starts(mp, fresh=False)
+        starts = _count_starts(mp)
         sol = minimize_on_compact(p)
-    with pytest.MonkeyPatch.context() as mp:
-        alone = _record_starts(mp, fresh=True)
-        ref = minimize_on_compact(p)
+    assert len(starts) == 18
+    ends, iterations, actions = _lockstep(p.matrix, starts, 1e-12)
+    for q, w0 in enumerate(starts):
+        (alone,), (steps,), alone_actions = _lockstep(p.matrix, [w0], 1e-12)
+        assert alone.tobytes() == ends[q].tobytes() and steps == iterations[q]
+        assert _actions_of(actions, q) == _actions_of(alone_actions, 0)
+    ref = solver_reference.minimize_on_compact(p)
     assert np.array_equal(sol.weights, ref.weights) and sol.kkt == ref.kkt
-    assert len(shared) == len(alone) == 18
-    assert all(a <= b for a, b in zip(shared, alone))
-    assert sum(a < b for a, b in zip(shared, alone)) >= 1
     # the dense starts downdate one inverse of the full support: 38 inverses
     # were formed when each formed its own on 120 points
     assert counts["inverses"] < 38
@@ -540,7 +530,7 @@ def test_positive_definite_start_forms_no_inverse(monkeypatch, p):
     assert counts["inverses"] == 0 and counts["solves"] == 1
     assert sol.certified_global and (sol.weights > 0).all()
     final = simplex_solver._final_weights
-    monkeypatch.setattr(simplex_solver, "_final_weights", lambda Lb, w, direct: final(Lb, w))
+    monkeypatch.setattr(simplex_solver, "_final_weights", lambda Lb, w, solved: final(Lb, w, {}))
     resolved = minimize_on_compact(p)  # the final support solved again: the same bits
     assert resolved.weights.tobytes() == sol.weights.tobytes() and resolved.kkt == sol.kkt
 
@@ -553,12 +543,12 @@ def _bordered(Lb, sup):
 
 
 @st.composite
-def random_blocks(draw, kinds, kmax=40):
-    """A block of 2 to ``kmax`` points of one of ``kinds``, and the generator
+def random_blocks(draw, kinds, kmax=40, kmin=2):
+    """A block of ``kmin`` to ``kmax`` points of one of ``kinds``, and the generator
     that drew it: indefinite, indefinite with a duplicated point or with a
     constant diagonal, a low-rank Gram matrix plus 1e-9 I, or the
     quarter-grid truncated Gaussian on random points."""
-    k = draw(st.integers(2, kmax))
+    k = draw(st.integers(kmin, kmax))
     kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "low-rank":
@@ -577,48 +567,80 @@ def random_blocks(draw, kinds, kmax=40):
     return M, rng
 
 
+@pytest.mark.parametrize("M, w", [
+    # the ratio test ties between mirror points 1 and 2
+    ([[4, 4, 4, 8], [4, 3, 6, 4], [4, 6, 3, 4], [8, 4, 4, 4]], [0, 0, 1, 0]),
+    # the most violated point ties between mirror points 0 and 4
+    ([[6, 6, 3, 6, 8], [6, 5, 4, 6, 6], [3, 4, 6, 4, 3], [6, 6, 4, 5, 6], [8, 6, 3, 6, 6]],
+     [0.5, 0, 0.5, 0, 0]),
+], ids=["drop", "add"])
+def test_exact_ties_go_to_the_lowest_index(M, w):
+    # mirror-symmetric blocks from the uniform start tie exactly, and the
+    # lane takes the lowest point index, as the per-start path does
+    M = np.array(M, dtype=float)
+    w0 = np.full(len(M), 1.0 / len(M))
+    (got,), _, _ = _lockstep(M, [w0], 1e-12)
+    ref, _ = solver_reference._active_set(M, w0, 1e-12)
+    assert np.allclose(got, w, atol=1e-12) and np.array_equal(got, ref)
+
+
+def _matrix(inv, lane):
+    """A lane's inverse in ``_Inverses`` with its pending terms added in."""
+    V = inv.terms[lane]
+    return inv.base[inv.slot[lane]] + (V.T * inv.coef[lane]) @ V
+
+
 @given(case=random_blocks(["indefinite", "duplicate", "low-rank"]))
 @settings(max_examples=150, deadline=None)
 def test_bordered_inverse_follows_adds_and_drops(case):
-    # each update agrees with a fresh solve to rounding amplified by the worst
-    # conditioning met since the inverse was last formed, or it is formed
-    # afresh; the rows and columns of points off the support stay exactly 0.
-    # 2 x _FOLD + 8 updates fold the pending terms into the matrix, unless it
-    # keeps being formed afresh, as a duplicated point can make it
+    # each lane's inverse agrees with a fresh solve to rounding amplified by
+    # the worst conditioning met since it was last formed, or it is formed
+    # afresh; the rows and columns of points off its support stay exactly 0.
+    # Three lanes change their supports at once, the adds and the drops each
+    # as one update. 2 x _FOLD + 8 updates fold the pending terms into the
+    # matrices, unless one keeps being formed afresh, as a duplicated point
+    # can make it
     M, rng = case
     k = len(M)
-    on = rng.random(k) < 0.5
-    on[rng.integers(k)] = True
-    P = _bordered_inverse(M, np.flatnonzero(on))
-    inv = None if P is None else _PointInverse(P)
-    cond = np.linalg.cond(_bordered(M, np.flatnonzero(on)))
-    formed = []
-    form = simplex_solver._bordered_inverse
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex_solver, "_bordered_inverse",
-                   lambda Lb, sup: formed.append(1) or form(Lb, sup))
-        for _ in range(2 * simplex_solver._FOLD + 8):
-            sup = np.flatnonzero(on)
+    n = 3
+    on = rng.random((n, k)) < 0.5
+    on[np.arange(n), rng.integers(k, size=n)] = True
+    inv = _Inverses(M, n)
+    for lane in range(n):
+        sup = np.flatnonzero(on[lane])
+        inv.form(lane, sup, _bordered_inverse(M, sup))
+    cond = [np.linalg.cond(_bordered(M, np.flatnonzero(row))) for row in on]
+    for _ in range(2 * simplex_solver._FOLD + 8):
+        j = np.empty(n, dtype=np.intp)
+        for lane, row in enumerate(on):
+            sup = np.flatnonzero(row)
             if len(sup) > 1 and (len(sup) == k or rng.random() < 0.5):
-                j = int(rng.choice(sup))
+                j[lane] = rng.choice(sup)
             else:
-                j = int(rng.choice(np.flatnonzero(~on)))
-            on[j] = not on[j]
-            n = len(formed)
-            inv = _reborder(inv, M, on, j)
-            sup = np.flatnonzero(on)
+                j[lane] = rng.choice(np.flatnonzero(~row))
+        joined = ~on[np.arange(n), j]
+        on[np.arange(n), j] = joined
+        for group in (joined, ~joined):
+            if group.any():
+                inv.update(on, np.flatnonzero(group), j[group], bool(joined[group][0]))
+        col = inv.column0() if inv.has.any() else None
+        for lane in range(n):
+            sup = np.flatnonzero(on[lane])
             c = np.linalg.cond(_bordered(M, sup))
-            cond = c if len(formed) > n else max(cond, c)
-            if inv is None:
+            formed = not inv.has[lane] or inv.count[lane] == 0
+            cond[lane] = c if formed else max(cond[lane], c)
+            if not inv.has[lane]:
                 continue
-            P = np.array([inv.row(r) for r in range(k + 1)])
-            off = 1 + np.flatnonzero(~on)
-            assert not P[off].any() and not P[:, off].any()
+            P = _matrix(inv, lane)
+            off = 1 + np.flatnonzero(~on[lane])
+            assert not P[off].any() and not P[:, off].any() and not col[lane, off].any()
             ref = _solve_support(M, sup)
-            if len(formed) > n or ref is None:
+            if formed or ref is None:
                 continue
-            err = max(float(np.abs(P[0, 1:][sup] - ref[0]).max()), abs(-P[0, 0] - ref[1]))
-            assert err <= 1e-13 * cond ** 2 * max(1.0, float(np.abs(ref[0]).max()), abs(ref[1]))
+            target, mult = col[lane, 1:][sup], -col[lane, 0]
+            err = max(float(np.abs(target - ref[0]).max()), abs(mult - ref[1]))
+            scale = max(1.0, float(np.abs(ref[0]).max()), abs(ref[1]))
+            assert err <= 1e-13 * cond[lane] ** 2 * scale
 
 
 # exact duplicates are left out: their minimizers split weight between the
@@ -631,11 +653,12 @@ def test_active_set_ends_where_solving_every_step_ends(case):
     M, rng = case
     k = len(M)
     scale = max(1.0, float(np.abs(M).max()))
-    for w0 in [np.full(k, 1.0 / k), np.eye(k)[0], *rng.dirichlet(np.ones(k), 2)]:
-        w, _ = _active_set(M, w0, 1e-12 * scale)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simplex_solver, "_bordered_inverse", lambda Lb, sup: None)
-            ref, _ = _active_set(M, w0, 1e-12 * scale)
+    starts = [np.full(k, 1.0 / k), np.eye(k)[0], *rng.dirichlet(np.ones(k), 2)]
+    ends, _, _ = _lockstep(M, starts, 1e-12 * scale)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex_solver, "_bordered_inverse", lambda Lb, sup: None)
+        refs, _, _ = _lockstep(M, starts, 1e-12 * scale)
+    for w, ref in zip(ends, refs):
         assert w is not None and np.array_equal(w, ref)
 
 
@@ -651,33 +674,32 @@ def test_quarter_blocks_end_where_solving_every_step_ends(n, seed):
     assert sol.weights.tobytes() == ref.weights.tobytes() and sol.kkt == ref.kkt
 
 
-# exact duplicates are left out for the reason above
-@given(case=random_blocks(["indefinite", "constant-diagonal", "low-rank", "gaussian"]))
+@given(case=random_blocks(["indefinite", "constant-diagonal", "duplicate", "low-rank",
+                           "gaussian"]))
 @settings(max_examples=100, deadline=None)
 def test_shared_cache_is_exact(case):
-    # the starts of a block share curvature directions, the full support's
-    # bordered inverse and each other's ends: each start ends as it does
-    # alone, with a fresh cache, to the last bit. One that takes an earlier
-    # start's end stops there, so it lists a prefix of the actions
+    # the lanes of a batch share curvature directions, direct solves and the
+    # full support's bordered inverse, and take their products and
+    # reductions row by row: each lane ends as it does alone, in a batch of
+    # its own, to the last bit and after the same iterations and actions
     M, rng = case
     k = len(M)
     atol = 1e-12 * max(1.0, float(np.abs(M).max()))
-    shared = _BlockCache()
-    for w0 in [np.full(k, 1.0 / k), np.eye(k)[0], *rng.dirichlet(np.ones(k), 6)]:
-        w, values = _active_set(M, w0, atol, False, shared)
-        alone, alone_values = _active_set(M, w0, atol, False, _BlockCache())
-        assert np.array_equal(w, alone)
-        assert 0 < len(values) <= len(alone_values)
-        assert np.array_equal(values, alone_values[:len(values)])
+    starts = [np.full(k, 1.0 / k), np.eye(k)[0], *rng.dirichlet(np.ones(k), 6)]
+    ends, iterations, actions = _lockstep(M, starts, atol)
+    for q, w0 in enumerate(starts):
+        (alone,), (steps,), alone_actions = _lockstep(M, [w0], atol)
+        assert alone.tobytes() == ends[q].tobytes() and steps == iterations[q]
+        assert _actions_of(actions, q) == _actions_of(alone_actions, 0)
 
 
 def test_convex_tent_block_from_the_uniform_start():
     p = _kernel_block("tent", {"amplitude": 1.0, "range": 2.0}, [i * 0.25 for i in range(101)])
     assert np.linalg.eigvalsh(p.matrix)[0] > 0
-    w, values = _active_set(p.matrix, np.full(101, 1.0 / 101), 1e-12)
+    (w,), _, actions = _lockstep(p.matrix, [np.full(101, 1.0 / 101)], 1e-12)
     r = _residuals(p.matrix, w)
     assert r.on_support_max <= 1e-12 and r.min_over_k >= -1e-12
-    assert (np.diff(values) <= 1e-15).all()
+    assert (np.diff(_actions_of(actions, 0)) <= 1e-15).all()
     assert r.s_param == pytest.approx(minimize_on_compact(p).value, abs=1e-12)
 
 
@@ -699,12 +721,12 @@ def test_singular_blocks_descend_to_a_kkt_point(M):
     k = len(M)
     oracle = brute_force_minimizer(problem(M)).value
     starts = [np.full(k, 1.0 / k), *np.eye(k), *np.random.default_rng(0).dirichlet(np.ones(k), 4)]
-    for w0 in starts:
-        w, values = _active_set(M, w0, 1e-12)
+    ends, _, actions = _lockstep(M, starts, 1e-12)
+    for q, w in enumerate(ends):
         r = _residuals(M, w)
         assert r.on_support_max <= 1e-12 and r.min_over_k >= -1e-12
         assert r.s_param >= oracle - 1e-12
-        assert (np.diff(values) <= 1e-15).all()
+        assert (np.diff(_actions_of(actions, q)) <= 1e-15).all()
 
 
 def test_quarter_stages_decompose_each_support_once(monkeypatch):
@@ -764,3 +786,113 @@ def test_dnn_bound_is_a_lower_bound(case, shift):
         assert bound <= top
         if t - bound <= 0.5 * _CERT_REL * max(1.0, abs(t)):
             assert t <= oracle.value + _CERT_REL * max(1.0, abs(oracle.value))
+
+
+@pytest.mark.parametrize("n", [25, 33])
+@given(shift=st.floats(1e-3, 1e-1))
+@settings(max_examples=5, deadline=None)
+def test_dnn_bound_stays_below_quarter_blocks(n, shift):
+    # past ORACLE_CAP the exact action of the solver's weights stands in for
+    # the oracle's: the least action lies at or below it, and so must the bound
+    M = _kernel_block(*_QUARTER, [i * 0.25 for i in range(n)]).matrix
+    _dnn_bound_stays_below_the_solver(M, shift)
+
+
+@given(case=random_blocks(["indefinite", "low-rank", "constant-diagonal", "gaussian"],
+                          kmin=simplex_solver.ORACLE_CAP + 1, kmax=40),
+       shift=st.floats(1e-3, 1e-1))
+@settings(max_examples=25, deadline=None)
+def test_dnn_bound_stays_below_the_solver_past_the_oracle_cap(case, shift):
+    _dnn_bound_stays_below_the_solver(case[0], shift)
+
+
+def _dnn_bound_stays_below_the_solver(M, shift):
+    sol = minimize_on_compact(problem(M))
+    top = _exact_value(M, sol.weights)
+    for t in (sol.value, sol.value + shift, sol.value - shift):
+        assert _dnn_bound(M, t) <= top
+
+
+def _memoized_oracle(mp):
+    """Let the oracle solve each problem once, whichever path asks."""
+    seen = {}
+    oracle = simplex_solver.brute_force_minimizer
+
+    def once(p):
+        if id(p) not in seen:
+            seen[id(p)] = (p, oracle(p))
+        return seen[id(p)][1]
+
+    mp.setattr(simplex_solver, "brute_force_minimizer", once)
+
+
+@pytest.mark.parametrize("kind", ["indefinite", "gaussian", "duplicate", "low-rank",
+                                  "constant-diagonal"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_lockstep_solver_matches_the_per_start_path(kind, data):
+    # the starts run as one batch end where they end run one after another,
+    # each with its own inverse and the ends of earlier starts: the same
+    # weights, residuals and certificate, with a warm start among them
+    M, rng = data.draw(random_blocks([kind], kmax=24))
+    p = problem(M, seed=int(rng.integers(1000)))
+    extra = [rng.dirichlet(np.ones(len(M)))]
+    with pytest.MonkeyPatch.context() as mp:
+        _memoized_oracle(mp)
+        sol = minimize_on_compact(p, extra)
+        ref = solver_reference.minimize_on_compact(p, extra)
+    assert sol.weights.tobytes() == ref.weights.tobytes()
+    assert sol.kkt == ref.kkt and sol.certified_global == ref.certified_global
+
+
+def _quarter_starts(n, seed=0):
+    """The ``n``-point quarter-grid block at solver seed ``seed`` and the
+    starts the solver gives it."""
+    p = problem(_kernel_block(*_QUARTER, [i * 0.25 for i in range(n)]).matrix, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        starts = _count_starts(mp)
+        minimize_on_compact(p)
+    return p, starts
+
+
+def test_a_lane_out_of_iterations_fails_alone(monkeypatch):
+    # with the cap at the median run, the lanes that need more iterations
+    # fail and the others end as they do uncapped; the failure names them
+    p, starts = _quarter_starts(25)
+    ends, iterations, _ = _lockstep(p.matrix, starts, 1e-12)
+    cap = int(np.median(iterations))
+    over = sum(it > cap for it in iterations)
+    assert 0 < over < len(starts)
+    monkeypatch.setattr(simplex_solver, "_MAX_ITER", cap)
+    capped, capped_iterations, _ = _lockstep(p.matrix, starts, 1e-12)
+    for w, it, w_cap, it_cap in zip(ends, iterations, capped, capped_iterations):
+        if it > cap:
+            assert w_cap is None and it_cap == cap
+        else:
+            assert w_cap.tobytes() == w.tobytes() and it_cap == it
+    with pytest.raises(SolverFailure) as exc:
+        minimize_on_compact(problem(p.matrix, tol=1e-300))
+    assert (f"18 starts tried, {over} hit the iteration cap of {cap}, {18 - over} ended "
+            "above the tolerance") in str(exc.value)
+
+
+def test_a_lane_above_the_tolerance_fails_alone():
+    # the 49-point block's starts end at several minima, mirror images among
+    # them with different residuals: with the tolerance under the residual
+    # of the chosen solution, the lanes above it fail and the solution is
+    # the best of the others
+    p, starts = _quarter_starts(49, seed=49)
+    ends, _, _ = _lockstep(p.matrix, starts, 1e-12)
+
+    def residual(w):
+        r = _residuals(p.matrix, w)
+        return max(r.on_support_max, -r.min_over_k)
+
+    chosen = minimize_on_compact(p).weights
+    tol = max(r for r in map(residual, ends) if r < residual(chosen))
+    kept = [(_residuals(p.matrix, w).s_param, tuple(np.flatnonzero(w > 0).tolist()), w)
+            for w in ends if residual(w) <= tol]
+    assert 0 < len(kept) < len(ends)
+    sol = minimize_on_compact(problem(p.matrix, tol=tol, seed=49))
+    assert sol.weights.tobytes() == simplex_solver._select_best(kept)[2].tobytes()
+    assert sol.weights.tobytes() != chosen.tobytes()

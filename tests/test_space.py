@@ -16,13 +16,13 @@ from cvp import (
     MetricSpace,
     build_exhaustion,
     closed_ball,
-    effective_range,
     grid_1d,
     make_kernel,
     space_from_dict,
     verify_compact_range,
     window_points,
 )
+from cvp.lagrangian import _effective_range
 from cvp.space import ball_cover_counts, greedy_cover_counts
 from cover_reference import covering_number, exact_covering_number, greedy_cover
 
@@ -692,7 +692,7 @@ def test_point_set_masks_match_id_set_reference(space, data):
         ids = _id_set(space, stage)
         assert _id_set(space, window_points(space, stage, layer)) == \
             _ref_window(space, ids, layer)
-        assert _id_set(space, effective_range(L, space, stage)) == \
+        assert _id_set(space, _effective_range(L.matrix > 0.0, stage, "stage")) == \
             _ref_effective_range(L, space, ids)
     got = verify_compact_range(L, space, Exhaustion(stages=tuple(stages)))
     want = _ref_compact_range(L, space, [_id_set(space, s) for s in stages])
