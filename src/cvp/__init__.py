@@ -23,8 +23,7 @@ from .pipeline import (ExhaustionRun, RunOptions, ScaledMinimizer,
                        local_mass_bound_check, run_exhaustion,
                        stage_ell, tail_mass, window_points)
 from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY,
-                          EXIT_OK, ELReport, VariationSampler,
-                          check_sufficient_conditions, gamma_lower_bound,
-                          nontriviality_check, test_minimality, verify_el)
+                          EXIT_OK, ELReport, check_sufficient_conditions,
+                          gamma_lower_bound, nontriviality_check, verify_el)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

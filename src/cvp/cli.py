@@ -21,10 +21,8 @@ import numpy as np
 
 from . import __version__
 from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY, EXIT_OK,
-                          VariationSampler, check_sufficient_conditions,
-                          gamma_lower_bound, nontriviality_check, prove_minimality,
-                          verify_el)
-from .el_analysis import test_minimality as sample_minimality
+                          check_sufficient_conditions, gamma_lower_bound,
+                          nontriviality_check, prove_minimality, verify_el)
 from .errors import (NUMBER, CVPError, InputError, UsageError, as_number, known_keys,
                      number_rows, typed)
 from .lagrangian import (Lagrangian, diagonal_infimum, kernel_from_spec,
@@ -52,10 +50,8 @@ class VerifySettings:
     and ``conditions`` is refused for want of ``delta_cover``."""
 
     checks: tuple[str, ...] = ("el", "minimality", "nontriviality")
-    trials: int = 1000
     tol: float = 1e-6
     eps: float | None = None
-    support_cap: int = 6
     delta_cover: float | None = None
     mass_radius: float | None = None
 
@@ -78,8 +74,8 @@ class RunConfig:
 _SECTIONS = {
     "solver": {"tol": NUMBER},
     "window": {"layer": NUMBER, "eps": NUMBER},
-    "verify": {"checks": list, "trials": int, "tol": NUMBER, "eps": NUMBER,
-               "support_cap": int, "delta_cover": NUMBER, "mass_radius": NUMBER},
+    "verify": {"checks": list, "tol": NUMBER, "eps": NUMBER, "delta_cover": NUMBER,
+               "mass_radius": NUMBER},
 }
 _UNSET_BY_DEFAULT = ("window.layer", "window.eps", "verify.eps", "verify.delta_cover",
                      "verify.mass_radius")
@@ -260,14 +256,11 @@ def cmd_verify(args) -> int:
     run = run_from_report(report, config)
     checks = (tuple(c.strip() for c in args.checks.split(",") if c.strip())
               if args.checks else None)
-    flags = {"checks": checks, "trials": args.trials, "tol": args.tol, "eps": args.eps,
-             "delta_cover": args.delta_cover}
+    flags = {"checks": checks, "tol": args.tol, "eps": args.eps, "delta_cover": args.delta_cover}
     settings = replace(config.verify, **{k: v for k, v in flags.items() if v is not None})
     unknown = [c for c in settings.checks if c not in VALID_CHECKS]
     if unknown:
         raise UsageError(f"unknown checks {unknown}; valid: {', '.join(VALID_CHECKS)}")
-    if settings.trials < 1:
-        raise UsageError("trials must be a positive integer")
     rho = run.stages[-1].measure
     window = run.window if run.window.any() else rho.support
 
@@ -278,15 +271,7 @@ def cmd_verify(args) -> int:
             el_report = verify_el(rho, kernel, window, tol=settings.tol)
             results["el"] = el_report.to_dict()
         elif check == "minimality":
-            try:  # built first: it refuses a bad support_cap even when the proof applies
-                sampler = VariationSampler(window=window, seed=args.seed,
-                                           support_cap=settings.support_cap)
-            except InputError as exc:
-                raise InputError(f"report config.verify.{exc}") from None
-            proof = prove_minimality(rho, kernel, window)
-            if proof["certificate"] == "sampled":
-                proof = {**sample_minimality(rho, kernel, sampler, settings.trials), **proof}
-            results["minimality"] = proof
+            results["minimality"] = prove_minimality(rho, kernel, window)
         elif check == "conditions":
             if settings.delta_cover is None:
                 raise UsageError("check 'conditions' needs --delta-cover "
@@ -428,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--run", required=True)
     p_verify.add_argument("--checks", default=None,
                           help=f"comma list from: {', '.join(VALID_CHECKS)}")
-    p_verify.add_argument("--trials", type=int, default=None)
+    # accepted and ignored: minimality is decided without sampled trials
+    p_verify.add_argument("--trials", type=int, default=None, help=argparse.SUPPRESS)
     p_verify.add_argument("--seed", type=_seed_flag, default=0)
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--eps", type=float, default=None)

@@ -2,11 +2,11 @@
 
 All checks evaluate a full measure (typically the final scaled stage of a
 run) and assert on a certified window, a point mask; reports name points by id.
-Minimality is proved on the window where ``prove_minimality`` applies: one
-Cholesky factorization shows that no balanced variation there lowers the
-action by more than ``_FAIL_TOL``, or an eigenvector of the support's
-curvature is an exact witness that one does. Elsewhere ``test_minimality``
-samples variations.
+Minimality on the window W is decided by ``prove_minimality``: one Cholesky
+factorization shows that no balanced variation there lowers the action by
+more than ``_FAIL_TOL``, or else the causal variational principle on W, the
+measures that agree with the candidate off W and give W its mass, is solved
+as one simplex QP whose minimizer is the witness of a failure.
 """
 
 from __future__ import annotations
@@ -22,21 +22,13 @@ from .lagrangian import DecayProfile, Lagrangian, diagonal_infimum, global_sup, 
 from .measure import (DiscreteMeasure, action_differences, averaged_kernel,
                       check_variations)
 from .pipeline import ExhaustionRun
-from .simplex_solver import _balanced_form, _curvature
+from .simplex_solver import CompactProblem, _balanced_form, minimize_on_compact
 from .space import MetricSpace, as_mask, closed_ball, greedy_cover_counts
 
 EXIT_OK = 0
 EXIT_EL_FAILED = 2
 EXIT_MINIMALITY = 3
 EXIT_CONDITION = 4
-
-_MAX_FAILURES = 10
-
-# Minimality trials are drawn, checked and scored this many at a time.
-_CHUNK = 1024
-
-# A sampled step is this fraction of the largest positivity-preserving one at most.
-_STEP_SAFETY = 0.9
 
 # An action drop beyond this is a minimality failure.
 _FAIL_TOL = 1e-8
@@ -199,7 +191,7 @@ def _gamma(n: int) -> float:
 
 
 def prove_minimality(rho: DiscreteMeasure, L: Lagrangian, window) -> dict:
-    """Exact minimality under every balanced variation on a window mask W.
+    """Minimality under every balanced variation on a window mask W.
 
     Let ell = ``averaged_kernel`` - 1 on W and m = min_W ell. A balanced delta
     on W with rho + delta >= 0 changes the action by 2 delta.ell + delta'L_WW delta,
@@ -217,17 +209,16 @@ def prove_minimality(rho: DiscreteMeasure, L: Lagrangian, window) -> dict:
     succeeds and ``bound`` is at least -``_FAIL_TOL``, the check passes with
     ``certificate`` "exact", ``bound``, ``window_mass`` and ``tol``.
 
-    When the factorization fails and the curvature form of the support in W
-    has a negative eigenvalue, its eigenvector, signed so that the first-order
-    term is at most 0 and scaled to ``_STEP_SAFETY`` times the largest
-    positivity-preserving step, is scored with ``action_differences``; if the
-    action drops by more than ``_FAIL_TOL`` it is the ``witness`` of a failed
-    "exact" check. In every other case the result has ``certificate``
-    "sampled" and ``why_sampled``, for ``test_minimality`` to decide.
+    Otherwise the least action over the window is solved for directly, by
+    ``_window_qp``, and ``why_not_exact`` says why the proof did not apply.
+    A window of fewer than 2 points has no nonzero balanced variation, and
+    passes with a ``reason``.
     """
-    idx = np.flatnonzero(as_mask(window, len(rho.space), "minimality window"))
+    inside = as_mask(window, len(rho.space), "minimality window")
+    idx = np.flatnonzero(inside)
     if len(idx) < 2:
-        return _unproved("a window of fewer than 2 points has no nonzero balanced variation")
+        return _no_variation("a window of fewer than 2 points has no nonzero "
+                             "balanced variation", math.fsum(rho.weights[idx]))
     lhat = averaged_kernel(rho, L)
     H = _balanced_form(L.matrix, idx)
     n = len(H)
@@ -240,7 +231,8 @@ def prove_minimality(rho: DiscreteMeasure, L: Lagrangian, window) -> dict:
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
-        return _curvature_witness(rho, L, idx, lhat)
+        return _window_qp(rho, L, inside, lhat, "the window's curvature form is not "
+                                                "proved positive semidefinite")
     # ell_x is off by at most gamma_{k+1} (lhat_x + 1), lhat_x being a sum of
     # at most k nonnegative products; the allowance also covers the rounding
     # of the bound's own steps, doubled
@@ -251,157 +243,56 @@ def prove_minimality(rho: DiscreteMeasure, L: Lagrangian, window) -> dict:
     w = rho.weights[idx]
     bound = -2.0 * (1.0 + _gamma(4)) * math.fsum(w * (ell + slack - floor))
     if bound < -_FAIL_TOL:
-        return _unproved(f"the first-order bound {bound:.6g} is below -{_FAIL_TOL:g}")
+        return _window_qp(rho, L, inside, lhat,
+                          f"the first-order bound {bound:.6g} is below -{_FAIL_TOL:g}")
     return {"certificate": "exact", "passed": True, "bound": bound,
             "window_mass": math.fsum(w), "tol": _FAIL_TOL}
 
 
-def _unproved(reason: str) -> dict:
-    return {"certificate": "sampled", "why_sampled": reason}
+def _no_variation(reason: str, mass: float) -> dict:
+    return {"certificate": "window_qp", "passed": True, "min_delta_S": 0.0,
+            "window_mass": mass, "reason": reason, "tol": _FAIL_TOL}
 
 
-def _curvature_witness(rho: DiscreteMeasure, L: Lagrangian, idx: np.ndarray,
-                       lhat: np.ndarray) -> dict:
-    """The exact failure of ``prove_minimality`` along the support's most
-    negative curvature, or why there is none."""
-    reason = "the window's curvature form is not proved positive semidefinite"
-    sup = idx[rho.weights[idx] > 0]
-    if len(sup) < 2:
-        return _unproved(reason)
-    vals, dirs = _curvature(L.matrix, sup)
-    if vals[0] >= 0:
-        return _unproved(f"{reason}, and the support's has no negative eigenvalue")
-    d = dirs[:, 0] - dirs[:, 0].mean()
-    if d @ lhat[sup] > 0:
-        d = -d
-    shrink = d < 0
-    step = _STEP_SAFETY * float((rho.weights[sup][shrink] / -d[shrink]).min()) * d
-    step[np.argmax(step)] -= math.fsum(step)  # balanced exactly
-    points, deltas = sup[None, :], step[None, :]
-    check_variations(rho, points, deltas)
-    ds = float(action_differences(lhat, L, points, deltas)[0])
-    if ds >= -_FAIL_TOL:
-        return _unproved(f"{reason}; along the support's negative curvature "
-                         f"{vals[0]:.6g} the action drops by only {-ds:.6g}")
-    return {"certificate": "exact", "passed": False, "curvature": float(vals[0]),
-            "witness": _trial_record(rho.space.ids, sup, step, ds), "tol": _FAIL_TOL}
+def _window_qp(rho: DiscreteMeasure, L: Lagrangian, inside: np.ndarray, lhat: np.ndarray,
+               why_not_exact: str) -> dict:
+    """The least action over the measures that agree with rho off the window
+    W and give W its mass m_W: the causal variational principle on W.
 
-
-@dataclass
-class VariationSampler:
-    """Balanced positivity-preserving variation draws inside a window mask.
-
-    Support sizes are uniform on [2, support_cap]; signed masses come from a
-    difference of two symmetric Dirichlet draws, scaled by a uniform fraction
-    of 0.9 times the largest positivity-preserving step (the fraction varies
-    the step length so both first-order and curvature-sized moves get
-    sampled). Negative components are paired with the heaviest base weights
-    so the step never collapses at a massless point. Trials are drawn in
-    array chunks from this distribution, so at a given seed the sampled
-    variations, and the values of a minimality report, differ from those of
-    versions that drew one trial at a time.
+    With b = L_{W,out} rho_out and w = m_W v, the action is m_W^2 v'Mv plus a
+    constant, M = L_WW + (b1' + 1b')/m_W, a standard QP on the simplex that
+    ``minimize_on_compact`` solves and, where it can, certifies
+    (``certified_global``). Its minimizer gives delta = m_W v - rho_W, whose
+    largest entry absorbs the rounding of its total; the check passes when
+    ``min_delta_S``, delta's action change from ``action_differences``, is at
+    least -``_FAIL_TOL``, and otherwise reports delta as the ``witness``. A
+    window of zero mass admits no nonzero variation and passes with a ``reason``.
     """
-
-    window: np.ndarray
-    support_cap: int = 6
-    seed: int = 0
-
-    def __post_init__(self):
-        # a nonzero balanced variation moves at least two points
-        cap = self.support_cap
-        if not isinstance(cap, (int, np.integer)) or cap < 2:
-            raise InputError(f"support_cap must be an integer of at least 2, got {cap!r:.60}")
-
-
-def test_minimality(rho: DiscreteMeasure, L: Lagrangian, sampler: VariationSampler,
-                    trials: int) -> dict:
-    """Sampled second-order check that no balanced variation lowers the action.
-
-    Trials run ``_CHUNK`` at a time: each chunk is drawn, checked against the
-    rules of ``check_variations`` and scored with ``action_differences``.
-    ``worst`` is the first trial of least action change and ``failures`` the
-    first failing ones, in trial order. On a window of fewer than 2 points
-    the only balanced variation is 0, so every trial is skipped and the check
-    passes with a ``reason``.
-    """
-    if trials < 1:
-        raise InputError("trials must be a positive integer")
-    window_idx = np.flatnonzero(as_mask(sampler.window, len(rho.space), "sampler window"))
-    if len(window_idx) < 2:
-        return {"trials": trials, "evaluated": 0, "skipped": trials, "min_delta_S": 0.0,
-                "worst": None, "failures": [], "passed": True,
-                "reason": "a window of fewer than 2 points has no nonzero balanced variation"}
-    cap = min(sampler.support_cap, len(window_idx))
-    rng = np.random.default_rng(np.random.SeedSequence([sampler.seed]))
-    base = rho.weights[window_idx]
-    lhat = averaged_kernel(rho, L)
+    idx = np.flatnonzero(inside)
+    w = rho.weights[idx]
+    mass = math.fsum(w)
+    if mass == 0:
+        return _no_variation("a window of zero mass has no nonzero balanced variation "
+                             "that keeps the weights nonnegative", mass)
+    out = np.flatnonzero(~inside & (rho.weights > 0))
+    b = L.matrix[np.ix_(idx, out)] @ rho.weights[out]
+    M = L.matrix[np.ix_(idx, idx)] + (b[:, None] + b[None, :]) / mass
     ids = rho.space.ids
-    min_delta = math.inf
-    worst = None
-    evaluated = 0
-    failures = []
-    for start in range(0, trials, _CHUNK):
-        pick, steps, sizes = _draw_variations(rng, base, cap, min(_CHUNK, trials - start))
-        points = window_idx[pick]
-        check_variations(rho, points, steps)
-        ds = action_differences(lhat, L, points, steps)
-        evaluated += len(ds)
-        if len(ds) and ds.min() < min_delta:
-            i = int(np.argmin(ds))
-            min_delta = float(ds[i])
-            worst = _trial_record(ids, points[i, :sizes[i]], steps[i, :sizes[i]], ds[i])
-        for i in np.flatnonzero(ds < -_FAIL_TOL)[:_MAX_FAILURES - len(failures)]:
-            failures.append(_trial_record(ids, points[i, :sizes[i]], steps[i, :sizes[i]],
-                                          ds[i]))
-    return {"trials": trials, "evaluated": evaluated, "skipped": trials - evaluated,
-            "min_delta_S": (0.0 if evaluated == 0 else min_delta),
-            "worst": worst, "failures": failures, "passed": not failures}
+    solution = minimize_on_compact(CompactProblem(tuple(ids[i] for i in idx), M))
+    delta = mass * solution.weights - w
+    delta[np.argmax(delta)] -= math.fsum(delta)
+    check_variations(rho, idx[None], delta[None])
+    ds = float(action_differences(lhat, L, idx[None], delta[None])[0])
+    result = {"certificate": "window_qp", "passed": ds >= -_FAIL_TOL, "min_delta_S": ds,
+              "certified_global": solution.certified_global,
+              "why_not_exact": why_not_exact, "window_mass": mass, "tol": _FAIL_TOL}
+    if not result["passed"]:
+        moved = np.flatnonzero(delta)
+        result["witness"] = _trial_record(ids, idx[moved], delta[moved], ds)
+    return result
 
 
 def _trial_record(ids, points: np.ndarray, steps: np.ndarray, delta_action) -> dict:
-    """A trial as reported: its step at each point id, and its action change."""
+    """A variation as reported: its step at each point id, and its action change."""
     return {"delta": {ids[p]: step for p, step in zip(points.tolist(), steps.tolist())},
             "delta_action": float(delta_action)}
-
-
-def _draw_variations(rng: np.random.Generator, base: np.ndarray, cap: int, rows: int):
-    """Draw ``rows`` trials of ``VariationSampler`` and drop the skipped ones.
-
-    A trial is skipped when it has no negative mass or its largest
-    positivity-preserving step is 0 (a negative mass on a massless point) or
-    not finite, or its step underflows to 0. Returns, per kept trial, its
-    window positions (heaviest base weight first, ties in draw order), its
-    signed steps there (most negative first; 0 past the trial's size m, which
-    ends the row) and its size m.
-    """
-    sizes = rng.integers(2, cap + 1, size=rows)
-    pick = np.empty((rows, cap), dtype=np.intp)
-    for j in range(cap):  # draw the col-th point not yet picked: distinct points
-        col = rng.integers(len(base) - j, size=rows)
-        for prev in np.sort(pick[:, :j], axis=1).T:
-            col += col >= prev
-        pick[:, j] = col
-    used = np.arange(cap) < sizes[:, None]
-    # two symmetric Dirichlet(1) draws on the first m slots: normalized exponentials
-    e = np.where(used, rng.standard_exponential((2, rows, cap)), 0.0)
-    raw = e[0] / e[0].sum(axis=1, keepdims=True) - e[1] / e[1].sum(axis=1, keepdims=True)
-    # the most negative masses go to the heaviest base weights; unused slots last
-    raw = np.sort(np.where(used, raw, np.inf), axis=1)
-    order = np.argsort(np.where(used, -base[pick], np.inf), axis=1, kind="stable")
-    pick = np.take_along_axis(pick, order, axis=1)
-    neg = raw < 0
-    ratio = np.full(raw.shape, np.inf)
-    ratio[neg] = base[pick[neg]] / -raw[neg]
-    t_max = ratio.min(axis=1)
-    t = _STEP_SAFETY * t_max * (1.0 - rng.uniform(size=rows))
-    keep = np.isfinite(t_max) & (t_max > 0) & (t > 0)
-    pick, sizes, used = pick[keep], sizes[keep], used[keep]
-    steps = t[keep, None] * np.where(used, raw[keep], 0.0)
-    # t can reach ~1e4, lifting the draws' ~1e-16 imbalance past the balance
-    # tolerance of check_variations: the largest step absorbs it
-    last = (np.arange(len(sizes)), sizes - 1)
-    steps[last] -= np.fromiter(map(math.fsum, steps.tolist()), float, len(steps))
-    return pick, steps, sizes
-
-
-test_minimality.__test__ = False  # keep pytest from collecting the public name

@@ -48,7 +48,7 @@ class SolverFailure(CVPError, RuntimeError):
 
 
 class UsageError(CVPError, ValueError):
-    """Bad command-line usage (unknown check name, non-positive trial count)."""
+    """Bad command-line usage (an unknown flag or check name, a check without its setting)."""
 
 
 # The JSON kinds a config value is read as, by the name an error gives them.

@@ -18,7 +18,6 @@ from cvp import (
     DiscreteMeasure,
     RunOptions,
     SolverOptions,
-    VariationSampler,
     brute_force_minimizer,
     build_exhaustion,
     check_sufficient_conditions,
@@ -34,12 +33,12 @@ from cvp import (
     scaled_exp_profile,
     tail_index,
     tail_mass,
-    test_minimality,
     verify_compact_range,
     verify_el,
     verify_entropy_decay,
 )
 from cvp.cli import main
+from minimality_reference import VariationSampler, test_minimality
 
 KKT_TOL = 1e-8
 STAGE_TOL = 1e-7

@@ -29,7 +29,7 @@ def write_config(tmp_path, name="config.json", **overrides):
         "exhaustion": {"center": "g0", "radii": [2, 4, 6]},
         "solver": {"tol": 1e-8},
         "seed": 0,
-        "verify": {"checks": ["el", "minimality"], "trials": 200},
+        "verify": {"checks": ["el", "minimality"]},
     }
     cfg.update(overrides)
     path = tmp_path / name
@@ -107,19 +107,18 @@ def test_verify_minimality_witness_exits_3(tmp_path):
     key = next(iter(report["stages"][-1]["weights"]))
     report["stages"][-1]["weights"][key] *= 2.0
     Path(run_path).write_text(json.dumps(report))
-    assert main(["verify", "--run", run_path, "--checks", "minimality",
-                 "--trials", "1000"]) == 3
+    assert main(["verify", "--run", run_path, "--checks", "minimality"]) == 3
     summary = json.loads(Path(out_dir, "verify.json").read_text())
-    assert summary["checks"]["minimality"]["certificate"] == "sampled"
+    assert summary["checks"]["minimality"]["certificate"] == "window_qp"
 
 
 def test_verify_proof_draws_no_trials(tmp_path, monkeypatch):
     out_dir = run_solve(tmp_path)
 
-    def no_sampling(*args):
-        raise AssertionError("minimality was sampled although the proof applies")
+    def no_window_qp(*args):
+        raise AssertionError("the window QP was solved although the proof applies")
 
-    monkeypatch.setattr("cvp.cli.sample_minimality", no_sampling)
+    monkeypatch.setattr("cvp.el_analysis.minimize_on_compact", no_window_qp)
     assert main(["verify", "--run", os.path.join(out_dir, "run.json")]) == 0
     summary = json.loads(Path(out_dir, "verify.json").read_text())
     minimality = summary["checks"]["minimality"]
@@ -141,8 +140,12 @@ def test_verify_exact_witness_exits_3(tmp_path):
     summary = json.loads(Path(run_path).with_name("verify.json").read_text())
     assert summary["failed"] == ["minimality"]
     minimality = summary["checks"]["minimality"]
-    assert minimality["certificate"] == "exact" and not minimality["passed"]
-    assert minimality["curvature"] == pytest.approx(-2.0)
+    assert minimality["certificate"] == "window_qp" and not minimality["passed"]
+    assert minimality["certified_global"]
+    assert minimality["why_not_exact"] == ("the window's curvature form is not proved "
+                                           "positive semidefinite")
+    # the least action of mass 2/3 on the window sits at a vertex: (2/3)^2 (1 - 1.5)
+    assert minimality["min_delta_S"] == pytest.approx(-2.0 / 9.0, rel=1e-12)
     # the stage rescaled by 1/s, s = 1.5: weight 1/3 at each point
     L = np.array(kernel["matrix"])
     rho = np.full(2, 1.0 / 3.0)
@@ -212,12 +215,6 @@ def test_verify_rejects_unknown_check(tmp_path):
     out_dir = run_solve(tmp_path)
     assert main(["verify", "--run", os.path.join(out_dir, "run.json"),
                  "--checks", "nonsense"]) == 64
-
-
-def test_verify_rejects_zero_trials(tmp_path):
-    out_dir = run_solve(tmp_path)
-    assert main(["verify", "--run", os.path.join(out_dir, "run.json"),
-                 "--trials", "0"]) == 64
 
 
 def test_missing_config_exits_1(tmp_path):
@@ -312,9 +309,8 @@ def fuzz_report(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz")
     out_dir = run_solve(tmp, profile={"f": "exp", "params": {"rate": 1.0}, "delta": 1.0},
                         window={"layer": 1.0, "eps": 0.3},
-                        verify={"checks": list(_ALL_CHECKS), "trials": 20, "tol": 1e-6,
-                                "support_cap": 4, "delta_cover": 1.0, "eps": 0.3,
-                                "mass_radius": 1.0})
+                        verify={"checks": list(_ALL_CHECKS), "tol": 1e-6,
+                                "delta_cover": 1.0, "eps": 0.3, "mass_radius": 1.0})
     return json.loads(Path(out_dir, "run.json").read_text())
 
 
@@ -328,8 +324,7 @@ _FIELDS = (
     ("stages", -1, "degenerate"), ("window", 0), ("diagnostics", "window_layer"),
     ("config", "space"), ("config", "kernel"), ("config", "profile"), ("config", "window"),
     ("config", "window", "eps"), ("config", "verify"), ("config", "verify", "checks"),
-    ("config", "verify", "trials"), ("config", "verify", "tol"),
-    ("config", "verify", "support_cap"), ("config", "verify", "delta_cover"),
+    ("config", "verify", "tol"), ("config", "verify", "delta_cover"),
     ("config", "verify", "eps"), ("config", "verify", "mass_radius"),
 )
 
@@ -421,7 +416,9 @@ _BAD_FIELDS = (
     (("window",), {"layer": "1"}, "window.layer must be a number"),
     (("verify", "trails"), 5, "verify.trails is not a verify setting"),
     (("verify", "eps"), "x", "verify.eps must be a number"),
-    (("verify", "support_cap"), "4", "verify.support_cap must be an integer"),
+    # removed settings are refused as unknown keys
+    (("verify", "trials"), 200, "verify.trials is not a verify setting"),
+    (("verify", "support_cap"), 4, "verify.support_cap is not a verify setting"),
     (("kernel",), {"kind": "matrix", "matrix": [["1", "0.5"], ["0.5", "1"]], "range": 1},
      "kernel.matrix[0][0] must be a number, got '1'"),
     # every key of the kernel, profile, profile.params and exhaustion sections is read
@@ -486,8 +483,7 @@ def test_verify_refuses_support_cap_below_two(tmp_path, capsys, cap):
     Path(run_path).write_text(json.dumps(report))
     capsys.readouterr()
     assert main(["verify", "--run", run_path, "--checks", "minimality", "--trials", "5"]) == 1
-    assert (f"report config.verify.support_cap must be an integer of at least 2, got {cap}"
-            in capsys.readouterr().err)
+    assert "verify.support_cap is not a verify setting" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
@@ -549,9 +545,61 @@ def test_verify_default_checks_pass_on_one_point_window(tmp_path):
     assert main(["verify", "--run", run_path]) == 0
     summary = json.loads(Path(run_path).with_name("verify.json").read_text())
     minimality = summary["checks"]["minimality"]
-    assert minimality["passed"] and minimality["evaluated"] == 0
-    assert minimality["skipped"] == minimality["trials"] == 1000
-    assert "reason" in minimality
+    assert minimality["certificate"] == "window_qp" and minimality["passed"]
+    assert minimality["reason"].startswith("a window of fewer than 2 points")
+    assert "why_not_exact" not in minimality and "witness" not in minimality
+
+
+def test_verify_zero_mass_window_passes_with_a_reason(tmp_path):
+    # the window p1..p3 curves down along every balanced direction, so the
+    # proof does not apply; with its weight moved off, no variation is left
+    m = np.full((5, 5), 2.0)
+    np.fill_diagonal(m, 1.0)
+    points = [{"id": f"p{i}", "coords": [float(i)]} for i in range(5)]
+    run_path, report = _solved_report(
+        tmp_path, space={"points": points, "metric": "euclidean"},
+        kernel={"kind": "matrix", "matrix": m.tolist(), "range": 1.0},
+        exhaustion={"center": "p2", "radii": [1.0, 2.0]}, window={"layer": 0.0})
+    assert report["window"] == ["p1", "p2", "p3"]
+    report["stages"][-1]["weights"] = {"p0": 0.5, "p4": 0.5}
+    Path(run_path).write_text(json.dumps(report))
+    assert main(["verify", "--run", run_path, "--checks", "minimality"]) == 0
+    minimality = json.loads(Path(run_path).with_name("verify.json").read_text())[
+        "checks"]["minimality"]
+    assert minimality["certificate"] == "window_qp" and minimality["passed"]
+    assert minimality["window_mass"] == 0.0
+    assert minimality["reason"].startswith("a window of zero mass")
+
+
+def test_verify_finds_the_doubled_center_weight_exactly(tmp_path):
+    # the acceptance gate's doubled g50 weight: the first-order bound fails
+    # and the window QP gives a certified descent
+    points = [{"id": f"g{i}", "coords": [float(i - 50)]} for i in range(101)]
+    run_path, report = _solved_report(
+        tmp_path, space={"points": points, "metric": "euclidean"},
+        exhaustion={"center": "g50", "radii": [10, 20, 50]})
+    report["stages"][-1]["weights"]["g50"] *= 2.0
+    Path(run_path).write_text(json.dumps(report))
+    assert main(["verify", "--run", run_path, "--checks", "minimality"]) == 3
+    minimality = json.loads(Path(run_path).with_name("verify.json").read_text())[
+        "checks"]["minimality"]
+    assert minimality["certificate"] == "window_qp" and not minimality["passed"]
+    assert minimality["certified_global"]
+    assert minimality["why_not_exact"].startswith("the first-order bound")
+    assert minimality["witness"]["delta_action"] == minimality["min_delta_S"] < -1e-8
+
+
+def test_verify_ignores_the_trials_flag(tmp_path, capsys):
+    run_path, _ = _solved_report(tmp_path)
+    outs = [str(tmp_path / "plain.json"), str(tmp_path / "trials.json")]
+    assert main(["verify", "--run", run_path, "--out", outs[0]]) == 0
+    assert main(["verify", "--run", run_path, "--trials", "5", "--out", outs[1]]) == 0
+    assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--delta-cover" in help_text and "--trials" not in help_text
 
 
 def _verify_bytes(run_path, report, out, checks):
@@ -595,7 +643,7 @@ def _alter(report):
 def test_output_only_fields_do_not_change_verify(tmp_path, edit):
     run_path, report = _solved_report(
         tmp_path, profile=_PROFILE, window={"layer": 1.0, "eps": 0.3},
-        verify={"support_cap": 4, "eps": 0.3})
+        verify={"eps": 0.3})
     checks = ",".join(_ALL_CHECKS)
     code, clean = _verify_bytes(run_path, report, str(tmp_path / "clean.json"), checks)
     edit(report)

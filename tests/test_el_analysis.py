@@ -1,4 +1,5 @@
-"""Stationarity reports, boundedness conditions and variation sampling."""
+"""Stationarity reports, boundedness conditions, window minimality and its
+sampled reference."""
 
 import math
 from fractions import Fraction
@@ -14,7 +15,6 @@ from cvp import (
     InputError,
     MetricSpace,
     RunOptions,
-    VariationSampler,
     action,
     averaged_kernel,
     build_exhaustion,
@@ -33,6 +33,8 @@ from cvp import (
 )
 from cvp.measure import action_differences, check_variations
 from cvp.reports import canonical_json
+
+import minimality_reference as reference
 
 ATOL = 1e-12
 EL_TOL = 1e-8
@@ -229,8 +231,8 @@ def test_gamma_bound_validates_eps(identity_run):
 def test_sampled_variations_recompute_exactly(identity_run):
     grid, tent, run = identity_run
     rho = run.stages[-1].measure
-    sampler = VariationSampler(window=run.window, seed=3)
-    rep = cvp.test_minimality(rho, tent, sampler, trials=50)
+    sampler = reference.VariationSampler(window=run.window, seed=3)
+    rep = reference.test_minimality(rho, tent, sampler, trials=50)
     assert rep["evaluated"] == 50
     delta = dense(grid, rep["worst"]["delta"])
     pts = np.flatnonzero(delta)
@@ -243,8 +245,8 @@ def test_sampled_variations_recompute_exactly(identity_run):
 def test_minimizer_survives_sampling(identity_run):
     grid, tent, run = identity_run
     rho = run.stages[-1].measure
-    sampler = VariationSampler(window=run.window, seed=0)
-    rep = cvp.test_minimality(rho, tent, sampler, trials=2000)
+    sampler = reference.VariationSampler(window=run.window, seed=0)
+    rep = reference.test_minimality(rho, tent, sampler, trials=2000)
     assert rep["passed"]
     assert rep["min_delta_S"] >= -EL_TOL
     assert rep["failures"] == []
@@ -257,8 +259,8 @@ def test_corrupted_weights_yield_witness(identity_run):
     window = np.flatnonzero(run.window)
     bad[window[len(window) // 2]] *= 2.0
     corrupted = DiscreteMeasure(grid, bad)
-    sampler = VariationSampler(window=run.window, seed=0)
-    rep = cvp.test_minimality(corrupted, tent, sampler, trials=1000)
+    sampler = reference.VariationSampler(window=run.window, seed=0)
+    rep = reference.test_minimality(corrupted, tent, sampler, trials=1000)
     assert not rep["passed"]
     assert rep["min_delta_S"] < -EL_TOL
     assert rep["failures"]
@@ -289,7 +291,7 @@ def test_large_steps_stay_balanced():
     raw = np.sort(np.divide(e[0][0], sum(e[0][0])) - np.divide(e[1][0], sum(e[1][0])))
     t = 0.9 * (base[0] / -raw[0])
     assert abs(math.fsum(t * raw)) > 1e-12
-    pick, steps, sizes = el_analysis._draw_variations(_ConstructedDraws(e), base, 2, 1)
+    pick, steps, sizes = reference._draw_variations(_ConstructedDraws(e), base, 2, 1)
     assert sizes.tolist() == [2] and sorted(pick[0].tolist()) == [0, 1]
     assert abs(math.fsum(steps[0])) <= 1e-15
     g = grid_1d(range(2))
@@ -316,7 +318,7 @@ def test_drawn_rows_follow_the_sampler_rules(inputs):
     window_idx = np.flatnonzero(window)
     cap = min(support_cap, len(window_idx))
     base = rho.weights[window_idx]
-    pick, steps, sizes = el_analysis._draw_variations(np.random.default_rng(seed), base, cap, 64)
+    pick, steps, sizes = reference._draw_variations(np.random.default_rng(seed), base, cap, 64)
     ds = action_differences(averaged_kernel(rho, L), L, window_idx[pick], steps)
     for row, step, m, d in zip(pick, steps, sizes, ds):
         assert 2 <= m <= cap
@@ -335,9 +337,9 @@ def test_drawn_rows_follow_the_sampler_rules(inputs):
 
 
 def test_chunk_support_sizes_are_uniform():
-    cap, rows = 6, el_analysis._CHUNK
+    cap, rows = 6, reference._CHUNK
     base = np.linspace(0.5, 1.5, 10)  # no massless point, so no trial is skipped
-    _, _, sizes = el_analysis._draw_variations(np.random.default_rng(11), base, cap, rows)
+    _, _, sizes = reference._draw_variations(np.random.default_rng(11), base, cap, rows)
     assert len(sizes) == rows
     p = 1.0 / (cap - 1)
     sigma = math.sqrt(rows * p * (1.0 - p))
@@ -358,8 +360,8 @@ def test_small_variations_never_go_negative(seed):
     g = grid_1d(range(6))
     L = make_kernel("exponential", {"amplitude": 1.0, "sigma": 2.0}, g)
     st_ = whole_space_stage(g, L)
-    sampler = VariationSampler(window=np.ones(6, dtype=bool), seed=seed)
-    rep = cvp.test_minimality(st_.measure, L, sampler, trials=20)
+    sampler = reference.VariationSampler(window=np.ones(6, dtype=bool), seed=seed)
+    rep = reference.test_minimality(st_.measure, L, sampler, trials=20)
     assert rep["min_delta_S"] >= -EL_TOL
 
 
@@ -367,7 +369,7 @@ def test_small_variations_never_go_negative(seed):
 def test_support_cap_below_two_is_refused(cap):
     match = f"support_cap must be an integer of at least 2, got {cap}$"
     with pytest.raises(InputError, match=match):
-        VariationSampler(window=np.ones(4, dtype=bool), support_cap=cap)
+        reference.VariationSampler(window=np.ones(4, dtype=bool), support_cap=cap)
 
 
 def _certified(report):
@@ -384,24 +386,30 @@ def test_minimizer_is_proved_on_its_window(identity_run):
     assert rep["tol"] == el_analysis._FAIL_TOL
 
 
-def test_corrupted_weights_are_left_to_sampling(identity_run):
-    # the window form stays positive definite; the first-order bound fails
+def test_corrupted_weights_fail_the_window_qp(identity_run):
+    # the window form stays positive definite; the first-order bound fails,
+    # and the window QP finds the descent
     grid, tent, run = identity_run
     bad = run.stages[-1].measure.weights.copy()
     bad[np.flatnonzero(run.window)[3]] *= 2.0
     rep = el_analysis.prove_minimality(DiscreteMeasure(grid, bad), tent, run.window)
-    assert rep["certificate"] == "sampled"
-    assert rep["why_sampled"].startswith("the first-order bound")
+    assert rep["certificate"] == "window_qp" and not rep["passed"]
+    assert rep["why_not_exact"].startswith("the first-order bound")
+    assert rep["certified_global"]
+    assert rep["min_delta_S"] == rep["witness"]["delta_action"] < -EL_TOL
 
 
-def test_one_point_window_is_left_to_sampling(identity_run):
+def test_one_point_window_passes_with_a_reason(identity_run):
     grid, tent, run = identity_run
     window = np.zeros(len(grid), dtype=bool)
     window[grid.index["g0"]] = True
-    rep = el_analysis.prove_minimality(run.stages[-1].measure, tent, window)
-    assert rep == {"certificate": "sampled",
-                   "why_sampled": "a window of fewer than 2 points has no nonzero "
-                                  "balanced variation"}
+    rho = run.stages[-1].measure
+    rep = el_analysis.prove_minimality(rho, tent, window)
+    assert rep == {"certificate": "window_qp", "passed": True, "min_delta_S": 0.0,
+                   "window_mass": float(rho.weights[grid.index["g0"]]),
+                   "reason": "a window of fewer than 2 points has no nonzero "
+                             "balanced variation",
+                   "tol": el_analysis._FAIL_TOL}
 
 
 @pytest.mark.parametrize("eps,proved", [(1e-15, False), (1e-6, True)])
@@ -414,7 +422,8 @@ def test_curvature_below_the_rounding_margin_is_not_proved(eps, proved):
     rep = el_analysis.prove_minimality(rho, L, np.ones(3, dtype=bool))
     assert _certified(rep) == proved
     if not proved:
-        assert "not proved positive semidefinite" in rep["why_sampled"]
+        assert "not proved positive semidefinite" in rep["why_not_exact"]
+        assert rep["certificate"] == "window_qp" and rep["passed"]
 
 
 def _exact_bound(rho, L, window):
@@ -456,13 +465,59 @@ def test_proof_bounds_every_sampled_trial(n, kind, sigma, seed):
     window = np.ones(n, dtype=bool)
     rep = el_analysis.prove_minimality(rho, L, window)
     if _certified(rep):
-        sampler = VariationSampler(window=window, support_cap=n, seed=seed)
-        trials = cvp.test_minimality(rho, L, sampler, trials=2000)
+        sampler = reference.VariationSampler(window=window, support_cap=n, seed=seed)
+        trials = reference.test_minimality(rho, L, sampler, trials=2000)
         scale = max(1.0, float(L.matrix.max()) * rho.total() ** 2)
         assert trials["min_delta_S"] >= rep["bound"] - 1e-12 * scale
     doubled = rho.weights.copy()
     doubled[np.argmax(doubled)] *= 2.0
     assert not _certified(el_analysis.prove_minimality(DiscreteMeasure(g, doubled), L, window))
+
+
+def _exact_action_change(rho, L, delta):
+    """(rho + delta)'L(rho + delta) - rho'L rho of the stored floats, in exact rationals."""
+    pts = np.flatnonzero((rho.weights != 0) | (delta != 0))
+    w = [Fraction(v) for v in rho.weights[pts].tolist()]
+    d = [Fraction(v) for v in delta[pts].tolist()]
+    rows = L.matrix[np.ix_(pts, pts)].tolist()
+    return sum(Fraction(Lij) * (2 * w[i] * d[j] + d[i] * d[j])
+               for i, row in enumerate(rows) for j, Lij in enumerate(row))
+
+
+@given(n=st.integers(3, 12), kind=st.sampled_from(["exponential", "truncated_gaussian"]),
+       sigma=st.floats(0.3, 3.0), seed=st.integers(0, 2 ** 16), doubled=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_window_qp_is_never_beaten_by_sampling(n, kind, sigma, seed, doubled):
+    # the windows of test_proof_bounds_every_sampled_trial, cut to a random
+    # subset so that weight outside the window enters the QP
+    g = grid_1d(range(n))
+    params = {"sigma": sigma} if kind == "exponential" else {"sigma": sigma, "range": 2.0}
+    L = make_kernel(kind, params, g)
+    weights = whole_space_stage(g, L).measure.weights.copy()
+    if doubled:
+        weights[np.argmax(weights)] *= 2.0
+    rho = DiscreteMeasure(g, weights)
+    window = np.random.default_rng(seed).random(n) < 0.7
+    window[:2] = True
+    qp = el_analysis._window_qp(rho, L, window, averaged_kernel(rho, L), "not tried")
+    sampler = reference.VariationSampler(window=window, support_cap=n, seed=seed)
+    sampled = reference.test_minimality(rho, L, sampler, trials=2000)
+    scale = max(1.0, float(L.matrix.max()) * rho.total() ** 2)
+    assert qp["min_delta_S"] <= sampled["min_delta_S"] + 1e-12 * scale
+    if sampled["failures"]:
+        assert not qp["passed"]
+    if not qp["passed"]:
+        delta = dense(g, qp["witness"]["delta"])
+        pts = np.flatnonzero(delta)
+        check_variations(rho, pts[None], delta[pts][None])
+        exact = _exact_action_change(rho, L, delta)
+        # relative 1e-12, and the rounding of the float score 2 delta.lhat +
+        # delta'L delta, which a witness just past -tol does not dwarf
+        size = float(np.abs(delta).sum())
+        rounding = 1e-14 * size * (2.0 * float(averaged_kernel(rho, L).max())
+                                   + float(L.matrix.max()) * size)
+        assert abs(Fraction(qp["witness"]["delta_action"]) - exact) <= (abs(exact) * 1e-12
+                                                                         + rounding)
 
 
 def _reference_nontriviality(run, L, space, tol=1e-8):
