@@ -3,29 +3,21 @@
 Two independent routes are provided. ``minimize_on_compact`` runs a primal
 active-set method with a ratio test (Nocedal & Wright, *Numerical
 Optimization*, Alg. 16.3; Bomze 1998 for the standard quadratic program).
-Every step stays on the simplex and never raises the action, so the method
-cannot cycle except on exact ties, which the lowest point index breaks; a
-start that runs ``_MAX_ITER`` iterations fails. On a positive definite block
-the program is strictly convex and one start finds its global minimum; any
-other block gets several starts. The starts of a block run in lockstep
-(``_lockstep``): their weights, supports and averaged kernels are rows of
-one array each, and a pass moves every start one step with row-wise array
-operations, so the starts share their numpy calls. Consecutive supports
-differ by one point, so from a start's first change of support on, the
-inverse of its bordered matrix is kept in point coordinates, one matrix of
-a stack (``_Inverses``), where an add and a drop are each one rank-one term,
-folded into the matrix in blocks of ``_FOLD``; it is formed afresh after a
-near-singular update or a target that has drifted from stationarity. The
-starts of a block decompose each support they meet once, solve each support
-directly once, and form the full support's bordered inverse once, a copy of
-which each start's first drop from it updates. Every product and reduction
-is taken row by row, so each start ends as it would alone, to the last bit.
-A block that is not positive definite and has at most ``ORACLE_CAP`` points
-is certified by ``_dnn_bound``, a lower bound from the doubly nonnegative
-dual, when the bound meets the solver's value, and otherwise by
-``brute_force_minimizer``, which enumerates every support subset and backs
-``cvp oracle``. The solver never adopts the oracle's weights, only compares
-values to set the certification flag.
+Every step stays on the simplex and never raises the action; a step of
+length zero leaves it level, so only ``_MAX_ITER`` bounds a start in
+general, and a start that reaches it fails. Of exact twins, points with
+equal kernel rows, only the first joins a support (``_fold_twins``): a
+support holding two is singular, and its solved target, rounding along their
+difference, can hold a start at steps of length zero until the cap. On a
+positive definite block the program is strictly convex and one start finds
+its global minimum; any other block gets several starts, run in lockstep as
+one batch (``_lockstep``, state in ``_Lanes``), each ending as it would
+alone, to the last bit. A block that is not positive definite and has at
+most ``ORACLE_CAP`` points is certified by ``_dnn_bound``, a lower bound
+from the doubly nonnegative dual, when the bound meets the solver's value,
+and otherwise by ``brute_force_minimizer``, which enumerates every support
+subset and backs ``cvp oracle``. The solver never adopts the oracle's
+weights, only compares values to set the certification flag.
 
 Stationarity convention: with value s = w'Lw, the averaged kernel Lw equals s
 on the support and is >= s off the support.
@@ -80,7 +72,7 @@ _PIVOT_REL = 1e-10
 _DRIFT_ATOL = 1e3
 
 # Rank-one updates of a bordered inverse wait as vectors, and every this many
-# are added into its matrix with one product (``_Inverses``).
+# are added into its matrix with one product (``_Lanes``).
 _FOLD = 16
 
 
@@ -189,26 +181,43 @@ def _rowprod(Lb: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.matmul(Lb, X[:, :, None])[:, :, 0]
 
 
-class _Inverses:
-    """The bordered inverses of a batch's lanes in point coordinates: row and
-    column 0 are the border, 1 + x those of point x, 0 off the lane's support.
-    Lane l's, when ``has[l]``, is ``base[slot[l]]`` plus the pending rank-one
-    terms sum_t coef[l, t] v v', v = terms[l, t], one an add or a drop. Reads
-    apply all ``_FOLD`` slots, those unused being 0, as the lane alone would;
-    a lane with full slots adds them into its matrix before its next term.
-    The stack of matrices is allocated at the first inverse formed."""
+class _Lanes:
+    """The lanes of a ``_lockstep`` batch, a row of each array a lane: its
+    ``start``, weights ``W``, ``G`` = L W, support (``on`` 1 and ``pen`` inf
+    there, both 0 off it), ``at_target``, iterations ``used`` and bordered
+    inverse in point coordinates, 0 off the support: row and column 0 are the
+    border, 1 + x those of point x. Lane l's, when ``has[l]``, is
+    ``base[slot[l]]`` plus the rank-one terms sum_t coef[l, t] v v',
+    v = terms[l, t], each an add or a drop. Reads apply all ``_FOLD`` slots,
+    those unused being 0, as the lane alone would; full slots are added into
+    the matrix before the next term. ``keep`` filters all but ``Lb`` and the
+    stack ``base``, which the first inverse formed allocates."""
 
-    def __init__(self, Lb: np.ndarray, n: int):
+    _ROWS = ("start", "W", "G", "on", "pen", "at_target", "used", "has", "slot", "terms",
+             "coef", "count")
+
+    def __init__(self, Lb: np.ndarray, starts):
         self.Lb = Lb
+        self.W, later = _fold_twins(Lb, starts)
+        n, k = self.W.shape
+        self.start = np.arange(n)
+        self.on = np.where(self.W > 0, 1.0, 0.0)
+        # a later twin never joins a support: its bordered matrix would be singular
+        self.pen = np.where((self.W > 0) | later, np.inf, 0.0)
+        self.G = _rowprod(Lb, self.W)
+        self.at_target = np.zeros(n, dtype=bool)
+        self.used = np.zeros(n, dtype=np.intp)
         self.has = np.zeros(n, dtype=bool)
-        self.slot = np.arange(n)  # each lane's matrix in base
-        self.base = self.terms = self.coef = self.count = None
+        self.slot = np.arange(n)
+        self.base = None
+        self.terms = np.zeros((n, _FOLD, k + 1))
+        self.coef = np.zeros((n, _FOLD))
+        self.count = np.zeros(n, dtype=np.intp)
 
     def keep(self, live: np.ndarray) -> None:
-        """Drop the lanes that are not ``live``."""
-        self.has, self.slot = self.has[live], self.slot[live]
-        if self.base is not None:
-            self.terms, self.coef, self.count = self.terms[live], self.coef[live], self.count[live]
+        """Keep the lanes of the rows ``live``, in their order."""
+        for name in self._ROWS:
+            setattr(self, name, getattr(self, name)[live])
 
     def form(self, l: int, sup: np.ndarray, Q: np.ndarray | None = None) -> None:
         """Lane ``l``'s inverse is ``Q``, else formed afresh, on its support
@@ -220,12 +229,8 @@ class _Inverses:
             return
         k1 = len(self.Lb) + 1
         if self.base is None:
-            n = len(self.slot)
-            self.slot = np.arange(n)
-            self.base = np.zeros((n, k1, k1))
-            self.terms = np.zeros((n, _FOLD, k1))
-            self.coef = np.zeros((n, _FOLD))
-            self.count = np.zeros(n, dtype=np.intp)
+            self.slot = np.arange(len(self.slot))
+            self.base = np.zeros((len(self.slot), k1, k1))
         P = self.base[self.slot[l]]
         if len(Q) == k1:
             P[:] = Q
@@ -243,51 +248,53 @@ class _Inverses:
         c = self.coef * V[:, :, 0]
         return self.base[self.slot, 0] + np.matmul(c[:, None, :], V)[:, 0]
 
-    def update(self, on: np.ndarray, lanes: np.ndarray, j: np.ndarray, joined: bool) -> None:
-        """Each lane of ``lanes`` after point ``j[i]`` ``joined`` its support
-        (the nonzeros of its row of ``on``), or left it: its inverse takes one
-        term (``_add``, ``_drop``), or is formed afresh on its new support
-        when it has none or the new matrix is near singular (``_PIVOT_REL``)."""
-        has = self.has[lanes]
-        if np.count_nonzero(has) < len(lanes):
-            for l in lanes[~has]:
-                self.form(l, on[l].nonzero()[0])
-            lanes, j = lanes[has], j[has]
-        if len(lanes):
-            v, pivot, ok = (self._add if joined else self._drop)(lanes, j)
-            if np.count_nonzero(ok) < len(lanes):
-                for l in lanes[~ok]:
-                    self.form(l, on[l].nonzero()[0])
-                lanes, v, pivot = lanes[ok], v[ok], pivot[ok]
-            self._push(lanes, v, (1.0 if joined else -1.0) / pivot)
+    def update(self, rows: np.ndarray, j: np.ndarray, joined: bool) -> None:
+        """Point ``j[i]`` joins the support of lane ``rows[i]``, or leaves it:
+        its inverse takes one term (``_add``, ``_drop``), or is formed afresh
+        on the new support when it has none or the new matrix is near singular
+        (``_PIVOT_REL``)."""
+        self.on[rows, j] = 1.0 if joined else 0.0
+        self.pen[rows, j] = np.inf if joined else 0.0
+        has = self.has[rows]
+        if np.count_nonzero(has) < len(rows):
+            for l in rows[~has]:
+                self.form(l, self.on[l].nonzero()[0])
+            rows, j = rows[has], j[has]
+        if len(rows):
+            v, pivot, ok = (self._add if joined else self._drop)(rows, j)
+            if np.count_nonzero(ok) < len(rows):
+                for l in rows[~ok]:
+                    self.form(l, self.on[l].nonzero()[0])
+                rows, v, pivot = rows[ok], v[ok], pivot[ok]
+            self._push(rows, v, (1.0 if joined else -1.0) / pivot)
 
-    def _push(self, lanes: np.ndarray, v: np.ndarray, coef: np.ndarray) -> None:
-        t = self.count[lanes]
+    def _push(self, rows: np.ndarray, v: np.ndarray, coef: np.ndarray) -> None:
+        t = self.count[rows]
         full = t == _FOLD
         if np.count_nonzero(full):
-            for l in lanes[full]:
+            for l in rows[full]:
                 V = self.terms[l]
                 self.base[self.slot[l]] += (V.T * self.coef[l]) @ V
                 V[:] = 0.0
                 self.coef[l] = 0.0
             t[full] = 0
-        self.terms[lanes, t] = v
-        self.coef[lanes, t] = coef
-        self.count[lanes] = t + 1
+        self.terms[rows, t] = v
+        self.coef[rows, t] = coef
+        self.count[rows] = t + 1
 
-    def _add(self, lanes: np.ndarray, j: np.ndarray):
+    def _add(self, rows: np.ndarray, j: np.ndarray):
         """Point j joins: with u = P (1, L_j), the term u u' / sigma, where u_j
         is set to -1 and sigma = L_jj - (1, L_j) u is the Schur complement of
         j. Returns u, sigma and whether |sigma| > ``_PIVOT_REL`` L_jj."""
         Lb = self.Lb
-        m = len(lanes)
+        m = len(rows)
         b = np.empty((m, Lb.shape[0] + 1))
         b[:, 0] = 1.0
         b[:, 1:] = Lb[j]
-        V = self.terms[lanes]
-        h = self.coef[lanes] * np.matmul(V, b[:, :, None])[:, :, 0]
+        V = self.terms[rows]
+        h = self.coef[rows] * np.matmul(V, b[:, :, None])[:, :, 0]
         u = np.empty_like(b)
-        for i, l in enumerate(self.slot[lanes].tolist()):
+        for i, l in enumerate(self.slot[rows].tolist()):
             np.matmul(self.base[l], b[i], out=u[i])
         u += np.matmul(h[:, None, :], V)[:, 0]
         Ljj = Lb[j, j]
@@ -295,20 +302,20 @@ class _Inverses:
         u[np.arange(m), 1 + j] = -1.0
         return u, sigma, np.abs(sigma) > _PIVOT_REL * Ljj
 
-    def _drop(self, lanes: np.ndarray, j: np.ndarray):
+    def _drop(self, rows: np.ndarray, j: np.ndarray):
         """Point j leaves: with its row c, the term -c c' / c_j, after which
         row and column 1 + j are set to exactly 0. Returns c, c_j and whether
         |c_j| L_jj > ``_PIVOT_REL`` (c_j is 1 / sigma)."""
-        at = np.arange(len(lanes))
+        at = np.arange(len(rows))
         r = 1 + j
-        V = self.terms[lanes]
-        s = self.slot[lanes]
-        c = self.base[s, r] + np.matmul((self.coef[lanes] * V[at, :, r])[:, None, :], V)[:, 0]
+        V = self.terms[rows]
+        s = self.slot[rows]
+        c = self.base[s, r] + np.matmul((self.coef[rows] * V[at, :, r])[:, None, :], V)[:, 0]
         pivot = c[at, r]
         c[at, r] = 0.0
         self.base[s, r] = 0.0
         self.base[s, :, r] = 0.0
-        self.terms[lanes, :, r] = 0.0
+        self.terms[rows, :, r] = 0.0
         return c, pivot, np.abs(pivot) * self.Lb[j, j] > _PIVOT_REL
 
 
@@ -346,9 +353,23 @@ def _negative_curvature(Lb: np.ndarray, sup: np.ndarray, atol: float,
     return curvature[key]
 
 
-# A lane's entries of ``masks`` in ``_lockstep`` for a point on and off its support.
-_ON = np.array([1.0, np.inf])[:, None]
-_OFF = np.array([0.0, 0.0])[:, None]
+def _fold_twins(Lb: np.ndarray, w):
+    """``w`` (one vector, or one a row) with each point's weight moved onto
+    its first twin, the least index whose kernel row equals its own, and
+    which points are later twins. Twins i and j have L_ij = L_jj, which
+    screens the points."""
+    w = np.array(w, dtype=float)
+    later = np.zeros(len(Lb), dtype=bool)
+    eq = Lb == np.diag(Lb)
+    if np.count_nonzero(eq) > len(Lb):
+        first: dict[bytes, int] = {}
+        for j in np.flatnonzero(np.count_nonzero(eq, axis=0) > 1).tolist():
+            i = first.setdefault((Lb[j] + 0.0).tobytes(), j)  # + 0.0 makes -0.0 0.0
+            if i != j:
+                w[..., i] += w[..., j]
+                w[..., j] = 0.0
+                later[j] = True
+    return w, later
 
 
 def _lockstep(Lb: np.ndarray, starts, atol: float, convex: bool = False):
@@ -367,109 +388,92 @@ def _lockstep(Lb: np.ndarray, starts, atol: float, convex: bool = False):
     it, downhill. An add and a step each count as one of ``_MAX_ITER``
     iterations. g = L w is carried along each step d as g + a L d. A lane's
     first target is solved directly, later ones read from its bordered
-    inverse (``_Inverses``), formed at its first change of S (from the full
-    support, a copy of its inverse, formed once) and again after a target
-    drifts off stationarity by ``_DRIFT_ATOL`` tolerances, which is solved
-    directly. Each support is solved and decomposed once. Every product and
-    reduction is taken row by row, so each lane ends as it would alone, to
-    the last bit.
+    inverse, formed at its first change of S (from the full support, a copy
+    of its inverse, formed once) and again after a target drifts off
+    stationarity by ``_DRIFT_ATOL`` tolerances, which is solved directly.
+    Each support is solved and decomposed once. The lanes' state is one
+    record (``_Lanes``), which a stopped lane leaves. Of exact twins only
+    the first joins a support, and a start's weight on the others moves onto
+    it (``_fold_twins``). Every product and reduction is taken row by row,
+    so each lane ends as it would alone, to the last bit.
 
     Returns each start's weights, None when it ran out of iterations; its
     iterations, a stop at a KKT point counting one; and a (starts, actions)
     pair a pass, the actions never rising along a start.
     """
-    W = np.array(starts, dtype=float)
-    n, k = W.shape
-    # each lane's support as 1 on it and 0 off it, and as inf on it and 0 off it
-    masks = np.where(W > 0, _ON[:, :, None], _OFF[:, :, None])
-    G = _rowprod(Lb, W)
-    at_target = np.zeros(n, dtype=bool)
-    used = np.zeros(n, dtype=np.intp)  # each lane's iterations
-    lanes = row = np.arange(n)  # each row's start, and each row
+    lanes = _Lanes(Lb, starts)
+    n, k = lanes.W.shape
     ends: list[np.ndarray | None] = [None] * n
     iterations = [0] * n
     actions = []
-    inv = _Inverses(Lb, n)
     solved: dict[bytes, tuple | None] = {}  # _solve_support by support
     curvature: dict[bytes, np.ndarray | None] = {}  # _negative_curvature by support
     full = []  # the full support's bordered inverse, once formed
     while True:
-        onf, npen = masks
+        W, G, on, start = lanes.W, lanes.G, lanes.on, lanes.start
         s = _rowdot(W, G)
-        actions.append((lanes, s))
+        actions.append((start, s))
         # max |g - s| on S: the larger of max g - s and s - min g, rounded alike
-        stationary = at_target | (_rowmax(np.abs(G - s[:, None]) * onf) <= atol)
-        near = 2 * len(actions) >= _MAX_ITER  # a lane may run out of iterations
-        at = (stationary & (used < _MAX_ITER) if near else stationary).nonzero()[0]
-        dirs = {}  # the rows that step along a curvature direction, and it
+        stationary = lanes.at_target | (_rowmax(np.abs(G - s[:, None]) * on) <= atol)
+        at = (stationary & (lanes.used < _MAX_ITER)).nonzero()[0]
+        dirs = {}  # the starts that step along a curvature direction, and it
         stop = []  # the rows that leave: at a KKT point or out of iterations
         if len(at):
-            cand = G[at] + npen[at]
+            cand = G[at] + lanes.pen[at]
             i = cand.argmin(axis=1)
             add = cand[np.arange(len(at)), i] < s[at] - atol
             a_l = at[add]
             if len(a_l):
-                j = i[add]
-                masks[:, a_l, j] = _ON
-                used[a_l] += 1
-                at_target[a_l] = False
-                inv.update(onf, a_l, j, True)
+                lanes.used[a_l] += 1
+                lanes.update(a_l, i[add], True)
             for l in at[~add].tolist():
                 # a KKT point: stop there unless it is a saddle on its support
-                d = None if convex else _negative_curvature(Lb, onf[l].nonzero()[0], atol,
+                d = None if convex else _negative_curvature(Lb, on[l].nonzero()[0], atol,
                                                              curvature)
                 if d is None:
                     stop.append(l)
-                    ends[lanes[l]] = _final_weights(Lb, W[l], solved)
+                    ends[start[l]] = _final_weights(Lb, W[l], solved)
                 else:
-                    dirs[l] = d
-        if near:
-            stop += (used == _MAX_ITER).nonzero()[0].tolist()
-        if stop:
-            for l in stop:
-                iterations[lanes[l]] = int(used[l]) + (ends[lanes[l]] is not None)
-            if len(stop) == n:
-                break
-            live = np.ones(n, dtype=bool)
-            live[stop] = False
-            at = np.cumsum(live) - 1
-            dirs = {int(at[l]): d for l, d in dirs.items()}
-            W, G, masks, lanes = W[live], G[live], masks[:, live], lanes[live]
-            at_target, used, stationary = at_target[live], used[live], stationary[live]
-            inv.keep(live)
-            n = len(lanes)
-            row = row[:n]
-            onf, npen = masks
-        saddle = list(dirs)
+                    dirs[start[l]] = d
+        saddles = len(dirs)  # the saddles are the first entries of dirs
         if len(actions) == 1 and not convex:
             # the first step follows downward curvature, so that each start
             # descends its own way rather than toward a shared saddle
             for l in (~stationary).nonzero()[0].tolist():
-                d = _negative_curvature(Lb, onf[l].nonzero()[0], atol, curvature)
+                d = _negative_curvature(Lb, on[l].nonzero()[0], atol, curvature)
                 if d is not None:
-                    dirs[l] = d
+                    dirs[start[l]] = d
+        stop += (lanes.used == _MAX_ITER).nonzero()[0].tolist()
+        if stop:
+            for l in stop:
+                iterations[start[l]] = int(lanes.used[l]) + (ends[start[l]] is not None)
+            if len(stop) == len(start):
+                break
+            lanes.keep(np.delete(np.arange(len(start)), stop))
+            W, G, on = lanes.W, lanes.G, lanes.on
         # every lane steps: along its direction in dirs, or toward its target
-        read = inv.has.copy()
+        n = len(W)
+        read = lanes.has.copy()
         target = ~read
-        if dirs:
-            read[list(dirs)] = target[list(dirs)] = False
+        rows = np.searchsorted(lanes.start, list(dirs))  # those of dirs, in its order
+        read[rows] = target[rows] = False
         D = np.zeros((n, k))
         mult = np.zeros(n)  # the target's multiplier, L w on S there
         for l in target.nonzero()[0].tolist():
-            sup = onf[l].nonzero()[0]
+            sup = on[l].nonzero()[0]
             sol = _solved(Lb, sup, solved)
             if sol is None:  # a singular system: a direction of zero curvature
                 vals, vecs = _curvature(Lb, sup)
-                dirs[l] = vecs[:, int(np.argmin(np.abs(vals)))]
+                D[l, sup] = vecs[:, int(np.argmin(np.abs(vals)))]
                 target[l] = False
             else:
                 mult[l] = sol[1]
                 D[l, sup] = sol[0] - W[l, sup]
-        for l, d in dirs.items():
-            D[l, onf[l] > 0] = d
+        for l, d in zip(rows.tolist(), dirs.values()):
+            D[l, on[l] > 0] = d
         reads = np.count_nonzero(read)
         if reads:  # column 0 of the inverse is (-s, w) in point coordinates
-            col = inv.column0()
+            col = lanes.column0()
             target |= read
             if reads == n:  # its entries off S are 0, as are w's
                 mult, D = -col[:, 0], col[:, 1:] - W
@@ -477,23 +481,23 @@ def _lockstep(Lb: np.ndarray, starts, atol: float, convex: bool = False):
                 mult = np.where(read, -col[:, 0], mult)
                 D = np.where(read[:, None], col[:, 1:] - W, D)
         # exactly balanced, or a long step would leave the simplex
-        D -= (_rowsum(D) / _rowsum(onf))[:, None] * onf
+        D -= (_rowsum(D) / _rowsum(on))[:, None] * on
         LD = _rowprod(Lb, D)
         slope = _rowdot(G, D)  # the action along d: s + 2 a slope + a^2 curv
         curv = _rowdot(D, LD)
         drift = read
         if reads:  # L(w + d) not flat on S (or NaN): the inverse's updates drifted
-            drift = read & ~(_rowmax(np.abs(G + LD - mult[:, None]) * onf) <= _DRIFT_ATOL * atol)
+            drift = read & ~(_rowmax(np.abs(G + LD - mult[:, None]) * on) <= _DRIFT_ATOL * atol)
             if np.count_nonzero(drift):  # the lane stands still this pass
-                inv.has[drift] = target[drift] = False
+                lanes.has[drift] = target[drift] = False
                 D[drift] = LD[drift] = 0.0
                 slope[drift] = curv[drift] = 0.0
         flip = slope > 0  # descend
-        if saddle:  # the longer way to the boundary, which descends further
+        if saddles:  # the longer way to the boundary, which descends further
             inf = np.full_like(D, np.inf)
             up = np.divide(W, D, out=inf.copy(), where=D > 0).min(axis=1)
             down = np.divide(W, -D, out=inf, where=D < 0).min(axis=1)
-            flip[saddle] = (up > down)[saddle]
+            flip[rows[:saddles]] = (up > down)[rows[:saddles]]
         sign = np.where(flip, -1.0, 1.0)
         D *= sign[:, None]
         slope *= sign
@@ -505,31 +509,30 @@ def _lockstep(Lb: np.ndarray, starts, atol: float, convex: bool = False):
         rest = D >= 0
         ratios = np.where(rest, np.inf, W) / (0.0 - np.minimum(D, 0.0))
         j = ratios.argmin(axis=1)  # the lowest point index on ties
-        ratio = ratios[row, j]
+        ratio = ratios[np.arange(n), j]
         # no d < 0: a balanced d that is 0, and w is the target
         shrink = ~np.logical_and.reduce(rest, axis=1)
         hit = reach <= ratio
         a = np.where(shrink, np.where(hit, reach, ratio), 0.0)
-        W = np.maximum(W + a[:, None] * D, 0.0)
+        lanes.W = W = np.maximum(W + a[:, None] * D, 0.0)
         G += (sign * a)[:, None] * LD  # LD is L of the unflipped d
         drop = shrink & ~hit
         # d led to a target (a curvature direction is not 0 and never
         # reaches), and w stands at the stationary point of S's affine hull
-        at_target = ~(drop | drift)
-        used += 1
+        lanes.at_target = ~(drop | drift)
+        lanes.used += 1
         d_l = drop.nonzero()[0]
         if len(d_l):
             j = j[d_l]
             if not convex:
-                bare = d_l[~inv.has[d_l]]
-                for l in bare[onf[bare].sum(axis=1) == k].tolist():
+                bare = d_l[~lanes.has[d_l]]
+                for l in bare[on[bare].sum(axis=1) == k].tolist():
                     if not full:
                         full.append(_bordered_inverse(Lb, np.arange(k)))
                     if full[0] is not None:  # else formed afresh below
-                        inv.form(l, np.arange(k), full[0])
+                        lanes.form(l, np.arange(k), full[0])
             W[d_l, j] = 0.0
-            masks[:, d_l, j] = _OFF
-            inv.update(onf, d_l, j, False)
+            lanes.update(d_l, j, False)
     return ends, iterations, actions
 
 
@@ -582,14 +585,11 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     minimum-diagonal vertex, caller-supplied warm starts and ``_RESTARTS``
     Dirichlet draws; a start equal to one already queued (the
     minimum-diagonal vertex of a constant diagonal is the first vertex) is
-    not run again. The starts run in lockstep as one batch (``_lockstep``),
-    which decomposes each support's balanced form once and forms the full
-    support's bordered inverse once; each start ends as it would alone.
-    Such a block of at most ``ORACLE_CAP`` points is
-    certified when its value is within half ``_CERT_REL`` of ``_dnn_bound``
-    (from ``_DNN_MIN`` points on) or else within ``_CERT_REL`` of the
-    oracle's: the bound lies below the oracle's value, so the flag is the
-    one the oracle alone would set. Raises
+    not run again. The starts run in lockstep as one batch (``_lockstep``).
+    Such a block of at most ``ORACLE_CAP`` points is certified when its value
+    is within half ``_CERT_REL`` of ``_dnn_bound`` (from ``_DNN_MIN`` points
+    on) or else within ``_CERT_REL`` of the oracle's: the bound lies below the
+    oracle's value, so the flag is the one the oracle alone would set. Raises
     ``SolverFailure`` when no start reaches the KKT tolerance, naming how many
     starts hit the iteration cap and how many ended above the tolerance.
     """
@@ -640,8 +640,7 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
             f"no start reached KKT tolerance {opts.tol}: {len(starts)} starts tried, "
             f"{capped} hit the iteration cap of {_MAX_ITER}, {above} ended above "
             f"the tolerance",
-            best_weights=w, best_value=val,
-            residuals=kkt)
+            best_weights=w, best_value=val, residuals=kkt)
     val, _, w = _select_best(accepted)
     kkt = _residuals(Lb, w)
     certified = convex

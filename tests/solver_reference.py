@@ -153,18 +153,21 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
                 cache: _BlockCache | None = None):
     """Primal active-set descent with a ratio test from the feasible ``w0``.
 
-    The support S starts as that of ``w0``. At a point that is not stationary
-    on S, the step goes toward the target, the stationary point of the
-    action on S (the bordered system [[0, 1'], [1, L_SS]]): fully when the
-    action is convex along the way and no weight hits zero first, else to
-    the boundary in the descending sign, dropping the point the ratio test
-    hits (lowest index on ties). At a stationary point it adds the single
-    most violated off-support point (lowest index on ties), or stops when
-    none is violated by more than ``atol``. Unless the block is ``convex``
-    (positive definite), a stationary point where the action curves downward
-    on S is a saddle: the step then follows that curvature to the boundary,
-    the longer way of the two (the slope there is rounding), as does the
-    first step of a start whose support has it, downhill.
+    The support S starts as that of ``w0``, whose weight on a later twin
+    moves onto its first twin (``ss._fold_twins``); a later twin never joins
+    S, whose bordered matrix would be singular. At a point that is not
+    stationary on S, the step goes toward the target, the stationary point
+    of the action on S (the bordered system [[0, 1'], [1, L_SS]]): fully
+    when the action is convex along the way and no weight hits zero first,
+    else to the boundary in the descending sign, dropping the point the
+    ratio test hits (lowest index on ties). At a stationary point it adds
+    the single most violated off-support point (lowest index on ties), or
+    stops when none is violated by more than ``atol``. Unless the block is
+    ``convex`` (positive definite), a stationary point where the action
+    curves downward on S is a saddle: the step then follows that curvature
+    to the boundary, the longer way of the two (the slope there is
+    rounding), as does the first step of a start whose support has it,
+    downhill.
 
     A start's first target is solved directly. Its first change of S forms
     the bordered inverse in point coordinates (``_PointInverse``), which each
@@ -194,7 +197,7 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
     would list alone.
     """
     k = Lb.shape[0]
-    w = np.array(w0, dtype=float)
+    w, later = ss._fold_twins(Lb, w0)  # a later twin never joins the support
     on = w > 0
     values = []
     at_target = False
@@ -213,7 +216,7 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
         t = d = None
         saddle = False
         if at_target or (gs.max() - s <= atol and s - gs.min() <= atol):
-            i = int(np.where(on, np.inf, g).argmin())
+            i = int(np.where(on | later, np.inf, g).argmin())
             if not on[i] and g[i] < s - atol:
                 on[i] = True
                 inv = _reborder(inv, Lb, on, i)
@@ -242,7 +245,10 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
             else:
                 t = sol[0]
                 d = t - w[sup]
-        d -= d.sum() / len(d)  # exactly balanced, or a long step would leave the simplex
+        # exactly balanced, or a long step would leave the simplex, by the sum
+        # of d scattered over all k points, as _lockstep sums a row
+        step[sup] = d
+        d -= step.sum() / len(d)
         step[sup] = d
         Ld = Lb @ step
         slope = float(g @ step)  # the action along d: s + 2 a slope + a^2 curv

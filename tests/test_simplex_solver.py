@@ -23,7 +23,7 @@ from cvp import simplex_solver
 from cvp.simplex_solver import (
     _CERT_REL,
     CompactSolution,
-    _Inverses,
+    _Lanes,
     _bordered_inverse,
     _dnn_bound,
     _lockstep,
@@ -542,20 +542,16 @@ def _bordered(Lb, sup):
     return A
 
 
-@st.composite
-def random_blocks(draw, kinds, kmax=40, kmin=2):
-    """A block of ``kmin`` to ``kmax`` points of one of ``kinds``, and the generator
-    that drew it: indefinite, indefinite with a duplicated point or with a
-    constant diagonal, a low-rank Gram matrix plus 1e-9 I, or the
-    quarter-grid truncated Gaussian on random points."""
-    k = draw(st.integers(kmin, kmax))
-    kind = draw(st.sampled_from(kinds))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def _block(kind, k, rng):
+    """A block of ``k`` points of ``kind`` drawn from ``rng``: indefinite,
+    indefinite with a duplicated point or with a constant diagonal, a low-rank
+    Gram matrix plus 1e-9 I, or the quarter-grid truncated Gaussian on random
+    points."""
     if kind == "low-rank":
         B = rng.uniform(0.0, 1.0, (k, int(rng.integers(1, k + 1))))
-        return B @ B.T + 1e-9 * np.eye(k), rng
+        return B @ B.T + 1e-9 * np.eye(k)
     if kind == "gaussian":
-        return _kernel_block(*_QUARTER, np.sort(rng.uniform(0.0, 0.25 * k, k))).matrix, rng
+        return _kernel_block(*_QUARTER, np.sort(rng.uniform(0.0, 0.25 * k, k))).matrix
     A = rng.uniform(0.0, 1.0, (k, k))
     M = (A + A.T) / 2
     np.fill_diagonal(M, rng.uniform(0.05, 1.2, k))
@@ -564,7 +560,17 @@ def random_blocks(draw, kinds, kmax=40, kmin=2):
         M[j], M[:, j] = M[i], M[:, i]
     elif kind == "constant-diagonal":
         np.fill_diagonal(M, rng.uniform(0.05, 1.2))
-    return M, rng
+    return M
+
+
+@st.composite
+def random_blocks(draw, kinds, kmax=40, kmin=2):
+    """A block of ``kmin`` to ``kmax`` points of one of ``kinds`` (``_block``),
+    and the generator that drew it."""
+    k = draw(st.integers(kmin, kmax))
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return _block(kind, k, rng), rng
 
 
 @pytest.mark.parametrize("M, w", [
@@ -585,7 +591,7 @@ def test_exact_ties_go_to_the_lowest_index(M, w):
 
 
 def _matrix(inv, lane):
-    """A lane's inverse in ``_Inverses`` with its pending terms added in."""
+    """A lane's inverse in ``_Lanes`` with its pending terms added in."""
     V = inv.terms[lane]
     return inv.base[inv.slot[lane]] + (V.T * inv.coef[lane]) @ V
 
@@ -593,19 +599,35 @@ def _matrix(inv, lane):
 @given(case=random_blocks(["indefinite", "duplicate", "low-rank"]))
 @settings(max_examples=150, deadline=None)
 def test_bordered_inverse_follows_adds_and_drops(case):
+    _follows_adds_and_drops(*case)
+
+
+@pytest.mark.parametrize("seed, k", [(1918, 21), (5671, 33)])
+def test_bordered_inverse_follows_twin_blocks(seed, k):
+    # blocks with one twin pair on which a lane holding both twins read a
+    # target past the bound from a fresh solve: on that singular support
+    # neither is unique. A later twin never joins a support, as in _lockstep
+    rng = np.random.default_rng(seed)
+    _follows_adds_and_drops(_block("duplicate", k, rng), rng)
+
+
+def _follows_adds_and_drops(M, rng):
     # each lane's inverse agrees with a fresh solve to rounding amplified by
     # the worst conditioning met since it was last formed, or it is formed
     # afresh; the rows and columns of points off its support stay exactly 0.
     # Three lanes change their supports at once, the adds and the drops each
-    # as one update. 2 x _FOLD + 8 updates fold the pending terms into the
-    # matrices, unless one keeps being formed afresh, as a duplicated point
-    # can make it
-    M, rng = case
+    # as one update, and a later twin never joins, as in _lockstep. 2 x _FOLD
+    # + 8 updates fold the pending terms into the matrices, unless one keeps
+    # being formed afresh
     k = len(M)
     n = 3
     on = rng.random((n, k)) < 0.5
     on[np.arange(n), rng.integers(k, size=n)] = True
-    inv = _Inverses(M, n)
+    on, later = simplex_solver._fold_twins(M, on)
+    on = on > 0
+    if np.count_nonzero(~later) < 2:  # one distinct point: no add or drop
+        return
+    inv = _Lanes(M, on / on.sum(axis=1, keepdims=True))
     for lane in range(n):
         sup = np.flatnonzero(on[lane])
         inv.form(lane, sup, _bordered_inverse(M, sup))
@@ -614,15 +636,15 @@ def test_bordered_inverse_follows_adds_and_drops(case):
         j = np.empty(n, dtype=np.intp)
         for lane, row in enumerate(on):
             sup = np.flatnonzero(row)
-            if len(sup) > 1 and (len(sup) == k or rng.random() < 0.5):
+            if len(sup) > 1 and (len(sup) == np.count_nonzero(~later) or rng.random() < 0.5):
                 j[lane] = rng.choice(sup)
             else:
-                j[lane] = rng.choice(np.flatnonzero(~row))
+                j[lane] = rng.choice(np.flatnonzero(~row & ~later))
         joined = ~on[np.arange(n), j]
         on[np.arange(n), j] = joined
         for group in (joined, ~joined):
             if group.any():
-                inv.update(on, np.flatnonzero(group), j[group], bool(joined[group][0]))
+                inv.update(np.flatnonzero(group), j[group], bool(joined[group][0]))
         col = inv.column0() if inv.has.any() else None
         for lane in range(n):
             sup = np.flatnonzero(on[lane])
@@ -643,9 +665,8 @@ def test_bordered_inverse_follows_adds_and_drops(case):
             assert err <= 1e-13 * cond[lane] ** 2 * scale
 
 
-# exact duplicates are left out: their minimizers split weight between the
-# twins in any proportion, and rounding picks one
-@given(case=random_blocks(["indefinite", "low-rank", "gaussian"]))
+# a duplicated point gives its weight to its first twin, which alone joins a support
+@given(case=random_blocks(["indefinite", "duplicate", "low-rank", "gaussian"]))
 @settings(max_examples=60, deadline=None)
 def test_active_set_ends_where_solving_every_step_ends(case):
     # the reference solves every target afresh, as the method did before it
@@ -689,8 +710,73 @@ def test_shared_cache_is_exact(case):
     ends, iterations, actions = _lockstep(M, starts, atol)
     for q, w0 in enumerate(starts):
         (alone,), (steps,), alone_actions = _lockstep(M, [w0], atol)
+        assert alone is not None and ends[q] is not None
         assert alone.tobytes() == ends[q].tobytes() and steps == iterations[q]
         assert _actions_of(actions, q) == _actions_of(alone_actions, 0)
+
+
+def _twin_block(seed):
+    """A block of 8 to 40 points with one exact twin pair, drawn from ``seed``
+    as ``_block`` draws a duplicate one, and its uniform, first-vertex and six
+    Dirichlet starts."""
+    rng = np.random.default_rng(seed)
+    M = _block("duplicate", int(rng.integers(8, 41)), rng)
+    k = len(M)
+    return M, [np.full(k, 1.0 / k), np.eye(k)[0], *rng.dirichlet(np.ones(k), 6)]
+
+
+@pytest.mark.parametrize("seed, twins", [(2770, (1, 8)), (453, (2, 5))])
+def test_every_lane_ends_on_a_twin_block(seed, twins):
+    # the twins' kernel rows are equal. A lane whose support held both solved
+    # a singular bordered system, whose target was rounding along their
+    # difference, and re-added and dropped one point with steps of length 0
+    # until the cap: the uniform lane of the 16-point block and lane 4 of the
+    # 32-point one. Each lane ends, with no weight on the later twin, as the
+    # per-start path ends, to the last bit
+    M, starts = _twin_block(seed)
+    i, j = twins
+    assert np.array_equal(M[i], M[j]) and np.linalg.eigvalsh(M)[0] < 0
+    atol = 1e-12 * max(1.0, float(np.abs(M).max()))
+    ends, iterations, _ = _lockstep(M, starts, atol)
+    for w0, w, steps in zip(starts, ends, iterations):
+        ref, _ = solver_reference._active_set(M, w0, atol)
+        assert w is not None and steps <= 2 * len(M) and w[j] == 0.0
+        assert w.tobytes() == ref.tobytes()
+    sol = minimize_on_compact(problem(M))
+    assert sol.kkt.on_support_max <= atol and sol.kkt.min_over_k >= -atol
+
+
+@st.composite
+def twin_blocks(draw):
+    """An indefinite block of 3 to 40 points (``_block``) in which one to three
+    points take another's kernel row, and the generator that drew it."""
+    k = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = _block("indefinite", k, rng)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = rng.choice(k, 2, replace=False)
+        M[j], M[:, j] = M[i], M[:, i]
+    return M, rng
+
+
+@given(case=twin_blocks())
+@settings(max_examples=60, deadline=None)
+def test_lanes_end_on_twin_blocks(case):
+    # the Dirichlet starts begin on the full support, every twin on it: each
+    # lane ends far below the cap at a KKT point, with no weight on a later
+    # twin, and its action never rises
+    M, rng = case
+    k = len(M)
+    later = simplex_solver._fold_twins(M, np.ones(k))[1]
+    assert later.any()
+    scale = max(1.0, float(np.abs(M).max()))
+    starts = [np.full(k, 1.0 / k), *rng.dirichlet(np.ones(k), 6)]
+    ends, iterations, actions = _lockstep(M, starts, 1e-12 * scale)
+    for q, (w, steps) in enumerate(zip(ends, iterations)):
+        assert w is not None and steps <= 5 * k and not w[later].any()
+        r = _residuals(M, w)
+        assert r.on_support_max <= 1e-12 * scale and r.min_over_k >= -1e-12 * scale
+        assert (np.diff(_actions_of(actions, q)) <= 1e-15 * scale).all()
 
 
 def test_convex_tent_block_from_the_uniform_start():
