@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (ConstructionError, CVPError, DegenerateExhaustionError,
                      DegenerateStageError, InputError, PositivityError,
                      ProfileError, SizeError, SolverFailure, UsageError,
@@ -19,11 +21,12 @@ from .simplex_solver import (CompactProblem, CompactSolution, KKTResiduals,
                              SolverOptions, brute_force_minimizer,
                              minimize_on_compact)
 from .pipeline import (ExhaustionRun, RunOptions, ScaledMinimizer,
-                       check_ell_convergence, check_support_approximation,
-                       local_mass_bound_check, run_exhaustion,
-                       stage_ell, tail_mass, window_points)
+                       local_mass_bound_check, run_exhaustion, stage_ell, tail_mass,
+                       window_points)
 from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY,
                           EXIT_OK, ELReport, check_sufficient_conditions,
                           gamma_lower_bound, nontriviality_check, verify_el)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules they come from are not API names
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

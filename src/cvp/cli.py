@@ -2,9 +2,12 @@
 
 Reports are canonical JSON (sorted keys, 17-significant-digit floats, no
 timestamps) written atomically, so identical configs and seeds reproduce
-byte-identical output. ``verify`` exit codes: 0 all checks passed, 2
-stationarity failed, 3 a descent variation was found, 4 another condition
-check failed; usage errors exit 64, IO/config errors exit 1.
+byte-identical output. ``verify`` runs checks named in one table,
+``CHECKS``: conclusions of the paper on the run's limit, and its two
+hypotheses, compact range and decay in entropy, on the config's kernel. Its
+exit codes: 0 all checks passed, 2 stationarity failed, 3 a descent variation
+was found, 4 another check failed (a hypothesis among them); usage errors
+exit 64, IO/config errors exit 1.
 """
 
 from __future__ import annotations
@@ -21,21 +24,18 @@ import numpy as np
 
 from . import __version__
 from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY, EXIT_OK,
-                          check_sufficient_conditions, gamma_lower_bound,
+                          ELReport, check_sufficient_conditions, gamma_lower_bound,
                           nontriviality_check, prove_minimality, verify_el)
 from .errors import (NUMBER, CVPError, InputError, UsageError, as_number, known_keys,
                      number_rows, typed)
-from .lagrangian import (Lagrangian, diagonal_infimum, kernel_from_spec,
-                         profile_from_spec)
-from .measure import measure_to_dict
+from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum, kernel_from_spec,
+                         profile_from_spec, verify_compact_range, verify_entropy_decay)
+from .measure import DiscreteMeasure, measure_to_dict
 from .pipeline import (ExhaustionRun, RunOptions, local_mass_bound_check,
                        run_exhaustion, run_from_weights, stage_ell)
 from .reports import Encoded, canonical_json, sha256_text, write_csv, write_json
 from .simplex_solver import CompactProblem, SolverOptions, brute_force_minimizer
 from .space import Exhaustion, MetricSpace, build_exhaustion, space_from_dict
-
-VALID_CHECKS = ("el", "minimality", "conditions", "nontriviality", "gamma",
-                "mass_bound")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,9 +54,6 @@ class VerifySettings:
     eps: float | None = None
     delta_cover: float | None = None
     mass_radius: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "checks", tuple(self.checks))
 
 
 @dataclass
@@ -143,9 +140,12 @@ def config_from_dict(raw: dict) -> RunConfig:
                          window_layer=window.get("layer"),
                          profile=profile,
                          eps=window.get("eps"))
+    verify = _section(raw, "verify")
+    if "checks" in verify:
+        verify["checks"] = _check_names(verify["checks"], "verify.checks", InputError)
     return RunConfig(raw={**raw, "seed": seed}, space=space, kernel=kernel,
                      exhaustion=exhaustion, options=options,
-                     verify=VerifySettings(**_section(raw, "verify")))
+                     verify=VerifySettings(**verify))
 
 
 def report_from_run(run: ExhaustionRun, config: RunConfig) -> dict:
@@ -242,6 +242,81 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+@dataclass
+class _Verification:
+    """What the checks of one ``cvp verify`` read."""
+
+    config: RunConfig
+    run: ExhaustionRun
+    settings: VerifySettings
+    seed: int
+    rho: DiscreteMeasure  # the last stage's measure
+    window: np.ndarray  # the point mask the checks assert on
+    el_report: ELReport | None = None  # set by the el check; gamma reuses it
+
+
+def _el(v: _Verification) -> dict:
+    v.el_report = verify_el(v.rho, v.config.kernel, v.window, tol=v.settings.tol)
+    return v.el_report.to_dict()
+
+
+def _conditions(v: _Verification) -> dict:
+    if v.settings.delta_cover is None:
+        raise UsageError("check 'conditions' needs --delta-cover or verify.delta_cover")
+    return check_sufficient_conditions(v.config.kernel, v.config.space,
+                                       v.settings.delta_cover)
+
+
+def _profile(v: _Verification, check: str) -> DecayProfile:
+    if v.config.options.profile is None:
+        raise UsageError(f"check '{check}' needs a profile in the config")
+    return v.config.options.profile
+
+
+def _gamma(v: _Verification) -> dict:
+    eps = next(e for e in (v.settings.eps, v.config.options.eps, 0.5) if e is not None)
+    return gamma_lower_bound(v.rho, v.config.kernel, v.config.space, _profile(v, "gamma"),
+                             eps, v.window, el_report=v.el_report)
+
+
+def _mass_bound(v: _Verification) -> dict:
+    radius = next(r for r in (v.settings.mass_radius, v.run.diagnostics["window_layer"])
+                  if r is not None)
+    rng = np.random.default_rng(np.random.SeedSequence([v.seed]))
+    points = np.flatnonzero(v.window)
+    count = min(len(points), 20)
+    probes = points[np.sort(rng.choice(len(points), size=count, replace=False))]
+    return local_mass_bound_check(v.run.stages[-1], v.config.space, v.config.kernel,
+                                  probes, radius)
+
+
+# Every check ``cvp verify`` runs, by name, with its verify.json entry. The last
+# two certify the paper's hypotheses, entropy_decay for the config's own profile.
+CHECKS = {
+    "el": _el,
+    "minimality": lambda v: prove_minimality(v.rho, v.config.kernel, v.window),
+    "conditions": _conditions,
+    "nontriviality": lambda v: nontriviality_check(v.run, v.config.kernel, v.config.space),
+    "gamma": _gamma,
+    "mass_bound": _mass_bound,
+    "compact_range": lambda v: verify_compact_range(v.config.kernel, v.config.space,
+                                                    v.config.exhaustion),
+    "entropy_decay": lambda v: verify_entropy_decay(v.config.kernel, v.config.space,
+                                                    _profile(v, "entropy_decay")),
+}
+
+
+def _check_names(names: list, what: str, error: type[Exception]) -> tuple[str, ...]:
+    """``names`` if each is a key of ``CHECKS`` named once; else ``error`` naming
+    the entry as ``<what>[i]``."""
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or name not in CHECKS:
+            raise error(f"{what}[{i}] {name!r} is not a check (known: {', '.join(CHECKS)})")
+        if name in names[:i]:
+            raise error(f"{what}[{i}] names check {name!r} a second time")
+    return tuple(names)
+
+
 def cmd_verify(args) -> int:
     with open(args.run) as handle:
         report = typed(json.load(handle), dict, f"{args.run}: report")
@@ -252,50 +327,21 @@ def cmd_verify(args) -> int:
         raise InputError(f"{args.run}: config_hash {stored_hash} does not "
                          f"match the embedded config (sha256 {config_hash})")
     config = config_from_dict(embedded)
-    space, kernel, profile = config.space, config.kernel, config.options.profile
     run = run_from_report(report, config)
-    checks = (tuple(c.strip() for c in args.checks.split(",") if c.strip())
-              if args.checks else None)
+    checks = None if args.checks is None else _check_names(
+        [c.strip() for c in args.checks.split(",") if c.strip()], "--checks", UsageError)
     flags = {"checks": checks, "tol": args.tol, "eps": args.eps, "delta_cover": args.delta_cover}
     settings = replace(config.verify, **{k: v for k, v in flags.items() if v is not None})
-    unknown = [c for c in settings.checks if c not in VALID_CHECKS]
-    if unknown:
-        raise UsageError(f"unknown checks {unknown}; valid: {', '.join(VALID_CHECKS)}")
+    if not settings.checks:
+        raise UsageError("no check requested: a verify that runs none certifies nothing")
     rho = run.stages[-1].measure
-    window = run.window if run.window.any() else rho.support
+    verification = _Verification(config, run, settings, args.seed, rho,
+                                 run.window if run.window.any() else rho.support)
 
-    results: dict[str, dict] = {}
-    el_report = None
-    for check in settings.checks:
-        if check == "el":
-            el_report = verify_el(rho, kernel, window, tol=settings.tol)
-            results["el"] = el_report.to_dict()
-        elif check == "minimality":
-            results["minimality"] = prove_minimality(rho, kernel, window)
-        elif check == "conditions":
-            if settings.delta_cover is None:
-                raise UsageError("check 'conditions' needs --delta-cover "
-                                 "(or verify.delta_cover in the config)")
-            results["conditions"] = check_sufficient_conditions(kernel, space,
-                                                                settings.delta_cover)
-            results["conditions"]["passed"] = results["conditions"]["holds"]
-        elif check == "nontriviality":
-            results["nontriviality"] = nontriviality_check(run, kernel, space)
-        elif check == "gamma":
-            if profile is None:
-                raise UsageError("check 'gamma' needs a profile in the config")
-            eps = next(e for e in (settings.eps, config.options.eps, 0.5) if e is not None)
-            results["gamma"] = gamma_lower_bound(rho, kernel, space, profile, eps, window,
-                                                 el_report=el_report)
-        elif check == "mass_bound":
-            radius = next(r for r in (settings.mass_radius, run.diagnostics["window_layer"])
-                          if r is not None)
-            rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-            points = np.flatnonzero(window)
-            count = min(len(points), 20)
-            probes = points[np.sort(rng.choice(len(points), size=count, replace=False))]
-            results["mass_bound"] = local_mass_bound_check(run.stages[-1], space, kernel,
-                                                           probes, radius)
+    results = {name: CHECKS[name](verification) for name in settings.checks}
+    for result in results.values():
+        if "holds" in result:  # a certificate passes when what it certifies holds
+            result["passed"] = result["holds"]
 
     failed = [name for name, res in results.items() if not res.get("passed", False)]
     code = (EXIT_EL_FAILED if "el" in failed else EXIT_MINIMALITY if "minimality" in failed
@@ -307,8 +353,7 @@ def cmd_verify(args) -> int:
                                         "verify.json")
     write_json(out_path, summary)
     for name in settings.checks:
-        status = "passed" if name not in failed else "FAILED"
-        print(f"{name}: {status}")
+        print(f"{name}: {'FAILED' if name in failed else 'passed'}")
     print(f"verdict written to {out_path}; exit code {code}")
     return code
 
@@ -412,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run certification checks on a report")
     p_verify.add_argument("--run", required=True)
     p_verify.add_argument("--checks", default=None,
-                          help=f"comma list from: {', '.join(VALID_CHECKS)}")
+                          help=f"comma list from: {', '.join(CHECKS)}")
     # accepted and ignored: minimality is decided without sampled trials
     p_verify.add_argument("--trials", type=int, default=None, help=argparse.SUPPRESS)
     p_verify.add_argument("--seed", type=_seed_flag, default=0)

@@ -288,56 +288,6 @@ def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagran
     return {"passed": passed, "entries": entries}
 
 
-def check_support_approximation(run: ExhaustionRun, space: MetricSpace) -> dict:
-    """Distance from limit-support points to each stage's support must shrink to 0."""
-    targets = np.flatnonzero(run.limit.support & run.window)
-    supports = [np.flatnonzero(s.measure.weights) for s in run.stages]
-    entries = []
-    passed = True
-    for xi in targets:
-        row = space.dist[xi]
-        seq = [float(row[s].min()) if s.size else math.inf for s in supports]
-        nonincreasing = all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
-        ok = nonincreasing and seq[-1] <= 1e-12
-        passed = passed and ok
-        entries.append({"point": space.ids[xi], "distances": seq, "ok": ok})
-    return {"passed": passed, "entries": entries,
-            "vacuous": len(targets) == 0}
-
-
-def check_ell_convergence(run: ExhaustionRun, L: Lagrangian, sample_points,
-                          space: MetricSpace, tol: float = 1e-9) -> dict:
-    """Pointwise gaps to the final averaged kernel on a sample mask, plus a discrete modulus.
-
-    The gap sequence must be non-increasing over the last three stages; the
-    modulus (max variation across nearest-neighbor pairs of the sample) is
-    reported per stage as an equicontinuity surrogate.
-    """
-    idx = np.flatnonzero(as_mask(sample_points, len(space), "sample"))
-    if not idx.size:
-        raise InputError("need at least one sample point")
-    ells = [stage_ell(s.measure, L)[idx] for s in run.stages]
-    ell_lim = ells[-1]
-    entries = []
-    passed = True
-    for pos, xi in enumerate(idx):
-        gaps = [abs(float(e[pos] - ell_lim[pos])) for e in ells]
-        window = gaps[-min(3, len(gaps)):]
-        ok = all(b <= a + tol for a, b in zip(window, window[1:]))
-        passed = passed and ok
-        entries.append({"point": space.ids[xi], "gaps": gaps, "ok": ok})
-    pos_d = space.dist[np.ix_(idx, idx)]
-    off = pos_d[pos_d > 0]
-    h = float(off.min()) if off.size else 0.0
-    moduli = []
-    for e in ells:
-        pairs = (pos_d > 0) & (pos_d <= h + 1e-12)
-        moduli.append(float(np.abs(e[:, None] - e[None, :])[pairs].max())
-                      if pairs.any() else 0.0)
-    return {"passed": passed, "entries": entries, "neighbor_scale": h,
-            "modulus_per_stage": moduli, "modulus_sup": max(moduli)}
-
-
 def tail_mass(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace, x: int,
               R: float) -> float:
     """Kernel mass rho picks up beyond distance R from point index x."""

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvp import InputError, grid_1d, make_kernel, run_exhaustion, space_from_dict
-from cvp.cli import (_stage_weights, build_parser, config_from_dict, load_config, main,
-                     report_from_run, run_from_report)
+from cvp.cli import (CHECKS, _stage_weights, build_parser, config_from_dict, load_config,
+                     main, report_from_run, run_from_report)
 from cvp.errors import as_number
 from cvp.reports import canonical_json, sha256_text
+from test_readme import _example
 
 EL_TOL = 1e-8
 
@@ -301,7 +303,8 @@ def test_cached_parser_keeps_usage_errors_and_fresh_defaults(tmp_path):
     assert build_parser() is build_parser()
 
 
-_ALL_CHECKS = ("el", "minimality", "conditions", "nontriviality", "gamma", "mass_bound")
+_ALL_CHECKS = ("el", "minimality", "conditions", "nontriviality", "gamma", "mass_bound",
+               "compact_range", "entropy_decay")
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +429,10 @@ _BAD_FIELDS = (
     (("profile", "parms"), {"rate": 5}, "profile.parms is not a profile setting"),
     (("profile", "params", "rat"), 5, "profile.params.rat is not an exp profile setting"),
     (("exhaustion", "centre"), "g1", "exhaustion.centre is not an exhaustion setting"),
+    # solve refuses a check list that verify could never run
+    (("verify", "checks"), ["bogus"], "verify.checks[0] 'bogus' is not a check"),
+    (("verify", "checks"), [1], "verify.checks[0] 1 is not a check"),
+    (("verify", "checks"), ["el", "gamma", "el"], "verify.checks[2] names check 'el' a second"),
 )
 
 
@@ -787,3 +794,76 @@ def test_stage_weights_match_entry_by_entry_reading(weights, stage):
         expected = str(exc)
     got = _read(_stage_weights, weights, mask, space, "s")
     assert (got if isinstance(got, str) else got.tobytes()) == expected
+
+
+def _readme_config() -> dict:
+    return json.loads(_example("json", "### Config"))
+
+
+_EXP41 = {
+    "space": {"points": [{"id": f"x{i}", "coords": [float(i)]} for i in range(41)],
+              "metric": "euclidean"},
+    "kernel": {"kind": "exponential", "amplitude": 1.0, "sigma": 1.0},
+    "profile": {"f": "exp", "params": {"amplitude": 1.0, "rate": 1.0}, "delta": 1.0},
+    "exhaustion": {"center": "x20", "radii": [10, 15, 20]},
+    "window": {"eps": 0.3},
+}
+_SCALED_EXP = {"f": "scaled_exp", "params": {"amplitude": 6.0, "slope": 2.0, "rate": 1.0},
+               "delta": 1.0}
+
+
+@pytest.mark.parametrize("check,config,code", [
+    # the README kernel is exponential: no range is declared, and each stage's
+    # effective range is the whole space
+    ("compact_range", _readme_config(), 4),
+    ("compact_range", {**_readme_config(),
+                       "kernel": {"kind": "tent", "amplitude": 1.0, "range": 1.0}}, 0),
+    # the exp profile is too thin a majorant of the unit exponential kernel
+    # (condition c); a scaled exponential one majorizes it, and still sets a window
+    ("entropy_decay", _EXP41, 4),
+    ("entropy_decay", {**_EXP41, "profile": _SCALED_EXP}, 0),
+], ids=["compact_range-exponential", "compact_range-tent", "entropy_decay-exp",
+        "entropy_decay-scaled_exp"])
+def test_hypothesis_checks_fail_and_hold(tmp_path, check, config, code):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["verify", "--run", str(out / "run.json"), "--checks", check]) == code
+    summary = json.loads((out / "verify.json").read_text())
+    result = summary["checks"][check]
+    assert result["passed"] is result["holds"] is (code == 0)
+    assert summary["failed"] == ([] if code == 0 else [check])
+    if check == "entropy_decay":
+        assert result["condition_c"]["holds"] is (code == 0)
+    else:
+        assert all(s["contained"] for s in result["stages"]) is (code == 0)
+
+
+def test_help_and_unknown_check_list_the_check_table(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    listed = re.search(r"comma list from: (.*?) --", help_text).group(1)
+    assert listed.split(", ") == list(CHECKS)
+    run_path = _solved_report(tmp_path)[0]
+    assert main(["verify", "--run", run_path, "--checks", "el,nonsense"]) == 64
+    err = capsys.readouterr().err
+    assert "--checks[1] 'nonsense' is not a check" in err
+    assert re.search(r"\(known: (.*)\)", err).group(1).split(", ") == list(CHECKS)
+
+
+@pytest.mark.parametrize("flags,verify,message", [
+    (["--checks", ","], None, "no check requested"),
+    (["--checks", ""], None, "no check requested"),
+    ([], {"checks": []}, "no check requested"),
+    (["--checks", "el,minimality,el"], None, "--checks[2] names check 'el' a second time"),
+    (["--checks", "el,entropy_decay"], None, "check 'entropy_decay' needs a profile"),
+], ids=["comma", "blank", "config-empty", "twice", "entropy_decay-without-profile"])
+def test_verify_refuses_a_check_list_it_cannot_run(tmp_path, capsys, flags, verify, message):
+    run_path = _solved_report(tmp_path, **({} if verify is None else {"verify": verify}))[0]
+    capsys.readouterr()
+    assert main(["verify", "--run", run_path, *flags]) == 64
+    captured = capsys.readouterr()
+    assert message in captured.err and "passed" not in captured.out
+    assert not Path(run_path).with_name("verify.json").exists()

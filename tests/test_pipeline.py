@@ -16,8 +16,6 @@ from cvp import (
     RunOptions,
     SolverFailure,
     build_exhaustion,
-    check_ell_convergence,
-    check_support_approximation,
     exp_profile,
     grid_1d,
     local_mass_bound_check,
@@ -171,29 +169,6 @@ def test_mass_bound_shrinks_through_realized_radii(identity_run):
     e = rep["entries"][0]
     # the 1-ball contains a zero of the kernel, so the radius collapses
     assert e["shrunk"] and e["radius"] == 0.0 and e["ok"]
-
-
-def test_support_approximation_identity_run(identity_run):
-    grid, _, run = identity_run
-    rep = check_support_approximation(run, grid)
-    assert rep["passed"] and not rep["vacuous"]
-    first = run.stages[0].measure.support
-    for e in rep["entries"]:
-        assert e["distances"][-1] == 0.0
-        if first[grid.index[e["point"]]]:
-            assert max(e["distances"]) == 0.0
-
-
-def test_ell_convergence_identity_run(identity_run):
-    grid, tent, run = identity_run
-    rep = check_ell_convergence(run, tent, run.window, grid)
-    assert rep["passed"]
-    # window points outside the first stage see a gap of 1 there; it must
-    # drain to zero and the final stage must be flat across neighbors
-    assert rep["modulus_per_stage"][-1] <= 1e-9
-    for e in rep["entries"]:
-        assert e["gaps"][-1] <= 1e-9
-        assert all(b <= a + 1e-12 for a, b in zip(e["gaps"], e["gaps"][1:]))
 
 
 def test_tail_mass_compact_kernel_vanishes(identity_run):
