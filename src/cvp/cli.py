@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY, EXIT_OK,
-                          ELReport, check_sufficient_conditions, gamma_lower_bound,
+                          check_sufficient_conditions, gamma_lower_bound,
                           nontriviality_check, prove_minimality, verify_el)
 from .errors import (NUMBER, CVPError, InputError, UsageError, as_number, known_keys,
                      number_rows, typed)
@@ -45,15 +45,15 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class VerifySettings:
-    """The ``verify`` section of a config. Unset, ``eps`` falls back to
-    ``window.eps`` and then 0.5, ``mass_radius`` to the run's window layer,
-    and ``conditions`` is refused for want of ``delta_cover``."""
+    """The ``verify`` section of a config: the checks to run, the stationarity
+    tolerance of ``el`` and ``gamma``, and the cover radius of ``conditions``,
+    which is refused while it is unset. The radii of ``gamma`` and
+    ``mass_bound`` are the run's own: ``window.eps`` (else 0.5) and the
+    window layer."""
 
     checks: tuple[str, ...] = ("el", "minimality", "nontriviality")
     tol: float = 1e-6
-    eps: float | None = None
     delta_cover: float | None = None
-    mass_radius: float | None = None
 
 
 @dataclass
@@ -71,11 +71,9 @@ class RunConfig:
 _SECTIONS = {
     "solver": {"tol": NUMBER},
     "window": {"layer": NUMBER, "eps": NUMBER},
-    "verify": {"checks": list, "tol": NUMBER, "eps": NUMBER, "delta_cover": NUMBER,
-               "mass_radius": NUMBER},
+    "verify": {"checks": list, "tol": NUMBER, "delta_cover": NUMBER},
 }
-_UNSET_BY_DEFAULT = ("window.layer", "window.eps", "verify.eps", "verify.delta_cover",
-                     "verify.mass_radius")
+_UNSET_BY_DEFAULT = ("window.layer", "window.eps", "verify.delta_cover")
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -108,8 +106,8 @@ def load_config(path: str, seed_override: int | None = None) -> RunConfig:
 
 
 # The settings of a run config; any other top-level key is refused.
-_CONFIG_KEYS = ("space", "kernel", "profile", "exhaustion", "solver", "window",
-                "stab_tol", "seed", "verify")
+_CONFIG_KEYS = ("space", "kernel", "profile", "exhaustion", "solver", "window", "seed",
+                "verify")
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -136,7 +134,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise InputError(f"seed must be a non-negative integer, got {seed}")
     window = _section(raw, "window")
     options = RunOptions(solver=SolverOptions(seed=seed, **_section(raw, "solver")),
-                         stab_tol=as_number(raw.get("stab_tol", 1e-6), "stab_tol"),
                          window_layer=window.get("layer"),
                          profile=profile,
                          eps=window.get("eps"))
@@ -252,12 +249,6 @@ class _Verification:
     seed: int
     rho: DiscreteMeasure  # the last stage's measure
     window: np.ndarray  # the point mask the checks assert on
-    el_report: ELReport | None = None  # set by the el check; gamma reuses it
-
-
-def _el(v: _Verification) -> dict:
-    v.el_report = verify_el(v.rho, v.config.kernel, v.window, tol=v.settings.tol)
-    return v.el_report.to_dict()
 
 
 def _conditions(v: _Verification) -> dict:
@@ -274,26 +265,24 @@ def _profile(v: _Verification, check: str) -> DecayProfile:
 
 
 def _gamma(v: _Verification) -> dict:
-    eps = next(e for e in (v.settings.eps, v.config.options.eps, 0.5) if e is not None)
+    eps = 0.5 if v.config.options.eps is None else v.config.options.eps
     return gamma_lower_bound(v.rho, v.config.kernel, v.config.space, _profile(v, "gamma"),
-                             eps, v.window, el_report=v.el_report)
+                             eps, v.window, el_tol=v.settings.tol)
 
 
 def _mass_bound(v: _Verification) -> dict:
-    radius = next(r for r in (v.settings.mass_radius, v.run.diagnostics["window_layer"])
-                  if r is not None)
     rng = np.random.default_rng(np.random.SeedSequence([v.seed]))
     points = np.flatnonzero(v.window)
     count = min(len(points), 20)
     probes = points[np.sort(rng.choice(len(points), size=count, replace=False))]
     return local_mass_bound_check(v.run.stages[-1], v.config.space, v.config.kernel,
-                                  probes, radius)
+                                  probes, v.run.diagnostics["window_layer"])
 
 
 # Every check ``cvp verify`` runs, by name, with its verify.json entry. The last
 # two certify the paper's hypotheses, entropy_decay for the config's own profile.
 CHECKS = {
-    "el": _el,
+    "el": lambda v: verify_el(v.rho, v.config.kernel, v.window, tol=v.settings.tol).to_dict(),
     "minimality": lambda v: prove_minimality(v.rho, v.config.kernel, v.window),
     "conditions": _conditions,
     "nontriviality": lambda v: nontriviality_check(v.run, v.config.kernel, v.config.space),
@@ -330,7 +319,7 @@ def cmd_verify(args) -> int:
     run = run_from_report(report, config)
     checks = None if args.checks is None else _check_names(
         [c.strip() for c in args.checks.split(",") if c.strip()], "--checks", UsageError)
-    flags = {"checks": checks, "tol": args.tol, "eps": args.eps, "delta_cover": args.delta_cover}
+    flags = {"checks": checks, "tol": args.tol, "delta_cover": args.delta_cover}
     settings = replace(config.verify, **{k: v for k, v in flags.items() if v is not None})
     if not settings.checks:
         raise UsageError("no check requested: a verify that runs none certifies nothing")
@@ -462,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=None, help=argparse.SUPPRESS)
     p_verify.add_argument("--seed", type=_seed_flag, default=0)
     p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--eps", type=float, default=None)
     p_verify.add_argument("--delta-cover", dest="delta_cover", type=float, default=None)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)

@@ -23,7 +23,7 @@ from .measure import (DiscreteMeasure, action_differences, averaged_kernel,
                       check_variations)
 from .pipeline import ExhaustionRun
 from .simplex_solver import CompactProblem, _balanced_form, minimize_on_compact
-from .space import MetricSpace, as_mask, closed_ball, greedy_cover_counts
+from .space import MetricSpace, as_mask, closed_ball, greedy_cover_counts, same_space
 
 EXIT_OK = 0
 EXIT_EL_FAILED = 2
@@ -85,8 +85,7 @@ def check_sufficient_conditions(L: Lagrangian, space: MetricSpace,
     """
     if not delta_cover > 0:
         raise InputError(f"cover radius delta_cover must be positive, got {delta_cover!r}")
-    if space.key != L.space_key:
-        raise InputError("kernel was built on a different space")
+    same_space(space.key, L.space_key)
     c = diagonal_infimum(L)
     sup = global_sup(L)
     cond_a = c > 0.0
@@ -150,19 +149,18 @@ def nontriviality_check(run: ExhaustionRun, L: Lagrangian, space: MetricSpace,
 
 def gamma_lower_bound(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace,
                       profile: DecayProfile, eps: float, window,
-                      tol: float = 1e-8, el_report: ELReport | None = None) -> dict:
+                      tol: float = 1e-8, el_tol: float = 1e-6) -> dict:
     """Mass of the epsilon-effective ball against gamma = (1 - eps)/sup L.
 
-    Refuses (with a notice) unless stationarity holds on the window mask.
+    Refuses (with a notice) unless stationarity holds on the window mask
+    (``verify_el`` at ``el_tol``).
     The balls of radius N0 around the window points are one ``closed_ball``
     mask, one row per point, and each row's mass is one ``math.fsum`` over
     its slice of the mask's nonzero columns.
     """
     if not 0.0 < eps < 1.0:
         raise InputError("gamma bound needs eps in (0, 1)")
-    if el_report is None:
-        el_report = verify_el(rho, L, window)
-    if not el_report.passed:
+    if not verify_el(rho, L, window, el_tol).passed:
         return {"passed": False, "refused": True,
                 "reason": "stationarity does not hold on the window"}
     n0 = tail_index(profile, eps)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import (ConstructionError, InputError, ProfileError, as_number, known_keys,
                      number_rows)
-from .space import MetricSpace, as_mask, ball_cover_counts, closed_ball, symmetric_matrix
+from .space import (MetricSpace, as_mask, ball_cover_counts, closed_ball, same_space,
+                    symmetric_matrix)
 
 # The settings of each kernel kind and, under ``profile.params``, of each
 # profile ``f``; a config section that gives any other key is refused.
@@ -127,9 +128,8 @@ def kernel_from_spec(spec: dict, space: MetricSpace) -> Lagrangian:
     return make_kernel(kind, spec, space)
 
 
-def diagonal_infimum(L: Lagrangian, space: MetricSpace | None = None) -> float:
+def diagonal_infimum(L: Lagrangian) -> float:
     """inf over x of L(x, x); strictly positive by construction."""
-    _check_space(L, space)
     return float(np.diag(L.matrix).min())
 
 
@@ -158,7 +158,7 @@ def verify_compact_range(L: Lagrangian, space: MetricSpace, exhaustion) -> dict:
     and each stage reads its K' (``_effective_range``) and its
     thickening as the union of the stage's rows.
     """
-    _check_space(L, space)
+    same_space(L.space_key, space.key)
     positive = L.matrix > 0.0
     balls = None
     if L.declared_range is not None:
@@ -315,7 +315,7 @@ def _radius_bounds(L: Lagrangian, space: MetricSpace):
     realized distance carrying a failing point (open balls stop just short
     of it).
     """
-    _check_space(L, space)
+    same_space(L.space_key, space.key)
     dist = space.dist
     d_fail = np.where(L.matrix < diagonal_infimum(L) / 2.0, dist, math.inf).min(axis=1)
     d_ok = np.where(dist < d_fail[:, None] - 1e-15, dist, 0.0).max(axis=1)
@@ -333,7 +333,7 @@ def verify_entropy_decay(L: Lagrangian, space: MetricSpace, profile: DecayProfil
     evaluated once per distinct distance. At most 10 violating witnesses are
     reported, in row-major (x, y) order.
     """
-    _check_space(L, space)
+    same_space(L.space_key, space.key)
     c = diagonal_infimum(L)
     cond_a = c > 0.0
     delta_closed, delta_sup = _radius_bounds(L, space)
@@ -366,8 +366,3 @@ def verify_entropy_decay(L: Lagrangian, space: MetricSpace, profile: DecayProfil
         "condition_c": {"holds": bool(cond_c), "checked_pairs": checked},
         "witnesses": witnesses,
     }
-
-
-def _check_space(L: Lagrangian, space: MetricSpace | None) -> None:
-    if space is not None and space.key != L.space_key:
-        raise InputError("kernel was built on a different space")

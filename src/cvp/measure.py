@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, PositivityError, VolumeConstraintError
 from .lagrangian import Lagrangian
-from .space import MetricSpace, as_mask
+from .space import MetricSpace, as_mask, same_space
 
 # Weights at or below this become 0 at construction time.
 PRUNE_EPS = 1e-12
@@ -86,7 +86,7 @@ def check_variations(base: DiscreteMeasure, points: np.ndarray, deltas: np.ndarr
 
 def action(rho: DiscreteMeasure, L: Lagrangian) -> float:
     """Double integral of the kernel against rho x rho."""
-    _check_compat(rho, L)
+    same_space(rho.space.key, L.space_key)
     s = np.flatnonzero(rho.weights)
     w = rho.weights[s]
     return float(w @ L.matrix[np.ix_(s, s)] @ w)
@@ -94,7 +94,7 @@ def action(rho: DiscreteMeasure, L: Lagrangian) -> float:
 
 def averaged_kernel(rho: DiscreteMeasure, L: Lagrangian) -> np.ndarray:
     """Vector of integrals of L(x, .) against rho, over all kernel-domain points."""
-    _check_compat(rho, L)
+    same_space(rho.space.key, L.space_key)
     s = np.flatnonzero(rho.weights)
     return L.matrix[:, s] @ rho.weights[s]
 
@@ -124,8 +124,3 @@ def measure_to_dict(rho: DiscreteMeasure) -> dict:
     return {"space": rho.space.key,
             "weights": {rho.space.ids[i]: float(rho.weights[i])
                         for i in np.flatnonzero(rho.weights)}}
-
-
-def _check_compat(rho: DiscreteMeasure, L: Lagrangian) -> None:
-    if rho.space.key != L.space_key:
-        raise InputError("measure and kernel live on different spaces")

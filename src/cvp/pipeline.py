@@ -22,7 +22,7 @@ from .lagrangian import DecayProfile, Lagrangian, tail_index
 from .measure import DiscreteMeasure, averaged_kernel, restrict
 from .simplex_solver import (CompactProblem, KKTResiduals, SolverOptions, _residuals,
                              minimize_on_compact)
-from .space import Exhaustion, MetricSpace, as_index, as_mask, closed_ball
+from .space import Exhaustion, MetricSpace, as_index, as_mask, closed_ball, same_space
 
 # A stage counts as degenerate when its kernel block is constant to this level.
 _CONST_BLOCK_TOL = 1e-12
@@ -30,11 +30,13 @@ _CONST_BLOCK_TOL = 1e-12
 # Rescaling refuses stages whose action value sits at or below this.
 _S_FLOOR = 1e-12
 
+# A run is stabilized when its last two stages differ by at most this on the window.
+_STAB_TOL = 1e-6
+
 
 @dataclass
 class RunOptions:
     solver: SolverOptions = field(default_factory=SolverOptions)
-    stab_tol: float = 1e-6
     window_layer: float | None = None
     profile: DecayProfile | None = None
     eps: float | None = None
@@ -127,11 +129,6 @@ def _stage_block(L: Lagrangian, stage: np.ndarray):
     return idx, block, spread <= _CONST_BLOCK_TOL * max(1.0, float(block.max()))
 
 
-def _check_kernel(space: MetricSpace, L: Lagrangian) -> None:
-    if space.key != L.space_key:
-        raise InputError("kernel was built on a different space")
-
-
 def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
                    options: RunOptions | None = None) -> ExhaustionRun:
     """Solve each stage's kernel block with its own seed (a block that is not
@@ -141,7 +138,7 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
     whose rescaled averaged kernel minus 1 exceeds 10*tol in size on its
     support, or is below -10*tol on its stage, raises ``SolverFailure``."""
     options = options or RunOptions()
-    _check_kernel(space, L)
+    same_space(space.key, L.space_key)
     layer = resolve_window_layer(L, options)
     tol = 10.0 * options.solver.tol
     stages: list[ScaledMinimizer] = []
@@ -166,7 +163,7 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
                 best_weights=solution.weights, best_value=solution.value,
                 residuals=solution.kkt)
         stages.append(scaled)
-    return _assemble(space, stages, layer, options.stab_tol)
+    return _assemble(space, stages, layer)
 
 
 def run_from_weights(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
@@ -175,14 +172,14 @@ def run_from_weights(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
     array per stage, in space order) and ``certified_global`` flags, built as
     ``run_exhaustion`` builds it (``_scaled_stage``, ``_assemble``). Nothing
     is revalidated, so a tampered stage reaches the checks."""
-    _check_kernel(space, L)
+    same_space(space.key, L.space_key)
     layer = resolve_window_layer(L, options)
     if not len(weights) == len(certified) == len(exhaustion.stages):
         raise InputError(f"{len(exhaustion.stages)} stages need as many weight vectors "
                          f"and flags, got {len(weights)} and {len(certified)}")
     stages = [_scaled_stage(space, n, stage, _stage_block(L, stage), w, cert)
               for n, (stage, w, cert) in enumerate(zip(exhaustion.stages, weights, certified))]
-    return _assemble(space, stages, layer, options.stab_tol)
+    return _assemble(space, stages, layer)
 
 
 def _scaled_stage(space: MetricSpace, n: int, stage: np.ndarray, cut, weights,
@@ -196,8 +193,8 @@ def _scaled_stage(space: MetricSpace, n: int, stage: np.ndarray, cut, weights,
                            space=space, degenerate=degenerate)
 
 
-def _assemble(space: MetricSpace, scaled: list[ScaledMinimizer], layer: float,
-              stab_tol: float) -> ExhaustionRun:
+def _assemble(space: MetricSpace, scaled: list[ScaledMinimizer],
+              layer: float) -> ExhaustionRun:
     """The run of solved stages: the window of the second-to-last stage at
     ``layer`` (the last stage itself when there is one), the last stage's
     measure restricted to it, and the diagnostics."""
@@ -219,9 +216,9 @@ def _assemble(space: MetricSpace, scaled: list[ScaledMinimizer], layer: float,
 
     diagnostics = {
         "window_layer": layer,
-        "stabilized": stab_gap <= stab_tol,
+        "stabilized": stab_gap <= _STAB_TOL,
         "stab_gap": stab_gap,
-        "stab_tol": stab_tol,
+        "stab_tol": _STAB_TOL,
         "lambda_series": [s.scale for s in scaled],
         "s_series": [s.s_unscaled for s in scaled],
         "degenerate_stages": [s.stage_index for s in scaled if s.degenerate],
@@ -250,7 +247,7 @@ def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagran
     ``searchsorted`` finds; the balls are nested, so the radii that pass are
     the smallest ones, and the largest of them is used.
     """
-    _check_kernel(space, L)
+    same_space(space.key, L.space_key)
     entries = []
     passed = True
     for xi in probes:
@@ -291,8 +288,7 @@ def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagran
 def tail_mass(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace, x: int,
               R: float) -> float:
     """Kernel mass rho picks up beyond distance R from point index x."""
-    if space.key != L.space_key or rho.space.key != space.key:
-        raise InputError("measure, kernel and space must match")
+    same_space(space.key, L.space_key, rho.space.key)
     xi = as_index(x, len(space))
     far = space.dist[xi] > R
     return math.fsum(rho.weights[far] * L.matrix[xi, far])

@@ -596,9 +596,6 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     opts = problem.options
     Lb = problem.matrix
     k = len(problem.ids)
-    if k == 1:
-        w = np.ones(1)
-        return CompactSolution(weights=w, kkt=_residuals(Lb, w), certified_global=True)
     try:  # on a positive definite block every KKT point is the minimum
         np.linalg.cholesky(Lb)
         convex = True

@@ -232,6 +232,13 @@ def as_index(x, n: int):
     return idx if idx.ndim else int(idx)
 
 
+def same_space(*keys: str) -> None:
+    """InputError unless the ``MetricSpace.key`` of every kernel, space and
+    measure given (a kernel's ``space_key``) is the same."""
+    if len(set(keys)) > 1:
+        raise InputError("kernel, measure and space must be built on the same space")
+
+
 def closed_ball(space: MetricSpace, x, r: float) -> np.ndarray:
     """Mask of the points within distance r of point x (closed, contains x).
 

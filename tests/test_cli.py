@@ -312,8 +312,7 @@ def fuzz_report(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz")
     out_dir = run_solve(tmp, profile={"f": "exp", "params": {"rate": 1.0}, "delta": 1.0},
                         window={"layer": 1.0, "eps": 0.3},
-                        verify={"checks": list(_ALL_CHECKS), "tol": 1e-6,
-                                "delta_cover": 1.0, "eps": 0.3, "mass_radius": 1.0})
+                        verify={"checks": list(_ALL_CHECKS), "tol": 1e-6, "delta_cover": 1.0})
     return json.loads(Path(out_dir, "run.json").read_text())
 
 
@@ -328,7 +327,6 @@ _FIELDS = (
     ("config", "space"), ("config", "kernel"), ("config", "profile"), ("config", "window"),
     ("config", "window", "eps"), ("config", "verify"), ("config", "verify", "checks"),
     ("config", "verify", "tol"), ("config", "verify", "delta_cover"),
-    ("config", "verify", "eps"), ("config", "verify", "mass_radius"),
 )
 
 
@@ -366,8 +364,8 @@ def test_verify_exits_cleanly_on_malformed_report(fuzz_report, edits, rehash, cl
         except ValueError:
             pass  # a NaN in the config cannot be hashed
     # checks and their settings from the command line, or else from the report
-    flags = ["--checks", ",".join(_ALL_CHECKS), "--trials", "20", "--delta-cover", "1.0",
-             "--eps", "0.3"] if cli_checks else []
+    flags = ["--checks", ",".join(_ALL_CHECKS), "--trials", "20",
+             "--delta-cover", "1.0"] if cli_checks else []
     with tempfile.TemporaryDirectory() as tmp:
         run_path = os.path.join(tmp, "run.json")
         with open(run_path, "w") as handle:
@@ -404,12 +402,10 @@ _BAD_FIELDS = (
     (("seed",), "x", "seed"),
     (("solver", "restarts"), [1], "solver.restarts"),
     (("exhaustion", "radii"), ["a"], "exhaustion radii"),
-    (("stab_tol",), "q", "stab_tol"),
     (("stride",), "s", "stride"),
     (("seed",), -1, "seed must be a non-negative integer"),
     # strings that look like numbers are refused, not cast
     (("kernel", "range"), "1.0", "kernel.range must be a number, got '1.0'"),
-    (("stab_tol",), "1e-6", "stab_tol must be a number, got '1e-6'"),
     (("space", "points", 0, "coords"), ["-6"], "coords must be a number, got '-6'"),
     (("space", "points", 0, "id"), 5, "space point id must be a string"),
     (("exhaustion", "radii"), [2, "4"], "exhaustion radii must be a number, got '4'"),
@@ -418,10 +414,12 @@ _BAD_FIELDS = (
     (("window",), {"layr": 1}, "window.layr is not a window setting"),
     (("window",), {"layer": "1"}, "window.layer must be a number"),
     (("verify", "trails"), 5, "verify.trails is not a verify setting"),
-    (("verify", "eps"), "x", "verify.eps must be a number"),
     # removed settings are refused as unknown keys
     (("verify", "trials"), 200, "verify.trials is not a verify setting"),
     (("verify", "support_cap"), 4, "verify.support_cap is not a verify setting"),
+    (("verify", "eps"), 0.3, "verify.eps is not a verify setting"),
+    (("verify", "mass_radius"), 1.0, "verify.mass_radius is not a verify setting"),
+    (("stab_tol",), 1e-6, "stab_tol"),
     (("kernel",), {"kind": "matrix", "matrix": [["1", "0.5"], ["0.5", "1"]], "range": 1},
      "kernel.matrix[0][0] must be a number, got '1'"),
     # every key of the kernel, profile, profile.params and exhaustion sections is read
@@ -441,7 +439,7 @@ _BAD_FIELDS = (
     for command in ("solve", "verify") for case in _BAD_FIELDS])
 def test_bad_config_field_exits_1_naming_it(tmp_path, command, path, value, field):
     if command == "solve":
-        cfg = json.loads(Path(write_config(tmp_path, profile=_PROFILE, stab_tol=1e-6)).read_text())
+        cfg = json.loads(Path(write_config(tmp_path, profile=_PROFILE)).read_text())
         _mutate(cfg, path, "retype", value)
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -467,10 +465,9 @@ def test_solve_has_no_tol_flag(tmp_path, capsys):
 
 
 def test_null_leaves_a_verify_radius_unset(tmp_path):
-    # null eps, delta_cover and mass_radius fall back as if they were absent
+    # a null delta_cover is unset, as if it were absent
     checks = {}
-    for name, extra in (("absent", {}),
-                        ("null", {"eps": None, "delta_cover": None, "mass_radius": None})):
+    for name, extra in (("absent", {}), ("null", {"delta_cover": None})):
         (tmp_path / name).mkdir()
         run_path, _ = _solved_report(
             tmp_path / name, profile=_PROFILE, window={"layer": 1.0, "eps": 0.3},
@@ -649,8 +646,7 @@ def _alter(report):
 @pytest.mark.parametrize("edit", [_blank, _alter], ids=["blank", "alter"])
 def test_output_only_fields_do_not_change_verify(tmp_path, edit):
     run_path, report = _solved_report(
-        tmp_path, profile=_PROFILE, window={"layer": 1.0, "eps": 0.3},
-        verify={"eps": 0.3})
+        tmp_path, profile=_PROFILE, window={"layer": 1.0, "eps": 0.3})
     checks = ",".join(_ALL_CHECKS)
     code, clean = _verify_bytes(run_path, report, str(tmp_path / "clean.json"), checks)
     edit(report)
@@ -838,6 +834,28 @@ def test_hypothesis_checks_fail_and_hold(tmp_path, check, config, code):
         assert result["condition_c"]["holds"] is (code == 0)
     else:
         assert all(s["contained"] for s in result["stages"]) is (code == 0)
+
+
+@pytest.mark.parametrize("tol,refused", [(None, True), ("1e-4", False)],
+                         ids=["default-tol", "tol-1e-4"])
+def test_gamma_verdict_does_not_depend_on_el(tmp_path, tol, refused):
+    # the centre weight scaled by 1 + 1e-4 leaves an EL residual of about 4e-5:
+    # gamma checks stationarity at the verify tol whether or not el runs too
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_EXP41))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    run_path = tmp_path / "run" / "run.json"
+    report = json.loads(run_path.read_text())
+    report["stages"][-1]["weights"]["x20"] *= 1.0 + 1e-4
+    run_path.write_text(json.dumps(report))
+    entries = []
+    for checks in ("gamma", "el,gamma"):
+        out = tmp_path / f"{checks}.json"
+        main(["verify", "--run", str(run_path), "--checks", checks, "--out", str(out),
+              *(["--tol", tol] if tol else [])])
+        entries.append(json.loads(out.read_text())["checks"]["gamma"])
+    assert entries[0] == entries[1]
+    assert entries[0]["refused"] is refused and entries[0]["passed"] is not refused
 
 
 def test_help_and_unknown_check_list_the_check_table(tmp_path, capsys):

@@ -179,8 +179,8 @@ def _reference_gamma(rho, L, space, profile, eps, window, tol=1e-8):
             "sup": global_sup(L), "entries": entries}
 
 
-# stationarity as gamma_lower_bound reads it: the mass test runs on any measure
-_STATIONARY = type("ELReport", (), {"passed": True})()
+# any measure is stationary at an infinite tolerance, so the mass test runs on it
+_STATIONARY = math.inf
 
 
 @given(cells=st.lists(st.integers(0, 12), min_size=1, max_size=30), data=st.data())
@@ -203,7 +203,11 @@ def test_gamma_bound_matches_its_reference(cells, data):
     profile = exp_profile(data.draw(st.sampled_from([0.01, 0.5, 3.0, 20.0])), 1.0,
                           delta=1.0, c=1.0)
     eps = data.draw(st.sampled_from([0.1, 0.3, 0.9]))
-    got = gamma_lower_bound(rho, L, space, profile, eps, window, el_report=_STATIONARY)
+    if not window.any():  # stationarity on an empty window is undefined
+        with pytest.raises(InputError, match="nonempty window"):
+            gamma_lower_bound(rho, L, space, profile, eps, window, el_tol=_STATIONARY)
+        return
+    got = gamma_lower_bound(rho, L, space, profile, eps, window, el_tol=_STATIONARY)
     assert canonical_json(got) == canonical_json(
         _reference_gamma(rho, L, space, profile, eps, window))
 
@@ -214,7 +218,7 @@ def test_gamma_ball_ends_on_points_at_distance_n0():
     rho = DiscreteMeasure(g, [1.0] * 7)
     profile = exp_profile(0.01, 1.0, delta=1.0, c=1.0)
     window = np.array([False, False, True, True, False, False, True])
-    rep = gamma_lower_bound(rho, L, g, profile, 0.9, window, el_report=_STATIONARY)
+    rep = gamma_lower_bound(rho, L, g, profile, 0.9, window, el_tol=_STATIONARY)
     assert rep["N0"] == 2
     assert [e["ball_size"] for e in rep["entries"]] == [6, 6, 2]
     assert canonical_json(rep) == canonical_json(_reference_gamma(rho, L, g, profile, 0.9,

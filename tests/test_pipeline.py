@@ -15,7 +15,10 @@ from cvp import (
     MetricSpace,
     RunOptions,
     SolverFailure,
+    action,
+    averaged_kernel,
     build_exhaustion,
+    check_sufficient_conditions,
     exp_profile,
     grid_1d,
     local_mass_bound_check,
@@ -23,6 +26,8 @@ from cvp import (
     run_exhaustion,
     stage_ell,
     tail_mass,
+    verify_compact_range,
+    verify_entropy_decay,
     window_points,
 )
 from cvp import pipeline
@@ -148,8 +153,19 @@ def test_kernel_space_mismatch_rejected():
     other = grid_1d(range(4))
     tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, other)
     exh = build_exhaustion(g, 0, (2,))
-    with pytest.raises(InputError):
-        run_exhaustion(g, tent, exh)
+    rho = DiscreteMeasure(g, [1.0, 0.0, 0.0])
+    profile = exp_profile(1.0, 1.0, delta=1.0, c=1.0)
+    # every entry point refuses a kernel and a measure or space of another space
+    for call in (lambda: run_exhaustion(g, tent, exh),
+                 lambda: averaged_kernel(rho, tent),
+                 lambda: action(rho, tent),
+                 lambda: tail_mass(rho, tent, g, 0, 1.0),
+                 lambda: tail_mass(rho, make_kernel("tent", {"range": 1.0}, g), other, 0, 1.0),
+                 lambda: check_sufficient_conditions(tent, g, 1.0),
+                 lambda: verify_compact_range(tent, g, exh),
+                 lambda: verify_entropy_decay(tent, g, profile)):
+        with pytest.raises(InputError, match="must be built on the same space"):
+            call()
 
 
 def test_mass_bound_identity_run(identity_run):

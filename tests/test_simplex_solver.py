@@ -61,10 +61,14 @@ def test_two_point_coupled():
 
 
 def test_single_point_shortcut():
-    sol = minimize_on_compact(problem([[2.5]], ids=("a",)))
-    assert sol.weights[0] == 1.0
-    assert sol.value == 2.5
-    assert sol.certified_global
+    # a one-point block is positive definite: its one start, the vertex, is
+    # certified by convexity
+    for x in (0.37, 1.0, 2.5, 2.5e-7, 1e6):
+        sol = minimize_on_compact(problem([[x]], ids=("a",)))
+        assert sol.weights.tolist() == [1.0]
+        assert sol.value == x
+        assert sol.kkt == _residuals(np.array([[x]]), np.ones(1))
+        assert sol.certified_global
 
 
 def test_oracle_identity_three():
