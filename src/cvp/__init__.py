@@ -20,12 +20,12 @@ from .measure import (DiscreteMeasure, action, averaged_kernel, measure_to_dict,
 from .simplex_solver import (CompactProblem, CompactSolution, KKTResiduals,
                              SolverOptions, brute_force_minimizer,
                              minimize_on_compact)
-from .pipeline import (ExhaustionRun, RunOptions, ScaledMinimizer,
-                       local_mass_bound_check, run_exhaustion, stage_ell, tail_mass,
-                       window_points)
+from .pipeline import (ExhaustionRun, RunOptions, ScaledMinimizer, run_exhaustion,
+                       stage_ell, tail_mass, window_points)
 from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY,
                           EXIT_OK, ELReport, check_sufficient_conditions,
-                          gamma_lower_bound, nontriviality_check, verify_el)
+                          gamma_lower_bound, local_mass_bound_check,
+                          nontriviality_check, verify_el)
 
 # the names imported above; the submodules they come from are not API names
 __all__ = [name for name, value in sorted(globals().items())

@@ -2,12 +2,12 @@
 
 Reports are canonical JSON (sorted keys, 17-significant-digit floats, no
 timestamps) written atomically, so identical configs and seeds reproduce
-byte-identical output. ``verify`` runs checks named in one table,
-``CHECKS``: conclusions of the paper on the run's limit, and its two
-hypotheses, compact range and decay in entropy, on the config's kernel. Its
-exit codes: 0 all checks passed, 2 stationarity failed, 3 a descent variation
-was found, 4 another check failed (a hypothesis among them); usage errors
-exit 64, IO/config errors exit 1.
+byte-identical output. ``verify`` draws nothing at random. It runs the checks
+named in one table, ``CHECKS``: conclusions of the paper on the run's limit,
+and its two hypotheses, compact range and decay in entropy, on the config's
+kernel. Its exit codes: 0 all checks passed, 2 stationarity failed, 3 a descent
+variation was found, 4 another check failed (a hypothesis among them); usage
+errors exit 64, IO/config errors exit 1.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ import numpy as np
 from . import __version__
 from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY, EXIT_OK,
                           check_sufficient_conditions, gamma_lower_bound,
-                          nontriviality_check, prove_minimality, verify_el)
+                          local_mass_bound_check, nontriviality_check, prove_minimality,
+                          verify_el)
 from .errors import (NUMBER, CVPError, InputError, UsageError, as_number, known_keys,
                      number_rows, typed)
 from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum, kernel_from_spec,
                          profile_from_spec, verify_compact_range, verify_entropy_decay)
 from .measure import DiscreteMeasure, measure_to_dict
-from .pipeline import (ExhaustionRun, RunOptions, local_mass_bound_check,
-                       run_exhaustion, run_from_weights, stage_ell)
+from .pipeline import ExhaustionRun, RunOptions, run_exhaustion, run_from_weights, stage_ell
 from .reports import Encoded, canonical_json, sha256_text, write_csv, write_json
 from .simplex_solver import CompactProblem, SolverOptions, brute_force_minimizer
 from .space import Exhaustion, MetricSpace, build_exhaustion, space_from_dict
@@ -246,7 +246,6 @@ class _Verification:
     config: RunConfig
     run: ExhaustionRun
     settings: VerifySettings
-    seed: int
     rho: DiscreteMeasure  # the last stage's measure
     window: np.ndarray  # the point mask the checks assert on
 
@@ -271,12 +270,8 @@ def _gamma(v: _Verification) -> dict:
 
 
 def _mass_bound(v: _Verification) -> dict:
-    rng = np.random.default_rng(np.random.SeedSequence([v.seed]))
-    points = np.flatnonzero(v.window)
-    count = min(len(points), 20)
-    probes = points[np.sort(rng.choice(len(points), size=count, replace=False))]
     return local_mass_bound_check(v.run.stages[-1], v.config.space, v.config.kernel,
-                                  probes, v.run.diagnostics["window_layer"])
+                                  np.flatnonzero(v.window), v.run.diagnostics["window_layer"])
 
 
 # Every check ``cvp verify`` runs, by name, with its verify.json entry. The last
@@ -324,7 +319,7 @@ def cmd_verify(args) -> int:
     if not settings.checks:
         raise UsageError("no check requested: a verify that runs none certifies nothing")
     rho = run.stages[-1].measure
-    verification = _Verification(config, run, settings, args.seed, rho,
+    verification = _Verification(config, run, settings, rho,
                                  run.window if run.window.any() else rho.support)
 
     results = {name: CHECKS[name](verification) for name in settings.checks}
@@ -447,9 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--run", required=True)
     p_verify.add_argument("--checks", default=None,
                           help=f"comma list from: {', '.join(CHECKS)}")
-    # accepted and ignored: minimality is decided without sampled trials
+    # accepted and ignored, since verify samples nothing: the benchmark's verify
+    # invocations pass both, and a removed flag would exit 64
     p_verify.add_argument("--trials", type=int, default=None, help=argparse.SUPPRESS)
-    p_verify.add_argument("--seed", type=_seed_flag, default=0)
+    p_verify.add_argument("--seed", type=_seed_flag, default=0, help=argparse.SUPPRESS)
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--delta-cover", dest="delta_cover", type=float, default=None)
     p_verify.add_argument("--out", default=None)

@@ -21,9 +21,10 @@ from .errors import InputError
 from .lagrangian import DecayProfile, Lagrangian, diagonal_infimum, global_sup, tail_index
 from .measure import (DiscreteMeasure, action_differences, averaged_kernel,
                       check_variations)
-from .pipeline import ExhaustionRun
+from .pipeline import ExhaustionRun, ScaledMinimizer
 from .simplex_solver import CompactProblem, _balanced_form, minimize_on_compact
-from .space import MetricSpace, as_mask, closed_ball, greedy_cover_counts, same_space
+from .space import (MetricSpace, as_index, as_mask, closed_ball, greedy_cover_counts,
+                    same_space)
 
 EXIT_OK = 0
 EXIT_EL_FAILED = 2
@@ -114,6 +115,17 @@ def check_sufficient_conditions(L: Lagrangian, space: MetricSpace,
     }
 
 
+def _ball_masses(weights: np.ndarray, balls: np.ndarray) -> tuple[list[float], list[int]]:
+    """The ``math.fsum`` of ``weights`` over each row of the (P, n) point mask
+    ``balls``, exact in any order of the points, and the row's point count."""
+    # the weights in the balls, row p's at in_ball[bounds[p]:bounds[p + 1]]
+    at, cols = np.divmod(np.flatnonzero(balls), balls.shape[1])
+    bounds = np.searchsorted(at, np.arange(len(balls) + 1)).tolist()
+    in_ball = weights[cols].tolist()
+    return ([math.fsum(in_ball[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
+            np.diff(bounds).tolist())
+
+
 def nontriviality_check(run: ExhaustionRun, L: Lagrangian, space: MetricSpace,
                         tol: float = 1e-8) -> dict:
     """Mass of each single-point effective range against 1/sup L(x, .).
@@ -124,22 +136,16 @@ def nontriviality_check(run: ExhaustionRun, L: Lagrangian, space: MetricSpace,
         return {"passed": False, "reason": "run has no stages", "entries": []}
     rho = run.stages[-1].measure
     probes = np.flatnonzero(run.window if run.window.any() else rho.support)
-    # the effective range of {x}: where L(x, .) is positive
     rows = L.matrix[probes]
-    reach = rows > 0.0
     c_xs = (1.0 / rows.max(axis=1)).tolist()
-    sizes = reach.sum(axis=1).tolist()
-    # the weights in the probes' ranges, probe p's at in_range[bounds[p]:bounds[p + 1]]
-    at, cols = np.nonzero(reach)
-    bounds = np.searchsorted(at, np.arange(len(probes) + 1)).tolist()
-    in_range = rho.weights[cols].tolist()
+    # the effective range of {x}: where L(x, .) is positive
+    masses, sizes = _ball_masses(rho.weights, rows > 0.0)
     entries = []
     passed = True
-    for p, xi in enumerate(probes.tolist()):
-        mass = math.fsum(in_range[bounds[p]:bounds[p + 1]])
-        ok = mass >= c_xs[p] - tol
+    for xi, size, c_x, mass in zip(probes.tolist(), sizes, c_xs, masses):
+        ok = mass >= c_x - tol
         passed = passed and ok
-        entries.append({"probe": space.ids[xi], "range_size": sizes[p], "c_x": c_xs[p],
+        entries.append({"probe": space.ids[xi], "range_size": size, "c_x": c_x,
                         "mass": mass, "ok": ok})
     total = run.limit.total()
     nonzero = total > 0.0
@@ -155,8 +161,7 @@ def gamma_lower_bound(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace,
     Refuses (with a notice) unless stationarity holds on the window mask
     (``verify_el`` at ``el_tol``).
     The balls of radius N0 around the window points are one ``closed_ball``
-    mask, one row per point, and each row's mass is one ``math.fsum`` over
-    its slice of the mask's nonzero columns.
+    mask, one row per point, weighed by ``_ball_masses``.
     """
     if not 0.0 < eps < 1.0:
         raise InputError("gamma bound needs eps in (0, 1)")
@@ -167,20 +172,70 @@ def gamma_lower_bound(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace,
     cbound = global_sup(L)
     gamma = (1.0 - eps) / cbound
     probes = np.flatnonzero(as_mask(window, len(space), "gamma window"))
-    # the weights in the probes' balls, probe p's at in_ball[bounds[p]:bounds[p + 1]]
-    at, cols = np.nonzero(closed_ball(space, probes, float(n0)))
-    bounds = np.searchsorted(at, np.arange(len(probes) + 1)).tolist()
-    in_ball = rho.weights[cols].tolist()
+    masses, sizes = _ball_masses(rho.weights, closed_ball(space, probes, float(n0)))
     entries = []
     passed = True
-    for p, xi in enumerate(probes.tolist()):
-        lo, hi = bounds[p], bounds[p + 1]
-        mass = math.fsum(in_ball[lo:hi])
+    for xi, size, mass in zip(probes.tolist(), sizes, masses):
         ok = mass >= gamma - tol
         passed = passed and ok
-        entries.append({"x": space.ids[xi], "ball_size": hi - lo, "mass": mass, "ok": ok})
+        entries.append({"x": space.ids[xi], "ball_size": size, "mass": mass, "ok": ok})
     return {"passed": bool(passed), "refused": False, "gamma": gamma, "N0": n0,
             "sup": cbound, "entries": entries}
+
+
+def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagrangian,
+                           probes, radius: float, tol: float = 1e-8) -> dict:
+    """Scaled stage mass of validated balls at the probe indices against the 2/L(x,x) bound.
+
+    A ball around x is validated when L(y, z) >= L(x, x)/2 for every pair
+    inside it. Its radius is the largest distance from x realized in the
+    space, at most ``radius``, whose closed ball (to 1e-12) is validated; a
+    probe with none is ``skipped``. All probes are taken in one array pass.
+    Each probe's distance row is ordered nearest first, ties by point index,
+    so its balls are leading blocks of that order, and a running minimum over
+    the ordered kernel rows gives the least entry of each block. The blocks
+    are nested, so those that pass are the ones before the first that fails.
+    """
+    same_space(space.key, L.space_key)
+    # an index of -1 would wrap around in the gathers below
+    probes = as_index(probes, len(space)) if len(probes) else np.zeros(0, dtype=int)
+    rows = space.dist[probes]
+    diag = L.matrix[probes, probes]
+    # the points of the largest candidate ball, within 1e-12 of the farthest
+    # distance up to radius, lead each row of ``order`` and ``d``
+    top = np.where(rows <= radius + 1e-12, rows, -np.inf).max(axis=1, initial=-np.inf)
+    m = int(np.count_nonzero(rows <= top[:, None] + 1e-12, axis=1).max(initial=0))
+    order = np.argsort(rows, axis=1, kind="stable")[:, :m]
+    d = np.take_along_axis(rows, order, axis=1)
+    # the number of leading points whose block has no entry below L(x, x)/2
+    passing = np.zeros(len(probes), dtype=int)
+    least = np.full(len(probes), np.inf)
+    for j in range(m):
+        least = np.minimum(least, L.matrix[order[:, j, None], order[:, :j + 1]].min(axis=1))
+        holds = least >= diag / 2.0
+        if not holds.any():
+            break
+        passing += holds
+    # a ball passes when it ends before the first point whose block fails; the
+    # candidate radii are the first distance of each run of equal ones (so a 0.0
+    # and a -0.0 give the one of the lower point index)
+    fails_at = np.take_along_axis(np.c_[d, np.full(len(probes), np.inf)], passing[:, None], 1)
+    fits = (d <= radius + 1e-12) & (d + 1e-12 < fails_at)
+    fits[:, 1:] &= d[:, 1:] != d[:, :-1]
+    used = np.where(fits, d, -np.inf).max(axis=1, initial=-np.inf)
+    masses, sizes = _ball_masses(stage.measure.weights, rows <= used[:, None] + 1e-12)
+    entries = []
+    passed = True
+    for xi, r, size, mass, bound in zip(probes.tolist(), used.tolist(), sizes, masses,
+                                        (2.0 / diag).tolist()):
+        if not size:  # no ball is validated
+            entries.append({"probe": space.ids[xi], "skipped": True})
+            continue
+        ok = mass <= bound + tol
+        passed = passed and ok
+        entries.append({"probe": space.ids[xi], "radius": r, "ball_size": size,
+                        "mass": mass, "bound": bound, "ok": ok})
+    return {"passed": passed, "requested_radius": radius, "entries": entries}
 
 
 def _gamma(n: int) -> float:

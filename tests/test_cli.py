@@ -476,7 +476,7 @@ def test_null_leaves_a_verify_radius_unset(tmp_path):
         with open(os.path.join(os.path.dirname(run_path), "verify.json")) as handle:
             checks[name] = json.load(handle)["checks"]
     assert checks["null"] == checks["absent"]
-    assert checks["null"]["mass_bound"]["entries"][0]["requested_radius"] == 1.0
+    assert checks["null"]["mass_bound"]["requested_radius"] == 1.0
 
 
 @pytest.mark.parametrize("cap", [0, 1, -3])
@@ -652,7 +652,7 @@ def test_output_only_fields_do_not_change_verify(tmp_path, edit):
     edit(report)
     assert _verify_bytes(run_path, report, str(tmp_path / "edited.json"), checks) == (code,
                                                                                       clean)
-    assert json.loads(clean)["checks"]["mass_bound"]["entries"][0]["requested_radius"] == 1.0
+    assert json.loads(clean)["checks"]["mass_bound"]["requested_radius"] == 1.0
 
 
 def test_verify_refuses_a_report_with_a_stage_missing(tmp_path, capsys):
@@ -856,6 +856,34 @@ def test_gamma_verdict_does_not_depend_on_el(tmp_path, tol, refused):
         entries.append(json.loads(out.read_text())["checks"]["gamma"])
     assert entries[0] == entries[1]
     assert entries[0]["refused"] is refused and entries[0]["passed"] is not refused
+
+
+def test_mass_bound_checks_every_window_point_at_any_seed(tmp_path, capsys):
+    # one atom at x15, of scaled mass 3.33 against the bound 2: a draw of 20 of
+    # the 23 window points would miss it at some seeds
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_EXP41))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    run_path = tmp_path / "run" / "run.json"
+    report = json.loads(run_path.read_text())
+    report["stages"][-1]["weights"] = {"x15": 0.3}
+    run_path.write_text(json.dumps(report))
+    written = set()
+    for seed in ("0", "1", "2", "3"):
+        out = tmp_path / f"verify_{seed}.json"
+        # --seed and --trials still parse, and change nothing
+        assert main(["verify", "--run", str(run_path), "--checks", "mass_bound", "--seed", seed,
+                     "--trials", "50", "--out", str(out)]) == 4
+        written.add(out.read_bytes())
+    assert len(written) == 1
+    entries = json.loads(written.pop())["checks"]["mass_bound"]["entries"]
+    assert [e["probe"] for e in entries] == report["window"] and len(entries) == 23
+    assert [e["probe"] for e in entries if not e["ok"]] == ["x15"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--seed" not in help_text and "--trials" not in help_text
 
 
 def test_help_and_unknown_check_list_the_check_table(tmp_path, capsys):

@@ -184,7 +184,15 @@ def test_mass_bound_shrinks_through_realized_radii(identity_run):
     rep = local_mass_bound_check(run.stages[-1], grid, tent, probes=(25,), radius=1.0)
     e = rep["entries"][0]
     # the 1-ball contains a zero of the kernel, so the radius collapses
-    assert e["shrunk"] and e["radius"] == 0.0 and e["ok"]
+    assert rep["requested_radius"] == 1.0 and e["radius"] == 0.0 and e["ok"]
+
+
+def test_mass_bound_refuses_a_probe_that_is_not_a_point_index(identity_run):
+    # an array pass would read a probe of -1 as the last point
+    grid, tent, run = identity_run
+    for probe in (-1, len(grid), 2.0):
+        with pytest.raises(InputError, match="is not in 0.."):
+            local_mass_bound_check(run.stages[-1], grid, tent, [probe], radius=1.0)
 
 
 def test_tail_mass_compact_kernel_vanishes(identity_run):
@@ -242,23 +250,21 @@ def _reference_mass_bound(stage, space, L, probes, radius, tol=1e-8):
                 used = r
                 break
         if used is None:
-            entries.append({"probe": space.ids[xi], "requested_radius": radius, "skipped": True})
+            entries.append({"probe": space.ids[xi], "skipped": True})
             continue
         mass = math.fsum(stage.measure.weights[ball])
         ok = mass <= bound + tol
         passed = passed and ok
-        entries.append({"probe": space.ids[xi], "requested_radius": radius, "radius": used,
-                        "shrunk": used < radius - 1e-12, "ball_size": len(ball),
-                        "mass": mass, "bound": bound, "ok": ok, "skipped": False})
-    return {"passed": passed, "entries": entries}
+        entries.append({"probe": space.ids[xi], "radius": used, "ball_size": len(ball),
+                        "mass": mass, "bound": bound, "ok": ok})
+    return {"passed": passed, "requested_radius": radius, "entries": entries}
 
 
 @given(cells=st.lists(st.integers(0, 4), min_size=1, max_size=48), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_mass_bound_matches_its_reference(cells, data):
     # points in the same cell coincide; some of their distances are -0.0, which
-    # the report writes as -0 when it is the first zero of the probe's row (a
-    # sort of rows longer than 16 is not stable, so it may put the other zero first)
+    # the report writes as -0 when it is the first zero of the probe's row
     n = len(cells)
     x = np.array(cells, dtype=float) * 0.5
     d = np.abs(x[:, None] - x[None, :])
@@ -290,17 +296,31 @@ def test_mass_bound_unshrunk_and_tied_balls_match_the_reference():
     d = np.abs(x[:, None] - x[None, :])
     d[2, 3] = d[3, 2] = -0.0
     space = MetricSpace(ids=tuple(f"p{i}" for i in range(len(x))), dist=d)
-    stage = type("Stage", (), {"measure": DiscreteMeasure(space, [0.5, 0.0, 1.0, 0.2, 0.0,
-                                                                  0.3, 1.0])})()
-    for reach, probes, radius, shrunk, size in (
-            (4.0, (2, 3), 1.0, False, 6), (4.0, (2,), 0.5, False, 4),
-            (4.0, (2,), 2.0, True, 6), (4.0, (6,), 3.0, True, 5),
-            (0.8, (2, 3), 1.0, True, 2)):
-        L = make_kernel("tent", {"range": reach}, space)
+    measure = DiscreteMeasure(space, [0.5, 0.0, 1.0, 0.2, 0.0, 0.3, 1.0])
+    # a and b coincide, and L(a, b) is below L(a, a)/2: every ball around a holds
+    # both, so no ball is validated and the probe is skipped; c is checked alone
+    pair = MetricSpace(ids=("a", "b", "c"), dist=[[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    cases = [(pair, DiscreteMeasure(pair, [1, 1, 1]),
+              make_kernel("matrix", {"matrix": [[1, 0.2, 0], [0.2, 1, 0], [0, 0, 1]]}, pair),
+              (0, 2), 1.0, None)]
+    cases += [(space, measure, make_kernel("tent", {"range": reach}, space), probes, radius,
+               (shrunk, size))
+              for reach, probes, radius, shrunk, size in (
+                  (4.0, (2, 3), 1.0, False, 6), (4.0, (2,), 0.5, False, 4),
+                  (4.0, (2,), 2.0, True, 6), (4.0, (6,), 3.0, True, 5),
+                  (0.8, (2, 3), 1.0, True, 2))]
+    for space, measure, L, probes, radius, expected in cases:
+        stage = type("Stage", (), {"measure": measure})()
         got = local_mass_bound_check(stage, space, L, probes, radius)
         assert canonical_json(got) == canonical_json(
             _reference_mass_bound(stage, space, L, probes, radius))
-        for e in got["entries"]:
-            assert (e["shrunk"], e["ball_size"]) == (shrunk, size)
+        if expected is None:
+            assert got["entries"] == [
+                {"probe": "a", "skipped": True},
+                {"probe": "c", "radius": 0.0, "ball_size": 1, "mass": 1.0, "bound": 2.0,
+                 "ok": True}]
+        else:
+            for e in got["entries"]:
+                assert (e["radius"] < radius, e["ball_size"]) == expected
     # the row of p3 has -0.0 at p2 before its own 0.0, and the radius keeps that sign
-    assert '"radius": -0,' in canonical_json(got)
+    assert '"radius": -0\n' in canonical_json(got)
