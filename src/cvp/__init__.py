@@ -23,7 +23,7 @@ from .simplex_solver import (CompactProblem, CompactSolution, KKTResiduals,
 from .pipeline import (ExhaustionRun, RunOptions, ScaledMinimizer, run_exhaustion,
                        stage_ell, tail_mass, window_points)
 from .el_analysis import (EXIT_CONDITION, EXIT_EL_FAILED, EXIT_MINIMALITY,
-                          EXIT_OK, ELReport, check_sufficient_conditions,
+                          EXIT_OK, check_sufficient_conditions,
                           gamma_lower_bound, local_mass_bound_check,
                           nontriviality_check, verify_el)
 

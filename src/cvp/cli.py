@@ -16,6 +16,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -151,16 +152,15 @@ def report_from_run(run: ExhaustionRun, config: RunConfig) -> dict:
     Point sets and weights are written by point id, in index order. Of a
     stage, ``run_from_report`` reads only ``weights`` (unscaled) and
     ``certified_global``: ``index``, ``ids``, ``lambda``, ``s_unscaled``,
-    ``value``, ``degenerate`` and ``kkt``, and the run's ``window``,
-    ``limit`` and ``diagnostics``, are derived from the config and those,
-    and written for readers only.
+    ``degenerate`` and ``kkt``, and the run's ``window``, ``limit`` and
+    ``diagnostics``, are derived from the config and those, and written for
+    readers only.
     """
     stages = [{
         "index": s.stage_index,
         "ids": [s.space.ids[i] for i in np.flatnonzero(s.stage)],
         "lambda": s.scale,
         "s_unscaled": s.s_unscaled,
-        "value": s.s_unscaled,
         "degenerate": s.degenerate,
         "certified_global": s.certified_global,
         "kkt": asdict(s.kkt),
@@ -184,8 +184,8 @@ def _stage_weights(payload, stage: np.ndarray, space: MetricSpace,
     weights = np.zeros(len(space))
     for pid, w in typed(payload, dict, f"{where}.weights").items():
         i = space.index.get(pid)
-        # the field is named only for an entry refused or not a plain float
-        if i is None or not stage[i] or type(w) is not float:
+        # the field is named only for an entry refused or not a plain finite float
+        if i is None or not stage[i] or type(w) is not float or not math.isfinite(w):
             field = f"{where}.weights[{pid!r}]"
             if i is None:
                 raise InputError(f"{field} is on an unknown point id")
@@ -265,22 +265,22 @@ def _profile(v: _Verification, check: str) -> DecayProfile:
 
 def _gamma(v: _Verification) -> dict:
     eps = 0.5 if v.config.options.eps is None else v.config.options.eps
-    return gamma_lower_bound(v.rho, v.config.kernel, v.config.space, _profile(v, "gamma"),
-                             eps, v.window, el_tol=v.settings.tol)
+    return gamma_lower_bound(v.rho, v.config.kernel, _profile(v, "gamma"), eps, v.window,
+                             el_tol=v.settings.tol)
 
 
 def _mass_bound(v: _Verification) -> dict:
-    return local_mass_bound_check(v.run.stages[-1], v.config.space, v.config.kernel,
-                                  np.flatnonzero(v.window), v.run.diagnostics["window_layer"])
+    return local_mass_bound_check(v.rho, v.config.kernel, np.flatnonzero(v.window),
+                                  v.run.diagnostics["window_layer"])
 
 
 # Every check ``cvp verify`` runs, by name, with its verify.json entry. The last
 # two certify the paper's hypotheses, entropy_decay for the config's own profile.
 CHECKS = {
-    "el": lambda v: verify_el(v.rho, v.config.kernel, v.window, tol=v.settings.tol).to_dict(),
+    "el": lambda v: verify_el(v.rho, v.config.kernel, v.window, tol=v.settings.tol),
     "minimality": lambda v: prove_minimality(v.rho, v.config.kernel, v.window),
     "conditions": _conditions,
-    "nontriviality": lambda v: nontriviality_check(v.run, v.config.kernel, v.config.space),
+    "nontriviality": lambda v: nontriviality_check(v.rho, v.config.kernel, v.run.window),
     "gamma": _gamma,
     "mass_bound": _mass_bound,
     "compact_range": lambda v: verify_compact_range(v.config.kernel, v.config.space,
@@ -356,7 +356,6 @@ def cmd_oracle(args) -> int:
     solution = brute_force_minimizer(problem)
     out = {
         "value": solution.value,
-        "s_param": solution.s_param,
         "weights": {pid: float(w) for pid, w in zip(problem.ids, solution.weights)
                     if w > 0},
         "kkt": asdict(solution.kkt),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .errors import InputError
 from .lagrangian import DecayProfile, Lagrangian, diagonal_infimum, global_sup, tail_index
 from .measure import (DiscreteMeasure, action_differences, averaged_kernel,
                       check_variations)
-from .pipeline import ExhaustionRun, ScaledMinimizer
 from .simplex_solver import CompactProblem, _balanced_form, minimize_on_compact
 from .space import (MetricSpace, as_index, as_mask, closed_ball, greedy_cover_counts,
                     same_space)
@@ -38,25 +36,12 @@ _FAIL_TOL = 1e-8
 _UNIT = float(np.finfo(float).eps) / 2
 
 
-@dataclass(frozen=True)
-class ELReport:
-    window: tuple[str, ...]
-    support: tuple[str, ...]
-    ell_values: dict[str, float]
-    inf_ell: float
-    argmin: str
-    max_abs_on_support: float
-    tol: float
-    passed: bool
+def verify_el(rho: DiscreteMeasure, L: Lagrangian, window, tol: float = 1e-6) -> dict:
+    """Stationarity on a window mask: ell vanishes on the support, >= 0 elsewhere.
 
-    def to_dict(self) -> dict:
-        """The fields by name; the report encoder reads the containers as they are,
-        so they are shared, not deep-copied as ``dataclasses.asdict`` would."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def verify_el(rho: DiscreteMeasure, L: Lagrangian, window, tol: float = 1e-6) -> ELReport:
-    """Stationarity on a window mask: ell vanishes on the support, >= 0 elsewhere."""
+    Reports the window and the support on it by id, ``ell_values`` by id, the
+    least ell (``inf_ell``, at ``argmin``), ``max_abs_on_support``, ``tol`` and
+    ``passed``."""
     space = rho.space
     idx = np.flatnonzero(as_mask(window, len(space), "EL window"))
     if not idx.size:
@@ -69,10 +54,10 @@ def verify_el(rho: DiscreteMeasure, L: Lagrangian, window, tol: float = 1e-6) ->
     pos = int(np.argmin(values))
     inf_ell = float(values[pos])
     passed = max_on <= tol and inf_ell >= -tol
-    return ELReport(window=tuple(window), support=support,
-                    ell_values=dict(zip(window, values.tolist())),
-                    inf_ell=inf_ell, argmin=window[pos],
-                    max_abs_on_support=max_on, tol=tol, passed=passed)
+    return {"window": tuple(window), "support": support,
+            "ell_values": dict(zip(window, values.tolist())),
+            "inf_ell": inf_ell, "argmin": window[pos],
+            "max_abs_on_support": max_on, "tol": tol, "passed": passed}
 
 
 def check_sufficient_conditions(L: Lagrangian, space: MetricSpace,
@@ -126,16 +111,17 @@ def _ball_masses(weights: np.ndarray, balls: np.ndarray) -> tuple[list[float], l
             np.diff(bounds).tolist())
 
 
-def nontriviality_check(run: ExhaustionRun, L: Lagrangian, space: MetricSpace,
+def nontriviality_check(rho: DiscreteMeasure, L: Lagrangian, window,
                         tol: float = 1e-8) -> dict:
-    """Mass of each single-point effective range against 1/sup L(x, .).
+    """Mass of rho on each single-point effective range against 1/sup L(x, .).
 
-    Evaluates the full final-stage measure; also demands a nonzero limit.
+    The probes are the points of the window mask, or rho's support when the
+    window is empty; the check also demands a nonzero limit, rho's mass on
+    the window (``limit_total``).
     """
-    if not run.stages:
-        return {"passed": False, "reason": "run has no stages", "entries": []}
-    rho = run.stages[-1].measure
-    probes = np.flatnonzero(run.window if run.window.any() else rho.support)
+    same_space(rho.space.key, L.space_key)
+    window = as_mask(window, len(rho.space), "nontriviality window")
+    probes = np.flatnonzero(window if window.any() else rho.support)
     rows = L.matrix[probes]
     c_xs = (1.0 / rows.max(axis=1)).tolist()
     # the effective range of {x}: where L(x, .) is positive
@@ -145,32 +131,32 @@ def nontriviality_check(run: ExhaustionRun, L: Lagrangian, space: MetricSpace,
     for xi, size, c_x, mass in zip(probes.tolist(), sizes, c_xs, masses):
         ok = mass >= c_x - tol
         passed = passed and ok
-        entries.append({"probe": space.ids[xi], "range_size": size, "c_x": c_x,
+        entries.append({"probe": rho.space.ids[xi], "range_size": size, "c_x": c_x,
                         "mass": mass, "ok": ok})
-    total = run.limit.total()
+    total = math.fsum(rho.weights[window])
     nonzero = total > 0.0
     return {"passed": bool(passed and nonzero), "limit_total": total,
             "limit_nonzero": nonzero, "entries": entries}
 
 
-def gamma_lower_bound(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace,
-                      profile: DecayProfile, eps: float, window,
-                      tol: float = 1e-8, el_tol: float = 1e-6) -> dict:
-    """Mass of the epsilon-effective ball against gamma = (1 - eps)/sup L.
+def gamma_lower_bound(rho: DiscreteMeasure, L: Lagrangian, profile: DecayProfile,
+                      eps: float, window, tol: float = 1e-8, el_tol: float = 1e-6) -> dict:
+    """Mass of rho on the epsilon-effective ball against gamma = (1 - eps)/sup L.
 
     Refuses (with a notice) unless stationarity holds on the window mask
     (``verify_el`` at ``el_tol``).
-    The balls of radius N0 around the window points are one ``closed_ball``
-    mask, one row per point, weighed by ``_ball_masses``.
+    The balls of radius N0 around the window points, in rho's space, are one
+    ``closed_ball`` mask, one row per point, weighed by ``_ball_masses``.
     """
     if not 0.0 < eps < 1.0:
         raise InputError("gamma bound needs eps in (0, 1)")
-    if not verify_el(rho, L, window, el_tol).passed:
+    if not verify_el(rho, L, window, el_tol)["passed"]:
         return {"passed": False, "refused": True,
                 "reason": "stationarity does not hold on the window"}
     n0 = tail_index(profile, eps)
     cbound = global_sup(L)
     gamma = (1.0 - eps) / cbound
+    space = rho.space
     probes = np.flatnonzero(as_mask(window, len(space), "gamma window"))
     masses, sizes = _ball_masses(rho.weights, closed_ball(space, probes, float(n0)))
     entries = []
@@ -183,9 +169,9 @@ def gamma_lower_bound(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace,
             "sup": cbound, "entries": entries}
 
 
-def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagrangian,
-                           probes, radius: float, tol: float = 1e-8) -> dict:
-    """Scaled stage mass of validated balls at the probe indices against the 2/L(x,x) bound.
+def local_mass_bound_check(rho: DiscreteMeasure, L: Lagrangian, probes, radius: float,
+                           tol: float = 1e-8) -> dict:
+    """Mass of rho on validated balls at the probe indices against the 2/L(x,x) bound.
 
     A ball around x is validated when L(y, z) >= L(x, x)/2 for every pair
     inside it. Its radius is the largest distance from x realized in the
@@ -196,6 +182,7 @@ def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagran
     the ordered kernel rows gives the least entry of each block. The blocks
     are nested, so those that pass are the ones before the first that fails.
     """
+    space = rho.space
     same_space(space.key, L.space_key)
     # an index of -1 would wrap around in the gathers below
     probes = as_index(probes, len(space)) if len(probes) else np.zeros(0, dtype=int)
@@ -223,7 +210,7 @@ def local_mass_bound_check(stage: ScaledMinimizer, space: MetricSpace, L: Lagran
     fits = (d <= radius + 1e-12) & (d + 1e-12 < fails_at)
     fits[:, 1:] &= d[:, 1:] != d[:, :-1]
     used = np.where(fits, d, -np.inf).max(axis=1, initial=-np.inf)
-    masses, sizes = _ball_masses(stage.measure.weights, rows <= used[:, None] + 1e-12)
+    masses, sizes = _ball_masses(rho.weights, rows <= used[:, None] + 1e-12)
     entries = []
     passed = True
     for xi, r, size, mass, bound in zip(probes.tolist(), used.tolist(), sizes, masses,

@@ -1,5 +1,7 @@
 """Exception types raised across the package, and the strict reader of JSON config values."""
 
+import math
+
 
 class CVPError(Exception):
     """Base class for all package-specific errors."""
@@ -76,12 +78,16 @@ def known_keys(section: dict, known, prefix: str, what: str) -> dict:
 
 
 def as_number(value, what: str) -> float:
-    """A JSON number as a float; InputError naming ``what`` for anything else
-    (a string, a boolean, null, an integer beyond the float range)."""
+    """A JSON number as a finite float; InputError naming ``what`` for anything
+    else (a string, a boolean, null, an integer beyond the float range, and the
+    NaN and infinities that Python's ``json`` reads)."""
     try:
-        return float(typed(value, NUMBER, what))
+        number = float(typed(value, NUMBER, what))
     except OverflowError:
         raise InputError(f"{what} must be a number, got {value!r:.60}") from None
+    if not math.isfinite(number):
+        raise InputError(f"{what} must be a finite number, got {number!r}")
+    return number
 
 
 def number_rows(value, what: str) -> list[list[float]]:

@@ -197,7 +197,11 @@ def _assemble(space: MetricSpace, scaled: list[ScaledMinimizer],
               layer: float) -> ExhaustionRun:
     """The run of solved stages: the window of the second-to-last stage at
     ``layer`` (the last stage itself when there is one), the last stage's
-    measure restricted to it, and the diagnostics."""
+    measure restricted to it, and the diagnostics: ``window_layer``, the
+    largest weight gap of the last two stages on the window (``stab_gap``)
+    against ``stab_tol``, whether it is within it (``stabilized``), and
+    ``discrepancies``, keyed ``"m,n"``, the largest weight gap of stage n and
+    the last stage on the window of stage m at ``layer``, for m < n < last."""
     last = scaled[-1]
     if len(scaled) == 1:
         window = last.stage
@@ -208,9 +212,9 @@ def _assemble(space: MetricSpace, scaled: list[ScaledMinimizer],
     limit = restrict(last.measure, window)
 
     discrepancies = {}
-    for m in range(len(scaled) - 1):
+    for m in range(len(scaled) - 2):
         interior = window_points(space, scaled[m].stage, layer)
-        for n in range(m + 1, len(scaled)):
+        for n in range(m + 1, len(scaled) - 1):
             discrepancies[f"{m},{n}"] = _max_gap(interior, scaled[n].measure,
                                                  last.measure)
 
@@ -219,11 +223,7 @@ def _assemble(space: MetricSpace, scaled: list[ScaledMinimizer],
         "stabilized": stab_gap <= _STAB_TOL,
         "stab_gap": stab_gap,
         "stab_tol": _STAB_TOL,
-        "lambda_series": [s.scale for s in scaled],
-        "s_series": [s.s_unscaled for s in scaled],
-        "degenerate_stages": [s.stage_index for s in scaled if s.degenerate],
         "discrepancies": discrepancies,
-        "window_empty": not window.any(),
     }
     return ExhaustionRun(stages=tuple(scaled), limit=limit, window=window,
                          diagnostics=diagnostics)
@@ -234,10 +234,10 @@ def _max_gap(points: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure) -> floa
     return float(np.abs(a.weights[points] - b.weights[points]).max(initial=0.0))
 
 
-def tail_mass(rho: DiscreteMeasure, L: Lagrangian, space: MetricSpace, x: int,
-              R: float) -> float:
-    """Kernel mass rho picks up beyond distance R from point index x."""
-    same_space(space.key, L.space_key, rho.space.key)
+def tail_mass(rho: DiscreteMeasure, L: Lagrangian, x: int, R: float) -> float:
+    """Kernel mass rho picks up beyond distance R, in rho's space, from point index x."""
+    space = rho.space
+    same_space(space.key, L.space_key)
     xi = as_index(x, len(space))
     far = space.dist[xi] > R
     return math.fsum(rho.weights[far] * L.matrix[xi, far])

@@ -116,10 +116,6 @@ class CompactSolution:
     def value(self) -> float:
         return self.kkt.s_param
 
-    @property
-    def s_param(self) -> float:
-        return self.kkt.s_param
-
 
 def _residuals(Lb: np.ndarray, w: np.ndarray) -> KKTResiduals:
     g = Lb @ w

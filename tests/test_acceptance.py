@@ -145,7 +145,7 @@ def test_every_stage_is_normalized(all_runs):
         for stage in ns.run.stages:
             stages += 1
             rep = verify_el(stage.measure, ns.L, stage.stage, tol=STAGE_TOL)
-            worst_ell = max(worst_ell, abs(rep.inf_ell), rep.max_abs_on_support)
+            worst_ell = max(worst_ell, abs(rep["inf_ell"]), rep["max_abs_on_support"])
             worst_scale = max(worst_scale, abs(stage.scale * stage.s_unscaled - 1.0))
     ok = worst_ell <= STAGE_TOL and worst_scale <= SCALE_TOL
     _gate(ok, f"all {stages} stages normalized: max residual {worst_ell:.1e} "
@@ -160,8 +160,7 @@ def test_local_mass_bound_on_random_probes(all_runs):
         ns, stage = pool[int(rng.integers(len(pool)))]
         points = np.flatnonzero(stage.stage)
         x = points[int(rng.integers(len(points)))]
-        rep = local_mass_bound_check(stage, ns.space, ns.L, [x], radius=1.0,
-                                     tol=MASS_TOL)
+        rep = local_mass_bound_check(stage.measure, ns.L, [x], radius=1.0, tol=MASS_TOL)
         entries.extend(rep["entries"])
     violations = [e for e in entries if e.get("skipped") or not e["ok"]]
     _gate(len(entries) == 50 and not violations,
@@ -177,9 +176,9 @@ def test_identity_family_reaches_flat_limit(identity_run):
     rep = verify_el(run.stages[-1].measure, identity_run.L, run.window,
                     tol=WINDOW_EL_TOL)
     ok = (sizes == [21, 41, 101] and flat and run.limit.total() > 0
-          and rep.passed and identity_run.elapsed <= 10.0)
+          and rep["passed"] and identity_run.elapsed <= 10.0)
     _gate(ok, f"unit-range tent on integer grids {sizes}: limit weights 1 "
-              f"to {FLAT_WEIGHT_TOL}, window residual {rep.max_abs_on_support:.1e}, "
+              f"to {FLAT_WEIGHT_TOL}, window residual {rep['max_abs_on_support']:.1e}, "
               f"{identity_run.elapsed:.2f}s")
 
 
@@ -203,14 +202,14 @@ def test_entropy_decay_suite(exp_run):
     envelope = exp_profile(1.0, 1.0, delta=1.0, c=c)
     n0 = tail_index(envelope, 0.3)
     rho = run.stages[-1].measure
-    tails = [tail_mass(rho, L, space, x, 3.0) for x in np.flatnonzero(run.window)]
+    tails = [tail_mass(rho, L, x, 3.0) for x in np.flatnonzero(run.window)]
     rep = verify_el(rho, L, run.window, tol=DECAY_EL_TOL)
     ok = (cert["holds"] and n0 == 4
           and run.diagnostics["window_layer"] == 4.0
-          and max(tails) < 0.3 and rep.passed)
+          and max(tails) < 0.3 and rep["passed"])
     _gate(ok, f"exponential kernel decays in entropy: tail index {n0}, "
               f"max tail mass {max(tails):.3f} < 0.3, window residual "
-              f"{rep.max_abs_on_support:.1e}")
+              f"{rep['max_abs_on_support']:.1e}")
 
 
 def test_sampled_variations_never_improve(identity_run, exp_run, gauss_run):
@@ -245,7 +244,8 @@ def test_corrupted_weights_yield_witness(identity_run):
 def test_limits_are_nontrivial_with_gamma_bound(all_runs, identity_run, exp_run):
     ok = True
     for ns in all_runs:
-        rep = nontriviality_check(ns.run, ns.L, ns.space, tol=NONTRIV_TOL)
+        rep = nontriviality_check(ns.run.stages[-1].measure, ns.L, ns.run.window,
+                                  tol=NONTRIV_TOL)
         ok = ok and rep["passed"] and rep["limit_total"] > 0.0
     profiles = {
         id(identity_run): exp_profile(9.0, 1.0, delta=1.0, c=1.0),
@@ -254,9 +254,8 @@ def test_limits_are_nontrivial_with_gamma_bound(all_runs, identity_run, exp_run)
     gammas = []
     for ns in (identity_run, exp_run):
         window = ns.run.window
-        rep = gamma_lower_bound(ns.run.stages[-1].measure, ns.L, ns.space,
-                                profiles[id(ns)], eps=0.5, window=window,
-                                tol=NONTRIV_TOL)
+        rep = gamma_lower_bound(ns.run.stages[-1].measure, ns.L, profiles[id(ns)],
+                                eps=0.5, window=window, tol=NONTRIV_TOL)
         gammas.append(rep)
         ok = ok and rep["passed"] and not rep["refused"]
     _gate(ok, "limits keep mass: range masses >= c_x and epsilon-ball masses "

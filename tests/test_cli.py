@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cvp import InputError, grid_1d, make_kernel, run_exhaustion, space_from_dict
 from cvp.cli import (CHECKS, _stage_weights, build_parser, config_from_dict, load_config,
@@ -241,6 +242,7 @@ def test_oracle_golden_two_point(tmp_path, capsys):
     assert main(["oracle", "--matrix", str(matrix)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == pytest.approx(0.75, abs=EL_TOL)
+    assert "s_param" not in out
     assert out["weights"] == {"p0": pytest.approx(0.5), "p1": pytest.approx(0.5)}
     assert out["certified_global"] is True
 
@@ -432,11 +434,26 @@ _BAD_FIELDS = (
     (("verify", "checks"), [1], "verify.checks[0] 1 is not a check"),
     (("verify", "checks"), ["el", "gamma", "el"], "verify.checks[2] names check 'el' a second"),
 )
+# Python's json reads a bare NaN, Infinity or -Infinity, and the config reader refuses
+# each; a report cannot carry one to verify, since its config would not encode
+_NONFINITE_FIELDS = (
+    (("window",), {"eps": math.inf}, "window.eps must be a finite number, got inf"),
+    (("window",), {"layer": math.inf}, "window.layer must be a finite number, got inf"),
+    (("window",), {"layer": -math.inf}, "window.layer must be a finite number, got -inf"),
+    (("profile", "params", "rate"), math.inf, "profile.params.rate must be a finite number"),
+    (("profile", "params", "amplitude"), math.inf,
+     "profile.params.amplitude must be a finite number"),
+    (("profile", "delta"), math.nan, "profile.delta must be a finite number, got nan"),
+    (("verify", "delta_cover"), math.inf, "verify.delta_cover must be a finite number"),
+    (("exhaustion", "radii"), [2, math.inf], "exhaustion radii must be a finite number"),
+    (("kernel", "range"), math.inf, "kernel.range must be a finite number"),
+)
 
 
 @pytest.mark.parametrize("command,path,value,field", [
     pytest.param(command, *case, id=f"{command}-{case[2]}")
-    for command in ("solve", "verify") for case in _BAD_FIELDS])
+    for command in ("solve", "verify") for case in _BAD_FIELDS] + [
+    pytest.param("solve", *case, id=f"solve-{case[2]}") for case in _NONFINITE_FIELDS])
 def test_bad_config_field_exits_1_naming_it(tmp_path, command, path, value, field):
     if command == "solve":
         cfg = json.loads(Path(write_config(tmp_path, profile=_PROFILE)).read_text())
@@ -455,6 +472,7 @@ def test_bad_config_field_exits_1_naming_it(tmp_path, command, path, value, fiel
         code = main(argv)
     assert code == 1
     assert field in err.getvalue() and "Traceback" not in err.getvalue()
+    assert not (tmp_path / "o" / "run.json").exists()
 
 
 def test_solve_has_no_tol_flag(tmp_path, capsys):
@@ -623,7 +641,7 @@ def test_verify_derives_the_window_from_the_config(tmp_path):
     assert main(["verify", "--run", run_path, "--checks", "el,minimality,nontriviality"]) == 2
 
 
-_STAGE_OUTPUT_ONLY = ("ids", "index", "kkt", "degenerate", "lambda", "value", "s_unscaled")
+_STAGE_OUTPUT_ONLY = ("ids", "index", "kkt", "degenerate", "lambda", "s_unscaled")
 
 
 def _blank(report):
@@ -637,7 +655,7 @@ def _blank(report):
 def _alter(report):
     for stage in report["stages"]:
         stage.update({"ids": ["g0"], "index": 7, "degenerate": True, "lambda": 1e9,
-                      "value": -1.0, "s_unscaled": 0.0,
+                      "s_unscaled": 0.0,
                       "kkt": {"on_support_max": 0.0, "min_over_k": 0.0, "s_param": 1.0}})
     report.update(window=["g0"], limit={"space": "x", "weights": {"g0": 5.0}},
                   diagnostics={"window_layer": 50.0})
@@ -689,6 +707,7 @@ def test_malformed_oracle_and_sweep_input_exits_1(tmp_path, command, payload, fi
         code = main([command, flag, str(path), *extra])
     assert code == 1
     assert field in err.getvalue() and "Traceback" not in err.getvalue()
+    assert not (tmp_path / "o" / "run.json").exists()
 
 
 def _five_point_config():
@@ -772,6 +791,7 @@ def _read(f, *args):
 @given(weights=st.dictionaries(st.sampled_from(["p0", "p1", "p2", "p3", "p4", "zz"]),
                                _JSON_VALUES, max_size=6),
        stage=st.integers(0, 1))
+@example(weights={"p2": math.inf}, stage=0)  # a plain float that is not finite
 @settings(max_examples=200, deadline=None)
 def test_stage_weights_match_entry_by_entry_reading(weights, stage):
     config = _five_point_config()

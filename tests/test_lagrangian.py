@@ -146,18 +146,19 @@ def test_scaled_exp_profile_monotonicity_guard():
         scaled_exp_profile(1.0, 0.5, 1.0, delta=1.0, c=1.0)
 
 
-@pytest.mark.parametrize("spec, named", [
-    ({"f": "exp", "delta": math.nan}, r"profile\.delta must be positive, got nan"),
-    ({"f": "exp", "delta": 1.0, "params": {"rate": math.nan}}, "needs rate > 0, got nan"),
-    ({"f": "exp", "delta": 1.0, "params": {"amplitude": math.nan}},
-     "needs amplitude >= 0, got nan"),
-    ({"f": "poly", "delta": 1.0, "params": {"power": math.nan}}, "power nan is not integrable"),
-    ({"f": "scaled_exp", "delta": 1.0, "params": {"slope": math.nan}}, "got slope nan"),
+@pytest.mark.parametrize("build, named", [
+    (lambda: exp_profile(1.0, 1.0, delta=math.nan, c=1.0),
+     r"profile\.delta must be positive, got nan"),
+    (lambda: exp_profile(1.0, math.nan, delta=1.0, c=1.0), "needs rate > 0, got nan"),
+    (lambda: exp_profile(math.nan, 1.0, delta=1.0, c=1.0), "needs amplitude >= 0, got nan"),
+    (lambda: poly_profile(1.0, math.nan, delta=1.0, c=1.0), "power nan is not integrable"),
+    (lambda: scaled_exp_profile(1.0, math.nan, 1.0, delta=1.0, c=1.0), "got slope nan"),
 ], ids=["delta", "exp-rate", "exp-amplitude", "poly-power", "scaled_exp-slope"])
-def test_profile_refuses_a_nan_setting(spec, named):
-    # Python's json reads a bare NaN: each setting is tested so that NaN fails
+def test_profile_refuses_a_nan_setting(build, named):
+    # each setting is tested so that NaN fails; a config's NaN is refused by its
+    # reader first, naming the field (test_bad_config_field_exits_1_naming_it)
     with pytest.raises(ProfileError, match=named):
-        profile_from_spec(spec, c=1.0)
+        build()
 
 
 def test_entropy_ball_radius_fine_exponential():

@@ -20,9 +20,11 @@ from cvp import (
     build_exhaustion,
     check_sufficient_conditions,
     exp_profile,
+    gamma_lower_bound,
     grid_1d,
     local_mass_bound_check,
     make_kernel,
+    nontriviality_check,
     run_exhaustion,
     stage_ell,
     tail_mass,
@@ -93,12 +95,15 @@ def test_undetermined_window_is_refused_before_any_stage_is_solved(monkeypatch):
 
 def test_identity_grid_run_frozen_values(identity_run):
     grid, tent, run = identity_run
-    assert run.diagnostics["lambda_series"] == pytest.approx([11.0, 21.0, 41.0], abs=1e-9)
+    assert [s.scale for s in run.stages] == pytest.approx([11.0, 21.0, 41.0], abs=1e-9)
     assert run.window.sum() == 19
     assert run.diagnostics["stabilized"]
     assert run.diagnostics["window_layer"] == 1.0
-    assert run.diagnostics["degenerate_stages"] == []
-    assert sorted(run.diagnostics["discrepancies"]) == ["0,1", "0,2", "1,2"]
+    assert not any(s.degenerate for s in run.stages)
+    assert sorted(run.diagnostics) == ["discrepancies", "stab_gap", "stab_tol", "stabilized",
+                                       "window_layer"]
+    # the last stage is not compared with itself
+    assert sorted(run.diagnostics["discrepancies"]) == ["0,1"]
     limit = run.limit.weights
     assert limit[limit > 0] == pytest.approx([1.0] * run.limit.support.sum(), abs=1e-9)
 
@@ -111,6 +116,7 @@ def test_single_stage_limit_is_unrestricted():
     assert run.window.all()
     assert run.limit == run.stages[-1].measure
     assert run.diagnostics["stab_gap"] == 0.0
+    assert run.diagnostics["discrepancies"] == {}
 
 
 def test_constant_block_flagged_degenerate():
@@ -118,7 +124,7 @@ def test_constant_block_flagged_degenerate():
     L = make_kernel("matrix", {"matrix": [[1.0] * 3] * 3, "range": 5.0}, g)
     exh = build_exhaustion(g, 0, (2,))
     run = run_exhaustion(g, L, exh)
-    assert run.diagnostics["degenerate_stages"] == [0]
+    assert run.stages[0].degenerate
     assert run.stages[0].scale == pytest.approx(1.0, abs=ATOL)
 
 
@@ -151,26 +157,32 @@ def test_window_policy_required_for_unbounded_kernel():
 def test_kernel_space_mismatch_rejected():
     g = grid_1d(range(3))
     other = grid_1d(range(4))
-    tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, other)
+    # g's size and ids at another spacing: the content keys differ
+    h = grid_1d([0.0, 0.5, 1.0])
     exh = build_exhaustion(g, 0, (2,))
     rho = DiscreteMeasure(g, [1.0, 0.0, 0.0])
+    window = np.ones(3, dtype=bool)
     profile = exp_profile(1.0, 1.0, delta=1.0, c=1.0)
     # every entry point refuses a kernel and a measure or space of another space
-    for call in (lambda: run_exhaustion(g, tent, exh),
-                 lambda: averaged_kernel(rho, tent),
-                 lambda: action(rho, tent),
-                 lambda: tail_mass(rho, tent, g, 0, 1.0),
-                 lambda: tail_mass(rho, make_kernel("tent", {"range": 1.0}, g), other, 0, 1.0),
-                 lambda: check_sufficient_conditions(tent, g, 1.0),
-                 lambda: verify_compact_range(tent, g, exh),
-                 lambda: verify_entropy_decay(tent, g, profile)):
-        with pytest.raises(InputError, match="must be built on the same space"):
-            call()
+    for space in (other, h):
+        tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, space)
+        for call in (lambda: run_exhaustion(g, tent, exh),
+                     lambda: averaged_kernel(rho, tent),
+                     lambda: action(rho, tent),
+                     lambda: tail_mass(rho, tent, 0, 1.0),
+                     lambda: nontriviality_check(rho, tent, window),
+                     lambda: local_mass_bound_check(rho, tent, [0], 1.0),
+                     lambda: gamma_lower_bound(rho, tent, profile, 0.5, window),
+                     lambda: check_sufficient_conditions(tent, g, 1.0),
+                     lambda: verify_compact_range(tent, g, exh),
+                     lambda: verify_entropy_decay(tent, g, profile)):
+            with pytest.raises(InputError, match="must be built on the same space"):
+                call()
 
 
 def test_mass_bound_identity_run(identity_run):
     grid, tent, run = identity_run
-    rep = local_mass_bound_check(run.stages[-1], grid, tent,
+    rep = local_mass_bound_check(run.stages[-1].measure, tent,
                                  probes=(25, 20, 30), radius=0.5)
     assert rep["passed"]
     for e in rep["entries"]:
@@ -181,7 +193,7 @@ def test_mass_bound_identity_run(identity_run):
 
 def test_mass_bound_shrinks_through_realized_radii(identity_run):
     grid, tent, run = identity_run
-    rep = local_mass_bound_check(run.stages[-1], grid, tent, probes=(25,), radius=1.0)
+    rep = local_mass_bound_check(run.stages[-1].measure, tent, probes=(25,), radius=1.0)
     e = rep["entries"][0]
     # the 1-ball contains a zero of the kernel, so the radius collapses
     assert rep["requested_radius"] == 1.0 and e["radius"] == 0.0 and e["ok"]
@@ -192,15 +204,15 @@ def test_mass_bound_refuses_a_probe_that_is_not_a_point_index(identity_run):
     grid, tent, run = identity_run
     for probe in (-1, len(grid), 2.0):
         with pytest.raises(InputError, match="is not in 0.."):
-            local_mass_bound_check(run.stages[-1], grid, tent, [probe], radius=1.0)
+            local_mass_bound_check(run.stages[-1].measure, tent, [probe], radius=1.0)
 
 
 def test_tail_mass_compact_kernel_vanishes(identity_run):
     grid, tent, run = identity_run
     rho = run.stages[-1].measure
-    assert tail_mass(rho, tent, grid, 25, 1.0) == 0.0
+    assert tail_mass(rho, tent, 25, 1.0) == 0.0
     # at R=0 the neighbors still contribute nothing: tent dies at distance 1
-    assert tail_mass(rho, tent, grid, 25, 0.0) == 0.0
+    assert tail_mass(rho, tent, 25, 0.0) == 0.0
 
 
 def test_tail_mass_decreases_in_radius():
@@ -210,7 +222,7 @@ def test_tail_mass_decreases_in_radius():
     exh = build_exhaustion(g, 10, (6, 10))
     run = run_exhaustion(g, expk, exh, RunOptions(profile=prof, eps=0.3))
     rho = run.stages[-1].measure
-    vals = [tail_mass(rho, expk, g, 10, float(r)) for r in range(0, 6)]
+    vals = [tail_mass(rho, expk, 10, float(r)) for r in range(0, 6)]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
     assert vals[0] > 0
 
@@ -229,14 +241,15 @@ def test_identity_family_scales_equal_stage_sizes(radii):
     tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, g)
     exh = build_exhaustion(g, 12, tuple(sorted(radii)))
     run = run_exhaustion(g, tent, exh)
-    for s, stage in zip(run.diagnostics["lambda_series"], exh.stages):
-        assert s == pytest.approx(stage.sum(), abs=1e-8)
+    for s, stage in zip(run.stages, exh.stages):
+        assert s.scale == pytest.approx(stage.sum(), abs=1e-8)
     limit = run.limit.weights
     assert limit[limit > 0] == pytest.approx([1.0] * run.limit.support.sum(), abs=1e-8)
 
 
-def _reference_mass_bound(stage, space, L, probes, radius, tol=1e-8):
+def _reference_mass_bound(rho, L, probes, radius, tol=1e-8):
     """``local_mass_bound_check`` with its candidate radii from a Python set: the reference."""
+    space = rho.space
     entries, passed = [], True
     for xi in probes:
         diag = float(L.matrix[xi, xi])
@@ -252,7 +265,7 @@ def _reference_mass_bound(stage, space, L, probes, radius, tol=1e-8):
         if used is None:
             entries.append({"probe": space.ids[xi], "skipped": True})
             continue
-        mass = math.fsum(stage.measure.weights[ball])
+        mass = math.fsum(rho.weights[ball])
         ok = mass <= bound + tol
         passed = passed and ok
         entries.append({"probe": space.ids[xi], "radius": used, "ball_size": len(ball),
@@ -280,13 +293,12 @@ def test_mass_bound_matches_its_reference(cells, data):
     L = make_kernel(kind, params, space)
     weights = data.draw(st.lists(st.sampled_from([0.0, 0.2, 1.0 / 3.0, 1.0, 2.5]),
                                  min_size=n, max_size=n))
-    stage = type("Stage", (), {"measure": DiscreteMeasure(space, weights)})()
+    rho = DiscreteMeasure(space, weights)
     probes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
     # cells are 0.5 apart, so most radii are realized distances, tied on both sides
     radius = data.draw(st.sampled_from([-1.0, 0.0, 0.5, 0.75, 1.0, 1.5, 3.0]))
-    got = local_mass_bound_check(stage, space, L, probes, radius)
-    assert canonical_json(got) == canonical_json(
-        _reference_mass_bound(stage, space, L, probes, radius))
+    got = local_mass_bound_check(rho, L, probes, radius)
+    assert canonical_json(got) == canonical_json(_reference_mass_bound(rho, L, probes, radius))
 
 
 def test_mass_bound_unshrunk_and_tied_balls_match_the_reference():
@@ -300,20 +312,19 @@ def test_mass_bound_unshrunk_and_tied_balls_match_the_reference():
     # a and b coincide, and L(a, b) is below L(a, a)/2: every ball around a holds
     # both, so no ball is validated and the probe is skipped; c is checked alone
     pair = MetricSpace(ids=("a", "b", "c"), dist=[[0, 0, 1], [0, 0, 1], [1, 1, 0]])
-    cases = [(pair, DiscreteMeasure(pair, [1, 1, 1]),
+    cases = [(DiscreteMeasure(pair, [1, 1, 1]),
               make_kernel("matrix", {"matrix": [[1, 0.2, 0], [0.2, 1, 0], [0, 0, 1]]}, pair),
               (0, 2), 1.0, None)]
-    cases += [(space, measure, make_kernel("tent", {"range": reach}, space), probes, radius,
+    cases += [(measure, make_kernel("tent", {"range": reach}, space), probes, radius,
                (shrunk, size))
               for reach, probes, radius, shrunk, size in (
                   (4.0, (2, 3), 1.0, False, 6), (4.0, (2,), 0.5, False, 4),
                   (4.0, (2,), 2.0, True, 6), (4.0, (6,), 3.0, True, 5),
                   (0.8, (2, 3), 1.0, True, 2))]
-    for space, measure, L, probes, radius, expected in cases:
-        stage = type("Stage", (), {"measure": measure})()
-        got = local_mass_bound_check(stage, space, L, probes, radius)
+    for measure, L, probes, radius, expected in cases:
+        got = local_mass_bound_check(measure, L, probes, radius)
         assert canonical_json(got) == canonical_json(
-            _reference_mass_bound(stage, space, L, probes, radius))
+            _reference_mass_bound(measure, L, probes, radius))
         if expected is None:
             assert got["entries"] == [
                 {"probe": "a", "skipped": True},

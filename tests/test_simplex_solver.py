@@ -48,7 +48,6 @@ def test_two_point_identity():
     sol = minimize_on_compact(problem(np.eye(2)))
     assert np.allclose(sol.weights, [0.5, 0.5], atol=ATOL)
     assert sol.value == pytest.approx(0.5, abs=ATOL)
-    assert sol.s_param == pytest.approx(0.5, abs=ATOL)
 
 
 def test_two_point_coupled():
@@ -377,11 +376,12 @@ def random_instance(seed, kmax=8):
 @given(seed=st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_solution_is_a_probability_vector(seed):
-    sol = minimize_on_compact(problem(random_instance(seed), seed=seed))
+    M = random_instance(seed)
+    sol = minimize_on_compact(problem(M, seed=seed))
     assert abs(sol.weights.sum() - 1.0) <= ATOL
     assert (sol.weights >= 0).all()
-    # s parameter really is the attained value
-    assert sol.s_param == pytest.approx(sol.value, abs=ATOL)
+    # the value really is the attained action
+    assert sol.value == pytest.approx(float(sol.weights @ M @ sol.weights), abs=ATOL)
 
 
 @given(seed=st.integers(0, 10 ** 6))
