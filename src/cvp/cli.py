@@ -96,10 +96,11 @@ def load_config(path: str, seed_override: int | None = None) -> RunConfig:
     """The run config of a config file, built by ``config_from_dict``; a
     ``space`` given as a file path is read relative to it and inlined, and
     ``seed_override`` replaces the ``seed`` (so it enters ``config_hash``)."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         raw = typed(json.load(handle), dict, f"{path}: config")
     if isinstance(raw.get("space"), str):
-        with open(os.path.join(os.path.dirname(os.path.abspath(path)), raw["space"])) as handle:
+        space_path = os.path.join(os.path.dirname(os.path.abspath(path)), raw["space"])
+        with open(space_path, encoding="utf-8") as handle:
             raw = {**raw, "space": json.load(handle)}
     if seed_override is not None:
         raw = {**raw, "seed": seed_override}
@@ -302,7 +303,7 @@ def _check_names(names: list, what: str, error: type[Exception]) -> tuple[str, .
 
 
 def cmd_verify(args) -> int:
-    with open(args.run) as handle:
+    with open(args.run, encoding="utf-8") as handle:
         report = typed(json.load(handle), dict, f"{args.run}: report")
     embedded = typed(report.get("config"), dict, "report config")
     stored_hash = typed(report.get("config_hash"), str, "report config_hash")
@@ -343,7 +344,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    with open(args.matrix) as handle:
+    with open(args.matrix, encoding="utf-8") as handle:
         payload = json.load(handle)
     if isinstance(payload, dict):
         payload = payload.get("matrix")
@@ -377,7 +378,7 @@ def _set_path(payload: dict, dotted: str, value) -> None:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as handle:
+    with open(args.config, encoding="utf-8") as handle:
         spec = typed(json.load(handle), dict, f"{args.config}: sweep config")
     base = spec.get("base")
     if not isinstance(base, dict):
@@ -402,7 +403,7 @@ def cmd_sweep(args) -> int:
             cfg["space"] = os.path.join(base_dir, cfg["space"])
         write_json(cfg_path, cfg)
         cmd_solve(argparse.Namespace(config=cfg_path, out=run_dir, seed=None))
-        with open(os.path.join(run_dir, "run.json")) as handle:
+        with open(os.path.join(run_dir, "run.json"), encoding="utf-8") as handle:
             rep = json.load(handle)
         entries.append({"index": i, "overrides": {k: v for k, v in zip(keys, combo)},
                         "dir": f"run_{i:03d}", "seed": cfg["seed"],

@@ -189,11 +189,21 @@ def local_mass_bound_check(rho: DiscreteMeasure, L: Lagrangian, probes, radius: 
     rows = space.dist[probes]
     diag = L.matrix[probes, probes]
     # the points of the largest candidate ball, within 1e-12 of the farthest
-    # distance up to radius, lead each row of ``order`` and ``d``
+    # distance up to radius, lead each row of ``order`` and ``d``; only they
+    # are sorted, and the rest of a row is padded with the probe at distance
+    # inf, which no ball takes and which starts no run of equal distances
     top = np.where(rows <= radius + 1e-12, rows, -np.inf).max(axis=1, initial=-np.inf)
-    m = int(np.count_nonzero(rows <= top[:, None] + 1e-12, axis=1).max(initial=0))
-    order = np.argsort(rows, axis=1, kind="stable")[:, :m]
-    d = np.take_along_axis(rows, order, axis=1)
+    flat = np.flatnonzero(rows <= top[:, None] + 1e-12)
+    at, pts = np.divmod(flat, len(space))
+    counts = np.bincount(at, minlength=len(probes))
+    m = int(counts.max(initial=0))
+    dist = rows.ravel()[flat]
+    by = np.lexsort((dist, at))  # stable: ties by point index
+    slot = np.arange(len(at)) - np.repeat(np.cumsum(counts) - counts, counts)
+    order = np.repeat(probes[:, None], m, axis=1)
+    order[at, slot] = pts[by]
+    d = np.full((len(probes), m), np.inf)
+    d[at, slot] = dist[by]
     # the number of leading points whose block has no entry below L(x, x)/2
     passing = np.zeros(len(probes), dtype=int)
     least = np.full(len(probes), np.inf)

@@ -13,7 +13,7 @@ boundary layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,10 +116,6 @@ def resolve_window_layer(L: Lagrangian, options: RunOptions) -> float:
                      "eps, or a kernel with a declared range")
 
 
-def _stage_seed(seed: int, stage_index: int) -> int:
-    return int(np.random.SeedSequence([seed, stage_index]).generate_state(1)[0])
-
-
 def _stage_block(L: Lagrangian, stage: np.ndarray):
     """The point indices of a stage mask, its kernel block, and whether that
     block is constant (a degenerate stage)."""
@@ -131,9 +127,10 @@ def _stage_block(L: Lagrangian, stage: np.ndarray):
 
 def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
                    options: RunOptions | None = None) -> ExhaustionRun:
-    """Solve each stage's kernel block with its own seed (a block that is not
-    positive definite also starts from the previous stage's minimizer) and
-    build the run from the minimizers' weights as ``run_from_weights`` does.
+    """Solve each stage's kernel block as stage ``n`` of the run (a block that
+    is not positive definite draws starts of its own and also starts from the
+    previous stage's minimizer) and build the run from the minimizers'
+    weights as ``run_from_weights`` does.
     An undetermined window is refused before any stage is solved; a stage
     whose rescaled averaged kernel minus 1 exceeds 10*tol in size on its
     support, or is below -10*tol on its stage, raises ``SolverFailure``."""
@@ -145,11 +142,10 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
     for n, stage in enumerate(exhaustion.stages):
         cut = _stage_block(L, stage)
         idx, block, _ = cut
-        opts = replace(options.solver, seed=_stage_seed(options.solver.seed, n))
         extra = [stages[-1].weights[idx]] if stages else []
         problem = CompactProblem(ids=tuple(space.ids[i] for i in idx), matrix=block,
-                                 options=opts)
-        solution = minimize_on_compact(problem, extra_starts=extra)
+                                 options=options.solver)
+        solution = minimize_on_compact(problem, extra_starts=extra, stage=n)
         weights = np.zeros(len(space))
         weights[idx] = np.where(solution.weights > 0, solution.weights, 0.0)
         scaled = _scaled_stage(space, n, stage, cut, weights, solution.certified_global)

@@ -571,7 +571,8 @@ def _queue(starts: list[np.ndarray], w0: np.ndarray) -> None:
         starts.append(w0)
 
 
-def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolution:
+def minimize_on_compact(problem: CompactProblem, extra_starts=(),
+                        stage: int | None = None) -> CompactSolution:
     """Best stationary point found over all starts.
 
     A positive definite block (its Cholesky factorization succeeds) makes the
@@ -579,15 +580,18 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
     gets the uniform start alone and is certified by convexity. Any other
     block starts from the uniform point, the first vertex, the
     minimum-diagonal vertex, caller-supplied warm starts and ``_RESTARTS``
-    Dirichlet draws; a start equal to one already queued (the
-    minimum-diagonal vertex of a constant diagonal is the first vertex) is
-    not run again. The starts run in lockstep as one batch (``_lockstep``).
-    Such a block of at most ``ORACLE_CAP`` points is certified when its value
-    is within half ``_CERT_REL`` of ``_dnn_bound`` (from ``_DNN_MIN`` points
-    on) or else within ``_CERT_REL`` of the oracle's: the bound lies below the
-    oracle's value, so the flag is the one the oracle alone would set. Raises
-    ``SolverFailure`` when no start reaches the KKT tolerance, naming how many
-    starts hit the iteration cap and how many ended above the tolerance.
+    Dirichlet draws from ``SeedSequence([seed, k])``, where ``seed`` is the
+    options' seed or, for stage ``stage`` of a run, the first word of
+    ``SeedSequence([options.seed, stage])``; a start equal to one already
+    queued (the minimum-diagonal vertex of a constant diagonal is the first
+    vertex) is not run again. The starts run in lockstep as one batch
+    (``_lockstep``). Such a block of at most ``ORACLE_CAP`` points is
+    certified when its value is within half ``_CERT_REL`` of ``_dnn_bound``
+    (from ``_DNN_MIN`` points on) or else within ``_CERT_REL`` of the
+    oracle's: the bound lies below the oracle's value, so the flag is the one
+    the oracle alone would set. Raises ``SolverFailure`` when no start reaches
+    the KKT tolerance, naming how many starts hit the iteration cap and how
+    many ended above the tolerance.
     """
     opts = problem.options
     Lb = problem.matrix
@@ -605,7 +609,12 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=()) -> CompactSolu
             v = np.clip(np.asarray(extra, float), 0.0, None)
             if v.shape == (k,) and v.sum() > 0:
                 _queue(starts, v / v.sum())
-        rng = np.random.default_rng(np.random.SeedSequence([opts.seed, k]))
+        # numpy.random is first imported here, so a run whose blocks are all
+        # positive definite never pays for its import
+        seed = opts.seed
+        if stage is not None:
+            seed = int(np.random.SeedSequence([seed, stage]).generate_state(1)[0])
+        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
         for _ in range(_RESTARTS):
             starts.append(rng.dirichlet(np.ones(k)))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -427,12 +428,12 @@ def space_from_dict(payload: dict) -> MetricSpace:
     if all("coords" in p for p in points):
         rows = []
         for pid, p in zip(ids, points):
-            # the field is named only for coords refused or not plain floats
+            # the field is named only for coords refused or not finite floats
             row = p["coords"]
             if type(row) is not list:
                 row = typed(row, list, f"space point {pid!r} coords")
-            rows.append([c if type(c) is float else as_number(c, f"space point {pid!r} coords")
-                         for c in row])
+            rows.append([c if type(c) is float and math.isfinite(c)
+                         else as_number(c, f"space point {pid!r} coords") for c in row])
         if len({len(row) for row in rows}) != 1:
             raise InputError("space point coords must have one length for all points")
         coords = np.array(rows)

@@ -7,13 +7,17 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cvp
 from cvp import InputError, grid_1d, make_kernel, run_exhaustion, space_from_dict
 from cvp.cli import (CHECKS, _stage_weights, build_parser, config_from_dict, load_config,
                      main, report_from_run, run_from_report)
@@ -933,3 +937,76 @@ def test_verify_refuses_a_check_list_it_cannot_run(tmp_path, capsys, flags, veri
     captured = capsys.readouterr()
     assert message in captured.err and "passed" not in captured.out
     assert not Path(run_path).with_name("verify.json").exists()
+
+
+def _cvp_process(argv, env=None):
+    """``cvp.cli.main`` on ``argv`` in a fresh interpreter that imports cvp from
+    this checkout; the process prints the exit code and then whether
+    ``numpy.random`` was imported."""
+    code = ("import sys\nfrom cvp.cli import main\n"
+            "print(main(sys.argv[1:]), 'numpy.random' in sys.modules)")
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": str(Path(cvp.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env)
+
+
+def _quarter_config(n: int) -> dict:
+    c = n // 2
+    return {"space": {"metric": "euclidean",
+                      "points": [{"id": f"q{i}", "coords": [i * 0.25]} for i in range(n)]},
+            "kernel": {"kind": "truncated_gaussian", "amplitude": 1.0, "sigma": 0.8,
+                       "range": 2.0},
+            "exhaustion": {"center": f"q{c}", "radii": [c // 2 * 0.25, c * 0.25]}}
+
+
+# the README config's blocks are positive definite, so solve draws nothing; the
+# 33-point quarter grid's are not, and its Dirichlet starts bring numpy.random in
+@pytest.mark.parametrize("config,draws", [(_readme_config(), False),
+                                          (_quarter_config(33), True)],
+                         ids=["readme", "q33"])
+def test_only_a_block_that_is_not_positive_definite_imports_numpy_random(
+        tmp_path, config, draws):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    solved = _cvp_process(["solve", "--config", str(path), "--out", str(out)])
+    assert solved.stdout.splitlines()[-1:] == [f"0 {draws}"], solved.stderr
+    verified = _cvp_process(["verify", "--run", str(out / "run.json")])
+    assert verified.stdout.splitlines()[-1:] == ["0 False"], verified.stderr
+
+
+def test_configs_and_reports_are_utf8_in_the_c_locale(tmp_path):
+    config = _readme_config()
+    for point in config["space"]["points"]:
+        point["id"] += "\u00e9"
+    config["exhaustion"]["center"] += "\u00e9"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+    c_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    runs = {}
+    for name, env in (("default", None), ("c", c_locale)):
+        out = tmp_path / name
+        for argv in (["solve", "--config", str(path), "--out", str(out)],
+                     ["verify", "--run", str(out / "run.json")]):
+            done = _cvp_process(argv, env)
+            assert done.stdout.splitlines()[-1:] == ["0 False"], done.stderr
+        runs[name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert "\u00e9".encode() in runs["c"]["run.json"]
+    assert list(runs["c"]) == ["run.json", "stage_0.csv", "stage_1.csv", "stage_2.csv",
+                               "verify.json"]
+    assert runs["c"] == runs["default"]
+
+
+def test_infinite_coordinate_is_refused_naming_its_point(tmp_path, capsys):
+    config = _readme_config()
+    config["space"]["points"][3]["coords"] = [math.inf]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert "Infinity" in path.read_text()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert code == 1 and caught == []
+    assert capsys.readouterr().err == (
+        "error: space point 'x3' coords must be a finite number, got inf\n")

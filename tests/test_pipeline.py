@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvp import (
+    CompactProblem,
     CompactSolution,
     DegenerateStageError,
     DiscreteMeasure,
@@ -15,6 +16,7 @@ from cvp import (
     MetricSpace,
     RunOptions,
     SolverFailure,
+    SolverOptions,
     action,
     averaged_kernel,
     build_exhaustion,
@@ -24,6 +26,7 @@ from cvp import (
     grid_1d,
     local_mass_bound_check,
     make_kernel,
+    minimize_on_compact,
     nontriviality_check,
     run_exhaustion,
     stage_ell,
@@ -32,7 +35,7 @@ from cvp import (
     verify_entropy_decay,
     window_points,
 )
-from cvp import pipeline
+from cvp import pipeline, simplex_solver
 from cvp.reports import canonical_json
 
 ATOL = 1e-12
@@ -91,6 +94,41 @@ def test_undetermined_window_is_refused_before_any_stage_is_solved(monkeypatch):
     monkeypatch.setattr(pipeline, "minimize_on_compact", None)
     with pytest.raises(InputError, match="window policy undetermined"):
         run_exhaustion(g, L, build_exhaustion(g, 0, (1,)))
+
+
+def test_stage_draws_are_seeded_from_the_run_seed_and_the_stage_index(monkeypatch):
+    # neither block of the 33-point quarter grid is positive definite, so each
+    # stage draws its Dirichlet starts, from the seed SeedSequence([seed, n])
+    # derives for stage n, and also starts from the previous stage's minimizer.
+    # Every start ends at the same minimum here, so the starts are compared too
+    starts = []
+    lockstep = simplex_solver._lockstep
+
+    def recorded(Lb, block_starts, *args):
+        starts.append(np.array(block_starts))
+        return lockstep(Lb, block_starts, *args)
+
+    monkeypatch.setattr(simplex_solver, "_lockstep", recorded)
+    grid = grid_1d([i * 0.25 for i in range(33)], prefix="q")
+    L = make_kernel("truncated_gaussian", {"amplitude": 1.0, "sigma": 0.8, "range": 2.0},
+                    grid)
+    exh = build_exhaustion(grid, grid.index["q16"], (2.0, 4.0))
+    seed = 3
+    run = run_exhaustion(grid, L, exh, RunOptions(solver=SolverOptions(seed=seed)))
+    run_starts = starts[:]
+    assert len(run_starts) == len(exh.stages) == 2
+    for n, stage in enumerate(exh.stages):
+        idx = np.flatnonzero(stage)
+        block = L.matrix[np.ix_(idx, idx)]
+        assert np.linalg.eigvalsh(block)[0] < 0
+        stage_seed = int(np.random.SeedSequence([seed, n]).generate_state(1)[0])
+        problem = CompactProblem(ids=tuple(grid.ids[i] for i in idx), matrix=block,
+                                 options=SolverOptions(seed=stage_seed))
+        warm = [run.stages[n - 1].weights[idx]] if n else []
+        solution = minimize_on_compact(problem, extra_starts=warm)
+        assert starts[-1].tobytes() == run_starts[n].tobytes()
+        expected = np.where(solution.weights > 0, solution.weights, 0.0)
+        assert run.stages[n].weights[idx].tobytes() == expected.tobytes()
 
 
 def test_identity_grid_run_frozen_values(identity_run):
