@@ -229,10 +229,9 @@ def cmd_solve(args) -> int:
     os.makedirs(out, exist_ok=True)
     write_json(os.path.join(out, "run.json"), report)
     for s in run.stages:
-        ell = stage_ell(s.measure, config.kernel)
-        rows = zip(config.space.ids, ell.tolist(), s.measure.weights.tolist())
         write_csv(os.path.join(out, f"stage_{s.stage_index}.csv"),
-                  ["point", "ell", "weight"], rows)
+                  ["point", "ell", "weight"], config.space.ids,
+                  stage_ell(s.measure, config.kernel).tolist(), s.measure.weights.tolist())
     stabilized = run.diagnostics["stabilized"]
     print(f"solved {len(run.stages)} stages; window {int(run.window.sum())} points; "
           f"stabilized={str(stabilized).lower()}")

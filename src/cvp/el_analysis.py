@@ -102,7 +102,24 @@ def check_sufficient_conditions(L: Lagrangian, space: MetricSpace,
 
 def _ball_masses(weights: np.ndarray, balls: np.ndarray) -> tuple[list[float], list[int]]:
     """The ``math.fsum`` of ``weights`` over each row of the (P, n) point mask
-    ``balls``, exact in any order of the points, and the row's point count."""
+    ``balls``, exact in any order of the points, and the row's point count.
+
+    Each distinct row is summed once, keyed by its packed bytes: the sum is
+    exact, so equal rows have equal sums bit for bit. Without a kernel range
+    every probe's effective range is the whole space, and one sum serves all."""
+    packed = np.packbits(balls, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+    if len(set(keys)) == len(keys):
+        return _row_sums(weights, balls)
+    last = dict(zip(keys, range(len(keys))))  # each distinct row, at its last probe
+    masses, sizes = _row_sums(weights, balls[list(last.values())])
+    slot = dict(zip(last, range(len(last))))
+    at = [slot[key] for key in keys]
+    return [masses[i] for i in at], [sizes[i] for i in at]
+
+
+def _row_sums(weights: np.ndarray, balls: np.ndarray) -> tuple[list[float], list[int]]:
+    """``_ball_masses`` row by row."""
     # the weights in the balls, row p's at in_ball[bounds[p]:bounds[p + 1]]
     at, cols = np.divmod(np.flatnonzero(balls), balls.shape[1])
     bounds = np.searchsorted(at, np.arange(len(balls) + 1)).tolist()

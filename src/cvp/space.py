@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -400,6 +400,21 @@ def grid_1d(values, prefix: str = "x", name: str = "grid") -> MetricSpace:
     return MetricSpace(ids=ids, dist=dist, coords=vals[:, None], name=name)
 
 
+def _number_rows(rows: list) -> np.ndarray | None:
+    """``rows`` as one float array when each is a list of one length whose
+    entries are ints or floats (not bools), all finite as floats; else None,
+    and the caller reads them point by point, naming the point it refuses."""
+    if not all(type(row) is list for row in rows) or len(set(map(len, rows))) != 1:
+        return None
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        return None
+    try:
+        array = np.array(rows, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return array if np.isfinite(array).all() else None
+
+
 def space_from_dict(payload: dict) -> MetricSpace:
     """Build a space from its JSON form.
 
@@ -426,17 +441,14 @@ def space_from_dict(payload: dict) -> MetricSpace:
     n = len(ids)
     coords = None
     if all("coords" in p for p in points):
-        rows = []
-        for pid, p in zip(ids, points):
-            # the field is named only for coords refused or not finite floats
-            row = p["coords"]
-            if type(row) is not list:
-                row = typed(row, list, f"space point {pid!r} coords")
-            rows.append([c if type(c) is float and math.isfinite(c)
-                         else as_number(c, f"space point {pid!r} coords") for c in row])
-        if len({len(row) for row in rows}) != 1:
-            raise InputError("space point coords must have one length for all points")
-        coords = np.array(rows)
+        coords = _number_rows([p["coords"] for p in points])
+        if coords is None:
+            rows = [[as_number(c, f"space point {pid!r} coords")
+                     for c in typed(p["coords"], list, f"space point {pid!r} coords")]
+                    for pid, p in zip(ids, points)]
+            if len({len(row) for row in rows}) != 1:
+                raise InputError("space point coords must have one length for all points")
+            coords = np.array(rows)
     if metric == "euclidean":
         if coords is None:
             raise InputError("euclidean metric requires coords on every point")

@@ -1010,3 +1010,48 @@ def test_infinite_coordinate_is_refused_naming_its_point(tmp_path, capsys):
     assert code == 1 and caught == []
     assert capsys.readouterr().err == (
         "error: space point 'x3' coords must be a finite number, got inf\n")
+
+
+# Coords that are all finite ints or floats in rows of one length are read as one
+# array; anything else is read point by point, and the refusal names the point.
+@pytest.mark.parametrize("coords,text", [
+    (True, "space point 'x3' coords must be a number, got True"),
+    (10 ** 400, "space point 'x3' coords must be a number, got " + "1" + "0" * 59),
+    (math.nan, "space point 'x3' coords must be a finite number, got nan"),
+    (-math.inf, "space point 'x3' coords must be a finite number, got -inf"),
+    ("ragged", "space point coords must have one length for all points"),
+    ("not a list", "space point 'x3' coords must be a list, got 3.0"),
+], ids=["bool", "huge-int", "nan", "minus-infinity", "ragged", "non-list"])
+def test_refused_coordinate_exits_1_naming_its_point(tmp_path, capsys, coords, text):
+    config = _readme_config()
+    row = {"ragged": [3.0, 0.0], "not a list": 3.0}.get(coords, [coords])
+    config["space"]["points"][3]["coords"] = row
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert code == 1 and caught == []
+    assert capsys.readouterr().err == f"error: {text}\n"
+    assert not (tmp_path / "run" / "run.json").exists()
+
+
+def test_integer_coordinates_give_the_reports_of_their_floats(tmp_path):
+    """Integral coords read as their floats, and ``%.17g`` writes 3.0 as 3: a
+    config of int coords and one of float coords write the same bytes."""
+    outs = {}
+    for kind in (int, float):
+        config = copy.deepcopy(_EXP41)
+        for p in config["space"]["points"]:
+            p["coords"] = [kind(c) for c in p["coords"]]
+        path = tmp_path / f"{kind.__name__}.json"
+        path.write_text(json.dumps(config))
+        assert (".0]" in path.read_text()) is (kind is float)
+        out = tmp_path / kind.__name__
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+            assert main(["verify", "--run", str(out / "run.json"), "--checks",
+                         "el,nontriviality,gamma,mass_bound"]) == 0
+        outs[kind] = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+    assert "verify.json" in outs[int] and "stage_2.csv" in outs[int]
+    assert outs[int] == outs[float]

@@ -565,3 +565,35 @@ def test_nontriviality_matches_its_reference(case):
     L, rho, window = case
     got = nontriviality_check(rho, L, window)
     assert canonical_json(got) == canonical_json(_reference_nontriviality(rho, L, window))
+
+
+@given(n=st.integers(1, 70), rows=st.integers(0, 40), distinct=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1), fill=st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_ball_masses_equal_the_fsum_of_each_row_bit_for_bit(n, rows, distinct, seed, fill):
+    rng = np.random.default_rng(seed)
+    # few distinct rows, drawn again and again, or every row its own
+    pool = rng.random((distinct, n)) < fill
+    balls = pool[rng.integers(0, distinct, rows)] if distinct < 6 else rng.random((rows, n)) < fill
+    if rows:
+        balls[rng.integers(0, rows)] = False  # an empty ball
+    weights = rng.random(n) * 10.0 ** rng.integers(-300, 300, n)
+    masses, sizes = el_analysis._ball_masses(weights, balls)
+    assert [m.hex() for m in masses] == [math.fsum(weights[row]).hex() for row in balls]
+    assert sizes == balls.sum(axis=1).tolist()
+
+
+@given(n=st.integers(2, 60), sigma=st.sampled_from([0.5, 1.0, 4.0]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_nontriviality_with_one_shared_range_matches_its_reference(n, sigma, data):
+    """A dense exponential kernel has no compact range: every probe's effective
+    range is the whole space, and one sum serves all probes."""
+    space = grid_1d([float(i) for i in range(n)])
+    L = make_kernel("exponential", {"amplitude": 1.0, "sigma": sigma}, space)
+    assert (L.matrix > 0.0).all()
+    rho = DiscreteMeasure(space, data.draw(st.lists(
+        st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    window = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    got = nontriviality_check(rho, L, window)
+    assert {e["range_size"] for e in got["entries"]} <= {n}
+    assert canonical_json(got) == canonical_json(_reference_nontriviality(rho, L, window))
