@@ -301,15 +301,26 @@ def _check_names(names: list, what: str, error: type[Exception]) -> tuple[str, .
     return tuple(names)
 
 
+def _negative_zero_int(literal: str):
+    """A JSON integer literal as json reads it, except ``-0``, read as -0.0."""
+    return -0.0 if literal == "-0" else int(literal)
+
+
 def cmd_verify(args) -> int:
     with open(args.run, encoding="utf-8") as handle:
-        report = typed(json.load(handle), dict, f"{args.run}: report")
+        text = handle.read()
+    report = typed(json.loads(text), dict, f"{args.run}: report")
     embedded = typed(report.get("config"), dict, "report config")
     stored_hash = typed(report.get("config_hash"), str, "report config_hash")
     config_hash = sha256_text(canonical_json(embedded))
     if config_hash != stored_hash:
-        raise InputError(f"{args.run}: config_hash {stored_hash} does not "
-                         f"match the embedded config (sha256 {config_hash})")
+        # a -0.0 is written as -0, which json reads back as the int 0: read the
+        # report again with -0 as -0.0, which only a float can have been
+        report = json.loads(text, parse_int=_negative_zero_int)
+        embedded = report["config"]
+        if sha256_text(canonical_json(embedded)) != stored_hash:
+            raise InputError(f"{args.run}: config_hash {stored_hash} does not "
+                             f"match the embedded config (sha256 {config_hash})")
     config = config_from_dict(embedded)
     run = run_from_report(report, config)
     checks = None if args.checks is None else _check_names(

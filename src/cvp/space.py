@@ -250,13 +250,14 @@ def closed_ball(space: MetricSpace, x, r: float) -> np.ndarray:
     return space.dist[as_index(x, len(space))] <= r + _RADIUS_SLACK * max(1.0, r)
 
 
-def _greedy_counts(space: MetricSpace, sets: int, masks, delta: float) -> np.ndarray:
+def _greedy_counts(space: MetricSpace, sets: int, columns, delta: float) -> np.ndarray:
     """Greedy delta-cover center counts of ``sets`` point sets, in one scan.
 
-    ``masks(lo, hi)`` gives the (hi - lo, n) boolean masks of sets lo to
-    hi - 1. They are packed into a bitset with one row per point, bit s of
-    row p (little bit order) set while p is an uncovered member of set s.
-    Points are scanned in index order: when point p is scanned its row is
+    ``columns(lo, hi)`` gives the (n, hi - lo) boolean masks of sets lo to
+    hi - 1, point-major: row p marks the sets among them that hold point p.
+    They are packed, row by row, into a bitset with one row per point, bit
+    s of row p (little bit order) set while p is an uncovered member of set
+    s. Points are scanned in index order: when point p is scanned its row is
     final and marks the sets that open a delta-ball at p, and those bits
     are cleared at its later delta-neighbours. The delta-neighbour pairs
     (p, q) with p < q are read from ``flatnonzero`` of the distance mask,
@@ -273,9 +274,8 @@ def _greedy_counts(space: MetricSpace, sets: int, masks, delta: float) -> np.nda
     opens = np.empty((n, (sets + 7) // 8), dtype=np.uint8)
     step = max(1, _CHUNK_CELLS // (8 * n))
     for lo in range(0, opens.shape[1], step):
-        # a chunk's masks have one row per set; pack them into one row per point
         opens[:, lo:lo + step] = np.packbits(
-            masks(8 * lo, min(8 * (lo + step), sets)).T.copy(), axis=1, bitorder="little")
+            columns(8 * lo, min(8 * (lo + step), sets)), axis=1, bitorder="little")
     reach = delta + _RADIUS_SLACK * max(1.0, delta)
     rows = list(opens)  # one view per point, so a row is cleared in place
     keep = np.empty(opens.shape[1], dtype=np.uint8)
@@ -312,22 +312,25 @@ def greedy_cover_counts(space: MetricSpace, masks: np.ndarray, delta: float) -> 
     n = len(space)
     if masks.ndim != 2 or masks.shape[1] != n:
         raise InputError(f"cover masks must have shape (P, {n}), got {masks.shape}")
-    return _greedy_counts(space, len(masks), lambda lo, hi: masks[lo:hi], delta)
+    # a chunk's masks have one row per set: a transposed copy has one per point
+    return _greedy_counts(space, len(masks), lambda lo, hi: masks[lo:hi].T.copy(), delta)
 
 
 def _ball_keys(space: MetricSpace, radii: np.ndarray):
-    """``rank[x, y]``, the place of point y in a stable sort of row x of the
+    """``rank[y, x]``, the place of point y in a stable sort of row x of the
     distances, and the key x * (n + 1) + m of each closed ball B(x_i, radii[i, j]),
     x its center and m its member count."""
     n = len(space)
+    order = np.argsort(space.dist, axis=1, kind="stable")
     rank = np.empty((n, n), dtype=np.min_scalar_type(n))
-    rank[np.arange(n)[:, None], np.argsort(space.dist, axis=1, kind="stable")] = np.arange(n)
+    rank[order, np.arange(n)[:, None]] = np.arange(n)
     limits = np.maximum(radii, 1.0)
     limits *= _RADIUS_SLACK
     limits += radii
-    keys = np.empty(radii.shape, dtype=np.min_scalar_type(n * (n + 1)))
-    for x, row in enumerate(np.sort(space.dist, axis=1)):
-        keys[x] = row.searchsorted(limits[x], side="right") + x * (n + 1)
+    keys = np.array([row.searchsorted(limit, side="right") for row, limit in
+                     zip(np.take_along_axis(space.dist, order, axis=1), limits)],
+                    dtype=np.min_scalar_type(n * (n + 1)))
+    keys += (np.arange(n, dtype=keys.dtype) * (n + 1))[:, None]
     return rank, keys
 
 
@@ -336,9 +339,13 @@ def ball_cover_counts(space: MetricSpace, radii: np.ndarray, delta: float) -> np
 
     ``radii`` has one row per point of the space. Closed balls at one center
     are nested, so a ball is fixed by its center x and its member count m:
-    point y is in it when ``rank[x, y] < m`` (tied distances fall inside or
-    outside together). The distinct balls are covered by one scan, their
-    masks built from ``rank`` in chunks of at most ``_CHUNK_CELLS`` cells.
+    point y is in it when ``rank[y, x] < m`` (tied distances fall inside or
+    outside together). The distinct balls are covered by one scan, ordered
+    by center, so the masks of a chunk of them are built point-major, as
+    the scan packs them: column x of ``rank``, which ``_ball_keys`` builds
+    with one row per point, repeated once per ball at center x in the
+    chunk, compared with the balls' member counts. A chunk holds at most
+    ``_CHUNK_CELLS`` cells, and may split a center's balls.
     """
     radii = np.asarray(radii, dtype=float)
     n = len(space)
@@ -351,9 +358,16 @@ def ball_cover_counts(space: MetricSpace, radii: np.ndarray, delta: float) -> np
     distinct[keys] = True
     centers, sizes = np.divmod(np.flatnonzero(distinct).astype(keys.dtype), n + 1)
     sizes = sizes.astype(rank.dtype)
+    # the balls at center x are lo..hi - 1 with lo, hi = starts[x], starts[x + 1]
+    starts = np.searchsorted(centers, np.arange(n + 1))
+
+    def columns(lo, hi):
+        first, last = int(centers[lo]), int(centers[hi - 1]) + 1
+        repeats = np.diff(np.clip(starts[first:last + 1], lo, hi))
+        return np.repeat(rank[:, first:last], repeats, axis=1) < sizes[lo:hi]
+
     counts = np.zeros(n * (n + 1), dtype=np.int64)
-    counts[distinct] = _greedy_counts(
-        space, len(centers), lambda lo, hi: rank[centers[lo:hi]] < sizes[lo:hi, None], delta)
+    counts[distinct] = _greedy_counts(space, len(centers), columns, delta)
     return counts[keys]
 
 

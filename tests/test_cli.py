@@ -184,6 +184,33 @@ def test_verify_refuses_edited_config(tmp_path, capsys):
     assert "does not match the embedded config" in capsys.readouterr().err
 
 
+def test_verify_accepts_a_config_holding_negative_zero(tmp_path, capsys):
+    # the report writes -0.0 as -0, which json reads back as the int 0; verify
+    # reads it again as -0.0 and finds the hash, and checks what the plain
+    # config's run checks
+    outs = {}
+    for name, zero in (("plain", 0.0), ("negative", -0.0)):
+        config = json.loads(_example("json", "### Config"))
+        config["space"]["points"][0]["coords"] = [zero]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / name
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["verify", "--run", str(out / "run.json")]) == 0
+        outs[name] = json.loads((out / "verify.json").read_text())
+    assert '"coords":[-0]' in "".join((tmp_path / "negative" / "run.json").read_text().split())
+    assert outs["plain"]["config_hash"] != outs["negative"]["config_hash"]
+    assert outs["plain"]["checks"] == outs["negative"]["checks"]
+    # an edit next to the -0 is still refused
+    run_path = tmp_path / "negative" / "run.json"
+    report = json.loads(run_path.read_text(), parse_int=lambda s: -0.0 if s == "-0" else int(s))
+    report["config"]["kernel"]["amplitude"] = 2.0
+    run_path.write_text(canonical_json(report))
+    capsys.readouterr()
+    assert main(["verify", "--run", str(run_path)]) == 1
+    assert "does not match the embedded config" in capsys.readouterr().err
+
+
 def test_verify_derives_limit_from_last_stage(tmp_path):
     # the stored limit is output only; an emptied one cannot fail nontriviality
     out_dir = run_solve(tmp_path)

@@ -583,6 +583,20 @@ def test_ball_masses_equal_the_fsum_of_each_row_bit_for_bit(n, rows, distinct, s
     assert sizes == balls.sum(axis=1).tolist()
 
 
+@pytest.mark.parametrize("rows", ["distinct", "repeated", "empty"])
+def test_ball_masses_of_distinct_repeated_and_empty_rows(rows):
+    # the balls of one radius on a grid differ row by row; the full ranges of a
+    # kernel without a range repeat one row; empty rows sum to 0.0
+    space = grid_1d([float(i) for i in range(61)])
+    balls = {"distinct": closed_ball(space, np.arange(61), 7.0),
+             "repeated": np.ones((40, 61), dtype=bool),
+             "empty": np.zeros((5, 61), dtype=bool)}[rows]
+    weights = np.random.default_rng(61).random(61) * 10.0 ** np.arange(-30, 31)
+    masses, sizes = el_analysis._ball_masses(weights, balls)
+    assert [m.hex() for m in masses] == [math.fsum(weights[row]).hex() for row in balls]
+    assert sizes == balls.sum(axis=1).tolist()
+
+
 @given(n=st.integers(2, 60), sigma=st.sampled_from([0.5, 1.0, 4.0]), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_nontriviality_with_one_shared_range_matches_its_reference(n, sigma, data):

@@ -336,6 +336,25 @@ def _reference_entropy_decay(L, space, profile):
     }
 
 
+def test_entropy_decay_with_per_ball_covers_on_exp41(monkeypatch):
+    # the 41-point exponential space with its failing exp profile: the batched
+    # cover counts and the per-ball greedy covers give the same report,
+    # witnesses included
+    g = grid_1d([float(i) for i in range(41)])
+    L = make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, g)
+    profile = exp_profile(1.0, 1.0, delta=1.0, c=diagonal_infimum(L))
+    batched = verify_entropy_decay(L, g, profile)
+    monkeypatch.setattr(
+        "cvp.lagrangian.ball_cover_counts",
+        lambda space, radii, delta: np.array(
+            [[covering_number(space, x, float(r), delta) for r in row]
+             for x, row in enumerate(radii)]))
+    per_ball = verify_entropy_decay(L, g, profile)
+    assert not batched["condition_c"]["holds"]
+    assert len(batched["witnesses"]) == _MAX_WITNESSES
+    assert batched == per_ball
+
+
 @given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.2, 4.0),
        tied=st.booleans(), kind=st.sampled_from(["exponential", "matrix"]),
        f=st.sampled_from(["exp", "poly", "scaled_exp"]), amplitude=st.floats(0.05, 20.0))

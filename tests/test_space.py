@@ -539,6 +539,90 @@ def test_ball_cover_counts_with_wide_ranks():
     assert (ball_cover_counts(space, radii, 1.0)[rows] == expected).all()
 
 
+def _assert_ball_covers(space, radii, delta, cells=(None,)):
+    """``ball_cover_counts`` equals ``greedy_cover_counts`` over the explicit
+    ``closed_ball`` masks and the per-ball greedy cover, at each chunk size."""
+    masks = np.array([closed_ball(space, x, float(r))
+                      for x, row in enumerate(radii) for r in row])
+    expected = _reference_covers(space, radii, delta)
+    for size in cells:
+        with pytest.MonkeyPatch.context() as mp:
+            if size is not None:
+                mp.setattr(cvp.space, "_CHUNK_CELLS", size)
+            assert (ball_cover_counts(space, radii, delta) == expected).all()
+            assert (greedy_cover_counts(space, masks, delta) == expected.ravel()).all()
+
+
+def _distinct_balls(space, radii):
+    """The (center, member count) of each distinct ball, sorted by center."""
+    sizes = np.array([[closed_ball(space, x, float(r)).sum() for r in row]
+                      for x, row in enumerate(radii)])
+    return sorted({(x, int(m)) for x, row in enumerate(sizes) for m in row})
+
+
+def test_a_chunk_splits_the_balls_of_a_center():
+    # 8 cells a point: each chunk packs one byte, 8 balls, while the centers
+    # have 20 or more distinct balls, so chunk edges fall inside a center's run
+    space = grid_1d([k * 0.5 for k in range(24)])
+    radii = _ball_radii(space)
+    centers = [x for x, _ in _distinct_balls(space, radii)]
+    spans = []
+    greedy_counts = cvp.space._greedy_counts
+
+    def recorded(space, sets, columns, delta):
+        def spanned(lo, hi):
+            spans.append((lo, hi))
+            return columns(lo, hi)
+        return greedy_counts(space, sets, spanned, delta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cvp.space, "_CHUNK_CELLS", 8 * len(space))
+        mp.setattr(cvp.space, "_greedy_counts", recorded)
+        counts = ball_cover_counts(space, radii, 1.0)
+    assert (counts == _reference_covers(space, radii, 1.0)).all()
+    _assert_ball_covers(space, radii, 1.0, cells=(8 * len(space),))
+    assert spans == [(lo, min(lo + 8, len(centers))) for lo in range(0, len(centers), 8)]
+    assert any(centers[lo - 1] == centers[lo] for lo, _ in spans[1:])
+
+
+@pytest.mark.parametrize("cells", [None, 8 * 40, 16 * 40])
+def test_ball_cover_counts_at_1_7_8_9_16_and_17_balls_a_center(cells):
+    # row x holds the first k_x realized distances of x, the last repeated, so
+    # center x has k_x distinct balls: fewer than, exactly and just past one
+    # and two bytes of bits
+    space = grid_1d([float(k) for k in range(40)])
+    per = [(1, 7, 8, 9, 16, 17)[x % 6] for x in range(40)]
+    radii = np.array([np.unique(space.dist[x])[np.minimum(np.arange(17), k - 1)]
+                      for x, k in enumerate(per)])
+    balls = _distinct_balls(space, radii)
+    assert [sum(c == x for c, _ in balls) for x in range(40)] == per
+    _assert_ball_covers(space, radii, 2.0, cells=(cells,))
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0, 1.5 ** 0.5, 2.0])
+def test_ball_cover_counts_on_a_2d_half_grid(delta):
+    # the 6 x 6 half grid: many points tie at each distance from a center
+    cells = [[a * 0.5, b * 0.5] for a in range(6) for b in range(6)]
+    space = space_from_dict({"points": [{"id": f"h{i}", "coords": c}
+                                        for i, c in enumerate(cells)],
+                             "metric": "euclidean"})
+    assert len(np.unique(space.dist[14])) < len(space) // 3
+    _assert_ball_covers(space, _ball_radii(space), delta, cells=(None, 8 * len(space)))
+
+
+def test_ball_cover_counts_at_radii_between_distances_and_zero():
+    # radius 0 holds the center alone; a radius halfway between two realized
+    # distances holds the nearer ones; one past the diameter holds every point
+    space = grid_1d([k * 0.5 for k in (0, 1, 2, 5, 6, 9, 13, 14, 20)])
+    realized = np.unique(space.dist)
+    between = (realized[:-1] + realized[1:]) / 2
+    radii = np.tile(np.concatenate([[0.0], between, [realized[-1] + 0.25]]), (len(space), 1))
+    assert not np.isin(between, space.dist).any()
+    assert (ball_cover_counts(space, radii, 1.0)[:, 0] == 1).all()
+    for delta in (0.25, 1.0, 3.0):
+        _assert_ball_covers(space, radii, delta, cells=(None, 8 * len(space)))
+
+
 @given(space=small_spaces(), seed=st.integers(0, 2 ** 32 - 1),
        delta=st.sampled_from([0.5, 1.0, 2.0]))
 @settings(max_examples=60, deadline=None)
