@@ -33,7 +33,7 @@ from .errors import (NUMBER, CVPError, InputError, UsageError, as_number, known_
 from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum, kernel_from_spec,
                          profile_from_spec, verify_compact_range, verify_entropy_decay)
 from .measure import DiscreteMeasure, measure_to_dict
-from .pipeline import ExhaustionRun, RunOptions, run_exhaustion, run_from_weights, stage_ell
+from .pipeline import ExhaustionRun, RunOptions, run_exhaustion, run_from_weights
 from .reports import Encoded, canonical_json, sha256_text, write_csv, write_json
 from .simplex_solver import CompactProblem, SolverOptions, brute_force_minimizer
 from .space import Exhaustion, MetricSpace, build_exhaustion, space_from_dict
@@ -231,7 +231,7 @@ def cmd_solve(args) -> int:
     for s in run.stages:
         write_csv(os.path.join(out, f"stage_{s.stage_index}.csv"),
                   ["point", "ell", "weight"], config.space.ids,
-                  stage_ell(s.measure, config.kernel).tolist(), s.measure.weights.tolist())
+                  s.ell.tolist(), s.measure.weights.tolist())
     stabilized = run.diagnostics["stabilized"]
     print(f"solved {len(run.stages)} stages; window {int(run.window.sum())} points; "
           f"stabilized={str(stabilized).lower()}")

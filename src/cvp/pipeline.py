@@ -13,14 +13,14 @@ boundary layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateStageError, InputError, SolverFailure
 from .lagrangian import DecayProfile, Lagrangian, tail_index
 from .measure import DiscreteMeasure, averaged_kernel, restrict
-from .simplex_solver import (CompactProblem, KKTResiduals, SolverOptions, _residuals,
+from .simplex_solver import (KKTResiduals, SolverOptions, _block_problem, _residuals,
                              minimize_on_compact)
 from .space import Exhaustion, MetricSpace, as_index, as_mask, closed_ball, same_space
 
@@ -50,6 +50,8 @@ class ScaledMinimizer:
     minimizer's unscaled simplex weights in ``space.ids`` order, zero off its
     support; ``measure`` is derived from them as ``scale * weights``, with
     ``scale`` the inverse of the unscaled action value ``kkt.s_param``.
+    Built with its ``kernel``, as ``run_exhaustion`` builds it, a stage also
+    holds ``ell``, the ``stage_ell`` of its measure; otherwise ``ell`` is None.
     """
 
     stage_index: int
@@ -59,9 +61,11 @@ class ScaledMinimizer:
     certified_global: bool
     space: MetricSpace
     degenerate: bool = False
+    kernel: InitVar[Lagrangian | None] = None
     measure: DiscreteMeasure = field(init=False, repr=False)
+    ell: np.ndarray | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, kernel):
         s = self.s_unscaled
         if not math.isfinite(s) or s <= _S_FLOOR:
             raise DegenerateStageError(f"stage value {s} is too small to rescale")
@@ -70,6 +74,10 @@ class ScaledMinimizer:
         object.__setattr__(self, "stage", as_mask(self.stage, len(self.space), "stage"))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "measure", DiscreteMeasure(self.space, self.scale * w))
+        if kernel is not None:
+            ell = stage_ell(self.measure, kernel)
+            ell.setflags(write=False)
+            object.__setattr__(self, "ell", ell)
 
     @property
     def s_unscaled(self) -> float:
@@ -118,19 +126,30 @@ def resolve_window_layer(L: Lagrangian, options: RunOptions) -> float:
 
 def _stage_block(L: Lagrangian, stage: np.ndarray):
     """The point indices of a stage mask, its kernel block, and whether that
-    block is constant (a degenerate stage)."""
+    block is constant (a degenerate stage).
+
+    The block is a C-contiguous copy with the bits of
+    ``L.matrix[np.ix_(idx, idx)]``: a stage that is one run of indices, as
+    every stage of a 1-D grid is, is copied as a slice, and a scattered
+    stage, as on 2-D spaces, is gathered. It is not validated again: the
+    kernel matrix was, when its ``Lagrangian`` was built."""
     idx = np.flatnonzero(stage)
-    block = L.matrix[np.ix_(idx, idx)]
+    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    if hi - lo == len(idx):
+        block = L.matrix[lo:hi, lo:hi].copy()
+    else:
+        block = L.matrix[np.ix_(idx, idx)]
     spread = float(block.max() - block.min())
     return idx, block, spread <= _CONST_BLOCK_TOL * max(1.0, float(block.max()))
 
 
 def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
                    options: RunOptions | None = None) -> ExhaustionRun:
-    """Solve each stage's kernel block as stage ``n`` of the run (a block that
-    is not positive definite draws starts of its own and also starts from the
-    previous stage's minimizer) and build the run from the minimizers'
-    weights as ``run_from_weights`` does.
+    """Solve each stage's kernel block (``_stage_block``) as stage ``n`` of
+    the run (a block that is not positive definite draws starts of its own
+    and also starts from the previous stage's minimizer) and build the run
+    from the minimizers as ``run_from_weights`` does, with the solver's KKT
+    residuals and each stage's ``ell``.
     An undetermined window is refused before any stage is solved; a stage
     whose rescaled averaged kernel minus 1 exceeds 10*tol in size on its
     support, or is below -10*tol on its stage, raises ``SolverFailure``."""
@@ -140,16 +159,17 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
     tol = 10.0 * options.solver.tol
     stages: list[ScaledMinimizer] = []
     for n, stage in enumerate(exhaustion.stages):
-        cut = _stage_block(L, stage)
-        idx, block, _ = cut
+        idx, block, degenerate = _stage_block(L, stage)
         extra = [stages[-1].weights[idx]] if stages else []
-        problem = CompactProblem(ids=tuple(space.ids[i] for i in idx), matrix=block,
-                                 options=options.solver)
+        problem = _block_problem(tuple(space.ids[i] for i in idx.tolist()), block,
+                                 options.solver)
         solution = minimize_on_compact(problem, extra_starts=extra, stage=n)
         weights = np.zeros(len(space))
         weights[idx] = np.where(solution.weights > 0, solution.weights, 0.0)
-        scaled = _scaled_stage(space, n, stage, cut, weights, solution.certified_global)
-        ell = stage_ell(scaled.measure, L)
+        scaled = ScaledMinimizer(stage_index=n, stage=stage, weights=weights,
+                                 kkt=solution.kkt, certified_global=solution.certified_global,
+                                 space=space, degenerate=degenerate, kernel=L)
+        ell = scaled.ell
         max_on = float(np.abs(ell[scaled.measure.support]).max())
         min_stage = float(ell[stage].min())
         if max_on > tol or min_stage < -tol:
@@ -166,27 +186,22 @@ def run_from_weights(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
                      options: RunOptions, weights, certified) -> ExhaustionRun:
     """The run of the exhaustion whose stages have these unscaled weights (one
     array per stage, in space order) and ``certified_global`` flags, built as
-    ``run_exhaustion`` builds it (``_scaled_stage``, ``_assemble``). Nothing
-    is revalidated, so a tampered stage reaches the checks."""
+    ``run_exhaustion`` builds it (``_assemble``). Each stage's KKT residuals
+    are recomputed by the solver's formula on its ``_stage_block``, never
+    read from a report, and its degenerate flag comes from the block test.
+    Nothing is revalidated, so a tampered stage reaches the checks."""
     same_space(space.key, L.space_key)
     layer = resolve_window_layer(L, options)
     if not len(weights) == len(certified) == len(exhaustion.stages):
         raise InputError(f"{len(exhaustion.stages)} stages need as many weight vectors "
                          f"and flags, got {len(weights)} and {len(certified)}")
-    stages = [_scaled_stage(space, n, stage, _stage_block(L, stage), w, cert)
-              for n, (stage, w, cert) in enumerate(zip(exhaustion.stages, weights, certified))]
+    stages = []
+    for n, (stage, w, cert) in enumerate(zip(exhaustion.stages, weights, certified)):
+        idx, block, degenerate = _stage_block(L, stage)
+        stages.append(ScaledMinimizer(stage_index=n, stage=stage, weights=w,
+                                      kkt=_residuals(block, w[idx]), certified_global=cert,
+                                      space=space, degenerate=degenerate))
     return _assemble(space, stages, layer)
-
-
-def _scaled_stage(space: MetricSpace, n: int, stage: np.ndarray, cut, weights,
-                  certified: bool) -> ScaledMinimizer:
-    """Stage ``n`` of a run from its unscaled weights and its ``_stage_block``
-    cut: its KKT residuals by the solver's formula on the kernel block, and
-    its degenerate flag by the block test."""
-    idx, block, degenerate = cut
-    return ScaledMinimizer(stage_index=n, stage=stage, weights=weights,
-                           kkt=_residuals(block, weights[idx]), certified_global=certified,
-                           space=space, degenerate=degenerate)
 
 
 def _assemble(space: MetricSpace, scaled: list[ScaledMinimizer],

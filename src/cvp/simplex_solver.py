@@ -10,13 +10,14 @@ equal kernel rows, only the first joins a support (``_fold_twins``): a
 support holding two is singular, and its solved target, rounding along their
 difference, can hold a start at steps of length zero until the cap. On a
 positive definite block the program is strictly convex and one start finds
-its global minimum; any other block gets several starts, run in lockstep as
-one batch (``_lockstep``, state in ``_Lanes``), each ending as it would
-alone, to the last bit. A block that is not positive definite and has at
-most ``ORACLE_CAP`` points is certified by ``_dnn_bound``, a lower bound
-from the doubly nonnegative dual, when the bound meets the solver's value,
-and otherwise by ``brute_force_minimizer``, which enumerates every support
-subset and backs ``cvp oracle``. The solver never adopts the oracle's
+its global minimum (``_dominant`` certifies a strictly diagonally dominant
+block in O(k^2), and the Cholesky factorization any other); any other block
+gets several starts, run in lockstep as one batch (``_lockstep``, state in
+``_Lanes``), each ending as it would alone, to the last bit. A block that is
+not positive definite and has at most ``ORACLE_CAP`` points is certified by
+``_dnn_bound``, a lower bound from the doubly nonnegative dual, when the
+bound meets the solver's value, and otherwise by ``brute_force_minimizer``,
+which enumerates every support subset and backs ``cvp oracle``. The solver never adopts the oracle's
 weights, only compares values to set the certification flag.
 
 Stationarity convention: with value s = w'Lw, the averaged kernel Lw equals s
@@ -59,6 +60,10 @@ _RESTARTS = 16
 # Two candidates tie when their values agree to this relative window.
 _TIE_REL = 1e-12
 
+# Machine epsilon and the least normal float, for the margin of ``_dominant``.
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
 # Cap on the active-set iterations of one start; a start that reaches it fails.
 _MAX_ITER = 10_000
 
@@ -91,6 +96,15 @@ class KKTResiduals:
 
 @dataclass(frozen=True)
 class CompactProblem:
+    """A standard quadratic program: minimize w'Mw over the simplex on ``ids``.
+
+    Construction validates ``matrix`` as ``symmetric_matrix`` does (finite,
+    nonnegative, symmetric, then made exactly so) with a strictly positive
+    diagonal, and keeps a read-only copy. ``_block_problem`` makes one from a
+    block cut from a kernel that was validated when its ``Lagrangian`` was
+    built, without a second pass.
+    """
+
     ids: tuple[str, ...]
     matrix: np.ndarray
     options: SolverOptions = field(default_factory=SolverOptions)
@@ -104,6 +118,18 @@ class CompactProblem:
             raise InputError("kernel block needs a strictly positive diagonal")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "matrix", m)
+
+
+def _block_problem(ids: tuple[str, ...], block: np.ndarray,
+                   options: SolverOptions) -> CompactProblem:
+    """The problem on a principal block of a validated kernel matrix, taken
+    as it is: such a block is exactly symmetric, nonnegative, finite and
+    positive on its diagonal already. The block is made read-only."""
+    block.setflags(write=False)
+    problem = object.__new__(CompactProblem)
+    for name, value in (("ids", ids), ("matrix", block), ("options", options)):
+        object.__setattr__(problem, name, value)
+    return problem
 
 
 @dataclass(frozen=True)
@@ -575,9 +601,12 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=(),
                         stage: int | None = None) -> CompactSolution:
     """Best stationary point found over all starts.
 
-    A positive definite block (its Cholesky factorization succeeds) makes the
-    program strictly convex, so its one KKT point is the global minimum: it
-    gets the uniform start alone and is certified by convexity. Any other
+    A positive definite block makes the program strictly convex, so its one
+    KKT point is the global minimum: it gets the uniform start alone and is
+    certified by convexity. Convexity is decided first by ``_dominant``, a
+    Gershgorin test of strict diagonal dominance in O(k^2) that passes only
+    blocks the Cholesky factorization also accepts, and, where that test
+    fails, by whether ``np.linalg.cholesky`` succeeds (``_factors``). Any other
     block starts from the uniform point, the first vertex, the
     minimum-diagonal vertex, caller-supplied warm starts and ``_RESTARTS``
     Dirichlet draws from ``SeedSequence([seed, k])``, where ``seed`` is the
@@ -596,11 +625,8 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=(),
     opts = problem.options
     Lb = problem.matrix
     k = len(problem.ids)
-    try:  # on a positive definite block every KKT point is the minimum
-        np.linalg.cholesky(Lb)
-        convex = True
-    except np.linalg.LinAlgError:
-        convex = False
+    # on a positive definite block every KKT point is the minimum
+    convex = _dominant(Lb) or _factors(Lb)
     starts: list[np.ndarray] = [np.full(k, 1.0 / k)]
     if not convex:
         for i in (0, int(np.argmin(np.diag(Lb)))):
@@ -618,7 +644,7 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=(),
         for _ in range(_RESTARTS):
             starts.append(rng.dirichlet(np.ones(k)))
 
-    atol = 1e-12 * max(1.0, float(np.abs(Lb).max()))
+    atol = 1e-12 * max(1.0, float(Lb.max()))  # Lb is nonnegative
     accepted = []
     best_any = None
     capped = above = 0
@@ -655,6 +681,42 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=(),
             oracle = brute_force_minimizer(problem)
             certified = val <= oracle.value + _CERT_REL * max(1.0, abs(oracle.value))
     return CompactSolution(weights=w, kkt=kkt, certified_global=certified)
+
+
+def _dominant(Lb: np.ndarray) -> bool:
+    """Whether the block, nonnegative and symmetric, is strictly diagonally
+    dominant by a margin that rounding cannot fake: every row sum s_i,
+    computed in any order, satisfies s_i < L_ii (2 - 2 (k+1)^2 eps).
+
+    Such a block is positive definite by Gershgorin's theorem (Horn &
+    Johnson, *Matrix Analysis*, 6.1.1), so the test decides convexity in
+    O(k^2) where it passes. The margin is argued with u = eps/2. A computed
+    sum of k nonnegative terms is at least (1 - gamma) times the exact one,
+    gamma = (k-1)u / (1 - (k-1)u), and the product with the diagonal rounds
+    once, up by at most u, since a normal L_ii keeps it normal. So a passing
+    row has exact off-diagonal sum R_i < (1 - c) L_ii with c = 2k(k+1)u.
+    With D the diagonal, D^-1 L has a unit diagonal, Gershgorin radii below
+    1 - c and the eigenvalues of H = D^-1/2 L D^-1/2, so lambda_min(H) > c
+    >= k gamma_(k+1) / (1 - gamma_(k+1)), and by Demmel's theorem (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Thm 10.7)
+    ``np.linalg.cholesky`` also succeeds on the block, barring underflow:
+    the test never calls a block convex that the factorization would not. A
+    block it does not pass goes to ``_factors``."""
+    d = np.diagonal(Lb)
+    k = len(d)
+    if not d.min() >= _TINY:  # a subnormal product may round up by more than u
+        return False
+    factor = 2.0 - 2 * (k + 1) ** 2 * _EPS  # exact: a multiple of eps in [1, 2)
+    return bool(np.all(factor * d > _rowsum(Lb)))
+
+
+def _factors(Lb: np.ndarray) -> bool:
+    """Whether ``np.linalg.cholesky`` factors the block: positive definite."""
+    try:
+        np.linalg.cholesky(Lb)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _dnn_bound(Lb: np.ndarray, s: float) -> float:

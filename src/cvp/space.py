@@ -30,14 +30,18 @@ class MetricSpace:
 
     Immutable after construction; the distance matrix is marked read-only.
     Given ``coords`` and no ``dist``, the distances are derived once as the
-    Euclidean distances of the coordinates (``_euclidean``). Given ``dist``,
-    with or without ``coords``, the matrix is taken as it is. Construction
-    checks the triangle inequality exactly (``_check_triangle``): derived
-    distances are certified by the rounding bound of the formula alone, an
-    explicit ``dist`` that matches the Euclidean distances of its own
-    ``coords`` is certified from them in O(n^2 dim), and every other matrix
-    is scanned through every midpoint in O(n^3). ``coords``, when given, must
-    be finite. ``key`` is a content fingerprint used to detect mismatched
+    Euclidean distances of the coordinates (``_euclidean``); they are
+    nonnegative and exactly symmetric by construction, so they are not
+    compared with their transpose, and only a distance that is not finite or
+    lies above half the float maximum is refused, with the message of
+    ``symmetric_matrix``. Given ``dist``, with or without ``coords``, the
+    matrix is validated by ``symmetric_matrix`` and otherwise taken as it
+    is. Construction checks the triangle inequality exactly
+    (``_check_triangle``): derived distances are certified by the rounding
+    bound of the formula alone, an explicit ``dist`` that matches the
+    Euclidean distances of its own ``coords`` is certified from them in
+    O(n^2 dim), and every other matrix is scanned through every midpoint in
+    O(n^3). ``coords``, when given, must be finite. ``key`` is a content fingerprint used to detect mismatched
     spaces when measures and kernels built on different spaces are mixed.
     """
 
@@ -61,8 +65,14 @@ class MetricSpace:
             if self.coords is None:
                 raise ConstructionError("a metric space needs a distance matrix or coords")
             c = _coord_rows(self.coords, n)
-        d = symmetric_matrix(_euclidean(c) if derived else self.dist, n, "distance matrix",
-                             ConstructionError)
+        if derived:
+            d = _euclidean(c)
+            if not d.max() <= _HALF_MAX:  # also false on NaN
+                # refuses d, as it would refuse any matrix with such an entry
+                symmetric_matrix(d, n, "distance matrix", ConstructionError)
+            d.setflags(write=False)
+        else:
+            d = symmetric_matrix(self.dist, n, "distance matrix", ConstructionError)
         if np.any(np.diag(d) > 0):
             raise ConstructionError("self-distances must be zero")
         if self.coords is not None:
@@ -179,8 +189,13 @@ def symmetric_matrix(value, n: int | None, what: str, error: type[Exception]) ->
     that it is exactly symmetric; else ``error`` naming ``what``, and naming
     the entry when its average overflows (entries above half the float
     maximum). The diagonal rule is the caller's. A matrix that is exactly
-    symmetric already (every matrix cvp derives from distances) is copied in
-    one pass, not averaged."""
+    symmetric already (a kernel cvp builds from distances) is copied in one
+    pass, not averaged.
+
+    It validates explicit distance matrices, kernel matrices when their
+    ``Lagrangian`` is built, and each ``CompactProblem`` a caller builds.
+    Distances derived from coords, and the stage blocks the pipeline cuts
+    from a validated kernel, do not pass through it again."""
     m = np.asarray(value, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or n not in (None, m.shape[0]):
         size = "square" if n is None else f"{n}x{n}"

@@ -131,6 +131,114 @@ def test_stage_draws_are_seeded_from_the_run_seed_and_the_stage_index(monkeypatc
         assert run.stages[n].weights[idx].tobytes() == expected.tobytes()
 
 
+def _solved_blocks(monkeypatch):
+    """Record the kernel block of every stage the run hands the solver."""
+    blocks = []
+    solve = pipeline.minimize_on_compact
+
+    def recorded(problem, **kwargs):
+        blocks.append(problem.matrix)
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(pipeline, "minimize_on_compact", recorded)
+    return blocks
+
+
+def _grid_2d(n):
+    return MetricSpace(ids=tuple(f"p{x}_{y}" for x in range(n) for y in range(n)),
+                       coords=[[x, y] for x in range(n) for y in range(n)])
+
+
+@pytest.mark.parametrize("space, center, radii", [
+    (grid_1d(range(21)), 10, (3, 6, 10)),
+    (_grid_2d(5), 12, (1, 2, 3)),
+], ids=["one-run-1d", "scattered-2d"])
+def test_stage_blocks_are_contiguous_copies_of_the_gather(monkeypatch, space, center, radii):
+    L = make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, space)
+    exh = build_exhaustion(space, center, radii)
+    blocks = _solved_blocks(monkeypatch)
+    run_exhaustion(space, L, exh, RunOptions(window_layer=1.0))
+    assert len(blocks) == len(exh.stages)
+    scattered = 0
+    for stage, block in zip(exh.stages, blocks):
+        idx = np.flatnonzero(stage)
+        scattered += idx[-1] - idx[0] + 1 > len(idx)
+        assert block.flags.c_contiguous and not block.flags.writeable
+        assert block.tobytes() == L.matrix[np.ix_(idx, idx)].tobytes()
+    # the 2-D stages but the whole grid are scattered, the 1-D ones never
+    assert scattered == (len(exh.stages) - 1 if space.coords.shape[1] == 2 else 0)
+
+
+def test_solve_writes_the_bytes_of_the_validated_gather(tmp_path, monkeypatch):
+    # with every stage block gathered by np.ix_ and validated as a
+    # CompactProblem, and each CSV's ell recomputed from its weights, as
+    # before each block was cut once, cvp solve writes the same bytes
+    from cvp import cli
+    from test_readme import _example
+
+    config = tmp_path / "config.json"
+    config.write_text(_example("json", "### Config"))
+
+    def solve(out):
+        assert cli.main(["solve", "--config", str(config), "--out", str(out)]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    cut = solve(tmp_path / "cut")
+    loaded = cli.load_config(str(config))
+
+    def gathered(L, stage):
+        idx = np.flatnonzero(stage)
+        block = L.matrix[np.ix_(idx, idx)]
+        spread = float(block.max() - block.min())
+        return idx, block, spread <= pipeline._CONST_BLOCK_TOL * max(1.0, float(block.max()))
+
+    def recomputed(path, header, ids, ell, weights):
+        rho = DiscreteMeasure(loaded.space, weights)
+        write_csv(path, header, ids, stage_ell(rho, loaded.kernel).tolist(), weights)
+
+    write_csv = cli.write_csv
+    monkeypatch.setattr(pipeline, "_stage_block", gathered)
+    monkeypatch.setattr(pipeline, "_block_problem", lambda ids, block, options: CompactProblem(
+        ids=ids, matrix=block, options=options))
+    monkeypatch.setattr(cli, "write_csv", recomputed)
+    assert len(cut) == 4 and solve(tmp_path / "gathered") == cut
+
+
+# The stage blocks of the three benchmark workloads, at their sizes: the
+# unit tent on the integer grid, the unit exponential kernel (window layer 4,
+# as its profile sets it) and the 49-point quarter-grid truncated Gaussian.
+_BENCH_SHAPED = {
+    "tent-401": (grid_1d(range(-200, 201), prefix="g"), "tent",
+                 {"amplitude": 1.0, "range": 1.0}, 200, (50, 100, 200), {}),
+    "exp-161": (grid_1d(range(161)), "exponential", {"amplitude": 1.0, "sigma": 1.0}, 80,
+                (40, 60, 80), {"window_layer": 4.0}),
+    "q49": (grid_1d([i * 0.25 for i in range(49)], prefix="q"), "truncated_gaussian",
+            {"amplitude": 1.0, "sigma": 0.8, "range": 2.0}, 24, (3.0, 6.0),
+            {"solver": SolverOptions(seed=49)}),
+}
+
+
+@pytest.mark.parametrize("name", list(_BENCH_SHAPED))
+def test_solver_residuals_are_those_recomputed_from_the_weights(name):
+    # a solved stage states the solver's KKT residuals; run_from_weights, as
+    # verify, recomputes them from the weights on the stage block: the same
+    space, kind, params, center, radii, options = _BENCH_SHAPED[name]
+    L = make_kernel(kind, params, space)
+    exh = build_exhaustion(space, center, radii)
+    run = run_exhaustion(space, L, exh, RunOptions(**options))
+    again = pipeline.run_from_weights(space, L, exh, RunOptions(**options),
+                                      [s.weights for s in run.stages],
+                                      [s.certified_global for s in run.stages])
+    for solved, rebuilt in zip(run.stages, again.stages, strict=True):
+        idx = np.flatnonzero(solved.stage)
+        assert solved.kkt == rebuilt.kkt
+        assert solved.kkt == simplex_solver._residuals(L.matrix[np.ix_(idx, idx)],
+                                                       solved.weights[idx])
+        # the stage's ell is the one the run checked and cvp solve writes
+        assert solved.ell.tobytes() == stage_ell(solved.measure, L).tobytes()
+        assert not solved.ell.flags.writeable and rebuilt.ell is None
+
+
 def test_identity_grid_run_frozen_values(identity_run):
     grid, tent, run = identity_run
     assert [s.scale for s in run.stages] == pytest.approx([11.0, 21.0, 41.0], abs=1e-9)

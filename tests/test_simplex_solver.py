@@ -523,13 +523,22 @@ def test_quarter_lanes_end_as_each_start_alone(monkeypatch):
     assert counts["inverses"] < 38
 
 
-@pytest.mark.parametrize("p", [
-    _kernel_block("tent", {"amplitude": 1.0, "range": 1.0}, range(401)),
-    _kernel_block("exponential", {"amplitude": 1.0, "sigma": 1.0}, range(161)),
-], ids=["tent-401", "exp-161"])
-def test_positive_definite_start_forms_no_inverse(monkeypatch, p):
+@pytest.mark.parametrize("p, choleskys", [
+    # the tent block is the identity, certified by diagonal dominance; the
+    # exponential one is not dominant (row sums near 2.16 against 1) and is
+    # factored
+    pytest.param(_kernel_block("tent", {"amplitude": 1.0, "range": 1.0}, range(401)), 0,
+                 id="tent-401"),
+    pytest.param(_kernel_block("exponential", {"amplitude": 1.0, "sigma": 1.0}, range(161)),
+                 1, id="exp-161"),
+])
+def test_positive_definite_start_forms_no_inverse(monkeypatch, p, choleskys):
     counts = _count_factorizations(monkeypatch)
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
     sol = minimize_on_compact(p)
+    assert len(factored) == choleskys
     # the start never leaves the full support, so its first solve gives the final weights
     assert counts["inverses"] == 0 and counts["solves"] == 1
     assert sol.certified_global and (sol.weights > 0).all()
@@ -537,6 +546,86 @@ def test_positive_definite_start_forms_no_inverse(monkeypatch, p):
     monkeypatch.setattr(simplex_solver, "_final_weights", lambda Lb, w, solved: final(Lb, w, {}))
     resolved = minimize_on_compact(p)  # the final support solved again: the same bits
     assert resolved.weights.tobytes() == sol.weights.tobytes() and resolved.kkt == sol.kkt
+
+
+def _margin_block(k, rng, ulps, margin=None):
+    """A nonnegative symmetric block whose every row sum lies within ``ulps``
+    (per row, in ulps of the diagonal) of (2 - margin eps) times the
+    diagonal: by default the bound of ``_dominant``, margin 2(k+1)^2, and at
+    margin 0 where strict dominance ends. Off the diagonal, entries spread
+    over six decades, so the diagonal does too."""
+    M = rng.uniform(0.0, 1.0, (k, k)) * 10.0 ** rng.uniform(-3.0, 3.0, (k, k))
+    M = (M + M.T) / 2
+    np.fill_diagonal(M, 0.0)
+    if margin is None:
+        margin = 2 * (k + 1) ** 2
+    d = M.sum(axis=1) / (1.0 - margin * np.finfo(float).eps)
+    np.fill_diagonal(M, d + ulps * np.spacing(d))
+    return M
+
+
+@st.composite
+def _dominance_blocks(draw):
+    """Blocks strictly diagonally dominant; near the bound of ``_dominant``,
+    near the end of strict dominance or anywhere between, to within a few
+    ulps; or not dominant (some still positive definite)."""
+    k = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["dominant", "margin", "tie", "between", "not dominant"]))
+    if kind in ("margin", "tie", "between"):
+        margin = {"margin": None, "tie": 0,
+                  "between": draw(st.integers(0, 2 * (k + 1) ** 2))}[kind]
+        # one offset for every row, or one per row
+        ulps = draw(st.one_of(st.integers(-8, 8), st.just(rng.integers(-8, 9, k))))
+        return _margin_block(k, rng, ulps, margin)
+    M = _margin_block(k, rng, 0)
+    low, high = (1.0 + 1e-9, 3.0) if kind == "dominant" else (0.2, 1.0)
+    np.fill_diagonal(M, np.diag(M) * rng.uniform(low, high, k))
+    return M
+
+
+def _exactly_dominant(M) -> bool:
+    """Whether every off-diagonal row sum is below (1 - 2k(k+1)u) times the
+    diagonal in rational arithmetic, u = 2^-53: the margin ``_dominant``
+    claims, which puts the block within Demmel's condition for Cholesky."""
+    k = len(M)
+    c = Fraction(2 * k * (k + 1), 2 ** 53)
+    return all(sum(map(Fraction, row[:i] + row[i + 1:])) < (1 - c) * Fraction(row[i])
+               for i, row in enumerate(M.tolist()))
+
+
+@given(M=_dominance_blocks())
+@settings(max_examples=400, deadline=None)
+def test_dominance_passes_only_blocks_that_cholesky_factors(M):
+    if simplex_solver._dominant(M):
+        assert _exactly_dominant(M)
+        np.linalg.cholesky(M)  # raises LinAlgError on a block it cannot factor
+
+
+def test_margin_blocks_fall_on_both_sides_of_the_dominance_test():
+    rng = np.random.default_rng(0)
+    for k in (2, 12, 50):
+        passed = [simplex_solver._dominant(_margin_block(k, rng, ulps))
+                  for ulps in (-8, 8) for _ in range(10)]
+        assert any(passed) and not all(passed)
+
+
+def _solve_outcome(p):
+    try:
+        sol = minimize_on_compact(p)
+    except SolverFailure as exc:
+        return str(exc)
+    return sol.weights.tobytes(), sol.kkt, sol.certified_global
+
+
+@given(M=_dominance_blocks())
+@settings(max_examples=60, deadline=None)
+def test_dominance_solves_as_the_factorization_alone(M):
+    p = problem(M)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex_solver, "_dominant", lambda Lb: False)
+        reference = _solve_outcome(p)
+    assert _solve_outcome(p) == reference
 
 
 def _bordered(Lb, sup):

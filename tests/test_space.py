@@ -295,6 +295,35 @@ def test_symmetric_matrix_matches_its_reference(n, data):
         assert got == _outcome(cvp.space.symmetric_matrix, m.tolist(), size)
 
 
+_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0, 1e154, -1e154, 1.4e154, 1e200, -1e300,
+                     float(np.finfo(float).max), np.nan]),
+    st.floats(-10.0, 10.0), st.floats(allow_infinity=False))
+
+
+@given(n=st.integers(1, 4), dim=st.integers(1, 3), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_derived_distances_are_refused_as_their_symmetric_matrix(n, dim, data):
+    # distances derived from coords are exactly symmetric, so they are no
+    # longer compared with their transpose: a space refuses them exactly when
+    # the reference refuses them, with its message, and keeps their bits
+    coords = np.array(data.draw(st.lists(_COORDS, min_size=n * dim, max_size=n * dim)))
+    coords = coords.reshape(n, dim)
+
+    def outcome(build):
+        try:
+            return build()
+        except ConstructionError as exc:
+            return str(exc)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # differences that overflow
+        expected = outcome(lambda: _reference_symmetric_matrix(
+            cvp.space._euclidean(coords), n, "distance matrix", ConstructionError).tobytes())
+        got = outcome(lambda: MetricSpace(ids=tuple(f"p{i}" for i in range(n)),
+                                          coords=coords).dist.tobytes())
+    assert got == expected
+
+
 @pytest.mark.parametrize("value", [np.zeros((2, 3)), np.zeros(3), np.zeros(()),
                                    np.zeros((2, 2, 2)), np.zeros((0, 0)), [[1.0], [2.0, 3.0]]],
                          ids=["2x3", "vector", "scalar", "cube", "empty", "ragged"])
