@@ -4,10 +4,7 @@ __version__ = "0.1.0"
 
 from types import ModuleType as _ModuleType
 
-from .errors import (ConstructionError, CVPError, DegenerateExhaustionError,
-                     DegenerateStageError, InputError, PositivityError,
-                     ProfileError, SizeError, SolverFailure, UsageError,
-                     VolumeConstraintError)
+from .errors import CVPError, InputError, SolverFailure, UsageError
 from .space import (Exhaustion, MetricSpace, build_exhaustion, closed_ball,
                     grid_1d, space_from_dict)
 from .lagrangian import (DecayProfile, Lagrangian, diagonal_infimum,

@@ -8,35 +8,13 @@ class CVPError(Exception):
 
 
 class InputError(CVPError, ValueError):
-    """Malformed or inconsistent caller input (ids, radii, mismatched spaces)."""
-
-
-class ConstructionError(CVPError, ValueError):
-    """A kernel or space violates a structural invariant at build time."""
-
-
-class DegenerateExhaustionError(CVPError, ValueError):
-    """Consecutive exhaustion radii produce identical stages."""
-
-
-class DegenerateStageError(CVPError, ValueError):
-    """A stage cannot be rescaled (action value at or below tolerance)."""
-
-
-class VolumeConstraintError(CVPError, ValueError):
-    """A signed variation does not balance to zero total mass."""
-
-
-class PositivityError(CVPError, ValueError):
-    """A signed variation would drive some weight negative."""
-
-
-class SizeError(CVPError, ValueError):
-    """An exact/enumerative routine was asked to exceed its size cap."""
-
-
-class ProfileError(CVPError, ValueError):
-    """A decay profile is non-integrable or otherwise unusable."""
+    """Input the package refuses, with a message naming what is wrong: a
+    malformed config, report or payload value, a space or kernel that breaks a
+    structural invariant (ids, distances, triangle inequality, a positive
+    diagonal), an exhaustion whose consecutive stages are identical, a stage
+    too small to rescale, an unusable decay profile, a variation that is
+    unbalanced or drives a weight negative, and an enumeration above its size
+    cap. ``cvp`` exits 1 on it."""
 
 
 class SolverFailure(CVPError, RuntimeError):

@@ -13,8 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConstructionError, InputError, ProfileError, as_number, known_keys,
-                     number_rows)
+from .errors import InputError, as_number, known_keys, number_rows
 from .space import (MetricSpace, as_mask, ball_cover_counts, closed_ball, same_space,
                     symmetric_matrix)
 
@@ -43,9 +42,9 @@ class Lagrangian:
     declared_range: float | None = None
 
     def __post_init__(self):
-        m = symmetric_matrix(self.matrix, None, "kernel matrix", ConstructionError)
+        m = symmetric_matrix(self.matrix, None, "kernel matrix")
         if np.any(np.diag(m) <= 0):
-            raise ConstructionError("kernel diagonal must be strictly positive")
+            raise InputError("kernel diagonal must be strictly positive")
         object.__setattr__(self, "matrix", m)
 
 
@@ -72,7 +71,7 @@ def make_kernel(kind: str, params: dict, space: MetricSpace) -> Lagrangian:
         a = num("amplitude", 1.0)
         r0 = num("range")
         if a <= 0 or r0 <= 0:
-            raise ConstructionError("tent kernel needs positive amplitude and range")
+            raise InputError("tent kernel needs positive amplitude and range")
         # a * max(0, 1 - d / r0), computed in one buffer
         m = d / r0
         np.subtract(1.0, m, out=m)
@@ -84,7 +83,7 @@ def make_kernel(kind: str, params: dict, space: MetricSpace) -> Lagrangian:
         sigma = num("sigma")
         r0 = num("range")
         if a <= 0 or sigma <= 0 or r0 <= 0:
-            raise ConstructionError(
+            raise InputError(
                 "truncated gaussian needs positive amplitude, sigma and range")
         # a * exp(-(d / sigma)^2) * [d <= r0], computed in one buffer
         m = d / sigma
@@ -98,7 +97,7 @@ def make_kernel(kind: str, params: dict, space: MetricSpace) -> Lagrangian:
         a = num("amplitude", 1.0)
         sigma = num("sigma", 1.0)
         if a <= 0 or sigma <= 0:
-            raise ConstructionError("exponential kernel needs positive amplitude and sigma")
+            raise InputError("exponential kernel needs positive amplitude and sigma")
         # a * exp(-d / sigma), computed in one buffer
         m = -d
         m /= sigma
@@ -108,8 +107,8 @@ def make_kernel(kind: str, params: dict, space: MetricSpace) -> Lagrangian:
         n = len(space)
         rows = number_rows(params.get("matrix"), "kernel.matrix")
         if len(rows) != n or any(len(row) != n for row in rows):
-            raise ConstructionError(f"kernel matrix must be {n}x{n}, got row lengths "
-                                    f"{[len(row) for row in rows]}")
+            raise InputError(f"kernel matrix must be {n}x{n}, got row lengths "
+                             f"{[len(row) for row in rows]}")
         m = np.array(rows).reshape(n, n)
         declared = None if params.get("range") is None else num("range")
     return Lagrangian(kind=kind, params=dict(params), matrix=m, space_key=space.key,
@@ -194,9 +193,9 @@ class DecayProfile:
     def __post_init__(self):
         # each test is written so that NaN fails it
         if not self.delta > 0:
-            raise ProfileError(f"profile.delta must be positive, got {self.delta!r}")
+            raise InputError(f"profile.delta must be positive, got {self.delta!r}")
         if not self.c > 0:
-            raise ProfileError(
+            raise InputError(
                 f"profile needs the kernel diagonal infimum c > 0, got {self.c!r}")
         object.__setattr__(self, "coeff", 1.0 + 2.0 / self.c)
         _check_decreasing(self.f)
@@ -206,16 +205,16 @@ def _check_decreasing(f) -> None:
     xs = np.linspace(0.0, 50.0, 201)
     vals = np.array([f(float(x)) for x in xs])
     if np.any(vals < -1e-15):
-        raise ProfileError("profile f must be nonnegative")
+        raise InputError("profile f must be nonnegative")
     if np.any(np.diff(vals) > 1e-12 * max(1.0, float(vals.max(initial=0.0)))):
-        raise ProfileError("profile f must be monotonically decreasing")
+        raise InputError("profile f must be monotonically decreasing")
 
 
 def exp_profile(amplitude: float, rate: float, delta: float, c: float) -> DecayProfile:
     if not amplitude >= 0:
-        raise ProfileError(f"exponential profile needs amplitude >= 0, got {amplitude!r}")
+        raise InputError(f"exponential profile needs amplitude >= 0, got {amplitude!r}")
     if not rate > 0:
-        raise ProfileError(f"exponential profile needs rate > 0, got {rate!r}")
+        raise InputError(f"exponential profile needs rate > 0, got {rate!r}")
 
     def f(d: float) -> float:
         return amplitude * math.exp(-rate * d)
@@ -229,9 +228,9 @@ def exp_profile(amplitude: float, rate: float, delta: float, c: float) -> DecayP
 
 def poly_profile(amplitude: float, power: float, delta: float, c: float) -> DecayProfile:
     if not power > 1.0:
-        raise ProfileError(f"polynomial profile with power {power!r} is not integrable")
+        raise InputError(f"polynomial profile with power {power!r} is not integrable")
     if not amplitude >= 0:
-        raise ProfileError(f"polynomial profile needs amplitude >= 0, got {amplitude!r}")
+        raise InputError(f"polynomial profile needs amplitude >= 0, got {amplitude!r}")
 
     def f(d: float) -> float:
         return amplitude * (1.0 + d) ** (-power)
@@ -247,13 +246,13 @@ def scaled_exp_profile(amplitude: float, slope: float, rate: float, delta: float
                        c: float) -> DecayProfile:
     """f(d) = amplitude * (d + slope) * exp(-rate * d), decreasing for slope*rate >= 1."""
     if not amplitude >= 0:
-        raise ProfileError(
+        raise InputError(
             f"scaled exponential profile needs amplitude >= 0, got {amplitude!r}")
     if not rate > 0:
-        raise ProfileError(f"scaled exponential profile needs rate > 0, got {rate!r}")
+        raise InputError(f"scaled exponential profile needs rate > 0, got {rate!r}")
     if not slope * rate >= 1.0:
-        raise ProfileError("scaled exponential profile must be decreasing: it needs "
-                           f"slope * rate >= 1, got slope {slope!r} and rate {rate!r}")
+        raise InputError("scaled exponential profile must be decreasing: it needs "
+                         f"slope * rate >= 1, got slope {slope!r} and rate {rate!r}")
 
     def f(d: float) -> float:
         return amplitude * (d + slope) * math.exp(-rate * d)
@@ -304,7 +303,7 @@ def tail_index(profile: DecayProfile, eps: float, cap: int = 10 ** 6) -> int:
     for n in range(2, cap + 1):
         if profile.tail(float(n - 1)) < eps / 3.0:
             return n
-    raise ProfileError(f"tail never drops below {eps}/3 up to N0 = {cap}")
+    raise InputError(f"tail never drops below {eps}/3 up to N0 = {cap}")
 
 
 def _radius_bounds(L: Lagrangian, space: MetricSpace):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, PositivityError, VolumeConstraintError
+from .errors import InputError
 from .lagrangian import Lagrangian
 from .space import MetricSpace, as_mask, same_space
 
@@ -76,12 +76,12 @@ def check_variations(base: DiscreteMeasure, points: np.ndarray, deltas: np.ndarr
     totals = np.fromiter(map(math.fsum, deltas.tolist()), float, len(deltas))
     off = np.flatnonzero(np.abs(totals) > _BALANCE_TOL)
     if off.size:
-        raise VolumeConstraintError(f"variation total {totals[off[0]]} is not balanced to zero")
+        raise InputError(f"variation total {totals[off[0]]} is not balanced to zero")
     after = base.weights[points] + deltas
     low = np.argwhere(after < -_BALANCE_TOL)
     if low.size:
         at = tuple(low[0])
-        raise PositivityError(f"variation drives weight at {ids[points[at]]!r} to {after[at]}")
+        raise InputError(f"variation drives weight at {ids[points[at]]!r} to {after[at]}")
 
 
 def action(rho: DiscreteMeasure, L: Lagrangian) -> float:

@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateStageError, InputError, SolverFailure
+from .errors import InputError, SolverFailure
 from .lagrangian import DecayProfile, Lagrangian, tail_index
 from .measure import DiscreteMeasure, averaged_kernel, restrict
 from .simplex_solver import (KKTResiduals, SolverOptions, _block_problem, _residuals,
@@ -68,7 +68,7 @@ class ScaledMinimizer:
     def __post_init__(self, kernel):
         s = self.s_unscaled
         if not math.isfinite(s) or s <= _S_FLOOR:
-            raise DegenerateStageError(f"stage value {s} is too small to rescale")
+            raise InputError(f"stage value {s} is too small to rescale")
         w = np.array(self.weights, dtype=float)
         w.setflags(write=False)
         object.__setattr__(self, "stage", as_mask(self.stage, len(self.space), "stage"))

@@ -150,23 +150,7 @@ def _cells(values, nl: str) -> tuple[str, list]:
             if len(lengths) == 1:
                 return "%s", _records("[", [""] * lengths.pop(), "]", list(zip(*values)),
                                       len(values), nl)
-    texts = []
-    append = texts.append
-    for value in values:
-        kind = type(value)
-        if kind is float:
-            append(_fmt_float(value))
-        elif kind is str:
-            append(encode_basestring(value))
-        elif kind is bool:
-            append("true" if value else "false")
-        elif kind is int:
-            append(str(value))
-        elif value is None:
-            append("null")
-        else:
-            append(_text(value, nl))
-    return "%s", texts
+    return "%s", [_text(value, nl) for value in values]
 
 
 def _records(open_: str, labels: list[str], close: str, columns: list, count: int,

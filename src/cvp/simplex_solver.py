@@ -32,7 +32,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .errors import InputError, SizeError, SolverFailure
+from .errors import InputError, SolverFailure
 from .space import symmetric_matrix
 
 # Hard cap for the enumeration oracle.
@@ -113,7 +113,7 @@ class CompactProblem:
         ids = tuple(str(i) for i in self.ids)
         if not ids:
             raise InputError("a compact problem needs at least one point")
-        m = symmetric_matrix(self.matrix, len(ids), "kernel block", InputError)
+        m = symmetric_matrix(self.matrix, len(ids), "kernel block")
         if np.any(np.diag(m) <= 0):
             raise InputError("kernel block needs a strictly positive diagonal")
         object.__setattr__(self, "ids", ids)
@@ -578,15 +578,16 @@ def _final_weights(Lb: np.ndarray, w: np.ndarray, solved: dict) -> np.ndarray:
     return out / out.sum()
 
 
-def _tied(cands: list[tuple[float, tuple[int, ...], np.ndarray]]):
+def _tied(cands: list[tuple]):
     """The candidates whose values lie within the tie window of the least."""
     best_val = min(c[0] for c in cands)
     window = _TIE_REL * max(1.0, abs(best_val))
     return [c for c in cands if c[0] <= best_val + window]
 
 
-def _select_best(cands: list[tuple[float, tuple[int, ...], np.ndarray]]):
-    # lexicographic support tie-break, point order; the first on equal supports
+def _select_best(cands: list[tuple]):
+    # (value, support, weights, ...): lexicographic support tie-break, point
+    # order; the first on equal supports
     return min(_tied(cands), key=lambda c: c[1])
 
 
@@ -659,7 +660,7 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=(),
             best_any = (val, w, kkt)
         if kkt.on_support_max <= opts.tol and kkt.min_over_k >= -opts.tol:
             supp = tuple(np.flatnonzero(w > 0).tolist())
-            accepted.append((val, supp, w))
+            accepted.append((val, supp, w, kkt))
         else:
             above += 1
     if not accepted:
@@ -669,8 +670,7 @@ def minimize_on_compact(problem: CompactProblem, extra_starts=(),
             f"{capped} hit the iteration cap of {_MAX_ITER}, {above} ended above "
             f"the tolerance",
             best_weights=w, best_value=val, residuals=kkt)
-    val, _, w = _select_best(accepted)
-    kkt = _residuals(Lb, w)
+    val, _, w, kkt = _select_best(accepted)
     certified = convex
     if not convex and k <= ORACLE_CAP:
         # the bound lies below the oracle's value, so a value within half the
@@ -782,7 +782,7 @@ def brute_force_minimizer(problem: CompactProblem) -> CompactSolution:
     Lb = problem.matrix
     k = len(problem.ids)
     if k > ORACLE_CAP:
-        raise SizeError(f"brute force is capped at {ORACLE_CAP} points, got {k}")
+        raise InputError(f"brute force is capped at {ORACLE_CAP} points, got {k}")
     scale = max(1.0, float(np.abs(Lb).max()))
     off_slack = 1e-10 * scale
     vertices = []

@@ -8,16 +8,15 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (ConstructionError, DegenerateExhaustionError, InputError, as_number,
-                     typed)
+from .errors import InputError, as_number, typed
 
 # Absorbs one ulp of distance roundoff in closed-ball comparisons.
 _RADIUS_SLACK = 1e-12
 
 # Cells of the temporaries that the cover scan (sets x points while masks are
-# packed, points x sets while counts are read) and the triangle checks (rows x
-# points x dim, midpoints x points) build at a time, so they stay O(chunk * n),
-# never O(n^3).
+# packed, points x sets while counts are read), the Euclidean distances (rows x
+# points x dim) and the midpoint scan (midpoints x points) build at a time, so
+# they stay O(chunk * n), never O(n^3).
 _CHUNK_CELLS = 1 << 18
 
 # Below this a float doubles without overflow.
@@ -55,31 +54,31 @@ class MetricSpace:
     def __post_init__(self):
         ids = tuple(str(i) for i in self.ids)
         if len(ids) == 0:
-            raise ConstructionError("a metric space needs at least one point")
+            raise InputError("a metric space needs at least one point")
         if len(set(ids)) != len(ids):
-            raise ConstructionError("point ids must be unique")
+            raise InputError("point ids must be unique")
         n = len(ids)
         derived = self.dist is None
         c = None
         if derived:
             if self.coords is None:
-                raise ConstructionError("a metric space needs a distance matrix or coords")
+                raise InputError("a metric space needs a distance matrix or coords")
             c = _coord_rows(self.coords, n)
         if derived:
             d = _euclidean(c)
             if not d.max() <= _HALF_MAX:  # also false on NaN
                 # refuses d, as it would refuse any matrix with such an entry
-                symmetric_matrix(d, n, "distance matrix", ConstructionError)
+                symmetric_matrix(d, n, "distance matrix")
             d.setflags(write=False)
         else:
-            d = symmetric_matrix(self.dist, n, "distance matrix", ConstructionError)
+            d = symmetric_matrix(self.dist, n, "distance matrix")
         if np.any(np.diag(d) > 0):
-            raise ConstructionError("self-distances must be zero")
+            raise InputError("self-distances must be zero")
         if self.coords is not None:
             if c is None:
                 c = _coord_rows(self.coords, n)
             if not np.all(np.isfinite(c)):
-                raise ConstructionError("coords must be finite")
+                raise InputError("coords must be finite")
             c.setflags(write=False)
         _check_triangle(d, c, derived)
         object.__setattr__(self, "ids", ids)
@@ -97,27 +96,35 @@ class MetricSpace:
 
 def _coord_rows(coords, n: int) -> np.ndarray:
     """``coords`` as a float copy with one row per point (a vector is one
-    column); ConstructionError unless it has n rows."""
+    column); InputError unless it has n rows."""
     c = np.array(coords, dtype=float)
     if c.ndim == 1:
         c = c[:, None]
     if c.ndim != 2 or c.shape[0] != n:
-        raise ConstructionError(f"coords must be {n} rows of numbers, got shape {c.shape}")
+        raise InputError(f"coords must be {n} rows of numbers, got shape {c.shape}")
     return c
 
 
 def _euclidean(coords: np.ndarray) -> np.ndarray:
     """The Euclidean distances of the rows of ``coords``, ``sqrt(sum_k (x_ik -
-    x_jk)^2)``: exactly symmetric, as x_i - x_j rounds to -(x_j - x_i)."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    # a square that overflows gives an infinite distance, which the caller refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.einsum("ijk,ijk->ij", diff, diff)
-    return np.sqrt(squares, out=squares)
+    x_jk)^2)``: exactly symmetric, as x_i - x_j rounds to -(x_j - x_i).
+
+    Rows go in chunks whose differences hold at most ``_CHUNK_CELLS`` cells;
+    each distance is summed as it would be without them.
+    """
+    n, dim = coords.shape
+    out = np.empty((n, n))
+    step = max(1, _CHUNK_CELLS // (n * max(1, dim)))
+    for lo in range(0, n, step):
+        diff = coords[lo:lo + step, None, :] - coords[None, :, :]
+        # a square that overflows gives an infinite distance, which the caller refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.einsum("ijk,ijk->ij", diff, diff, out=out[lo:lo + step])
+    return np.sqrt(out, out=out)
 
 
 def _check_triangle(d: np.ndarray, coords: np.ndarray | None, derived: bool) -> None:
-    """ConstructionError unless d_ij <= d_ik + d_kj + slack for all i, j, k,
+    """InputError unless d_ij <= d_ik + d_kj + slack for all i, j, k,
     with ``slack = 1e-9 * max(1, max d)``.
 
     The Euclidean certificate: let e = ||x_i - x_j|| be computed from
@@ -133,36 +140,20 @@ def _check_triangle(d: np.ndarray, coords: np.ndarray | None, derived: bool) -> 
     which holds up to about 10^5 dimensions. The bound is strictly inside
     what the midpoint scan accepts. When ``derived``, d is e itself (the
     space computed it from ``coords``), so only the dimension condition is
-    checked; an explicit matrix with coordinates is compared with e by
-    ``_euclidean_within``. Any other matrix (no coordinates, coordinates that
-    disagree with ``dist``, or too many dimensions) goes to the exact scan
-    ``_midpoint_violation``.
+    checked; an explicit matrix with coordinates is compared with e. Any
+    other matrix (no coordinates, coordinates that disagree with ``dist``, or
+    too many dimensions) goes to the exact scan ``_midpoint_violation``.
     """
     dmax = float(d.max(initial=0.0))
     slack = 1e-9 * max(1.0, dmax)
     if coords is not None:
         g = (coords.shape[1] + 2) * np.finfo(float).eps
+        # where e overflows, |d - e| is infinite and d goes to the scan
         if 4 * g * (2 * dmax + slack) <= slack / 4 and (
-                derived or _euclidean_within(d, coords, slack / 4)):
+                derived or np.abs(d - _euclidean(coords)).max() <= slack / 4):
             return
     if _midpoint_violation(d, slack):
-        raise ConstructionError("triangle inequality violated")
-
-
-def _euclidean_within(d: np.ndarray, coords: np.ndarray, tol: float) -> bool:
-    """Whether |d_ij - ||x_i - x_j||| <= tol for all i, j (false where e overflows).
-
-    Rows go in chunks whose differences hold at most ``_CHUNK_CELLS`` cells.
-    """
-    n, dim = coords.shape
-    step = max(1, _CHUNK_CELLS // (n * max(1, dim)))
-    for lo in range(0, n, step):
-        diff = coords[lo:lo + step, None, :] - coords[None, :, :]
-        gap = np.einsum("ijk,ijk->ij", diff, diff)
-        np.subtract(d[lo:lo + step], np.sqrt(gap, out=gap), out=gap)
-        if not np.all(np.abs(gap, out=gap) <= tol):
-            return False
-    return True
+        raise InputError("triangle inequality violated")
 
 
 def _midpoint_violation(d: np.ndarray, slack: float) -> bool:
@@ -183,10 +174,10 @@ def _midpoint_violation(d: np.ndarray, slack: float) -> bool:
     return False
 
 
-def symmetric_matrix(value, n: int | None, what: str, error: type[Exception]) -> np.ndarray:
+def symmetric_matrix(value, n: int | None, what: str) -> np.ndarray:
     """``value`` as a read-only float matrix, n x n (square when ``n`` is None),
     finite, nonnegative and symmetric to 1e-12, averaged with its transpose so
-    that it is exactly symmetric; else ``error`` naming ``what``, and naming
+    that it is exactly symmetric; else InputError naming ``what``, and naming
     the entry when its average overflows (entries above half the float
     maximum). The diagonal rule is the caller's. A matrix that is exactly
     symmetric already (a kernel cvp builds from distances) is copied in one
@@ -199,7 +190,7 @@ def symmetric_matrix(value, n: int | None, what: str, error: type[Exception]) ->
     m = np.asarray(value, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or n not in (None, m.shape[0]):
         size = "square" if n is None else f"{n}x{n}"
-        raise error(f"{what} must be {size}, got shape {m.shape}")
+        raise InputError(f"{what} must be {size}, got shape {m.shape}")
     # a matrix with entries in [0, max/2] (the min and max fail on NaN) that
     # equals its transpose bit for bit (so -0.0 does not meet 0.0) is its own
     # average with it: x + x doubles x exactly and halving undoes it
@@ -209,21 +200,21 @@ def symmetric_matrix(value, n: int | None, what: str, error: type[Exception]) ->
         out.setflags(write=False)
         return out
     if not np.all(np.isfinite(m)):
-        raise error(f"{what} must be finite")
+        raise InputError(f"{what} must be finite")
     if np.any(m < 0):
-        raise error(f"{what} must be nonnegative")
+        raise InputError(f"{what} must be nonnegative")
     # one buffer holds the gap and then the result: a freed full-size
     # temporary raises the allocator's mmap threshold and with it peak RSS
     out = m - m.T
     if not np.all(np.abs(out, out=out) <= 1e-12):
-        raise error(f"{what} must be symmetric")
+        raise InputError(f"{what} must be symmetric")
     with np.errstate(over="ignore"):
         np.add(m, m.T, out=out)
     out /= 2.0
     if not np.all(np.isfinite(out)):
         i, j = np.argwhere(~np.isfinite(out))[0].tolist()
-        raise error(f"{what} must be finite: the average of entry ({i}, {j}) "
-                    f"with its transpose overflows")
+        raise InputError(f"{what} must be finite: the average of entry ({i}, {j}) "
+                         f"with its transpose overflows")
     out.setflags(write=False)
     return out
 
@@ -401,7 +392,7 @@ class Exhaustion:
             raise InputError("exhaustion stages must be nonempty")
         for pos, (prev, stage) in enumerate(zip(stages, stages[1:])):
             if np.array_equal(stage, prev):
-                raise DegenerateExhaustionError(f"stages {pos} and {pos + 1} are identical")
+                raise InputError(f"stages {pos} and {pos + 1} are identical")
             if (prev & ~stage).any():
                 raise InputError("stages must be strictly nested")
         object.__setattr__(self, "stages", stages)

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from cvp import InputError, SizeError, closed_ball
+from cvp import InputError, closed_ball
 from cvp.space import _RADIUS_SLACK
 
 
@@ -42,7 +42,7 @@ def exact_covering_number(space, x: int, r: float, delta: float, max_ball: int =
         raise InputError("covering radius delta must be positive")
     members = np.flatnonzero(closed_ball(space, x, r))
     if len(members) > max_ball:
-        raise SizeError(
+        raise InputError(
             f"exact covering is capped at {max_ball}-point balls, got {len(members)}")
     target = frozenset(int(m) for m in members)
     slack = _RADIUS_SLACK * max(1.0, delta)

@@ -321,6 +321,35 @@ def test_usage_error_on_missing_subcommand():
     assert main([]) == 64
 
 
+def test_the_error_kinds_are_four():
+    # refused input (exit 1), a bad command line (exit 64) and a stage solve
+    # with no KKT point, under one base class
+    errors = {name for name in cvp.__all__ if isinstance(getattr(cvp, name), type)
+              and issubclass(getattr(cvp, name), BaseException)}
+    assert errors == {"CVPError", "InputError", "SolverFailure", "UsageError"}
+    kinds = [v for v in vars(cvp.errors).values()
+             if isinstance(v, type) and issubclass(v, BaseException)
+             and v.__module__ == "cvp.errors"]
+    assert {k.__name__ for k in kinds} == errors
+    assert all(issubclass(k, cvp.CVPError) for k in kinds)
+
+
+@pytest.mark.parametrize("command, message", [
+    ("oracle", "brute force is capped at 16 points, got 17"),
+    ("solve", "stages 0 and 1 are identical"),
+], ids=["oracle-cap", "identical-stages"])
+def test_refused_input_exits_1_with_its_message(tmp_path, capsys, command, message):
+    if command == "oracle":
+        matrix = tmp_path / "m.json"
+        matrix.write_text(json.dumps(np.eye(17).tolist()))
+        argv = ["oracle", "--matrix", str(matrix)]
+    else:
+        cfg = write_config(tmp_path, exhaustion={"center": "g0", "radii": [1, 1.4]})
+        argv = ["solve", "--config", cfg, "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_cached_parser_keeps_usage_errors_and_fresh_defaults(tmp_path):
     # main builds its parser once per process; each call still parses from defaults
     out_dir = run_solve(tmp_path)

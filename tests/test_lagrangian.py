@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvp import (
-    ConstructionError,
     InputError,
-    ProfileError,
     build_exhaustion,
     diagonal_infimum,
     exp_profile,
@@ -60,13 +58,13 @@ def test_exponential_has_no_declared_range():
 
 def test_matrix_kernel_rejects_negative_entries():
     g = grid_1d(range(2))
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError, match="kernel matrix must be nonnegative"):
         make_kernel("matrix", {"matrix": [[1.0, -0.1], [-0.1, 1.0]]}, g)
 
 
 def test_matrix_kernel_rejects_zero_diagonal():
     g = grid_1d(range(2))
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError, match="kernel diagonal must be strictly positive"):
         make_kernel("matrix", {"matrix": [[0.0, 0.5], [0.5, 1.0]]}, g)
 
 
@@ -137,12 +135,12 @@ def test_tail_index_requires_positive_eps():
 
 
 def test_poly_profile_needs_integrable_power():
-    with pytest.raises(ProfileError):
+    with pytest.raises(InputError, match="power 1.0 is not integrable"):
         poly_profile(1.0, 1.0, delta=1.0, c=1.0)
 
 
 def test_scaled_exp_profile_monotonicity_guard():
-    with pytest.raises(ProfileError):
+    with pytest.raises(InputError, match="must be decreasing"):
         scaled_exp_profile(1.0, 0.5, 1.0, delta=1.0, c=1.0)
 
 
@@ -157,7 +155,7 @@ def test_scaled_exp_profile_monotonicity_guard():
 def test_profile_refuses_a_nan_setting(build, named):
     # each setting is tested so that NaN fails; a config's NaN is refused by its
     # reader first, naming the field (test_bad_config_field_exits_1_naming_it)
-    with pytest.raises(ProfileError, match=named):
+    with pytest.raises(InputError, match=named):
         build()
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from cvp import (
     CompactProblem,
     CompactSolution,
-    DegenerateStageError,
     DiscreteMeasure,
     InputError,
     KKTResiduals,
@@ -69,7 +68,7 @@ def test_rescale_two_point_coupled():
 def test_rescale_refuses_vanishing_action():
     g = grid_1d(range(1))
     L = make_kernel("matrix", {"matrix": [[1e-13]]}, g)
-    with pytest.raises(DegenerateStageError):
+    with pytest.raises(InputError, match="too small to rescale"):
         _whole_space_stage(g, L, window_layer=0.0)
 
 

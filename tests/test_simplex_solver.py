@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cvp import (
     CompactProblem,
-    SizeError,
+    InputError,
     SolverFailure,
     SolverOptions,
     brute_force_minimizer,
@@ -184,7 +184,7 @@ def test_singular_chunk_falls_back_to_row_solves(monkeypatch):
 
 
 def test_oracle_rejects_large_problems():
-    with pytest.raises(SizeError):
+    with pytest.raises(InputError, match="capped at 16 points, got 17"):
         brute_force_minimizer(problem(np.eye(17)))
 
 

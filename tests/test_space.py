@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import cvp.space
 from cvp import (
-    ConstructionError,
-    DegenerateExhaustionError,
     Exhaustion,
     InputError,
     MetricSpace,
@@ -38,19 +36,19 @@ def test_grid_ids_and_distances():
 
 def test_validation_rejects_asymmetric():
     d = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError, match="distance matrix must be symmetric"):
         MetricSpace(ids=("a", "b"), dist=d)
 
 
 def test_validation_rejects_duplicate_ids():
     d = np.zeros((2, 2))
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError, match="point ids must be unique"):
         MetricSpace(ids=("a", "a"), dist=d)
 
 
 def test_validation_rejects_triangle_violation():
     d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError, match="triangle inequality violated"):
         MetricSpace(ids=("a", "b", "c"), dist=d)
 
 
@@ -61,13 +59,13 @@ def test_validation_rejects_violation_off_the_old_midpoint_sample():
     d = np.full((n, n), 2.0)
     np.fill_diagonal(d, 0.0)
     d[k, :2] = d[:2, k] = 0.9
-    with pytest.raises(ConstructionError, match="triangle inequality violated"):
+    with pytest.raises(InputError, match="triangle inequality violated"):
         MetricSpace(ids=tuple(range(n)), dist=d)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_validation_rejects_nonfinite_coords(bad):
-    with pytest.raises(ConstructionError, match="coords must be finite"):
+    with pytest.raises(InputError, match="coords must be finite"):
         MetricSpace(ids=("a", "b"), dist=np.array([[0.0, 1.0], [1.0, 0.0]]),
                     coords=[[bad], [1.0]])
 
@@ -88,6 +86,16 @@ def _naive_violation(d, slack):
     return bool(np.any(d[:, None, :] > d[:, :, None] + d[None, :, :] + slack))
 
 
+def _counted(mp):
+    """The calls of ``_euclidean`` and ``_midpoint_violation``, counted under ``mp``."""
+    calls = {"euclidean": 0, "scan": 0}
+    for name, attr in (("euclidean", "_euclidean"), ("scan", "_midpoint_violation")):
+        f = getattr(cvp.space, attr)
+        mp.setattr(cvp.space, attr, lambda *args, name=name, f=f: calls.__setitem__(
+            name, calls[name] + 1) or f(*args))
+    return calls
+
+
 @given(base=st.lists(st.lists(st.integers(-8, 8), min_size=3, max_size=3), min_size=1,
                      max_size=40),
        dim=st.integers(1, 3), scale=st.sampled_from([1e-3, 0.37, 1.0, 250.0]),
@@ -100,27 +108,33 @@ def test_euclidean_certificate_agrees_with_midpoint_scan(base, dim, scale, offse
     ids = tuple(range(n))
     diff = coords[:, None, :] - coords[None, :, :]
     d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    assert cvp.space._euclidean_within(d, coords, _slack(d) / 4)
     assert not cvp.space._midpoint_violation(d, _slack(d))
-    MetricSpace(ids=ids, dist=d, coords=coords)
-    if n < 2:
-        return
-    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    bump = _slack(d) * data.draw(st.floats(1.5, 10.0)) + float(d.max()) * data.draw(
-        st.floats(0.0, 1.5))
-    down = data.draw(st.booleans()) and d[i, j] >= bump
-    bad = d.copy()
-    bad[i, j] = bad[j, i] = d[i, j] - bump if down else d[i, j] + bump
+    bad = None
+    if n >= 2:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        bump = _slack(d) * data.draw(st.floats(1.5, 10.0)) + float(d.max()) * data.draw(
+            st.floats(0.0, 1.5))
+        down = data.draw(st.booleans()) and d[i, j] >= bump
+        bad = d.copy()
+        bad[i, j] = bad[j, i] = d[i, j] - bump if down else d[i, j] + bump
     for cells in (cvp.space._CHUNK_CELLS, 5):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cvp.space, "_CHUNK_CELLS", cells)
-            violated = cvp.space._midpoint_violation(bad, _slack(bad))
-            assert violated == _naive_violation(bad, _slack(bad))
+            calls = _counted(mp)
+            # the certificate accepts the distances of the coords: no midpoint is scanned
+            MetricSpace(ids=ids, dist=d, coords=coords)
+            assert calls == {"euclidean": 1, "scan": 0}
+            if bad is None:
+                continue
+            # a bump beyond the certificate's tolerance goes to the scan
+            violated = _naive_violation(bad, _slack(bad))
             if violated:
-                with pytest.raises(ConstructionError, match="triangle"):
+                with pytest.raises(InputError, match="triangle"):
                     MetricSpace(ids=ids, dist=bad, coords=coords)
             else:
                 MetricSpace(ids=ids, dist=bad, coords=coords)
+            assert calls == {"euclidean": 2, "scan": 1}
+            assert cvp.space._midpoint_violation(bad, _slack(bad)) == violated
 
 
 def test_euclidean_spaces_skip_the_midpoint_scan(monkeypatch):
@@ -169,6 +183,16 @@ def test_derived_distances_match_the_reference_formula(dim, data):
         assert space.key == _reference_key(ids, ref)
 
 
+@pytest.mark.parametrize("n, dim", [(1, 1), (2, 3), (7, 2), (161, 1), (401, 2), (700, 3)])
+def test_euclidean_distances_keep_their_bits_in_any_chunk(n, dim):
+    coords = np.random.default_rng(n * dim).normal(0.0, 10.0, (n, dim))
+    ref = _reference_distances(coords)
+    for cells in (cvp.space._CHUNK_CELLS, 5, 1000):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cvp.space, "_CHUNK_CELLS", cells)
+            assert cvp.space._euclidean(coords).tobytes() == ref.tobytes()
+
+
 # the grids the tests and the README build keep the keys of |x_i - x_j|
 @pytest.mark.parametrize("values", [
     range(1), range(2), range(3), range(4), range(5), range(6), range(8), range(11),
@@ -194,64 +218,58 @@ def test_grid_distances_are_exact_at_the_float_extremes():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_overflowing_coords_are_refused_as_infinite_distances(dim):
     rows = [[-1e200] * dim, [1e200] * dim]
-    with pytest.raises(ConstructionError, match="distance matrix must be finite"):
+    with pytest.raises(InputError, match="distance matrix must be finite"):
         MetricSpace(ids=("a", "b"), coords=rows)
-    with pytest.raises(ConstructionError, match="distance matrix must be finite"):
+    with pytest.raises(InputError, match="distance matrix must be finite"):
         space_from_dict({"metric": "euclidean", "points": [{"id": "a", "coords": rows[0]},
                                                            {"id": "b", "coords": rows[1]}]})
 
 
 def test_a_space_needs_distances_or_coords():
-    with pytest.raises(ConstructionError, match="needs a distance matrix or coords"):
+    with pytest.raises(InputError, match="needs a distance matrix or coords"):
         MetricSpace(ids=("a", "b"))
 
 
 def test_only_explicit_distances_are_compared_with_their_coords(monkeypatch):
-    calls = {"within": 0, "scan": 0}
-    within, scan = cvp.space._euclidean_within, cvp.space._midpoint_violation
-
-    def count(name, f):
-        return lambda *args: calls.__setitem__(name, calls[name] + 1) or f(*args)
-
-    monkeypatch.setattr(cvp.space, "_euclidean_within", count("within", within))
-    monkeypatch.setattr(cvp.space, "_midpoint_violation", count("scan", scan))
+    calls = _counted(monkeypatch)
     points = [{"id": f"p{i}", "coords": [i * 0.5, (i % 3) * 0.25]} for i in range(6)]
+    # derived distances are computed once and certified by the formula alone
     space_from_dict({"metric": "euclidean", "points": points})
-    assert calls == {"within": 0, "scan": 0}
+    assert calls == {"euclidean": 1, "scan": 0}
     # a grid passes |x_i - x_j| with its coords, which certify it
     grid = grid_1d(range(4))
-    assert calls == {"within": 1, "scan": 0}
+    assert calls == {"euclidean": 2, "scan": 0}
     # explicit distances that are a metric but not the metric of these coordinates
     upper = [float(abs(i - j)) for i in range(4) for j in range(i + 1, 4)]
     space = space_from_dict({"metric": "explicit", "distances": upper,
                              "points": [{"id": f"p{i}", "coords": [2.0 * i]} for i in range(4)]})
-    assert calls == {"within": 2, "scan": 1}
+    assert calls == {"euclidean": 3, "scan": 1}
     assert space.dist.tobytes() == grid.dist.tobytes()
 
 
 _HALF_MAX = float(np.finfo(float).max) / 2
 
 
-def _reference_symmetric_matrix(value, n, what, error):
+def _reference_symmetric_matrix(value, n, what):
     """``symmetric_matrix`` before its exactly-symmetric fast path: the reference.
     An average that overflows is refused, naming its entry."""
     m = np.asarray(value, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or n not in (None, m.shape[0]):
         size = "square" if n is None else f"{n}x{n}"
-        raise error(f"{what} must be {size}, got shape {m.shape}")
+        raise InputError(f"{what} must be {size}, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise error(f"{what} must be finite")
+        raise InputError(f"{what} must be finite")
     if np.any(m < 0):
-        raise error(f"{what} must be nonnegative")
+        raise InputError(f"{what} must be nonnegative")
     out = m - m.T
     if not np.all(np.abs(out, out=out) <= 1e-12):
-        raise error(f"{what} must be symmetric")
+        raise InputError(f"{what} must be symmetric")
     with np.errstate(over="ignore"):
         np.add(m, m.T, out=out)
     out /= 2.0
     for i, j in zip(*np.nonzero(~np.isfinite(out))):
-        raise error(f"{what} must be finite: the average of entry ({i}, {j}) "
-                    f"with its transpose overflows")
+        raise InputError(f"{what} must be finite: the average of entry ({i}, {j}) "
+                         f"with its transpose overflows")
     out.setflags(write=False)
     return out
 
@@ -259,8 +277,8 @@ def _reference_symmetric_matrix(value, n, what, error):
 def _outcome(f, value, n):
     try:
         with np.errstate(over="raise"):  # an average of entries above max/2 is refused
-            out = f(value, n, "matrix", ConstructionError)
-    except ConstructionError as exc:
+            out = f(value, n, "matrix")
+    except InputError as exc:
         return str(exc)
     assert not out.flags.writeable
     return out.shape, out.tobytes()
@@ -313,12 +331,12 @@ def test_derived_distances_are_refused_as_their_symmetric_matrix(n, dim, data):
     def outcome(build):
         try:
             return build()
-        except ConstructionError as exc:
+        except InputError as exc:
             return str(exc)
 
     with np.errstate(over="ignore", invalid="ignore"):  # differences that overflow
         expected = outcome(lambda: _reference_symmetric_matrix(
-            cvp.space._euclidean(coords), n, "distance matrix", ConstructionError).tobytes())
+            cvp.space._euclidean(coords), n, "distance matrix").tobytes())
         got = outcome(lambda: MetricSpace(ids=tuple(f"p{i}" for i in range(n)),
                                           coords=coords).dist.tobytes())
     assert got == expected
@@ -333,14 +351,14 @@ def test_symmetric_matrix_refuses_shapes_as_its_reference(value):
             expected = _outcome(_reference_symmetric_matrix, value, n)
         except ValueError:  # numpy refuses a ragged list before either checks it
             with pytest.raises(ValueError):
-                cvp.space.symmetric_matrix(value, n, "matrix", ConstructionError)
+                cvp.space.symmetric_matrix(value, n, "matrix")
             continue
         assert _outcome(cvp.space.symmetric_matrix, value, n) == expected
 
 
 def test_symmetric_matrix_copies_its_input():
     m = np.eye(3)
-    out = cvp.space.symmetric_matrix(m, 3, "matrix", ConstructionError)
+    out = cvp.space.symmetric_matrix(m, 3, "matrix")
     m[0, 0] = 7.0
     assert out[0, 0] == 1.0 and not out.flags.writeable
 
@@ -394,7 +412,7 @@ def test_exhaustion_stage_sizes(int_grid6):
 
 
 def test_exhaustion_rejects_equal_stages(int_grid6):
-    with pytest.raises(DegenerateExhaustionError):
+    with pytest.raises(InputError, match="stages 0 and 1 are identical"):
         build_exhaustion(int_grid6, 0, (1, 1.4))
 
 
@@ -404,7 +422,7 @@ def test_exhaustion_rejects_nonincreasing_radii(int_grid6):
 
 
 def test_exhaustion_validates_nesting(int_grid6):
-    with pytest.raises(DegenerateExhaustionError):
+    with pytest.raises(InputError, match="stages 0 and 1 are identical"):
         Exhaustion(stages=(np.array([True, True, False]), np.array([True, True, False])))
     with pytest.raises(InputError, match="strictly nested"):
         Exhaustion(stages=(np.array([True, True, False]), np.array([True, False, True])))
@@ -437,11 +455,11 @@ def test_explicit_distances_whose_average_overflows_are_refused():
     # it would become an infinite distance, which the triangle scan accepts
     payload = {"points": [{"id": "a"}, {"id": "b"}, {"id": "c"}], "metric": "explicit",
                "distances": [1e308, 1.0, 1.0]}
-    with pytest.raises(ConstructionError, match=r"distance matrix must be finite: "
+    with pytest.raises(InputError, match=r"distance matrix must be finite: "
                        r"the average of entry \(0, 1\) with its transpose overflows"):
         space_from_dict(payload)
     payload["distances"] = [1.0, 1.0, 1e308]
-    with pytest.raises(ConstructionError, match=r"entry \(1, 2\)"):
+    with pytest.raises(InputError, match=r"entry \(1, 2\)"):
         space_from_dict(payload)
 
 
