@@ -20,6 +20,12 @@ bound meets the solver's value, and otherwise by ``brute_force_minimizer``,
 which enumerates every support subset and backs ``cvp oracle``. The solver never adopts the oracle's
 weights, only compares values to set the certification flag.
 
+A start's final weights are solved directly on its final support, except
+that a start which stops where it began, with its averaged kernel constant on
+its support to the last bit, is already exactly stationary for a block within
+rounding of its own and is returned normalized (``_final_weights``): so the
+identity block of a unit tent on an integer grid takes no solve at all.
+
 Stationarity convention: with value s = w'Lw, the averaged kernel Lw equals s
 on the support and is >= s off the support.
 """
@@ -413,7 +419,11 @@ def _lockstep(Lb: np.ndarray, starts, atol: float, convex: bool = False):
     inverse, formed at its first change of S (from the full support, a copy
     of its inverse, formed once) and again after a target drifts off
     stationarity by ``_DRIFT_ATOL`` tolerances, which is solved directly.
-    Each support is solved and decomposed once. The lanes' state is one
+    A lane's final weights are solved on its final support, unless it stops
+    on the first pass at its start with L w, just formed, constant on S to
+    the last bit: w is then exactly stationary for a block within the
+    rounding of L_SS, and is returned normalized (``_final_weights``). Each
+    support is solved and decomposed once. The lanes' state is one
     record (``_Lanes``), which a stopped lane leaves. Of exact twins only
     the first joins a support, and a start's weight on the others moves onto
     it (``_fold_twins``). Every product and reduction is taken row by row,
@@ -454,7 +464,8 @@ def _lockstep(Lb: np.ndarray, starts, atol: float, convex: bool = False):
                                                              curvature)
                 if d is None:
                     stop.append(l)
-                    ends[start[l]] = _final_weights(Lb, W[l], solved)
+                    fresh = G[l] if lanes.used[l] == 0 else None  # L w of the start
+                    ends[start[l]] = _final_weights(Lb, W[l], fresh, solved)
                 else:
                     dirs[start[l]] = d
         saddles = len(dirs)  # the saddles are the first entries of dirs
@@ -566,10 +577,28 @@ def _solved(Lb: np.ndarray, S: np.ndarray, solved: dict):
     return solved[key]
 
 
-def _final_weights(Lb: np.ndarray, w: np.ndarray, solved: dict) -> np.ndarray:
-    """The weights solved directly on the support of ``w`` (``_solved``);
-    ``w`` itself when that system is singular."""
+def _final_weights(Lb: np.ndarray, w: np.ndarray, g: np.ndarray | None,
+                   solved: dict) -> np.ndarray:
+    """The weights solved directly on the support S of ``w`` (``_solved``);
+    ``w`` itself, normalized, when that system is singular, or when ``g``,
+    the averaged kernel L w of a start that stops where it began, is
+    constant on S to the last bit.
+
+    Then w is exactly stationary for a block near L_SS: each computed g_i
+    on S is a dot product sum_j L_ij w_j (1 + theta_ij) with |theta_ij| <=
+    gamma_k (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    3.1), so (L_SS + dL) w is constant for |dL| <= gamma_k |L_SS|
+    componentwise. LU with partial pivoting solves the bordered system
+    only to a backward error of the same form and no smaller (Thm 9.4), so
+    a solve cannot improve w. On the identity block the solve returns
+    exactly the uniform fl(1/k), the same bits. Only a start qualifies: a lane that
+    has moved ends on a support other lanes may reach too, and the solve
+    gives each of them the same weights there, as each start alone would."""
     S = np.flatnonzero(w > 0)
+    if g is not None:
+        gS = g[S]
+        if gS.min() == gS.max():
+            return w / w.sum()
     sol = _solved(Lb, S, solved)
     if sol is None:
         return w / w.sum()

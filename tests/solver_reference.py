@@ -178,7 +178,9 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
     tolerances (seen in L d) is solved directly, and the next change of S
     forms the inverse afresh. The final weights are solved directly on the
     final support, by reusing the last direct solve when it was on that
-    support (as when a convex start never leaves its first support). The
+    support (as when a convex start never leaves its first support), except
+    on the first iteration: a start that stops there, with g constant on S
+    to the last bit, returns w normalized (``_final_weights``). The
     averaged kernel g = L w is formed once and carried along each step a d
     as g + a L d, with the L d that the step needs anyway.
 
@@ -225,7 +227,7 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
             # a KKT point: stop there unless it is a saddle on its support
             d = None if convex else _negative_curvature(Lb, sup, atol, cache.curvature)
             if d is None:
-                w = _final_weights(Lb, w, direct)
+                w = _final_weights(Lb, w, g if len(values) == 1 else None, direct)
                 break
             saddle = True
         elif len(values) == 1 and not convex:
@@ -298,11 +300,16 @@ def _active_set(Lb: np.ndarray, w0: np.ndarray, atol: float, convex: bool = Fals
     return w, values
 
 
-def _final_weights(Lb: np.ndarray, w: np.ndarray, direct=None) -> np.ndarray:
-    """The weights solved directly on the support of ``w``; ``w`` itself when
-    that system is singular. ``direct`` is an earlier (support as bytes,
+def _final_weights(Lb: np.ndarray, w: np.ndarray, g=None, direct=None) -> np.ndarray:
+    """The weights solved directly on the support S of ``w``; ``w`` itself,
+    normalized, when that system is singular, or when ``g`` is given and
+    constant on S to the last bit. Only a start that stops on its first
+    iteration gives ``g``, its L w: the solver's rule, which a later end
+    never takes. ``direct`` is an earlier (support as bytes,
     ``_solve_support``) pair; on that support it is reused, not solved again."""
     S = np.flatnonzero(w > 0)
+    if g is not None and g[S].min() == g[S].max():
+        return w / w.sum()
     if direct is not None and direct[0] == S.tobytes():
         sol = direct[1]
     else:

@@ -523,29 +523,100 @@ def test_quarter_lanes_end_as_each_start_alone(monkeypatch):
     assert counts["inverses"] < 38
 
 
-@pytest.mark.parametrize("p, choleskys", [
-    # the tent block is the identity, certified by diagonal dominance; the
+@pytest.mark.parametrize("p, choleskys, solves", [
+    # the tent block is the identity, certified by diagonal dominance, and
+    # its uniform start is exactly stationary: it takes no solve. The
     # exponential one is not dominant (row sums near 2.16 against 1) and is
-    # factored
-    pytest.param(_kernel_block("tent", {"amplitude": 1.0, "range": 1.0}, range(401)), 0,
+    # factored, and its start moves, so its first solve gives the final weights
+    pytest.param(_kernel_block("tent", {"amplitude": 1.0, "range": 1.0}, range(401)), 0, 0,
                  id="tent-401"),
     pytest.param(_kernel_block("exponential", {"amplitude": 1.0, "sigma": 1.0}, range(161)),
-                 1, id="exp-161"),
+                 1, 1, id="exp-161"),
 ])
-def test_positive_definite_start_forms_no_inverse(monkeypatch, p, choleskys):
+def test_positive_definite_start_forms_no_inverse(monkeypatch, p, choleskys, solves):
     counts = _count_factorizations(monkeypatch)
-    factored = []
-    cholesky = np.linalg.cholesky
+    factored, lapack = [], []
+    cholesky, solve = np.linalg.cholesky, np.linalg.solve
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: lapack.append(a) or solve(a, b))
     sol = minimize_on_compact(p)
-    assert len(factored) == choleskys
-    # the start never leaves the full support, so its first solve gives the final weights
-    assert counts["inverses"] == 0 and counts["solves"] == 1
+    assert len(factored) == choleskys and len(lapack) == solves
+    # the start never leaves the full support
+    assert counts["inverses"] == 0 and counts["solves"] == solves
     assert sol.certified_global and (sol.weights > 0).all()
     final = simplex_solver._final_weights
-    monkeypatch.setattr(simplex_solver, "_final_weights", lambda Lb, w, solved: final(Lb, w, {}))
+    monkeypatch.setattr(simplex_solver, "_final_weights",
+                        lambda Lb, w, g, solved: final(Lb, w, None, {}))
     resolved = minimize_on_compact(p)  # the final support solved again: the same bits
     assert resolved.weights.tobytes() == sol.weights.tobytes() and resolved.kkt == sol.kkt
+
+
+@st.composite
+def _stationary_blocks(draw):
+    """A positive definite block whose uniform start is its minimizer in exact
+    arithmetic: c I, kron(I_m, B) with B = [[a, b], [b, a]] and 0 <= b <=
+    0.9 a, or the unit tent on an integer grid of drawn size, the identity."""
+    kind = draw(st.sampled_from(["scaled", "pairs", "tent"]))
+    c = 10.0 ** draw(st.floats(-3.0, 3.0))
+    if kind == "scaled":
+        return c * np.eye(draw(st.integers(1, 300)))
+    if kind == "pairs":
+        b = c * draw(st.floats(0.0, 0.9))
+        return np.kron(np.eye(draw(st.integers(1, 150))), [[c, b], [b, c]])
+    return _kernel_block("tent", {"amplitude": 1.0, "range": 1.0},
+                         range(draw(st.integers(1, 401)))).matrix
+
+
+def _kkt_error(r):
+    return max(r.on_support_max, -r.min_over_k)
+
+
+@given(M=_stationary_blocks())
+@settings(max_examples=60, deadline=None)
+def test_an_exactly_stationary_start_takes_no_solve(M):
+    # the uniform start stops where it began. Where L w is constant to the
+    # last bit, as on c I and the tent always, its weights are returned
+    # without a solve; on a kron block the two products of a row may round
+    # in either order under a fused multiply-add (about one block in seven),
+    # and the one solve is made. Unsolved, the weights are uniform and within
+    # (k + 1) eps of 1/k, where the LU path's are off by up to 5e4 eps on
+    # these blocks, and the KKT residuals are no worse than the LU path's
+    # beyond the rounding of s = w'Lw, a k-term dot product
+    k = len(M)
+    g = simplex_solver._rowprod(M, np.full((1, k), 1.0 / k))[0]  # as the lane forms it
+    exact = g.min() == g.max()
+    assert exact or np.count_nonzero(M) > k
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _count_factorizations(mp)
+        sol = minimize_on_compact(problem(M))
+        assert counts == {"solves": 0 if exact else 1, "inverses": 0}
+        final = simplex_solver._final_weights
+        mp.setattr(simplex_solver, "_final_weights",
+                   lambda Lb, w, g, solved: final(Lb, w, None, {}))
+        lu = minimize_on_compact(problem(M))
+    assert sol.certified_global and lu.certified_global
+    if not exact:
+        assert sol.weights.tobytes() == lu.weights.tobytes() and sol.kkt == lu.kkt
+        return
+    w = sol.weights
+    eps = np.finfo(float).eps
+    assert (w == w[0]).all() and abs(w[0] * k - 1.0) <= (k + 1) * eps
+    assert _kkt_error(sol.kkt) <= max(_kkt_error(lu.kkt), k * eps * sol.value)
+
+
+def test_a_start_stationary_within_the_tolerance_is_solved(monkeypatch):
+    # the identity with one off-diagonal pair at 1e-15: L w of the uniform
+    # start is 1e-15 / k higher at the pair, within the stopping tolerance
+    # but not to the last bit, so the start stops where it began and its
+    # final weights are solved
+    k = 101
+    M = np.eye(k)
+    M[3, 7] = M[7, 3] = 1e-15
+    counts = _count_factorizations(monkeypatch)
+    (w,), (steps,), _ = _lockstep(M, [np.full(k, 1.0 / k)], 1e-12)
+    assert steps == 1 and counts == {"solves": 1, "inverses": 0}
+    t = _solve_support(M, np.arange(k))[0]
+    assert w.tobytes() == (t / t.sum()).tobytes()
 
 
 def _margin_block(k, rng, ulps, margin=None):
