@@ -159,38 +159,56 @@ def _residuals(Lb: np.ndarray, w: np.ndarray) -> KKTResiduals:
 
 def _solve_support(Lb: np.ndarray, S: np.ndarray | list[int]):
     """Weights and multiplier on a fixed support of ascending indices:
-    L_SS w = s, sum w = 1."""
+    L_SS w = s, sum w = 1.
+
+    The bordered system [[L_SS, -t], [t', 0]] (w, s / t) = (0, t) is solved
+    with its border and right-hand side scaled by t = max(L_SS), and s read
+    back as t times the solved entry. Unscaled, on a block whose entries lie
+    below 1, partial pivoting takes the border row and the weights lose
+    thousands of ulps; a block whose largest entry is 1 solves the unscaled
+    system, bit for bit."""
     m = len(S)
     A = np.zeros((m + 1, m + 1))
     # the whole block needs no gather; below about 200 points the two-step
     # gather of a subset is 2-3x faster than np.ix_
     A[:m, :m] = Lb if m == len(Lb) else Lb[S][:, S]
-    A[:m, m] = -1.0
-    A[m, :m] = 1.0
+    t = A[:m, :m].max()  # positive: the diagonal is
+    A[:m, m] = -t
+    A[m, :m] = t
     b = np.zeros(m + 1)
-    b[m] = 1.0
+    b[m] = t
     try:
         sol = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(sol)):
         return None
-    return sol[:m], float(sol[m])
+    return sol[:m], t * float(sol[m])
 
 
 def _bordered_inverse(Lb: np.ndarray, sup: np.ndarray):
     """The inverse of the bordered matrix [[0, 1'], [1, L_SS]] of the ascending
     ``sup``, in its own coordinates: row and column 0 are the border, 1 + i
-    those of sup[i]. None when the matrix is singular. Column 0 is (-s, w) of
-    ``_solve_support``."""
+    those of sup[i]. None when the matrix is singular. Column 0 is (-s, w),
+    the weights and multiplier that ``_solve_support`` solves for.
+
+    As in ``_solve_support``, the matrix inverted has its border scaled by
+    t = max(L_SS): it is D [[0, 1'], [1, L_SS]] D with D = diag(t, I), so
+    its inverse times D on either side, row and column 0 times t, is the
+    one returned. Unscaled, a block whose entries lie below 1 loses
+    thousands of ulps to the pivoting; a block whose largest entry is 1
+    inverts the unscaled matrix, bit for bit."""
     m = len(sup)
     A = np.zeros((m + 1, m + 1))
-    A[0, 1:] = A[1:, 0] = 1.0
     A[1:, 1:] = Lb if m == len(Lb) else Lb[sup][:, sup]
+    t = A[1:, 1:].max()  # positive: the diagonal is
+    A[0, 1:] = A[1:, 0] = t
     try:
         Q = np.linalg.inv(A)
     except np.linalg.LinAlgError:
         return None
+    Q[0] *= t
+    Q[:, 0] *= t
     return Q if np.isfinite(Q).all() else None
 
 
@@ -848,17 +866,19 @@ def brute_force_minimizer(problem: CompactProblem) -> CompactSolution:
 def _positive_solutions(Lb: np.ndarray, S: np.ndarray):
     """The rows of ``S`` (supports of m ascending indices) whose bordered
     system ``_solve_support`` solves with every weight above 1e-14, and those
-    weights. The systems are solved as one stack; when one of them is singular
-    the stack fails as a whole and each is solved on its own instead.
+    weights. The systems are solved as one stack, each scaled by its own
+    block's largest entry as ``_solve_support`` scales it; when one of them is
+    singular the stack fails as a whole and each is solved on its own instead.
     """
     C, m = S.shape
     A = np.empty((C, m + 1, m + 1))
     A[:, :m, :m] = Lb[S[:, :, None], S[:, None, :]]
-    A[:, :m, m] = -1.0
-    A[:, m, :m] = 1.0
+    t = A[:, :m, :m].max(axis=(1, 2))
+    A[:, :m, m] = -t[:, None]
+    A[:, m, :m] = t[:, None]
     A[:, m, m] = 0.0
     b = np.zeros((C, m + 1, 1))  # a stack of columns: numpy reads a 2-D b as one matrix
-    b[:, m] = 1.0
+    b[:, m, 0] = t
     try:
         sol = np.linalg.solve(A, b)[:, :, 0]
     except np.linalg.LinAlgError:

@@ -277,6 +277,8 @@ def _greedy_counts(space: MetricSpace, sets: int, columns, delta: float) -> np.n
     if not delta > 0:
         raise InputError(f"covering radius delta must be positive, got {delta!r}")
     n = len(space)
+    if not sets:
+        return np.zeros(0, dtype=np.int64)
     opens = np.empty((n, (sets + 7) // 8), dtype=np.uint8)
     step = max(1, _CHUNK_CELLS // (8 * n))
     for lo in range(0, opens.shape[1], step):
@@ -322,36 +324,16 @@ def greedy_cover_counts(space: MetricSpace, masks: np.ndarray, delta: float) -> 
     return _greedy_counts(space, len(masks), lambda lo, hi: masks[lo:hi].T.copy(), delta)
 
 
-def _ball_keys(space: MetricSpace, radii: np.ndarray):
-    """``rank[y, x]``, the place of point y in a stable sort of row x of the
-    distances, and the key x * (n + 1) + m of each closed ball B(x_i, radii[i, j]),
-    x its center and m its member count."""
-    n = len(space)
-    order = np.argsort(space.dist, axis=1, kind="stable")
-    rank = np.empty((n, n), dtype=np.min_scalar_type(n))
-    rank[order, np.arange(n)[:, None]] = np.arange(n)
-    limits = np.maximum(radii, 1.0)
-    limits *= _RADIUS_SLACK
-    limits += radii
-    keys = np.array([row.searchsorted(limit, side="right") for row, limit in
-                     zip(np.take_along_axis(space.dist, order, axis=1), limits)],
-                    dtype=np.min_scalar_type(n * (n + 1)))
-    keys += (np.arange(n, dtype=keys.dtype) * (n + 1))[:, None]
-    return rank, keys
-
-
-def ball_cover_counts(space: MetricSpace, radii: np.ndarray, delta: float) -> np.ndarray:
-    """Greedy delta-cover counts of the closed balls B(x_i, radii[i, j]).
+def ball_sizes(space: MetricSpace, radii) -> np.ndarray:
+    """Member counts of the closed balls B(x_i, radii[i, j]).
 
     ``radii`` has one row per point of the space. Closed balls at one center
     are nested, so a ball is fixed by its center x and its member count m:
-    point y is in it when ``rank[y, x] < m`` (tied distances fall inside or
-    outside together). The distinct balls are covered by one scan, ordered
-    by center, so the masks of a chunk of them are built point-major, as
-    the scan packs them: column x of ``rank``, which ``_ball_keys`` builds
-    with one row per point, repeated once per ball at center x in the
-    chunk, compared with the balls' member counts. A chunk holds at most
-    ``_CHUNK_CELLS`` cells, and may split a center's balls.
+    its points are the first m of row x of the distances in sorted order
+    (tied distances fall inside or outside together, so any sort order gives
+    the same members). Each count is one ``searchsorted`` in a sorted row.
+    A ball's greedy cover count is at most its member count, since the scan
+    opens at most one center per member.
     """
     radii = np.asarray(radii, dtype=float)
     n = len(space)
@@ -359,10 +341,38 @@ def ball_cover_counts(space: MetricSpace, radii: np.ndarray, delta: float) -> np
         raise InputError(f"ball radii must have {n} rows, got shape {radii.shape}")
     if not (radii >= 0).all():
         raise InputError("ball radius must be nonnegative")
-    rank, keys = _ball_keys(space, radii)
+    limits = np.maximum(radii, 1.0)
+    limits *= _RADIUS_SLACK
+    limits += radii
+    # a sort of the rows is cheaper than gathering them through an argsort
+    return np.array([row.searchsorted(limit, side="right") for row, limit in
+                     zip(np.sort(space.dist, axis=1), limits)])
+
+
+def ball_cover_counts(space: MetricSpace, centers: np.ndarray, sizes: np.ndarray,
+                      delta: float) -> np.ndarray:
+    """Greedy delta-cover counts of the closed balls of the points
+    ``centers[i]`` with ``sizes[i]`` members each (``ball_sizes``).
+
+    Each distinct ball among them, the key x (n + 1) + m of its center x
+    and member count m, is marked once in a table of n (n + 1) flags, and
+    the marked balls are covered by one scan, in key order, so ordered by
+    center. The masks of a chunk of them are built point-major, as the scan
+    packs them: ``rank[y, x]`` is the place of point y in a stable sort of
+    row x, and column x of it, repeated once per ball at center x in the
+    chunk, is compared with the balls' member counts. A chunk holds at most
+    ``_CHUNK_CELLS`` cells, and may split a center's balls.
+    """
+    n = len(space)
+    keys = np.asarray(centers) * (n + 1) + sizes
     distinct = np.zeros(n * (n + 1), dtype=bool)
     distinct[keys] = True
-    centers, sizes = np.divmod(np.flatnonzero(distinct).astype(keys.dtype), n + 1)
+    centers, sizes = np.divmod(np.flatnonzero(distinct), n + 1)
+    if not centers.size:
+        return _greedy_counts(space, 0, None, delta)  # refuses a bad delta
+    rank = np.empty((n, n), dtype=np.min_scalar_type(n))
+    # any sort would do; a stable one is fastest on the nearly sorted rows of a grid
+    rank[np.argsort(space.dist, axis=1, kind="stable"), np.arange(n)[:, None]] = np.arange(n)
     sizes = sizes.astype(rank.dtype)
     # the balls at center x are lo..hi - 1 with lo, hi = starts[x], starts[x + 1]
     starts = np.searchsorted(centers, np.arange(n + 1))

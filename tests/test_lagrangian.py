@@ -24,9 +24,9 @@ from cvp import (
     verify_compact_range,
     verify_entropy_decay,
 )
-from cover_reference import covering_number
+import cvp.space
+from cover_reference import covering_number, entropy_decay_reference
 from cvp.lagrangian import _MAX_WITNESSES, _effective_range, _radius_bounds
-from cvp.space import ball_cover_counts
 
 ATOL = 1e-12
 
@@ -304,53 +304,21 @@ def test_entropy_radius_matches_per_point_reference(ks, kind, reach, seed):
     assert (b["delta_closed"], b["delta_sup"]) == _reference_radius_bounds(L, g)
 
 
-def _reference_entropy_decay(L, space, profile):
-    """``verify_entropy_decay`` with f evaluated over every off-diagonal distance."""
-    c = diagonal_infimum(L)
-    cond_a = c > 0.0
-    delta_closed, delta_sup = _radius_bounds(L, space)
-    cond_b = delta_sup >= profile.delta - 1e-12
-    n = len(space)
-    off = ~np.eye(n, dtype=bool)
-    dist = space.dist
-    covers = ball_cover_counts(space, dist + 2.0, profile.delta)
-    distances, which = np.unique(dist[off], return_inverse=True)
-    f_values = np.array([profile.f(float(d)) for d in distances], dtype=float)
-    bound = np.zeros((n, n))
-    bound[off] = f_values[which] / (profile.coeff * covers[off])
-    violated = off & (L.matrix > bound + 1e-12 * np.maximum(1.0, bound))
-    rows, cols = np.nonzero(violated)
-    witnesses = [{"x": space.ids[i], "y": space.ids[j], "value": float(L.matrix[i, j]),
-                  "bound": float(bound[i, j]), "distance": float(dist[i, j])}
-                 for i, j in zip(rows[:_MAX_WITNESSES], cols[:_MAX_WITNESSES])]
-    cond_c = not witnesses
-    return {
-        "holds": bool(cond_a and cond_b and cond_c),
-        "condition_a": {"holds": bool(cond_a), "c": c},
-        "condition_b": {"holds": bool(cond_b), "delta_closed": delta_closed,
-                        "delta_sup": delta_sup, "delta_required": profile.delta},
-        "condition_c": {"holds": bool(cond_c), "checked_pairs": n * (n - 1)},
-        "witnesses": witnesses,
-    }
-
-
-def test_entropy_decay_with_per_ball_covers_on_exp41(monkeypatch):
-    # the 41-point exponential space with its failing exp profile: the batched
-    # cover counts and the per-ball greedy covers give the same report,
-    # witnesses included
+def test_entropy_decay_with_per_ball_covers_on_exp41():
+    # the 41-point exponential space with its failing exp profile: the screened
+    # certificate and the all-pairs one with per-ball greedy covers give the
+    # same report, witnesses included
     g = grid_1d([float(i) for i in range(41)])
     L = make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, g)
     profile = exp_profile(1.0, 1.0, delta=1.0, c=diagonal_infimum(L))
-    batched = verify_entropy_decay(L, g, profile)
-    monkeypatch.setattr(
-        "cvp.lagrangian.ball_cover_counts",
-        lambda space, radii, delta: np.array(
+    screened = verify_entropy_decay(L, g, profile)
+    per_ball = entropy_decay_reference(
+        L, g, profile, covers=lambda space, radii, delta: np.array(
             [[covering_number(space, x, float(r), delta) for r in row]
              for x, row in enumerate(radii)]))
-    per_ball = verify_entropy_decay(L, g, profile)
-    assert not batched["condition_c"]["holds"]
-    assert len(batched["witnesses"]) == _MAX_WITNESSES
-    assert batched == per_ball
+    assert not screened["condition_c"]["holds"]
+    assert len(screened["witnesses"]) == _MAX_WITNESSES
+    assert screened == per_ball
 
 
 @given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.2, 4.0),
@@ -378,4 +346,100 @@ def test_entropy_decay_matches_the_full_off_diagonal_formula(n, seed, scale, tie
     profile = profile_from_spec({"f": f, "params": params, "delta": scale * 0.5}, c)
     # json writes each float by repr (and an infinite delta_sup as Infinity)
     assert json.dumps(verify_entropy_decay(L, space, profile), sort_keys=True) == \
-        json.dumps(_reference_entropy_decay(L, space, profile), sort_keys=True)
+        json.dumps(entropy_decay_reference(L, space, profile), sort_keys=True)
+
+
+@st.composite
+def decay_spaces(draw):
+    """A 1-D grid with tied distances, a 2-D grid, random Euclidean points in
+    the plane, or an explicit metric with distances in [1, 2]."""
+    kind = draw(st.sampled_from(["grid_1d", "grid_2d", "euclidean", "explicit"]))
+    if kind == "grid_1d":
+        ks = draw(st.lists(st.integers(0, 40), min_size=2, max_size=24, unique=True))
+        return grid_1d([k * draw(st.sampled_from([0.25, 0.5, 1.0])) for k in ks])
+    n = draw(st.integers(2, 18))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "explicit":
+        upper = rng.choice([1.0, 1.25, 1.5, 2.0], n * (n - 1) // 2)
+        return space_from_dict({"metric": "explicit",
+                                "points": [{"id": f"e{i}"} for i in range(n)],
+                                "distances": upper.tolist()})
+    if kind == "grid_2d":
+        side = draw(st.integers(2, 5))
+        coords = [[a * 0.5, b * 0.5] for a in range(side) for b in range(side)]
+    else:
+        coords = rng.uniform(0.0, 6.0, size=(n, 2)).tolist()
+    return space_from_dict({"metric": "euclidean", "points": [
+        {"id": f"p{i}", "coords": c} for i, c in enumerate(coords)]})
+
+
+@given(space=decay_spaces(), kernel=st.sampled_from(["exponential", "truncated_gaussian",
+                                                     "matrix"]),
+       f=st.sampled_from(["exp", "poly", "scaled_exp"]), amplitude=st.floats(0.05, 40.0),
+       delta=st.sampled_from([0.25, 0.5, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_screened_entropy_decay_equals_the_all_pairs_certificate(space, kernel, f, amplitude,
+                                                                  delta, seed):
+    # the member-count screen only skips pairs that pass with their exact
+    # cover counts: verdict, witnesses and their bounds are the same bits
+    n = len(space)
+    if kernel == "matrix":
+        m = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, n))
+        params = {"matrix": ((m + m.T) / 2.0 + np.eye(n)).tolist()}
+    else:
+        params = {"exponential": {"sigma": 1.0},
+                  "truncated_gaussian": {"sigma": 1.0, "range": 2.0}}[kernel]
+    L = make_kernel(kernel, params, space)
+    settings_of = {"exp": {"amplitude": amplitude, "rate": 1.0},
+                   "poly": {"amplitude": amplitude, "power": 2.0},
+                   "scaled_exp": {"amplitude": amplitude, "slope": 2.0, "rate": 1.0}}
+    profile = profile_from_spec({"f": f, "params": settings_of[f], "delta": delta},
+                                diagonal_infimum(L))
+    assert verify_entropy_decay(L, space, profile) == entropy_decay_reference(L, space, profile)
+
+
+def _exp_grid(n):
+    g = grid_1d(range(n))
+    return g, make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, g)
+
+
+def _grid_2d(side):
+    g = space_from_dict({"metric": "euclidean", "points": [
+        {"id": f"p{a}_{b}", "coords": [a, b]} for a in range(side) for b in range(side)]})
+    return g, make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, g)
+
+
+@pytest.mark.parametrize("space, f, amplitude, holds", [
+    (161, "scaled_exp", 6.0, True), (161, "exp", 1.0, False), (41, "scaled_exp", 6.0, True),
+    (41, "exp", 1.0, False), (401, "scaled_exp", 6.0, True), ("14x14", "scaled_exp", 40.0, True),
+    ("14x14", "scaled_exp", 6.0, False)])
+def test_screened_entropy_decay_on_the_exponential_grids(space, f, amplitude, holds):
+    # the bench majorant (scaled_exp, amplitude 6 = 2 (1 + 2/c)) holds and the
+    # rate-1 exp profile fails on the unit exponential grids; on the 14 x 14
+    # grid amplitude 40 holds and 6 fails
+    g, L = _grid_2d(14) if space == "14x14" else _exp_grid(space)
+    params = {"amplitude": amplitude, "rate": 1.0, **({"slope": 2.0} if f == "scaled_exp" else {})}
+    profile = profile_from_spec({"f": f, "params": params, "delta": 1.0}, diagonal_infimum(L))
+    screened = verify_entropy_decay(L, g, profile)
+    assert screened["holds"] is holds
+    assert len(screened["witnesses"]) == (0 if holds else _MAX_WITNESSES)
+    assert screened == entropy_decay_reference(L, g, profile)
+
+
+@pytest.mark.parametrize("amplitude, balls", [(6.0, 3059), (40.0, 0)])
+def test_the_screen_leaves_few_balls_to_the_cover_scan(monkeypatch, amplitude, balls):
+    # on the 161-point unit exponential grid the bench majorant leaves 6,118 of
+    # 25,760 pairs open, whose balls are 3,059 distinct (center, size) pairs;
+    # at amplitude 40 every pair passes the screen and no ball is covered
+    scanned = []
+    greedy_counts = cvp.space._greedy_counts
+
+    def counted(space, sets, columns, delta):
+        scanned.append(sets)
+        return greedy_counts(space, sets, columns, delta)
+
+    monkeypatch.setattr(cvp.space, "_greedy_counts", counted)
+    g, L = _exp_grid(161)
+    profile = scaled_exp_profile(amplitude, 2.0, 1.0, delta=1.0, c=diagonal_infimum(L))
+    assert verify_entropy_decay(L, g, profile)["holds"]
+    assert scanned == [balls]

@@ -27,6 +27,7 @@ from cvp.simplex_solver import (
     _bordered_inverse,
     _dnn_bound,
     _lockstep,
+    _positive_solutions,
     _residuals,
     _solve_support,
 )
@@ -1146,3 +1147,102 @@ def test_a_lane_above_the_tolerance_fails_alone():
     sol = minimize_on_compact(problem(p.matrix, tol=tol, seed=49))
     assert sol.weights.tobytes() == simplex_solver._select_best(kept)[2].tobytes()
     assert sol.weights.tobytes() != chosen.tobytes()
+
+
+def _unscaled_solve(Lb, S):
+    """The bordered system [[L_SS, -1], [1', 0]] (w, s) = (0, 1), solved with
+    a border of ones: weights and multiplier."""
+    m = len(S)
+    A = np.zeros((m + 1, m + 1))
+    A[:m, :m] = Lb[np.ix_(S, S)]
+    A[:m, m] = -1.0
+    A[m, :m] = 1.0
+    b = np.zeros(m + 1)
+    b[m] = 1.0
+    sol = np.linalg.solve(A, b)
+    return sol[:m], float(sol[m])
+
+
+def _unscaled_inverse(Lb, S):
+    """The inverse of the bordered matrix [[0, 1'], [1, L_SS]], formed with a
+    border of ones."""
+    m = len(S)
+    A = np.zeros((m + 1, m + 1))
+    A[1:, 1:] = Lb[np.ix_(S, S)]
+    A[0, 1:] = A[1:, 0] = 1.0
+    return np.linalg.inv(A)
+
+
+@pytest.mark.parametrize("c, M", [(0.001, np.eye(383)), (0.08, np.eye(383)),
+                                  (0.2, np.kron(np.eye(150), [[1.0, 0.5], [0.5, 1.0]]))],
+                         ids=["0.001I", "0.08I", "kron"])
+def test_a_block_below_1_inverts_as_its_unit_multiple(c, M):
+    # the iterations read their targets from column 0 of the bordered inverse,
+    # (-s, w); formed with a border of ones, w of 0.001 I at 383 points lies
+    # 2.6 times as far from 1/k as w of I, 2.0 times at 0.08 I and 2.9 times
+    # on the kron block: scaled like the block, it is about as close
+    k = len(M)
+
+    def off(Lb):
+        Q = _bordered_inverse(Lb, np.arange(k))
+        return np.abs(Q[1:, 0] - 1.0 / k).max()
+
+    assert off(c * M) <= 1.5 * off(M)
+
+
+@pytest.mark.parametrize("Lb", [c * np.eye(383) for c in (0.001, 0.08, 0.5)]
+                         + [np.kron(np.eye(150), [[0.2, 0.1], [0.1, 0.2]])],
+                         ids=["0.001I", "0.08I", "0.5I", "kron"])
+def test_a_block_below_1_solves_to_a_few_ulps(Lb):
+    # with a border of ones partial pivoting takes the border row on these
+    # blocks and the weights lie hundreds to thousands of eps/k from 1/k;
+    # scaled by the block's largest entry they lie within a few
+    k = len(Lb)
+    eps = np.finfo(float).eps
+    w, s = _solve_support(Lb, np.arange(k))
+    assert np.abs(w / w.sum() - 1.0 / k).max() <= 4 * eps / k
+    # L w = s on the support, s = w'Lw for weights summing to 1
+    assert s == pytest.approx(float(Lb[0].sum()) / k, rel=1e-14)
+    # the oracle's stack scales each system by its own block: on supports of
+    # whole 2 x 2 blocks (16 points, the oracle's cap, and 14) the weights are
+    # uniform too
+    for m in (16, 14):
+        S = np.array([np.arange(m), np.arange(16 - m, 16)])
+        rows, weights = _positive_solutions(Lb, S)
+        assert np.array_equal(rows, S)
+        assert np.abs(weights / weights.sum(axis=1)[:, None] - 1.0 / m).max() <= 4 * eps / m
+
+
+@given(k=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["random", "exponential"]))
+@settings(max_examples=60, deadline=None)
+def test_a_block_whose_largest_entry_is_1_solves_unscaled(k, seed, kind):
+    # every principal block of a unit-amplitude kernel has its diagonal, and
+    # so its largest entry, at 1.0: there the scaled system is the unscaled
+    # one, and its bits are too
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        A = rng.uniform(0.0, 1.0, (k, k))
+        M = (A + A.T) / 2
+        np.fill_diagonal(M, 1.0)
+    else:
+        x = np.sort(rng.uniform(0.0, 10.0, k))
+        M = np.exp(-np.abs(x[:, None] - x[None, :]))
+    S = np.sort(rng.choice(k, int(rng.integers(1, k + 1)), replace=False))
+    assert M[np.ix_(S, S)].max() == 1.0
+    try:
+        ref = _unscaled_solve(M, S)
+    except np.linalg.LinAlgError:
+        assert _solve_support(M, S) is None
+        return
+    w, s = _solve_support(M, S)
+    assert w.tobytes() == ref[0].tobytes() and s == ref[1]
+    Q = _bordered_inverse(M, S)
+    assert Q is not None and Q.tobytes() == _unscaled_inverse(M, S).tobytes()
+    if len(S) > 1:
+        stack = np.array([S, S])
+        rows, weights = _positive_solutions(M, stack)
+        keep = ref[0].min() > 1e-14 and np.isfinite(ref[0]).all()
+        assert len(rows) == (2 if keep else 0)
+        for wS in weights:
+            assert wS.tobytes() == ref[0].tobytes()

@@ -21,7 +21,7 @@ from cvp import (
     window_points,
 )
 from cvp.lagrangian import _effective_range
-from cvp.space import ball_cover_counts, greedy_cover_counts
+from cvp.space import ball_cover_counts, ball_sizes, greedy_cover_counts
 from cover_reference import covering_number, exact_covering_number, greedy_cover
 
 ATOL = 1e-12
@@ -535,6 +535,14 @@ def _ball_radii(space):
     return np.hstack([_shifted(d, s) for s in _SLACK_STEPS] + [d + 2.0])
 
 
+def _cover_every_ball(space, radii, delta):
+    """``ball_cover_counts`` of every ball B(x_i, radii[i, j]), shaped like
+    ``radii``."""
+    sizes = ball_sizes(space, radii)
+    centers = np.repeat(np.arange(len(space)), sizes.shape[1])
+    return ball_cover_counts(space, centers, sizes.ravel(), delta).reshape(sizes.shape)
+
+
 def _reference_covers(space, radii, delta):
     return np.array([[covering_number(space, x, float(r), delta) for r in row]
                      for x, row in enumerate(radii)])
@@ -551,7 +559,7 @@ def test_cover_kernels_match_covering_number(space, pick, steps, free):
         delta = float(_shifted(realized[pick % realized.size], steps)) if realized.size else 1.0
     radii = _ball_radii(space)
     expected = _reference_covers(space, radii, delta)
-    assert (ball_cover_counts(space, radii, delta) == expected).all()
+    assert (_cover_every_ball(space, radii, delta) == expected).all()
     masks = np.array([closed_ball(space, x, float(r))
                       for x, row in enumerate(radii) for r in row])
     assert (greedy_cover_counts(space, masks, delta) == expected.ravel()).all()
@@ -573,7 +581,7 @@ def test_cover_kernels_across_chunks(ks, delta):
     expected = _reference_covers(space, radii, delta)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cvp.space, "_CHUNK_CELLS", 16 * len(space))
-        assert (ball_cover_counts(space, radii, delta) == expected).all()
+        assert (_cover_every_ball(space, radii, delta) == expected).all()
         assert (greedy_cover_counts(space, masks, delta) == expected.ravel()).all()
 
 
@@ -583,7 +591,7 @@ def test_ball_cover_counts_with_wide_ranks():
     radii = np.hstack([space.dist[:, ::25], space.dist[:, ::25] + 2.0])
     rows = [0, 1, 150, 299]
     expected = [[covering_number(space, x, float(r), 1.0) for r in radii[x]] for x in rows]
-    assert (ball_cover_counts(space, radii, 1.0)[rows] == expected).all()
+    assert (_cover_every_ball(space, radii, 1.0)[rows] == expected).all()
 
 
 def _assert_ball_covers(space, radii, delta, cells=(None,)):
@@ -596,7 +604,7 @@ def _assert_ball_covers(space, radii, delta, cells=(None,)):
         with pytest.MonkeyPatch.context() as mp:
             if size is not None:
                 mp.setattr(cvp.space, "_CHUNK_CELLS", size)
-            assert (ball_cover_counts(space, radii, delta) == expected).all()
+            assert (_cover_every_ball(space, radii, delta) == expected).all()
             assert (greedy_cover_counts(space, masks, delta) == expected.ravel()).all()
 
 
@@ -625,7 +633,7 @@ def test_a_chunk_splits_the_balls_of_a_center():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cvp.space, "_CHUNK_CELLS", 8 * len(space))
         mp.setattr(cvp.space, "_greedy_counts", recorded)
-        counts = ball_cover_counts(space, radii, 1.0)
+        counts = _cover_every_ball(space, radii, 1.0)
     assert (counts == _reference_covers(space, radii, 1.0)).all()
     _assert_ball_covers(space, radii, 1.0, cells=(8 * len(space),))
     assert spans == [(lo, min(lo + 8, len(centers))) for lo in range(0, len(centers), 8)]
@@ -665,7 +673,7 @@ def test_ball_cover_counts_at_radii_between_distances_and_zero():
     between = (realized[:-1] + realized[1:]) / 2
     radii = np.tile(np.concatenate([[0.0], between, [realized[-1] + 0.25]]), (len(space), 1))
     assert not np.isin(between, space.dist).any()
-    assert (ball_cover_counts(space, radii, 1.0)[:, 0] == 1).all()
+    assert (_cover_every_ball(space, radii, 1.0)[:, 0] == 1).all()
     for delta in (0.25, 1.0, 3.0):
         _assert_ball_covers(space, radii, delta, cells=(None, 8 * len(space)))
 
@@ -687,6 +695,15 @@ def test_greedy_cover_counts_on_arbitrary_sets(space, seed, delta):
                 covered |= space.dist[m, members] <= delta + 1e-12 * max(1.0, delta)
         expected.append(count)
     assert greedy_cover_counts(space, masks, delta).tolist() == expected
+
+
+@given(space=small_spaces(), steps=st.sampled_from(_SLACK_STEPS))
+@settings(max_examples=40, deadline=None)
+def test_ball_sizes_are_the_closed_ball_member_counts(space, steps):
+    radii = np.hstack([_ball_radii(space), _shifted(space.dist, steps)])
+    expected = [[closed_ball(space, x, float(r)).sum() for r in row]
+                for x, row in enumerate(radii)]
+    assert ball_sizes(space, radii).tolist() == expected
 
 
 @st.composite
@@ -728,7 +745,7 @@ def test_cover_kernels_on_zero_one_and_several_later_neighbours(space, free, bey
         for cells in (cvp.space._CHUNK_CELLS, 2 * len(space)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cvp.space, "_CHUNK_CELLS", cells)
-                assert (ball_cover_counts(space, radii, delta) == expected).all()
+                assert (_cover_every_ball(space, radii, delta) == expected).all()
                 assert (greedy_cover_counts(space, masks, delta) == expected.ravel()).all()
     # at or above the diameter one delta-ball covers every ball
     assert (expected == 1).all()
@@ -740,7 +757,7 @@ def test_cover_kernels_reject_bad_input(quarter_grid):
     with pytest.raises(InputError):
         greedy_cover_counts(quarter_grid, np.ones((2, 8), dtype=bool), 1.0)
     with pytest.raises(InputError):
-        ball_cover_counts(quarter_grid, -np.ones((9, 2)), 1.0)
+        _cover_every_ball(quarter_grid, -np.ones((9, 2)), 1.0)
 
 
 def test_greedy_cover_counts_refuse_nan_delta(quarter_grid):
@@ -752,9 +769,9 @@ def test_ball_cover_counts_refuse_nan_radii(quarter_grid):
     radii = np.ones((9, 2))
     radii[4, 1] = np.nan
     with pytest.raises(InputError, match="radius must be nonnegative"):
-        ball_cover_counts(quarter_grid, radii, 1.0)
+        _cover_every_ball(quarter_grid, radii, 1.0)
     with pytest.raises(InputError, match="delta must be positive"):
-        ball_cover_counts(quarter_grid, np.ones((9, 2)), float("nan"))
+        _cover_every_ball(quarter_grid, np.ones((9, 2)), float("nan"))
 
 
 # Id-set references for the point-set masks, written out point by point.
