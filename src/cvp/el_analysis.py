@@ -2,8 +2,9 @@
 
 All checks evaluate a full measure (typically the final scaled stage of a
 run) and assert on a certified window, a point mask; reports name points by id.
-Minimality on the window W is decided by ``prove_minimality``: one Cholesky
-factorization shows that no balanced variation there lowers the action by
+Minimality on the window W is decided by ``prove_minimality``: strict
+diagonal dominance of the window's kernel block, or else one Cholesky
+factorization, shows that no balanced variation there lowers the action by
 more than ``_FAIL_TOL``, or else the causal variational principle on W, the
 measures that agree with the candidate off W and give W its mass, is solved
 as one simplex QP whose minimizer is the witness of a failure.
@@ -20,7 +21,7 @@ from .errors import InputError
 from .lagrangian import DecayProfile, Lagrangian, diagonal_infimum, global_sup, tail_index
 from .measure import (DiscreteMeasure, action_differences, averaged_kernel,
                       check_variations)
-from .simplex_solver import CompactProblem, _balanced_form, minimize_on_compact
+from .simplex_solver import CompactProblem, _balanced_form, _dominant, minimize_on_compact
 from .space import (MetricSpace, as_index, as_mask, closed_ball, greedy_cover_counts,
                     same_space)
 
@@ -71,7 +72,7 @@ def check_sufficient_conditions(L: Lagrangian, space: MetricSpace,
     """
     if not delta_cover > 0:
         raise InputError(f"cover radius delta_cover must be positive, got {delta_cover!r}")
-    same_space(space.key, L.space_key)
+    same_space(space, L.space)
     c = diagonal_infimum(L)
     sup = global_sup(L)
     cond_a = c > 0.0
@@ -136,7 +137,7 @@ def nontriviality_check(rho: DiscreteMeasure, L: Lagrangian, window,
     window is empty; the check also demands a nonzero limit, rho's mass on
     the window (``limit_total``).
     """
-    same_space(rho.space.key, L.space_key)
+    same_space(rho.space, L.space)
     window = as_mask(window, len(rho.space), "nontriviality window")
     probes = np.flatnonzero(window if window.any() else rho.support)
     rows = L.matrix[probes]
@@ -200,7 +201,7 @@ def local_mass_bound_check(rho: DiscreteMeasure, L: Lagrangian, probes, radius: 
     are nested, so those that pass are the ones before the first that fails.
     """
     space = rho.space
-    same_space(space.key, L.space_key)
+    same_space(space, L.space)
     # an index of -1 would wrap around in the gathers below
     probes = as_index(probes, len(space)) if len(probes) else np.zeros(0, dtype=int)
     rows = space.dist[probes]
@@ -267,14 +268,18 @@ def prove_minimality(rho: DiscreteMeasure, L: Lagrangian, window) -> dict:
     H = Z'L_WW Z (``_balanced_form``) is positive semidefinite, every such
     delta, of any size, has Delta S >= bound = -2 sum_W rho_x (ell_x - m).
 
-    One Cholesky factorization of H - tau I proves H >= 0: tau covers the
-    rounding of forming H and the factorization's backward error (Demmel's
-    bound, as in Rump 2006, *Verification of positive definiteness*, BIT 46),
-    both doubled. ``bound`` reads each ell_x as ell_x + a_x and m as the
-    least ell_x - a_x, with a_x an allowance for the rounding of ell_x, so it
-    holds for the stored weights in exact arithmetic. When the factorization
-    succeeds and ``bound`` is at least -``_FAIL_TOL``, the check passes with
-    ``certificate`` "exact", ``bound``, ``window_mass`` and ``tol``.
+    A window block L_WW that ``_dominant`` passes, as the identity block of
+    a unit tent on an integer grid does, is positive definite, and so is H,
+    since Z'Z = I + 11' >= I: H is neither formed nor factored. On any other
+    window one Cholesky factorization of H - tau I proves H >= 0: tau covers
+    the rounding of forming H and the factorization's backward error
+    (Demmel's bound, as in Rump 2006, *Verification of positive
+    definiteness*, BIT 46), both doubled. ``bound`` reads each ell_x as
+    ell_x + a_x and m as the least ell_x - a_x, with a_x an allowance for
+    the rounding of ell_x, so it holds for the stored weights in exact
+    arithmetic. When H is proved positive semidefinite and ``bound`` is at
+    least -``_FAIL_TOL``, the check passes with ``certificate`` "exact",
+    ``bound``, ``window_mass`` and ``tol``.
 
     Otherwise the least action over the window is solved for directly, by
     ``_window_qp``, and ``why_not_exact`` says why the proof did not apply.
@@ -287,19 +292,20 @@ def prove_minimality(rho: DiscreteMeasure, L: Lagrangian, window) -> dict:
         return _no_variation("a window of fewer than 2 points has no nonzero "
                              "balanced variation", math.fsum(rho.weights[idx]))
     lhat = averaged_kernel(rho, L)
-    H = _balanced_form(L.matrix, idx)
-    n = len(H)
-    # Demmel's backward error of the factorization, then the rounding of
-    # forming H: each entry is off by at most gamma_3 times 4 sup L, and the
-    # 2-norm of an n x n error is at most n times its largest entry
-    chol = _gamma(n + 1) / (1.0 - _gamma(n + 1)) * float(np.abs(np.diagonal(H)).sum())
-    formed = 4.0 * n * _gamma(3) * global_sup(L)
-    H.flat[::n + 1] -= 2.0 * (chol + formed + n * n * np.finfo(float).smallest_subnormal)
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        return _window_qp(rho, L, inside, lhat, "the window's curvature form is not "
-                                                "proved positive semidefinite")
+    if not _dominant(L.matrix[np.ix_(idx, idx)]):
+        H = _balanced_form(L.matrix, idx)
+        n = len(H)
+        # Demmel's backward error of the factorization, then the rounding of
+        # forming H: each entry is off by at most gamma_3 times 4 sup L, and
+        # the 2-norm of an n x n error is at most n times its largest entry
+        chol = _gamma(n + 1) / (1.0 - _gamma(n + 1)) * float(np.abs(np.diagonal(H)).sum())
+        formed = 4.0 * n * _gamma(3) * global_sup(L)
+        H.flat[::n + 1] -= 2.0 * (chol + formed + n * n * np.finfo(float).smallest_subnormal)
+        try:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            return _window_qp(rho, L, inside, lhat, "the window's curvature form is not "
+                                                    "proved positive semidefinite")
     # ell_x is off by at most gamma_{k+1} (lhat_x + 1), lhat_x being a sum of
     # at most k nonnegative products; the allowance also covers the rounding
     # of the bound's own steps, doubled

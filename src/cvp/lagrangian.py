@@ -38,7 +38,7 @@ class Lagrangian:
     kind: str
     params: dict
     matrix: np.ndarray
-    space_key: str
+    space: MetricSpace = field(repr=False, compare=False)
     declared_range: float | None = None
 
     def __post_init__(self):
@@ -111,7 +111,7 @@ def make_kernel(kind: str, params: dict, space: MetricSpace) -> Lagrangian:
                              f"{[len(row) for row in rows]}")
         m = np.array(rows).reshape(n, n)
         declared = None if params.get("range") is None else num("range")
-    return Lagrangian(kind=kind, params=dict(params), matrix=m, space_key=space.key,
+    return Lagrangian(kind=kind, params=dict(params), matrix=m, space=space,
                       declared_range=declared)
 
 
@@ -157,7 +157,7 @@ def verify_compact_range(L: Lagrangian, space: MetricSpace, exhaustion) -> dict:
     and each stage reads its K' (``_effective_range``) and its
     thickening as the union of the stage's rows.
     """
-    same_space(L.space_key, space.key)
+    same_space(L.space, space)
     positive = L.matrix > 0.0
     balls = None
     if L.declared_range is not None:
@@ -314,7 +314,7 @@ def _radius_bounds(L: Lagrangian, space: MetricSpace):
     realized distance carrying a failing point (open balls stop just short
     of it).
     """
-    same_space(L.space_key, space.key)
+    same_space(L.space, space)
     dist = space.dist
     d_fail = np.where(L.matrix < diagonal_infimum(L) / 2.0, dist, math.inf).min(axis=1)
     d_ok = np.where(dist < d_fail[:, None] - 1e-15, dist, 0.0).max(axis=1)
@@ -342,7 +342,7 @@ def verify_entropy_decay(L: Lagrangian, space: MetricSpace, profile: DecayProfil
     open. Their bounds, and so the verdict and the witnesses, are the ones
     that exact counts for every pair would give, bit for bit.
     """
-    same_space(L.space_key, space.key)
+    same_space(L.space, space)
     c = diagonal_infimum(L)
     cond_a = c > 0.0
     delta_closed, delta_sup = _radius_bounds(L, space)

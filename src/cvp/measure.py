@@ -51,8 +51,9 @@ class DiscreteMeasure:
     def __eq__(self, other):
         if not isinstance(other, DiscreteMeasure):
             return NotImplemented
-        return self is other or (self.space.key == other.space.key
-                                 and np.array_equal(self.weights, other.weights))
+        return self is other or (
+            (self.space is other.space or self.space.key == other.space.key)
+            and np.array_equal(self.weights, other.weights))
 
     def total(self) -> float:
         return math.fsum(self.weights)
@@ -86,7 +87,7 @@ def check_variations(base: DiscreteMeasure, points: np.ndarray, deltas: np.ndarr
 
 def action(rho: DiscreteMeasure, L: Lagrangian) -> float:
     """Double integral of the kernel against rho x rho."""
-    same_space(rho.space.key, L.space_key)
+    same_space(rho.space, L.space)
     s = np.flatnonzero(rho.weights)
     w = rho.weights[s]
     return float(w @ L.matrix[np.ix_(s, s)] @ w)
@@ -99,7 +100,7 @@ def averaged_kernel(rho: DiscreteMeasure, L: Lagrangian) -> np.ndarray:
     exactly symmetric, so ``L.matrix[s].T`` is the column gather
     ``L.matrix[:, s]``, in the same Fortran layout, and the product gives
     the same bits, 2-3 times faster than that gather."""
-    same_space(rho.space.key, L.space_key)
+    same_space(rho.space, L.space)
     s = np.flatnonzero(rho.weights)
     return L.matrix[s].T @ rho.weights[s]
 

@@ -104,11 +104,15 @@ def stage_ell(rho: DiscreteMeasure, L: Lagrangian) -> np.ndarray:
     return averaged_kernel(rho, L) - 1.0
 
 
-def window_points(space: MetricSpace, stage, layer: float) -> np.ndarray:
-    """Mask of the points whose closed layer-ball lies inside the stage mask."""
-    stage = as_mask(stage, len(space), "stage")
+def window_points(space: MetricSpace, stages, layer: float) -> np.ndarray:
+    """Mask of the points whose closed layer-ball lies inside the stage mask;
+    given a stack of stage masks, one window per row, all read from one
+    matrix of the layer-balls."""
+    stages = np.asarray(stages)
+    rows = [as_mask(stage, len(space), "stage") for stage in np.atleast_2d(stages)]
     balls = closed_ball(space, np.arange(len(space)), layer)
-    return stage & ~(balls & ~stage).any(axis=1)
+    windows = np.array([stage & ~(balls & ~stage).any(axis=1) for stage in rows])
+    return windows if stages.ndim == 2 else windows[0]
 
 
 def resolve_window_layer(L: Lagrangian, options: RunOptions) -> float:
@@ -128,14 +132,17 @@ def _stage_block(L: Lagrangian, stage: np.ndarray):
     """The point indices of a stage mask, its kernel block, and whether that
     block is constant (a degenerate stage).
 
-    The block is a C-contiguous copy with the bits of
-    ``L.matrix[np.ix_(idx, idx)]``: a stage that is one run of indices, as
-    every stage of a 1-D grid is, is copied as a slice, and a scattered
-    stage, as on 2-D spaces, is gathered. It is not validated again: the
-    kernel matrix was, when its ``Lagrangian`` was built."""
+    The block is C-contiguous with the bits of ``L.matrix[np.ix_(idx,
+    idx)]``: a stage that is the whole space takes ``L.matrix`` itself,
+    already read-only, a stage that is one run of indices, as every stage
+    of a 1-D grid is, is copied as a slice, and a scattered stage, as on
+    2-D spaces, is gathered. It is not validated again: the kernel matrix
+    was, when its ``Lagrangian`` was built."""
     idx = np.flatnonzero(stage)
     lo, hi = int(idx[0]), int(idx[-1]) + 1
-    if hi - lo == len(idx):
+    if len(idx) == len(stage):
+        block = L.matrix
+    elif hi - lo == len(idx):
         block = L.matrix[lo:hi, lo:hi].copy()
     else:
         block = L.matrix[np.ix_(idx, idx)]
@@ -154,7 +161,7 @@ def run_exhaustion(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
     whose rescaled averaged kernel minus 1 exceeds 10*tol in size on its
     support, or is below -10*tol on its stage, raises ``SolverFailure``."""
     options = options or RunOptions()
-    same_space(space.key, L.space_key)
+    same_space(space, L.space)
     layer = resolve_window_layer(L, options)
     tol = 10.0 * options.solver.tol
     stages: list[ScaledMinimizer] = []
@@ -190,7 +197,7 @@ def run_from_weights(space: MetricSpace, L: Lagrangian, exhaustion: Exhaustion,
     are recomputed by the solver's formula on its ``_stage_block``, never
     read from a report, and its degenerate flag comes from the block test.
     Nothing is revalidated, so a tampered stage reaches the checks."""
-    same_space(space.key, L.space_key)
+    same_space(space, L.space)
     layer = resolve_window_layer(L, options)
     if not len(weights) == len(certified) == len(exhaustion.stages):
         raise InputError(f"{len(exhaustion.stages)} stages need as many weight vectors "
@@ -212,21 +219,22 @@ def _assemble(space: MetricSpace, scaled: list[ScaledMinimizer],
     largest weight gap of the last two stages on the window (``stab_gap``)
     against ``stab_tol``, whether it is within it (``stabilized``), and
     ``discrepancies``, keyed ``"m,n"``, the largest weight gap of stage n and
-    the last stage on the window of stage m at ``layer``, for m < n < last."""
+    the last stage on the window of stage m at ``layer``, for m < n < last.
+    The windows of all stages but the last come from one ``window_points``
+    call, so the matrix of layer-balls is built once."""
     last = scaled[-1]
     if len(scaled) == 1:
         window = last.stage
         stab_gap = 0.0
     else:
-        window = window_points(space, scaled[-2].stage, layer)
+        *interiors, window = window_points(space, [s.stage for s in scaled[:-1]], layer)
         stab_gap = _max_gap(window, last.measure, scaled[-2].measure)
     limit = restrict(last.measure, window)
 
     discrepancies = {}
     for m in range(len(scaled) - 2):
-        interior = window_points(space, scaled[m].stage, layer)
         for n in range(m + 1, len(scaled) - 1):
-            discrepancies[f"{m},{n}"] = _max_gap(interior, scaled[n].measure,
+            discrepancies[f"{m},{n}"] = _max_gap(interiors[m], scaled[n].measure,
                                                  last.measure)
 
     diagnostics = {
@@ -248,7 +256,7 @@ def _max_gap(points: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure) -> floa
 def tail_mass(rho: DiscreteMeasure, L: Lagrangian, x: int, R: float) -> float:
     """Kernel mass rho picks up beyond distance R, in rho's space, from point index x."""
     space = rho.space
-    same_space(space.key, L.space_key)
+    same_space(space, L.space)
     xi = as_index(x, len(space))
     far = space.dist[xi] > R
     return math.fsum(rho.weights[far] * L.matrix[xi, far])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -40,8 +41,7 @@ class MetricSpace:
     bound of the formula alone, an explicit ``dist`` that matches the
     Euclidean distances of its own ``coords`` is certified from them in
     O(n^2 dim), and every other matrix is scanned through every midpoint in
-    O(n^3). ``coords``, when given, must be finite. ``key`` is a content fingerprint used to detect mismatched
-    spaces when measures and kernels built on different spaces are mixed.
+    O(n^3). ``coords``, when given, must be finite.
     """
 
     ids: tuple[str, ...]
@@ -49,7 +49,6 @@ class MetricSpace:
     coords: np.ndarray | None = None
     name: str = "space"
     index: dict[str, int] = field(init=False, repr=False, compare=False)
-    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = tuple(str(i) for i in self.ids)
@@ -85,10 +84,16 @@ class MetricSpace:
         object.__setattr__(self, "dist", d)
         object.__setattr__(self, "coords", c)
         object.__setattr__(self, "index", {p: i for i, p in enumerate(ids)})
+
+    @cached_property
+    def key(self) -> str:
+        """A content fingerprint of the ids and distances, computed on first
+        read: ``same_space`` falls back to it for two separately built
+        spaces, and ``run.json`` states the limit's space by it."""
         h = hashlib.sha256()
-        h.update("\x1f".join(ids).encode())
-        h.update(np.ascontiguousarray(d))
-        object.__setattr__(self, "key", h.hexdigest()[:16])
+        h.update("\x1f".join(self.ids).encode())
+        h.update(np.ascontiguousarray(self.dist))
+        return h.hexdigest()[:16]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -239,10 +244,11 @@ def as_index(x, n: int):
     return idx if idx.ndim else int(idx)
 
 
-def same_space(*keys: str) -> None:
-    """InputError unless the ``MetricSpace.key`` of every kernel, space and
-    measure given (a kernel's ``space_key``) is the same."""
-    if len(set(keys)) > 1:
+def same_space(space: MetricSpace, *others: MetricSpace) -> None:
+    """InputError unless every space given (a kernel's, a measure's) is the
+    first one or has its ``key``. Spaces are compared by identity first, so
+    the key is computed only for two separately built spaces."""
+    if any(other is not space and other.key != space.key for other in others):
         raise InputError("kernel, measure and space must be built on the same space")
 
 

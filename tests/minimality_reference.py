@@ -1,5 +1,6 @@
 """The sampled minimality check that the window QP of ``prove_minimality`` is
-checked against, and that the acceptance gates run."""
+checked against, and that the acceptance gates run; and ``prove_minimality``
+with its Cholesky proof alone, which the dominance route is checked against."""
 
 from __future__ import annotations
 
@@ -8,9 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cvp import DiscreteMeasure, InputError, Lagrangian
-from cvp.el_analysis import _FAIL_TOL, _trial_record
+from cvp import DiscreteMeasure, InputError, Lagrangian, global_sup
+from cvp.el_analysis import _FAIL_TOL, _gamma, _no_variation, _trial_record, _window_qp
 from cvp.measure import action_differences, averaged_kernel, check_variations
+from cvp.simplex_solver import _balanced_form
 from cvp.space import as_mask
 
 _MAX_FAILURES = 10
@@ -134,3 +136,35 @@ def _draw_variations(rng: np.random.Generator, base: np.ndarray, cap: int, rows:
 
 
 test_minimality.__test__ = False  # keep pytest from collecting the public name
+
+
+def prove_minimality_by_cholesky(rho: DiscreteMeasure, L: Lagrangian, window) -> dict:
+    """``prove_minimality`` as it was before the dominance route: every window
+    forms the curvature form H and factors H - tau I."""
+    inside = as_mask(window, len(rho.space), "minimality window")
+    idx = np.flatnonzero(inside)
+    if len(idx) < 2:
+        return _no_variation("a window of fewer than 2 points has no nonzero "
+                             "balanced variation", math.fsum(rho.weights[idx]))
+    lhat = averaged_kernel(rho, L)
+    H = _balanced_form(L.matrix, idx)
+    n = len(H)
+    chol = _gamma(n + 1) / (1.0 - _gamma(n + 1)) * float(np.abs(np.diagonal(H)).sum())
+    formed = 4.0 * n * _gamma(3) * global_sup(L)
+    H.flat[::n + 1] -= 2.0 * (chol + formed + n * n * np.finfo(float).smallest_subnormal)
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return _window_qp(rho, L, inside, lhat, "the window's curvature form is not "
+                                                "proved positive semidefinite")
+    k = int(np.count_nonzero(rho.weights))
+    slack = 4.0 * _gamma(k + 3) * (lhat[idx] + 1.0)
+    ell = lhat[idx] - 1.0
+    floor = float((ell - slack).min())
+    w = rho.weights[idx]
+    bound = -2.0 * (1.0 + _gamma(4)) * math.fsum(w * (ell + slack - floor))
+    if bound < -_FAIL_TOL:
+        return _window_qp(rho, L, inside, lhat,
+                          f"the first-order bound {bound:.6g} is below -{_FAIL_TOL:g}")
+    return {"certificate": "exact", "passed": True, "bound": bound,
+            "window_mass": math.fsum(w), "tol": _FAIL_TOL}

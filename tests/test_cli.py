@@ -1032,6 +1032,24 @@ def test_only_a_block_that_is_not_positive_definite_imports_numpy_random(
     assert verified.stdout.splitlines()[-1:] == ["0 False"], verified.stderr
 
 
+def test_solve_computes_one_space_key_and_verify_none(tmp_path, monkeypatch):
+    # the kernel holds its space, so the checks compare spaces by identity:
+    # only run.json's limit.space reads a key
+    keys = []
+    key = cvp.MetricSpace.__dict__["key"].func
+    monkeypatch.setattr(cvp.MetricSpace, "key",
+                        property(lambda space: keys.append(space.ids) or key(space)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_readme_config()))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "run.json").read_text())
+    assert len(keys) == 1 and report["limit"]["space"] == key(load_config(str(path)).space)
+    keys.clear()
+    assert main(["verify", "--run", str(out / "run.json")]) == 0
+    assert keys == []
+
+
 def test_configs_and_reports_are_utf8_in_the_c_locale(tmp_path):
     config = _readme_config()
     for point in config["space"]["points"]:

@@ -428,6 +428,85 @@ def test_curvature_below_the_rounding_margin_is_not_proved(eps, proved):
         assert rep["certificate"] == "window_qp" and rep["passed"]
 
 
+def _dominant_window(L, window):
+    idx = np.flatnonzero(window)
+    return cvp.simplex_solver._dominant(L.matrix[np.ix_(idx, idx)])
+
+
+@given(n=st.integers(2, 12), kind=st.sampled_from(["tent", "dominant"]),
+       ratio=st.floats(0.0, 0.99), seed=st.integers(0, 2 ** 16), doubled=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_dominant_windows_keep_the_reference_dict(n, kind, ratio, seed, doubled):
+    # strictly dominant kernels, the unit tent's identity among them: the
+    # dominance route gives the dict of the Cholesky proof wherever that proof
+    # certifies, and where the first-order bound fails both take the window QP
+    g = grid_1d(range(n))
+    rng = np.random.default_rng(seed)
+    if kind == "tent":
+        L = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, g)
+    else:
+        a = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.6), 1)
+        a += a.T
+        # off-diagonal row sums at most ratio times the diagonal
+        a[np.diag_indices(n)] = a.sum(axis=1) / max(ratio, 1e-3) + rng.uniform(1e-3, 1.0, n)
+        L = make_kernel("matrix", {"matrix": a.tolist()}, g)
+    weights = whole_space_stage(g, L).measure.weights.copy()
+    if doubled:
+        weights[np.argmax(weights)] *= 2.0
+    rho = DiscreteMeasure(g, weights)
+    window = rng.random(n) < 0.7
+    window[:2] = True
+    assert _dominant_window(L, window)
+    ref = reference.prove_minimality_by_cholesky(rho, L, window)
+    rep = el_analysis.prove_minimality(rho, L, window)
+    if ref["certificate"] == "exact" or "first-order bound" in ref.get("why_not_exact", ""):
+        assert rep == ref
+    else:
+        assert _certified(rep)
+
+
+def test_barely_dominant_window_is_proved_only_by_dominance():
+    # an even cycle, L = I + (1 - c)/2 A: dominant by 1% more than the margin
+    # of _dominant, with least eigenvalue c = 2.6e-13 > 0, which the Cholesky
+    # proof's rounding allowance for the 15 x 15 curvature form hides
+    k = 16
+    b = (1.0 - 2 * (k + 1) ** 2 * np.finfo(float).eps * 1.01) / 2.0
+    m = np.eye(k)
+    m[np.arange(k), (np.arange(k) + 1) % k] = m[(np.arange(k) + 1) % k, np.arange(k)] = b
+    g = grid_1d(range(k))
+    L = make_kernel("matrix", {"matrix": m.tolist()}, g)
+    rho = DiscreteMeasure(g, np.full(k, 1.0 / (1.0 + 2.0 * b)))
+    window = np.ones(k, dtype=bool)
+    assert _dominant_window(L, window) and np.linalg.eigvalsh(L.matrix)[0] > 0
+    ref = reference.prove_minimality_by_cholesky(rho, L, window)
+    assert not _certified(ref) and ref["passed"]
+    assert "not proved positive semidefinite" in ref["why_not_exact"]
+    rep = el_analysis.prove_minimality(rho, L, window)
+    assert _certified(rep) and -el_analysis._FAIL_TOL <= rep["bound"] <= 0.0
+    qp = el_analysis._window_qp(rho, L, window, averaged_kernel(rho, L), "not tried")
+    assert qp["passed"] and qp["min_delta_S"] >= -el_analysis._FAIL_TOL
+
+
+@pytest.mark.parametrize("name", ["exp-161", "q49"])
+def test_non_dominant_bench_windows_keep_the_reference_dict(name):
+    # the windows of the benchmark's exp-161 and q49 runs are not dominant:
+    # they take the Cholesky proof, with the reference's dict
+    space, kind, params, center, radii, options = {
+        "exp-161": (grid_1d(range(161)), "exponential", {"amplitude": 1.0, "sigma": 1.0},
+                    80, (40, 60, 80), RunOptions(window_layer=4.0)),
+        "q49": (grid_1d([i * 0.25 for i in range(49)], prefix="q"), "truncated_gaussian",
+                {"amplitude": 1.0, "sigma": 0.8, "range": 2.0}, 24, (3.0, 6.0),
+                RunOptions(solver=cvp.SolverOptions(seed=49))),
+    }[name]
+    L = make_kernel(kind, params, space)
+    run = run_exhaustion(space, L, build_exhaustion(space, center, radii), options)
+    rho = run.stages[-1].measure
+    assert run.window.sum() >= 2 and not _dominant_window(L, run.window)
+    rep = el_analysis.prove_minimality(rho, L, run.window)
+    assert rep == reference.prove_minimality_by_cholesky(rho, L, run.window)
+    assert rep["passed"]
+
+
 def _exact_bound(rho, L, window):
     """The first-order bound -2 sum_W rho_x (ell_x - min_W ell) of the stored
     weights, in exact rationals."""

@@ -148,24 +148,53 @@ def _grid_2d(n):
                        coords=[[x, y] for x in range(n) for y in range(n)])
 
 
+def _gathered(L, stage):
+    """``pipeline._stage_block`` as a gather that always copies."""
+    idx = np.flatnonzero(stage)
+    block = L.matrix[np.ix_(idx, idx)]
+    spread = float(block.max() - block.min())
+    return idx, block, spread <= pipeline._CONST_BLOCK_TOL * max(1.0, float(block.max()))
+
+
+def _run_bytes(run):
+    return ([(s.weights.tobytes(), s.kkt, s.degenerate, s.certified_global,
+              None if s.ell is None else s.ell.tobytes()) for s in run.stages],
+            run.window.tobytes(), run.limit.weights.tobytes(),
+            canonical_json(run.diagnostics))
+
+
 @pytest.mark.parametrize("space, center, radii", [
     (grid_1d(range(21)), 10, (3, 6, 10)),
     (_grid_2d(5), 12, (1, 2, 3)),
 ], ids=["one-run-1d", "scattered-2d"])
-def test_stage_blocks_are_contiguous_copies_of_the_gather(monkeypatch, space, center, radii):
+def test_stage_blocks_have_the_bits_of_the_gather(monkeypatch, space, center, radii):
+    # each stage block is C-contiguous, read-only and has the bits of the
+    # gather; the last stage is the whole space, and its block is the kernel
+    # matrix itself
     L = make_kernel("exponential", {"amplitude": 1.0, "sigma": 1.0}, space)
     exh = build_exhaustion(space, center, radii)
+    assert exh.stages[-1].all()
     blocks = _solved_blocks(monkeypatch)
-    run_exhaustion(space, L, exh, RunOptions(window_layer=1.0))
+    options = RunOptions(window_layer=1.0)
+    run = run_exhaustion(space, L, exh, options)
     assert len(blocks) == len(exh.stages)
+    assert blocks[-1] is L.matrix
     scattered = 0
     for stage, block in zip(exh.stages, blocks):
         idx = np.flatnonzero(stage)
         scattered += idx[-1] - idx[0] + 1 > len(idx)
         assert block.flags.c_contiguous and not block.flags.writeable
         assert block.tobytes() == L.matrix[np.ix_(idx, idx)].tobytes()
+    assert not L.matrix.flags.writeable
     # the 2-D stages but the whole grid are scattered, the 1-D ones never
     assert scattered == (len(exh.stages) - 1 if space.coords.shape[1] == 2 else 0)
+    weights = [s.weights for s in run.stages]
+    certified = [s.certified_global for s in run.stages]
+    again = pipeline.run_from_weights(space, L, exh, options, weights, certified)
+    monkeypatch.setattr(pipeline, "_stage_block", _gathered)
+    assert _run_bytes(run_exhaustion(space, L, exh, options)) == _run_bytes(run)
+    assert _run_bytes(pipeline.run_from_weights(space, L, exh, options, weights,
+                                                certified)) == _run_bytes(again)
 
 
 def test_solve_writes_the_bytes_of_the_validated_gather(tmp_path, monkeypatch):
@@ -185,18 +214,12 @@ def test_solve_writes_the_bytes_of_the_validated_gather(tmp_path, monkeypatch):
     cut = solve(tmp_path / "cut")
     loaded = cli.load_config(str(config))
 
-    def gathered(L, stage):
-        idx = np.flatnonzero(stage)
-        block = L.matrix[np.ix_(idx, idx)]
-        spread = float(block.max() - block.min())
-        return idx, block, spread <= pipeline._CONST_BLOCK_TOL * max(1.0, float(block.max()))
-
     def recomputed(path, header, ids, ell, weights):
         rho = DiscreteMeasure(loaded.space, weights)
         write_csv(path, header, ids, stage_ell(rho, loaded.kernel).tolist(), weights)
 
     write_csv = cli.write_csv
-    monkeypatch.setattr(pipeline, "_stage_block", gathered)
+    monkeypatch.setattr(pipeline, "_stage_block", _gathered)
     monkeypatch.setattr(pipeline, "_block_problem", lambda ids, block, options: CompactProblem(
         ids=ids, matrix=block, options=options))
     monkeypatch.setattr(cli, "write_csv", recomputed)
@@ -301,26 +324,38 @@ def test_window_policy_required_for_unbounded_kernel():
 
 def test_kernel_space_mismatch_rejected():
     g = grid_1d(range(3))
-    other = grid_1d(range(4))
-    # g's size and ids at another spacing: the content keys differ
-    h = grid_1d([0.0, 0.5, 1.0])
     exh = build_exhaustion(g, 0, (2,))
     rho = DiscreteMeasure(g, [1.0, 0.0, 0.0])
     window = np.ones(3, dtype=bool)
     profile = exp_profile(1.0, 1.0, delta=1.0, c=1.0)
-    # every entry point refuses a kernel and a measure or space of another space
-    for space in (other, h):
+
+    def checks(space):
         tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, space)
-        for call in (lambda: run_exhaustion(g, tent, exh),
-                     lambda: averaged_kernel(rho, tent),
-                     lambda: action(rho, tent),
-                     lambda: tail_mass(rho, tent, 0, 1.0),
-                     lambda: nontriviality_check(rho, tent, window),
-                     lambda: local_mass_bound_check(rho, tent, [0], 1.0),
-                     lambda: gamma_lower_bound(rho, tent, profile, 0.5, window),
-                     lambda: check_sufficient_conditions(tent, g, 1.0),
-                     lambda: verify_compact_range(tent, g, exh),
-                     lambda: verify_entropy_decay(tent, g, profile)):
+        return (lambda: run_exhaustion(g, tent, exh),
+                lambda: pipeline.run_from_weights(g, tent, exh, RunOptions(), [rho.weights],
+                                                  [True]),
+                lambda: averaged_kernel(rho, tent),
+                lambda: action(rho, tent),
+                lambda: tail_mass(rho, tent, 0, 1.0),
+                lambda: nontriviality_check(rho, tent, window),
+                lambda: local_mass_bound_check(rho, tent, [0], 1.0),
+                lambda: gamma_lower_bound(rho, tent, profile, 0.5, window),
+                lambda: check_sufficient_conditions(tent, g, 1.0),
+                lambda: verify_compact_range(tent, g, exh),
+                lambda: verify_entropy_decay(tent, g, profile))
+
+    # a space built apart from g with its ids and distances is g's: every
+    # entry point accepts it, and a measure on it equals rho
+    twin = grid_1d(range(3))
+    assert twin is not g and DiscreteMeasure(twin, rho.weights) == rho
+    for call in checks(twin):
+        call()
+    # every entry point refuses a kernel and a measure or space of another
+    # space: another size, g's size and ids at another spacing, and g with one
+    # coordinate moved
+    for space in (grid_1d(range(4)), grid_1d([0.0, 0.5, 1.0]), grid_1d([0.0, 1.0, 2.5])):
+        assert DiscreteMeasure(space, rho.weights[:1].repeat(len(space))) != rho
+        for call in checks(space):
             with pytest.raises(InputError, match="must be built on the same space"):
                 call()
 
@@ -377,6 +412,12 @@ def test_window_points_shrink_with_layer():
     stage = np.arange(11) < 8
     sizes = [int(window_points(g, stage, float(r)).sum()) for r in range(4)]
     assert sizes == sorted(sizes, reverse=True)
+    # a stack of stages gives each stage's window, one row each
+    stages = [np.arange(11) < k for k in (3, 8, 11)]
+    stacked = window_points(g, stages, 1.0)
+    assert stacked.shape == (3, 11)
+    assert all((row == window_points(g, stage, 1.0)).all()
+               for row, stage in zip(stacked, stages))
 
 
 @given(radii=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))

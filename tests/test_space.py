@@ -209,6 +209,21 @@ def test_grids_keep_their_keys(values):
     assert grid.key == _reference_key(ids, ref) and grid.dist.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("first", ["key", "use"])
+def test_key_is_the_reference_whether_read_before_or_after_use(first):
+    # the key is computed on first read; a run in between reads none
+    values = [i * 0.25 for i in range(17)]
+    ids = tuple(f"x{i}" for i in range(len(values)))
+    ref = _reference_key(ids, np.abs(np.subtract.outer(values, values)))
+    grid = grid_1d(values)
+    if first == "key":
+        assert grid.key == ref
+    tent = make_kernel("tent", {"amplitude": 1.0, "range": 1.0}, grid)
+    cvp.run_exhaustion(grid, tent, build_exhaustion(grid, 8, (1.0, 2.0)))
+    assert ("key" in vars(grid)) == (first == "key")
+    assert grid.key == ref and grid.key is grid.key
+
+
 def test_grid_distances_are_exact_at_the_float_extremes():
     # |x_i - x_j| where the square of the difference would underflow or overflow
     assert grid_1d([0.0, 1e-160]).dist[0, 1] == 1e-160
